@@ -19,9 +19,9 @@
 //! 19x19x19 rung (6,859 routers, 109,744 terminals). `--mem-budget-mb N`
 //! makes the run exit nonzero if any point's allocator high-water exceeds
 //! the budget — CI's guard against memory-footprint regressions. The
-//! baseline point re-runs the 4x4x4 evaluation network at the mid-load
-//! setting BENCH_event_core.json measured, so one file answers both "how
-//! big can it go" and "did the refactor slow the old size down".
+//! baseline point re-runs the 4x4x4 evaluation network (OmniWAR, load
+//! 0.1), so one file answers both "how big can it go" and "what does the
+//! evaluation size run at on the same host".
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,9 +79,8 @@ struct Rung {
     load: f64,
     warmup: u64,
     cycles: u64,
-    /// Per-rung algorithm override (the baseline rung pins OmniWAR to
-    /// stay comparable with BENCH_event_core.json); `None` follows
-    /// `--algo`.
+    /// Per-rung algorithm override (the baseline rung pins OmniWAR, the
+    /// evaluation default); `None` follows `--algo`.
     algo: Option<&'static str>,
 }
 
@@ -155,10 +154,9 @@ fn main() {
     });
 
     // The scale ladder: t=16 terminals per router, width stepping the
-    // terminal count 1k -> 100k+. The first rung instead re-runs the
-    // 4x4x4 t=4 evaluation network at BENCH_event_core.json's mid-load
-    // point, so the committed file doubles as the "old size didn't get
-    // slower" check (event engine, 1 thread, load 0.1: 18,780 c/s there).
+    // terminal count 1k -> 100k+. The first rung instead runs the 4x4x4
+    // t=4 evaluation network at load 0.1, so every output file carries a
+    // same-host reading of the evaluation size next to the ladder.
     let mut ladder = vec![
         Rung {
             name: "baseline-4x4x4",

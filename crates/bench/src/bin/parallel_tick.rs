@@ -1,5 +1,10 @@
 //! Wall-clock speedup of the deterministic parallel tick and the
-//! event-driven engine (`BENCH_parallel_tick.json`, `BENCH_event_core.json`).
+//! event-driven engine. `hxperf` (`perf/README.md`) carries the tracked
+//! numbers (`sim.tick2_ratio`, `sim.engine_ratio`) at 256 and 8,192
+//! terminals; this binary is what measures thread scaling at the paper's
+//! 4,096-terminal size (`--full`). Its output is a measurement of the host
+//! it ran on, not a committed baseline — quote a ratio only together with
+//! the load, the size and `host_cpus`.
 //!
 //! Runs the *same* seeded simulation — default 4x4x4 HyperX, OmniWAR,
 //! uniform random traffic — once per (engine, load, thread count), timing
@@ -14,7 +19,7 @@
 //!     [--threads-list 1,2,4] [--engines-list cycle,event] \
 //!     [--loads-list 0.1,0.3,0.7] [--warmup 2000] [--cycles 6000] \
 //!     [--algo OmniWAR] [--seed 1] [--full] [--allow-oversubscribe] \
-//!     [--json BENCH_event_core.json]
+//!     [--json out.json]
 //! ```
 //!
 //! The uniform `--threads N` / `--load X` switches are shorthand for

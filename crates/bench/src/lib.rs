@@ -107,8 +107,8 @@ pub fn evaluation_config() -> SimConfig {
 /// Clamps a requested tick-thread count to the host's available CPUs,
 /// returning `(effective_threads, host_cpus)`. Oversubscribing the tick
 /// pool never changes results (the parallel tick is bit-deterministic)
-/// but reliably runs *slower* — BENCH_event_core.json measured 28–33%
-/// throughput loss running 4 threads on 1 CPU — so the bench binaries
+/// but buys nothing — threads beyond the CPU count cannot run side by
+/// side, they only add shard hand-off cost — so the bench binaries
 /// clamp by default and record the effective count in every row. Pass
 /// `allow = true` (`--allow-oversubscribe`) to keep the requested count,
 /// e.g. to exercise the shard machinery itself; the warning still prints.

@@ -2,7 +2,8 @@
 //!
 //! Lets tests assert adaptive behaviour ("given this congestion, the
 //! algorithm deroutes") without spinning up the cycle-accurate simulator,
-//! and lets the Criterion benches measure pure routing-decision cost.
+//! and lets `hxperf`'s `core.route_ns.*` drivers time pure
+//! routing-decision cost.
 
 use crate::api::RouterView;
 

@@ -8,7 +8,17 @@
 /// from [`CanonicalSimConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// Tick every router and terminal every cycle (the legacy engine).
+    /// Tick every router and terminal every cycle. This is the reference
+    /// the differential suite compares the event engine against
+    /// (`tests/engine_equiv.rs`, the root `tests/event_core_golden.rs`,
+    /// `hxperf`'s cycle-engine digest check). It is also the faster of the
+    /// two where most endpoints are busy every cycle: measured by
+    /// `hxperf`'s `sim.engine_ratio` (event wall ÷ cycle wall, one thread,
+    /// 2-vCPU host) it wins the 256-terminal Fig. 6 UR sweep (`fig6_ur`,
+    /// ratio 1.26) and saturated DCR at 0.9 (`dcr_sat`, 1.21), and at
+    /// 4,096 terminals, loads 0.3–0.7, `parallel_tick --full` has the
+    /// event engine at 0.76–0.95× its speed. It loses where most endpoints
+    /// idle (`ladder_8k`, 8,192 terminals at load 0.02: ratio 0.59).
     Cycle,
     /// Event-driven: endpoints schedule wakes on a deterministic event
     /// queue, only due endpoints tick, and dead cycles are skipped.
@@ -146,8 +156,8 @@ impl Default for SimConfig {
     }
 }
 
-/// `HX_ENGINE` override for the default engine: `cycle` selects the legacy
-/// cycle-stepped loop, anything else (or unset) the event engine.
+/// `HX_ENGINE` override for the default engine: `cycle` selects the
+/// cycle engine, anything else (or unset) the event engine.
 fn default_engine() -> Engine {
     match std::env::var("HX_ENGINE") {
         Ok(v) if v.trim().eq_ignore_ascii_case("cycle") => Engine::Cycle,

@@ -2,31 +2,27 @@
 //!
 //! Every channel has latency >= 1 (`Channel::new` asserts it), so nothing
 //! an endpoint sends at cycle `t` is visible anywhere before `t + 1` —
-//! router and terminal ticks within one cycle commute. The parallel tick
-//! exploits this with a two-phase cycle:
+//! router and terminal ticks within one cycle commute. `Network::tick`
+//! exploits this with a two-phase cycle over the cycle's *due* endpoints
+//! (sorted by id: every endpoint under the cycle engine, the set popped
+//! from `crate::event`'s queue under the event engine):
 //!
-//! 1. **Compute**: shards of routers (then terminals) tick against an
-//!    immutable pre-cycle view of the channels and the packet pool,
+//! 1. **Compute**: shards of due routers (then due terminals) tick against
+//!    an immutable pre-cycle view of the channels and the packet pool,
 //!    writing every side effect — flit/credit sends, pool refcount deltas,
 //!    stat counters, metric events, trace hops, deliveries — into a
 //!    per-shard [`TickSink`] outbox instead of shared state.
 //! 2. **Commit**: a single thread drains the outboxes in shard order
 //!    (all router shards ascending by router id, then all terminal shards
-//!    ascending by terminal id). Because the replay order depends only on
-//!    endpoint ids — never on which thread ran which shard — the result is
+//!    ascending by terminal id). The due set, the shard boundaries
+//!    ([`shard_range`]) and the replay order all derive from endpoint ids
+//!    alone — never from which thread ran which shard — so the result is
 //!    bit-identical for every thread count, including `tick_threads = 1`,
-//!    which runs the exact same engine inline.
+//!    which runs the same shard closure inline.
 //!
 //! The free-list order of `PacketPool` is simulation-visible (future
 //! `PacketId`s feed age-based arbitration tie-breaks), which is why pool
 //! mutations ride the outbox as [`PoolOp`]s and replay serially.
-//!
-//! The event engine (`Network::tick_event`) composes with this unchanged:
-//! it shards *only the cycle's due endpoints* (pulled from the
-//! deterministic event queue in `crate::event`, which yields them sorted
-//! by id) through the same compute/commit pipeline, so bit-determinism at
-//! every thread count carries over — the tick set, the shard boundaries,
-//! and the replay order all derive from endpoint ids alone.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +36,18 @@ use crate::packet::{Flit, PacketId};
 use crate::stats::Stats;
 use crate::trace::HopRecord;
 use crate::workload::Delivered;
+
+/// How many shards `len` due ids split into at `threads` tick threads: one
+/// per thread, never more than there are ids.
+pub(crate) fn shard_count(len: usize, threads: usize) -> usize {
+    threads.min(len)
+}
+
+/// The `i`-th of `shards` contiguous index ranges that together cover
+/// `0..len` exactly once, in order (sizes differ by at most one).
+pub(crate) fn shard_range(len: usize, shards: usize, i: usize) -> std::ops::Range<usize> {
+    i * len / shards..(i + 1) * len / shards
+}
 
 /// A deferred `PacketPool` / packet mutation, replayed at commit time in
 /// shard order so the pool's free list evolves identically for every
@@ -328,6 +336,33 @@ fn worker_loop(shared: &PoolShared) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// Every (due-set length, thread count) splits into at most `threads`
+    /// in-bounds shards that cover every index exactly once, in order —
+    /// including lengths shorter than the thread count and length zero.
+    #[test]
+    fn shard_ranges_partition_the_due_set() {
+        for len in 0..=40usize {
+            for threads in 1..=9usize {
+                let shards = shard_count(len, threads);
+                assert!(shards <= threads, "len {len} threads {threads}");
+                assert_eq!(shards == 0, len == 0, "len {len} threads {threads}");
+                let covered: Vec<usize> = (0..shards)
+                    .flat_map(|i| shard_range(len, shards, i))
+                    .collect();
+                assert!(
+                    covered.iter().copied().eq(0..len),
+                    "len {len} threads {threads}: {covered:?}"
+                );
+                // Slicing with every range must not panic, and no shard of
+                // a balanced split sits idle.
+                let ids = vec![0u32; len];
+                for i in 0..shards {
+                    assert!(!ids[shard_range(len, shards, i)].is_empty());
+                }
+            }
+        }
+    }
 
     #[test]
     fn pool_runs_every_task_exactly_once() {

@@ -10,7 +10,7 @@ use hxtopo::{ChannelKind, PortTarget, Topology};
 use crate::channel::Channel;
 use crate::config::{Engine, SimConfig};
 use crate::event::{EventKind, EventQueue};
-use crate::exec::{MetricEvent, PoolOp, TickPool, TickSink};
+use crate::exec::{shard_count, shard_range, MetricEvent, PoolOp, TickPool, TickSink};
 use crate::fault::FaultAction;
 use crate::metrics::Metrics;
 use crate::packet::PacketPool;
@@ -35,13 +35,17 @@ pub struct Network {
     sinks: Vec<TickSink>,
     /// Persistent tick workers, spawned lazily when `cfg.tick_threads > 1`.
     exec: Option<TickPool>,
+    /// This cycle's due endpoint ids, ascending: routers (`0..nr`) then
+    /// terminals (`nr..nr + nt`) — the exact order the serial commit phase
+    /// replays endpoints in. The event engine refills it from its queue
+    /// every cycle; the cycle engine fills it once, with every id.
+    due: Vec<u32>,
     /// Event-engine wake state (`None` when `cfg.engine == Engine::Cycle`).
     event: Option<Box<EventState>>,
 }
 
-/// Wake-scheduling state for the event-driven engine. Endpoint ids span
-/// routers (`0..nr`) then terminals (`nr..nr + nt`) — the exact order the
-/// serial commit phase replays endpoints in.
+/// Wake-scheduling state for the event-driven engine, keyed by the
+/// endpoint ids of `Network::due`.
 struct EventState {
     queue: EventQueue,
     /// Endpoint that consumes flits arriving on each channel.
@@ -56,21 +60,72 @@ struct EventState {
     credit_consumer_port: Vec<u16>,
     /// Per-channel one-way latency, cached for arrival-wake scheduling.
     chan_latency: Vec<u64>,
-    /// Per-cycle wheel of channels with a send maturing that cycle, so
-    /// the commit phase discards exactly those arrivals instead of
-    /// scanning every port of every ticked endpoint.
+    /// Per-cycle wheel of channels with a send maturing that cycle.
     chan_wheel: ChanWheel,
-    /// This cycle's due-endpoint scratch, reused every cycle.
-    tick_set: Vec<u32>,
-    /// This cycle's arrival-hint scratch (sorted `(router, port·2|kind)`
-    /// pairs from the wheel's matured set), reused every cycle.
+    /// This cycle's matured arrivals (`ch << 1 | is_flit`, scratch, reused;
+    /// entries may repeat): the wheel's window plus LLR deliveries, which
+    /// bypass the wheel. Their consumers are due (arrival wakes guarantee
+    /// it), so the tick hints exactly these ports and afterwards discards
+    /// exactly these arrivals instead of scanning every channel.
+    matured: Vec<u32>,
+    /// This cycle's arrival hints (sorted `(router, port·2|kind)` pairs
+    /// built from `matured`; scratch, reused).
     hint_buf: Vec<ArrivalHint>,
-    /// Channels whose LLR sublayer delivered a flit this cycle (scratch,
-    /// reused): their consumers get same-cycle wakes and their arrival
-    /// queues a post-commit discard (LLR deliveries bypass the wheel).
-    llr_scratch: Vec<u32>,
     /// Lifetime endpoint wakes executed.
     events_processed: u64,
+}
+
+impl EventState {
+    /// Collects the arrivals matured by `now` and rebuilds `hint_buf` from
+    /// them: each maps to its consuming router's port, so the busy tick
+    /// touches only ports with actual arrivals instead of scanning all of
+    /// them. Terminal consumers (ids `>= nr`) are skipped — terminals scan
+    /// their two channels directly. Sorted and deduplicated, the
+    /// per-router run reproduces the full scan's port visit order.
+    fn collect_arrivals(&mut self, now: u64, nr: u32) {
+        self.chan_wheel.drain_matured(now, &mut self.matured);
+        self.hint_buf.clear();
+        for &packed in &self.matured {
+            let ch = (packed >> 1) as usize;
+            let (consumer, key) = if packed & 1 == 1 {
+                (self.flit_consumer[ch], self.flit_consumer_port[ch] << 1)
+            } else {
+                let port = self.credit_consumer_port[ch];
+                (self.credit_consumer[ch], (port << 1) | 1)
+            };
+            if consumer < nr {
+                self.hint_buf.push((consumer, key));
+            }
+        }
+        self.hint_buf.sort_unstable();
+        self.hint_buf.dedup();
+    }
+
+    /// Drops the `matured` arrivals from their channels; `now` is the
+    /// cycle they were collected at.
+    fn discard_matured(&mut self, now: u64, channels: &mut [Channel]) {
+        for packed in self.matured.drain(..) {
+            let ch = &mut channels[(packed >> 1) as usize];
+            if packed & 1 == 1 {
+                ch.discard_arrived_flits(now);
+            } else {
+                ch.discard_arrived_credits(now);
+            }
+        }
+    }
+
+    /// A flit or credit went onto channel `ch` at `now`: record its
+    /// maturity on the wheel and wake its consumer then.
+    fn on_send(&mut self, now: u64, ch: usize, is_flit: bool) {
+        let t = now + self.chan_latency[ch];
+        self.chan_wheel.push(t, ch, is_flit);
+        let (consumer, kind) = if is_flit {
+            (self.flit_consumer[ch], EventKind::FlitArrival)
+        } else {
+            (self.credit_consumer[ch], EventKind::CreditArrival)
+        };
+        self.queue.schedule(t, consumer, kind);
+    }
 }
 
 /// A raw pointer the tick pool may carry across threads. Soundness is
@@ -126,60 +181,21 @@ impl ChanWheel {
         self.slots[i].push((ch as u32) << 1 | is_flit as u32);
     }
 
-    /// Advances the cursor to `now` without touching cycle `now` itself,
-    /// discarding any arrival matured strictly earlier (its consumer
-    /// ticked back then, so the discard is overdue bookkeeping). No-op if
-    /// the cursor is already at or past `now`.
-    fn advance_below(&mut self, now: u64, channels: &mut [Channel]) {
-        if self.next_drain < now {
-            self.drain_discard(now - 1, channels);
-        }
-    }
-
-    /// Discards every arrival matured by `now` from its channel and
-    /// advances the cursor to `now + 1`. Safe across skipped gaps: a
-    /// cycle with a matured arrival always has its consumer awake, so
-    /// skipped slots are provably empty.
-    fn drain_discard(&mut self, now: u64, channels: &mut [Channel]) {
-        let len = self.slots.len() as u64;
-        let first = if now + 1 - self.next_drain >= len {
-            now + 1 - len
-        } else {
-            self.next_drain
-        };
-        for c in first..=now {
-            for packed in self.slots[(c % len) as usize].drain(..) {
-                let ch = &mut channels[(packed >> 1) as usize];
-                if packed & 1 == 1 {
-                    ch.discard_arrived_flits(now);
-                } else {
-                    ch.discard_arrived_credits(now);
-                }
-            }
-        }
-        self.next_drain = now + 1;
-    }
-
-    /// Visits every recorded maturity in `[next_drain, now]` without
-    /// draining it — the arrival-hint pass reads the matured set before
-    /// compute; `drain_discard` clears the same window after. Entries may
-    /// repeat (one per send on the channel that cycle); the hint builder
-    /// deduplicates.
-    fn for_each_pending(&self, now: u64, mut f: impl FnMut(u32)) {
+    /// Moves every maturity recorded for a cycle up to `now` into `out`
+    /// (one entry per send, so channels may repeat) and advances the
+    /// cursor to `now + 1`. Safe across skipped gaps: a cycle with a
+    /// matured arrival always has its consumer awake, so skipped slots are
+    /// provably empty.
+    fn drain_matured(&mut self, now: u64, out: &mut Vec<u32>) {
         if self.next_drain > now {
             return;
         }
         let len = self.slots.len() as u64;
-        let first = if now + 1 - self.next_drain >= len {
-            now + 1 - len
-        } else {
-            self.next_drain
-        };
+        let first = self.next_drain.max((now + 1).saturating_sub(len));
         for c in first..=now {
-            for &packed in &self.slots[(c % len) as usize] {
-                f(packed);
-            }
+            out.append(&mut self.slots[(c % len) as usize]);
         }
+        self.next_drain = now + 1;
     }
 }
 
@@ -193,10 +209,13 @@ impl Network {
         seed: u64,
     ) -> Self {
         cfg.validate();
-        // Oversubscribing the tick pool is a measured 28–33% slowdown on a
-        // 1-CPU host (BENCH_event_core.json) and never helps: warn loudly,
-        // once. Results are bit-identical at any thread count, so this is
-        // purely a performance footgun — benches clamp via
+        // More tick threads than CPUs cannot run side by side: the extra
+        // shards only add hand-off cost (pool workers park instead of
+        // spinning when oversubscribed), so warn loudly, once. Threads
+        // within the CPU count can pay off — how much depends on network
+        // size and load; `perf/README.md` says how `sim.tick2_ratio` is
+        // measured. Results are bit-identical at any thread count, so this
+        // is purely a performance matter — benches clamp via
         // `hxbench::clamp_threads`; tests that exercise the parallel
         // machinery on small hosts oversubscribe deliberately.
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -314,9 +333,8 @@ impl Network {
                 credit_consumer_port,
                 chan_latency: channels.iter().map(|c| c.latency()).collect(),
                 chan_wheel: ChanWheel::new(channels.iter().map(|c| c.latency()).max().unwrap_or(0)),
-                tick_set: Vec::new(),
+                matured: Vec::new(),
                 hint_buf: Vec::new(),
-                llr_scratch: Vec::new(),
                 events_processed: 0,
             })
         });
@@ -330,6 +348,11 @@ impl Network {
             channels,
             sinks: Vec::new(),
             exec: None,
+            due: if event.is_some() {
+                Vec::new()
+            } else {
+                (0..(nr + nt) as u32).collect()
+            },
             event,
         }
     }
@@ -337,12 +360,6 @@ impl Network {
     /// Whether the event-driven engine drives this network.
     pub fn engine_is_event(&self) -> bool {
         self.event.is_some()
-    }
-
-    /// The thread count the tick actually runs with (`cfg.tick_threads`
-    /// floored to 1). Benches record this in every JSONL row.
-    pub fn effective_tick_threads(&self) -> usize {
-        self.cfg.tick_threads.max(1)
     }
 
     /// Endpoint wakes executed by the event engine so far (0 under the
@@ -394,9 +411,14 @@ impl Network {
             for e in 0..n {
                 ev.queue.schedule(now, e, EventKind::Fault);
             }
-            // Catch the wheel up (cycles before `now` already had their
-            // consumers ticked) so the maturity pushes below are in range.
-            ev.chan_wheel.advance_below(now, &mut self.channels);
+            // Catch the wheel up to `now` without touching cycle `now`
+            // itself, so the maturity pushes below are in range. Anything
+            // matured strictly earlier had its consumer ticked back then;
+            // discarding it is overdue bookkeeping.
+            if let Some(prev) = now.checked_sub(1) {
+                ev.chan_wheel.drain_matured(prev, &mut ev.matured);
+                ev.discard_matured(prev, &mut self.channels);
+            }
             for ch in 0..ev.chan_latency.len() {
                 let t = now + ev.chan_latency[ch];
                 ev.queue.schedule(t, ev.flit_consumer[ch], EventKind::Fault);
@@ -408,15 +430,24 @@ impl Network {
         }
     }
 
-    /// Advances every router and terminal by one cycle. `metrics`, like
-    /// `trace`, is pure observation and never perturbs simulation state.
+    /// Advances the network by one cycle. `metrics`, like `trace`, is pure
+    /// observation and never perturbs simulation state.
     ///
-    /// Two-phase deterministic cycle (see `exec`): routers and terminals
-    /// compute against the immutable pre-cycle channel/pool state into
-    /// per-shard outboxes (in parallel when `cfg.tick_threads > 1`), then
-    /// a serial commit replays the outboxes in endpoint-id order. The
-    /// replay order never depends on which thread ran which shard, so any
-    /// thread count produces bit-identical results.
+    /// One body serves both engines and every thread count; the engines
+    /// differ only in where the due set comes from. The event engine pops
+    /// it from its queue (with arrival hints from the `ChanWheel`), the
+    /// cycle engine's is every endpoint id, unhinted. Then, the same for
+    /// both (see `exec`): the due endpoints compute against the immutable
+    /// pre-cycle channel/pool state into per-shard outboxes (on the tick
+    /// pool when `cfg.tick_threads > 1`), matured arrivals are discarded,
+    /// and a serial commit replays the outboxes in endpoint-id order.
+    ///
+    /// Bit-identity across thread counts holds because the replay order
+    /// never depends on which thread ran which shard. Across engines it
+    /// holds because a non-due endpoint is provably a no-op under the
+    /// cycle engine that cycle (no matured arrivals, no buffered or queued
+    /// work — and no randomness is drawn on those paths), and due
+    /// endpoints run the identical code in the identical id order.
     pub fn tick(
         &mut self,
         now: u64,
@@ -426,99 +457,144 @@ impl Network {
         mut trace: Option<&mut Trace>,
         mut metrics: Option<&mut Metrics>,
     ) {
-        // LLR sublayer phase: runs before compute so frames landing this
-        // cycle are visible through the immutable pre-cycle view, exactly
-        // like legacy wire arrivals. Serial and in channel-id order, so
-        // the error-model RNG draws are thread-count independent.
-        if self.cfg.llr_enabled {
-            for ch in &mut self.channels {
-                ch.llr_tick(now, stats);
+        let mut ev = self.event.as_deref_mut();
+        let nr = self.routers.len();
+
+        // ---- LLR sublayer phase: runs before compute so frames landing
+        // this cycle are visible through the immutable pre-cycle view,
+        // exactly like plain wire arrivals. Serial and in channel-id order,
+        // so the error-model RNG draws are thread-count independent.
+        let llr_enabled = self.cfg.llr_enabled;
+        if llr_enabled {
+            for (i, ch) in self.channels.iter_mut().enumerate() {
+                if ch.llr_tick(now, stats) {
+                    if let Some(ev) = ev.as_deref_mut() {
+                        // Deliveries bypass the wheel: wake the consumer
+                        // this cycle (the queue clamps same-cycle schedules
+                        // into the pending drain) and list the arrival.
+                        ev.queue
+                            .schedule(now, ev.flit_consumer[i], EventKind::FlitArrival);
+                        ev.matured.push((i as u32) << 1 | 1);
+                    }
+                }
             }
         }
+
+        // ---- Due set: the only step that knows the engine's nature. The
+        // cycle engine's `due` is every id, filled once at construction.
+        if let Some(ev) = ev.as_deref_mut() {
+            ev.queue.pop_due(now, &mut self.due);
+            ev.events_processed += self.due.len() as u64;
+            if self.due.is_empty() {
+                debug_assert!(ev.matured.is_empty(), "arrival without a due consumer");
+                return;
+            }
+            ev.collect_arrivals(now, nr as u32);
+        }
+        let hints = ev.as_deref().map(|ev| &ev.hint_buf[..]);
+        let split = self.due.partition_point(|&e| (e as usize) < nr);
+        let (r_ids, t_ids) = self.due.split_at(split);
 
         let threads = self.cfg.tick_threads.max(1);
         let want_trace = trace.is_some();
         let want_metrics = metrics.is_some();
         let timed = metrics.as_ref().is_some_and(|m| m.timers_enabled());
-
-        let nr = self.routers.len();
-        let nt = self.terminals.len();
-        let r_chunk = nr.div_ceil(threads).max(1);
-        let t_chunk = nt.div_ceil(threads).max(1);
-        let n_rshards = nr.div_ceil(r_chunk);
-        let n_shards = n_rshards + nt.div_ceil(t_chunk);
+        let n_rshards = shard_count(r_ids.len(), threads);
+        let n_tshards = shard_count(t_ids.len(), threads);
+        let n_shards = n_rshards + n_tshards;
         if self.sinks.len() < n_shards {
             self.sinks.resize_with(n_shards, TickSink::default);
         }
-        for s in &mut self.sinks[..n_shards] {
+        let sinks = &mut self.sinks[..n_shards];
+        for s in sinks.iter_mut() {
             s.reset(want_trace, want_metrics, timed);
         }
 
-        // ---- Compute phase: shards against the pre-cycle view. ----
+        // ---- Compute phase: shards of the sorted due ids — router shards
+        // first, then terminal shards — against the pre-cycle view.
         {
-            let topo = &*self.topo;
-            let algo = &*self.algo;
-            let channels = &self.channels[..];
-            let pool_view = &*pool;
-            let (r_sinks, t_sinks) = self.sinks[..n_shards].split_at_mut(n_rshards);
-            if threads == 1 {
-                for (shard, sink) in self.routers.chunks_mut(r_chunk).zip(r_sinks) {
-                    for r in shard {
-                        r.tick(now, topo, algo, pool_view, channels, None, sink);
+            let (topo, algo) = (&*self.topo, &*self.algo);
+            let (channels, pool) = (&self.channels[..], &*pool);
+            let routers_ptr = SendPtr(self.routers.as_mut_ptr());
+            let terms_ptr = SendPtr(self.terminals.as_mut_ptr());
+            let sinks_ptr = SendPtr(sinks.as_mut_ptr());
+            let run_shard = move |i: usize| {
+                // SAFETY: shard `i < n_shards` is the only user of sink `i`;
+                // the due ids are unique and in range and `shard_range`
+                // hands each shard a disjoint slice of them, so no two
+                // shards form a `&mut` to the same router or terminal.
+                // Every shard finishes before this block ends (the inline
+                // loop trivially; `TickPool::run` joins every task before
+                // returning), so no reference outlives the borrows the
+                // pointers were made from.
+                let sink = unsafe { &mut *sinks_ptr.get(i) };
+                if i < n_rshards {
+                    let ids = &r_ids[shard_range(r_ids.len(), n_rshards, i)];
+                    // Hints are sorted by router id like the due ids, so one
+                    // cursor walks both, started at the shard's first router.
+                    let mut hc = match (hints, ids.first()) {
+                        (Some(h), Some(&first)) => h.partition_point(|h| h.0 < first),
+                        _ => 0,
+                    };
+                    for &e in ids {
+                        let arrivals = hints.map(|h| {
+                            while hc < h.len() && h[hc].0 < e {
+                                hc += 1;
+                            }
+                            let s = hc;
+                            while hc < h.len() && h[hc].0 == e {
+                                hc += 1;
+                            }
+                            &h[s..hc]
+                        });
+                        // SAFETY: as above — router `e` is this shard's alone.
+                        let router = unsafe { &mut *routers_ptr.get(e as usize) };
+                        router.tick(now, topo, algo, pool, channels, arrivals, sink);
                     }
-                }
-                for (shard, sink) in self.terminals.chunks_mut(t_chunk).zip(t_sinks) {
+                } else {
+                    let ids = &t_ids[shard_range(t_ids.len(), n_tshards, i - n_rshards)];
                     let mut stamp = timed.then(std::time::Instant::now);
-                    for t in shard {
-                        t.tick(now, pool_view, channels, sink);
+                    for &e in ids {
+                        // SAFETY: as above — terminal `e - nr` is this shard's alone.
+                        let term = unsafe { &mut *terms_ptr.get(e as usize - nr) };
+                        term.tick(now, pool, channels, sink);
                     }
                     crate::metrics::lap(&mut stamp, &mut sink.timers.channel_ns);
                 }
+            };
+            if threads == 1 {
+                // Serial: the same closure inline — no pool, no locks, no
+                // allocation.
+                (0..n_shards).for_each(run_shard);
             } else {
-                // Task i < n_rshards covers routers[i·r_chunk ..] and sink
-                // i; later tasks cover the matching terminal chunk. Each
-                // task index maps to a disjoint endpoint range and its own
-                // sink, and `TickPool::run` joins every task before
-                // returning, so raw-pointer hand-off is sound — and the
-                // parallel steady-state tick allocates nothing.
-                let routers_ptr = SendPtr(self.routers.as_mut_ptr());
-                let terms_ptr = SendPtr(self.terminals.as_mut_ptr());
-                let r_sinks_ptr = SendPtr(r_sinks.as_mut_ptr());
-                let t_sinks_ptr = SendPtr(t_sinks.as_mut_ptr());
-                let run_shard = move |i: usize| {
-                    if i < n_rshards {
-                        let lo = i * r_chunk;
-                        let hi = (lo + r_chunk).min(nr);
-                        let sink = unsafe { &mut *r_sinks_ptr.get(i) };
-                        for r in lo..hi {
-                            let router = unsafe { &mut *routers_ptr.get(r) };
-                            router.tick(now, topo, algo, pool_view, channels, None, sink);
-                        }
-                    } else {
-                        let j = i - n_rshards;
-                        let lo = j * t_chunk;
-                        let hi = (lo + t_chunk).min(nt);
-                        let sink = unsafe { &mut *t_sinks_ptr.get(j) };
-                        let mut stamp = timed.then(std::time::Instant::now);
-                        for t in lo..hi {
-                            let term = unsafe { &mut *terms_ptr.get(t) };
-                            term.tick(now, pool_view, channels, sink);
-                        }
-                        crate::metrics::lap(&mut stamp, &mut sink.timers.channel_ns);
-                    }
-                };
                 let exec = self.exec.get_or_insert_with(|| TickPool::new(threads - 1));
                 exec.run(n_shards, &run_shard);
             }
         }
 
-        // ---- Commit phase: serial, in endpoint-id order. ----
-        // Every endpoint consumed all matured arrivals during compute
-        // (peeked through the immutable view), so drop them wholesale.
-        for ch in &mut self.channels {
-            ch.discard_arrived(now);
+        // ---- Discard: every arrival matured by `now` was observed through
+        // the immutable view during compute. The cycle engine ticked every
+        // endpoint, so it drops them wholesale.
+        match ev.as_deref_mut() {
+            Some(ev) => ev.discard_matured(now, &mut self.channels),
+            None => self
+                .channels
+                .iter_mut()
+                .for_each(|ch| ch.discard_arrived(now)),
         }
-        for sink in &mut self.sinks[..n_shards] {
+
+        // ---- Commit phase: serial, in endpoint-id order. Under the event
+        // engine, replaying a send also plants its arrival wake — except
+        // for a flit under LLR, which only enters the sender-side replay
+        // buffer; `llr_tick` reports the delivery when the frame lands.
+        let mut on_send = |ch: usize, is_flit: bool| {
+            if let Some(ev) = ev.as_deref_mut() {
+                if !(is_flit && llr_enabled) {
+                    ev.on_send(now, ch, is_flit);
+                }
+            }
+        };
+        for sink in sinks.iter_mut() {
             commit_sink(
                 sink,
                 &mut self.channels,
@@ -528,282 +604,25 @@ impl Network {
                 &mut trace,
                 &mut metrics,
                 now,
-                &mut |_, _| {},
+                &mut on_send,
             );
         }
-    }
 
-    /// Advances one cycle under the event engine: pops the due endpoint
-    /// set, ticks exactly those endpoints (sharded like [`Self::tick`]),
-    /// and reschedules. Arrival wakes are planted at commit time — one per
-    /// wire send, at `now + channel latency` — so a sleeping endpoint is
-    /// always awake at the exact cycle an arrival matures; self-wakes come
-    /// from [`Router::next_wake`] / `Terminal::is_active` after the tick.
-    ///
-    /// Bit-identity with the cycle engine holds because a non-due endpoint
-    /// is provably a no-op under the cycle engine that cycle (no matured
-    /// arrivals, no buffered or queued work — and no randomness is drawn
-    /// on those paths), and due endpoints run the identical compute/commit
-    /// code in the identical id order.
-    #[allow(clippy::too_many_lines)]
-    pub fn tick_event(
-        &mut self,
-        now: u64,
-        pool: &mut PacketPool,
-        stats: &mut Stats,
-        delivered: &mut Vec<Delivered>,
-        mut trace: Option<&mut Trace>,
-        mut metrics: Option<&mut Metrics>,
-    ) {
-        let mut ev = self.event.take().expect("tick_event without event state");
-        // LLR sublayer phase: same serial channel-id-order pass as the
-        // cycle engine, run before the due set is popped so a frame
-        // landing this cycle wakes its consumer this cycle (the queue
-        // clamps same-cycle schedules into the pending drain). Deliveries
-        // bypass the wheel, so remember them for the post-commit discard.
-        if self.cfg.llr_enabled {
-            ev.llr_scratch.clear();
-            let ev = &mut *ev;
-            for (i, ch) in self.channels.iter_mut().enumerate() {
-                if ch.llr_tick(now, stats) {
-                    ev.queue
-                        .schedule(now, ev.flit_consumer[i], EventKind::FlitArrival);
-                    ev.llr_scratch.push(i as u32);
-                }
-            }
-        }
-        let mut tick_set = std::mem::take(&mut ev.tick_set);
-        ev.queue.pop_due(now, &mut tick_set);
-        ev.events_processed += tick_set.len() as u64;
-        if tick_set.is_empty() {
-            ev.tick_set = tick_set;
-            self.event = Some(ev);
-            return;
-        }
-
-        let threads = self.cfg.tick_threads.max(1);
-        let want_trace = trace.is_some();
-        let want_metrics = metrics.is_some();
-        let timed = metrics.as_ref().is_some_and(|m| m.timers_enabled());
-
-        let nr = self.routers.len();
-        let split = tick_set.partition_point(|&e| (e as usize) < nr);
-        let (r_ids, t_ids) = tick_set.split_at(split);
-
-        // ---- Arrival hints: the wheel's undrained window is exactly the
-        // set of channels with a flit/credit maturing by `now` (every wire
-        // send records its maturity; `drain_discard` clears the window
-        // after compute). Map each to its consuming router's input port so
-        // the busy tick touches only ports with actual arrivals instead of
-        // scanning all of them. Terminal consumers are skipped — terminals
-        // scan their two channels directly. Sorted + deduplicated, the
-        // per-router slice reproduces the full scan's port visit order.
-        let mut hints = std::mem::take(&mut ev.hint_buf);
-        hints.clear();
-        {
-            let nr32 = nr as u32;
-            let fc = &ev.flit_consumer;
-            let cc = &ev.credit_consumer;
-            let fp = &ev.flit_consumer_port;
-            let cp = &ev.credit_consumer_port;
-            ev.chan_wheel.for_each_pending(now, |packed| {
-                let ch = (packed >> 1) as usize;
-                let (consumer, key) = if packed & 1 == 1 {
-                    (fc[ch], fp[ch] << 1)
+        // ---- Reschedule: ticked endpoints self-wake from their post-tick
+        // state ([`Router::next_wake`] / `Terminal::is_active`).
+        if let Some(ev) = ev {
+            for &e in &self.due {
+                let wake = if (e as usize) < nr {
+                    self.routers[e as usize].next_wake(now)
                 } else {
-                    (cc[ch], (cp[ch] << 1) | 1)
+                    let term = &self.terminals[e as usize - nr];
+                    term.is_active().then_some(now + 1)
                 };
-                if consumer < nr32 {
-                    hints.push((consumer, key));
-                }
-            });
-            // LLR deliveries are not on the wheel; hint their consuming
-            // routers the same way so the busy tick sees the arrivals.
-            for &ch in &ev.llr_scratch {
-                let ch = ch as usize;
-                if fc[ch] < nr32 {
-                    hints.push((fc[ch], fp[ch] << 1));
+                if let Some(t) = wake {
+                    ev.queue.schedule(t, e, EventKind::Wake);
                 }
             }
         }
-        hints.sort_unstable();
-        hints.dedup();
-
-        let n_rshards = if r_ids.is_empty() {
-            0
-        } else {
-            threads.min(r_ids.len())
-        };
-        let n_tshards = if t_ids.is_empty() {
-            0
-        } else {
-            threads.min(t_ids.len())
-        };
-        let n_shards = n_rshards + n_tshards;
-        if self.sinks.len() < n_shards {
-            self.sinks.resize_with(n_shards, TickSink::default);
-        }
-        for s in &mut self.sinks[..n_shards] {
-            s.reset(want_trace, want_metrics, timed);
-        }
-
-        // ---- Compute phase: due endpoints only, same two-phase
-        // discipline as the cycle engine. ----
-        {
-            let topo = &*self.topo;
-            let algo = &*self.algo;
-            let channels = &self.channels[..];
-            let pool_view = &*pool;
-            let hints = &hints[..];
-            let (r_sinks, t_sinks) = self.sinks[..n_shards].split_at_mut(n_rshards);
-            if threads == 1 {
-                // Serial fast path: index the due endpoints directly — no
-                // per-tick reference gathering, so the steady-state tick
-                // stays allocation-free. A cursor walks the sorted hint
-                // list in lockstep with the sorted id list.
-                if let [sink] = r_sinks {
-                    let mut hc = 0usize;
-                    for &e in r_ids {
-                        while hc < hints.len() && hints[hc].0 < e {
-                            hc += 1;
-                        }
-                        let s = hc;
-                        while hc < hints.len() && hints[hc].0 == e {
-                            hc += 1;
-                        }
-                        self.routers[e as usize].tick(
-                            now,
-                            topo,
-                            algo,
-                            pool_view,
-                            channels,
-                            Some(&hints[s..hc]),
-                            sink,
-                        );
-                    }
-                }
-                if let [sink] = t_sinks {
-                    let mut stamp = timed.then(std::time::Instant::now);
-                    for &e in t_ids {
-                        self.terminals[e as usize - nr].tick(now, pool_view, channels, sink);
-                    }
-                    crate::metrics::lap(&mut stamp, &mut sink.timers.channel_ns);
-                }
-            } else {
-                // Parallel path: shard the sorted due-id slices directly.
-                // Ids are unique, so each task index covers a disjoint set
-                // of endpoints plus its own sink, and `TickPool::run`
-                // joins every task before returning — raw-pointer
-                // hand-off is sound, and no per-tick reference vectors are
-                // gathered (the parallel steady-state tick allocates
-                // nothing, matching the serial fast path).
-                let r_chunk = r_ids.len().div_ceil(n_rshards.max(1)).max(1);
-                let t_chunk = t_ids.len().div_ceil(n_tshards.max(1)).max(1);
-                let routers_ptr = SendPtr(self.routers.as_mut_ptr());
-                let terms_ptr = SendPtr(self.terminals.as_mut_ptr());
-                let r_sinks_ptr = SendPtr(r_sinks.as_mut_ptr());
-                let t_sinks_ptr = SendPtr(t_sinks.as_mut_ptr());
-                let run_shard = move |i: usize| {
-                    if i < n_rshards {
-                        // `lo` can pass the end when the last chunks are
-                        // short (ceil division); clamp to an empty range.
-                        let lo = (i * r_chunk).min(r_ids.len());
-                        let hi = (lo + r_chunk).min(r_ids.len());
-                        let sink = unsafe { &mut *r_sinks_ptr.get(i) };
-                        for &e in &r_ids[lo..hi] {
-                            let s = hints.partition_point(|h| h.0 < e);
-                            let en = s + hints[s..].partition_point(|h| h.0 == e);
-                            let router = unsafe { &mut *routers_ptr.get(e as usize) };
-                            router.tick(
-                                now,
-                                topo,
-                                algo,
-                                pool_view,
-                                channels,
-                                Some(&hints[s..en]),
-                                sink,
-                            );
-                        }
-                    } else {
-                        let j = i - n_rshards;
-                        let lo = (j * t_chunk).min(t_ids.len());
-                        let hi = (lo + t_chunk).min(t_ids.len());
-                        let sink = unsafe { &mut *t_sinks_ptr.get(j) };
-                        let mut stamp = timed.then(std::time::Instant::now);
-                        for &e in &t_ids[lo..hi] {
-                            let term = unsafe { &mut *terms_ptr.get(e as usize - nr) };
-                            term.tick(now, pool_view, channels, sink);
-                        }
-                        crate::metrics::lap(&mut stamp, &mut sink.timers.channel_ns);
-                    }
-                };
-                let exec = self.exec.get_or_insert_with(|| TickPool::new(threads - 1));
-                exec.run(n_shards, &run_shard);
-            }
-        }
-        ev.hint_buf = hints;
-
-        // ---- Commit phase: serial, in endpoint-id order. ----
-        // Discard exactly the arrivals that matured by `now`: their
-        // consumers are in the tick set (arrival wakes guarantee it) and
-        // observed them through the immutable view during compute.
-        ev.chan_wheel.drain_discard(now, &mut self.channels);
-        let llr_enabled = self.cfg.llr_enabled;
-        {
-            // Replaying sends also plants the arrival wake for each one.
-            let ev = &mut *ev;
-            let mut on_send = |ch: usize, is_flit: bool| {
-                // Under LLR a committed flit only enters the sender-side
-                // replay buffer — no wire maturity yet. `llr_tick` plants
-                // the delivery wake at the cycle the frame actually lands.
-                if is_flit && llr_enabled {
-                    return;
-                }
-                let t = now + ev.chan_latency[ch];
-                ev.chan_wheel.push(t, ch, is_flit);
-                if is_flit {
-                    ev.queue
-                        .schedule(t, ev.flit_consumer[ch], EventKind::FlitArrival);
-                } else {
-                    ev.queue
-                        .schedule(t, ev.credit_consumer[ch], EventKind::CreditArrival);
-                }
-            };
-            for sink in &mut self.sinks[..n_shards] {
-                commit_sink(
-                    sink,
-                    &mut self.channels,
-                    pool,
-                    stats,
-                    delivered,
-                    &mut trace,
-                    &mut metrics,
-                    now,
-                    &mut on_send,
-                );
-            }
-        }
-
-        // LLR deliveries bypass the wheel; their consumers (all in the
-        // tick set via the same-cycle wakes above) observed them during
-        // compute, so discard them now.
-        for &ch in &ev.llr_scratch {
-            self.channels[ch as usize].discard_arrived_flits(now);
-        }
-
-        // Self-reschedule the ticked endpoints from their post-tick state.
-        for &e in r_ids {
-            if let Some(t) = self.routers[e as usize].next_wake(now) {
-                ev.queue.schedule(t, e, EventKind::Wake);
-            }
-        }
-        for &e in t_ids {
-            if self.terminals[e as usize - nr].is_active() {
-                ev.queue.schedule(now + 1, e, EventKind::Wake);
-            }
-        }
-        ev.tick_set = tick_set;
-        self.event = Some(ev);
     }
 
     /// Resolves the far end of a router-to-router link.

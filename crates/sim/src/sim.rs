@@ -256,25 +256,14 @@ impl Sim {
 
         let mut delivered = std::mem::take(&mut self.delivered_buf);
         delivered.clear();
-        if event_engine {
-            self.net.tick_event(
-                self.now,
-                &mut self.pool,
-                &mut self.stats,
-                &mut delivered,
-                self.trace.as_mut(),
-                self.metrics.as_deref_mut(),
-            );
-        } else {
-            self.net.tick(
-                self.now,
-                &mut self.pool,
-                &mut self.stats,
-                &mut delivered,
-                self.trace.as_mut(),
-                self.metrics.as_deref_mut(),
-            );
-        }
+        self.net.tick(
+            self.now,
+            &mut self.pool,
+            &mut self.stats,
+            &mut delivered,
+            self.trace.as_mut(),
+            self.metrics.as_deref_mut(),
+        );
         for d in &delivered {
             // Duplicate suppression: with the transport on, only the
             // first copy of each sequence reaches the workload.

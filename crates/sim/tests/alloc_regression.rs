@@ -1,4 +1,5 @@
-//! Pins the steady-state tick allocation-free on the serial event engine.
+//! Pins the steady-state tick allocation-free: both engines, serial and
+//! sharded (they share one tick body, so all four must hold together).
 //!
 //! The scale refactor's contract: once a simulation reaches steady state
 //! (every router materialized, the flit-buffer arena and hint buffer grown
@@ -53,13 +54,18 @@ impl Workload for RotatingTraffic {
     }
 }
 
-/// One warmed steady-state phase at the given thread count; returns the
-/// allocation delta over the measured window.
+/// One warmed steady-state phase on the event engine at the given thread
+/// count; returns the allocation delta over the measured window.
 fn measure_phase(tick_threads: usize) -> u64 {
+    measure_phase_on(Engine::Event, tick_threads)
+}
+
+/// [`measure_phase`] on either engine.
+fn measure_phase_on(engine: Engine, tick_threads: usize) -> u64 {
     let hx = Arc::new(HyperX::uniform(2, 3, 2));
     let cfg = SimConfig {
         tick_threads,
-        engine: Engine::Event,
+        engine,
         ..SimConfig::default()
     };
     let algo: Arc<dyn hxcore::RoutingAlgorithm> =
@@ -116,4 +122,13 @@ fn steady_state_tick_is_allocation_free() {
         parallel, 0,
         "parallel steady-state ticking allocated {parallel} times over 2000 cycles"
     );
+
+    // The cycle engine runs the same tick body over its fixed due set.
+    for threads in [1, 4] {
+        let cycle = measure_phase_on(Engine::Cycle, threads);
+        assert_eq!(
+            cycle, 0,
+            "cycle engine at {threads} tick thread(s) allocated {cycle} times over 2000 cycles"
+        );
+    }
 }

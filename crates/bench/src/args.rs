@@ -1,7 +1,7 @@
 //! Uniform CLI surface for the experiment binaries.
 //!
 //! [`Args`] is the workspace-shared parser — one implementation, living in
-//! `hxharness::args`, used by both the `hx` orchestrator and all ten
+//! `hxharness::args`, used by both the `hx` orchestrator and all nine
 //! experiment binaries (this module re-exports it). [`CommonArgs`] bundles
 //! the switches every binary accepts the same way:
 //!
@@ -35,39 +35,6 @@ impl CommonArgs {
             full: args.full_scale(),
             json: args.get("json").map(str::to_string),
         }
-    }
-}
-
-/// Observability options shared by the experiment binaries: `--metrics
-/// PATH` writes one JSONL summary row per run, `--metrics-interval N`
-/// sets the time-series sampling period (cycles).
-pub struct MetricsArgs {
-    /// Output path for the per-run metrics JSONL, if requested.
-    pub path: Option<String>,
-    /// Sampling interval in cycles.
-    pub interval: u64,
-}
-
-impl MetricsArgs {
-    /// Parses `--metrics` / `--metrics-interval` from `args`.
-    pub fn parse(args: &Args) -> Self {
-        MetricsArgs {
-            path: args.get("metrics").map(str::to_string),
-            interval: args.get_or("metrics-interval", 2_000),
-        }
-    }
-
-    /// Whether metric collection was requested.
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// The `MetricsConfig` to enable on each run's `Sim`, if requested.
-    pub fn config(&self) -> Option<hxsim::MetricsConfig> {
-        self.enabled().then(|| hxsim::MetricsConfig {
-            sample_interval: self.interval,
-            ..hxsim::MetricsConfig::default()
-        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! The workspace's shared dependency-free CLI parser.
 //!
 //! One implementation serves both the `hx` orchestrator and (re-exported
-//! as `hxbench::args`) all ten experiment binaries, instead of the
+//! as `hxbench::args`) all nine experiment binaries, instead of the
 //! hand-rolled per-binary parsers this grew out of. Grammar: `--key value`
 //! pairs, bare `--flag`s, and positional operands (tokens not starting
 //! with `--` that were not consumed as a value).

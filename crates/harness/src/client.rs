@@ -6,11 +6,15 @@
 //! incrementally and is always a byte-identical prefix of the final
 //! result — the same guarantee `hx sweep` gives locally.
 
-use std::io::Write;
 use std::net::TcpStream;
 use std::path::Path;
 
+use crate::job::RowFile;
 use crate::proto::{read_frame, write_frame, Frame, ROLE_CLIENT};
+
+/// Most rows reserved up front on the daemon's say-so (the paper's
+/// largest sweep, Fig. 6, is 1,800); longer sweeps grow the vector.
+const MAX_RESERVED_ROWS: u64 = 4096;
 
 /// Outcome of a submitted sweep, mirroring [`crate::sched::SweepReport`].
 pub struct SubmitReport {
@@ -64,20 +68,11 @@ pub fn submit_text(
         eprintln!("submit: job {job} accepted — {total} points, {cached} cached");
     }
 
-    let mut sink = match out {
-        None => None,
-        Some(p) => {
-            if let Some(parent) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-            }
-            Some(std::io::BufWriter::new(std::fs::File::create(p).map_err(
-                |e| format!("cannot create {}: {e}", p.display()),
-            )?))
-        }
-    };
+    let mut sink = RowFile::create(out)?;
 
-    let mut rows: Vec<String> = Vec::with_capacity(total as usize);
+    // `total` is the daemon's word, not a bound this process may allocate
+    // on: a corrupt frame must fail the read loop below, not the allocator.
+    let mut rows: Vec<String> = Vec::with_capacity(total.min(MAX_RESERVED_ROWS) as usize);
     loop {
         match read_frame(&mut reader).map_err(|e| e.to_string())? {
             Some(Frame::Row { job: j, index, row }) => {
@@ -87,11 +82,7 @@ pub fn submit_text(
                         rows.len()
                     ));
                 }
-                if let Some(s) = &mut sink {
-                    writeln!(s, "{row}")
-                        .and_then(|_| s.flush())
-                        .map_err(|e| format!("write output: {e}"))?;
-                }
+                sink.write(&row)?;
                 rows.push(row);
             }
             Some(Frame::Done {

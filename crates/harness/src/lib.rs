@@ -1,8 +1,7 @@
 //! # hxharness — the `hx` experiment orchestrator
 //!
-//! Every paper figure used to be regenerated by a standalone binary with
-//! its own CLI and no memory of prior runs. This crate is the shared
-//! substrate those harnesses now sit on:
+//! The paper's evaluation is a sweep, and this crate is the one place a
+//! sweep is implemented:
 //!
 //! * **Declarative sweep specs** ([`spec`]): a TOML/JSON file names the
 //!   network, the axes (pattern × algorithm × load × seed × fault count),
@@ -14,19 +13,29 @@
 //!   result-invariant). `hx sweep` skips completed points, `--resume`
 //!   continues an interrupted run, and `hx status` / `hx gc` inspect and
 //!   prune the store.
-//! * **Point-level scheduler** ([`sched`]): independent points run on a
-//!   worker pool composed with per-point tick threading under a core
-//!   budget, streaming merged JSONL rows in deterministic spec order
-//!   regardless of completion order.
+//! * **One sweep path** ([`job`], [`runner`]): a [`Job`] is a sweep's
+//!   whole lifecycle — expand, digest, answer from the store, fill slots
+//!   with executed (and validated) rows or `kind = "failed"` rows, cache,
+//!   and drain merged JSONL rows in deterministic spec order whatever the
+//!   completion order — and [`run_point`] is the one place a point
+//!   executes and a panic is caught.
+//! * **Two drivers**: [`sched`] (`hx sweep`) feeds a `Job` from a local
+//!   thread pool composed with per-point tick threading under a core
+//!   budget; [`serve`] + [`worker`] + [`client`] (`hx serve` / `work` /
+//!   `submit`) feed one per submission from TCP workers under leases.
+//!   Same `Job`, same bytes.
+//! * **Tables** ([`report`]): `hx report ROWS.jsonl` renders the paper's
+//!   tables from merged rows alone.
 //!
-//! The `hx` binary (`src/main.rs`) is the CLI; `fig6_synthetic` and
-//! `fault_resilience` in `hxbench` are thin wrappers over this library,
-//! and the specs they correspond to live in `experiments/`.
+//! The `hx` binary (`src/main.rs`) is the CLI; the sweeps themselves are
+//! the specs in `experiments/`.
 
 pub mod args;
 pub mod client;
 pub mod digest;
+pub mod job;
 pub mod proto;
+pub mod report;
 pub mod runner;
 pub mod sched;
 pub mod serve;
@@ -38,8 +47,10 @@ pub mod worker;
 pub use args::Args;
 pub use client::{submit_text, SubmitReport};
 pub use digest::{canonical_json, digest_hex, point_digest, WORKSPACE_VERSION};
+pub use job::{Fill, Job, RowFile};
 pub use proto::{Frame, ProtoError, PROTO_VERSION};
-pub use runner::{execute_point, PointRow};
+pub use report::{render_report, render_table};
+pub use runner::{execute_point, run_point, PointRow, PointRun};
 pub use sched::{run_sweep, spec_digests, SweepOpts, SweepReport};
 pub use serve::{serve, ServeOpts};
 pub use spec::{ExperimentSpec, FaultProtocol, Kind, NetworkSpec, Point};

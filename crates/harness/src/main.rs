@@ -3,7 +3,9 @@
 //! ```text
 //! hx sweep SPEC [--resume] [--force] [--workers N] [--threads N]
 //!               [--budget N] [--out PATH] [--store DIR] [--no-cache]
-//!               [--expect-cached] [--quiet]
+//!               [--expect-cached] [--metrics PATH [--metrics-interval N]]
+//!               [--quiet]
+//! hx report ROWS.jsonl
 //! hx expand SPEC [--store DIR] [--digests]
 //! hx status [SPEC ...] [--store DIR]
 //! hx gc (--all | SPEC ...) [--dry-run] [--store DIR]
@@ -21,8 +23,15 @@
 //!   re-launching after a kill — behavior is identical), `--force`
 //!   recomputes everything. Merged JSONL rows stream to
 //!   `results/<name>.jsonl` (or `--out`) in deterministic spec order.
-//!   `--expect-cached` exits non-zero if any point had to execute — CI
-//!   uses it to pin the cache-hit path.
+//!   `--expect-cached` exits non-zero unless every point came from the
+//!   store — CI uses it to pin the cache-hit path. `--metrics PATH`
+//!   collects the cycle-level observability layer on every point
+//!   (sampled every `--metrics-interval` cycles, default 2000) and writes
+//!   one summary row per point to PATH; collection never changes results,
+//!   but it recomputes every point — a cache hit runs no simulation.
+//! * `report` prints the tables a merged JSONL file calls for: Figure 6
+//!   for steady rows, delivered fraction and recovery cost for fault
+//!   rows, the per-storm table for gray-failure rows (see `report.rs`).
 //! * `expand` lists the point table with digests and cache state;
 //!   `--digests` prints the bare digest list (one per line) so scripts
 //!   can pre-check cache state without contacting a daemon.
@@ -34,17 +43,19 @@
 //!   local `hx sweep` would produce (see DESIGN.md "Distributed sweeps").
 
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hxharness::{
-    digest_hex, point_digest, run_sweep, serve, spec_digests, submit_text, work, ExperimentSpec,
-    ServeOpts, Store, SweepOpts, WorkOpts, DEFAULT_STORE_DIR,
+    digest_hex, point_digest, render_report, run_sweep, serve, spec_digests, submit_text, work,
+    ExperimentSpec, Job, RowFile, ServeOpts, Store, SweepOpts, WorkOpts, DEFAULT_STORE_DIR,
 };
 
 const USAGE: &str = "usage:
   hx sweep SPEC [--resume] [--force] [--workers N] [--threads N] [--budget N]
-                [--out PATH] [--store DIR] [--no-cache] [--expect-cached] [--quiet]
+                [--out PATH] [--store DIR] [--no-cache] [--expect-cached]
+                [--metrics PATH [--metrics-interval N]] [--quiet]
+  hx report ROWS.jsonl
   hx expand SPEC [--store DIR] [--digests]
   hx status [SPEC ...] [--store DIR]
   hx gc (--all | SPEC ...) [--dry-run] [--store DIR]
@@ -74,6 +85,8 @@ const VALUE_FLAGS: &[&str] = &[
     "max-points",
     "stall-after",
     "slow-ms",
+    "metrics",
+    "metrics-interval",
 ];
 const BOOL_FLAGS: &[&str] = &[
     "resume",
@@ -164,6 +177,7 @@ fn run() -> Result<ExitCode, String> {
     }
     match cmd.as_str() {
         "sweep" => cmd_sweep(&cli),
+        "report" => cmd_report(&cli),
         "expand" => cmd_expand(&cli),
         "status" => cmd_status(&cli),
         "gc" => cmd_gc(&cli),
@@ -181,6 +195,56 @@ fn one_spec(cli: &Cli) -> Result<ExperimentSpec, String> {
     }
 }
 
+/// The shared tail of `hx sweep` and `hx submit`: the summary line, then
+/// the exit code. `--expect-cached` fails unless every point came from
+/// the store — an uncached point that failed instead of executing was
+/// not served from the store either.
+fn conclude(
+    verb: &str,
+    name: &str,
+    [total, cached, executed, failed]: [usize; 4],
+    out: &Path,
+    expect_cached: bool,
+) -> u8 {
+    println!(
+        "{verb} {name}: {total} points, {cached} cached, {executed} executed -> {}",
+        out.display()
+    );
+    if expect_cached && cached < total {
+        eprintln!(
+            "--expect-cached: {} point(s) were not served from the store",
+            total - cached
+        );
+        return 1;
+    }
+    if failed > 0 {
+        eprintln!(
+            "{verb} {name}: {failed} point(s) FAILED (kind=\"failed\" rows in {})",
+            out.display()
+        );
+        return 1;
+    }
+    0
+}
+
+fn out_path(cli: &Cli, spec: &ExperimentSpec) -> PathBuf {
+    cli.get("out")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from(format!("results/{}.jsonl", spec.name)))
+}
+
+/// One row of the `--metrics` file.
+#[derive(serde::Serialize)]
+struct PointMetrics {
+    kind: &'static str,
+    pattern: String,
+    algo: String,
+    seed: u64,
+    fails: usize,
+    offered: f64,
+    summary: hxsim::MetricsSummary,
+}
+
 fn cmd_sweep(cli: &Cli) -> Result<ExitCode, String> {
     let spec = one_spec(cli)?;
     let use_cache = !cli.flag("no-cache");
@@ -191,47 +255,67 @@ fn cmd_sweep(cli: &Cli) -> Result<ExitCode, String> {
     } else {
         None
     };
-    let out = cli
-        .get("out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("results/{}.jsonl", spec.name)));
+    let out = out_path(cli, &spec);
+    let metrics_path = cli.get("metrics").map(PathBuf::from);
     let opts = SweepOpts {
         workers: cli.get_parsed("workers", 0usize)?,
         tick_threads: cli.get_parsed("threads", 0usize)?,
         budget: cli.get_parsed("budget", 0usize)?,
         force: cli.flag("force"),
         stop_after: None,
-        metrics: None,
+        metrics: match metrics_path {
+            Some(_) => Some(hxsim::MetricsConfig {
+                sample_interval: cli.get_parsed("metrics-interval", 2_000u64)?,
+                ..hxsim::MetricsConfig::default()
+            }),
+            None => None,
+        },
         progress: !cli.flag("quiet"),
     };
     let report = run_sweep(&spec, store_ref, Some(&out), &opts)?;
-    println!(
-        "sweep {}: {} points, {} cached, {} executed -> {}",
-        spec.name,
+    if let Some(path) = &metrics_path {
+        let points = spec.expand();
+        let mut file = RowFile::create(Some(path))?;
+        for (i, summary) in report.metrics {
+            let p = &points[i];
+            file.write(&hxsim::versioned_json_row(&PointMetrics {
+                kind: "metrics",
+                pattern: p.pattern.clone(),
+                algo: p.algo.clone(),
+                seed: p.seed,
+                fails: p.fails,
+                offered: p.load,
+                summary,
+            }))?;
+        }
+    }
+    for (i, msg) in &report.failed {
+        eprintln!("  point {i} FAILED: {msg}");
+    }
+    let tally = [
         report.total,
         report.cached,
         report.executed,
-        out.display()
+        report.failed.len(),
+    ];
+    Ok(ExitCode::from(conclude(
+        "sweep",
+        &spec.name,
+        tally,
+        &out,
+        cli.flag("expect-cached"),
+    )))
+}
+
+fn cmd_report(cli: &Cli) -> Result<ExitCode, String> {
+    let [path] = cli.positional.as_slice() else {
+        return Err(format!("expected exactly one ROWS.jsonl path\n{USAGE}"));
+    };
+    let rows = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    print!(
+        "{}",
+        render_report(&rows).map_err(|e| format!("{path}: {e}"))?
     );
-    if cli.flag("expect-cached") && report.executed > 0 {
-        eprintln!(
-            "--expect-cached: {} point(s) were not served from the store",
-            report.executed
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    if !report.failed.is_empty() {
-        eprintln!(
-            "sweep {}: {} point(s) FAILED (kind=\"failed\" rows in {}):",
-            spec.name,
-            report.failed.len(),
-            out.display()
-        );
-        for (i, msg) in &report.failed {
-            eprintln!("  point {i}: {msg}");
-        }
-        return Ok(ExitCode::FAILURE);
-    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -260,25 +344,26 @@ fn cmd_expand(cli: &Cli) -> Result<ExitCode, String> {
         "{:<18} {:>6} {:<8} {:<8} {:>7} {:>6} {:>5}  state",
         "digest", "#", "pattern", "algo", "load", "seed", "fails"
     );
-    let points = spec.expand();
-    let mut cached = 0;
-    for (i, p) in points.iter().enumerate() {
-        let d = point_digest(p);
-        let hit = store.lookup(d).is_some();
-        cached += hit as usize;
+    let job = Job::new(&spec, Some(&store));
+    for i in 0..job.total() {
+        let p = job.point(i);
         println!(
             "{:<18} {:>6} {:<8} {:<8} {:>7.3} {:>6} {:>5}  {}",
-            digest_hex(d),
+            digest_hex(job.digest(i)),
             i,
             p.pattern,
             p.algo,
             p.load,
             p.seed,
             p.fails,
-            if hit { "cached" } else { "pending" }
+            if job.is_filled(i) {
+                "cached"
+            } else {
+                "pending"
+            }
         );
     }
-    println!("{} points, {} cached", points.len(), cached);
+    println!("{} points, {} cached", job.total(), job.cached());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -338,15 +423,12 @@ fn cmd_status(cli: &Cli) -> Result<ExitCode, String> {
     }
     for path in &cli.positional {
         let spec = ExperimentSpec::load(path)?;
-        let digests = spec_digests(&spec);
-        let have = digests
-            .iter()
-            .filter(|d| store.lookup(**d).is_some())
-            .count();
+        let job = Job::new(&spec, Some(&store));
         println!(
-            "  {path} ({}): {have}/{} points cached",
+            "  {path} ({}): {}/{} points cached",
             spec.name,
-            digests.len()
+            job.cached(),
+            job.total()
         );
     }
     Ok(ExitCode::SUCCESS)
@@ -432,10 +514,7 @@ fn cmd_submit(cli: &Cli) -> Result<ExitCode, String> {
     // Parse locally first for a fast, well-located error message (the
     // daemon re-validates regardless) and to learn the output name.
     let spec = ExperimentSpec::parse(&text, format).map_err(|e| format!("{path}: {e}"))?;
-    let out = cli
-        .get("out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("results/{}.jsonl", spec.name)));
+    let out = out_path(cli, &spec);
     let report = submit_text(
         addr,
         &text,
@@ -444,31 +523,14 @@ fn cmd_submit(cli: &Cli) -> Result<ExitCode, String> {
         Some(&out),
         !cli.flag("quiet"),
     )?;
-    println!(
-        "submit {}: {} points, {} cached, {} executed -> {}",
-        spec.name,
-        report.total,
-        report.cached,
-        report.executed,
-        out.display()
-    );
-    if cli.flag("expect-cached") && report.cached < report.total {
-        eprintln!(
-            "--expect-cached: {} point(s) were not served from the store",
-            report.total - report.cached
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    if report.failed > 0 {
-        eprintln!(
-            "submit {}: {} point(s) FAILED (kind=\"failed\" rows in {})",
-            spec.name,
-            report.failed,
-            out.display()
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    let tally = [report.total, report.cached, report.executed, report.failed].map(|n| n as usize);
+    Ok(ExitCode::from(conclude(
+        "submit",
+        &spec.name,
+        tally,
+        &out,
+        cli.flag("expect-cached"),
+    )))
 }
 
 #[cfg(test)]
@@ -490,6 +552,26 @@ mod tests {
     #[test]
     fn unknown_options_are_rejected() {
         assert!(Cli::parse(["--bogus".to_string()].into_iter()).is_err());
+    }
+
+    /// (total, cached, executed, failed) -> exit code, with and without
+    /// `--expect-cached`. The third row is where the two rules the
+    /// commands used to apply disagreed: an uncached point that failed
+    /// executes nothing, yet was not served from the store.
+    #[test]
+    fn exit_code_follows_cached_and_failed_counts() {
+        let cases = [
+            ([4, 4, 0, 0], 0, 0),
+            ([4, 1, 3, 0], 0, 1),
+            ([4, 3, 0, 1], 1, 1),
+            ([4, 0, 3, 1], 1, 1),
+            ([0, 0, 0, 0], 0, 0),
+        ];
+        for (tally, plain, expecting) in cases {
+            let out = Path::new("rows.jsonl");
+            assert_eq!(conclude("sweep", "t", tally, out, false), plain);
+            assert_eq!(conclude("submit", "t", tally, out, true), expecting);
+        }
     }
 
     #[test]

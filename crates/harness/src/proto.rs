@@ -347,6 +347,13 @@ impl Frame {
                     ProtoError::Malformed(format!("kind 0x{kind:02x}: missing integer {key:?}"))
                 })
         };
+        // Version fields are compared for equality at the handshake: a value
+        // that does not fit must not wrap into one that matches.
+        let u32_field = |key: &str| -> Result<u32, ProtoError> {
+            u32::try_from(u64_field(key)?).map_err(|_| {
+                ProtoError::Malformed(format!("kind 0x{kind:02x}: {key:?} out of range"))
+            })
+        };
         let bool_field = |key: &str| -> Result<bool, ProtoError> {
             v.get(key).and_then(Value::as_bool).ok_or_else(|| {
                 ProtoError::Malformed(format!("kind 0x{kind:02x}: missing boolean {key:?}"))
@@ -355,8 +362,8 @@ impl Frame {
         Ok(Some(match kind {
             K_HELLO => Frame::Hello {
                 role: str_field("role")?,
-                proto: u64_field("proto")? as u32,
-                schema_version: u64_field("schema_version")? as u32,
+                proto: u32_field("proto")?,
+                schema_version: u32_field("schema_version")?,
                 workspace_version: str_field("workspace_version")?,
             },
             K_HELLO_ACK => Frame::HelloAck {

@@ -5,7 +5,9 @@
 //! no experiment name — so the same point always produces the same bytes
 //! and the store can splice cached rows into fresh output verbatim.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
+use std::time::Instant;
 
 use hxsim::{run_steady_state, FaultSchedule, IdleWorkload, MetricsConfig, MetricsSummary, Sim};
 use hxtopo::{FaultSet, Topology};
@@ -68,6 +70,56 @@ pub struct PointRow {
     pub crc_errors: u64,
     /// Link down-edges (flaps) survived.
     pub flaps_survived: u64,
+}
+
+/// `tick_threads` as the `--threads` options mean it: 0 is the
+/// `HX_TICK_THREADS` default.
+pub(crate) fn resolve_tick_threads(requested: usize) -> usize {
+    if requested == 0 {
+        hxsim::SimConfig::default().tick_threads
+    } else {
+        requested
+    }
+    .max(1)
+}
+
+/// One executed point: its row, its metrics summary when collection was
+/// requested, and the wall-clock cost the store's meta line records.
+pub struct PointRun {
+    pub row: String,
+    pub metrics: Option<MetricsSummary>,
+    pub elapsed_ms: u64,
+}
+
+/// [`execute_point`] for a sweep: a panicking point must not take the
+/// sweep (and every completed-but-uncommitted row) down with it, so the
+/// panic is caught and returned as its message — what `Job::fill` turns
+/// into a `kind = "failed"` row. The local pool and `hx work` both run
+/// points through here.
+pub fn run_point(
+    point: &Point,
+    tick_threads: usize,
+    metrics: Option<MetricsConfig>,
+) -> Result<PointRun, String> {
+    let t0 = Instant::now();
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        execute_point(point, tick_threads, metrics)
+    }));
+    let elapsed_ms = t0.elapsed().as_millis() as u64;
+    match result {
+        Ok((row, metrics)) => Ok(PointRun {
+            row,
+            metrics,
+            elapsed_ms,
+        }),
+        Err(e) => Err(if let Some(s) = e.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = e.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }),
+    }
 }
 
 /// Runs `point` to completion and returns its serialized row (plus the
@@ -284,4 +336,54 @@ pub fn execute_point(
     };
     let summary = sim.metrics().map(|m| m.summary());
     (hxsim::versioned_json_row(&row), summary)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::{FaultProtocol, NetworkSpec};
+
+    fn point(algo: &str) -> Point {
+        Point {
+            kind: Kind::Steady,
+            network: NetworkSpec {
+                dims: 2,
+                width: 2,
+                terminals: 1,
+            },
+            pattern: "UR".to_string(),
+            algo: algo.to_string(),
+            load: 0.1,
+            seed: 1,
+            fails: 0,
+            router_fails: 0,
+            retransmit: 0,
+            sim: hxsim::SimConfig::default(),
+            steady: hxsim::SteadyOpts {
+                warmup_window: 64,
+                max_warmup_windows: 2,
+                measure_cycles: 64,
+                ..hxsim::SteadyOpts::default()
+            },
+            fault: FaultProtocol::default(),
+        }
+    }
+
+    /// `run_point` returns a point's panic as its message instead of
+    /// unwinding into the pool, and a sound point's row names its digest.
+    #[test]
+    fn run_point_catches_the_panic_of_an_unknown_algorithm() {
+        let error = run_point(&point("NoSuchAlgo"), 1, None)
+            .err()
+            .expect("execute_point panics on an unknown algorithm");
+        assert!(error.contains("unknown algorithm NoSuchAlgo"), "{error}");
+
+        let good = point("DOR");
+        let run = run_point(&good, 1, None).expect("DOR runs");
+        assert!(run.metrics.is_none());
+        assert!(run.row.contains(&format!(
+            "\"digest\":\"{}\"",
+            digest_hex(point_digest(&good))
+        )));
+    }
 }

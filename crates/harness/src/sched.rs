@@ -1,28 +1,23 @@
-//! Point-level sweep scheduler.
+//! Point-level sweep scheduler: the local driver of a [`Job`].
 //!
 //! Independent sweep points run across a worker pool (coarse-grained
 //! parallelism, composed with per-point `tick_threads` under a
 //! points×threads core budget). Completed points are announced on stderr
-//! in completion order, but the merged JSONL output is *streamed in
-//! deterministic spec order*: a row is committed as soon as every earlier
-//! point has finished (an in-order commit frontier), so the output file
-//! is always a prefix of the final result — regardless of which worker
-//! finished first, and byte-identical for every worker/thread count.
+//! in completion order; the merged JSONL output streams in deterministic
+//! spec order through the job's commit frontier, so the output file is
+//! always a prefix of the final result.
 
 use std::collections::HashSet;
-use std::io::Write;
-use std::panic::AssertUnwindSafe;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use hxsim::{MetricsConfig, MetricsSummary};
 use parking_lot::Mutex;
 
-use crate::digest::{digest_hex, point_digest};
-use crate::runner::execute_point;
-use crate::spec::{ExperimentSpec, Point};
-use crate::store::{Store, StoreMeta};
+use crate::digest::point_digest;
+use crate::job::{Fill, Job, RowFile};
+use crate::runner::{resolve_tick_threads, run_point};
+use crate::spec::ExperimentSpec;
+use crate::store::Store;
 
 /// Execution options for [`run_sweep`].
 #[derive(Clone, Debug, Default)]
@@ -73,43 +68,24 @@ pub struct SweepReport {
     pub failed: Vec<(usize, String)>,
 }
 
-/// The merged-output row a panicking point leaves behind.
-#[derive(serde::Serialize)]
-struct FailedRow {
-    kind: &'static str,
-    digest: String,
-    pattern: String,
-    algo: String,
-    seed: u64,
-    fails: u64,
-    router_fails: u64,
-    retransmit: u64,
-    offered: f64,
-    error: String,
+/// What the pool's threads share: the job, its output file, and what the
+/// report collects on the side.
+struct Shared {
+    job: Job,
+    out: RowFile,
+    /// Points handed out so far (indices into the to-do list).
+    claimed: usize,
+    metrics: Vec<(usize, MetricsSummary)>,
+    failed: Vec<(usize, String)>,
+    /// The store or output write failure that aborts the sweep.
+    error: Option<String>,
 }
 
-pub(crate) fn failed_row(point: &Point, digest: u64, error: &str) -> String {
-    hxsim::versioned_json_row(&FailedRow {
-        kind: "failed",
-        digest: digest_hex(digest),
-        pattern: point.pattern.clone(),
-        algo: point.algo.clone(),
-        seed: point.seed,
-        fails: point.fails as u64,
-        router_fails: point.router_fails as u64,
-        retransmit: point.retransmit,
-        offered: point.load,
-        error: error.to_string(),
-    })
-}
-
-pub(crate) fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+impl Shared {
+    /// Streams newly contiguous rows to the output file.
+    fn commit(&mut self) -> Result<(), String> {
+        let out = &mut self.out;
+        self.job.drain(|_, row| out.write(row))
     }
 }
 
@@ -123,160 +99,92 @@ pub fn run_sweep(
     out: Option<&Path>,
     opts: &SweepOpts,
 ) -> Result<SweepReport, String> {
-    let points = spec.expand();
-    let digests: Vec<u64> = points.iter().map(point_digest).collect();
     let force = opts.force || opts.metrics.is_some();
+    let job = Job::new(spec, store.filter(|_| !force));
+    let todo = job.todo();
 
     // Resolve the parallelism triple: budget >= workers * tick_threads.
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     let budget = if opts.budget == 0 { cores } else { opts.budget };
-    let tick_threads = if opts.tick_threads == 0 {
-        hxsim::SimConfig::default().tick_threads
-    } else {
-        opts.tick_threads
-    }
-    .max(1);
+    let tick_threads = resolve_tick_threads(opts.tick_threads);
     let workers = if opts.workers == 0 {
         (budget / tick_threads).max(1)
     } else {
         opts.workers.min((budget / tick_threads).max(1))
     }
-    .min(points.len().max(1));
-
-    // Phase 1: answer what we can from the store.
-    let mut slots: Vec<Option<String>> = vec![None; points.len()];
-    let mut cached = 0;
-    if let (Some(store), false) = (store, force) {
-        for (i, &d) in digests.iter().enumerate() {
-            if let Some(row) = store.lookup(d) {
-                slots[i] = Some(row);
-                cached += 1;
-            }
-        }
-    }
-    let todo: Vec<usize> = (0..points.len()).filter(|&i| slots[i].is_none()).collect();
+    .min(job.total().max(1));
     if opts.progress {
         eprintln!(
             "sweep {}: {} points ({} cached, {} to run) on {} worker(s) x {} tick-thread(s)",
             spec.name,
-            points.len(),
-            cached,
+            job.total(),
+            job.cached(),
             todo.len(),
             workers,
             tick_threads
         );
     }
 
-    // Phase 2: execute the remainder, committing rows in spec order.
-    let mut committed = Committer::new(out, slots)?;
-    committed.drain()?;
-    let state = Mutex::new(committed);
-    let next = AtomicUsize::new(0);
-    let started = AtomicUsize::new(0);
-    let metrics_acc: Mutex<Vec<(usize, MetricsSummary)>> = Mutex::new(Vec::new());
-    let executed = AtomicUsize::new(0);
-    let failure: Mutex<Option<String>> = Mutex::new(None);
-    let failed_points: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+    let mut shared = Shared {
+        job,
+        out: RowFile::create(out)?,
+        claimed: 0,
+        metrics: Vec::new(),
+        failed: Vec::new(),
+        error: None,
+    };
+    shared.commit()?;
+    let shared = Mutex::new(shared);
 
     crossbeam::scope(|s| {
         for _ in 0..workers {
             s.spawn(|_| loop {
-                if let Some(cap) = opts.stop_after {
-                    if started.fetch_add(1, Ordering::SeqCst) >= cap {
+                let (i, point) = {
+                    let mut sh = shared.lock();
+                    let stop = sh.error.is_some()
+                        || sh.claimed == todo.len()
+                        || opts.stop_after.is_some_and(|cap| sh.claimed >= cap);
+                    if stop {
                         break;
                     }
-                } else {
-                    started.fetch_add(1, Ordering::Relaxed);
-                }
-                let slot = next.fetch_add(1, Ordering::SeqCst);
-                if slot >= todo.len() {
-                    break;
-                }
-                let i = todo[slot];
-                let point = &points[i];
-                let t0 = Instant::now();
-                // A panicking point must not take the whole sweep (and
-                // every completed-but-uncommitted row) down with it: catch
-                // it, record the point as failed, and keep the pool going.
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    #[cfg(test)]
-                    if std::env::var("HX_TEST_PANIC_ALGO").as_deref() == Ok(point.algo.as_str()) {
-                        panic!("injected test panic for {}", point.algo);
-                    }
-                    execute_point(point, tick_threads, opts.metrics)
-                }));
-                let elapsed_ms = t0.elapsed().as_millis() as u64;
-                let (row, summary) = match result {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let msg = panic_message(&*e);
-                        eprintln!(
-                            "sweep {}: point {}/{} load {:.3} seed {} FAILED: {msg}",
-                            spec.name, point.pattern, point.algo, point.load, point.seed
-                        );
-                        failed_points.lock().push((
-                            i,
-                            format!(
-                                "{}/{} load {:.3} seed {} fails {} router_fails {}: {msg}",
-                                point.pattern,
-                                point.algo,
-                                point.load,
-                                point.seed,
-                                point.fails,
-                                point.router_fails
-                            ),
-                        ));
-                        // Fill the slot so later rows still commit; never
-                        // cache a failure.
-                        let mut st = state.lock();
-                        st.fill(i, failed_row(point, digests[i], &msg));
-                        if let Err(e) = st.drain() {
-                            *failure.lock() = Some(e);
-                            break;
-                        }
-                        continue;
-                    }
+                    let i = todo[sh.claimed];
+                    sh.claimed += 1;
+                    (i, sh.job.point(i).clone())
                 };
-                executed.fetch_add(1, Ordering::Relaxed);
-                if let Some(sum) = summary {
-                    metrics_acc.lock().push((i, sum));
-                }
-                if let Some(store) = store {
-                    let meta = StoreMeta {
-                        kind: "store_meta",
-                        digest: digest_hex(digests[i]),
-                        experiment: spec.name.clone(),
-                        pattern: point.pattern.clone(),
-                        algo: point.algo.clone(),
-                        load: point.load,
-                        seed: point.seed,
-                        fails: point.fails as u64,
-                        elapsed_ms,
+                let (outcome, summary, elapsed_ms) =
+                    match run_point(&point, tick_threads, opts.metrics) {
+                        Ok(run) => (Ok((run.row, run.elapsed_ms)), run.metrics, run.elapsed_ms),
+                        Err(msg) => (Err(msg), None, 0),
                     };
-                    if let Err(e) = store.insert(digests[i], &meta, &row) {
-                        *failure.lock() = Some(format!("store write failed: {e}"));
+                let mut sh = shared.lock();
+                match sh.job.fill(i, outcome, store) {
+                    Ok(Fill::Executed) => {
+                        if let Some(sum) = summary {
+                            sh.metrics.push((i, sum));
+                        }
+                        if opts.progress {
+                            eprintln!(
+                                "  [{}/{}] {point} ({elapsed_ms} ms)",
+                                sh.job.executed(),
+                                todo.len()
+                            );
+                        }
+                    }
+                    Ok(Fill::Failed(msg)) => {
+                        eprintln!("sweep {}: point {point} FAILED: {msg}", spec.name);
+                        sh.failed.push((i, format!("{point}: {msg}")));
+                    }
+                    // Every to-do index is claimed once.
+                    Ok(Fill::Dropped) => {}
+                    Err(e) => {
+                        sh.error = Some(e);
                         break;
                     }
                 }
-                let mut st = state.lock();
-                st.fill(i, row);
-                if opts.progress {
-                    eprintln!(
-                        "  [{}/{}] {}/{} load {:.3} seed {} fails {} ({} ms)",
-                        executed.load(Ordering::Relaxed),
-                        todo.len(),
-                        point.pattern,
-                        point.algo,
-                        point.load,
-                        point.seed,
-                        point.fails,
-                        elapsed_ms
-                    );
-                }
-                if let Err(e) = st.drain() {
-                    *failure.lock() = Some(e);
+                if let Err(e) = sh.commit() {
+                    sh.error = Some(e);
                     break;
                 }
             });
@@ -284,101 +192,37 @@ pub fn run_sweep(
     })
     .map_err(|_| "sweep worker panicked".to_string())?;
 
-    if let Some(e) = failure.into_inner() {
+    let Shared {
+        job,
+        mut metrics,
+        mut failed,
+        error,
+        ..
+    } = shared.into_inner();
+    if let Some(e) = error {
         return Err(e);
     }
-    let committer = state.into_inner();
-    let executed = executed.into_inner();
-    let rows: Vec<String> = committer
-        .slots
-        .into_iter()
-        .take(committer.frontier)
-        .map(|s| s.expect("committed slots are filled"))
-        .collect();
-    let complete = rows.len() == points.len();
-    let mut metrics = metrics_acc.into_inner();
+    let complete = job.is_complete();
     metrics.sort_by_key(|(i, _)| *i);
-    if opts.progress {
-        eprintln!(
-            "sweep {}: {} points, {} cached, {} executed{}",
-            spec.name,
-            points.len(),
-            cached,
-            executed,
-            if complete { "" } else { " (interrupted)" },
-        );
-    }
-    let mut failed = failed_points.into_inner();
     failed.sort_by_key(|(i, _)| *i);
+    if opts.progress {
+        let interrupted = if complete { "" } else { " (interrupted)" };
+        eprintln!("sweep {job}{interrupted}");
+    }
     Ok(SweepReport {
-        total: points.len(),
-        cached,
-        executed,
-        rows,
+        total: job.total(),
+        cached: job.cached(),
+        executed: job.executed(),
+        rows: job.into_rows(),
         metrics,
         complete,
         failed,
     })
 }
 
-/// All digests a spec's points reach (for `hx gc` / `hx status`).
+/// All digests a spec's points reach (for `hx gc`).
 pub fn spec_digests(spec: &ExperimentSpec) -> HashSet<u64> {
     spec.expand().iter().map(point_digest).collect()
-}
-
-/// In-order row committer: buffers out-of-order completions, streams the
-/// contiguous prefix to the output file.
-struct Committer {
-    slots: Vec<Option<String>>,
-    frontier: usize,
-    out: Option<std::io::BufWriter<std::fs::File>>,
-}
-
-impl Committer {
-    fn new(path: Option<&Path>, slots: Vec<Option<String>>) -> Result<Self, String> {
-        let out = match path {
-            None => None,
-            Some(p) => {
-                if let Some(parent) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
-                    std::fs::create_dir_all(parent)
-                        .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-                }
-                Some(std::io::BufWriter::new(std::fs::File::create(p).map_err(
-                    |e| format!("cannot create {}: {e}", p.display()),
-                )?))
-            }
-        };
-        Ok(Committer {
-            slots,
-            frontier: 0,
-            out,
-        })
-    }
-
-    fn fill(&mut self, i: usize, row: String) {
-        debug_assert!(self.slots[i].is_none(), "point {i} completed twice");
-        self.slots[i] = Some(row);
-    }
-
-    /// Advances the frontier over every contiguous completed row,
-    /// streaming them to the output file.
-    fn drain(&mut self) -> Result<(), String> {
-        let before = self.frontier;
-        while self.frontier < self.slots.len() && self.slots[self.frontier].is_some() {
-            if let Some(out) = &mut self.out {
-                let row = self.slots[self.frontier].as_ref().expect("checked");
-                writeln!(out, "{row}").map_err(|e| format!("write merged output: {e}"))?;
-            }
-            self.frontier += 1;
-        }
-        if self.frontier > before {
-            if let Some(out) = &mut self.out {
-                out.flush()
-                    .map_err(|e| format!("flush merged output: {e}"))?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -386,10 +230,6 @@ mod tests {
     use super::*;
     use crate::value::parse_toml;
 
-    // No other unit test in this binary calls run_sweep, so the
-    // process-global HX_TEST_PANIC_ALGO hook cannot leak into a
-    // concurrently running test. (Integration tests link the non-test
-    // lib, where the hook does not exist at all.)
     const SPEC: &str = r#"
 [experiment]
 name = "panics"
@@ -408,12 +248,14 @@ max_warmup_windows = 2
 measure_cycles = 64
 "#;
 
+    /// A sweep runs past a panicking point. The panic is a real one: the
+    /// spec is edited after validation to name an algorithm nobody
+    /// implements, which `execute_point` panics on.
     #[test]
     fn panicking_point_degrades_gracefully() {
-        let spec = ExperimentSpec::from_value(&parse_toml(SPEC).unwrap()).unwrap();
-        std::env::set_var("HX_TEST_PANIC_ALGO", "DOR");
+        let mut spec = ExperimentSpec::from_value(&parse_toml(SPEC).unwrap()).unwrap();
+        spec.axes.algos[0] = "NoSuchAlgo".to_string();
         let report = run_sweep(&spec, None, None, &SweepOpts::default()).unwrap();
-        std::env::remove_var("HX_TEST_PANIC_ALGO");
 
         assert_eq!(report.total, 2);
         assert!(report.complete, "sweep must run past the panic");
@@ -423,10 +265,10 @@ measure_cycles = 64
             "the panicking point must not count as executed"
         );
         assert_eq!(report.failed.len(), 1);
-        assert_eq!(report.failed[0].0, 0, "DOR expands before DimWAR");
-        assert!(report.failed[0].1.contains("DOR"));
+        assert_eq!(report.failed[0].0, 0, "the edited algorithm expands first");
+        assert!(report.failed[0].1.contains("NoSuchAlgo"));
         assert!(report.rows[0].contains("\"kind\":\"failed\""));
-        assert!(report.rows[0].contains("injected test panic"));
+        assert!(report.rows[0].contains("unknown algorithm NoSuchAlgo"));
         assert!(report.rows[1].contains("\"algo\":\"DimWAR\""));
         assert!(report.rows[1].contains("\"kind\":\"steady\""));
     }

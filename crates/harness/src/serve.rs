@@ -4,10 +4,11 @@
 //! ([`crate::proto::Frame::Submit`]), the daemon expands and digests them
 //! with the exact machinery `hx sweep` uses, answers what it can from the
 //! shared content-addressed store, and leases the remaining points to
-//! `hx work` processes. Completed rows commit through the same in-order
-//! frontier as `sched.rs`, so the JSONL a client receives is always a
-//! byte-identical prefix of the single-node result — regardless of worker
-//! count, completion order, or mid-sweep worker deaths.
+//! `hx work` processes. Each submission is a [`Job`] — the one `hx sweep`
+//! drives too — so the JSONL a client receives is always a byte-identical
+//! prefix of the single-node result, regardless of worker count,
+//! completion order, or mid-sweep worker deaths. What this module adds is
+//! the part only a daemon has: leases.
 //!
 //! ## Lease state machine
 //!
@@ -25,10 +26,7 @@
 //! or the lease deadline passes with no traffic (a wedged-but-connected
 //! worker, caught by the sweeper thread). A result arriving under a stale
 //! lease — the point was reassigned and has since been filled — is
-//! dropped: the sim is deterministic, so the duplicate row is
-//! byte-identical and discarding it cannot lose information. The filled
-//! slot is never overwritten, which is what keeps the output free of
-//! duplicates and reorders.
+//! dropped ([`Fill::Dropped`]).
 //!
 //! ## Cache semantics
 //!
@@ -36,7 +34,9 @@
 //! may not even share a filesystem with it). Rows are cached under the
 //! same canonical digests as single-node runs, so `hx sweep` and
 //! `hx submit` populate and hit one cache interchangeably; failed rows
-//! are never cached, exactly as in `sched.rs`.
+//! are never cached. A worker is another process, possibly another
+//! build's: `Job::fill` validates every row it sends before the row
+//! reaches the store or the client.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -47,16 +47,16 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::digest::{digest_hex, point_digest};
+use crate::digest::digest_hex;
+use crate::job::{Fill, Job};
 use crate::proto::{check_hello, read_frame, write_frame, Frame, ROLE_CLIENT, ROLE_WORKER};
-use crate::sched::failed_row;
-use crate::spec::{ExperimentSpec, Point};
-use crate::store::{Store, StoreMeta};
+use crate::spec::ExperimentSpec;
+use crate::store::Store;
 
 /// Options for [`serve`].
 #[derive(Clone, Debug)]
 pub struct ServeOpts {
-    /// Bind address, e.g. `127.0.0.1:7app` or `127.0.0.1:0` (ephemeral).
+    /// Bind address, e.g. `127.0.0.1:7077` or `127.0.0.1:0` (ephemeral).
     pub addr: String,
     /// Shared store directory.
     pub store_dir: std::path::PathBuf,
@@ -82,20 +82,12 @@ impl Default for ServeOpts {
 }
 
 /// One submitted sweep.
-struct Job {
+struct Submission {
     /// Spec source text, forwarded verbatim to workers (they re-expand it
     /// deterministically; only indices travel per point).
     spec_text: String,
     format: String,
-    name: String,
-    points: Vec<Point>,
-    digests: Vec<u64>,
-    /// In-order commit state: `slots[i]` is the row for point `i`.
-    slots: Vec<Option<String>>,
-    frontier: usize,
-    cached: u64,
-    executed: u64,
-    failed: u64,
+    job: Job,
     /// Frames queued to the submitting client's writer loop.
     client: mpsc::Sender<Frame>,
 }
@@ -110,7 +102,7 @@ struct Lease {
 
 #[derive(Default)]
 struct State {
-    jobs: HashMap<u64, Job>,
+    jobs: HashMap<u64, Submission>,
     /// Unassigned (job, point index) pairs, oldest job first.
     pending: VecDeque<(u64, usize)>,
     leases: HashMap<u64, Lease>,
@@ -133,40 +125,34 @@ impl Daemon {
         }
     }
 
-    /// Advances `job`'s commit frontier, streaming newly contiguous rows
-    /// to its client. Returns `true` (and retires the job) when complete.
-    /// Caller holds the state lock.
-    fn drain_job(&self, state: &mut State, job_id: u64) -> bool {
-        let Some(job) = state.jobs.get_mut(&job_id) else {
+    /// Streams `job_id`'s newly contiguous rows to its client. Returns
+    /// `true` (and retires the job) when complete. Caller holds the state
+    /// lock.
+    fn commit(&self, state: &mut State, job_id: u64) -> bool {
+        let Some(Submission { job, client, .. }) = state.jobs.get_mut(&job_id) else {
             return false;
         };
-        while job.frontier < job.slots.len() && job.slots[job.frontier].is_some() {
-            let row = job.slots[job.frontier].clone().expect("checked");
-            let _ = job.client.send(Frame::Row {
+        // A send fails only once the client is gone; `handle_client`
+        // abandons the job then.
+        let Ok(()) = job.drain(|index, row| {
+            let _ = client.send(Frame::Row {
                 job: job_id,
-                index: job.frontier as u64,
-                row,
+                index: index as u64,
+                row: row.to_string(),
             });
-            job.frontier += 1;
-        }
-        if job.frontier < job.slots.len() {
+            Ok::<(), std::convert::Infallible>(())
+        });
+        if !job.is_complete() {
             return false;
         }
-        let _ = job.client.send(Frame::Done {
+        let _ = client.send(Frame::Done {
             job: job_id,
-            total: job.slots.len() as u64,
-            cached: job.cached,
-            executed: job.executed,
-            failed: job.failed,
+            total: job.total() as u64,
+            cached: job.cached() as u64,
+            executed: job.executed() as u64,
+            failed: job.failed() as u64,
         });
-        self.log(format_args!(
-            "job {job_id} ({}) done: {} points, {} cached, {} executed, {} failed",
-            job.name,
-            job.slots.len(),
-            job.cached,
-            job.executed,
-            job.failed
-        ));
+        self.log(format_args!("job {job_id} done: {job}"));
         state.jobs.remove(&job_id);
         true
     }
@@ -182,7 +168,7 @@ impl Daemon {
         let live = state
             .jobs
             .get(&lease.job)
-            .is_some_and(|j| j.slots[lease.index].is_none());
+            .is_some_and(|sub| !sub.job.is_filled(lease.index));
         if live {
             self.log(format_args!(
                 "reclaiming job {} point {} from worker {} ({why})",
@@ -226,44 +212,20 @@ impl Daemon {
             return;
         }
         state.leases.remove(&lease_id);
-        let Some(job) = state.jobs.get_mut(&job_id) else {
+        let Some(sub) = state.jobs.get_mut(&job_id) else {
             return;
         };
-        if job.slots[index].is_some() {
-            return;
+        match sub.job.fill(index, outcome, Some(&self.store)) {
+            Ok(Fill::Dropped) => return,
+            Ok(Fill::Executed) => {}
+            Ok(Fill::Failed(error)) => self.log(format_args!(
+                "job {job_id} point {index} FAILED on worker: {error}"
+            )),
+            // The row is committed all the same: the client gets its
+            // result, only the next submission recomputes the point.
+            Err(e) => eprintln!("serve: job {job_id} point {index}: {e}"),
         }
-        match outcome {
-            Ok((row, elapsed_ms)) => {
-                let point = &job.points[index];
-                let meta = StoreMeta {
-                    kind: "store_meta",
-                    digest: digest_hex(job.digests[index]),
-                    experiment: job.name.clone(),
-                    pattern: point.pattern.clone(),
-                    algo: point.algo.clone(),
-                    load: point.load,
-                    seed: point.seed,
-                    fails: point.fails as u64,
-                    elapsed_ms,
-                };
-                if let Err(e) = self.store.insert(job.digests[index], &meta, &row) {
-                    eprintln!("serve: store write for job {job_id} point {index} failed: {e}");
-                }
-                job.slots[index] = Some(row);
-                job.executed += 1;
-            }
-            Err(error) => {
-                // Same degradation as a single-node sweep: fill the slot
-                // with a failed row so the frontier advances; cache nothing.
-                let row = failed_row(&job.points[index], job.digests[index], &error);
-                self.log(format_args!(
-                    "job {job_id} point {index} FAILED on worker: {error}"
-                ));
-                job.slots[index] = Some(row);
-                job.failed += 1;
-            }
-        }
-        self.drain_job(state, job_id);
+        self.commit(state, job_id);
     }
 }
 
@@ -431,45 +393,25 @@ fn handle_client(
             return Err(format!("rejected spec: {message}"));
         }
     };
-    let points = spec.expand();
-    let digests: Vec<u64> = points.iter().map(point_digest).collect();
-    let mut slots: Vec<Option<String>> = vec![None; points.len()];
-    let mut cached = 0u64;
-    if !force {
-        for (i, &d) in digests.iter().enumerate() {
-            if let Some(row) = daemon.store.lookup(d) {
-                slots[i] = Some(row);
-                cached += 1;
-            }
-        }
-    }
+    let job = Job::new(&spec, (!force).then_some(&daemon.store));
+    let (total, cached) = (job.total() as u64, job.cached() as u64);
+    let todo = job.todo();
 
     let job_id = daemon.next_job.fetch_add(1, Ordering::Relaxed);
     let (tx, rx) = mpsc::channel::<Frame>();
     daemon.log(format_args!(
-        "job {job_id} ({}): {} points, {} cached, {} to run",
+        "job {job_id} ({}): {total} points, {cached} cached, {} to run",
         spec.name,
-        points.len(),
-        cached,
-        points.len() as u64 - cached
+        todo.len()
     ));
-    let total = points.len() as u64;
     {
         let mut state = daemon.state.lock();
-        let todo: Vec<usize> = (0..points.len()).filter(|&i| slots[i].is_none()).collect();
         state.jobs.insert(
             job_id,
-            Job {
+            Submission {
                 spec_text,
                 format,
-                name: spec.name.clone(),
-                points,
-                digests,
-                slots,
-                frontier: 0,
-                cached,
-                executed: 0,
-                failed: 0,
+                job,
                 client: tx,
             },
         );
@@ -486,7 +428,7 @@ fn handle_client(
         )
         .map_err(|e| e.to_string())?;
         // Fully cached (or empty) jobs finish inside this call.
-        daemon.drain_job(&mut state, job_id);
+        daemon.commit(&mut state, job_id);
     }
 
     // Writer loop: relay committed rows until Done. A send error means
@@ -556,14 +498,14 @@ fn handle_worker(
                                         + Duration::from_millis(daemon.lease_ms),
                                 },
                             );
-                            let job = state.jobs.get(&job_id).expect("pending implies job");
+                            let sub = state.jobs.get(&job_id).expect("pending implies job");
                             let spec = (!specs_sent.contains(&job_id))
-                                .then(|| (job.format.clone(), job.spec_text.clone()));
+                                .then(|| (sub.format.clone(), sub.spec_text.clone()));
                             Some((
                                 job_id,
                                 index,
                                 lease_id,
-                                digest_hex(job.digests[index]),
+                                digest_hex(sub.job.digest(index)),
                                 spec,
                             ))
                         }

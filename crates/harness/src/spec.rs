@@ -200,6 +200,18 @@ pub struct Point {
     pub fault: FaultProtocol,
 }
 
+/// `UR/DimWAR load 0.200 seed 1 fails 0 router_fails 0` — how progress
+/// and failure messages name a point.
+impl std::fmt::Display for Point {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}/{} load {:.3} seed {} fails {} router_fails {}",
+            self.pattern, self.algo, self.load, self.seed, self.fails, self.router_fails
+        )
+    }
+}
+
 impl ExperimentSpec {
     /// Loads a spec from a `.toml` or `.json` file.
     pub fn load(path: &str) -> Result<Self, String> {
@@ -225,8 +237,7 @@ impl ExperimentSpec {
 
     /// Renders the spec as a JSON document that [`ExperimentSpec::parse`]
     /// reproduces exactly (same axes, same resolved configs, same point
-    /// digests). This is how programmatic specs — the `fig6_synthetic` /
-    /// `fault_resilience` wrappers with `--submit` — travel to an
+    /// digests). This is how a spec built in memory travels to an
     /// `hx serve` daemon, which insists on expanding specs itself.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
@@ -906,9 +917,8 @@ fn int_axis(t: &BTreeMap<String, Value>, key: &str, default: &[u64]) -> Result<V
 }
 
 /// `axes.load` accepts either an explicit array or an inclusive
-/// `{ start, stop, step }` grid. Grid values are rounded to 1e-3 (as the
-/// legacy `fig6_synthetic --step` loop did) so grids and hand-written
-/// lists hash identically.
+/// `{ start, stop, step }` grid. Grid values are rounded to 1e-3 so grids
+/// and hand-written lists hash identically.
 fn load_axis(t: &BTreeMap<String, Value>) -> Result<Vec<f64>, String> {
     let v = t.get("load").ok_or("axes.load is required")?;
     if let Some(arr) = v.as_array() {

@@ -1,7 +1,7 @@
 //! `hx work` — a sweep worker process.
 //!
 //! Connects to an `hx serve` daemon, pulls point assignments, executes
-//! them with the exact single-node runner ([`crate::runner::execute_point`]),
+//! them with the exact single-node runner ([`crate::runner::run_point`]),
 //! and streams result rows back. The daemon ships each job's spec source
 //! once; the worker re-expands it with the same deterministic machinery,
 //! so an assignment is just an index (plus the point digest, which the
@@ -16,17 +16,15 @@
 
 use std::collections::HashMap;
 use std::net::TcpStream;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::digest::{digest_hex, point_digest};
 use crate::proto::{read_frame, write_frame, Frame, ROLE_WORKER};
-use crate::runner::execute_point;
-use crate::sched::panic_message;
+use crate::runner::{resolve_tick_threads, run_point};
 use crate::spec::{ExperimentSpec, Point};
 
 /// Options for [`work`].
@@ -49,11 +47,6 @@ pub struct WorkOpts {
     pub slow_ms: u64,
     /// Suppress per-point logging.
     pub quiet: bool,
-}
-
-struct JobSpec {
-    points: Vec<Point>,
-    digests: Vec<u64>,
 }
 
 /// Runs the worker loop until the daemon goes away or `max_points` is
@@ -99,13 +92,9 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
         });
     }
 
-    let tick_threads = if opts.tick_threads == 0 {
-        hxsim::SimConfig::default().tick_threads
-    } else {
-        opts.tick_threads
-    }
-    .max(1);
-    let mut specs: HashMap<u64, JobSpec> = HashMap::new();
+    let tick_threads = resolve_tick_threads(opts.tick_threads);
+    // Each job's points, re-expanded from the spec the daemon sent.
+    let mut specs: HashMap<u64, Vec<Point>> = HashMap::new();
     let mut completed = 0usize;
 
     loop {
@@ -123,9 +112,7 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
                 Ok(Some(Frame::Spec { job, format, spec })) => {
                     let parsed = ExperimentSpec::parse(&spec, &format)
                         .map_err(|e| format!("daemon sent an unparsable spec: {e}"))?;
-                    let points = parsed.expand();
-                    let digests = points.iter().map(point_digest).collect();
-                    specs.insert(job, JobSpec { points, digests });
+                    specs.insert(job, parsed.expand());
                 }
                 Ok(Some(Frame::Assign {
                     job,
@@ -172,14 +159,12 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
             }
         }
 
-        let spec = specs
+        let point = specs
             .get(&job)
-            .ok_or_else(|| format!("assigned job {job} before its spec"))?;
-        let point = spec
-            .points
+            .ok_or_else(|| format!("assigned job {job} before its spec"))?
             .get(index)
             .ok_or_else(|| format!("job {job} has no point {index}"))?;
-        let local_digest = digest_hex(spec.digests[index]);
+        let local_digest = digest_hex(point_digest(point));
         if local_digest != digest {
             // Should be unreachable behind the handshake version pin;
             // refuse to compute under a wrong identity.
@@ -199,32 +184,31 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
         if opts.slow_ms > 0 {
             std::thread::sleep(Duration::from_millis(opts.slow_ms));
         }
-        let t0 = Instant::now();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            execute_point(point, tick_threads, None)
-        }));
-        let elapsed_ms = t0.elapsed().as_millis() as u64;
-        let frame = match result {
-            Ok((row, _)) => Frame::RowResult {
-                job,
-                index: index as u64,
-                lease,
-                elapsed_ms,
-                row,
-            },
-            Err(e) => Frame::FailResult {
-                job,
-                index: index as u64,
-                lease,
-                error: panic_message(&*e),
-            },
-        };
+        let outcome = run_point(point, tick_threads, None);
         if !opts.quiet {
             eprintln!(
-                "work: job {job} point {index} {}/{} load {:.3} seed {} ({elapsed_ms} ms)",
-                point.pattern, point.algo, point.load, point.seed
+                "work: job {job} point {index} {point} ({})",
+                match &outcome {
+                    Ok(run) => format!("{} ms", run.elapsed_ms),
+                    Err(error) => format!("FAILED: {error}"),
+                }
             );
         }
+        let frame = match outcome {
+            Ok(run) => Frame::RowResult {
+                job,
+                index: index as u64,
+                lease,
+                elapsed_ms: run.elapsed_ms,
+                row: run.row,
+            },
+            Err(error) => Frame::FailResult {
+                job,
+                index: index as u64,
+                lease,
+                error,
+            },
+        };
         write_frame(&mut *writer.lock(), &frame).map_err(|e| e.to_string())?;
         completed += 1;
     }

@@ -231,3 +231,22 @@ fn committed_spec_files_load_and_expand() {
     let p = &recovery.expand()[0];
     assert!(p.fails >= 2 && p.router_fails >= 1 && p.retransmit > 0);
 }
+
+/// `results/fig6_reduced.jsonl` is the committed output of the committed
+/// spec. Rows carry nothing run-dependent, so an uncached sweep must
+/// reproduce the file byte for byte; a change that moves a result (or
+/// adds a row field) has to regenerate it with
+/// `hx sweep experiments/fig6_reduced.toml --no-cache`.
+#[test]
+fn committed_fig6_reduced_rows_are_reproduced() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let spec = ExperimentSpec::load(&format!("{root}/experiments/fig6_reduced.toml")).unwrap();
+    let report = run_sweep(&spec, None, None, &SweepOpts::default()).unwrap();
+    assert!(report.complete && report.failed.is_empty());
+    let committed = read(&PathBuf::from(format!("{root}/results/fig6_reduced.jsonl")));
+    assert_eq!(
+        committed.lines().collect::<Vec<_>>(),
+        report.rows,
+        "results/fig6_reduced.jsonl is stale"
+    );
+}

@@ -229,3 +229,34 @@ fn non_utf8_payload_is_malformed() {
         other => panic!("expected Malformed, got {other:?}"),
     }
 }
+
+/// The handshake compares `proto` and `schema_version` for equality, so a
+/// value that does not fit the field must be rejected, not wrapped:
+/// `4294967297` (2^32 + 1) used to narrow to 1 and pass as version 1.
+#[test]
+fn out_of_range_hello_versions_are_malformed() {
+    let hello_with = |proto: u64, schema: u64| {
+        let payload = format!(
+            "{{\"role\":\"worker\",\"proto\":{proto},\"schema_version\":{schema},\
+             \"workspace_version\":\"x\"}}"
+        );
+        let kind = frame_to_bytes(&hxharness::proto::hello(ROLE_WORKER))[0];
+        let mut bytes = vec![kind];
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(payload.as_bytes());
+        read_frame(&mut bytes.as_slice())
+    };
+    let wrapped = (1u64 << 32) + 1;
+    for (proto, schema) in [(wrapped, 1), (1, wrapped), (u32::MAX as u64 + 1, 1)] {
+        match hello_with(proto, schema) {
+            Err(ProtoError::Malformed(m)) => assert!(m.contains("out of range"), "message: {m}"),
+            other => panic!("proto {proto} schema {schema}: expected Malformed, got {other:?}"),
+        }
+    }
+    // The largest value that fits still decodes (and fails the handshake
+    // on its merits).
+    match hello_with(u32::MAX as u64, 1) {
+        Ok(Some(Frame::Hello { proto, .. })) => assert_eq!(proto, u32::MAX),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+}

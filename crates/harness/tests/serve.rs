@@ -324,3 +324,177 @@ fn stalled_worker_lease_expires_and_is_reclaimed() {
     assert!(status.success(), "submit failed: {status}");
     assert_eq!(read(&out), want);
 }
+
+// ---- in-process peers: one side real, the other a fake speaking `proto` ----
+
+use std::net::TcpListener;
+use std::sync::mpsc;
+
+use hxharness::proto::{hello, read_frame, write_frame, Frame, ROLE_WORKER};
+use hxharness::{execute_point, point_digest, serve, submit_text, ServeOpts, Store};
+
+/// Runs `f` on a thread and fails the test if it has not returned after
+/// `secs`: a wedged daemon must show up as a failure, not a hung suite.
+fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what} did not finish in {secs}s"))
+}
+
+/// A worker is another process, possibly another build's, and the daemon
+/// used to store and forward whatever row it sent. This fake worker
+/// answers three of the four points with rows that would have split the
+/// client's JSONL, poisoned the store entry, or filed a result under the
+/// wrong digest. Each must degrade to a `kind = "failed"` row, reach the
+/// client as exactly one line, and never be cached; the sound fourth
+/// point is unaffected.
+#[test]
+fn rows_a_worker_sends_are_validated_before_they_are_stored_or_forwarded() {
+    let tmp = TmpDir::new("fake_worker");
+    let port_file = tmp.path("port");
+    let opts = ServeOpts {
+        store_dir: tmp.path("store"),
+        lease_ms: 60_000,
+        port_file: Some(port_file.clone()),
+        quiet: true,
+        ..ServeOpts::default()
+    };
+    // `serve` never returns; the thread ends with the test process.
+    std::thread::spawn(move || serve(&opts));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let addr = loop {
+        match std::fs::read_to_string(&port_file) {
+            Ok(s) if !s.trim().is_empty() => break s.trim().to_string(),
+            _ => assert!(
+                Instant::now() < deadline,
+                "daemon never wrote its port file"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+
+    let points = golden_spec().expand();
+    let good_row = execute_point(&points[3], 1, None).0;
+    let (worker_addr, other_points_row) = (addr.clone(), good_row.clone());
+    std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(&worker_addr).unwrap();
+        write_frame(&mut conn, &hello(ROLE_WORKER)).unwrap();
+        assert!(matches!(
+            read_frame(&mut conn).unwrap(),
+            Some(Frame::HelloAck { .. })
+        ));
+        loop {
+            write_frame(&mut conn, &Frame::WorkRequest).unwrap();
+            let (job, index, lease) = loop {
+                match read_frame(&mut conn).unwrap() {
+                    Some(Frame::Spec { .. }) => {}
+                    Some(Frame::Assign {
+                        job, index, lease, ..
+                    }) => break (job, index, lease),
+                    Some(Frame::NoWork { .. }) => {
+                        std::thread::sleep(Duration::from_millis(10));
+                        write_frame(&mut conn, &Frame::WorkRequest).unwrap();
+                    }
+                    other => panic!("fake worker got {other:?}"),
+                }
+            };
+            let honest = execute_point(&points[index as usize], 1, None).0;
+            let row = match index {
+                0 => honest.replacen(',', ",\n", 1),
+                1 => format!("[{honest}]"),
+                // A sound row — of another point.
+                2 => other_points_row.clone(),
+                _ => honest,
+            };
+            let result = Frame::RowResult {
+                job,
+                index,
+                lease,
+                elapsed_ms: 1,
+                row,
+            };
+            write_frame(&mut conn, &result).unwrap();
+        }
+    });
+
+    let out = tmp.path("out.jsonl");
+    let (submit_addr, submit_out) = (addr.clone(), out.clone());
+    let report = within(60, "submission to a daemon fed bad rows", move || {
+        submit_text(
+            &submit_addr,
+            SPEC_TOML,
+            "toml",
+            false,
+            Some(&submit_out),
+            false,
+        )
+    })
+    .expect("the sweep completes");
+    assert_eq!(
+        (report.total, report.cached, report.executed, report.failed),
+        (4, 0, 1, 3)
+    );
+    for (i, why) in [(0, "line break"), (1, "not a JSON object"), (2, "digest")] {
+        let row = &report.rows[i];
+        assert!(
+            row.contains("\"kind\":\"failed\"") && row.contains(why),
+            "{row}"
+        );
+    }
+    assert_eq!(report.rows[3], good_row);
+    let text = read(&out);
+    assert_eq!(text.lines().count(), 4, "one line per point:\n{text}");
+    assert_eq!(text.lines().collect::<Vec<_>>(), report.rows);
+
+    // Only the sound row was cached, under its own digest.
+    let store = Store::open(&tmp.path("store")).unwrap();
+    let cached: Vec<bool> = golden_spec()
+        .expand()
+        .iter()
+        .map(|p| store.lookup(point_digest(p)).is_some())
+        .collect();
+    assert_eq!(cached, [false, false, false, true]);
+    assert_eq!(store.scan().unwrap().len(), 1);
+}
+
+/// `Accepted.total` is the daemon's word. A corrupt or hostile value must
+/// surface as the error the read loop reports, not as an allocation of
+/// that many rows (which aborts the process).
+#[test]
+fn client_does_not_allocate_on_the_daemons_say_so() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        assert!(matches!(
+            read_frame(&mut conn).unwrap(),
+            Some(Frame::Hello { .. })
+        ));
+        let ack = Frame::HelloAck {
+            worker_id: 0,
+            lease_ms: 1_000,
+            heartbeat_ms: 300,
+        };
+        write_frame(&mut conn, &ack).unwrap();
+        assert!(matches!(
+            read_frame(&mut conn).unwrap(),
+            Some(Frame::Submit { .. })
+        ));
+        let accepted = Frame::Accepted {
+            job: 1,
+            total: i64::MAX as u64,
+            cached: 0,
+        };
+        write_frame(&mut conn, &accepted).unwrap();
+        // ...and hang up without sending a row.
+    });
+    let result = within(30, "submission to a lying daemon", move || {
+        submit_text(&addr, SPEC_TOML, "toml", false, None, false)
+    });
+    let error = result.err().expect("a daemon that hangs up is an error");
+    assert!(
+        error.contains("closed the connection after 0 of"),
+        "{error}"
+    );
+}

@@ -82,6 +82,14 @@ pub struct Candidate {
 ///
 /// Implemented by the simulator; all quantities are in flits. "Free space"
 /// is the credit count for the downstream buffer of `(port, vc)`.
+///
+/// Per-VC quantities (`free_space`, `capacity`, `occupancy`) are the
+/// primitives. [`Self::range_occupancy`] and [`Self::port_occupancy`] are
+/// aggregates over them: the weight function reads only those two, once
+/// per candidate, so a view that keeps the sums (the simulator's router
+/// maintains a per-port occupied-flits counter next to its credit array)
+/// answers in one call instead of one per VC. An override must return
+/// exactly what the provided per-VC loop would.
 pub trait RouterView {
     /// Number of virtual channels per port.
     fn num_vcs(&self) -> usize;
@@ -89,9 +97,6 @@ pub trait RouterView {
     fn free_space(&self, port: usize, vc: usize) -> usize;
     /// Total downstream buffer capacity of `(port, vc)`.
     fn capacity(&self, port: usize, vc: usize) -> usize;
-    /// Whether the downstream VC is currently claimed by an in-flight
-    /// packet (virtual cut-through allocates VCs packet-atomically).
-    fn vc_claimed(&self, port: usize, vc: usize) -> bool;
     /// Backlog of the output queue feeding `port`'s channel.
     fn queue_len(&self, port: usize) -> usize;
 
@@ -107,6 +112,18 @@ pub trait RouterView {
     /// Occupied downstream space of `(port, vc)` (derived).
     fn occupancy(&self, port: usize, vc: usize) -> usize {
         self.capacity(port, vc) - self.free_space(port, vc)
+    }
+
+    /// Occupied downstream space of `port` summed over the VCs in `vcs`
+    /// (aggregate; a resource class's share of the port).
+    fn range_occupancy(&self, port: usize, vcs: std::ops::Range<usize>) -> usize {
+        vcs.map(|vc| self.occupancy(port, vc)).sum()
+    }
+
+    /// Occupied downstream space of `port` summed over all its VCs
+    /// (aggregate).
+    fn port_occupancy(&self, port: usize) -> usize {
+        self.range_occupancy(port, 0..self.num_vcs())
     }
 
     /// Health penalty of `port`'s outgoing link, in equivalent flits of

@@ -16,8 +16,6 @@ pub struct MockView {
     pub occ: Vec<Vec<usize>>,
     /// Output queue backlog per port.
     pub queues: Vec<usize>,
-    /// Whether `(port, vc)` is claimed by an in-flight packet.
-    pub claimed: Vec<Vec<bool>>,
     /// Whether each port's outgoing link is up.
     pub live: Vec<bool>,
     /// Link-health penalty per port (gray-failure pressure in weight
@@ -26,14 +24,13 @@ pub struct MockView {
 }
 
 impl MockView {
-    /// An idle router: all buffers empty, nothing claimed.
+    /// An idle router: all buffers empty.
     pub fn idle(ports: usize, vcs: usize, cap: usize) -> Self {
         MockView {
             vcs,
             cap,
             occ: vec![vec![0; vcs]; ports],
             queues: vec![0; ports],
-            claimed: vec![vec![false; vcs]; ports],
             live: vec![true; ports],
             health: vec![0; ports],
         }
@@ -62,9 +59,6 @@ impl RouterView for MockView {
     }
     fn capacity(&self, _port: usize, _vc: usize) -> usize {
         self.cap
-    }
-    fn vc_claimed(&self, port: usize, vc: usize) -> bool {
-        self.claimed[port][vc]
     }
     fn queue_len(&self, port: usize) -> usize {
         self.queues[port]

@@ -3,9 +3,22 @@
 
 use crate::api::{ClassMap, RouterView};
 
+/// Flits of pressure every class of `port` shares: the backlog of the
+/// output queue feeding the channel plus the link-health penalty
+/// ([`RouterView::link_health_penalty`]). A link shedding CRC errors or
+/// flapping costs replay bandwidth that plain occupancy cannot see yet,
+/// so gray-failing links are priced like congested ones and adaptive
+/// algorithms steer around them before they die. Zero on healthy links,
+/// so fault-free behaviour is unchanged.
+#[inline]
+fn shared_pressure(view: &dyn RouterView, port: usize) -> u64 {
+    view.queue_len(port) as u64 + view.link_health_penalty(port)
+}
+
 /// Congestion estimate of sending through `port`: the total downstream
-/// buffer occupancy across *all* VCs of the port plus the backlog of the
-/// output queue feeding it. Units are flits.
+/// buffer occupancy across *all* VCs of the port
+/// ([`RouterView::port_occupancy`], an aggregate the view maintains) plus
+/// the output-queue backlog and link-health penalty. Units are flits.
 ///
 /// Port-level (rather than per-VC-class) sensing matches the paper's
 /// routers, which "assess all valid outputs with their current detected
@@ -15,18 +28,9 @@ use crate::api::{ClassMap, RouterView};
 /// on URBy (Figure 6d): remote congestion back-pressures *all* of the
 /// source's first-hop ports equally, so the minimal path never looks worse
 /// than the Valiant one and UGAL degenerates to DOR.
-///
-/// The link-health penalty ([`RouterView::link_health_penalty`]) rides on
-/// top: a link shedding CRC errors or flapping costs replay bandwidth that
-/// plain occupancy cannot see yet, so gray-failing links are priced like
-/// congested ones and adaptive algorithms steer around them before they
-/// die. Zero on healthy links, so fault-free behaviour is unchanged.
 #[inline]
 pub fn port_congestion(view: &dyn RouterView, port: usize) -> u64 {
-    let occ: u64 = (0..view.num_vcs())
-        .map(|vc| view.occupancy(port, vc) as u64)
-        .sum();
-    occ + view.queue_len(port) as u64 + view.link_health_penalty(port)
+    view.port_occupancy(port) as u64 + shared_pressure(view, port)
 }
 
 /// Congestion estimate for a specific `(port, class)` candidate: the
@@ -41,6 +45,12 @@ pub fn port_congestion(view: &dyn RouterView, port: usize) -> u64 {
 /// deroutes (visible as S2 throughput loss). The port term preserves the
 /// source-adaptive blindness property above: back-pressure seen by *any*
 /// class of a port is pressure for all of them.
+///
+/// Both terms carry the same queue backlog and health penalty, so those
+/// are read once and added after the maximum: `max(c + s, p + s) =
+/// max(c, p) + s`. Per candidate this is two aggregate reads
+/// ([`RouterView::range_occupancy`], [`RouterView::port_occupancy`]),
+/// independent of the VC count.
 #[inline]
 pub fn candidate_congestion(
     view: &dyn RouterView,
@@ -50,11 +60,8 @@ pub fn candidate_congestion(
 ) -> u64 {
     let vcs = map.vcs_of(class);
     let n = vcs.len() as u64;
-    let occ_cls: u64 = vcs.map(|vc| view.occupancy(port, vc) as u64).sum();
-    let class_pressure = occ_cls * view.num_vcs() as u64 / n.max(1)
-        + view.queue_len(port) as u64
-        + view.link_health_penalty(port);
-    class_pressure.max(port_congestion(view, port))
+    let class_occ = view.range_occupancy(port, vcs) as u64 * view.num_vcs() as u64 / n.max(1);
+    class_occ.max(view.port_occupancy(port) as u64) + shared_pressure(view, port)
 }
 
 /// Fixed per-hop latency folded into the weight, in cycles: roughly one

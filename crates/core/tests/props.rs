@@ -4,9 +4,10 @@
 
 use std::sync::Arc;
 
+use hxcore::weight::{candidate_congestion, port_congestion};
 use hxcore::{
-    hyperx_algorithm, mock::MockView, ClassMap, PacketRouteState, RouteCtx, HYPERX_ALGORITHMS,
-    NO_INTERMEDIATE,
+    hyperx_algorithm, mock::MockView, ClassMap, PacketRouteState, RouteCtx, RouterView,
+    HYPERX_ALGORITHMS, NO_INTERMEDIATE,
 };
 use hxtopo::{HyperX, Topology};
 use proptest::prelude::*;
@@ -18,15 +19,21 @@ fn hyperx_strategy() -> impl Strategy<Value = Arc<HyperX>> {
         .prop_map(|(widths, t)| Arc::new(HyperX::new(&widths, t)))
 }
 
+/// One step of the tests' congestion-state generator.
+fn lcg(x: &mut u64) -> u64 {
+    *x = x
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *x
+}
+
 /// A random congestion state for the router's view.
 fn congest(view: &mut MockView, ports: usize, seed: u64) {
     let mut x = seed | 1;
     for p in 0..ports {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        view.congest_port(p, (x >> 33) as usize % 150);
-        view.queues[p] = (x >> 21) as usize % 60;
+        let r = lcg(&mut x);
+        view.congest_port(p, (r >> 33) as usize % 150);
+        view.queues[p] = (r >> 21) as usize % 60;
     }
 }
 
@@ -234,6 +241,49 @@ proptest! {
                         prop_assert!((intermediate as usize) < hx.num_routers());
                     }
                     other => prop_assert!(false, "{name}: unexpected commit {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// The weight terms are built on the view's aggregate reads; on any
+    /// view they must equal the formula written out per VC (queue backlog
+    /// and health penalty inside both arms of the maximum), and the
+    /// aggregates' provided defaults must equal the per-VC sums.
+    #[test]
+    fn congestion_matches_per_vc_reference(vcs in 1usize..=16, seed in any::<u64>()) {
+        let (ports, cap) = (6, 160);
+        let mut view = MockView::idle(ports, vcs, cap);
+        let mut x = seed | 1;
+        let mut draw = |modulus: usize| (lcg(&mut x) >> 33) as usize % modulus;
+        for p in 0..ports {
+            for vc in 0..vcs {
+                view.occ[p][vc] = draw(cap + 1);
+            }
+            view.queues[p] = draw(60);
+            view.health[p] = [0, 0, draw(2_000) as u64, 1_000_000][draw(4)];
+            if draw(4) == 0 {
+                view.kill_port(p);
+            }
+        }
+        for p in 0..ports {
+            let occ: Vec<u64> = (0..vcs).map(|vc| view.occupancy(p, vc) as u64).collect();
+            let shared = view.queue_len(p) as u64 + view.link_health_penalty(p);
+            let port_ref = occ.iter().sum::<u64>() + shared;
+            prop_assert_eq!(view.port_occupancy(p) as u64, occ.iter().sum::<u64>());
+            prop_assert_eq!(port_congestion(&view, p), port_ref);
+            for classes in 1..=vcs {
+                let map = ClassMap::new(vcs, classes);
+                for class in 0..classes {
+                    let range = map.vcs_of(class);
+                    let occ_cls: u64 = occ[range.clone()].iter().sum();
+                    prop_assert_eq!(view.range_occupancy(p, range.clone()) as u64, occ_cls);
+                    let class_ref = occ_cls * vcs as u64 / range.len().max(1) as u64 + shared;
+                    prop_assert_eq!(
+                        candidate_congestion(&view, p, &map, class),
+                        class_ref.max(port_ref),
+                        "vcs {} classes {} class {} port {}", vcs, classes, class, p
+                    );
                 }
             }
         }

@@ -901,12 +901,16 @@ impl Network {
     /// account for the flits it has in its crossbar/output queue, on the
     /// wire, buffered downstream, and the credits still in flight back —
     /// plus at most one in-progress packet's whole-packet reservation when
-    /// the VC is claimed. Returns the list of violations (empty = sound).
+    /// the VC is claimed. Every materialized router's derived allocation
+    /// state (per-port occupancy counter, routed-prefix counts) is checked
+    /// against the credits and queues it summarizes, dead ports included.
+    /// Returns the list of violations (empty = sound).
     pub fn audit_flow_control(&self) -> Vec<String> {
         let mut errs = Vec::new();
         let cap = self.cfg.buf_flits;
         let max_pkt = self.cfg.max_packet_flits;
         for r in &self.routers {
+            r.audit_derived_state(&mut errs);
             for port in 0..self.topo.num_ports(r.id()) {
                 let Some(ch) = r.out_ch(port) else { continue };
                 if !r.port_live(port) || !self.channels[ch].is_alive() {

@@ -64,13 +64,14 @@ type CandKey = (u64, u8, u32);
 /// `ChanWheel`'s matured-channel set.
 pub(crate) type ArrivalHint = (u32, u16);
 
-/// Congestion view over a router's output side (credits, claims, backlog,
-/// link liveness, link health).
+/// Congestion view over a router's output side (credits, per-port
+/// occupancy, backlog, link liveness, link health).
 struct OutView<'a> {
     num_vcs: usize,
     cap: usize,
     credits: &'a [u32],
-    owner: &'a [PacketId],
+    /// [`Router::out_occ`]: occupied downstream flits per port.
+    occ: &'a [u32],
     backlog: &'a [u32],
     live: &'a [bool],
     /// Outgoing channel per port (`NO_WIRE` sentinel), for link-health
@@ -91,8 +92,13 @@ impl RouterView for OutView<'_> {
     fn capacity(&self, _port: usize, _vc: usize) -> usize {
         self.cap
     }
-    fn vc_claimed(&self, port: usize, vc: usize) -> bool {
-        self.owner[port * self.num_vcs + vc] != NO_OWNER
+    fn range_occupancy(&self, port: usize, vcs: std::ops::Range<usize>) -> usize {
+        let base = port * self.num_vcs;
+        let free: u32 = self.credits[base + vcs.start..base + vcs.end].iter().sum();
+        vcs.len() * self.cap - free as usize
+    }
+    fn port_occupancy(&self, port: usize) -> usize {
+        self.occ[port] as usize
     }
     fn queue_len(&self, port: usize) -> usize {
         self.backlog[port] as usize
@@ -171,9 +177,19 @@ pub struct Router {
     // Input side, indexed [port * num_vcs + vc]: per-VC packet queues.
     // Empty until materialized.
     in_q: Vec<VecDeque<PktBuf>>,
+    /// Routed packets per input VC. They are always the queue's prefix:
+    /// only a VC's first unrouted packet is ever routed ([`Self::grant`])
+    /// and removals keep order, so `in_q[i][routed[i]]` is the VC's head
+    /// awaiting a route and `in_q[i][..routed[i]]` is all the crossbar may
+    /// forward. Empty until materialized.
+    routed: Vec<u32>,
 
     // Output side. Empty until materialized.
     out_credits: Vec<u32>,
+    /// Occupied downstream flits per output port: `Σ_vc (buf_cap −
+    /// out_credits)`, kept in step at every `out_credits` write so the
+    /// congestion view reads a port's pressure without walking its VCs.
+    out_occ: Vec<u32>,
     /// Downstream VC claims, [`NO_OWNER`] = unclaimed.
     out_owner: Vec<PacketId>,
     /// Flits per output port inside the crossbar pipe + output queue.
@@ -235,7 +251,9 @@ impl Router {
             class_map: ClassMap::new(v, num_classes),
             materialized: false,
             in_q: Vec::new(),
+            routed: Vec::new(),
             out_credits: Vec::new(),
+            out_occ: Vec::new(),
             out_owner: Vec::new(),
             out_backlog: Vec::new(),
             out_q: Vec::new(),
@@ -265,7 +283,9 @@ impl Router {
         let n = self.num_ports;
         let v = self.num_vcs;
         self.in_q = (0..n * v).map(|_| VecDeque::new()).collect();
+        self.routed = vec![0; n * v];
         self.out_credits = vec![self.buf_cap; n * v];
+        self.out_occ = vec![0; n];
         self.out_owner = vec![NO_OWNER; n * v];
         self.out_backlog = vec![0; n];
         self.out_q = (0..n).map(|_| VecDeque::new()).collect();
@@ -370,6 +390,45 @@ impl Router {
             .filter(|&&(_, v)| v as usize == vc)
             .count();
         xbar + outq
+    }
+
+    /// Audits the derived allocation state against what it summarizes,
+    /// on every port (dead ones too): each port's occupancy counter must
+    /// equal `Σ_vc (buf_flits − credits)`, and each input VC's routed
+    /// packets must be exactly its first `routed` ones. Appends one line
+    /// per violation.
+    pub(crate) fn audit_derived_state(&self, errs: &mut Vec<String>) {
+        if !self.materialized {
+            return;
+        }
+        for port in 0..self.num_ports {
+            let base = port * self.num_vcs;
+            let occupied: u32 = self.out_credits[base..base + self.num_vcs]
+                .iter()
+                .map(|&cr| self.buf_cap - cr)
+                .sum();
+            if self.out_occ[port] != occupied {
+                errs.push(format!(
+                    "router {} port {port}: occupancy counter {} but credits say {occupied}",
+                    self.id, self.out_occ[port]
+                ));
+            }
+            for vc in 0..self.num_vcs {
+                let routed = self.routed[base + vc] as usize;
+                let q = &self.in_q[base + vc];
+                if routed > q.len()
+                    || q.iter()
+                        .enumerate()
+                        .any(|(bi, buf)| buf.route.is_some() != (bi < routed))
+                {
+                    errs.push(format!(
+                        "router {} port {port} vc {vc}: routed packets are not the first {routed} of {}",
+                        self.id,
+                        q.len()
+                    ));
+                }
+            }
+        }
     }
 
     /// Total flits buffered anywhere inside this router.
@@ -507,6 +566,7 @@ impl Router {
         let base = port * self.num_vcs;
         for vc in channels[ch].arrived_credits(now) {
             self.out_credits[base + vc as usize] += 1;
+            self.out_occ[port] -= 1;
             debug_assert!(
                 self.out_credits[base + vc as usize] <= self.buf_cap,
                 "credit overflow"
@@ -554,7 +614,7 @@ impl Router {
             }
             for vc in 0..self.num_vcs {
                 let i = self.pv(port, vc);
-                if let Some(buf) = self.in_q[i].iter().find(|b| b.route.is_none()) {
+                if let Some(buf) = self.in_q[i].get(self.routed[i] as usize) {
                     if !buf.flits.is_empty() {
                         heads.push((buf.birth, buf.pkt, port as u16, vc as u8));
                     }
@@ -642,7 +702,7 @@ impl Router {
                 num_vcs: self.num_vcs,
                 cap: self.buf_cap as usize,
                 credits: &self.out_credits,
-                owner: &self.out_owner,
+                occ: &self.out_occ,
                 backlog: &self.out_backlog,
                 live: &self.live_ports,
                 out_chan: &self.out_chan,
@@ -801,12 +861,14 @@ impl Router {
         debug_assert!(self.out_credits[o] >= len as u32);
         self.out_owner[o] = pkt_id;
         self.out_credits[o] -= len as u32;
+        self.out_occ[out_port] += len as u32;
         let i = self.pv(in_port, in_vc);
-        let buf = self.in_q[i]
-            .iter_mut()
-            .find(|b| b.pkt == pkt_id)
-            .expect("granted packet vanished from its input VC");
+        // Heads are collected as each VC's first unrouted packet, and at
+        // most one per VC per cycle, so the grantee still sits there.
+        let buf = &mut self.in_q[i][self.routed[i] as usize];
+        debug_assert!(buf.pkt == pkt_id && buf.route.is_none());
         buf.route = Some((out_port as u16, out_vc as u8));
+        self.routed[i] += 1;
         let count_hop = network_hop && self.port_term[out_port] == NO_WIRE;
         if count_hop || !matches!(commit, Commit::None) {
             sink.pool_ops.push(PoolOp::Commit {
@@ -831,12 +893,14 @@ impl Router {
                     break;
                 }
                 // Oldest routed packet with buffered flits on this input
-                // port, across all VCs and queue positions.
+                // port, across all VCs; routed packets are each queue's
+                // prefix, so the scan stops there.
                 let mut pick: Option<(u64, PacketId, usize, usize)> = None;
                 for vc in 0..self.num_vcs {
                     let i = self.pv(port, vc);
-                    for (bi, buf) in self.in_q[i].iter().enumerate() {
-                        if buf.route.is_none() || buf.flits.is_empty() {
+                    let routed = self.routed[i] as usize;
+                    for (bi, buf) in self.in_q[i].iter().take(routed).enumerate() {
+                        if buf.flits.is_empty() {
                             continue;
                         }
                         if any_poisoned && pool.is_poisoned(buf.pkt) {
@@ -859,6 +923,7 @@ impl Router {
                 sink.stats.flit_moves += 1;
                 if flit.is_tail() {
                     let buf = self.in_q[i].remove(bi).expect("indexed buffer exists");
+                    self.routed[i] -= 1;
                     self.recycle_buf(buf);
                     sink.pool_ops.push(PoolOp::Gone(flit.pkt)); // the buffer's own pin
                     let o = self.pv(out_port as usize, out_vc as usize);
@@ -982,6 +1047,7 @@ impl Router {
                     let mut buf = self.in_q[i].remove(bi).expect("indexed buffer exists");
                     let len = pool.hot(buf.pkt).len;
                     if let Some((op, ov)) = buf.route {
+                        self.routed[i] -= 1;
                         let o = self.pv(op as usize, ov as usize);
                         debug_assert_eq!(self.out_owner[o], buf.pkt);
                         self.out_owner[o] = NO_OWNER;
@@ -989,8 +1055,12 @@ impl Router {
                         // (Flits already sent return their credit from the
                         // receiver — or never, if they died on the wire; a
                         // revival rebuilds dead-port credits from scratch.)
-                        let refund = (len - buf.sent) as u32;
-                        self.out_credits[o] = (self.out_credits[o] + refund).min(self.buf_cap);
+                        // The refund clamps at capacity, so the port counter
+                        // moves by what the credits actually gained.
+                        let refund =
+                            ((len - buf.sent) as u32).min(self.buf_cap - self.out_credits[o]);
+                        self.out_credits[o] += refund;
+                        self.out_occ[op as usize] -= refund;
                     }
                     for flit in buf.flits.drain(..) {
                         self.flits_buffered -= 1;
@@ -1043,6 +1113,7 @@ impl Router {
             debug_assert!(self.out_owner[i] == NO_OWNER, "claim survived a dead link");
             self.out_credits[i] = self.buf_cap - occ as u32;
         }
+        self.out_occ[port] = occupancy.iter().sum::<usize>() as u32;
     }
 }
 
@@ -1110,5 +1181,138 @@ mod tests {
         assert!(r.materialized);
         assert_eq!(r.credits(0, 0), cfg.buf_flits as u32);
         assert_eq!(r.input_occupancy(3, 1), 0);
+    }
+
+    /// A view that answers only the per-VC primitives, so the aggregate
+    /// reads fall through to the trait's provided per-VC loops.
+    struct PerVc<'a>(&'a OutView<'a>);
+
+    impl RouterView for PerVc<'_> {
+        fn num_vcs(&self) -> usize {
+            self.0.num_vcs()
+        }
+        fn free_space(&self, port: usize, vc: usize) -> usize {
+            self.0.free_space(port, vc)
+        }
+        fn capacity(&self, port: usize, vc: usize) -> usize {
+            self.0.capacity(port, vc)
+        }
+        fn queue_len(&self, port: usize) -> usize {
+            self.0.queue_len(port)
+        }
+    }
+
+    /// `OutView` answers the aggregate reads from the router's port
+    /// counter and a slice sum over the credits; after grants, credit
+    /// returns and a clamped refund both must equal the per-VC defaults.
+    #[test]
+    fn out_view_aggregates_equal_per_vc_defaults() {
+        let cfg = SimConfig {
+            buf_flits: 32,
+            ..SimConfig::default()
+        };
+        let (ports, v) = (3, cfg.num_vcs);
+        let mut r = Router::new(0, ports, &cfg, 2, 7);
+        r.materialize();
+        let mut channels: Vec<Channel> = (0..ports).map(|_| Channel::new(1)).collect();
+        for p in 0..ports {
+            r.out_chan[p] = p as u32;
+            r.in_chan[p] = p as u32;
+            r.live_ports[p] = true;
+        }
+        let mut pool = PacketPool::new();
+        let mut sink = TickSink::default();
+        let check = |r: &Router, channels: &[Channel]| {
+            let view = OutView {
+                num_vcs: v,
+                cap: r.buf_cap as usize,
+                credits: &r.out_credits,
+                occ: &r.out_occ,
+                backlog: &r.out_backlog,
+                live: &r.live_ports,
+                out_chan: &r.out_chan,
+                channels,
+                now: 0,
+            };
+            let per_vc = PerVc(&view);
+            for p in 0..ports {
+                assert_eq!(view.port_occupancy(p), per_vc.port_occupancy(p));
+                for (lo, hi) in (0..=v).flat_map(|lo| (lo..=v).map(move |hi| (lo, hi))) {
+                    assert_eq!(
+                        view.range_occupancy(p, lo..hi),
+                        per_vc.range_occupancy(p, lo..hi),
+                        "port {p} vcs {lo}..{hi}"
+                    );
+                }
+            }
+            let mut errs = Vec::new();
+            r.audit_derived_state(&mut errs);
+            assert_eq!(errs, Vec::<String>::new());
+        };
+        check(&r, &channels);
+
+        // The heads of three packets arrive on input port 0, one
+        // per VC, and are granted output VCs on ports 1 and 2.
+        let grants = [(0usize, 1usize, 0usize, 8u16), (1, 1, 5, 12), (2, 2, 3, 5)];
+        let mut ids = Vec::new();
+        for &(in_vc, _, _, len) in &grants {
+            let id = pool.alloc(crate::packet::Packet {
+                src: 0,
+                dst: 1,
+                dst_router: 1,
+                len,
+                hops: 0,
+                birth: 0,
+                inject: 0,
+                route: PacketRouteState::default(),
+                tag: 0,
+                seq: 0,
+            });
+            let head = Flit {
+                pkt: id,
+                idx: 0,
+                len,
+            };
+            channels[0].send_flit(ids.len() as u64, head, in_vc as u8);
+            // The head flit and the input buffer each pin the packet slot
+            // (the sink's deferred `PoolOp::Created`, applied by hand).
+            pool.note_flit_created(id);
+            pool.note_flit_created(id);
+            ids.push(id);
+        }
+        r.ingress_flits(3, 0, &pool, &channels, &mut sink);
+        for (&(in_vc, out_port, out_vc, len), &id) in grants.iter().zip(&ids) {
+            r.grant(
+                id,
+                0,
+                in_vc,
+                out_port,
+                out_vc,
+                len,
+                Commit::None,
+                true,
+                &mut sink,
+            );
+            check(&r, &channels);
+        }
+        assert_eq!(r.out_occ, [0, 20, 5]);
+
+        // Credits come home on port 1: two for VC 0, one for VC 5.
+        for vc in [0, 0, 5] {
+            channels[1].send_credit(0, vc);
+        }
+        r.ingress_credits(1, 1, &channels);
+        check(&r, &channels);
+        assert_eq!(r.out_occ, [0, 17, 5]);
+
+        // Reaping the first packet refunds its 8-flit reservation, but VC
+        // 0 is only 6 short of capacity: the refund clamps and the port
+        // counter moves by 6.
+        let mut stats = Stats::default();
+        pool.poison(ids[0]);
+        r.reap_poisoned(1, &mut pool, &mut stats, &mut channels);
+        check(&r, &channels);
+        assert_eq!(r.out_occ, [0, 11, 5]);
+        assert_eq!(r.credits(1, 0), r.buf_cap);
     }
 }

@@ -63,9 +63,83 @@ impl BitSet {
     }
 }
 
+/// A fixed grid of equally wide bit rows — the representation of both
+/// event-engine calendars (rows are cycles modulo the row count, bits are
+/// endpoint ids or arrival keys). A set is idempotent and a drain walks
+/// bits upwards, so whatever is read back out of a row is ascending and
+/// unique without any sorting.
+#[derive(Debug)]
+pub(crate) struct BitRows {
+    /// Words per row.
+    width: usize,
+    words: Vec<u64>,
+}
+
+impl BitRows {
+    /// `rows` all-zero rows of `bits` bits each.
+    pub(crate) fn new(rows: usize, bits: usize) -> Self {
+        let width = bits.div_ceil(64);
+        BitRows {
+            width,
+            words: vec![0; rows * width],
+        }
+    }
+
+    /// Sets `bit` of `row`.
+    #[inline]
+    pub(crate) fn set(&mut self, row: usize, bit: u32) {
+        self.words[row * self.width + (bit >> 6) as usize] |= 1u64 << (bit & 63);
+    }
+
+    /// ORs row `src` into row `dst` and clears `src`.
+    pub(crate) fn merge(&mut self, src: usize, dst: usize) {
+        debug_assert_ne!(src, dst);
+        for i in 0..self.width {
+            let w = std::mem::take(&mut self.words[src * self.width + i]);
+            self.words[dst * self.width + i] |= w;
+        }
+    }
+
+    /// Clears `row`, handing its set bits to `f` in ascending order.
+    #[inline]
+    pub(crate) fn drain(&mut self, row: usize, mut f: impl FnMut(u32)) {
+        let words = &mut self.words[row * self.width..(row + 1) * self.width];
+        for (i, word) in words.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            while w != 0 {
+                f((i as u32) << 6 | w.trailing_zeros());
+                w &= w - 1;
+            }
+        }
+    }
+
+    /// Whether no bit of `row` is set.
+    pub(crate) fn row_is_clear(&self, row: usize) -> bool {
+        self.words[row * self.width..(row + 1) * self.width]
+            .iter()
+            .all(|&w| w == 0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bit_rows_drain_ascending_unique_and_clear() {
+        let mut rows = BitRows::new(3, 130);
+        for bit in [129, 0, 64, 63, 64, 7] {
+            rows.set(1, bit);
+        }
+        rows.set(2, 5);
+        rows.set(2, 64);
+        rows.merge(2, 1);
+        assert!(rows.row_is_clear(2) && rows.row_is_clear(0));
+        let mut seen = Vec::new();
+        rows.drain(1, |b| seen.push(b));
+        assert_eq!(seen, vec![0, 5, 7, 63, 64, 129]);
+        assert!(rows.row_is_clear(1));
+    }
 
     #[test]
     fn push_get_set_roundtrip() {

@@ -11,14 +11,15 @@ pub enum Engine {
     /// Tick every router and terminal every cycle. This is the reference
     /// the differential suite compares the event engine against
     /// (`tests/engine_equiv.rs`, the root `tests/event_core_golden.rs`,
-    /// `hxperf`'s cycle-engine digest check). It is also the faster of the
-    /// two where most endpoints are busy every cycle: measured by
-    /// `hxperf`'s `sim.engine_ratio` (event wall ÷ cycle wall, one thread,
-    /// 2-vCPU host) it wins the 256-terminal Fig. 6 UR sweep (`fig6_ur`,
-    /// ratio 1.26) and saturated DCR at 0.9 (`dcr_sat`, 1.21), and at
-    /// 4,096 terminals, loads 0.3–0.7, `parallel_tick --full` has the
-    /// event engine at 0.76–0.95× its speed. It loses where most endpoints
-    /// idle (`ladder_8k`, 8,192 terminals at load 0.02: ratio 0.59).
+    /// `hxperf`'s cycle-engine digest check). Measured by `hxperf`'s
+    /// `sim.engine_ratio` (event wall ÷ cycle wall, one thread, 2-vCPU
+    /// host, three reads each) it is level with or behind the event
+    /// engine on the busy 256-terminal workloads (`fig6_ur` 0.65–0.93,
+    /// `dcr_sat` 1.03–1.15) and loses where most endpoints idle
+    /// (`ladder_8k`, 8,192 terminals at load 0.02: 0.48–0.57). It is
+    /// still the faster of the two on large saturated networks: at 4,096
+    /// terminals and load 0.7, `parallel_tick --full` has the event
+    /// engine at 0.89–0.95× its speed (1.2× at load 0.3).
     Cycle,
     /// Event-driven: endpoints schedule wakes on a deterministic event
     /// queue, only due endpoints tick, and dead cycles are skipped.

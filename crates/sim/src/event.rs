@@ -6,298 +6,162 @@
 //! that endpoint set; cycles with no due wake, no workload activity, and
 //! no transport deadline are skipped wholesale.
 //!
-//! Ordering is total and deterministic: entries compare by `(time,
-//! endpoint id, event kind)`, so two engines fed the same schedule calls
-//! pop identically regardless of insertion order or thread count (all
-//! scheduling happens in the serial commit phase).
-//!
-//! Duplicate wakes are cheap and harmless: [`EventQueue::pop_due`]
-//! deduplicates endpoints per cycle, and a wake for an endpoint with
-//! nothing to do is a no-op tick by construction (idle routers and
-//! terminals touch no state and draw no randomness). [`EventQueue::cancel`]
-//! invalidates every pending wake of an endpoint by bumping its epoch;
-//! stale entries are discarded lazily on pop.
-//!
-//! ## Representation: a timing wheel, not a heap
+//! ## Representation: a calendar of bit rows
 //!
 //! Nearly every wake lands within one channel latency of `now`, and the
-//! engine pushes and pops hundreds per cycle — a binary heap's
-//! `O(log n)` sift over a working set of tens of thousands of in-flight
-//! arrival entries is the single most expensive part of the inner loop
-//! (measured, not guessed). A calendar wheel of [`HORIZON`] per-cycle
-//! buckets makes both operations `O(1)` with contiguous memory traffic:
-//! `schedule` appends to `slot[t % HORIZON]`, `pop_due` drains whole
-//! slots. Entries farther than [`HORIZON`] cycles out (rare: nothing the
-//! engine schedules exceeds one channel latency) overflow into a small
-//! heap that migrates forward as the wheel turns.
+//! engine schedules and pops hundreds per cycle. The calendar is
+//! [`HORIZON`] rows of one bit per endpoint: `schedule` sets bit
+//! `endpoint` of row `t % HORIZON`, `pop_due` reads the due rows back out
+//! by `trailing_zeros`. A wake is therefore a bit, not an entry: scheduling
+//! an endpoint twice for one cycle sets the same bit twice, and reading a
+//! row upwards yields ids ascending — the due set comes out in order and
+//! free of duplicates because the representation cannot hold anything
+//! else. The
+//! order is the same whatever order (or thread count) the wakes were
+//! scheduled in; all scheduling happens in the serial commit phase anyway.
+//! The rows are allocated once (`HORIZON × endpoints / 8` bytes) and never
+//! grow.
 //!
-//! The wheel's `next_drain` cursor only moves forward. A schedule at or
-//! behind the cursor (the post-tick fault resync does this) is placed in
-//! the next drained slot, preserving "never dropped, delivered at the
-//! first opportunity" semantics.
+//! Duplicate and spurious wakes are harmless: a wake for an endpoint with
+//! nothing to do is a no-op tick by construction (idle routers and
+//! terminals touch no state and draw no randomness).
+//!
+//! Wakes farther than [`HORIZON`] cycles out (a channel or crossbar
+//! latency above it) overflow into a small heap of `(t, endpoint)` that
+//! migrates into the rows as the cursor advances.
+//!
+//! The `next_drain` cursor only moves forward. A schedule at or behind the
+//! cursor (the post-tick fault resync does this) lands in the cursor's own
+//! row, preserving "never dropped, delivered at the first opportunity"
+//! semantics.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Wheel size in cycles. Must comfortably exceed the longest wake
-/// distance the engine schedules (one channel latency); anything beyond
-/// it falls back to the overflow heap, so this is a performance knob,
-/// not a correctness bound.
+use crate::bitset::BitRows;
+
+/// Calendar length in cycles. Wakes farther out than this go through the
+/// overflow heap, so this trades memory against heap traffic and is not a
+/// correctness bound.
 const HORIZON: u64 = 256;
 
-/// Why an endpoint is being woken. Only used as the final ordering
-/// tie-break (and for diagnostics): a popped cycle's endpoint set is
-/// deduplicated, so an endpoint woken for several reasons ticks once.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
+/// Why an endpoint is being woken. Documentation at the call site only:
+/// the queue does not store it — an endpoint woken for several reasons in
+/// one cycle is one bit and ticks once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A flit on an incoming channel matures this cycle.
-    FlitArrival = 0,
+    FlitArrival,
     /// A credit on an outgoing channel matures this cycle.
-    CreditArrival = 1,
+    CreditArrival,
     /// Self-scheduled wake (buffered work, crossbar maturity, injection).
-    Wake = 2,
-    /// Retransmission-transport deadline.
-    Timeout = 3,
+    Wake,
     /// Fault-schedule action or fault-fallout resynchronization.
-    Fault = 4,
+    Fault,
 }
 
-impl EventKind {
-    fn from_u8(k: u8) -> EventKind {
-        match k {
-            0 => EventKind::FlitArrival,
-            1 => EventKind::CreditArrival,
-            2 => EventKind::Wake,
-            3 => EventKind::Timeout,
-            _ => EventKind::Fault,
-        }
-    }
-}
-
-/// One scheduled wake. The time is kept per entry (slot membership alone
-/// is not enough: entries scheduled at-or-behind the cursor are clamped
-/// into the next drained slot but keep their nominal time).
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    t: u64,
-    endpoint: u32,
-    kind: u8,
-    epoch: u32,
-}
-
-/// A deterministic min-queue of endpoint wakes.
-///
-/// Entries order by `(time, endpoint, kind)`; per-endpoint epochs make
-/// [`Self::cancel`] O(1) with lazy removal.
+/// A deterministic calendar of endpoint wakes.
+#[derive(Debug)]
 pub struct EventQueue {
-    /// Calendar wheel: `slot[c % HORIZON]` holds the wakes draining at
-    /// cycle `c` (every entry in a slot drains at the same cycle).
-    slots: Vec<Vec<Entry>>,
-    /// Next cycle to drain; slots for cycles before it are empty.
+    /// Row `c % HORIZON` holds the endpoints waking at cycle `c`, for the
+    /// cycles `next_drain..next_drain + HORIZON`.
+    rows: BitRows,
+    /// Per row: whether it may hold a set bit. Lets `next_time` and
+    /// `pop_due` skip empty rows without reading them.
+    occupied: [bool; HORIZON as usize],
+    /// Next cycle to drain; rows of earlier cycles are empty.
     next_drain: u64,
-    /// Overflow for entries `>= next_drain + HORIZON` at schedule time.
-    far: BinaryHeap<Reverse<(u64, u32, u8, u32)>>,
-    /// Current epoch per endpoint; entries from older epochs are stale.
-    epoch: Vec<u32>,
-    /// Entries currently held anywhere in the structure (stale entries
-    /// included — `cancel` invalidates without removing).
-    held: usize,
-    /// Lifetime valid entries popped (diagnostics).
-    popped: u64,
-}
-
-impl std::fmt::Debug for EventQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("next_drain", &self.next_drain)
-            .field("held", &self.held)
-            .field("far", &self.far.len())
-            .field("popped", &self.popped)
-            .finish()
-    }
+    /// Wakes at or beyond `next_drain + HORIZON` when scheduled.
+    far: BinaryHeap<Reverse<(u64, u32)>>,
+    endpoints: usize,
 }
 
 impl EventQueue {
     /// An empty queue over `endpoints` endpoint ids (`0..endpoints`).
     pub fn new(endpoints: usize) -> Self {
         EventQueue {
-            slots: (0..HORIZON).map(|_| Vec::new()).collect(),
+            rows: BitRows::new(HORIZON as usize, endpoints),
+            occupied: [false; HORIZON as usize],
             next_drain: 0,
             far: BinaryHeap::new(),
-            epoch: vec![0; endpoints],
-            held: 0,
-            popped: 0,
+            endpoints,
         }
     }
 
-    /// Number of endpoint ids the queue covers.
-    pub fn num_endpoints(&self) -> usize {
-        self.epoch.len()
-    }
-
-    /// Schedules a wake for `endpoint` at cycle `t`. Duplicates (same or
-    /// different kinds/times) are fine; `pop_due` deduplicates per cycle.
-    /// Times at or behind the drain cursor land in the next drained slot.
-    pub fn schedule(&mut self, t: u64, endpoint: u32, kind: EventKind) {
-        debug_assert!((endpoint as usize) < self.epoch.len(), "unknown endpoint");
-        let epoch = self.epoch[endpoint as usize];
-        let slot_cycle = t.max(self.next_drain);
-        if slot_cycle >= self.next_drain + HORIZON {
-            self.far.push(Reverse((t, endpoint, kind as u8, epoch)));
+    /// Schedules a wake for `endpoint` at cycle `t`. Scheduling the same
+    /// endpoint again for the same cycle changes nothing. Times at or
+    /// behind the drain cursor are delivered by the next `pop_due` that
+    /// reaches the cursor. `_kind` is not stored (see [`EventKind`]).
+    #[inline]
+    pub fn schedule(&mut self, t: u64, endpoint: u32, _kind: EventKind) {
+        debug_assert!((endpoint as usize) < self.endpoints, "unknown endpoint");
+        let cycle = t.max(self.next_drain);
+        if cycle >= self.next_drain + HORIZON {
+            self.far.push(Reverse((t, endpoint)));
         } else {
-            self.slots[(slot_cycle % HORIZON) as usize].push(Entry {
-                t,
-                endpoint,
-                kind: kind as u8,
-                epoch,
-            });
+            self.set(cycle, endpoint);
         }
-        self.held += 1;
     }
 
-    /// Invalidates every pending wake of `endpoint`. A subsequent
-    /// [`Self::schedule`] re-arms it; canceling an endpoint with nothing
-    /// pending (or canceling twice) is a no-op — cancel/reschedule is
-    /// idempotent.
-    pub fn cancel(&mut self, endpoint: u32) {
-        self.epoch[endpoint as usize] = self.epoch[endpoint as usize].wrapping_add(1);
+    #[inline]
+    fn set(&mut self, cycle: u64, endpoint: u32) {
+        let row = (cycle % HORIZON) as usize;
+        self.rows.set(row, endpoint);
+        self.occupied[row] = true;
     }
 
-    /// Whether no valid entry is pending. Takes `&mut self` because the
-    /// check compacts lazily-canceled entries as a side effect, so
-    /// `is_empty()` can disagree with `len() == 0` — hence the lint allow
-    /// on [`Self::len`].
-    pub fn is_empty(&mut self) -> bool {
+    /// Whether no wake is pending.
+    pub fn is_empty(&self) -> bool {
         self.next_time().is_none()
     }
 
-    /// Entries currently held (including stale ones awaiting lazy removal).
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum::<usize>() + self.far.len()
+    /// The cycle of the earliest pending wake — the first cycle `pop_due`
+    /// would return a non-empty set for (wakes scheduled behind the cursor
+    /// report the cursor).
+    pub fn next_time(&self) -> Option<u64> {
+        let (wrapped, ahead) = self.occupied.split_at((self.next_drain % HORIZON) as usize);
+        let near = ahead.iter().chain(wrapped).position(|&occupied| occupied);
+        // No far wake is earlier than a row's: `pop_due` leaves the heap
+        // nothing before the calendar's last cycle.
+        near.map(|i| self.next_drain + i as u64)
+            .or(self.far.peek().map(|&Reverse((t, _))| t))
     }
 
-    /// Lifetime valid entries popped.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// The cycle of the earliest pending wake — the cycle `pop_due` would
-    /// first return a non-empty set for (clamped entries report the slot
-    /// they will drain at, which for a fresh queue is their nominal time).
-    pub fn next_time(&mut self) -> Option<u64> {
-        // Purge stale far entries so their times don't bound the scan.
-        while let Some(&Reverse((_, e, _, ep))) = self.far.peek() {
-            if ep == self.epoch[e as usize] {
-                break;
-            }
-            self.far.pop();
-            self.held = self.held.saturating_sub(1);
-        }
-        let far_t = self.far.peek().map(|&Reverse((t, ..))| t);
-        let limit = far_t
-            .unwrap_or(u64::MAX)
-            .saturating_sub(self.next_drain)
-            .min(HORIZON);
-        for i in 0..limit {
-            let c = self.next_drain + i;
-            let slot = &mut self.slots[(c % HORIZON) as usize];
-            let before = slot.len();
-            slot.retain(|e| e.epoch == self.epoch[e.endpoint as usize]);
-            self.held -= before - slot.len();
-            if !slot.is_empty() {
-                return Some(c);
-            }
-        }
-        far_t
-    }
-
-    /// Pops the single next valid entry in `(time, endpoint, kind)` order.
-    /// The engine uses [`Self::pop_due`]; this is the fine-grained view the
-    /// ordering laws are stated (and property-tested) against.
-    pub fn pop_entry(&mut self) -> Option<(u64, u32, EventKind)> {
-        let c = self.next_time()?;
-        if c >= self.next_drain + HORIZON {
-            // Entry lives in the overflow heap (already stale-purged).
-            let Reverse((t, e, k, _)) = self.far.pop().expect("next_time saw a far entry");
-            self.held -= 1;
-            self.popped += 1;
-            return Some((t, e, EventKind::from_u8(k)));
-        }
-        let slot = &mut self.slots[(c % HORIZON) as usize];
-        let (i, _) = slot
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| (e.t, e.endpoint, e.kind))
-            .expect("next_time saw a slot entry");
-        let e = slot.swap_remove(i);
-        self.held -= 1;
-        self.popped += 1;
-        Some((e.t, e.endpoint, EventKind::from_u8(e.kind)))
-    }
-
-    /// Pops every wake due at or before `now` into `out` as a sorted,
-    /// deduplicated endpoint set — the cycle's tick set, in the exact
-    /// order the serial commit phase replays endpoints.
+    /// Pops every wake due at or before `now` into `out` as an ascending,
+    /// duplicate-free endpoint set — the cycle's tick set, in the exact
+    /// order the serial commit phase replays endpoints. A `now` behind the
+    /// cursor pops nothing.
     pub fn pop_due(&mut self, now: u64, out: &mut Vec<u32>) {
         out.clear();
-        if self.held == 0 {
-            self.next_drain = self.next_drain.max(now + 1);
+        if now < self.next_drain {
             return;
         }
-        let gap = (now + 1).saturating_sub(self.next_drain);
-        if gap >= HORIZON {
-            // Every slot's drain cycle is <= now: drain the whole wheel.
-            for slot in &mut self.slots {
-                for e in slot.drain(..) {
-                    self.held -= 1;
-                    if e.epoch == self.epoch[e.endpoint as usize] {
-                        self.popped += 1;
-                        out.push(e.endpoint);
-                    }
-                }
-            }
-        } else {
-            for c in self.next_drain..=now {
-                let slot = &mut self.slots[(c % HORIZON) as usize];
-                for e in slot.drain(..) {
-                    self.held -= 1;
-                    if e.epoch == self.epoch[e.endpoint as usize] {
-                        self.popped += 1;
-                        out.push(e.endpoint);
-                    }
-                }
+        // Fold every earlier due row into `now`'s. A gap of HORIZON or
+        // more makes every row due; the HORIZON - 1 cycles before `now`
+        // name all of the other rows.
+        let dst = (now % HORIZON) as usize;
+        for c in self.next_drain.max((now + 1).saturating_sub(HORIZON))..now {
+            let src = (c % HORIZON) as usize;
+            if std::mem::take(&mut self.occupied[src]) {
+                self.rows.merge(src, dst);
+                self.occupied[dst] = true;
             }
         }
-        while let Some(&Reverse((t, e, _, ep))) = self.far.peek() {
-            if t > now {
+        // Far wakes that are due join `now`'s row; those that now fit the
+        // calendar move into their own row (strictly inside the window, so
+        // never the row being drained), keeping the heap tiny however long
+        // the run is.
+        while let Some(&Reverse((t, e))) = self.far.peek() {
+            if t >= now + HORIZON {
                 break;
             }
             self.far.pop();
-            self.held -= 1;
-            if ep == self.epoch[e as usize] {
-                self.popped += 1;
-                out.push(e);
-            }
+            self.set(t.max(now), e);
+        }
+        if std::mem::take(&mut self.occupied[dst]) {
+            self.rows.drain(dst, |e| out.push(e));
         }
         self.next_drain = now + 1;
-        // Migrate overflow entries that now fit the wheel, so the far
-        // heap stays tiny no matter how long the run is.
-        while let Some(&Reverse((t, e, k, ep))) = self.far.peek() {
-            if t >= self.next_drain + HORIZON {
-                break;
-            }
-            self.far.pop();
-            self.slots[(t % HORIZON) as usize].push(Entry {
-                t,
-                endpoint: e,
-                kind: k,
-                epoch: ep,
-            });
-        }
-        out.sort_unstable();
-        out.dedup();
     }
 }
 
@@ -306,23 +170,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pops_in_time_then_endpoint_then_kind_order() {
-        let mut q = EventQueue::new(8);
-        q.schedule(5, 3, EventKind::Wake);
-        q.schedule(2, 7, EventKind::CreditArrival);
-        q.schedule(5, 1, EventKind::Fault);
-        q.schedule(2, 7, EventKind::FlitArrival);
-        q.schedule(5, 3, EventKind::FlitArrival);
-        assert_eq!(q.pop_entry(), Some((2, 7, EventKind::FlitArrival)));
-        assert_eq!(q.pop_entry(), Some((2, 7, EventKind::CreditArrival)));
-        assert_eq!(q.pop_entry(), Some((5, 1, EventKind::Fault)));
-        assert_eq!(q.pop_entry(), Some((5, 3, EventKind::FlitArrival)));
-        assert_eq!(q.pop_entry(), Some((5, 3, EventKind::Wake)));
-        assert_eq!(q.pop_entry(), None);
-    }
-
-    #[test]
-    fn pop_due_dedups_and_sorts_endpoints() {
+    fn pop_due_is_ascending_and_unique() {
         let mut q = EventQueue::new(10);
         q.schedule(1, 9, EventKind::Wake);
         q.schedule(1, 2, EventKind::FlitArrival);
@@ -341,29 +189,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_is_lazy_and_reschedule_rearms() {
-        let mut q = EventQueue::new(4);
-        q.schedule(5, 1, EventKind::Wake);
-        q.schedule(9, 1, EventKind::Wake);
-        q.cancel(1);
-        q.cancel(1); // idempotent
-        assert_eq!(q.next_time(), None);
-        q.schedule(7, 1, EventKind::Timeout);
-        assert_eq!(q.next_time(), Some(7));
-        assert_eq!(q.pop_entry(), Some((7, 1, EventKind::Timeout)));
-        assert_eq!(q.pop_entry(), None, "pre-cancel entries stay dead");
-    }
-
-    #[test]
-    fn far_future_entries_survive_the_wheel_horizon() {
+    fn far_future_entries_survive_the_horizon() {
         let mut q = EventQueue::new(4);
         q.schedule(3, 1, EventKind::Wake);
-        q.schedule(HORIZON * 5 + 7, 2, EventKind::Timeout);
+        q.schedule(HORIZON * 5 + 7, 2, EventKind::Wake);
         let mut out = Vec::new();
         q.pop_due(3, &mut out);
         assert_eq!(out, vec![1]);
         assert_eq!(q.next_time(), Some(HORIZON * 5 + 7));
-        // Walk the wheel forward in sub-horizon hops; the far entry must
+        // Walk the cursor forward in sub-horizon hops; the far entry must
         // migrate in and drain at exactly its cycle.
         let mut c = 3;
         while c + HORIZON / 2 < HORIZON * 5 + 7 {
@@ -383,7 +217,7 @@ mod tests {
         q.pop_due(99, &mut out);
         assert!(out.is_empty());
         // Nominal time 10 is behind the cursor (100): it must not be
-        // dropped nor wait a full wheel turn.
+        // dropped nor wait a full calendar turn.
         q.schedule(10, 3, EventKind::Fault);
         assert_eq!(q.next_time(), Some(100));
         q.pop_due(100, &mut out);

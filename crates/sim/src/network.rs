@@ -7,6 +7,7 @@ use std::sync::Arc;
 use hxcore::RoutingAlgorithm;
 use hxtopo::{ChannelKind, PortTarget, Topology};
 
+use crate::bitset::BitRows;
 use crate::channel::Channel;
 use crate::config::{Engine, SimConfig};
 use crate::event::{EventKind, EventQueue};
@@ -46,59 +47,138 @@ pub struct Network {
 
 /// Wake-scheduling state for the event-driven engine, keyed by the
 /// endpoint ids of `Network::due`.
+///
+/// Every channel has two *ends*: the endpoint that consumes its flits and
+/// the endpoint that consumes its returning credits. Each end has an
+/// *arrival key*, numbered in the order a full ingress scan visits ends
+/// (see [`arrival_ends`]), so a row of key bits read upwards is the hint
+/// list in the scan's order, already unique.
 struct EventState {
     queue: EventQueue,
-    /// Endpoint that consumes flits arriving on each channel.
-    flit_consumer: Vec<u32>,
-    /// Endpoint that consumes credits returning on each channel (the
-    /// channel's flit-sender side).
-    credit_consumer: Vec<u32>,
-    /// Input port of the flit consumer (`u16::MAX` for terminals, which
-    /// scan their two channels directly and need no hint).
-    flit_consumer_port: Vec<u16>,
-    /// Port of the credit consumer (`u16::MAX` for terminals).
-    credit_consumer_port: Vec<u16>,
-    /// Per-channel one-way latency, cached for arrival-wake scheduling.
-    chan_latency: Vec<u64>,
-    /// Per-cycle wheel of channels with a send maturing that cycle.
-    chan_wheel: ChanWheel,
-    /// This cycle's matured arrivals (`ch << 1 | is_flit`, scratch, reused;
-    /// entries may repeat): the wheel's window plus LLR deliveries, which
-    /// bypass the wheel. Their consumers are due (arrival wakes guarantee
-    /// it), so the tick hints exactly these ports and afterwards discards
-    /// exactly these arrivals instead of scanning every channel.
+    /// Per channel: latency and the keys of its two ends.
+    chans: Vec<ChanEnds>,
+    /// Per arrival key: the end it names.
+    ends: Vec<ArrivalEnd>,
+    /// Row `c % arrivals_len` holds the keys with a send maturing at cycle
+    /// `c`. Every set bit comes with a wake of its consumer at `c`, so
+    /// cycle `c` is executed and walks the row clean before the ring comes
+    /// round to it again (`arrivals_len` exceeds the longest latency).
+    arrivals: BitRows,
+    arrivals_len: u64,
+    /// This cycle's matured arrivals (`ch << 1 | is_flit`, scratch, reused),
+    /// discarded from their channels once compute has observed them.
     matured: Vec<u32>,
-    /// This cycle's arrival hints (sorted `(router, port·2|kind)` pairs
-    /// built from `matured`; scratch, reused).
+    /// This cycle's arrival hints: the matured router ends, in key order
+    /// (scratch, reused).
     hint_buf: Vec<ArrivalHint>,
     /// Lifetime endpoint wakes executed.
     events_processed: u64,
 }
 
-impl EventState {
-    /// Collects the arrivals matured by `now` and rebuilds `hint_buf` from
-    /// them: each maps to its consuming router's port, so the busy tick
-    /// touches only ports with actual arrivals instead of scanning all of
-    /// them. Terminal consumers (ids `>= nr`) are skipped — terminals scan
-    /// their two channels directly. Sorted and deduplicated, the
-    /// per-router run reproduces the full scan's port visit order.
-    fn collect_arrivals(&mut self, now: u64, nr: u32) {
-        self.chan_wheel.drain_matured(now, &mut self.matured);
-        self.hint_buf.clear();
-        for &packed in &self.matured {
-            let ch = (packed >> 1) as usize;
-            let (consumer, key) = if packed & 1 == 1 {
-                (self.flit_consumer[ch], self.flit_consumer_port[ch] << 1)
-            } else {
-                let port = self.credit_consumer_port[ch];
-                (self.credit_consumer[ch], (port << 1) | 1)
-            };
-            if consumer < nr {
-                self.hint_buf.push((consumer, key));
+/// A channel as the wake scheduler sees it.
+struct ChanEnds {
+    /// One-way latency in cycles.
+    latency: u64,
+    /// `(consumer endpoint, arrival key)` of the credit end and the flit
+    /// end, indexed by `is_flit`.
+    ends: [(u32, u32); 2],
+}
+
+/// What an arrival key names: one end of one channel.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct ArrivalEnd {
+    /// The channel, packed for the discard list: `ch << 1 | is_flit`.
+    matured: u32,
+    /// Consuming endpoint id. Only routers (ids below the router count)
+    /// take hints; terminals scan their two channels directly.
+    consumer: u32,
+    /// The consumer's ingress step for this end: `port << 1 | is_credit`.
+    step: u16,
+}
+
+/// Every channel end in arrival-key order — the order the full scan of
+/// `Router::ingress` visits them: routers ascending, ports ascending, a
+/// port's incoming flits before its returning credits; then the terminal
+/// ends, which yield no hint and so need no particular place.
+fn arrival_ends(routers: &[Router], terminals: &[Terminal]) -> Vec<ArrivalEnd> {
+    let mut ends = Vec::new();
+    // One port's flit end (its incoming channel), then its credit end.
+    let mut port_ends = |consumer: usize, port: usize, chans: [Option<usize>; 2]| {
+        for (is_credit, ch) in chans.into_iter().enumerate() {
+            if let Some(ch) = ch {
+                ends.push(ArrivalEnd {
+                    matured: (ch as u32) << 1 | (is_credit ^ 1) as u32,
+                    consumer: consumer as u32,
+                    step: (port << 1 | is_credit) as u16,
+                });
             }
         }
-        self.hint_buf.sort_unstable();
-        self.hint_buf.dedup();
+    };
+    for r in routers {
+        for p in 0..r.in_chan.len() {
+            port_ends(r.id(), p, [r.in_ch(p), r.out_ch(p)]);
+        }
+    }
+    for t in terminals {
+        let chans = [Some(t.in_chan), Some(t.out_chan)];
+        port_ends(routers.len() + t.id(), 0, chans);
+    }
+    ends
+}
+
+impl EventState {
+    fn new(routers: &[Router], terminals: &[Terminal], channels: &[Channel]) -> Self {
+        let ends = arrival_ends(routers, terminals);
+        let mut chans: Vec<ChanEnds> = channels
+            .iter()
+            .map(|c| ChanEnds {
+                latency: c.latency(),
+                ends: [(u32::MAX, u32::MAX); 2],
+            })
+            .collect();
+        for (key, end) in ends.iter().enumerate() {
+            let slot = &mut chans[(end.matured >> 1) as usize].ends[(end.matured & 1) as usize];
+            debug_assert_eq!(slot.0, u32::MAX, "channel end consumed twice");
+            *slot = (end.consumer, key as u32);
+        }
+        debug_assert!(chans
+            .iter()
+            .all(|c| c.ends.iter().all(|&(consumer, _)| consumer != u32::MAX)));
+        let arrivals_len = chans.iter().map(|c| c.latency).max().unwrap_or(0) + 2;
+        EventState {
+            queue: EventQueue::new(routers.len() + terminals.len()),
+            arrivals: BitRows::new(arrivals_len as usize, ends.len()),
+            arrivals_len,
+            chans,
+            ends,
+            matured: Vec::new(),
+            hint_buf: Vec::new(),
+            events_processed: 0,
+        }
+    }
+
+    /// Walks the arrivals matured at `now` once, in key order: every end
+    /// goes on the discard list, router ends (consumer ids below `nr`) also
+    /// on the hint list — so the busy tick touches only ports with actual
+    /// arrivals, in the full scan's visit order. `due` is this cycle's due
+    /// set.
+    fn collect_arrivals(&mut self, now: u64, nr: u32, due: &[u32]) {
+        let row = (now % self.arrivals_len) as usize;
+        let (ends, matured, hints) = (&self.ends, &mut self.matured, &mut self.hint_buf);
+        matured.clear();
+        hints.clear();
+        self.arrivals.drain(row, |key| {
+            let end = ends[key as usize];
+            debug_assert!(
+                due.binary_search(&end.consumer).is_ok(),
+                "arrival at cycle {now} without a wake of its consumer: {end:?}"
+            );
+            matured.push(end.matured);
+            if end.consumer < nr {
+                hints.push((end.consumer, end.step));
+            }
+        });
+        debug_assert!(self.arrivals.row_is_clear(row));
     }
 
     /// Drops the `matured` arrivals from their channels; `now` is the
@@ -114,17 +194,25 @@ impl EventState {
         }
     }
 
-    /// A flit or credit went onto channel `ch` at `now`: record its
-    /// maturity on the wheel and wake its consumer then.
-    fn on_send(&mut self, now: u64, ch: usize, is_flit: bool) {
-        let t = now + self.chan_latency[ch];
-        self.chan_wheel.push(t, ch, is_flit);
-        let (consumer, kind) = if is_flit {
-            (self.flit_consumer[ch], EventKind::FlitArrival)
-        } else {
-            (self.credit_consumer[ch], EventKind::CreditArrival)
-        };
+    /// A flit or credit on channel `ch` reaches its consumer `delay`
+    /// cycles after `now`: mark the arrival and wake the consumer then.
+    #[inline]
+    fn arrival(&mut self, now: u64, delay: u64, ch: usize, is_flit: bool) {
+        debug_assert!(delay < self.arrivals_len, "arrival beyond the ring");
+        let (consumer, key) = self.chans[ch].ends[is_flit as usize];
+        let t = now + delay;
+        self.arrivals.set((t % self.arrivals_len) as usize, key);
+        let kind = [EventKind::CreditArrival, EventKind::FlitArrival][is_flit as usize];
         self.queue.schedule(t, consumer, kind);
+    }
+
+    /// A flit or credit went onto channel `ch` at `now`: it matures one
+    /// channel latency later.
+    #[inline]
+    fn on_send(&mut self, now: u64, ch: usize, is_flit: bool) {
+        let latency = self.chans[ch].latency;
+        debug_assert!(latency >= 1, "zero-latency channel");
+        self.arrival(now, latency, ch, is_flit);
     }
 }
 
@@ -149,53 +237,6 @@ impl<T> SendPtr<T> {
     /// field would lose the `Send`/`Sync` wrapper.)
     unsafe fn get(&self, i: usize) -> *mut T {
         self.0.add(i)
-    }
-}
-
-/// A tiny calendar wheel of `(channel, direction)` maturities. Every wire
-/// send lands at `send cycle + latency`, always within `slots.len()`
-/// cycles of the drain cursor (the cursor is advanced to `now + 1` before
-/// any same-cycle push, and sized past the longest channel latency), so a
-/// plain modulo wheel with no overflow path suffices.
-struct ChanWheel {
-    /// `slots[c % len]`: channel ids (`ch << 1 | is_flit`) maturing at `c`.
-    slots: Vec<Vec<u32>>,
-    /// Next cycle to drain.
-    next_drain: u64,
-}
-
-impl ChanWheel {
-    fn new(max_latency: u64) -> Self {
-        ChanWheel {
-            slots: (0..max_latency + 2).map(|_| Vec::new()).collect(),
-            next_drain: 0,
-        }
-    }
-
-    /// Records a send on `ch` maturing at `t`. Requires
-    /// `next_drain <= t < next_drain + slots.len()`.
-    fn push(&mut self, t: u64, ch: usize, is_flit: bool) {
-        debug_assert!(t >= self.next_drain);
-        debug_assert!(t - self.next_drain < self.slots.len() as u64);
-        let i = (t % self.slots.len() as u64) as usize;
-        self.slots[i].push((ch as u32) << 1 | is_flit as u32);
-    }
-
-    /// Moves every maturity recorded for a cycle up to `now` into `out`
-    /// (one entry per send, so channels may repeat) and advances the
-    /// cursor to `now + 1`. Safe across skipped gaps: a cycle with a
-    /// matured arrival always has its consumer awake, so skipped slots are
-    /// provably empty.
-    fn drain_matured(&mut self, now: u64, out: &mut Vec<u32>) {
-        if self.next_drain > now {
-            return;
-        }
-        let len = self.slots.len() as u64;
-        let first = self.next_drain.max((now + 1).saturating_sub(len));
-        for c in first..=now {
-            out.append(&mut self.slots[(c % len) as usize]);
-        }
-        self.next_drain = now + 1;
     }
 }
 
@@ -298,46 +339,8 @@ impl Network {
             })
             .collect();
 
-        let event = (cfg.engine == Engine::Event).then(|| {
-            // Every channel has exactly one flit consumer (its receiver)
-            // and one credit consumer (its sender); map both so each wire
-            // send can wake the endpoint that will observe the arrival.
-            let nc = channels.len();
-            let mut flit_consumer = vec![u32::MAX; nc];
-            let mut credit_consumer = vec![u32::MAX; nc];
-            let mut flit_consumer_port = vec![u16::MAX; nc];
-            let mut credit_consumer_port = vec![u16::MAX; nc];
-            for r in &routers {
-                for p in 0..r.in_chan.len() {
-                    if let Some(ch) = r.in_ch(p) {
-                        flit_consumer[ch] = r.id() as u32;
-                        flit_consumer_port[ch] = p as u16;
-                    }
-                    if let Some(ch) = r.out_ch(p) {
-                        credit_consumer[ch] = r.id() as u32;
-                        credit_consumer_port[ch] = p as u16;
-                    }
-                }
-            }
-            for t in &terminals {
-                flit_consumer[t.in_chan] = (nr + t.id()) as u32;
-                credit_consumer[t.out_chan] = (nr + t.id()) as u32;
-            }
-            debug_assert!(flit_consumer.iter().all(|&c| c != u32::MAX));
-            debug_assert!(credit_consumer.iter().all(|&c| c != u32::MAX));
-            Box::new(EventState {
-                queue: EventQueue::new(nr + nt),
-                flit_consumer,
-                credit_consumer,
-                flit_consumer_port,
-                credit_consumer_port,
-                chan_latency: channels.iter().map(|c| c.latency()).collect(),
-                chan_wheel: ChanWheel::new(channels.iter().map(|c| c.latency()).max().unwrap_or(0)),
-                matured: Vec::new(),
-                hint_buf: Vec::new(),
-                events_processed: 0,
-            })
-        });
+        let event = (cfg.engine == Engine::Event)
+            .then(|| Box::new(EventState::new(&routers, &terminals, &channels)));
 
         Network {
             topo,
@@ -382,8 +385,8 @@ impl Network {
     /// maturities, pending transmissions) — `llr_tick` runs on every
     /// executed cycle, so dead-cycle skips must never jump past a cycle
     /// where it would act.
-    pub(crate) fn next_event_time(&mut self, now: u64) -> Option<u64> {
-        let queued = self.event.as_mut().and_then(|ev| ev.queue.next_time());
+    pub(crate) fn next_event_time(&self, now: u64) -> Option<u64> {
+        let queued = self.event.as_ref().and_then(|ev| ev.queue.next_time());
         if !self.cfg.llr_enabled {
             return queued;
         }
@@ -411,21 +414,9 @@ impl Network {
             for e in 0..n {
                 ev.queue.schedule(now, e, EventKind::Fault);
             }
-            // Catch the wheel up to `now` without touching cycle `now`
-            // itself, so the maturity pushes below are in range. Anything
-            // matured strictly earlier had its consumer ticked back then;
-            // discarding it is overdue bookkeeping.
-            if let Some(prev) = now.checked_sub(1) {
-                ev.chan_wheel.drain_matured(prev, &mut ev.matured);
-                ev.discard_matured(prev, &mut self.channels);
-            }
-            for ch in 0..ev.chan_latency.len() {
-                let t = now + ev.chan_latency[ch];
-                ev.queue.schedule(t, ev.flit_consumer[ch], EventKind::Fault);
-                ev.queue
-                    .schedule(t, ev.credit_consumer[ch], EventKind::Fault);
-                ev.chan_wheel.push(t, ch, true);
-                ev.chan_wheel.push(t, ch, false);
+            for ch in 0..ev.chans.len() {
+                ev.on_send(now, ch, true);
+                ev.on_send(now, ch, false);
             }
         }
     }
@@ -435,7 +426,7 @@ impl Network {
     ///
     /// One body serves both engines and every thread count; the engines
     /// differ only in where the due set comes from. The event engine pops
-    /// it from its queue (with arrival hints from the `ChanWheel`), the
+    /// it from its queue (with arrival hints from the arrival ring), the
     /// cycle engine's is every endpoint id, unhinted. Then, the same for
     /// both (see `exec`): the due endpoints compute against the immutable
     /// pre-cycle channel/pool state into per-shard outboxes (on the tick
@@ -469,12 +460,10 @@ impl Network {
             for (i, ch) in self.channels.iter_mut().enumerate() {
                 if ch.llr_tick(now, stats) {
                     if let Some(ev) = ev.as_deref_mut() {
-                        // Deliveries bypass the wheel: wake the consumer
-                        // this cycle (the queue clamps same-cycle schedules
-                        // into the pending drain) and list the arrival.
-                        ev.queue
-                            .schedule(now, ev.flit_consumer[i], EventKind::FlitArrival);
-                        ev.matured.push((i as u32) << 1 | 1);
+                        // The frame lands this very cycle: the arrival
+                        // joins the row about to be walked and the wake
+                        // the row about to be popped.
+                        ev.arrival(now, 0, i, true);
                     }
                 }
             }
@@ -485,11 +474,10 @@ impl Network {
         if let Some(ev) = ev.as_deref_mut() {
             ev.queue.pop_due(now, &mut self.due);
             ev.events_processed += self.due.len() as u64;
+            ev.collect_arrivals(now, nr as u32, &self.due);
             if self.due.is_empty() {
-                debug_assert!(ev.matured.is_empty(), "arrival without a due consumer");
                 return;
             }
-            ev.collect_arrivals(now, nr as u32);
         }
         let hints = ev.as_deref().map(|ev| &ev.hint_buf[..]);
         let split = self.due.partition_point(|&e| (e as usize) < nr);
@@ -1068,6 +1056,79 @@ mod tests {
             ..SimConfig::default()
         };
         Network::new(hx, algo, cfg, 1)
+    }
+
+    /// The arrival-key table on a 3x3 HyperX with two terminals per
+    /// router: keys in ascending order name the ends in exactly the order
+    /// `Router::ingress`'s full scan visits them, every channel's two ends
+    /// have keys of their own, and a terminal end is discarded, not hinted.
+    #[test]
+    fn arrival_keys_enumerate_ends_in_full_scan_order() {
+        let hx = Arc::new(HyperX::uniform(2, 3, 2));
+        let algo: Arc<dyn RoutingAlgorithm> =
+            hyperx_algorithm("DOR", hx.clone(), 8).expect("DOR").into();
+        let cfg = SimConfig {
+            engine: Engine::Event,
+            ..SimConfig::default()
+        };
+        let mut net = Network::new(hx, algo, cfg, 1);
+        let nr = net.routers.len();
+        let ev = net.event.as_deref_mut().expect("event engine");
+
+        // The full scan, spelled out: per router, per port, the incoming
+        // channel's flits and then the outgoing channel's credits.
+        let mut scan = Vec::new();
+        for r in &net.routers {
+            for p in 0..r.in_chan.len() {
+                scan.extend(r.in_ch(p).map(|ch| (r.id(), p, ch, true)));
+                scan.extend(r.out_ch(p).map(|ch| (r.id(), p, ch, false)));
+            }
+        }
+        let router_ends = scan.len();
+        assert_eq!(ev.ends.len(), 2 * net.channels.len());
+        assert_eq!(router_ends, ev.ends.len() - 2 * net.terminals.len());
+        for (end, &(r, p, ch, is_flit)) in ev.ends.iter().zip(&scan) {
+            let want = ArrivalEnd {
+                matured: (ch as u32) << 1 | is_flit as u32,
+                consumer: r as u32,
+                step: (p << 1 | !is_flit as usize) as u16,
+            };
+            assert_eq!(*end, want);
+        }
+        assert!(ev.ends[router_ends..]
+            .iter()
+            .all(|e| e.consumer as usize >= nr));
+
+        // Channel -> ends is the inverse of key -> end, two keys apiece.
+        for (ch, c) in ev.chans.iter().enumerate() {
+            let [(credit_consumer, credit_key), (flit_consumer, flit_key)] = c.ends;
+            assert_ne!(credit_key, flit_key, "channel {ch}");
+            assert_ne!(credit_consumer, flit_consumer, "channel {ch}");
+            for (is_flit, (consumer, key)) in c.ends.into_iter().enumerate() {
+                let end = ev.ends[key as usize];
+                assert_eq!(end.matured, (ch as u32) << 1 | is_flit as u32);
+                assert_eq!(end.consumer, consumer);
+            }
+        }
+
+        // A flit ejected to terminal 0 and one injected by it mature
+        // together: both are discarded, only the router's end is hinted.
+        let eject = net.terminals[0].in_chan;
+        let inject = net.terminals[0].out_chan;
+        assert_eq!(ev.chans[eject].latency, ev.chans[inject].latency);
+        ev.on_send(7, eject, true);
+        ev.on_send(7, inject, true);
+        let at = 7 + ev.chans[eject].latency;
+        let mut due = Vec::new();
+        ev.queue.pop_due(at, &mut due);
+        assert_eq!(due.len(), 2, "router and terminal both woken");
+        ev.collect_arrivals(at, nr as u32, &due);
+        // Key order: the router's end first, the terminal's after it.
+        let both = [(inject as u32) << 1 | 1, (eject as u32) << 1 | 1];
+        assert_eq!(ev.matured, both);
+        let inject_end = ev.ends[ev.chans[inject].ends[1].1 as usize];
+        assert_eq!(ev.hint_buf, [(inject_end.consumer, inject_end.step)]);
+        assert!(ev.queue.is_empty());
     }
 
     /// A forced flow-control violation renders as exactly one clean

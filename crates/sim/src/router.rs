@@ -58,10 +58,10 @@ const NO_OWNER: PacketId = PacketId::MAX;
 /// salt)`, compared lexicographically — lower wins.
 type CandKey = (u64, u8, u32);
 
-/// An ingress arrival hint: `(router_id, port << 1 | is_credit)`. Sorted
-/// ascending this reproduces the full scan's visit order (ports ascending,
-/// flits before credits per port). Built by the event engine from the
-/// `ChanWheel`'s matured-channel set.
+/// An ingress arrival hint: `(router_id, port << 1 | is_credit)`. Ascending
+/// order is the full scan's visit order (ports ascending, flits before
+/// credits per port). The event engine reads them off its arrival ring,
+/// whose keys are numbered in that order.
 pub(crate) type ArrivalHint = (u32, u16);
 
 /// Congestion view over a router's output side (credits, per-port
@@ -493,12 +493,11 @@ impl Router {
     ) {
         match hints {
             Some(hints) => {
-                // Sorted (port, kind) keys reproduce the full scan's order:
-                // ports ascending, flits (bit 0 clear) before credits.
-                // Duplicate keys (multi-flit sends share a channel entry in
-                // the wheel) were deduplicated by the caller; a hinted port
-                // whose arrivals turn out empty (killed channel) is a no-op
-                // exactly like the full scan visiting it.
+                // Ascending, unique (port, kind) keys reproduce the full
+                // scan's order: ports ascending, flits (bit 0 clear) before
+                // credits. A hinted port whose arrivals turn out empty
+                // (killed channel) is a no-op exactly like the full scan
+                // visiting it.
                 for &(_, key) in hints {
                     let port = (key >> 1) as usize;
                     if key & 1 == 0 {

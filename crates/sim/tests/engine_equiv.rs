@@ -8,6 +8,11 @@
 //! reproduce the same aggregate stats, the same deterministic metrics
 //! JSONL byte for byte, and the same per-packet delivery sequence.
 //!
+//! The matrix runs channel and crossbar latencies of 2/5/8 cycles, all far
+//! inside the event queue's 256-cycle calendar. One more cell per fault
+//! kind runs 300-cycle wires and crossbars, so the queue's overflow heap
+//! and an arrival ring longer than the calendar are compared too.
+//!
 //! hxsim cannot depend on hxtraffic, so the UR and DCR destination rules
 //! are re-derived here over a reversal-symmetric HyperX with a local
 //! splitmix64 stream — deterministic by construction, so both engines see
@@ -171,14 +176,20 @@ struct RunOutcome {
     delivered: Vec<DeliveredRow>,
 }
 
+/// Cycle counts of a run — its length and every fault-schedule time — are
+/// multiplied by this when the wires are long.
+const LONG_WIRE_SCALE: u64 = 10;
+
 fn run_once(
     algo_name: &str,
     pattern: Pattern,
     load: f64,
     scenario: Scenario,
+    long_wires: bool,
     engine: Engine,
     threads: usize,
 ) -> RunOutcome {
+    let x = if long_wires { LONG_WIRE_SCALE } else { 1 };
     let hx = Arc::new(HyperX::uniform(2, 3, 2));
     let algo: Arc<dyn RoutingAlgorithm> = hyperx_algorithm(algo_name, hx.clone(), 8)
         .expect("registered algorithm")
@@ -192,6 +203,14 @@ fn run_once(
         tick_threads: threads,
         ..SimConfig::default()
     };
+    if long_wires {
+        // Beyond the event queue's calendar (256 cycles): every arrival
+        // and crossbar wake goes through its overflow heap, and the
+        // arrival ring is longer than the calendar.
+        cfg.crossbar_latency = 300;
+        cfg.router_chan_latency = 300;
+        cfg.watchdog_stall_cycles = 40 * 300;
+    }
     if matches!(scenario, Scenario::Retransmit) {
         cfg.retransmit_timeout = 250;
         cfg.retransmit_max_retries = 3;
@@ -216,18 +235,18 @@ fn run_once(
                 .expect("router 1 has a network port");
             sim.set_fault_schedule(
                 FaultSchedule::new()
-                    .kill_link_at(100, 1, port)
-                    .kill_router_at(180, 4)
-                    .revive_router_at(380, 4)
-                    .revive_link_at(430, 1, port),
+                    .kill_link_at(100 * x, 1, port)
+                    .kill_router_at(180 * x, 4)
+                    .revive_router_at(380 * x, 4)
+                    .revive_link_at(430 * x, 1, port),
             );
         }
         // A transient router kill drops in-flight packets so the
         // source-retransmission path actually re-sends.
         Scenario::Retransmit => sim.set_fault_schedule(
             FaultSchedule::new()
-                .kill_router_at(120, 4)
-                .revive_router_at(300, 4),
+                .kill_router_at(120 * x, 4)
+                .revive_router_at(300 * x, 4),
         ),
         // Two flapping links plus one degraded link on top of the BER:
         // all transient, all recovered by LLR replay.
@@ -239,15 +258,15 @@ fn run_once(
             };
             sim.set_fault_schedule(
                 FaultSchedule::new()
-                    .flap_link(1, port(1), 120, 150, 30, 2)
-                    .flap_link(4, port(4), 200, 120, 20, 2)
-                    .degrade_link_at(90, 2, port(2), 3, true)
-                    .restore_link_at(480, 2, port(2)),
+                    .flap_link(1, port(1), 120 * x, 150 * x, 30 * x, 2)
+                    .flap_link(4, port(4), 200 * x, 120 * x, 20 * x, 2)
+                    .degrade_link_at(90 * x, 2, port(2), 3, true)
+                    .restore_link_at(480 * x, 2, port(2)),
             );
         }
     }
     let mut wl = RecordingTraffic::new(hx, pattern, load, 0xE11A_5EED ^ load.to_bits());
-    sim.run(&mut wl, CYCLES);
+    sim.run(&mut wl, CYCLES * x);
     let s = &sim.stats;
     RunOutcome {
         stats: (
@@ -276,42 +295,54 @@ fn check_matrix(scenario: Scenario) {
     for algo in ALGOS {
         for pattern in PATTERNS {
             for load in LOADS {
-                let cell = format!("{algo}/{}/load={load}/{}", pattern.name(), scenario.name());
-                let reference = run_once(algo, pattern, load, scenario, Engine::Cycle, 1);
-                assert!(
-                    reference.stats.2 > 0,
-                    "{cell}: reference run delivered nothing — matrix cell is vacuous"
-                );
-                if matches!(scenario, Scenario::ErrorModel) {
-                    let (replays, crc, flaps) =
-                        (reference.stats.9, reference.stats.10, reference.stats.11);
-                    assert!(
-                        replays > 0 && crc > 0 && flaps > 0,
-                        "{cell}: error model idle (replays={replays} crc={crc} \
-                         flaps={flaps}) — matrix cell is vacuous"
-                    );
-                }
-                for (engine, threads, label) in [
-                    (Engine::Event, 1, "event@1"),
-                    (Engine::Event, 4, "event@4"),
-                    (Engine::Cycle, 4, "cycle@4"),
-                ] {
-                    let got = run_once(algo, pattern, load, scenario, engine, threads);
-                    assert_eq!(
-                        got.stats, reference.stats,
-                        "{cell}: {label} stats diverge from cycle@1"
-                    );
-                    assert_eq!(
-                        got.metrics_jsonl, reference.metrics_jsonl,
-                        "{cell}: {label} metrics stream diverges from cycle@1"
-                    );
-                    assert_eq!(
-                        got.delivered, reference.delivered,
-                        "{cell}: {label} delivery sequence diverges from cycle@1"
-                    );
-                }
+                check_cell(algo, pattern, load, scenario, false);
             }
         }
+    }
+}
+
+/// One cell: cycle@1 is the reference; event@{1,4} and cycle@4 must
+/// reproduce it.
+fn check_cell(algo: &str, pattern: Pattern, load: f64, scenario: Scenario, long_wires: bool) {
+    let wires = if long_wires { "/long-wires" } else { "" };
+    let cell = format!(
+        "{algo}/{}/load={load}/{}{wires}",
+        pattern.name(),
+        scenario.name()
+    );
+    let run =
+        |engine, threads| run_once(algo, pattern, load, scenario, long_wires, engine, threads);
+    let reference = run(Engine::Cycle, 1);
+    assert!(
+        reference.stats.2 > 0,
+        "{cell}: reference run delivered nothing — matrix cell is vacuous"
+    );
+    if matches!(scenario, Scenario::ErrorModel) {
+        let (replays, crc, flaps) = (reference.stats.9, reference.stats.10, reference.stats.11);
+        assert!(
+            replays > 0 && crc > 0 && flaps > 0,
+            "{cell}: error model idle (replays={replays} crc={crc} \
+             flaps={flaps}) — matrix cell is vacuous"
+        );
+    }
+    for (engine, threads, label) in [
+        (Engine::Event, 1, "event@1"),
+        (Engine::Event, 4, "event@4"),
+        (Engine::Cycle, 4, "cycle@4"),
+    ] {
+        let got = run(engine, threads);
+        assert_eq!(
+            got.stats, reference.stats,
+            "{cell}: {label} stats diverge from cycle@1"
+        );
+        assert_eq!(
+            got.metrics_jsonl, reference.metrics_jsonl,
+            "{cell}: {label} metrics stream diverges from cycle@1"
+        );
+        assert_eq!(
+            got.delivered, reference.delivered,
+            "{cell}: {label} delivery sequence diverges from cycle@1"
+        );
     }
 }
 
@@ -342,4 +373,16 @@ fn engines_equivalent_with_retransmission() {
 #[test]
 fn engines_equivalent_with_error_model() {
     check_matrix(Scenario::ErrorModel);
+}
+
+/// 300-cycle wires and crossbars put every arrival and crossbar wake
+/// beyond the event queue's calendar: one cell fault-free, one with links
+/// and a router killed and revived (the resync plants 300-cycle arrivals
+/// on every channel), one under the error model (LLR deliveries land in
+/// the arrival row being walked).
+#[test]
+fn engines_equivalent_beyond_the_calendar_horizon() {
+    for scenario in [Scenario::FaultFree, Scenario::Faults, Scenario::ErrorModel] {
+        check_cell("OmniWAR", Pattern::Ur, 0.1, scenario, true);
+    }
 }

@@ -1,173 +1,128 @@
-//! Property tests for the event queue's ordering laws — the contract the
-//! event-driven engine's determinism rests on:
+//! Model-based property test for the event queue — the contract the
+//! event-driven engine's determinism rests on.
 //!
-//! 1. Pops never go backwards in time.
-//! 2. Same-cycle ties break by endpoint id, then event kind.
-//! 3. `cancel` drops every pending wake of an endpoint, is idempotent,
-//!    and a later `schedule` re-arms it (and only it).
-//! 4. Skipping idle cycles is safe: jumping straight to `next_time()`
-//!    never hops over a scheduled wake, and `pop_due` at that cycle
-//!    yields exactly the endpoints the model says are due.
+//! The model is `BTreeMap<cycle, BTreeSet<endpoint>>` plus the drain
+//! cursor: a wake is filed under `max(t, cursor)`, a pop at `now` removes
+//! every cycle `<= now` and moves the cursor to `now + 1` (never
+//! backwards). Random interleavings of `schedule` and `pop_due`, with
+//! `next_time` read after each, must agree with it, which states every
+//! law at once:
 //!
-//! Each law is checked against a trivial model (a `Vec` of live entries)
-//! under arbitrary interleavings of schedule and cancel operations.
+//! 1. A popped set is ascending and duplicate-free.
+//! 2. Nothing is lost and nothing is early: a pop returns exactly the
+//!    endpoints filed at or before `now`, and a wake with `t > now` stays.
+//! 3. A wake scheduled behind the cursor is delivered by the next pop
+//!    that reaches the cursor.
+//! 4. `next_time` is the model's minimum (a behind-cursor wake reports the
+//!    cursor), so skipping the clock straight to it never hops a wake.
+//! 5. Wakes beyond the calendar's horizon migrate in and drain at exactly
+//!    their cycle, whatever the pop gaps (0 to three horizons).
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use hxsim::{EventKind, EventQueue};
 use proptest::prelude::*;
 
-const ENDPOINTS: u32 = 8;
-
-fn kind_of(k: u8) -> EventKind {
-    match k % 5 {
-        0 => EventKind::FlitArrival,
-        1 => EventKind::CreditArrival,
-        2 => EventKind::Wake,
-        3 => EventKind::Timeout,
-        _ => EventKind::Fault,
-    }
-}
+/// `event::HORIZON` (private): the calendar length the distances below
+/// are chosen around.
+const HORIZON: u64 = 256;
+/// More than one 64-bit word of endpoints, so word boundaries are crossed.
+const ENDPOINTS: u32 = 150;
 
 #[derive(Clone, Debug)]
 enum Op {
-    Schedule { t: u64, endpoint: u32, kind: u8 },
-    Cancel { endpoint: u32 },
+    /// Schedule `endpoint` at `cursor + ahead - behind` (saturating).
+    Schedule {
+        ahead: u64,
+        behind: u64,
+        endpoint: u32,
+    },
+    /// `pop_due(last_now + gap)`.
+    Pop { gap: u64 },
 }
 
-/// Schedules outnumber cancels 4:1 so drained sequences stay non-trivial.
+/// One of `choices` ranges picked by `sel`, then `x` folded into it — the
+/// vendored proptest has no weighted union, so weights are written as
+/// repeated entries.
+fn pick(choices: &[std::ops::Range<u64>], sel: u8, x: u64) -> u64 {
+    let r = &choices[sel as usize % choices.len()];
+    r.start + x % (r.end - r.start)
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..5, 0u64..64, 0u32..ENDPOINTS, 0u8..5).prop_map(|(sel, t, endpoint, kind)| {
-        if sel < 4 {
-            Op::Schedule { t, endpoint, kind }
-        } else {
-            Op::Cancel { endpoint }
+    let sel = (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>());
+    let x = (any::<u64>(), any::<u64>(), any::<u64>());
+    (sel, x).prop_map(|(sel, x)| {
+        let (sel, x) = ([sel.0, sel.1, sel.2, sel.3], [x.0, x.1, x.2]);
+        if sel[0] % 3 == 0 {
+            // Gaps: mostly a cycle or two, some inside the horizon, some
+            // beyond it — where every row is due at once.
+            let gaps = [0..4, 0..4, 0..4, 0..HORIZON, HORIZON - 1..HORIZON * 3 + 1];
+            return Op::Pop {
+                gap: pick(&gaps, sel[1], x[0]),
+            };
+        }
+        // Distances: mostly inside the horizon, some straddling its edge,
+        // some far beyond; a quarter are then pulled behind the cursor.
+        let near = 0..HORIZON;
+        let aheads = [
+            near.clone(),
+            near.clone(),
+            near,
+            HORIZON - 2..HORIZON + 3,
+            HORIZON..HORIZON * 4,
+        ];
+        let behinds = [0..1, 0..1, 0..1, 0..HORIZON * 2];
+        // A handful of endpoints is drawn often, so duplicates are common.
+        let endpoints = [0..4, 62..66, 0..ENDPOINTS as u64];
+        Op::Schedule {
+            ahead: pick(&aheads, sel[1], x[0]),
+            behind: pick(&behinds, sel[2], x[1]),
+            endpoint: pick(&endpoints, sel[3], x[2]) as u32,
         }
     })
 }
 
-/// Applies `ops` to both the queue and the model. The model is the naive
-/// spec: a list of live `(time, endpoint, kind)` entries where a cancel
-/// removes everything the endpoint had pending at that moment.
-fn apply(ops: &[Op]) -> (EventQueue, Vec<(u64, u32, u8)>) {
-    let mut q = EventQueue::new(ENDPOINTS as usize);
-    let mut model: Vec<(u64, u32, u8)> = Vec::new();
-    for op in ops {
-        match *op {
-            Op::Schedule { t, endpoint, kind } => {
-                q.schedule(t, endpoint, kind_of(kind));
-                model.push((t, endpoint, kind % 5));
-            }
-            Op::Cancel { endpoint } => {
-                q.cancel(endpoint);
-                model.retain(|&(_, e, _)| e != endpoint);
-            }
-        }
-    }
-    (q, model)
-}
-
 proptest! {
-    /// Laws 1-3 at once: draining with `pop_entry` yields exactly the
-    /// model's surviving entries, sorted by (time, endpoint, kind) —
-    /// time never regresses, ties break by endpoint then kind, and
-    /// canceled entries (and only those) are gone.
-    #[test]
-    fn drain_matches_sorted_model(ops in prop::collection::vec(op_strategy(), 0..80)) {
-        let (mut q, mut model) = apply(&ops);
-        model.sort_unstable();
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        let mut drained = Vec::new();
-        let mut last: Option<(u64, u32, u8)> = None;
-        while let Some((t, e, k)) = q.pop_entry() {
-            let entry = (t, e, k as u8);
-            if let Some(prev) = last {
-                prop_assert!(prev <= entry, "pop order regressed: {prev:?} then {entry:?}");
-            }
-            last = Some(entry);
-            drained.push(entry);
-        }
-        prop_assert_eq!(drained, model);
-        prop_assert!(q.is_empty());
-    }
-
-    /// Law 3 sharpened: canceling twice is the same as canceling once,
-    /// and a re-schedule after cancel revives only the new entry while
-    /// every other endpoint's pending wakes are untouched.
     #[test]
-    fn cancel_is_idempotent_and_reschedule_rearms(
-        ops in prop::collection::vec(op_strategy(), 0..60),
-        victim in 0..ENDPOINTS,
-        extra_cancels in 1usize..4,
-        t_new in 0u64..64,
+    fn queue_agrees_with_the_ordered_map_model(
+        ops in prop::collection::vec(op_strategy(), 1..200),
     ) {
-        let (mut q, mut model) = apply(&ops);
-        for _ in 0..extra_cancels {
-            q.cancel(victim);
-        }
-        model.retain(|&(_, e, _)| e != victim);
-        q.schedule(t_new, victim, EventKind::Wake);
-        model.push((t_new, victim, EventKind::Wake as u8));
-        model.sort_unstable();
-
-        let mut drained = Vec::new();
-        while let Some((t, e, k)) = q.pop_entry() {
-            drained.push((t, e, k as u8));
-        }
-        prop_assert_eq!(drained, model);
-    }
-
-    /// Law 4: `next_time` is exactly the model's minimum pending time —
-    /// skipping the simulation clock straight to it can never hop over a
-    /// wake — and `pop_due` at that cycle returns precisely the sorted,
-    /// deduplicated set of endpoints the model says are due by then.
-    #[test]
-    fn skip_to_next_time_never_misses_a_wake(
-        ops in prop::collection::vec(op_strategy(), 0..80),
-    ) {
-        let (mut q, model) = apply(&ops);
-        let model_min = model.iter().map(|&(t, ..)| t).min();
-        prop_assert_eq!(q.next_time(), model_min);
-
-        if let Some(target) = model_min {
-            let mut due = Vec::new();
-            q.pop_due(target, &mut due);
-            let mut want: Vec<u32> = model
-                .iter()
-                .filter(|&&(t, ..)| t <= target)
-                .map(|&(_, e, _)| e)
-                .collect();
-            want.sort_unstable();
-            want.dedup();
-            prop_assert_eq!(due, want);
-
-            // Everything strictly later survives the pop.
-            let later = model.iter().map(|&(t, ..)| t).filter(|&t| t > target).min();
-            prop_assert_eq!(q.next_time(), later);
-        }
-    }
-
-    /// `pop_due` over an arbitrary sequence of advancing deadlines drains
-    /// the same entries the model does, cycle window by cycle window.
-    #[test]
-    fn windowed_pop_due_tracks_model(
-        ops in prop::collection::vec(op_strategy(), 0..80),
-        steps in prop::collection::vec(0u64..16, 1..8),
-    ) {
-        let (mut q, model) = apply(&ops);
-        let mut now = 0u64;
-        let mut prev = None;
+        let mut q = EventQueue::new(ENDPOINTS as usize);
+        let mut model: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
+        let (mut cursor, mut last_now) = (0u64, 0u64);
         let mut due = Vec::new();
-        for dt in steps {
-            now += dt;
-            q.pop_due(now, &mut due);
-            let mut want: Vec<u32> = model
-                .iter()
-                .filter(|&&(t, ..)| t <= now && prev.is_none_or(|p| t > p))
-                .map(|&(_, e, _)| e)
-                .collect();
-            want.sort_unstable();
-            want.dedup();
-            prop_assert_eq!(due.clone(), want, "window ({prev:?}, {now}]");
-            prev = Some(now);
+        for op in ops {
+            match op {
+                Op::Schedule { ahead, behind, endpoint } => {
+                    let t = (cursor + ahead).saturating_sub(behind);
+                    q.schedule(t, endpoint, EventKind::Wake);
+                    model.entry(t.max(cursor)).or_default().insert(endpoint);
+                }
+                Op::Pop { gap } => {
+                    let now = last_now + gap;
+                    q.pop_due(now, &mut due);
+                    let later = model.split_off(&(now + 1));
+                    let want: BTreeSet<u32> = model.into_values().flatten().collect();
+                    model = later;
+                    prop_assert!(due.windows(2).all(|w| w[0] < w[1]), "not ascending: {:?}", due);
+                    prop_assert_eq!(&due, &want.into_iter().collect::<Vec<_>>(), "pop at {}", now);
+                    cursor = cursor.max(now + 1);
+                    last_now = now;
+                }
+            }
+            // Law 4, after every operation.
+            prop_assert_eq!(q.next_time(), model.keys().next().copied());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
         }
+        // Skipping straight to `next_time` drains the model cycle by cycle.
+        while let Some(t) = q.next_time() {
+            q.pop_due(t, &mut due);
+            let want = model.remove(&t).expect("next_time named a cycle the model has");
+            prop_assert_eq!(&due, &want.into_iter().collect::<Vec<_>>(), "skip to {}", t);
+        }
+        prop_assert!(model.is_empty(), "queue lost {:?}", model);
     }
 }

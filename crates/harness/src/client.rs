@@ -6,6 +6,7 @@
 //! incrementally and is always a byte-identical prefix of the final
 //! result — the same guarantee `hx sweep` gives locally.
 
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 
@@ -39,7 +40,8 @@ pub fn submit_text(
 ) -> Result<SubmitReport, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
     stream.set_nodelay(true).ok();
-    let mut reader = stream.try_clone().map_err(|e| e.to_string())?;
+    // Rows arrive back to back: read them by the buffer, not by the frame.
+    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
     let mut writer = stream;
 
     write_frame(&mut writer, &crate::proto::hello(ROLE_CLIENT)).map_err(|e| e.to_string())?;

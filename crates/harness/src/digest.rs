@@ -11,28 +11,20 @@
 //! the same point share its cached result, and renaming a spec does not
 //! invalidate a completed sweep.
 
-use hxsim::CanonicalSimConfig;
-
 use crate::spec::{Kind, Point};
+use crate::value::write_json_object;
 
 /// Workspace version baked into every digest; all workspace crates share
 /// `[workspace.package].version`, so bumping it invalidates the store —
 /// exactly right, since any crate may have changed simulation behavior.
 pub const WORKSPACE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
-fn json_of<T: serde::Serialize>(v: &T) -> String {
-    let mut s = String::new();
-    serde::Serialize::to_json(v, &mut s);
-    s
-}
-
 /// The canonical JSON form a point's digest is computed over. Field order
 /// is fixed here; every scalar renders through the same serde encoder as
 /// the result rows, so the encoding is bit-stable across runs and
-/// platforms. (Assembled by hand because the vendored derive macro does
-/// not support borrowed fields.)
+/// platforms. (Assembled by hand, into one buffer, because the vendored
+/// derive macro does not support borrowed fields.)
 pub fn canonical_json(p: &Point) -> String {
-    let sim: CanonicalSimConfig = p.sim.canonical();
     // Fault knobs only shape fault-kind runs; zero them for steady
     // points so tuning [fault] never invalidates steady results. (The
     // retransmit axis needs no field of its own: it is mirrored into
@@ -46,50 +38,42 @@ pub fn canonical_json(p: &Point) -> String {
             ..Default::default()
         }
     };
-    format!(
-        concat!(
-            "{{\"schema_version\":{},\"workspace_version\":{},\"kind\":{},",
-            "\"dims\":{},\"width\":{},\"terminals\":{},",
-            "\"pattern\":{},\"algo\":{},\"load\":{},\"seed\":{},\"fails\":{},",
-            "\"router_fails\":{},",
-            "\"sim\":{},\"warmup_window\":{},\"max_warmup_windows\":{},",
-            "\"measure_cycles\":{},\"stability_tol\":{},",
-            "\"fault_cycles\":{},\"drain_factor\":{},",
-            "\"kill_cycle\":{},\"revive_cycle\":{},",
-            "\"flap_links\":{},\"flap_first\":{},\"flap_period\":{},",
-            "\"flap_down_cycles\":{},\"flap_count\":{},",
-            "\"degrade_links\":{},\"degrade_extra_latency\":{},\"degrade_half_bw\":{}}}"
-        ),
-        hxsim::SCHEMA_VERSION,
-        json_of(&WORKSPACE_VERSION.to_string()),
-        json_of(&p.kind.as_str().to_string()),
-        p.network.dims,
-        p.network.width,
-        p.network.terminals,
-        json_of(&p.pattern),
-        json_of(&p.algo),
-        json_of(&p.load),
-        p.seed,
-        p.fails,
-        p.router_fails,
-        json_of(&sim),
-        p.steady.warmup_window,
-        p.steady.max_warmup_windows,
-        p.steady.measure_cycles,
-        json_of(&p.steady.stability_tol),
-        f.cycles,
-        f.drain_factor,
-        f.kill_cycle,
-        f.revive_cycle,
-        f.flap_links,
-        f.flap_first,
-        f.flap_period,
-        f.flap_down_cycles,
-        f.flap_count,
-        f.degrade_links,
-        f.degrade_extra_latency,
-        f.degrade_half_bw,
-    )
+    let mut out = String::with_capacity(1024);
+    write_json_object(
+        &mut out,
+        &[
+            ("schema_version", &hxsim::SCHEMA_VERSION),
+            ("workspace_version", &WORKSPACE_VERSION),
+            ("kind", &p.kind.as_str()),
+            ("dims", &p.network.dims),
+            ("width", &p.network.width),
+            ("terminals", &p.network.terminals),
+            ("pattern", &p.pattern),
+            ("algo", &p.algo),
+            ("load", &p.load),
+            ("seed", &p.seed),
+            ("fails", &p.fails),
+            ("router_fails", &p.router_fails),
+            ("sim", &p.sim.canonical()),
+            ("warmup_window", &p.steady.warmup_window),
+            ("max_warmup_windows", &p.steady.max_warmup_windows),
+            ("measure_cycles", &p.steady.measure_cycles),
+            ("stability_tol", &p.steady.stability_tol),
+            ("fault_cycles", &f.cycles),
+            ("drain_factor", &f.drain_factor),
+            ("kill_cycle", &f.kill_cycle),
+            ("revive_cycle", &f.revive_cycle),
+            ("flap_links", &f.flap_links),
+            ("flap_first", &f.flap_first),
+            ("flap_period", &f.flap_period),
+            ("flap_down_cycles", &f.flap_down_cycles),
+            ("flap_count", &f.flap_count),
+            ("degrade_links", &f.degrade_links),
+            ("degrade_extra_latency", &f.degrade_extra_latency),
+            ("degrade_half_bw", &f.degrade_half_bw),
+        ],
+    );
+    out
 }
 
 /// The point's content digest (hex form is the store key).
@@ -159,5 +143,80 @@ seed = [1]
         let d0 = point_digest(&points(BASE)[0]);
         let tuned = point_digest(&points(&format!("{BASE}[fault]\ncycles = 123\n"))[0]);
         assert_eq!(d0, tuned);
+    }
+
+    fn load(spec: &str) -> ExperimentSpec {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        ExperimentSpec::load(&format!("{root}/experiments/{spec}")).unwrap()
+    }
+
+    /// Store keys are these bytes hashed: if either literal has to change,
+    /// every store in the field turns into misses. (Both carry
+    /// `SCHEMA_VERSION` and `WORKSPACE_VERSION`, so bumping one of those
+    /// re-blesses them, which is what a bump is for.)
+    #[test]
+    fn canonical_json_is_pinned_byte_for_byte() {
+        let steady = &load("fig6_reduced.toml").expand()[1];
+        assert_eq!(
+            canonical_json(steady),
+            concat!(
+                r#"{"schema_version":1,"workspace_version":"0.1.0","kind":"steady","dims":3,"#,
+                r#""width":4,"terminals":4,"pattern":"UR","algo":"DOR","load":0.4,"seed":1,"#,
+                r#""fails":0,"router_fails":0,"sim":{"num_vcs":8,"buf_flits":160,"#,
+                r#""crossbar_latency":50,"crossbar_speedup":4,"router_chan_latency":50,"#,
+                r#""short_chan_latency":10,"term_chan_latency":5,"max_packet_flits":16,"#,
+                r#""max_source_queue":256,"atomic_queue_alloc":false,"#,
+                r#""watchdog_stall_cycles":10000,"max_packet_hops":64,"retransmit_timeout":0,"#,
+                r#""retransmit_max_retries":16,"retransmit_backoff_cap":0,"llr_enabled":false,"#,
+                r#""error_ber":0.0,"llr_window":128},"warmup_window":2000,"#,
+                r#""max_warmup_windows":12,"measure_cycles":6000,"stability_tol":0.12,"#,
+                r#""fault_cycles":0,"drain_factor":0,"kill_cycle":0,"revive_cycle":0,"#,
+                r#""flap_links":0,"flap_first":0,"flap_period":0,"flap_down_cycles":0,"#,
+                r#""flap_count":1,"degrade_links":0,"degrade_extra_latency":0,"#,
+                r#""degrade_half_bw":false}"#
+            )
+        );
+        assert_eq!(digest_hex(point_digest(steady)), "04996ab7a98505ac");
+
+        let fault = &load("chaos_reduced.toml").expand()[1];
+        assert_eq!(
+            canonical_json(fault),
+            concat!(
+                r#"{"schema_version":1,"workspace_version":"0.1.0","kind":"fault","dims":3,"#,
+                r#""width":4,"terminals":4,"pattern":"UR","algo":"DimWAR","load":0.2,"seed":1,"#,
+                r#""fails":0,"router_fails":1,"sim":{"num_vcs":8,"buf_flits":160,"#,
+                r#""crossbar_latency":50,"crossbar_speedup":4,"router_chan_latency":50,"#,
+                r#""short_chan_latency":10,"term_chan_latency":5,"max_packet_flits":16,"#,
+                r#""max_source_queue":256,"atomic_queue_alloc":false,"#,
+                r#""watchdog_stall_cycles":2000,"max_packet_hops":64,"retransmit_timeout":6000,"#,
+                r#""retransmit_max_retries":16,"retransmit_backoff_cap":0,"llr_enabled":true,"#,
+                r#""error_ber":1e-5,"llr_window":64},"warmup_window":2000,"#,
+                r#""max_warmup_windows":12,"measure_cycles":6000,"stability_tol":0.12,"#,
+                r#""fault_cycles":2000,"drain_factor":6,"kill_cycle":400,"revive_cycle":1200,"#,
+                r#""flap_links":2,"flap_first":300,"flap_period":250,"flap_down_cycles":60,"#,
+                r#""flap_count":4,"degrade_links":1,"degrade_extra_latency":2,"#,
+                r#""degrade_half_bw":true}"#
+            )
+        );
+        assert_eq!(digest_hex(point_digest(fault)), "5d459183c5fa53d3");
+    }
+
+    /// The committed rows were keyed by an earlier build: the digests this
+    /// one computes for the same spec must be the ones they carry.
+    #[test]
+    fn committed_rows_still_carry_this_builds_digests() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let rows = std::fs::read_to_string(format!("{root}/results/fig6_reduced.jsonl")).unwrap();
+        let committed: std::collections::HashSet<u64> = rows
+            .lines()
+            .map(|row| {
+                let digest = crate::value::object_member(row, "digest").unwrap().unwrap();
+                u64::from_str_radix(digest.as_str().unwrap(), 16).unwrap()
+            })
+            .collect();
+        assert_eq!(
+            crate::sched::spec_digests(&load("fig6_reduced.toml")),
+            committed
+        );
     }
 }

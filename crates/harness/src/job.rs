@@ -23,7 +23,7 @@ use std::path::Path;
 use crate::digest::{digest_hex, point_digest};
 use crate::spec::{ExperimentSpec, Point};
 use crate::store::{Store, StoreMeta};
-use crate::value::{parse_json, Value};
+use crate::value::{object_member, Value};
 
 /// The merged-output row a point leaves behind when it produced no
 /// usable result: it panicked, or its row failed validation.
@@ -64,12 +64,10 @@ fn check_row(row: &str, digest: u64) -> Result<(), String> {
     if row.contains(['\n', '\r']) {
         return Err("result row contains a line break".to_string());
     }
-    let value = parse_json(row).map_err(|e| format!("result row is not JSON: {e}"))?;
-    if value.as_table().is_none() {
-        return Err("result row is not a JSON object".to_string());
-    }
+    let got = object_member(row, "digest")
+        .map_err(|e| format!("result row is not a JSON object: {e}"))?;
     let want = digest_hex(digest);
-    match value.get("digest").and_then(Value::as_str) {
+    match got.as_ref().and_then(Value::as_str) {
         Some(got) if got == want => Ok(()),
         got => Err(format!(
             "result row carries digest {got:?}, the point's is {want}"

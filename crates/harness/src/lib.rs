@@ -55,5 +55,5 @@ pub use sched::{run_sweep, spec_digests, SweepOpts, SweepReport};
 pub use serve::{serve, ServeOpts};
 pub use spec::{ExperimentSpec, FaultProtocol, Kind, NetworkSpec, Point};
 pub use store::{Store, StoreMeta, DEFAULT_STORE_DIR};
-pub use value::{parse_json, parse_toml, Value};
+pub use value::{parse_json, parse_toml, well_formed, Value};
 pub use worker::{work, WorkOpts};

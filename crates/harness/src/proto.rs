@@ -15,6 +15,9 @@
 //! * **Oversized frames** (declared length above [`MAX_FRAME_BYTES`]) are
 //!   rejected before any payload allocation, so a corrupt or hostile
 //!   length prefix cannot OOM the daemon.
+//! * **Deeply nested payloads** (past [`crate::value::MAX_JSON_DEPTH`])
+//!   are malformed, not a stack overflow: a payload is parsed before the
+//!   handshake has vetted its sender.
 //! * **Unknown frame kinds are skipped with a warning**, not a
 //!   disconnect: a newer peer may add message types, and an older daemon
 //!   or worker keeps interoperating on the frames it understands.
@@ -23,7 +26,7 @@
 
 use std::io::{Read, Write};
 
-use crate::value::{parse_json, Value};
+use crate::value::{parse_json, write_json_object, Value};
 
 /// Protocol revision spoken by this build. Bumped on any incompatible
 /// frame-semantics change; the handshake rejects mismatches.
@@ -184,16 +187,10 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    serde::Serialize::to_json(s, &mut out);
-    out
-}
-
 impl Frame {
     /// The frame's kind tag and rendered JSON payload.
     pub fn encode(&self) -> (u8, String) {
-        match self {
+        let (kind, members): (u8, &[(&str, &dyn serde::Serialize)]) = match self {
             Frame::Hello {
                 role,
                 proto,
@@ -201,12 +198,12 @@ impl Frame {
                 workspace_version,
             } => (
                 K_HELLO,
-                format!(
-                    "{{\"role\":{},\"proto\":{proto},\"schema_version\":{schema_version},\
-                     \"workspace_version\":{}}}",
-                    jstr(role),
-                    jstr(workspace_version)
-                ),
+                &[
+                    ("role", role),
+                    ("proto", proto),
+                    ("schema_version", schema_version),
+                    ("workspace_version", workspace_version),
+                ],
             ),
             Frame::HelloAck {
                 worker_id,
@@ -214,32 +211,28 @@ impl Frame {
                 heartbeat_ms,
             } => (
                 K_HELLO_ACK,
-                format!(
-                    "{{\"worker_id\":{worker_id},\"lease_ms\":{lease_ms},\
-                     \"heartbeat_ms\":{heartbeat_ms}}}"
-                ),
+                &[
+                    ("worker_id", worker_id),
+                    ("lease_ms", lease_ms),
+                    ("heartbeat_ms", heartbeat_ms),
+                ],
             ),
-            Frame::Error { message } => (K_ERROR, format!("{{\"message\":{}}}", jstr(message))),
+            Frame::Error { message } => (K_ERROR, &[("message", message)]),
             Frame::Submit {
                 format,
                 force,
                 spec,
             } => (
                 K_SUBMIT,
-                format!(
-                    "{{\"format\":{},\"force\":{force},\"spec\":{}}}",
-                    jstr(format),
-                    jstr(spec)
-                ),
+                &[("format", format), ("force", force), ("spec", spec)],
             ),
             Frame::Accepted { job, total, cached } => (
                 K_ACCEPTED,
-                format!("{{\"job\":{job},\"total\":{total},\"cached\":{cached}}}"),
+                &[("job", job), ("total", total), ("cached", cached)],
             ),
-            Frame::Row { job, index, row } => (
-                K_ROW,
-                format!("{{\"job\":{job},\"index\":{index},\"row\":{}}}", jstr(row)),
-            ),
+            Frame::Row { job, index, row } => {
+                (K_ROW, &[("job", job), ("index", index), ("row", row)])
+            }
             Frame::Done {
                 job,
                 total,
@@ -248,20 +241,18 @@ impl Frame {
                 failed,
             } => (
                 K_DONE,
-                format!(
-                    "{{\"job\":{job},\"total\":{total},\"cached\":{cached},\
-                     \"executed\":{executed},\"failed\":{failed}}}"
-                ),
+                &[
+                    ("job", job),
+                    ("total", total),
+                    ("cached", cached),
+                    ("executed", executed),
+                    ("failed", failed),
+                ],
             ),
-            Frame::WorkRequest => (K_WORK_REQUEST, "{}".to_string()),
-            Frame::Spec { job, format, spec } => (
-                K_SPEC,
-                format!(
-                    "{{\"job\":{job},\"format\":{},\"spec\":{}}}",
-                    jstr(format),
-                    jstr(spec)
-                ),
-            ),
+            Frame::WorkRequest => (K_WORK_REQUEST, &[]),
+            Frame::Spec { job, format, spec } => {
+                (K_SPEC, &[("job", job), ("format", format), ("spec", spec)])
+            }
             Frame::Assign {
                 job,
                 index,
@@ -269,12 +260,14 @@ impl Frame {
                 digest,
             } => (
                 K_ASSIGN,
-                format!(
-                    "{{\"job\":{job},\"index\":{index},\"lease\":{lease},\"digest\":{}}}",
-                    jstr(digest)
-                ),
+                &[
+                    ("job", job),
+                    ("index", index),
+                    ("lease", lease),
+                    ("digest", digest),
+                ],
             ),
-            Frame::NoWork { backoff_ms } => (K_NO_WORK, format!("{{\"backoff_ms\":{backoff_ms}}}")),
+            Frame::NoWork { backoff_ms } => (K_NO_WORK, &[("backoff_ms", backoff_ms)]),
             Frame::RowResult {
                 job,
                 index,
@@ -283,11 +276,13 @@ impl Frame {
                 row,
             } => (
                 K_ROW_RESULT,
-                format!(
-                    "{{\"job\":{job},\"index\":{index},\"lease\":{lease},\
-                     \"elapsed_ms\":{elapsed_ms},\"row\":{}}}",
-                    jstr(row)
-                ),
+                &[
+                    ("job", job),
+                    ("index", index),
+                    ("lease", lease),
+                    ("elapsed_ms", elapsed_ms),
+                    ("row", row),
+                ],
             ),
             Frame::FailResult {
                 job,
@@ -296,13 +291,29 @@ impl Frame {
                 error,
             } => (
                 K_FAIL_RESULT,
-                format!(
-                    "{{\"job\":{job},\"index\":{index},\"lease\":{lease},\"error\":{}}}",
-                    jstr(error)
-                ),
+                &[
+                    ("job", job),
+                    ("index", index),
+                    ("lease", lease),
+                    ("error", error),
+                ],
             ),
-            Frame::Heartbeat => (K_HEARTBEAT, "{}".to_string()),
-        }
+            Frame::Heartbeat => (K_HEARTBEAT, &[]),
+        };
+        // Room for a result row, the frame there are most of.
+        let mut payload = String::with_capacity(1024);
+        write_json_object(&mut payload, members);
+        (kind, payload)
+    }
+
+    /// Appends the frame as it travels: `[kind u8][len u32 LE][payload]`.
+    pub(crate) fn encode_into(&self, wire: &mut Vec<u8>) {
+        let (kind, payload) = self.encode();
+        debug_assert!(payload.len() <= MAX_FRAME_BYTES, "outgoing frame too large");
+        wire.reserve(5 + payload.len());
+        wire.push(kind);
+        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wire.extend_from_slice(payload.as_bytes());
     }
 
     /// Decodes a payload for `kind`. `Ok(None)` means the kind is unknown
@@ -430,14 +441,10 @@ impl Frame {
     }
 }
 
-/// Writes one frame: `[kind u8][len u32 LE][payload]`.
+/// Writes one frame ([`Frame::encode_into`]).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    let (kind, payload) = frame.encode();
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES, "outgoing frame too large");
-    let mut buf = Vec::with_capacity(5 + payload.len());
-    buf.push(kind);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload.as_bytes());
+    let mut buf = Vec::new();
+    frame.encode_into(&mut buf);
     // One write call per frame so concurrent writers (the worker's
     // heartbeat thread shares the socket with its result sender) can
     // interleave only at frame boundaries under an external mutex.

@@ -39,6 +39,7 @@
 //! reaches the store or the client.
 
 use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -80,6 +81,11 @@ impl Default for ServeOpts {
         }
     }
 }
+
+/// How many bytes of frames a client's relay gathers before it writes: a
+/// dozen rows per `write` when they are all there (a cached
+/// resubmission), and small enough not to show in the daemon's footprint.
+const RELAY_BATCH_BYTES: usize = 8 << 10;
 
 /// One submitted sweep.
 struct Submission {
@@ -431,16 +437,31 @@ fn handle_client(
         daemon.commit(&mut state, job_id);
     }
 
-    // Writer loop: relay committed rows until Done. A send error means
-    // the client vanished — abandon the job so workers stop burning
-    // cycles on it (their in-flight results will be dropped as stale).
+    // Writer loop: relay committed rows until Done. Whatever is already
+    // queued rides in one write, cut at a frame boundary once the batch
+    // is full; an empty queue flushes, so a row never waits for a later
+    // one. A write error means the client vanished — abandon the job so
+    // workers stop burning cycles on it (their in-flight results will be
+    // dropped as stale).
+    let mut wire = Vec::new();
     let mut outcome = Ok(());
-    for frame in rx {
-        let done = matches!(frame, Frame::Done { .. });
-        if let Err(e) = write_frame(&mut writer, &frame) {
+    while let Ok(mut frame) = rx.recv() {
+        let done = loop {
+            let done = matches!(frame, Frame::Done { .. });
+            frame.encode_into(&mut wire);
+            if done || wire.len() >= RELAY_BATCH_BYTES {
+                break done;
+            }
+            match rx.try_recv() {
+                Ok(next) => frame = next,
+                Err(_) => break false,
+            }
+        };
+        if let Err(e) = writer.write_all(&wire) {
             outcome = Err(format!("client write failed: {e}"));
             break;
         }
+        wire.clear();
         if done {
             return Ok(());
         }

@@ -20,7 +20,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::digest::digest_hex;
-use crate::value::parse_json;
+use crate::value::{parse_json, well_formed};
 
 /// Default store location, relative to the repo root.
 pub const DEFAULT_STORE_DIR: &str = "results/store";
@@ -58,6 +58,8 @@ fn schema_version_of(line: &str) -> Option<i64> {
 /// Handle on a store directory.
 pub struct Store {
     dir: PathBuf,
+    /// `{"schema_version":N` for this build's N: how a current line starts.
+    current: String,
 }
 
 impl Store {
@@ -66,6 +68,7 @@ impl Store {
         std::fs::create_dir_all(dir)?;
         Ok(Store {
             dir: dir.to_path_buf(),
+            current: format!("{{\"schema_version\":{}", hxsim::SCHEMA_VERSION),
         })
     }
 
@@ -96,7 +99,7 @@ impl Store {
         let content = std::fs::read_to_string(self.path_for(digest)).ok()?;
         let mut lines = content.lines();
         let (meta, row) = match (lines.next(), lines.next()) {
-            (Some(m), Some(r)) if parse_json(m).is_ok() && parse_json(r).is_ok() => (m, r),
+            (Some(m), Some(r)) if well_formed(m) && well_formed(r) => (m, r),
             _ => {
                 self.quarantine(digest);
                 return None;
@@ -104,19 +107,19 @@ impl Store {
         };
         // The version must be followed by a delimiter so e.g. version 10
         // cannot satisfy a version-1 prefix check.
-        let v = hxsim::SCHEMA_VERSION;
         let ok = |line: &str| {
-            line.starts_with(&format!("{{\"schema_version\":{v},"))
-                || line == format!("{{\"schema_version\":{v}}}")
+            line.strip_prefix(self.current.as_str())
+                .is_some_and(|rest| rest.starts_with(',') || rest == "}")
         };
         if !ok(meta) || !ok(row) {
             let found = schema_version_of(meta)
                 .or_else(|| schema_version_of(row))
                 .map_or_else(|| "unversioned".to_string(), |got| format!("version {got}"));
             eprintln!(
-                "warning: store entry {} is {found} (current schema is {v}); \
+                "warning: store entry {} is {found} (current schema is {}); \
                  treating as a miss and recomputing",
-                self.path_for(digest).display()
+                self.path_for(digest).display(),
+                hxsim::SCHEMA_VERSION
             );
             return None;
         }

@@ -155,39 +155,128 @@ impl fmt::Display for Value {
 
 // ---------------------------------------------------------------- JSON --
 
+/// Appends `{"name":value,...}` to `out`, every value through the encoder
+/// result rows use. Names are spliced as they are: plain identifiers only.
+pub(crate) fn write_json_object(out: &mut String, members: &[(&str, &dyn serde::Serialize)]) {
+    out.push('{');
+    for (i, (name, v)) in members.iter().enumerate() {
+        out.push_str(if i == 0 { "\"" } else { ",\"" });
+        out.push_str(name);
+        out.push_str("\":");
+        v.to_json(out);
+    }
+    out.push('}');
+}
+
+/// Deepest nesting of arrays and objects the JSON descent follows: ten
+/// times what any spec or row uses, and shallow enough that a payload of
+/// a million `[` is an error instead of a stack overflow.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// Parses a JSON document into a [`Value`].
 pub fn parse_json(src: &str) -> Result<Value, String> {
-    let mut p = JsonParser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+    JsonParser::new(src, None).document()
+}
+
+/// Whether [`parse_json`] would accept `src`, learned by the same descent
+/// without building anything: no tree, no strings, no allocation.
+pub fn well_formed(src: &str) -> bool {
+    JsonParser::new(src, None).document::<()>().is_ok()
+}
+
+/// The `key` member of the JSON object `src` (the last one, as
+/// [`parse_json`] would keep), with the rest of the document checked but
+/// not built. `Err` when `src` is not JSON or not an object.
+pub fn object_member(src: &str, key: &str) -> Result<Option<Value>, String> {
+    let mut p = JsonParser::new(src, Some(key));
+    p.document::<()>()?;
+    // A well-formed document leads with nothing but whitespace.
+    if !src.trim_start().starts_with('{') {
+        return Err("the top-level value is not an object".to_string());
     }
-    Ok(v)
+    p.found.map(|span| parse_json(&src[span])).transpose()
+}
+
+/// What the one JSON descent makes of a document: a [`Value`] tree, or
+/// `()` — nothing but the verdict.
+trait Doc: Sized {
+    /// An object under construction.
+    type Members: Default;
+    /// Whether string contents are kept; otherwise they are only checked.
+    const KEEPS_STRINGS: bool;
+    fn scalar(v: Value) -> Self;
+    fn array(items: Vec<Self>) -> Self;
+    fn insert(members: &mut Self::Members, key: String, v: Self);
+    fn object(members: Self::Members) -> Self;
+}
+
+impl Doc for Value {
+    type Members = BTreeMap<String, Value>;
+    const KEEPS_STRINGS: bool = true;
+    fn scalar(v: Value) -> Value {
+        v
+    }
+    fn array(items: Vec<Value>) -> Value {
+        Value::Array(items)
+    }
+    fn insert(members: &mut Self::Members, key: String, v: Value) {
+        members.insert(key, v);
+    }
+    fn object(members: Self::Members) -> Value {
+        Value::Table(members)
+    }
+}
+
+impl Doc for () {
+    type Members = ();
+    const KEEPS_STRINGS: bool = false;
+    fn scalar(_: Value) {}
+    // A `Vec<()>` never allocates.
+    fn array(_: Vec<()>) {}
+    fn insert(_: &mut (), _: String, _: ()) {}
+    fn object(_: ()) {}
 }
 
 struct JsonParser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
+    /// The top-level member [`object_member`] asked for, and the span of
+    /// its value once seen.
+    want: Option<&'a str>,
+    found: Option<std::ops::Range<usize>>,
 }
 
-impl JsonParser<'_> {
+impl<'a> JsonParser<'a> {
+    fn new(src: &'a str, want: Option<&'a str>) -> Self {
+        JsonParser {
+            src,
+            pos: 0,
+            depth: 0,
+            want,
+            found: None,
+        }
+    }
+
+    fn document<D: Doc>(&mut self) -> Result<D, String> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(v)
+    }
+
     fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -204,18 +293,30 @@ impl JsonParser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value<D: Doc>(&mut self) -> Result<D, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') | Some(b'f') => self.boolean(),
+            Some(b'{' | b'[') if self.depth == MAX_JSON_DEPTH => Err(format!(
+                "nested deeper than {MAX_JSON_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
+            Some(b'"') => Ok(D::scalar(Value::Str(self.string(D::KEEPS_STRINGS)?))),
+            Some(b't') | Some(b'f') => self.boolean().map(D::scalar),
             Some(b'n') => {
                 // JSON null has no TOML analogue; surface it as an error so
                 // specs can't silently carry holes.
                 Err(format!("null is not a supported value (byte {})", self.pos))
             }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(D::scalar),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|c| c as char),
@@ -224,28 +325,33 @@ impl JsonParser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object<D: Doc>(&mut self) -> Result<D, String> {
         self.expect(b'{')?;
-        let mut t = BTreeMap::new();
+        let mut t = D::Members::default();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Table(t));
+            return Ok(D::object(t));
         }
+        let wanted = self.want.filter(|_| self.depth == 1);
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string(D::KEEPS_STRINGS || wanted.is_some())?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
+            let start = self.pos;
             let v = self.value()?;
-            t.insert(key, v);
+            if wanted == Some(key.as_str()) {
+                self.found = Some(start..self.pos);
+            }
+            D::insert(&mut t, key, v);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Table(t));
+                    return Ok(D::object(t));
                 }
                 other => {
                     return Err(format!(
@@ -258,13 +364,13 @@ impl JsonParser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array<D: Doc>(&mut self) -> Result<D, String> {
         self.expect(b'[')?;
         let mut a = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(a));
+            return Ok(D::array(a));
         }
         loop {
             self.skip_ws();
@@ -274,7 +380,7 @@ impl JsonParser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(a));
+                    return Ok(D::array(a));
                 }
                 other => {
                     return Err(format!(
@@ -287,67 +393,66 @@ impl JsonParser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// One string, unescaped into the result when `keep` (else the result
+    /// stays empty and unallocated; the checks are the same).
+    fn string(&mut self, keep: bool) -> Result<String, String> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.bytes.get(self.pos) {
+            // Everything up to the next quote or backslash is one run: it
+            // starts after an ASCII byte and ends before one, so it is whole
+            // UTF-8 scalars and is copied at once.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            if keep {
+                s.push_str(&self.src[run..self.pos]);
+            }
+            match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            s.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(format!("bad escape \\{:?}", other.map(|c| c as char)))
-                        }
-                    }
+                _ => self.pos += 1,
+            }
+            let esc = self.peek();
+            self.pos += 1;
+            let c = match esc {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b't') => '\t',
+                Some(b'r') => '\r',
+                Some(b'u') => {
+                    let hex = self
+                        .src
+                        .as_bytes()
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                        16,
+                    )
+                    .map_err(|e| e.to_string())?;
+                    self.pos += 4;
+                    char::from_u32(code).ok_or("bad \\u escape")?
                 }
-                Some(&b) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = &self.bytes[self.pos..self.pos + len];
-                    s.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos += len;
-                }
+                other => return Err(format!("bad escape \\{:?}", other.map(|c| c as char))),
+            };
+            if keep {
+                s.push(c);
             }
         }
     }
 
     fn boolean(&mut self) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(b"true") {
+        if self.src[self.pos..].starts_with("true") {
             self.pos += 4;
             Ok(Value::Bool(true))
-        } else if self.bytes[self.pos..].starts_with(b"false") {
+        } else if self.src[self.pos..].starts_with("false") {
             self.pos += 5;
             Ok(Value::Bool(false))
         } else {
@@ -368,7 +473,7 @@ impl JsonParser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse()
                 .map(Value::Float)
@@ -422,7 +527,7 @@ pub fn parse_toml(src: &str) -> Result<Value, String> {
                 value_text.push_str(strip_comment(next).trim());
             }
             let key_path = parse_key_path(key_part).map_err(&err)?;
-            let value = parse_toml_value(value_text.trim()).map_err(&err)?;
+            let value = parse_toml_value(value_text.trim(), 0).map_err(&err)?;
             let mut full = current.clone();
             full.extend(key_path);
             let (name, parents) = full.split_last().expect("non-empty key path");
@@ -564,11 +669,15 @@ fn parse_key_path(text: &str) -> Result<Vec<String>, String> {
     Ok(parts)
 }
 
-/// Parses a single TOML value (scalar, array, or inline table).
-fn parse_toml_value(text: &str) -> Result<Value, String> {
+/// Parses a single TOML value (scalar, array, or inline table) sitting
+/// inside `depth` arrays and tables; the JSON cap bounds this recursion too.
+fn parse_toml_value(text: &str, depth: usize) -> Result<Value, String> {
     let text = text.trim();
     if text.is_empty() {
         return Err("missing value".into());
+    }
+    if depth > MAX_JSON_DEPTH {
+        return Err(format!("nested deeper than {MAX_JSON_DEPTH}"));
     }
     if let Some(inner) = text.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
         // Basic string with escapes; reuse the JSON string machinery.
@@ -591,7 +700,7 @@ fn parse_toml_value(text: &str) -> Result<Value, String> {
         for part in split_top_level(&text[1..text.len() - 1]) {
             let part = part.trim();
             if !part.is_empty() {
-                items.push(parse_toml_value(part)?);
+                items.push(parse_toml_value(part, depth + 1)?);
             }
         }
         return Ok(Value::Array(items));
@@ -611,7 +720,10 @@ fn parse_toml_value(text: &str) -> Result<Value, String> {
             if key.len() != 1 {
                 return Err(format!("dotted keys unsupported in inline table: {part:?}"));
             }
-            table.insert(key[0].clone(), parse_toml_value(part[eq + 1..].trim())?);
+            table.insert(
+                key[0].clone(),
+                parse_toml_value(part[eq + 1..].trim(), depth + 1)?,
+            );
         }
         return Ok(Value::Table(table));
     }
@@ -698,6 +810,49 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("null").is_err());
         assert!(parse_json("{\"a\":1} x").is_err());
+    }
+
+    /// A frame's payload is a peer's to choose: nesting past the cap is
+    /// an error from either walk, not a stack overflow.
+    #[test]
+    fn nesting_is_capped_for_both_walks() {
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        let at_cap = nested(MAX_JSON_DEPTH);
+        assert!(parse_json(&at_cap).is_ok() && well_formed(&at_cap));
+        let past_cap = nested(MAX_JSON_DEPTH + 1);
+        assert!(parse_json(&past_cap).unwrap_err().contains("nested deeper"));
+        assert!(!well_formed(&past_cap));
+        let objects = "{\"a\":".repeat(MAX_JSON_DEPTH + 1) + "1" + &"}".repeat(MAX_JSON_DEPTH + 1);
+        assert!(parse_json(&objects).is_err() && !well_formed(&objects));
+        // What used to abort the process, on a thread with a small stack.
+        std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                let hostile = "[".repeat(1 << 20);
+                assert!(parse_json(&hostile).is_err() && !well_formed(&hostile));
+                let toml = format!("a = {}{}", "[".repeat(100_000), "]".repeat(100_000));
+                assert!(parse_toml(&toml).unwrap_err().contains("nested deeper"));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn object_member_checks_everything_and_builds_one_member() {
+        let row = r#" {"a":{"digest":"inner"},"digest":"x","b":[1,"é"],"digest":"last"} "#;
+        assert_eq!(
+            object_member(row, "digest"),
+            Ok(Some(Value::Str("last".into())))
+        );
+        assert_eq!(object_member(row, "missing"), Ok(None));
+        assert_eq!(
+            object_member(r#"{"digest":7}"#, "digest"),
+            Ok(Some(Value::Int(7)))
+        );
+        assert!(object_member(r#"[{"digest":"x"}]"#, "digest").is_err());
+        assert!(object_member(r#""digest""#, "digest").is_err());
+        assert!(object_member(r#"{"digest":"x","b":nope}"#, "digest").is_err());
     }
 
     #[test]

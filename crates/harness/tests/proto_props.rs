@@ -260,3 +260,22 @@ fn out_of_range_hello_versions_are_malformed() {
         other => panic!("expected Hello, got {other:?}"),
     }
 }
+
+/// The payload is parsed before the handshake can vet the peer, so its
+/// nesting is bounded like its length: 1 MiB of `[` under the `Hello` tag
+/// used to recurse once per byte and abort the process with a stack
+/// overflow. It must be `Malformed`, on a thread no deeper than the
+/// daemon's connection threads.
+#[test]
+fn deeply_nested_payload_is_malformed_not_a_stack_overflow() {
+    let mut bytes = vec![frame_to_bytes(&hxharness::proto::hello(ROLE_WORKER))[0]];
+    bytes.extend_from_slice(&(1u32 << 20).to_le_bytes());
+    bytes.resize(5 + (1 << 20), b'[');
+    let result = std::thread::spawn(move || read_frame(&mut bytes.as_slice()))
+        .join()
+        .expect("the reader thread survives");
+    match result {
+        Err(ProtoError::Malformed(m)) => assert!(m.contains("nested deeper"), "message: {m}"),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}

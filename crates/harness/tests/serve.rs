@@ -113,6 +113,11 @@ impl Drop for Guard {
 }
 
 fn spawn_daemon(tmp: &TmpDir, lease_ms: u64) -> (Guard, String) {
+    spawn_daemon_logging(tmp, lease_ms, None)
+}
+
+/// With `log`, the daemon is not `--quiet` and its event log lands there.
+fn spawn_daemon_logging(tmp: &TmpDir, lease_ms: u64, log: Option<&Path>) -> (Guard, String) {
     let port_file = tmp.path("port");
     let child = Command::new(HX)
         .args([
@@ -125,10 +130,12 @@ fn spawn_daemon(tmp: &TmpDir, lease_ms: u64) -> (Guard, String) {
             port_file.to_str().unwrap(),
             "--lease-ms",
             &lease_ms.to_string(),
-            "--quiet",
         ])
+        .args(log.is_none().then_some("--quiet"))
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
+        .stderr(log.map_or_else(Stdio::null, |p| {
+            std::fs::File::create(p).expect("create daemon log").into()
+        }))
         .spawn()
         .expect("spawn hx serve");
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -497,4 +504,176 @@ fn client_does_not_allocate_on_the_daemons_say_so() {
         error.contains("closed the connection after 0 of"),
         "{error}"
     );
+}
+
+/// `Frame::decode` parses a payload before `check_hello` has vetted the
+/// peer, and the parser used to recurse once per `[`: this one frame, from
+/// anyone who can reach the port, aborted the daemon with a stack
+/// overflow. Now the connection is dropped and the next job is served
+/// byte-identically.
+#[test]
+fn a_payload_nested_a_million_deep_does_not_take_the_daemon_down() {
+    use std::io::{Read, Write};
+
+    let tmp = TmpDir::new("deep_frame");
+    let spec_path = tmp.path("spec.toml");
+    std::fs::write(&spec_path, SPEC_TOML).unwrap();
+    let want = golden(&tmp);
+    let (_daemon, addr) = spawn_daemon(&tmp, 10_000);
+
+    let mut hostile = TcpStream::connect(&addr).unwrap();
+    let mut frame = vec![hxharness::proto::frame_to_bytes(&hello(ROLE_WORKER))[0]];
+    frame.extend_from_slice(&(1u32 << 20).to_le_bytes());
+    frame.resize(5 + (1 << 20), b'[');
+    hostile.write_all(&frame).unwrap();
+    // The daemon hangs up on the malformed frame without a word.
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    assert_eq!(hostile.read(&mut [0u8; 16]).ok(), Some(0));
+
+    let _w = spawn_worker(&addr, &[]);
+    let out = tmp.path("out.jsonl");
+    let mut submit = Command::new(HX)
+        .args(submit_args(&spec_path, &addr, &out))
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn hx submit");
+    let status = wait_with_timeout(&mut submit, 120, "submit after the hostile frame");
+    assert!(status.success(), "submit failed: {status}");
+    assert_eq!(read(&out), want);
+}
+
+/// The relay batches whatever is queued, but must never wait for more: a
+/// scripted worker fills point 0 and then sits on point 1 under its lease,
+/// and the client has to see `Row 0` at once, with nothing behind it.
+/// Then the client walks away mid-job: the daemon finds out on a failed
+/// write, logs the job abandoned and drops its pending points, so the
+/// worker runs out of work with most of the sweep never filled.
+#[test]
+fn a_committed_row_is_relayed_at_once_and_a_vanished_client_abandons_the_job() {
+    const POINTS: u64 = 12;
+    let spec = SPEC_TOML
+        .replace("algo = [\"DOR\", \"DimWAR\"]", "algo = [\"DOR\"]")
+        .replace(
+            "load = [0.1, 0.2]",
+            "load = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6]",
+        );
+    let tmp = TmpDir::new("relay");
+    let log = tmp.path("daemon.log");
+    let (_daemon, addr) = spawn_daemon_logging(&tmp, 60_000, Some(&log));
+
+    // Fills every point it is assigned with a minimal row naming the
+    // assignment's digest (all `Job::fill` asks for) — but holds point 1
+    // until told to go on, and takes its time over the later ones so the
+    // daemon's writes to the departed client are a few packets apart.
+    let (go_on, held) = mpsc::channel::<()>();
+    let (report, filled_before_no_work) = mpsc::channel::<u64>();
+    let worker_addr = addr.clone();
+    std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(&worker_addr).unwrap();
+        write_frame(&mut conn, &hello(ROLE_WORKER)).unwrap();
+        assert!(matches!(
+            read_frame(&mut conn).unwrap(),
+            Some(Frame::HelloAck { .. })
+        ));
+        let mut filled = 0;
+        loop {
+            write_frame(&mut conn, &Frame::WorkRequest).unwrap();
+            let (job, index, lease, digest) = loop {
+                match read_frame(&mut conn).unwrap() {
+                    Some(Frame::Spec { .. }) => {}
+                    Some(Frame::Assign {
+                        job,
+                        index,
+                        lease,
+                        digest,
+                    }) => break (job, index, lease, digest),
+                    // Before the job arrives; afterwards, the end of it.
+                    Some(Frame::NoWork { .. }) if filled == 0 => {
+                        std::thread::sleep(Duration::from_millis(10));
+                        write_frame(&mut conn, &Frame::WorkRequest).unwrap();
+                    }
+                    Some(Frame::NoWork { .. }) => {
+                        report.send(filled).unwrap();
+                        return;
+                    }
+                    other => panic!("scripted worker got {other:?}"),
+                }
+            };
+            match index {
+                0 => {}
+                1 => held.recv().unwrap(),
+                _ => std::thread::sleep(Duration::from_millis(20)),
+            }
+            let result = Frame::RowResult {
+                job,
+                index,
+                lease,
+                elapsed_ms: 1,
+                row: format!(
+                    "{{\"schema_version\":{},\"digest\":\"{digest}\"}}",
+                    hxsim::SCHEMA_VERSION
+                ),
+            };
+            write_frame(&mut conn, &result).unwrap();
+            filled += 1;
+        }
+    });
+
+    let mut client = TcpStream::connect(&addr).unwrap();
+    write_frame(&mut client, &hello(hxharness::proto::ROLE_CLIENT)).unwrap();
+    assert!(matches!(
+        read_frame(&mut client).unwrap(),
+        Some(Frame::HelloAck { .. })
+    ));
+    let submit = Frame::Submit {
+        format: "toml".to_string(),
+        force: false,
+        spec,
+    };
+    write_frame(&mut client, &submit).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    match read_frame(&mut client).unwrap() {
+        Some(Frame::Accepted { total, cached, .. }) => assert_eq!((total, cached), (POINTS, 0)),
+        other => panic!("expected Accepted, got {other:?}"),
+    }
+    match read_frame(&mut client) {
+        Ok(Some(Frame::Row { index: 0, .. })) => {}
+        other => panic!("row 0 was held back while point 1 was out: {other:?}"),
+    }
+    client
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    match read_frame(&mut client) {
+        Err(hxharness::ProtoError::Io(e)) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "{e}"
+        ),
+        other => panic!("nothing can follow row 0 yet, got {other:?}"),
+    }
+
+    drop(client);
+    go_on.send(()).unwrap();
+    let filled = filled_before_no_work
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker runs out of work");
+    assert!(
+        (2..POINTS).contains(&filled),
+        "pending points outlived the client: the worker filled {filled} of {POINTS}"
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !read(&log).contains("abandoned (client went away)") {
+        assert!(
+            Instant::now() < deadline,
+            "no abandonment in the log:\n{}",
+            read(&log)
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }

@@ -1,5 +1,4 @@
-//! Scale sweep: how large a HyperX the simulator itself can run
-//! (`BENCH_scale.json`).
+//! Scale sweep: how large a HyperX the simulator itself can run.
 //!
 //! Figure 2 of the paper argues HyperX scales to very large node counts at
 //! practical radices; `fig2_scalability` reproduces that *analytically*.
@@ -12,8 +11,12 @@
 //! cargo run --release -p hxbench --bin fig2_sim -- \
 //!     [--full] [--load 0.02] [--warmup 500] [--cycles 1500] \
 //!     [--algo DimWAR] [--seed 1] [--threads 1] [--allow-oversubscribe] \
-//!     [--mem-budget-mb N] [--json BENCH_scale.json]
+//!     [--mem-budget-mb N] [--json /tmp/scale.json]
 //! ```
+//!
+//! The report is one JSON object led by `schema_version`; it measures the
+//! host it ran on and is not committed (CHANGES.md's PR 15 entry tabulates
+//! a two-vCPU `--full` run).
 //!
 //! The default (CI-sized) sweep stops at 65k terminals; `--full` adds the
 //! 19x19x19 rung (6,859 routers, 109,744 terminals). `--mem-budget-mb N`
@@ -262,7 +265,7 @@ fn main() {
         mem_budget_mb,
         results,
     };
-    let json = serde_json::to_string(&report).expect("serialize report");
+    let json = hxsim::versioned_json_row(&report);
     match common.json.as_deref() {
         Some(path) => {
             std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

@@ -231,7 +231,7 @@ fn main() {
         digests_identical,
         results,
     };
-    let json = serde_json::to_string(&report).expect("serialize report");
+    let json = hxsim::versioned_json_row(&report);
     match common.json.as_deref() {
         Some(path) => {
             std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

@@ -25,16 +25,15 @@
 //! (deterministic per-simulation tick threads), and `--json PATH` for
 //! machine-readable output — see [`args::CommonArgs`]. This library holds
 //! the shared plumbing: the CLI surface and the table renderer
-//! (re-exported from `hxharness`), a crossbeam-based order-preserving
-//! parallel map, and JSONL output.
+//! (re-exported from `hxharness`), an order-preserving parallel map over
+//! `std::thread::scope`, and JSONL output.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hxsim::SimConfig;
 use hxtopo::HyperX;
-use parking_lot::Mutex;
 
 pub mod args;
 
@@ -88,8 +87,8 @@ pub fn clamp_threads(requested: usize, allow: bool) -> (usize, usize) {
     }
 }
 
-/// Order-preserving parallel map over `items`, using all cores (crossbeam
-/// scoped threads pulling work off a shared index).
+/// Order-preserving parallel map over `items`, using all cores (scoped
+/// threads pulling work off a shared index).
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -106,6 +105,7 @@ where
 /// slotted by item index, so the output — and any per-item seeded
 /// simulation inside `f` — is identical for every thread count; the
 /// determinism suite in `crates/bench/tests/determinism.rs` pins this.
+/// A panic in `f` re-raises in the caller once every worker has stopped.
 pub fn parallel_map_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -117,23 +117,26 @@ where
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                let item = work[i].lock().take().expect("work item taken twice");
+                let item = work[i]
+                    .lock()
+                    .unwrap()
+                    .take()
+                    .expect("work item taken twice");
                 let r = f(item);
-                *results[i].lock() = Some(r);
+                *results[i].lock().unwrap() = Some(r);
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     results
         .into_iter()
-        .map(|m| m.into_inner().expect("missing result"))
+        .map(|m| m.into_inner().unwrap().expect("missing result"))
         .collect()
 }
 
@@ -155,10 +158,31 @@ mod tests {
 
     #[test]
     fn parallel_map_thread_count_does_not_change_results() {
-        let items: Vec<u64> = (0..64).collect();
-        let one = parallel_map_threads(items.clone(), 1, |x| x * x + 1);
-        let many = parallel_map_threads(items, 5, |x| x * x + 1);
-        assert_eq!(one, many);
+        for n in [0u64, 3, 64] {
+            let items: Vec<u64> = (0..n).collect();
+            let one = parallel_map_threads(items.clone(), 1, |x| x * x + 1);
+            assert_eq!(one, items.iter().map(|x| x * x + 1).collect::<Vec<_>>());
+            // 5 and 8 threads exceed the item count for n = 0 and 3.
+            for threads in [5, 8] {
+                assert_eq!(
+                    parallel_map_threads(items.clone(), threads, |x| x * x + 1),
+                    one
+                );
+            }
+        }
+    }
+
+    /// The panic of one item reaches the caller, re-raised by
+    /// `std::thread::scope` once the other workers stop, instead of being
+    /// swallowed (into a missing result, say — which would panic with a
+    /// different message).
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn parallel_map_propagates_item_panic() {
+        parallel_map_threads((0..16).collect::<Vec<u64>>(), 4, |x| {
+            assert_ne!(x, 7, "item 7 failed");
+            x
+        });
     }
 
     #[test]

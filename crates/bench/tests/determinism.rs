@@ -1,6 +1,7 @@
 //! Sweep-runner determinism: a reduced `fig6_synthetic`-style sweep must
 //! produce bit-identical results — `LoadPoint` values and metric-stream
-//! digests — regardless of how many crossbeam worker threads execute it.
+//! digests — regardless of how many `parallel_map_threads` workers
+//! execute it.
 //! Each work item owns its seeded `Sim`, so scheduling order must not leak
 //! into any output.
 

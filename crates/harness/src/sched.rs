@@ -9,9 +9,9 @@
 
 use std::collections::HashSet;
 use std::path::Path;
+use std::sync::Mutex;
 
 use hxsim::{MetricsConfig, MetricsSummary};
-use parking_lot::Mutex;
 
 use crate::digest::point_digest;
 use crate::job::{Fill, Job, RowFile};
@@ -138,11 +138,15 @@ pub fn run_sweep(
     shared.commit()?;
     let shared = Mutex::new(shared);
 
-    crossbeam::scope(|s| {
+    // `run_point` is the only `catch_unwind`: it turns a point's panic into
+    // a failed row. Any other panic in a worker (and the poisoned-lock
+    // panics it then causes in the others) re-raises from the scope once
+    // every worker has been joined.
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let (i, point) = {
-                    let mut sh = shared.lock();
+                    let mut sh = shared.lock().expect("another sweep worker panicked");
                     let stop = sh.error.is_some()
                         || sh.claimed == todo.len()
                         || opts.stop_after.is_some_and(|cap| sh.claimed >= cap);
@@ -158,7 +162,7 @@ pub fn run_sweep(
                         Ok(run) => (Ok((run.row, run.elapsed_ms)), run.metrics, run.elapsed_ms),
                         Err(msg) => (Err(msg), None, 0),
                     };
-                let mut sh = shared.lock();
+                let mut sh = shared.lock().expect("another sweep worker panicked");
                 match sh.job.fill(i, outcome, store) {
                     Ok(Fill::Executed) => {
                         if let Some(sum) = summary {
@@ -189,8 +193,7 @@ pub fn run_sweep(
                 }
             });
         }
-    })
-    .map_err(|_| "sweep worker panicked".to_string())?;
+    });
 
     let Shared {
         job,
@@ -198,7 +201,7 @@ pub fn run_sweep(
         mut failed,
         error,
         ..
-    } = shared.into_inner();
+    } = shared.into_inner().expect("a sweep worker panicked");
     if let Some(e) = error {
         return Err(e);
     }

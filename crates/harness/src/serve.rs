@@ -42,11 +42,8 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use crate::digest::digest_hex;
 use crate::job::{Fill, Job};
@@ -125,6 +122,13 @@ struct Daemon {
 }
 
 impl Daemon {
+    /// Locks the shared state, ignoring poisoning: one connection thread's
+    /// panic must not take down every other connection and the lease
+    /// sweeper with it.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn log(&self, msg: std::fmt::Arguments<'_>) {
         if !self.quiet {
             eprintln!("serve: {msg}");
@@ -277,7 +281,7 @@ pub fn serve(opts: &ServeOpts) -> Result<(), String> {
         std::thread::spawn(move || loop {
             std::thread::sleep(Duration::from_millis(daemon.lease_ms / 4));
             let now = Instant::now();
-            let mut state = daemon.state.lock();
+            let mut state = daemon.state();
             let expired: Vec<u64> = state
                 .leases
                 .iter()
@@ -355,7 +359,7 @@ fn handle_connection(daemon: &Daemon, stream: TcpStream) -> Result<(), String> {
         let result = handle_worker(daemon, worker_id, reader, writer);
         // Whatever ended this connection — clean exit, SIGKILL'd peer,
         // network cut — its leases go straight back to the queue.
-        let mut state = daemon.state.lock();
+        let mut state = daemon.state();
         daemon.requeue_worker(&mut state, worker_id, "worker disconnected");
         result
     }
@@ -411,7 +415,7 @@ fn handle_client(
         todo.len()
     ));
     {
-        let mut state = daemon.state.lock();
+        let mut state = daemon.state();
         state.jobs.insert(
             job_id,
             Submission {
@@ -466,7 +470,7 @@ fn handle_client(
             return Ok(());
         }
     }
-    let mut state = daemon.state.lock();
+    let mut state = daemon.state();
     if state.jobs.remove(&job_id).is_some() {
         state.pending.retain(|&(j, _)| j != job_id);
         daemon.log(format_args!("job {job_id} abandoned (client went away)"));
@@ -490,7 +494,7 @@ fn handle_worker(
         };
         // Any traffic proves liveness: renew every lease this worker holds.
         {
-            let mut state = daemon.state.lock();
+            let mut state = daemon.state();
             let deadline = Instant::now() + Duration::from_millis(daemon.lease_ms);
             for lease in state.leases.values_mut() {
                 if lease.worker == worker_id {
@@ -504,7 +508,7 @@ fn handle_worker(
                 // Pop under the lock, but send after releasing it: the
                 // Spec frame can be large and the socket can block.
                 let assignment = {
-                    let mut state = daemon.state.lock();
+                    let mut state = daemon.state();
                     match state.pending.pop_front() {
                         None => None,
                         Some((job_id, index)) => {
@@ -575,7 +579,7 @@ fn handle_worker(
                 elapsed_ms,
                 row,
             } => {
-                let mut state = daemon.state.lock();
+                let mut state = daemon.state();
                 daemon.finish(
                     &mut state,
                     lease,
@@ -590,7 +594,7 @@ fn handle_worker(
                 lease,
                 error,
             } => {
-                let mut state = daemon.state.lock();
+                let mut state = daemon.state();
                 daemon.finish(&mut state, lease, job, index as usize, Err(error));
             }
             Frame::Error { message } => {

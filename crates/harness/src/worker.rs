@@ -17,10 +17,8 @@
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::digest::{digest_hex, point_digest};
 use crate::proto::{read_frame, write_frame, Frame, ROLE_WORKER};
@@ -60,8 +58,7 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
     // interleave only at frame boundaries thanks to this mutex.
     let writer = Arc::new(Mutex::new(stream));
 
-    write_frame(&mut *writer.lock(), &crate::proto::hello(ROLE_WORKER))
-        .map_err(|e| e.to_string())?;
+    send(&writer, &crate::proto::hello(ROLE_WORKER)).map_err(|e| e.to_string())?;
     let (worker_id, heartbeat_ms) = match read_frame(&mut reader).map_err(|e| e.to_string())? {
         Some(Frame::HelloAck {
             worker_id,
@@ -85,7 +82,7 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
-                if write_frame(&mut *writer.lock(), &Frame::Heartbeat).is_err() {
+                if send(&writer, &Frame::Heartbeat).is_err() {
                     break;
                 }
             }
@@ -105,7 +102,7 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
             stop_heartbeat.store(true, Ordering::Relaxed);
             return Ok(());
         }
-        write_frame(&mut *writer.lock(), &Frame::WorkRequest).map_err(|e| e.to_string())?;
+        send(&writer, &Frame::WorkRequest).map_err(|e| e.to_string())?;
         // One WorkRequest yields Spec? then Assign, or NoWork.
         let assignment = loop {
             match read_frame(&mut reader) {
@@ -171,8 +168,8 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
             let message = format!(
                 "digest mismatch on job {job} point {index}: daemon {digest}, worker {local_digest}"
             );
-            let _ = write_frame(
-                &mut *writer.lock(),
+            let _ = send(
+                &writer,
                 &Frame::Error {
                     message: message.clone(),
                 },
@@ -209,7 +206,16 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
                 error,
             },
         };
-        write_frame(&mut *writer.lock(), &frame).map_err(|e| e.to_string())?;
+        send(&writer, &frame).map_err(|e| e.to_string())?;
         completed += 1;
     }
+}
+
+/// Writes one frame on the write half the heartbeat thread shares,
+/// ignoring poisoning: the lock exists only to keep frames whole.
+fn send(writer: &Mutex<TcpStream>, frame: &Frame) -> std::io::Result<()> {
+    write_frame(
+        &mut *writer.lock().unwrap_or_else(PoisonError::into_inner),
+        frame,
+    )
 }

@@ -889,7 +889,7 @@ impl Network {
     /// account for the flits it has in its crossbar/output queue, on the
     /// wire, buffered downstream, and the credits still in flight back —
     /// plus at most one in-progress packet's whole-packet reservation when
-    /// the VC is claimed. Every materialized router's derived allocation
+    /// the VC is claimed. Every router's derived allocation
     /// state (per-port occupancy counter, routed-prefix counts) is checked
     /// against the credits and queues it summarizes, dead ports included.
     /// Returns the list of violations (empty = sound).

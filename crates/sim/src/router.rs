@@ -21,15 +21,13 @@
 //! 4. *Crossbar egress* — matured flits drop into per-port output queues.
 //! 5. *Link egress* — each output port sends one flit per cycle.
 //!
-//! Scale notes (100k+ terminals): the constructor allocates only the
-//! wiring arrays (u32 channel/terminal ids, `u32::MAX` = unwired); the
-//! per-port datapath state (input VC queues, credit/owner/backlog arrays,
-//! output queues) is materialized lazily on first use, so routers that
-//! never see traffic cost a few hundred bytes. Materialization is pure
-//! allocation — no RNG draw, no simulation-visible effect — so laziness
-//! cannot perturb results. Per-packet input buffers recycle their flit
-//! deques through an arena ([`Self::recycle_buf`]), keeping the
-//! steady-state tick allocation-free.
+//! Scale notes (100k+ terminals): wiring arrays are u32 channel/terminal
+//! ids (`u32::MAX` = unwired), and the constructor allocates the per-port
+//! datapath state (input VC queues, credit/owner/backlog arrays, output
+//! queues) up front — empty queues hold no heap, and deferring the rest to
+//! first use measured no saving in peak bytes at any `fig2_sim` rung.
+//! Per-packet input buffers recycle their flit deques through an arena
+//! ([`Self::recycle_buf`]), keeping the steady-state tick allocation-free.
 
 use std::collections::VecDeque;
 
@@ -169,22 +167,16 @@ pub struct Router {
     xbar_speedup: usize,
     class_map: ClassMap,
 
-    /// Whether the per-port datapath arrays below have been allocated.
-    /// False until the router first does real work; all accessors report
-    /// the empty/full-credit defaults until then.
-    materialized: bool,
-
     // Input side, indexed [port * num_vcs + vc]: per-VC packet queues.
-    // Empty until materialized.
     in_q: Vec<VecDeque<PktBuf>>,
     /// Routed packets per input VC. They are always the queue's prefix:
     /// only a VC's first unrouted packet is ever routed ([`Self::grant`])
     /// and removals keep order, so `in_q[i][routed[i]]` is the VC's head
     /// awaiting a route and `in_q[i][..routed[i]]` is all the crossbar may
-    /// forward. Empty until materialized.
+    /// forward.
     routed: Vec<u32>,
 
-    // Output side. Empty until materialized.
+    // Output side.
     out_credits: Vec<u32>,
     /// Occupied downstream flits per output port: `Σ_vc (buf_cap −
     /// out_credits)`, kept in step at every `out_credits` write so the
@@ -216,7 +208,6 @@ pub struct Router {
     flits_buffered: u32,
     /// Flits buffered per input port (skips the per-port VC/buffer scans
     /// in allocation and switch traversal when a port holds nothing).
-    /// Empty until materialized.
     port_flits: Vec<u32>,
     // Scratch buffers reused every cycle.
     heads: Vec<(u64, PacketId, u16, u8)>,
@@ -229,9 +220,9 @@ pub struct Router {
 }
 
 impl Router {
-    /// Creates router `id` with `num_ports` ports. Cheap: only the u32
-    /// wiring arrays are allocated (the network wires ports immediately
-    /// after construction); the datapath state waits for first use.
+    /// Creates router `id` with `num_ports` unwired ports (the network
+    /// wires them immediately after construction), every VC empty and
+    /// every downstream credit full.
     pub fn new(
         id: usize,
         num_ports: usize,
@@ -239,24 +230,24 @@ impl Router {
         num_classes: usize,
         seed: u64,
     ) -> Self {
-        let v = cfg.num_vcs;
+        let (n, v) = (num_ports, cfg.num_vcs);
+        let buf_cap = cfg.buf_flits as u32;
         Router {
             id,
             num_ports,
             num_vcs: v,
-            buf_cap: cfg.buf_flits as u32,
+            buf_cap,
             atomic: cfg.atomic_queue_alloc,
             xbar_latency: cfg.crossbar_latency,
             xbar_speedup: cfg.crossbar_speedup.max(1),
             class_map: ClassMap::new(v, num_classes),
-            materialized: false,
-            in_q: Vec::new(),
-            routed: Vec::new(),
-            out_credits: Vec::new(),
-            out_occ: Vec::new(),
-            out_owner: Vec::new(),
-            out_backlog: Vec::new(),
-            out_q: Vec::new(),
+            in_q: (0..n * v).map(|_| VecDeque::new()).collect(),
+            routed: vec![0; n * v],
+            out_credits: vec![buf_cap; n * v],
+            out_occ: vec![0; n],
+            out_owner: vec![NO_OWNER; n * v],
+            out_backlog: vec![0; n],
+            out_q: (0..n).map(|_| VecDeque::new()).collect(),
             xbar: VecDeque::new(),
             out_chan: vec![NO_WIRE; num_ports],
             in_chan: vec![NO_WIRE; num_ports],
@@ -265,31 +256,11 @@ impl Router {
             hop_cap: cfg.max_packet_hops,
             rng: SmallRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             flits_buffered: 0,
-            port_flits: Vec::new(),
+            port_flits: vec![0; n],
             heads: Vec::new(),
             cands: Vec::new(),
             buf_pool: Vec::new(),
         }
-    }
-
-    /// Allocates the datapath arrays. Pure allocation — no RNG, no
-    /// simulation-visible state change — so the first-touch timing cannot
-    /// affect results.
-    fn materialize(&mut self) {
-        if self.materialized {
-            return;
-        }
-        self.materialized = true;
-        let n = self.num_ports;
-        let v = self.num_vcs;
-        self.in_q = (0..n * v).map(|_| VecDeque::new()).collect();
-        self.routed = vec![0; n * v];
-        self.out_credits = vec![self.buf_cap; n * v];
-        self.out_occ = vec![0; n];
-        self.out_owner = vec![NO_OWNER; n * v];
-        self.out_backlog = vec![0; n];
-        self.out_q = (0..n).map(|_| VecDeque::new()).collect();
-        self.port_flits = vec![0; n];
     }
 
     #[inline]
@@ -341,18 +312,12 @@ impl Router {
 
     /// Downstream credits for `(port, vc)` (test/invariant support).
     pub fn credits(&self, port: usize, vc: usize) -> u32 {
-        if !self.materialized {
-            return self.buf_cap;
-        }
         self.out_credits[port * self.num_vcs + vc]
     }
 
     /// Input-buffer occupancy of `(port, vc)` in flits (test/invariant
     /// support).
     pub fn input_occupancy(&self, port: usize, vc: usize) -> usize {
-        if !self.materialized {
-            return 0;
-        }
         self.in_q[port * self.num_vcs + vc]
             .iter()
             .map(|p| p.flits.len())
@@ -362,9 +327,6 @@ impl Router {
     /// Owner of the downstream VC claim on `(port, vc)` (invariant
     /// support).
     pub fn vc_owner(&self, port: usize, vc: usize) -> Option<PacketId> {
-        if !self.materialized {
-            return None;
-        }
         let o = self.out_owner[port * self.num_vcs + vc];
         (o != NO_OWNER).then_some(o)
     }
@@ -377,9 +339,6 @@ impl Router {
     /// Flits inside the crossbar pipe or output queue heading to
     /// `(port, vc)` (invariant support).
     pub fn in_flight_to(&self, port: usize, vc: usize) -> usize {
-        if !self.materialized {
-            return 0;
-        }
         let xbar = self
             .xbar
             .iter()
@@ -398,9 +357,6 @@ impl Router {
     /// packets must be exactly its first `routed` ones. Appends one line
     /// per violation.
     pub(crate) fn audit_derived_state(&self, errs: &mut Vec<String>) {
-        if !self.materialized {
-            return;
-        }
         for port in 0..self.num_ports {
             let base = port * self.num_vcs;
             let occupied: u32 = self.out_credits[base..base + self.num_vcs]
@@ -460,7 +416,6 @@ impl Router {
         hints: Option<&[ArrivalHint]>,
         sink: &mut TickSink,
     ) {
-        self.materialize();
         let mut stamp = sink.timed.then(std::time::Instant::now);
         self.ingress(now, pool, channels, hints, sink);
         lap(&mut stamp, &mut sink.timers.ingress_ns);
@@ -982,10 +937,6 @@ impl Router {
         mut trace: Option<&mut Trace>,
         now: u64,
     ) {
-        if !self.materialized {
-            // Never carried a flit: nothing buffered, nothing to poison.
-            return;
-        }
         // Packets granted the dead output port (from any input VC).
         for q in &self.in_q {
             for buf in q {
@@ -1031,7 +982,7 @@ impl Router {
         stats: &mut Stats,
         channels: &mut [Channel],
     ) {
-        if !self.materialized || !pool.any_poisoned() {
+        if !pool.any_poisoned() {
             return;
         }
         for port in 0..self.num_ports {
@@ -1081,9 +1032,6 @@ impl Router {
     /// heading to `port`. Called before reviving the attached link so stale
     /// remnants of killed packets never reach the fresh wire.
     pub(crate) fn purge_egress(&mut self, port: usize, pool: &mut PacketPool, stats: &mut Stats) {
-        if !self.materialized {
-            return;
-        }
         let xbar = std::mem::take(&mut self.xbar);
         for (t, flit, op, ov) in xbar {
             if op as usize == port {
@@ -1105,7 +1053,6 @@ impl Router {
     /// Rebuilds downstream credit state for `port` after a link revival:
     /// capacity minus the receiver's actual buffer occupancy per VC.
     pub(crate) fn reset_out_credits(&mut self, port: usize, occupancy: &[usize]) {
-        self.materialize();
         debug_assert_eq!(occupancy.len(), self.num_vcs);
         for (vc, &occ) in occupancy.iter().enumerate() {
             let i = self.pv(port, vc);
@@ -1168,16 +1115,13 @@ mod tests {
     }
 
     #[test]
-    fn unmaterialized_router_reports_defaults() {
+    fn new_router_reports_defaults() {
         let cfg = SimConfig::default();
-        let mut r = Router::new(0, 6, &cfg, 2, 1);
-        assert!(!r.materialized);
+        let r = Router::new(0, 6, &cfg, 2, 1);
         assert_eq!(r.input_occupancy(3, 1), 0);
         assert_eq!(r.vc_owner(2, 0), None);
         assert_eq!(r.in_flight_to(1, 1), 0);
         assert_eq!(r.next_wake(10), None);
-        r.materialize();
-        assert!(r.materialized);
         assert_eq!(r.credits(0, 0), cfg.buf_flits as u32);
         assert_eq!(r.input_occupancy(3, 1), 0);
     }
@@ -1212,7 +1156,6 @@ mod tests {
         };
         let (ports, v) = (3, cfg.num_vcs);
         let mut r = Router::new(0, ports, &cfg, 2, 7);
-        r.materialize();
         let mut channels: Vec<Channel> = (0..ports).map(|_| Channel::new(1)).collect();
         for p in 0..ports {
             r.out_chan[p] = p as u32;

@@ -6,20 +6,22 @@
 //! the switches every binary accepts the same way:
 //!
 //! * `--seed N` — base RNG seed (default 1);
-//! * `--threads N` — per-simulation tick threads (deterministic: results
-//!   are bit-identical for any N; default follows `HX_TICK_THREADS`);
 //! * `--full` / `HX_FULL=1` — the paper-scale configuration;
 //! * `--json PATH` — machine-readable JSONL output.
+//!
+//! Any option a binary does not accept exits with status 2, naming it.
 
 pub use hxharness::Args;
+
+/// Value options every binary accepts.
+const COMMON_VALUES: &[&str] = &["seed", "json"];
+/// Bool flags every binary accepts.
+const COMMON_FLAGS: &[&str] = &["full"];
 
 /// The switches shared by every experiment binary, parsed identically.
 pub struct CommonArgs {
     /// Base RNG seed (`--seed`, default 1).
     pub seed: u64,
-    /// Tick threads per simulation (`--threads`, default `HX_TICK_THREADS`
-    /// via `SimConfig::default()`).
-    pub threads: usize,
     /// Paper-scale configuration requested (`--full` or `HX_FULL=1`).
     pub full: bool,
     /// JSONL output path (`--json`), if requested.
@@ -27,11 +29,21 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
+    /// Parses the process arguments: the common switches plus a binary's
+    /// own value options `values` and bool flags `flags`. Exits with
+    /// status 2 on any other option.
+    pub fn parse_env(values: &[&str], flags: &[&str]) -> (Self, Args) {
+        let args = Args::parse(
+            &[COMMON_VALUES, values].concat(),
+            &[COMMON_FLAGS, flags].concat(),
+        );
+        (Self::parse(&args), args)
+    }
+
     /// Parses the common switches out of `args`.
-    pub fn parse(args: &Args) -> Self {
+    fn parse(args: &Args) -> Self {
         CommonArgs {
             seed: args.get_or("seed", 1),
-            threads: args.get_or("threads", hxsim::SimConfig::default().tick_threads),
             full: args.full_scale(),
             json: args.get("json").map(str::to_string),
         }
@@ -42,26 +54,26 @@ impl CommonArgs {
 mod tests {
     use super::*;
 
+    fn args(s: &str) -> Result<Args, String> {
+        Args::from_args(
+            s.split_whitespace().map(String::from),
+            COMMON_VALUES,
+            COMMON_FLAGS,
+        )
+    }
+
     #[test]
     fn common_args_parse_uniformly() {
-        let a = Args::from_args(
-            "--seed 9 --threads 3 --full --json out.jsonl"
-                .split_whitespace()
-                .map(String::from),
-        );
-        let c = CommonArgs::parse(&a);
+        let c = CommonArgs::parse(&args("--seed 9 --full --json out.jsonl").unwrap());
         assert_eq!(c.seed, 9);
-        assert_eq!(c.threads, 3);
         assert!(c.full);
         assert_eq!(c.json.as_deref(), Some("out.jsonl"));
     }
 
     #[test]
     fn common_args_defaults() {
-        let a = Args::from_args(std::iter::empty());
-        let c = CommonArgs::parse(&a);
+        let c = CommonArgs::parse(&args("").unwrap());
         assert_eq!(c.seed, 1);
-        assert_eq!(c.threads, hxsim::SimConfig::default().tick_threads);
         assert!(c.json.is_none());
     }
 }

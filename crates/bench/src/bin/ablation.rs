@@ -12,12 +12,12 @@
 //!
 //! ```text
 //! cargo run --release -p hxbench --bin ablation -- \
-//!     [--full] [--seed 1] [--threads N] [--json out.jsonl]
+//!     [--full] [--seed 1] [--json out.jsonl]
 //! ```
 
 use std::sync::Arc;
 
-use hxbench::{evaluation_config, evaluation_hyperx, render_table, write_jsonl, Args, CommonArgs};
+use hxbench::{evaluation_config, evaluation_hyperx, render_table, write_jsonl, CommonArgs};
 use hxcore::{DimWar, OmniWar, RoutingAlgorithm};
 use hxsim::{run_steady_state, Sim, SimConfig, SteadyOpts};
 use hxtopo::{HyperX, Topology};
@@ -52,11 +52,9 @@ fn run_one(
 }
 
 fn main() {
-    let args = Args::parse();
-    let common = CommonArgs::parse(&args);
+    let (common, _) = CommonArgs::parse_env(&[], &[]);
     let seed = common.seed;
-    let mut cfg = evaluation_config();
-    cfg.tick_threads = common.threads;
+    let cfg = evaluation_config();
     let hx = evaluation_hyperx(common.full);
     let mut rows: Vec<Row> = Vec::new();
 

@@ -6,7 +6,7 @@
 //! cargo run --release -p hxbench --bin fig2_scalability [-- --json fig2.jsonl]
 //! ```
 
-use hxbench::{render_table, write_jsonl, Args, CommonArgs};
+use hxbench::{render_table, write_jsonl, CommonArgs};
 use hxcost::scalability_sweep;
 use serde::Serialize;
 
@@ -19,9 +19,8 @@ struct Row {
 }
 
 fn main() {
-    let args = Args::parse();
     // Analytic sweep: the uniform switches parse but only --json applies.
-    let common = CommonArgs::parse(&args);
+    let (common, _) = CommonArgs::parse_env(&[], &[]);
     let radices: Vec<usize> = (16..=128).step_by(8).collect();
     let sweep = scalability_sweep(&radices);
 

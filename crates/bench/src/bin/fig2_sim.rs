@@ -10,8 +10,8 @@
 //! ```text
 //! cargo run --release -p hxbench --bin fig2_sim -- \
 //!     [--full] [--load 0.02] [--warmup 500] [--cycles 1500] \
-//!     [--algo DimWAR] [--seed 1] [--threads 1] [--allow-oversubscribe] \
-//!     [--mem-budget-mb N] [--json /tmp/scale.json]
+//!     [--algo DimWAR] [--seed 1] [--mem-budget-mb N] \
+//!     [--json /tmp/scale.json]
 //! ```
 //!
 //! The report is one JSON object led by `schema_version`; it measures the
@@ -29,7 +29,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hxbench::{clamp_threads, evaluation_config, Args, CommonArgs};
+use hxbench::{evaluation_config, CommonArgs};
 use hxcore::hyperx_algorithm;
 use hxsim::{CountingAllocator, Engine, Sim};
 use hxtopo::{HyperX, Topology};
@@ -60,7 +60,6 @@ struct PointResult {
     /// Allocator high-water mark over construction + run of this point,
     /// measured from the point's starting live-byte count.
     peak_alloc_bytes: u64,
-    threads_effective: usize,
 }
 
 #[derive(Serialize)]
@@ -87,13 +86,7 @@ struct Rung {
     algo: Option<&'static str>,
 }
 
-fn run_point(
-    rung: &Rung,
-    default_algo: &str,
-    seed: u64,
-    threads: usize,
-    engine: Engine,
-) -> PointResult {
+fn run_point(rung: &Rung, default_algo: &str, seed: u64, engine: Engine) -> PointResult {
     let algo_name = rung.algo.unwrap_or(default_algo);
     ALLOC.reset_peak();
     let base = ALLOC.live_bytes();
@@ -101,7 +94,6 @@ fn run_point(
     let t0 = Instant::now();
     let hx = Arc::new(HyperX::uniform(rung.dims, rung.width, rung.terms));
     let mut cfg = evaluation_config();
-    cfg.tick_threads = threads;
     cfg.engine = engine;
     let algo: Arc<dyn hxcore::RoutingAlgorithm> =
         hyperx_algorithm(algo_name, hx.clone(), cfg.num_vcs)
@@ -138,15 +130,13 @@ fn run_point(
         events_per_sec: eps,
         delivered_packets: sim.stats.total_delivered_packets,
         peak_alloc_bytes: peak,
-        threads_effective: threads,
     }
 }
 
 fn main() {
-    let args = Args::parse();
-    let common = CommonArgs::parse(&args);
-    let allow_oversub = args.flag("allow-oversubscribe");
-    let (threads, host_cpus) = clamp_threads(common.threads, allow_oversub);
+    let (common, args) =
+        CommonArgs::parse_env(&["algo", "load", "warmup", "cycles", "mem-budget-mb"], &[]);
+    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let algo_name = args.get("algo").unwrap_or("DimWAR").to_string();
     let load: f64 = args.get_or("load", 0.02);
     let warmup: u64 = args.get_or("warmup", 500);
@@ -226,8 +216,7 @@ fn main() {
     }
 
     eprintln!(
-        "fig2_sim: {algo_name} UR, event engine, {threads} thread(s), \
-         {} rungs up to {} terminals",
+        "fig2_sim: {algo_name} UR, event engine, {} rungs up to {} terminals",
         ladder.len(),
         ladder.last().map_or(0, |r| r.width.pow(3) * r.terms),
     );
@@ -235,7 +224,7 @@ fn main() {
     let mut results = Vec::new();
     let mut over_budget = false;
     for rung in &ladder {
-        let p = run_point(rung, &algo_name, common.seed, threads, Engine::Event);
+        let p = run_point(rung, &algo_name, common.seed, Engine::Event);
         let peak_mb = p.peak_alloc_bytes as f64 / (1024.0 * 1024.0);
         let eps_str = p
             .events_per_sec

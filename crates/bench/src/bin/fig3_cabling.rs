@@ -13,7 +13,7 @@
 //! cargo run --release -p hxbench --bin fig3_cabling [-- --json fig3.jsonl]
 //! ```
 
-use hxbench::{render_table, write_jsonl, Args, CommonArgs};
+use hxbench::{render_table, write_jsonl, CommonArgs};
 use hxcost::{
     dragonfly_cabling, dragonfly_for_nodes, hyperx_cabling, hyperx_for_nodes, CableTech, PriceModel,
 };
@@ -30,9 +30,8 @@ struct Row {
 }
 
 fn main() {
-    let args = Args::parse();
     // Analytic sweep: the uniform switches parse but only --json applies.
-    let common = CommonArgs::parse(&args);
+    let (common, _) = CommonArgs::parse_env(&[], &[]);
     let prices = PriceModel::default();
     let techs: Vec<(String, CableTech)> = vec![
         (

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use hxapp::{Placement, StencilApp, StencilConfig, StencilGrid};
-use hxbench::{evaluation_config, parallel_map, render_table, write_jsonl, Args, CommonArgs};
+use hxbench::{evaluation_config, parallel_map, render_table, write_jsonl, CommonArgs};
 use hxcore::{DfPolicy, DragonflyRouting, FatTreeRouting, OmniWar, RoutingAlgorithm};
 use hxsim::{Sim, SimConfig};
 use hxtopo::{Dragonfly, FatTree, HyperX, Topology};
@@ -81,8 +81,7 @@ fn systems(full: bool, vcs: usize) -> Vec<System> {
 }
 
 fn main() {
-    let args = Args::parse();
-    let common = CommonArgs::parse(&args);
+    let (common, args) = CommonArgs::parse_env(&["halo-bytes", "iters"], &[]);
     let (full, seed) = (common.full, common.seed);
     let halo_bytes: u64 = args.get_or("halo-bytes", 100_000);
     let iters: Vec<u32> = args
@@ -93,8 +92,7 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|| vec![1, if full { 16 } else { 4 }]);
-    let mut cfg: SimConfig = evaluation_config();
-    cfg.tick_threads = common.threads;
+    let cfg: SimConfig = evaluation_config();
 
     let sys = systems(full, cfg.num_vcs);
     // Same process count everywhere so the work is identical.

@@ -5,14 +5,14 @@
 //! ```text
 //! cargo run --release -p hxbench --bin fig8_stencil -- \
 //!     [--phase collective|exchange|full|all] [--iters 1,16] \
-//!     [--halo-bytes 100000] [--full] [--seed 1] [--threads N] [--json out.jsonl]
+//!     [--halo-bytes 100000] [--full] [--seed 1] [--json out.jsonl]
 //! ```
 
 use std::sync::Arc;
 
 use hxapp::{PhaseMode, Placement, StencilApp, StencilConfig};
 use hxbench::{
-    evaluation_config, evaluation_hyperx, parallel_map, render_table, write_jsonl, Args, CommonArgs,
+    evaluation_config, evaluation_hyperx, parallel_map, render_table, write_jsonl, CommonArgs,
 };
 use hxcore::hyperx_algorithm;
 use hxsim::Sim;
@@ -41,8 +41,7 @@ fn phase_mode(name: &str) -> PhaseMode {
 }
 
 fn main() {
-    let args = Args::parse();
-    let common = CommonArgs::parse(&args);
+    let (common, args) = CommonArgs::parse_env(&["halo-bytes", "phase", "iters", "algos"], &[]);
     let (full, seed) = (common.full, common.seed);
     let halo_bytes: u64 = args.get_or("halo-bytes", 100_000);
     let phases: Vec<String> = match args.get("phase") {
@@ -63,8 +62,7 @@ fn main() {
         .unwrap_or_else(|| DEFAULT_ALGOS.iter().map(|s| s.to_string()).collect());
 
     let hx = evaluation_hyperx(full);
-    let mut cfg = evaluation_config();
-    cfg.tick_threads = common.threads;
+    let cfg = evaluation_config();
 
     let mut work = Vec::new();
     for phase in &phases {

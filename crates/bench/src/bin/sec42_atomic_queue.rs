@@ -10,13 +10,13 @@
 //!
 //! ```text
 //! cargo run --release -p hxbench --bin sec42_atomic_queue -- \
-//!     [--full] [--seed 1] [--threads N] [--json out.jsonl]
+//!     [--full] [--seed 1] [--json out.jsonl]
 //! ```
 
 use std::sync::Arc;
 
 use hxbench::{
-    evaluation_config, evaluation_hyperx, parallel_map, render_table, write_jsonl, Args, CommonArgs,
+    evaluation_config, evaluation_hyperx, parallel_map, render_table, write_jsonl, CommonArgs,
 };
 use hxcore::hyperx_algorithm;
 use hxsim::{run_steady_state, Sim, SimConfig, SteadyOpts};
@@ -33,12 +33,10 @@ struct Row {
 }
 
 fn main() {
-    let args = Args::parse();
-    let common = CommonArgs::parse(&args);
+    let (common, _) = CommonArgs::parse_env(&[], &[]);
     let (full, seed) = (common.full, common.seed);
     let hx = evaluation_hyperx(full);
-    let mut base_cfg = evaluation_config();
-    base_cfg.tick_threads = common.threads;
+    let base_cfg = evaluation_config();
 
     // (label, min flits, max flits)
     let sizes: Vec<(&str, u16, u16)> = vec![("1", 1, 1), ("1..16", 1, 16), ("16", 16, 16)];

@@ -7,7 +7,7 @@
 //! cargo run --release -p hxbench --bin tab1_comparison
 //! ```
 
-use hxbench::{render_table, write_jsonl, Args, CommonArgs};
+use hxbench::{render_table, write_jsonl, CommonArgs};
 use hxcore::meta::table1_rows;
 use serde::Serialize;
 
@@ -23,9 +23,8 @@ struct Row {
 }
 
 fn main() {
-    let args = Args::parse();
     // Analytic table: the uniform switches parse but only --json applies.
-    let common = CommonArgs::parse(&args);
+    let (common, _) = CommonArgs::parse_env(&[], &[]);
     let rows: Vec<Row> = table1_rows()
         .into_iter()
         .map(|m| Row {

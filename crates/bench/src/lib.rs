@@ -12,7 +12,7 @@
 //! | `tab1_comparison`   | Table 1 — implementation requirements |
 //! | `sec42_atomic_queue`| Section 4.2 — atomic-allocation ceiling |
 //! | `ablation`          | ablations: OmniWAR deroute budget, deroute restriction, VC budget |
-//! | `parallel_tick`     | tick-thread and engine speed-up curves |
+//! | `engine_ratio`      | event vs cycle engine speed by load |
 //!
 //! Figure 6, the fault-resilience study and the chaos campaign are not
 //! here: they are sweeps, declared in `experiments/*.toml`, run by
@@ -21,9 +21,9 @@
 //!
 //! Each binary accepts the uniform switches `--full` (the paper's
 //! 4,096-node configuration; default is a reduced 256-node network that
-//! preserves the qualitative shapes), `--seed N`, `--threads N`
-//! (deterministic per-simulation tick threads), and `--json PATH` for
-//! machine-readable output — see [`args::CommonArgs`]. This library holds
+//! preserves the qualitative shapes), `--seed N` and `--json PATH` for
+//! machine-readable output — see [`args::CommonArgs`] — and exits with
+//! status 2 on any option it does not accept. This library holds
 //! the shared plumbing: the CLI surface and the table renderer
 //! (re-exported from `hxharness`), an order-preserving parallel map over
 //! `std::thread::scope`, and JSONL output.
@@ -54,37 +54,6 @@ pub fn evaluation_hyperx(full: bool) -> Arc<HyperX> {
 /// The paper's Section 6 simulator configuration.
 pub fn evaluation_config() -> SimConfig {
     SimConfig::default()
-}
-
-/// Clamps a requested tick-thread count to the host's available CPUs,
-/// returning `(effective_threads, host_cpus)`. Oversubscribing the tick
-/// pool never changes results (the parallel tick is bit-deterministic)
-/// but buys nothing — threads beyond the CPU count cannot run side by
-/// side, they only add shard hand-off cost — so the bench binaries
-/// clamp by default and record the effective count in every row. Pass
-/// `allow = true` (`--allow-oversubscribe`) to keep the requested count,
-/// e.g. to exercise the shard machinery itself; the warning still prints.
-pub fn clamp_threads(requested: usize, allow: bool) -> (usize, usize) {
-    let host = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let requested = requested.max(1);
-    if requested <= host {
-        return (requested, host);
-    }
-    if allow {
-        eprintln!(
-            "WARNING: running {requested} tick threads on {host} CPU(s) \
-             (--allow-oversubscribe): results are identical but slower"
-        );
-        (requested, host)
-    } else {
-        eprintln!(
-            "NOTE: clamping tick threads {requested} -> {host} (host CPUs); \
-             pass --allow-oversubscribe to override"
-        );
-        (host, host)
-    }
 }
 
 /// Order-preserving parallel map over `items`, using all cores (scoped

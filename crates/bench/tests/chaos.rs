@@ -5,14 +5,14 @@
 //! 100% logical delivery. On the transient-only points the transport must
 //! record **zero retransmits**: the link-level retry sublayer recovers
 //! corruption and flaps entirely below it. Everything stays bit-identical
-//! across tick thread counts and across both engines.
+//! across both engines.
 //!
 //! The CI chaos-smoke job sweeps the same spec, so the gate here and the
 //! gate there cannot drift apart.
 
 use std::sync::OnceLock;
 
-use hxharness::{execute_point, parse_json, run_sweep, ExperimentSpec, SweepOpts, Value};
+use hxharness::{parse_json, run_sweep, ExperimentSpec, SweepOpts, Value};
 use hxsim::Engine;
 
 fn spec() -> ExperimentSpec {
@@ -23,26 +23,19 @@ fn spec() -> ExperimentSpec {
     ExperimentSpec::load(path).expect("committed spec loads")
 }
 
-fn sweep_rows(tick_threads: usize) -> Vec<String> {
-    let report = run_sweep(
-        &spec(),
-        None,
-        None,
-        &SweepOpts {
-            tick_threads,
-            ..SweepOpts::default()
-        },
-    )
-    .expect("sweep runs");
+fn sweep_rows(engine: Engine) -> Vec<String> {
+    let mut spec = spec();
+    spec.sim.engine = engine;
+    let report = run_sweep(&spec, None, None, &SweepOpts::default()).expect("sweep runs");
     assert!(report.complete && report.failed.is_empty());
     report.rows
 }
 
-/// The serial sweep is shared across tests (three sweeps of a
+/// The event-engine sweep is shared across tests (sweeps of a
 /// 256-terminal network are not free).
-fn rows_serial() -> &'static [String] {
+fn rows_event() -> &'static [String] {
     static ROWS: OnceLock<Vec<String>> = OnceLock::new();
-    ROWS.get_or_init(|| sweep_rows(1))
+    ROWS.get_or_init(|| sweep_rows(Engine::Event))
 }
 
 fn num(v: &Value, k: &str) -> f64 {
@@ -59,7 +52,7 @@ fn chaos_storm_recovers_below_transport() {
     assert!(spec.sim.llr_enabled && spec.sim.error_ber > 0.0);
     assert!(spec.fault.flap_links >= 2 && spec.fault.degrade_links >= 1);
 
-    for (p, line) in points.iter().zip(rows_serial()) {
+    for (p, line) in points.iter().zip(rows_event()) {
         let v = parse_json(line).expect("row is valid JSON");
         assert_eq!(
             v.get("algo").and_then(|x| x.as_str()),
@@ -113,30 +106,12 @@ fn chaos_storm_recovers_below_transport() {
 }
 
 #[test]
-fn chaos_rows_bit_identical_across_tick_threads() {
-    assert_eq!(
-        rows_serial(),
-        sweep_rows(4),
-        "tick_threads must not change chaos results"
-    );
-}
-
-#[test]
 fn chaos_rows_bit_identical_across_engines() {
-    // The sweep runs the default (event) engine; re-execute every point on
-    // the legacy cycle engine. The row digest excludes the engine choice,
-    // so byte-equal rows mean byte-equal results.
-    let cycle_rows: Vec<String> = spec()
-        .expand()
-        .into_iter()
-        .map(|mut p| {
-            p.sim.engine = Engine::Cycle;
-            execute_point(&p, 1, None).0
-        })
-        .collect();
+    // The row digest excludes the engine choice, so byte-equal rows mean
+    // byte-equal results.
     assert_eq!(
-        rows_serial(),
-        &cycle_rows,
+        rows_event(),
+        sweep_rows(Engine::Cycle),
         "engines must agree under the chaos storm"
     );
 }

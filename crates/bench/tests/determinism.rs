@@ -3,13 +3,14 @@
 //! digests — regardless of how many `parallel_map_threads` workers
 //! execute it.
 //! Each work item owns its seeded `Sim`, so scheduling order must not leak
-//! into any output.
+//! into any output. A single simulation is bit-identical across engines,
+//! faults and metrics included.
 
 use std::sync::Arc;
 
 use hxbench::parallel_map_threads;
 use hxcore::hyperx_algorithm;
-use hxsim::{run_steady_state, MetricsConfig, Sim, SimConfig, SteadyOpts};
+use hxsim::{run_steady_state, Engine, MetricsConfig, Sim, SimConfig, SteadyOpts};
 use hxtopo::{HyperX, Topology};
 use hxtraffic::{pattern_by_name, SyntheticWorkload};
 
@@ -88,10 +89,10 @@ fn sweep_results_identical_across_thread_counts() {
     }
 }
 
-/// Full end-of-run fingerprint of one in-simulator parallel-tick run: the
-/// integer `Stats` totals plus the deterministic metrics JSONL (which
-/// covers every sample row, counter, and histogram).
-fn tick_run(tick_threads: usize, algo_name: &str, faults: bool) -> (Vec<u64>, String) {
+/// Full end-of-run fingerprint of one run on `engine`: the integer `Stats`
+/// totals plus the deterministic metrics JSONL (which covers every sample
+/// row, counter, and histogram).
+fn engine_run(engine: Engine, algo_name: &str, faults: bool) -> (Vec<u64>, String) {
     use hxsim::FaultSchedule;
 
     let hx = Arc::new(HyperX::uniform(2, 3, 2));
@@ -100,7 +101,7 @@ fn tick_run(tick_threads: usize, algo_name: &str, faults: bool) -> (Vec<u64>, St
         crossbar_latency: 5,
         router_chan_latency: 8,
         term_chan_latency: 2,
-        tick_threads,
+        engine,
         ..SimConfig::default()
     };
     let algo: Arc<dyn hxcore::RoutingAlgorithm> = hyperx_algorithm(algo_name, hx.clone(), 8)
@@ -147,25 +148,20 @@ fn tick_run(tick_threads: usize, algo_name: &str, faults: bool) -> (Vec<u64>, St
     (fingerprint, jsonl)
 }
 
-/// The tentpole guarantee: the in-simulator parallel tick is bit-identical
-/// to serial execution for every thread count, routing algorithm, and
-/// fault schedule — stats totals and the metrics JSONL stream both match.
+/// The event engine is bit-identical to the cycle engine for every
+/// routing algorithm and fault schedule — stats totals and the metrics
+/// JSONL stream both match.
 #[test]
-fn parallel_tick_matches_serial_across_matrix() {
+fn engines_match_across_matrix() {
     for algo in ["DimWAR", "OmniWAR", "UGAL"] {
         for faults in [false, true] {
-            let serial = tick_run(1, algo, faults);
-            for threads in [2, 8] {
-                let parallel = tick_run(threads, algo, faults);
-                assert_eq!(
-                    serial.0, parallel.0,
-                    "stats diverge: {algo} faults={faults} threads={threads}"
-                );
-                assert_eq!(
-                    serial.1, parallel.1,
-                    "metrics JSONL diverges: {algo} faults={faults} threads={threads}"
-                );
-            }
+            let cycle = engine_run(Engine::Cycle, algo, faults);
+            let event = engine_run(Engine::Event, algo, faults);
+            assert_eq!(cycle.0, event.0, "stats diverge: {algo} faults={faults}");
+            assert_eq!(
+                cycle.1, event.1,
+                "metrics JSONL diverges: {algo} faults={faults}"
+            );
         }
     }
 }

@@ -3,13 +3,14 @@
 //! fault-aware algorithm — DimWAR, OmniWAR, and FT-WAR — must reach 100%
 //! *logical* delivery once the source-retransmission transport is on,
 //! the result rows must carry the retransmission/recovery metrics, and
-//! the whole thing must stay bit-identical across tick thread counts.
+//! the whole thing must stay bit-identical across both engines.
 //!
 //! Runs the committed `experiments/fault_recovery_reduced.toml` spec
 //! (the same one CI sweeps), so the assertion here and the CI gate can
 //! never drift apart.
 
 use hxharness::{parse_json, run_sweep, ExperimentSpec, SweepOpts};
+use hxsim::Engine;
 
 fn spec() -> ExperimentSpec {
     let path = concat!(
@@ -19,17 +20,10 @@ fn spec() -> ExperimentSpec {
     ExperimentSpec::load(path).expect("committed spec loads")
 }
 
-fn sweep_rows(tick_threads: usize) -> Vec<String> {
-    let report = run_sweep(
-        &spec(),
-        None,
-        None,
-        &SweepOpts {
-            tick_threads,
-            ..SweepOpts::default()
-        },
-    )
-    .expect("sweep runs");
+fn sweep_rows(engine: Engine) -> Vec<String> {
+    let mut spec = spec();
+    spec.sim.engine = engine;
+    let report = run_sweep(&spec, None, None, &SweepOpts::default()).expect("sweep runs");
     assert!(report.complete && report.failed.is_empty());
     report.rows
 }
@@ -48,7 +42,7 @@ fn retransmission_reaches_full_delivery_under_router_and_link_kills() {
         assert!(p.retransmit > 0, "transport is on");
     }
 
-    let rows = sweep_rows(1);
+    let rows = sweep_rows(Engine::Event);
     for (p, line) in points.iter().zip(&rows) {
         let v = parse_json(line).expect("row is valid JSON");
         let num = |k: &str| {
@@ -108,10 +102,10 @@ fn retransmission_reaches_full_delivery_under_router_and_link_kills() {
 }
 
 #[test]
-fn recovery_sweep_is_bit_identical_across_tick_threads() {
+fn recovery_sweep_is_bit_identical_across_engines() {
     assert_eq!(
-        sweep_rows(1),
-        sweep_rows(4),
-        "tick_threads must not change recovery results"
+        sweep_rows(Engine::Event),
+        sweep_rows(Engine::Cycle),
+        "the engine must not change recovery results"
     );
 }

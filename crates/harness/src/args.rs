@@ -1,10 +1,12 @@
 //! The workspace's shared dependency-free CLI parser.
 //!
 //! One implementation serves both the `hx` orchestrator and (re-exported
-//! as `hxbench::args`) all nine experiment binaries, instead of the
-//! hand-rolled per-binary parsers this grew out of. Grammar: `--key value`
-//! pairs, bare `--flag`s, and positional operands (tokens not starting
-//! with `--` that were not consumed as a value).
+//! as `hxbench::args`) all nine experiment binaries. Grammar: `--key
+//! value` pairs, bare `--flag`s, and positional operands. Each caller
+//! names the options it accepts, which is what tells a value option (it
+//! always takes the next token) from a bool flag (it never does, so
+//! `--resume spec.toml` keeps the path positional). Any other `--option`
+//! is an error: a typo must not quietly run a different experiment.
 
 use std::collections::HashMap;
 
@@ -16,42 +18,51 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args()`.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+    /// Parses `std::env::args()` accepting the value options `values` and
+    /// the bool flags `flags`. Exits with status 2 and a message naming the
+    /// offending option on anything else.
+    pub fn parse(values: &[&str], flags: &[&str]) -> Self {
+        Self::from_args(std::env::args().skip(1), values, flags).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parses an explicit argument list (tests).
-    pub fn from_args(items: impl IntoIterator<Item = String>) -> Self {
-        let mut named = HashMap::new();
-        let mut flags = Vec::new();
-        let mut positional = Vec::new();
-        let mut items = items.into_iter().peekable();
+    /// Parses an explicit argument list; see [`Self::parse`].
+    pub fn from_args(
+        items: impl IntoIterator<Item = String>,
+        values: &[&str],
+        flags: &[&str],
+    ) -> Result<Self, String> {
+        let mut args = Args {
+            named: HashMap::new(),
+            flags: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut items = items.into_iter();
         while let Some(a) = items.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                match items.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        named.insert(key.to_string(), items.next().unwrap());
-                    }
-                    _ => flags.push(key.to_string()),
-                }
+            let Some(key) = a.strip_prefix("--") else {
+                args.positional.push(a);
+                continue;
+            };
+            if values.contains(&key) {
+                let v = items.next().ok_or(format!("--{key} needs a value"))?;
+                args.named.insert(key.to_string(), v);
+            } else if flags.contains(&key) {
+                args.flags.push(key.to_string());
             } else {
-                positional.push(a);
+                return Err(format!("unknown option --{key}"));
             }
         }
-        Args {
-            named,
-            flags,
-            positional,
-        }
+        Ok(args)
     }
 
-    /// Value of `--key`, if present.
+    /// Value of `--key`, if present (the last one when repeated).
     pub fn get(&self, key: &str) -> Option<&str> {
         self.named.get(key).map(String::as_str)
     }
 
-    /// Whether `--flag` was passed (with no value).
+    /// Whether `--flag` was passed.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
@@ -102,8 +113,15 @@ impl Args {
 mod tests {
     use super::*;
 
+    const VALUES: &[&str] = &["pattern", "seed", "load", "workers"];
+    const FLAGS: &[&str] = &["full", "resume", "verbose"];
+
+    fn try_args(s: &str) -> Result<Args, String> {
+        Args::from_args(s.split_whitespace().map(String::from), VALUES, FLAGS)
+    }
+
     fn args(s: &str) -> Args {
-        Args::from_args(s.split_whitespace().map(String::from))
+        try_args(s).unwrap()
     }
 
     #[test]
@@ -112,8 +130,8 @@ mod tests {
         assert_eq!(a.get("pattern"), Some("UR"));
         assert!(a.flag("full"));
         assert_eq!(a.get_or("seed", 0u64), 7);
-        assert_eq!(a.get_or("missing", 42u64), 42);
-        assert!(!a.flag("json"));
+        assert_eq!(a.get_or("load", 42u64), 42);
+        assert!(!a.flag("verbose"));
     }
 
     #[test]
@@ -124,10 +142,37 @@ mod tests {
 
     #[test]
     fn positionals_are_kept_in_order() {
-        let a = args("sweep spec.toml --threads 4 --resume");
+        let a = args("sweep spec.toml --workers 4 --resume");
         assert_eq!(a.positional(), &["sweep", "spec.toml"]);
-        assert_eq!(a.get_or("threads", 1usize), 4);
+        assert_eq!(a.get_or("workers", 1usize), 4);
         assert!(a.flag("resume"));
+    }
+
+    /// A bool flag never takes a value, so a path after it stays
+    /// positional.
+    #[test]
+    fn bool_flags_do_not_swallow_positionals() {
+        let a = args("--resume spec.toml --workers 4");
+        assert_eq!(a.positional(), &["spec.toml"]);
+        assert!(a.flag("resume"));
+        assert_eq!(a.get("workers"), Some("4"));
+    }
+
+    /// An option the caller did not name is an error, whether it looks
+    /// like a value option or a flag — a misspelt `--laod 0.5` must not
+    /// run the default load.
+    #[test]
+    fn unknown_options_are_errors() {
+        let err = try_args("--laod 0.5").err().expect("--laod is unknown");
+        assert!(err.contains("--laod"), "{err}");
+        assert!(try_args("--seed 1 --threads 2").is_err());
+        assert!(try_args("spec.toml --bogus").is_err());
+    }
+
+    #[test]
+    fn value_options_require_values() {
+        let err = try_args("--seed").err().expect("--seed needs a value");
+        assert!(err.contains("--seed"), "{err}");
     }
 
     #[test]
@@ -139,7 +184,7 @@ mod tests {
         let load: Result<f64, _> = a.try_get_or("load", 0.5);
         assert!(load.is_err());
         // Absent keys still yield the default; valid values still parse.
-        assert_eq!(a.try_get_or("missing", 42u64), Ok(42));
+        assert_eq!(a.try_get_or("workers", 42u64), Ok(42));
         let a2 = args("--seed 7");
         assert_eq!(a2.try_get_or("seed", 0u64), Ok(7));
     }

@@ -3,9 +3,9 @@
 //! Each point's identity is the FNV-1a digest of its canonicalized
 //! configuration: the measurement protocol, the network, every axis
 //! value, the resolved semantic `SimConfig` (via
-//! [`hxsim::CanonicalSimConfig`], which excludes `tick_threads` — PR 3
-//! made results bit-identical for every thread count, so threading must
-//! not affect identity), the protocol knobs, the result
+//! [`hxsim::CanonicalSimConfig`], which excludes the execution knobs —
+//! the two engines are bit-identical, so the engine must not affect
+//! identity), the protocol knobs, the result
 //! [`hxsim::SCHEMA_VERSION`], and the workspace crate version. The
 //! experiment *name* is deliberately excluded: two specs that describe
 //! the same point share its cached result, and renaming a spec does not

@@ -9,8 +9,8 @@
 //!   a deterministic point list.
 //! * **Content-addressed result store** ([`store`], [`digest`]): each
 //!   point is keyed by the FNV digest of its canonicalized configuration
-//!   (excluding execution knobs like `tick_threads`, which PR 3 made
-//!   result-invariant). `hx sweep` skips completed points, `--resume`
+//!   (excluding execution knobs like the engine, which cannot change a
+//!   result). `hx sweep` skips completed points, `--resume`
 //!   continues an interrupted run, and `hx status` / `hx gc` inspect and
 //!   prune the store.
 //! * **One sweep path** ([`job`], [`runner`]): a [`Job`] is a sweep's
@@ -20,10 +20,9 @@
 //!   completion order — and [`run_point`] is the one place a point
 //!   executes and a panic is caught.
 //! * **Two drivers**: [`sched`] (`hx sweep`) feeds a `Job` from a local
-//!   thread pool composed with per-point tick threading under a core
-//!   budget; [`serve`] + [`worker`] + [`client`] (`hx serve` / `work` /
-//!   `submit`) feed one per submission from TCP workers under leases.
-//!   Same `Job`, same bytes.
+//!   thread pool, one point per thread; [`serve`] + [`worker`] +
+//!   [`client`] (`hx serve` / `work` / `submit`) feed one per submission
+//!   from TCP workers under leases. Same `Job`, same bytes.
 //! * **Tables** ([`report`]): `hx report ROWS.jsonl` renders the paper's
 //!   tables from merged rows alone.
 //!

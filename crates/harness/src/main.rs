@@ -1,18 +1,17 @@
 //! `hx` — experiment orchestrator CLI.
 //!
 //! ```text
-//! hx sweep SPEC [--resume] [--force] [--workers N] [--threads N]
-//!               [--budget N] [--out PATH] [--store DIR] [--no-cache]
-//!               [--expect-cached] [--metrics PATH [--metrics-interval N]]
-//!               [--quiet]
+//! hx sweep SPEC [--resume] [--force] [--workers N] [--out PATH]
+//!               [--store DIR] [--no-cache] [--expect-cached]
+//!               [--metrics PATH [--metrics-interval N]] [--quiet]
 //! hx report ROWS.jsonl
 //! hx expand SPEC [--store DIR] [--digests]
 //! hx status [SPEC ...] [--store DIR]
 //! hx gc (--all | SPEC ...) [--dry-run] [--store DIR]
 //! hx serve [--addr HOST:PORT] [--store DIR] [--lease-ms N]
 //!          [--port-file PATH] [--quiet]
-//! hx work --addr HOST:PORT [--threads N] [--max-points N]
-//!         [--stall-after N] [--slow-ms N] [--quiet]
+//! hx work --addr HOST:PORT [--max-points N] [--stall-after N]
+//!         [--slow-ms N] [--quiet]
 //! hx submit SPEC --addr HOST:PORT [--out PATH] [--force]
 //!           [--expect-cached] [--quiet]
 //! ```
@@ -48,35 +47,24 @@ use std::process::ExitCode;
 
 use hxharness::{
     digest_hex, point_digest, render_report, run_sweep, serve, spec_digests, submit_text, work,
-    ExperimentSpec, Job, RowFile, ServeOpts, Store, SweepOpts, WorkOpts, DEFAULT_STORE_DIR,
+    Args, ExperimentSpec, Job, RowFile, ServeOpts, Store, SweepOpts, WorkOpts, DEFAULT_STORE_DIR,
 };
 
 const USAGE: &str = "usage:
-  hx sweep SPEC [--resume] [--force] [--workers N] [--threads N] [--budget N]
-                [--out PATH] [--store DIR] [--no-cache] [--expect-cached]
-                [--metrics PATH [--metrics-interval N]] [--quiet]
+  hx sweep SPEC [--resume] [--force] [--workers N] [--out PATH] [--store DIR]
+                [--no-cache] [--expect-cached] [--metrics PATH [--metrics-interval N]]
+                [--quiet]
   hx report ROWS.jsonl
   hx expand SPEC [--store DIR] [--digests]
   hx status [SPEC ...] [--store DIR]
   hx gc (--all | SPEC ...) [--dry-run] [--store DIR]
   hx serve [--addr HOST:PORT] [--store DIR] [--lease-ms N] [--port-file PATH] [--quiet]
-  hx work --addr HOST:PORT [--threads N] [--max-points N] [--stall-after N]
-          [--slow-ms N] [--quiet]
+  hx work --addr HOST:PORT [--max-points N] [--stall-after N] [--slow-ms N] [--quiet]
   hx submit SPEC --addr HOST:PORT [--out PATH] [--force] [--expect-cached] [--quiet]";
 
-/// Hand-rolled argv walker: `hx` has subcommands and positional spec
-/// paths, and its boolean flags must not swallow a following path the way
-/// a generic `--key value` grammar would (`--resume spec.toml`).
-struct Cli {
-    positional: Vec<String>,
-    named: Vec<(String, String)>,
-    flags: Vec<String>,
-}
-
-const VALUE_FLAGS: &[&str] = &[
+/// Options taking a value, across all subcommands.
+const VALUE_OPTIONS: &[&str] = &[
     "workers",
-    "threads",
-    "budget",
     "out",
     "store",
     "addr",
@@ -88,7 +76,8 @@ const VALUE_FLAGS: &[&str] = &[
     "metrics",
     "metrics-interval",
 ];
-const BOOL_FLAGS: &[&str] = &[
+/// Bool flags, across all subcommands.
+const FLAGS: &[&str] = &[
     "resume",
     "force",
     "no-cache",
@@ -100,58 +89,8 @@ const BOOL_FLAGS: &[&str] = &[
     "help",
 ];
 
-impl Cli {
-    fn parse(items: impl Iterator<Item = String>) -> Result<Cli, String> {
-        let mut cli = Cli {
-            positional: Vec::new(),
-            named: Vec::new(),
-            flags: Vec::new(),
-        };
-        let mut items = items.peekable();
-        while let Some(a) = items.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if VALUE_FLAGS.contains(&key) {
-                    let v = items.next().ok_or(format!("--{key} needs a value"))?;
-                    cli.named.push((key.to_string(), v));
-                } else if BOOL_FLAGS.contains(&key) {
-                    cli.flags.push(key.to_string());
-                } else {
-                    return Err(format!("unknown option --{key}"));
-                }
-            } else {
-                cli.positional.push(a);
-            }
-        }
-        Ok(cli)
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.named
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|e| format!("invalid value {v:?} for --{key}: {e}")),
-        }
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-
-    fn store(&self) -> PathBuf {
-        PathBuf::from(self.get("store").unwrap_or(DEFAULT_STORE_DIR))
-    }
+fn store_dir(args: &Args) -> PathBuf {
+    PathBuf::from(args.get("store").unwrap_or(DEFAULT_STORE_DIR))
 }
 
 fn main() -> ExitCode {
@@ -170,7 +109,7 @@ fn run() -> Result<ExitCode, String> {
         eprintln!("{USAGE}");
         return Ok(ExitCode::from(2));
     };
-    let cli = Cli::parse(argv)?;
+    let cli = Args::from_args(argv, VALUE_OPTIONS, FLAGS)?;
     if cli.flag("help") || cmd == "help" || cmd == "--help" {
         println!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
@@ -188,8 +127,8 @@ fn run() -> Result<ExitCode, String> {
     }
 }
 
-fn one_spec(cli: &Cli) -> Result<ExperimentSpec, String> {
-    match cli.positional.as_slice() {
+fn one_spec(cli: &Args) -> Result<ExperimentSpec, String> {
+    match cli.positional() {
         [path] => ExperimentSpec::load(path),
         _ => Err(format!("expected exactly one SPEC path\n{USAGE}")),
     }
@@ -227,7 +166,7 @@ fn conclude(
     0
 }
 
-fn out_path(cli: &Cli, spec: &ExperimentSpec) -> PathBuf {
+fn out_path(cli: &Args, spec: &ExperimentSpec) -> PathBuf {
     cli.get("out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("results/{}.jsonl", spec.name)))
@@ -245,12 +184,12 @@ struct PointMetrics {
     summary: hxsim::MetricsSummary,
 }
 
-fn cmd_sweep(cli: &Cli) -> Result<ExitCode, String> {
+fn cmd_sweep(cli: &Args) -> Result<ExitCode, String> {
     let spec = one_spec(cli)?;
     let use_cache = !cli.flag("no-cache");
     let store;
     let store_ref = if use_cache {
-        store = Store::open(&cli.store()).map_err(|e| format!("open store: {e}"))?;
+        store = Store::open(&store_dir(cli)).map_err(|e| format!("open store: {e}"))?;
         Some(&store)
     } else {
         None
@@ -258,19 +197,18 @@ fn cmd_sweep(cli: &Cli) -> Result<ExitCode, String> {
     let out = out_path(cli, &spec);
     let metrics_path = cli.get("metrics").map(PathBuf::from);
     let opts = SweepOpts {
-        workers: cli.get_parsed("workers", 0usize)?,
-        tick_threads: cli.get_parsed("threads", 0usize)?,
-        budget: cli.get_parsed("budget", 0usize)?,
+        workers: cli.try_get_or("workers", 0usize)?,
         force: cli.flag("force"),
         stop_after: None,
         metrics: match metrics_path {
             Some(_) => Some(hxsim::MetricsConfig {
-                sample_interval: cli.get_parsed("metrics-interval", 2_000u64)?,
+                sample_interval: cli.try_get_or("metrics-interval", 2_000u64)?,
                 ..hxsim::MetricsConfig::default()
             }),
             None => None,
         },
         progress: !cli.flag("quiet"),
+        ..SweepOpts::default()
     };
     let report = run_sweep(&spec, store_ref, Some(&out), &opts)?;
     if let Some(path) = &metrics_path {
@@ -307,8 +245,8 @@ fn cmd_sweep(cli: &Cli) -> Result<ExitCode, String> {
     )))
 }
 
-fn cmd_report(cli: &Cli) -> Result<ExitCode, String> {
-    let [path] = cli.positional.as_slice() else {
+fn cmd_report(cli: &Args) -> Result<ExitCode, String> {
+    let [path] = cli.positional() else {
         return Err(format!("expected exactly one ROWS.jsonl path\n{USAGE}"));
     };
     let rows = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -319,7 +257,7 @@ fn cmd_report(cli: &Cli) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_expand(cli: &Cli) -> Result<ExitCode, String> {
+fn cmd_expand(cli: &Args) -> Result<ExitCode, String> {
     let spec = one_spec(cli)?;
     if cli.flag("digests") {
         // Bare digest list, one per line in spec order: lets a script
@@ -330,7 +268,7 @@ fn cmd_expand(cli: &Cli) -> Result<ExitCode, String> {
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let store = Store::open(&cli.store()).map_err(|e| format!("open store: {e}"))?;
+    let store = Store::open(&store_dir(cli)).map_err(|e| format!("open store: {e}"))?;
     println!(
         "{} ({}): {} on HyperX dims={} width={} terminals={}",
         spec.name,
@@ -367,8 +305,8 @@ fn cmd_expand(cli: &Cli) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_status(cli: &Cli) -> Result<ExitCode, String> {
-    let dir = cli.store();
+fn cmd_status(cli: &Args) -> Result<ExitCode, String> {
+    let dir = store_dir(cli);
     if !dir.exists() {
         println!("store {}: empty (not created yet)", dir.display());
         return Ok(ExitCode::SUCCESS);
@@ -421,7 +359,7 @@ fn cmd_status(cli: &Cli) -> Result<ExitCode, String> {
     for (name, count) in &by_exp {
         println!("  {count:>6}  {name}");
     }
-    for path in &cli.positional {
+    for path in cli.positional() {
         let spec = ExperimentSpec::load(path)?;
         let job = Job::new(&spec, Some(&store));
         println!(
@@ -434,15 +372,15 @@ fn cmd_status(cli: &Cli) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_gc(cli: &Cli) -> Result<ExitCode, String> {
-    if cli.positional.is_empty() && !cli.flag("all") {
+fn cmd_gc(cli: &Args) -> Result<ExitCode, String> {
+    if cli.positional().is_empty() && !cli.flag("all") {
         return Err(format!(
             "gc needs spec paths to keep, or --all to clear everything\n{USAGE}"
         ));
     }
-    let store = Store::open(&cli.store()).map_err(|e| format!("open store: {e}"))?;
+    let store = Store::open(&store_dir(cli)).map_err(|e| format!("open store: {e}"))?;
     let mut keep: HashSet<u64> = HashSet::new();
-    for path in &cli.positional {
+    for path in cli.positional() {
         keep.extend(spec_digests(&ExperimentSpec::load(path)?));
     }
     let dry = cli.flag("dry-run");
@@ -457,14 +395,14 @@ fn cmd_gc(cli: &Cli) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_serve(cli: &Cli) -> Result<ExitCode, String> {
-    if !cli.positional.is_empty() {
+fn cmd_serve(cli: &Args) -> Result<ExitCode, String> {
+    if !cli.positional().is_empty() {
         return Err(format!("serve takes no positional arguments\n{USAGE}"));
     }
     let opts = ServeOpts {
         addr: cli.get("addr").unwrap_or("127.0.0.1:0").to_string(),
-        store_dir: cli.store(),
-        lease_ms: cli.get_parsed("lease-ms", 10_000u64)?,
+        store_dir: store_dir(cli),
+        lease_ms: cli.try_get_or("lease-ms", 10_000u64)?,
         port_file: cli.get("port-file").map(PathBuf::from),
         quiet: cli.flag("quiet"),
     };
@@ -472,15 +410,15 @@ fn cmd_serve(cli: &Cli) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_work(cli: &Cli) -> Result<ExitCode, String> {
-    if !cli.positional.is_empty() {
+fn cmd_work(cli: &Args) -> Result<ExitCode, String> {
+    if !cli.positional().is_empty() {
         return Err(format!("work takes no positional arguments\n{USAGE}"));
     }
     let addr = cli
         .get("addr")
         .ok_or(format!("work needs --addr HOST:PORT\n{USAGE}"))?
         .to_string();
-    let max_points = cli.get_parsed("max-points", 0usize)?;
+    let max_points = cli.try_get_or("max-points", 0usize)?;
     let stall_after = cli
         .get("stall-after")
         .map(str::parse)
@@ -488,18 +426,18 @@ fn cmd_work(cli: &Cli) -> Result<ExitCode, String> {
         .map_err(|e| format!("invalid --stall-after: {e}"))?;
     let opts = WorkOpts {
         addr,
-        tick_threads: cli.get_parsed("threads", 0usize)?,
         max_points: (max_points > 0).then_some(max_points),
         stall_after,
-        slow_ms: cli.get_parsed("slow-ms", 0u64)?,
+        slow_ms: cli.try_get_or("slow-ms", 0u64)?,
         quiet: cli.flag("quiet"),
+        ..WorkOpts::default()
     };
     work(&opts)?;
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_submit(cli: &Cli) -> Result<ExitCode, String> {
-    let [path] = cli.positional.as_slice() else {
+fn cmd_submit(cli: &Args) -> Result<ExitCode, String> {
+    let [path] = cli.positional() else {
         return Err(format!("expected exactly one SPEC path\n{USAGE}"));
     };
     let addr = cli
@@ -537,23 +475,6 @@ fn cmd_submit(cli: &Cli) -> Result<ExitCode, String> {
 mod tests {
     use super::*;
 
-    fn cli(s: &str) -> Cli {
-        Cli::parse(s.split_whitespace().map(String::from)).unwrap()
-    }
-
-    #[test]
-    fn bool_flags_do_not_swallow_paths() {
-        let c = cli("--resume spec.toml --threads 4");
-        assert_eq!(c.positional, vec!["spec.toml"]);
-        assert!(c.flag("resume"));
-        assert_eq!(c.get_parsed("threads", 0usize).unwrap(), 4);
-    }
-
-    #[test]
-    fn unknown_options_are_rejected() {
-        assert!(Cli::parse(["--bogus".to_string()].into_iter()).is_err());
-    }
-
     /// (total, cached, executed, failed) -> exit code, with and without
     /// `--expect-cached`. The third row is where the two rules the
     /// commands used to apply disagreed: an uncached point that failed
@@ -572,10 +493,5 @@ mod tests {
             assert_eq!(conclude("sweep", "t", tally, out, false), plain);
             assert_eq!(conclude("submit", "t", tally, out, true), expecting);
         }
-    }
-
-    #[test]
-    fn value_flags_require_values() {
-        assert!(Cli::parse(["--workers".to_string()].into_iter()).is_err());
     }
 }

@@ -1,8 +1,8 @@
 //! Executes one sweep point and renders its result row.
 //!
 //! The row deliberately contains nothing run-dependent beyond the
-//! simulation's deterministic outcome — no wall-clock, no thread count,
-//! no experiment name — so the same point always produces the same bytes
+//! simulation's deterministic outcome — no wall-clock, no engine, no
+//! experiment name — so the same point always produces the same bytes
 //! and the store can splice cached rows into fresh output verbatim.
 
 use std::panic::AssertUnwindSafe;
@@ -72,17 +72,6 @@ pub struct PointRow {
     pub flaps_survived: u64,
 }
 
-/// `tick_threads` as the `--threads` options mean it: 0 is the
-/// `HX_TICK_THREADS` default.
-pub(crate) fn resolve_tick_threads(requested: usize) -> usize {
-    if requested == 0 {
-        hxsim::SimConfig::default().tick_threads
-    } else {
-        requested
-    }
-    .max(1)
-}
-
 /// One executed point: its row, its metrics summary when collection was
 /// requested, and the wall-clock cost the store's meta line records.
 pub struct PointRun {
@@ -96,15 +85,9 @@ pub struct PointRun {
 /// panic is caught and returned as its message — what `Job::fill` turns
 /// into a `kind = "failed"` row. The local pool and `hx work` both run
 /// points through here.
-pub fn run_point(
-    point: &Point,
-    tick_threads: usize,
-    metrics: Option<MetricsConfig>,
-) -> Result<PointRun, String> {
+pub fn run_point(point: &Point, metrics: Option<MetricsConfig>) -> Result<PointRun, String> {
     let t0 = Instant::now();
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        execute_point(point, tick_threads, metrics)
-    }));
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| execute_point(point, 1, metrics)));
     let elapsed_ms = t0.elapsed().as_millis() as u64;
     match result {
         Ok((row, metrics)) => Ok(PointRun {
@@ -125,14 +108,18 @@ pub fn run_point(
 /// Runs `point` to completion and returns its serialized row (plus the
 /// metrics summary when collection was requested — collection never
 /// changes simulation results, see the observability suite).
+///
+/// `_tick_threads` is accepted and ignored: a point runs on one thread.
+/// It stays only because the benchmark package (`perf/`) still passes it;
+/// the next `[benchmark]` change deletes it together with
+/// `sim.tick2_ratio`.
 pub fn execute_point(
     point: &Point,
-    tick_threads: usize,
+    _tick_threads: usize,
     metrics: Option<MetricsConfig>,
 ) -> (String, Option<MetricsSummary>) {
     let hx = Arc::new(point.network.build());
-    let mut cfg = point.sim;
-    cfg.tick_threads = tick_threads.max(1);
+    let cfg = point.sim;
     let algo: Arc<dyn hxcore::RoutingAlgorithm> =
         hxcore::hyperx_algorithm(&point.algo, hx.clone(), cfg.num_vcs)
             .unwrap_or_else(|| panic!("unknown algorithm {} (spec was validated)", point.algo))
@@ -373,13 +360,13 @@ mod tests {
     /// unwinding into the pool, and a sound point's row names its digest.
     #[test]
     fn run_point_catches_the_panic_of_an_unknown_algorithm() {
-        let error = run_point(&point("NoSuchAlgo"), 1, None)
+        let error = run_point(&point("NoSuchAlgo"), None)
             .err()
             .expect("execute_point panics on an unknown algorithm");
         assert!(error.contains("unknown algorithm NoSuchAlgo"), "{error}");
 
         let good = point("DOR");
-        let run = run_point(&good, 1, None).expect("DOR runs");
+        let run = run_point(&good, None).expect("DOR runs");
         assert!(run.metrics.is_none());
         assert!(run.row.contains(&format!(
             "\"digest\":\"{}\"",

@@ -1,11 +1,10 @@
 //! Point-level sweep scheduler: the local driver of a [`Job`].
 //!
-//! Independent sweep points run across a worker pool (coarse-grained
-//! parallelism, composed with per-point `tick_threads` under a
-//! points×threads core budget). Completed points are announced on stderr
-//! in completion order; the merged JSONL output streams in deterministic
-//! spec order through the job's commit frontier, so the output file is
-//! always a prefix of the final result.
+//! Independent sweep points run across a worker pool, one point per
+//! worker thread (a simulation itself runs on one thread). Completed
+//! points are announced on stderr in completion order; the merged JSONL
+//! output streams in deterministic spec order through the job's commit
+//! frontier, so the output file is always a prefix of the final result.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -15,21 +14,22 @@ use hxsim::{MetricsConfig, MetricsSummary};
 
 use crate::digest::point_digest;
 use crate::job::{Fill, Job, RowFile};
-use crate::runner::{resolve_tick_threads, run_point};
+use crate::runner::run_point;
 use crate::spec::ExperimentSpec;
 use crate::store::Store;
 
 /// Execution options for [`run_sweep`].
 #[derive(Clone, Debug, Default)]
 pub struct SweepOpts {
-    /// Worker threads executing points concurrently. 0 = derive from the
-    /// budget.
+    /// Worker threads executing points concurrently. 0 = the available
+    /// cores. Either way capped at the number of points to run.
     pub workers: usize,
-    /// `tick_threads` per point (intra-simulation parallelism). 0 = the
-    /// `HX_TICK_THREADS` default.
+    /// Accepted and ignored: a point runs on one thread. Kept only because
+    /// the benchmark package (`perf/`) still sets it; the next
+    /// `[benchmark]` change deletes it together with `sim.tick2_ratio`.
     pub tick_threads: usize,
-    /// Core budget: workers × tick_threads is kept at or under this.
-    /// 0 = all cores.
+    /// Accepted and ignored, like `tick_threads` (with one thread per
+    /// point, `workers` is the whole core budget); deleted with it.
     pub budget: usize,
     /// Recompute every point, ignoring cached results (fresh entries are
     /// still written back).
@@ -103,27 +103,19 @@ pub fn run_sweep(
     let job = Job::new(spec, store.filter(|_| !force));
     let todo = job.todo();
 
-    // Resolve the parallelism triple: budget >= workers * tick_threads.
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let budget = if opts.budget == 0 { cores } else { opts.budget };
-    let tick_threads = resolve_tick_threads(opts.tick_threads);
-    let workers = if opts.workers == 0 {
-        (budget / tick_threads).max(1)
-    } else {
-        opts.workers.min((budget / tick_threads).max(1))
+    let workers = match opts.workers {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n,
     }
-    .min(job.total().max(1));
+    .min(todo.len().max(1));
     if opts.progress {
         eprintln!(
-            "sweep {}: {} points ({} cached, {} to run) on {} worker(s) x {} tick-thread(s)",
+            "sweep {}: {} points ({} cached, {} to run) on {} worker(s)",
             spec.name,
             job.total(),
             job.cached(),
             todo.len(),
-            workers,
-            tick_threads
+            workers
         );
     }
 
@@ -157,11 +149,10 @@ pub fn run_sweep(
                     sh.claimed += 1;
                     (i, sh.job.point(i).clone())
                 };
-                let (outcome, summary, elapsed_ms) =
-                    match run_point(&point, tick_threads, opts.metrics) {
-                        Ok(run) => (Ok((run.row, run.elapsed_ms)), run.metrics, run.elapsed_ms),
-                        Err(msg) => (Err(msg), None, 0),
-                    };
+                let (outcome, summary, elapsed_ms) = match run_point(&point, opts.metrics) {
+                    Ok(run) => (Ok((run.row, run.elapsed_ms)), run.metrics, run.elapsed_ms),
+                    Err(msg) => (Err(msg), None, 0),
+                };
                 let mut sh = shared.lock().expect("another sweep worker panicked");
                 match sh.job.fill(i, outcome, store) {
                     Ok(Fill::Executed) => {

@@ -180,8 +180,7 @@ pub struct ExperimentSpec {
 }
 
 /// One expanded sweep point: everything needed to execute it in
-/// isolation. `sim.tick_threads` is a placeholder here — the scheduler
-/// decides threading, and the content digest deliberately excludes it.
+/// isolation.
 #[derive(Clone, Debug)]
 pub struct Point {
     pub kind: Kind,
@@ -484,10 +483,7 @@ impl ExperimentSpec {
             retransmit: int_axis(axes_t, "retransmit", &[0])?,
         };
 
-        let mut sim = SimConfig {
-            tick_threads: 1,
-            ..SimConfig::default()
-        };
+        let mut sim = SimConfig::default();
         if let Some(t) = v.get("sim") {
             let t = t.as_table().ok_or("[sim] must be a table")?;
             apply_sim_overrides(&mut sim, t)?;
@@ -953,9 +949,7 @@ fn load_axis(t: &BTreeMap<String, Value>) -> Result<Vec<f64>, String> {
 }
 
 /// Applies a `[sim]` table onto a `SimConfig`. Unknown keys are errors
-/// (a typo must not silently run the default experiment). `tick_threads`
-/// is deliberately not accepted: threading is an execution option
-/// (`hx sweep --threads`), not part of an experiment's identity.
+/// (a typo must not silently run the default experiment).
 pub fn apply_sim_overrides(cfg: &mut SimConfig, t: &BTreeMap<String, Value>) -> Result<(), String> {
     for (k, v) in t {
         let int = || {
@@ -995,12 +989,7 @@ pub fn apply_sim_overrides(cfg: &mut SimConfig, t: &BTreeMap<String, Value>) -> 
                     .ok_or_else(|| format!("sim.{k} must be a rate in [0, 1)"))?
             }
             "llr_window" => cfg.llr_window = int()? as usize,
-            other => {
-                return Err(format!(
-                    "unknown [sim] key {other:?} (tick_threads is an execution \
-                     option: use `hx sweep --threads`)"
-                ))
-            }
+            other => return Err(format!("unknown [sim] key {other:?}")),
         }
     }
     Ok(())

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use crate::digest::{digest_hex, point_digest};
 use crate::proto::{read_frame, write_frame, Frame, ROLE_WORKER};
-use crate::runner::{resolve_tick_threads, run_point};
+use crate::runner::run_point;
 use crate::spec::{ExperimentSpec, Point};
 
 /// Options for [`work`].
@@ -30,7 +30,9 @@ use crate::spec::{ExperimentSpec, Point};
 pub struct WorkOpts {
     /// Daemon address (`host:port`).
     pub addr: String,
-    /// `tick_threads` per point. 0 = the `HX_TICK_THREADS` default.
+    /// Accepted and ignored: a point runs on one thread. Kept only because
+    /// the benchmark package (`perf/`) still sets it; the next
+    /// `[benchmark]` change deletes it together with `sim.tick2_ratio`.
     pub tick_threads: usize,
     /// Exit cleanly after completing this many points (tests/CI).
     pub max_points: Option<usize>,
@@ -89,7 +91,6 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
         });
     }
 
-    let tick_threads = resolve_tick_threads(opts.tick_threads);
     // Each job's points, re-expanded from the spec the daemon sent.
     let mut specs: HashMap<u64, Vec<Point>> = HashMap::new();
     let mut completed = 0usize;
@@ -181,7 +182,7 @@ pub fn work(opts: &WorkOpts) -> Result<(), String> {
         if opts.slow_ms > 0 {
             std::thread::sleep(Duration::from_millis(opts.slow_ms));
         }
-        let outcome = run_point(point, tick_threads, None);
+        let outcome = run_point(point, None);
         if !opts.quiet {
             eprintln!(
                 "work: job {job} point {index} {point} ({})",

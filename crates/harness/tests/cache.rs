@@ -32,10 +32,7 @@ fn tiny_spec() -> ExperimentSpec {
             router_fails: vec![0],
             retransmit: vec![0],
         },
-        sim: SimConfig {
-            tick_threads: 1,
-            ..SimConfig::default()
-        },
+        sim: SimConfig::default(),
         steady: SteadyOpts {
             warmup_window: 200,
             max_warmup_windows: 3,
@@ -174,34 +171,6 @@ fn interrupted_then_resumed_is_byte_identical_to_uninterrupted() {
     assert!(resumed.complete);
     assert_eq!((resumed.cached, resumed.executed), (2, 2));
     assert_eq!(read(&out), golden, "resumed merge must be byte-identical");
-}
-
-#[test]
-fn tick_thread_count_never_changes_bytes() {
-    let tmp = TmpDir::new("threads");
-    let spec = tiny_spec();
-    let mut outputs = Vec::new();
-    for threads in [1usize, 4] {
-        // Fresh store per thread count: every point actually executes.
-        let store = Store::open(&tmp.path(&format!("store{threads}"))).unwrap();
-        let out = tmp.path(&format!("t{threads}.jsonl"));
-        let r = run_sweep(
-            &spec,
-            Some(&store),
-            Some(&out),
-            &SweepOpts {
-                tick_threads: threads,
-                ..SweepOpts::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(r.executed, 4);
-        outputs.push(read(&out));
-    }
-    assert_eq!(
-        outputs[0], outputs[1],
-        "tick_threads must not change results"
-    );
 }
 
 #[test]

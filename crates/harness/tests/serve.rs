@@ -66,10 +66,7 @@ fn golden_spec() -> ExperimentSpec {
             router_fails: vec![0],
             retransmit: vec![0],
         },
-        sim: SimConfig {
-            tick_threads: 1,
-            ..SimConfig::default()
-        },
+        sim: SimConfig::default(),
         steady: SteadyOpts {
             warmup_window: 200,
             max_warmup_windows: 3,
@@ -158,7 +155,7 @@ fn spawn_daemon_logging(tmp: &TmpDir, lease_ms: u64, log: Option<&Path>) -> (Gua
 }
 
 fn spawn_worker(addr: &str, extra: &[&str]) -> Guard {
-    let mut args = vec!["work", "--addr", addr, "--threads", "1", "--quiet"];
+    let mut args = vec!["work", "--addr", addr, "--quiet"];
     args.extend_from_slice(extra);
     Guard(
         Command::new(HX)
@@ -201,16 +198,8 @@ fn wait_with_timeout(child: &mut Child, secs: u64, what: &str) -> std::process::
 
 fn golden(tmp: &TmpDir) -> String {
     let out = tmp.path("golden.jsonl");
-    let report = run_sweep(
-        &golden_spec(),
-        None,
-        Some(&out),
-        &SweepOpts {
-            tick_threads: 1,
-            ..SweepOpts::default()
-        },
-    )
-    .expect("golden sweep");
+    let report =
+        run_sweep(&golden_spec(), None, Some(&out), &SweepOpts::default()).expect("golden sweep");
     assert!(report.complete && report.failed.is_empty());
     std::fs::read_to_string(&out).unwrap()
 }

@@ -52,7 +52,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Decays a recent-health counter: halves once per elapsed epoch since it
 /// was last folded. Pure — reading a penalty never mutates state, which is
-/// what keeps health scores identical across engines and thread counts.
+/// what keeps health scores identical across engines.
 #[inline]
 fn decayed(value: u64, folded_epoch: u64, now: u64) -> u64 {
     let shift = (now / HEALTH_EPOCH_CYCLES)
@@ -324,7 +324,7 @@ impl Channel {
     /// corrupt and out-of-sequence frames, nacking gaps), and serializes
     /// at most one frame onto the wire. Runs serially in channel-id order
     /// at the start of every executed cycle, in both engines, so the
-    /// mutation order is engine- and thread-count-independent.
+    /// mutation order is engine-independent.
     ///
     /// Returns `true` when a flit was delivered to the receiving end this
     /// cycle (the event engine uses this to wake the consumer).
@@ -543,7 +543,7 @@ impl Channel {
     }
 
     /// Receiver side, read-only: every flit that has arrived by `now`, in
-    /// wire order. The parallel tick's compute phase peeks arrivals through
+    /// wire order. The tick's compute phase peeks arrivals through
     /// this; the commit phase consumes them with [`Self::discard_arrived`].
     #[inline]
     pub fn arrived_flits(&self, now: u64) -> impl Iterator<Item = (Flit, u8)> + '_ {

@@ -4,21 +4,21 @@
 ///
 /// Both engines produce bit-identical results (the differential
 /// equivalence suite in `tests/engine_equiv.rs` pins this); the choice is
-/// purely a performance knob, so — like `tick_threads` — it is excluded
-/// from [`CanonicalSimConfig`].
+/// purely a performance knob, so it is excluded from
+/// [`CanonicalSimConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
     /// Tick every router and terminal every cycle. This is the reference
     /// the differential suite compares the event engine against
     /// (`tests/engine_equiv.rs`, the root `tests/event_core_golden.rs`,
     /// `hxperf`'s cycle-engine digest check). Measured by `hxperf`'s
-    /// `sim.engine_ratio` (event wall ÷ cycle wall, one thread, 2-vCPU
-    /// host, three reads each) it is level with or behind the event
+    /// `sim.engine_ratio` (event wall ÷ cycle wall, 2-vCPU host, three
+    /// reads each) it is level with or behind the event
     /// engine on the busy 256-terminal workloads (`fig6_ur` 0.65–0.93,
     /// `dcr_sat` 1.03–1.15) and loses where most endpoints idle
     /// (`ladder_8k`, 8,192 terminals at load 0.02: 0.48–0.57). It is
     /// still the faster of the two on large saturated networks: at 4,096
-    /// terminals and load 0.7, `parallel_tick --full` has the event
+    /// terminals and load 0.7, `engine_ratio --full` has the event
     /// engine at 0.89–0.95× its speed (1.2× at load 0.3).
     Cycle,
     /// Event-driven: endpoints schedule wakes on a deterministic event
@@ -115,14 +115,9 @@ pub struct SimConfig {
     /// throttling clean links; the default comfortably covers the 50-cycle
     /// paper channels.
     pub llr_window: usize,
-    /// Threads used for the per-cycle compute phase (routers and terminals
-    /// sharded across a persistent worker pool). Results are bit-identical
-    /// for every value; 1 (the default) runs fully serial. The default can
-    /// be overridden with the `HX_TICK_THREADS` environment variable.
-    /// Values above the host CPU count are honored (tests use this to
-    /// exercise the shard machinery on small hosts) but warn loudly:
-    /// oversubscription only ever slows the run down. The bench binaries
-    /// clamp instead (`hxbench::clamp_threads`).
+    /// Accepted and ignored: a simulation runs on one thread. Kept only
+    /// because the benchmark package (`perf/`) still sets it; the next
+    /// `[benchmark]` change deletes it together with `sim.tick2_ratio`.
     pub tick_threads: usize,
     /// Inner-loop engine. Defaults to [`Engine::Event`]; the `HX_ENGINE`
     /// environment variable (`cycle` or `event`) overrides the default.
@@ -151,7 +146,7 @@ impl Default for SimConfig {
             llr_enabled: false,
             error_ber: 0.0,
             llr_window: 128,
-            tick_threads: default_tick_threads(),
+            tick_threads: 1,
             engine: default_engine(),
         }
     }
@@ -166,22 +161,12 @@ fn default_engine() -> Engine {
     }
 }
 
-/// `HX_TICK_THREADS` override for the default thread count (clamped to at
-/// least 1); anything unset or unparsable means serial.
-fn default_tick_threads() -> usize {
-    std::env::var("HX_TICK_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
 /// The semantically meaningful subset of [`SimConfig`], serialized with a
 /// fixed field order for content-addressed hashing (the `hx` result
-/// store). Excludes `tick_threads` and `engine`: the parallel tick is
-/// bit-identical for every thread count and the two engines are
-/// bit-identical to each other, so both are execution knobs, not part of
-/// the experiment's identity — hashing them would spuriously miss the
-/// cache when re-running on different hardware.
+/// store). Excludes `engine`, an execution knob (the two engines are
+/// bit-identical to each other) rather than part of the experiment's
+/// identity — hashing it would spuriously miss the cache — and the ignored
+/// `tick_threads`.
 #[derive(serde::Serialize, Clone, Copy, Debug, PartialEq)]
 pub struct CanonicalSimConfig {
     pub num_vcs: usize,

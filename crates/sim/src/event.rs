@@ -17,8 +17,8 @@
 //! row upwards yields ids ascending — the due set comes out in order and
 //! free of duplicates because the representation cannot hold anything
 //! else. The
-//! order is the same whatever order (or thread count) the wakes were
-//! scheduled in; all scheduling happens in the serial commit phase anyway.
+//! order is the same whatever order the wakes were scheduled in; all
+//! scheduling happens in the commit phase anyway.
 //! The rows are allocated once (`HORIZON × endpoints / 8` bytes) and never
 //! grow.
 //!

@@ -21,12 +21,12 @@
 //! assert_eq!(sim.stats.total_delivered_packets, 1);
 //! ```
 
+#[allow(unsafe_code)]
 pub mod alloc_track;
 mod bitset;
 mod channel;
 mod config;
 pub mod event;
-mod exec;
 mod fault;
 pub mod metrics;
 mod network;
@@ -36,6 +36,7 @@ mod runner;
 pub mod schema;
 #[allow(clippy::module_inception)]
 mod sim;
+mod sink;
 mod stats;
 mod terminal;
 mod trace;

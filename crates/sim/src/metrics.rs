@@ -175,8 +175,8 @@ impl PhaseTimers {
         self.ingress_ns + self.route_ns + self.vc_alloc_ns + self.crossbar_ns + self.channel_ns
     }
 
-    /// Adds another attribution (per-shard timers folded at commit time;
-    /// under parallel execution the sum is CPU time, not wall time).
+    /// Adds another attribution (an outbox's timers folded at commit
+    /// time).
     pub fn accumulate(&mut self, o: &PhaseTimers) {
         self.ingress_ns += o.ingress_ns;
         self.route_ns += o.route_ns;
@@ -618,7 +618,7 @@ impl Metrics {
     /// The deterministic part of the metric stream as JSONL: one meta row,
     /// every event, every net/port sample, and the summary. Timers are
     /// deliberately excluded (see module docs). For a fixed seed this
-    /// string is bit-identical across runs and thread counts.
+    /// string is bit-identical across runs and engines.
     pub fn deterministic_jsonl(&self) -> String {
         #[derive(serde::Serialize)]
         struct MetaRow {

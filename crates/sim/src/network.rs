@@ -11,11 +11,11 @@ use crate::bitset::BitRows;
 use crate::channel::Channel;
 use crate::config::{Engine, SimConfig};
 use crate::event::{EventKind, EventQueue};
-use crate::exec::{shard_count, shard_range, MetricEvent, PoolOp, TickPool, TickSink};
 use crate::fault::FaultAction;
 use crate::metrics::Metrics;
 use crate::packet::PacketPool;
 use crate::router::{apply_commit, poison_packet, ArrivalHint, Router};
+use crate::sink::{MetricEvent, PoolOp, TickSink};
 use crate::stats::Stats;
 use crate::terminal::Terminal;
 use crate::trace::{DropReason, Trace};
@@ -32,12 +32,13 @@ pub struct Network {
     routers: Vec<Router>,
     terminals: Vec<Terminal>,
     channels: Vec<Channel>,
-    /// Per-shard outboxes, reused every cycle.
-    sinks: Vec<TickSink>,
-    /// Persistent tick workers, spawned lazily when `cfg.tick_threads > 1`.
-    exec: Option<TickPool>,
+    /// The due routers' outbox, reused every cycle.
+    router_sink: TickSink,
+    /// The due terminals' outbox, reused every cycle; commits after
+    /// `router_sink`.
+    term_sink: TickSink,
     /// This cycle's due endpoint ids, ascending: routers (`0..nr`) then
-    /// terminals (`nr..nr + nt`) — the exact order the serial commit phase
+    /// terminals (`nr..nr + nt`) — the exact order the commit phase
     /// replays endpoints in. The event engine refills it from its queue
     /// every cycle; the cycle engine fills it once, with every id.
     due: Vec<u32>,
@@ -216,30 +217,6 @@ impl EventState {
     }
 }
 
-/// A raw pointer the tick pool may carry across threads. Soundness is
-/// established at each use site: every task index maps to a disjoint set
-/// of endpoints and its own sink, and [`TickPool::run`] joins every task
-/// before returning, so no aliasing or lifetime escape can occur. This
-/// replaces per-tick `Vec<Mutex<Option<Shard>>>` gathering, keeping the
-/// parallel steady-state tick allocation-free.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Raw pointer to the element at offset `i`; the caller derefs it.
-    ///
-    /// # Safety
-    /// The caller must guarantee `i` is in bounds of the originating
-    /// allocation, and must not form the `&mut` while any other live
-    /// reference aliases element `i`. (Going through a method also makes
-    /// closures capture the whole `SendPtr` — capturing the bare pointer
-    /// field would lose the `Send`/`Sync` wrapper.)
-    unsafe fn get(&self, i: usize) -> *mut T {
-        self.0.add(i)
-    }
-}
-
 impl Network {
     /// Builds the network. `seed` derives every router/terminal RNG, so a
     /// fixed seed reproduces the run exactly.
@@ -250,27 +227,6 @@ impl Network {
         seed: u64,
     ) -> Self {
         cfg.validate();
-        // More tick threads than CPUs cannot run side by side: the extra
-        // shards only add hand-off cost (pool workers park instead of
-        // spinning when oversubscribed), so warn loudly, once. Threads
-        // within the CPU count can pay off — how much depends on network
-        // size and load; `perf/README.md` says how `sim.tick2_ratio` is
-        // measured. Results are bit-identical at any thread count, so this
-        // is purely a performance matter — benches clamp via
-        // `hxbench::clamp_threads`; tests that exercise the parallel
-        // machinery on small hosts oversubscribe deliberately.
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cfg.tick_threads > host {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "WARNING: tick_threads={} exceeds the {host} available CPU(s); \
-                     this oversubscribes the tick pool and typically runs SLOWER \
-                     than tick_threads={host} (results are identical either way)",
-                    cfg.tick_threads
-                );
-            });
-        }
         assert!(
             algo.num_classes() <= cfg.num_vcs,
             "{} needs {} resource classes but only {} VCs configured",
@@ -349,8 +305,8 @@ impl Network {
             routers,
             terminals,
             channels,
-            sinks: Vec::new(),
-            exec: None,
+            router_sink: TickSink::default(),
+            term_sink: TickSink::default(),
             due: if event.is_some() {
                 Vec::new()
             } else {
@@ -424,21 +380,19 @@ impl Network {
     /// Advances the network by one cycle. `metrics`, like `trace`, is pure
     /// observation and never perturbs simulation state.
     ///
-    /// One body serves both engines and every thread count; the engines
-    /// differ only in where the due set comes from. The event engine pops
-    /// it from its queue (with arrival hints from the arrival ring), the
-    /// cycle engine's is every endpoint id, unhinted. Then, the same for
-    /// both (see `exec`): the due endpoints compute against the immutable
-    /// pre-cycle channel/pool state into per-shard outboxes (on the tick
-    /// pool when `cfg.tick_threads > 1`), matured arrivals are discarded,
-    /// and a serial commit replays the outboxes in endpoint-id order.
+    /// One body serves both engines; they differ only in where the due
+    /// set comes from. The event engine pops it from its queue (with
+    /// arrival hints from the arrival ring), the cycle engine's is every
+    /// endpoint id, unhinted. Then, the same for both (see `sink`): the
+    /// due endpoints compute against the immutable pre-cycle channel/pool
+    /// state into the router and terminal outboxes, matured arrivals are
+    /// discarded, and the commit replays the outboxes in endpoint-id order.
     ///
-    /// Bit-identity across thread counts holds because the replay order
-    /// never depends on which thread ran which shard. Across engines it
-    /// holds because a non-due endpoint is provably a no-op under the
-    /// cycle engine that cycle (no matured arrivals, no buffered or queued
-    /// work — and no randomness is drawn on those paths), and due
-    /// endpoints run the identical code in the identical id order.
+    /// Bit-identity across engines holds because a non-due endpoint is
+    /// provably a no-op under the cycle engine that cycle (no matured
+    /// arrivals, no buffered or queued work — and no randomness is drawn on
+    /// those paths), and due endpoints run the identical code in the
+    /// identical id order.
     pub fn tick(
         &mut self,
         now: u64,
@@ -453,8 +407,8 @@ impl Network {
 
         // ---- LLR sublayer phase: runs before compute so frames landing
         // this cycle are visible through the immutable pre-cycle view,
-        // exactly like plain wire arrivals. Serial and in channel-id order,
-        // so the error-model RNG draws are thread-count independent.
+        // exactly like plain wire arrivals. In channel-id order, so the
+        // error-model RNG draws are engine independent.
         let llr_enabled = self.cfg.llr_enabled;
         if llr_enabled {
             for (i, ch) in self.channels.iter_mut().enumerate() {
@@ -483,82 +437,39 @@ impl Network {
         let split = self.due.partition_point(|&e| (e as usize) < nr);
         let (r_ids, t_ids) = self.due.split_at(split);
 
-        let threads = self.cfg.tick_threads.max(1);
         let want_trace = trace.is_some();
         let want_metrics = metrics.is_some();
         let timed = metrics.as_ref().is_some_and(|m| m.timers_enabled());
-        let n_rshards = shard_count(r_ids.len(), threads);
-        let n_tshards = shard_count(t_ids.len(), threads);
-        let n_shards = n_rshards + n_tshards;
-        if self.sinks.len() < n_shards {
-            self.sinks.resize_with(n_shards, TickSink::default);
-        }
-        let sinks = &mut self.sinks[..n_shards];
-        for s in sinks.iter_mut() {
-            s.reset(want_trace, want_metrics, timed);
-        }
+        let (rsink, tsink) = (&mut self.router_sink, &mut self.term_sink);
+        rsink.reset(want_trace, want_metrics, timed);
+        tsink.reset(want_trace, want_metrics, timed);
 
-        // ---- Compute phase: shards of the sorted due ids — router shards
-        // first, then terminal shards — against the pre-cycle view.
-        {
-            let (topo, algo) = (&*self.topo, &*self.algo);
-            let (channels, pool) = (&self.channels[..], &*pool);
-            let routers_ptr = SendPtr(self.routers.as_mut_ptr());
-            let terms_ptr = SendPtr(self.terminals.as_mut_ptr());
-            let sinks_ptr = SendPtr(sinks.as_mut_ptr());
-            let run_shard = move |i: usize| {
-                // SAFETY: shard `i < n_shards` is the only user of sink `i`;
-                // the due ids are unique and in range and `shard_range`
-                // hands each shard a disjoint slice of them, so no two
-                // shards form a `&mut` to the same router or terminal.
-                // Every shard finishes before this block ends (the inline
-                // loop trivially; `TickPool::run` joins every task before
-                // returning), so no reference outlives the borrows the
-                // pointers were made from.
-                let sink = unsafe { &mut *sinks_ptr.get(i) };
-                if i < n_rshards {
-                    let ids = &r_ids[shard_range(r_ids.len(), n_rshards, i)];
-                    // Hints are sorted by router id like the due ids, so one
-                    // cursor walks both, started at the shard's first router.
-                    let mut hc = match (hints, ids.first()) {
-                        (Some(h), Some(&first)) => h.partition_point(|h| h.0 < first),
-                        _ => 0,
-                    };
-                    for &e in ids {
-                        let arrivals = hints.map(|h| {
-                            while hc < h.len() && h[hc].0 < e {
-                                hc += 1;
-                            }
-                            let s = hc;
-                            while hc < h.len() && h[hc].0 == e {
-                                hc += 1;
-                            }
-                            &h[s..hc]
-                        });
-                        // SAFETY: as above — router `e` is this shard's alone.
-                        let router = unsafe { &mut *routers_ptr.get(e as usize) };
-                        router.tick(now, topo, algo, pool, channels, arrivals, sink);
-                    }
-                } else {
-                    let ids = &t_ids[shard_range(t_ids.len(), n_tshards, i - n_rshards)];
-                    let mut stamp = timed.then(std::time::Instant::now);
-                    for &e in ids {
-                        // SAFETY: as above — terminal `e - nr` is this shard's alone.
-                        let term = unsafe { &mut *terms_ptr.get(e as usize - nr) };
-                        term.tick(now, pool, channels, sink);
-                    }
-                    crate::metrics::lap(&mut stamp, &mut sink.timers.channel_ns);
+        // ---- Compute phase: the due routers, then the due terminals,
+        // against the pre-cycle view.
+        let (topo, algo) = (&*self.topo, &*self.algo);
+        let (channels, pool_view) = (&self.channels[..], &*pool);
+        // Hints are sorted by router id like the due ids, so one cursor
+        // walks both.
+        let mut hc = 0;
+        for &e in r_ids {
+            let arrivals = hints.map(|h| {
+                while hc < h.len() && h[hc].0 < e {
+                    hc += 1;
                 }
-            };
-            if threads == 1 {
-                // Serial: the same closure inline — no pool, no locks, no
-                // allocation.
-                (0..n_shards).for_each(run_shard);
-            } else {
-                let exec = self.exec.get_or_insert_with(|| TickPool::new(threads - 1));
-                exec.run(n_shards, &run_shard);
-            }
+                let s = hc;
+                while hc < h.len() && h[hc].0 == e {
+                    hc += 1;
+                }
+                &h[s..hc]
+            });
+            let router = &mut self.routers[e as usize];
+            router.tick(now, topo, algo, pool_view, channels, arrivals, rsink);
         }
+        let mut stamp = timed.then(std::time::Instant::now);
+        for &e in t_ids {
+            self.terminals[e as usize - nr].tick(now, pool_view, channels, tsink);
+        }
+        crate::metrics::lap(&mut stamp, &mut tsink.timers.channel_ns);
 
         // ---- Discard: every arrival matured by `now` was observed through
         // the immutable view during compute. The cycle engine ticked every
@@ -571,7 +482,7 @@ impl Network {
                 .for_each(|ch| ch.discard_arrived(now)),
         }
 
-        // ---- Commit phase: serial, in endpoint-id order. Under the event
+        // ---- Commit phase: in endpoint-id order. Under the event
         // engine, replaying a send also plants its arrival wake — except
         // for a flit under LLR, which only enters the sender-side replay
         // buffer; `llr_tick` reports the delivery when the frame lands.
@@ -582,7 +493,7 @@ impl Network {
                 }
             }
         };
-        for sink in sinks.iter_mut() {
+        for sink in [rsink, tsink] {
             commit_sink(
                 sink,
                 &mut self.channels,
@@ -944,17 +855,17 @@ impl Network {
     }
 }
 
-/// Replays one shard's outbox against the shared state: wire sends, pool
-/// ops, stats merge, trace hops, metric events, deliveries. Each channel
-/// has exactly one flit-sending and one credit-sending endpoint, so
-/// replaying per-endpoint outboxes in id order reproduces the serial
-/// engine's wire order at any thread count.
+/// Replays one outbox against the shared state: wire sends, pool ops,
+/// stats merge, trace hops, metric events, deliveries. Each channel has
+/// exactly one flit-sending and one credit-sending endpoint, and the
+/// outboxes fill in endpoint-id order, so the wire order is the same for
+/// both engines.
 ///
 /// `on_send(channel, is_flit)` fires for every flit/credit put on a wire:
 /// the event engine plants arrival wakes there, the cycle engine passes a
 /// no-op. Pool replay keeps the free list (and therefore future
 /// `PacketId`s, which feed age-arbitration tie-breaks) invariant across
-/// thread counts and engines.
+/// engines.
 #[allow(clippy::too_many_arguments)]
 fn commit_sink(
     sink: &mut TickSink,

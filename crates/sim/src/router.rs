@@ -41,9 +41,9 @@ use rand::{RngExt, SeedableRng};
 
 use crate::channel::Channel;
 use crate::config::SimConfig;
-use crate::exec::{MetricEvent, PoolOp, TickSink};
 use crate::metrics::lap;
 use crate::packet::{Flit, PacketId, PacketPool};
+use crate::sink::{MetricEvent, PoolOp, TickSink};
 use crate::stats::Stats;
 use crate::trace::{DropReason, DropRecord, HopRecord, Trace};
 
@@ -75,7 +75,7 @@ struct OutView<'a> {
     /// Outgoing channel per port (`NO_WIRE` sentinel), for link-health
     /// sensing.
     out_chan: &'a [u32],
-    /// Pre-cycle channel state (shards share it immutably).
+    /// Pre-cycle channel state (read-only during compute).
     channels: &'a [Channel],
     now: u64,
 }
@@ -395,7 +395,7 @@ impl Router {
     }
 
     /// One simulation cycle's compute phase. Reads the pre-cycle state of
-    /// `channels` and `pool` (both immutable — shards share them) and
+    /// `channels` and `pool` (both read-only during compute) and
     /// defers every externally visible effect into `sink`, which the
     /// network's commit phase replays in router-id order. Trace/metric
     /// observation rides the sink too, gated by its `want_*` flags.
@@ -646,7 +646,7 @@ impl Router {
             // dropped instead of granted another network hop. The poison
             // itself lands at commit time, like every other effect, so it
             // becomes visible network-wide at the next cycle regardless of
-            // router ids or thread count.
+            // router ids.
             if hops >= self.hop_cap {
                 sink.pool_ops.push(PoolOp::HopPoison(pkt_id));
                 continue;

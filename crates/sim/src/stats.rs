@@ -150,8 +150,8 @@ impl Stats {
         self.hist.reset();
     }
 
-    /// Folds a per-shard counter delta into this accumulator (parallel
-    /// tick commit). Every field is a sum except `latency_max` (max) and
+    /// Folds an outbox's counter delta into this accumulator (tick
+    /// commit). Every field is a sum except `latency_max` (max) and
     /// `window_start` (owned by the accumulator). All-integer, so merge
     /// order cannot perturb results.
     pub fn merge_delta(&mut self, d: &Stats) {

@@ -9,8 +9,8 @@ use rand::SeedableRng;
 
 use crate::channel::Channel;
 use crate::config::SimConfig;
-use crate::exec::{PoolOp, TickSink};
 use crate::packet::{Flit, PacketId, PacketPool};
+use crate::sink::{PoolOp, TickSink};
 use crate::workload::Delivered;
 
 /// One compute endpoint.

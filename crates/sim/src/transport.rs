@@ -25,7 +25,7 @@
 //! All transport work happens in the serial sections of
 //! [`Sim::step`](crate::Sim::step) (pre-cycle pumping, post-tick delivery
 //! filtering), and the pending set is iterated in sequence order, so the
-//! transport preserves the simulator's bit-identical-for-any-thread-count
+//! transport preserves the simulator's bit-identical-across-engines
 //! guarantee by construction.
 
 use std::collections::{BTreeMap, HashSet};

@@ -1,5 +1,5 @@
-//! Pins the steady-state tick allocation-free: both engines, serial and
-//! sharded (they share one tick body, so all four must hold together).
+//! Pins the steady-state tick allocation-free on both engines (they share
+//! one tick body, so both must hold together).
 //!
 //! The scale refactor's contract: once a simulation reaches steady state
 //! (every router materialized, the flit-buffer arena and hint buffer grown
@@ -54,17 +54,11 @@ impl Workload for RotatingTraffic {
     }
 }
 
-/// One warmed steady-state phase on the event engine at the given thread
-/// count; returns the allocation delta over the measured window.
-fn measure_phase(tick_threads: usize) -> u64 {
-    measure_phase_on(Engine::Event, tick_threads)
-}
-
-/// [`measure_phase`] on either engine.
-fn measure_phase_on(engine: Engine, tick_threads: usize) -> u64 {
+/// One warmed steady-state phase on `engine`; returns the allocation
+/// delta over the measured window.
+fn measure_phase(engine: Engine) -> u64 {
     let hx = Arc::new(HyperX::uniform(2, 3, 2));
     let cfg = SimConfig {
-        tick_threads,
         engine,
         ..SimConfig::default()
     };
@@ -106,29 +100,16 @@ fn measure_phase_on(engine: Engine, tick_threads: usize) -> u64 {
 
 #[test]
 fn steady_state_tick_is_allocation_free() {
-    let serial = measure_phase(1);
+    let event = measure_phase(Engine::Event);
     assert_eq!(
-        serial, 0,
-        "serial steady-state ticking allocated {serial} times over 2000 cycles"
-    );
-
-    // The parallel tick must be just as clean: shards write through
-    // pre-sized per-shard sinks addressed by raw pointer, so no per-tick
-    // reference vectors, boxed closures, or scratch buffers may remain.
-    // The measured window starts after the pool threads exist and every
-    // shard-local capacity has peaked.
-    let parallel = measure_phase(4);
-    assert_eq!(
-        parallel, 0,
-        "parallel steady-state ticking allocated {parallel} times over 2000 cycles"
+        event, 0,
+        "event engine steady-state ticking allocated {event} times over 2000 cycles"
     );
 
     // The cycle engine runs the same tick body over its fixed due set.
-    for threads in [1, 4] {
-        let cycle = measure_phase_on(Engine::Cycle, threads);
-        assert_eq!(
-            cycle, 0,
-            "cycle engine at {threads} tick thread(s) allocated {cycle} times over 2000 cycles"
-        );
-    }
+    let cycle = measure_phase(Engine::Cycle);
+    assert_eq!(
+        cycle, 0,
+        "cycle engine steady-state ticking allocated {cycle} times over 2000 cycles"
+    );
 }

@@ -3,8 +3,7 @@
 //!
 //! Matrix: {DimWAR, OmniWAR, UGAL, FT-WAR} x {UR, DCR} x load {0.1, 0.7}
 //! x {fault-free, link+router kill/revive, retransmission on}. For every
-//! cell the legacy engine at one thread is the reference; the event
-//! engine at threads {1, 4} and the legacy engine at 4 threads must all
+//! cell the legacy engine is the reference; the event engine must
 //! reproduce the same aggregate stats, the same deterministic metrics
 //! JSONL byte for byte, and the same per-packet delivery sequence.
 //!
@@ -187,7 +186,6 @@ fn run_once(
     scenario: Scenario,
     long_wires: bool,
     engine: Engine,
-    threads: usize,
 ) -> RunOutcome {
     let x = if long_wires { LONG_WIRE_SCALE } else { 1 };
     let hx = Arc::new(HyperX::uniform(2, 3, 2));
@@ -200,7 +198,6 @@ fn run_once(
         router_chan_latency: 8,
         term_chan_latency: 2,
         engine,
-        tick_threads: threads,
         ..SimConfig::default()
     };
     if long_wires {
@@ -301,7 +298,7 @@ fn check_matrix(scenario: Scenario) {
     }
 }
 
-/// One cell: cycle@1 is the reference; event@{1,4} and cycle@4 must
+/// One cell: the cycle engine is the reference; the event engine must
 /// reproduce it.
 fn check_cell(algo: &str, pattern: Pattern, load: f64, scenario: Scenario, long_wires: bool) {
     let wires = if long_wires { "/long-wires" } else { "" };
@@ -310,9 +307,8 @@ fn check_cell(algo: &str, pattern: Pattern, load: f64, scenario: Scenario, long_
         pattern.name(),
         scenario.name()
     );
-    let run =
-        |engine, threads| run_once(algo, pattern, load, scenario, long_wires, engine, threads);
-    let reference = run(Engine::Cycle, 1);
+    let run = |engine| run_once(algo, pattern, load, scenario, long_wires, engine);
+    let reference = run(Engine::Cycle);
     assert!(
         reference.stats.2 > 0,
         "{cell}: reference run delivered nothing — matrix cell is vacuous"
@@ -325,28 +321,22 @@ fn check_cell(algo: &str, pattern: Pattern, load: f64, scenario: Scenario, long_
              flaps={flaps}) — matrix cell is vacuous"
         );
     }
-    for (engine, threads, label) in [
-        (Engine::Event, 1, "event@1"),
-        (Engine::Event, 4, "event@4"),
-        (Engine::Cycle, 4, "cycle@4"),
-    ] {
-        let got = run(engine, threads);
-        assert_eq!(
-            got.stats, reference.stats,
-            "{cell}: {label} stats diverge from cycle@1"
-        );
-        assert_eq!(
-            got.metrics_jsonl, reference.metrics_jsonl,
-            "{cell}: {label} metrics stream diverges from cycle@1"
-        );
-        assert_eq!(
-            got.delivered, reference.delivered,
-            "{cell}: {label} delivery sequence diverges from cycle@1"
-        );
-    }
+    let got = run(Engine::Event);
+    assert_eq!(
+        got.stats, reference.stats,
+        "{cell}: event engine stats diverge from the cycle engine's"
+    );
+    assert_eq!(
+        got.metrics_jsonl, reference.metrics_jsonl,
+        "{cell}: event engine metrics stream diverges from the cycle engine's"
+    );
+    assert_eq!(
+        got.delivered, reference.delivered,
+        "{cell}: event engine delivery sequence diverges from the cycle engine's"
+    );
 }
 
-/// Fault-free matrix: both engines, both thread counts, all algorithms,
+/// Fault-free matrix: both engines, all algorithms,
 /// both patterns, both loads.
 #[test]
 fn engines_equivalent_fault_free() {
@@ -369,7 +359,7 @@ fn engines_equivalent_with_retransmission() {
 /// Same matrix with the gray-failure layer live: link-level retry, a
 /// corrupting bit-error rate, two flap schedules, and a degraded link.
 /// Every replay, CRC discard, and flap must land identically across
-/// engines and thread counts.
+/// engines.
 #[test]
 fn engines_equivalent_with_error_model() {
     check_matrix(Scenario::ErrorModel);

@@ -2,8 +2,9 @@
 //! kill/revive events — links and whole routers, in any order, including
 //! double-kills, revives of healthy targets, and strikes landing on the
 //! same cycle — must never violate credit-based flow-control conservation
-//! and must never break the serial-vs-parallel determinism guarantee
-//! (`tick_threads` ∈ {1, 4} produce bit-identical stats).
+//! and must never break the engine-equivalence guarantee (the event and
+//! cycle engines produce bit-identical stats). Unlike `engine_equiv.rs`'s
+//! hand-picked schedules, the interleavings here are random.
 //!
 //! Delivery is deliberately NOT asserted here: a hostile schedule may
 //! legitimately strand packets inside dead routers. The invariants under
@@ -11,7 +12,7 @@
 
 use std::sync::Arc;
 
-use hxsim::{FaultSchedule, IdleWorkload, PacketDesc, Sim, SimConfig, Workload};
+use hxsim::{Engine, FaultSchedule, IdleWorkload, PacketDesc, Sim, SimConfig, Workload};
 use hxtopo::{HyperX, PortTarget, Topology};
 use proptest::prelude::*;
 
@@ -88,9 +89,9 @@ fn schedule_of(hx: &HyperX, events: &[RawEvent]) -> FaultSchedule {
 /// the bit-exact stats fingerprint; asserts the flow-control audit is
 /// clean at the end (debug builds also audit every single tick inside
 /// `Sim::run`).
-fn run(hx: &Arc<HyperX>, events: &[RawEvent], tick_threads: usize) -> Vec<u64> {
+fn run(hx: &Arc<HyperX>, events: &[RawEvent], engine: Engine) -> Vec<u64> {
     let cfg = SimConfig {
-        tick_threads,
+        engine,
         ..SimConfig::default()
     };
     let algo: Arc<dyn hxcore::RoutingAlgorithm> =
@@ -128,8 +129,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole property: for any interleaving of link and router
-    /// kill/revive events, credits stay conserved and the parallel tick
-    /// stays bit-identical to serial execution.
+    /// kill/revive events, credits stay conserved and the event engine
+    /// stays bit-identical to the cycle engine.
     #[test]
     fn arbitrary_kill_revive_interleavings_conserve_credits_and_determinism(
         raw in prop::collection::vec(
@@ -142,8 +143,8 @@ proptest! {
             .map(|&(cycle, kind, a, b)| RawEvent { cycle, kind, a, b })
             .collect();
         let hx = Arc::new(HyperX::uniform(2, 3, 1));
-        let serial = run(&hx, &events, 1);
-        let parallel = run(&hx, &events, 4);
-        prop_assert_eq!(serial, parallel, "stats diverge across tick_threads");
+        let event = run(&hx, &events, Engine::Event);
+        let cycle = run(&hx, &events, Engine::Cycle);
+        prop_assert_eq!(event, cycle, "stats diverge across engines");
     }
 }

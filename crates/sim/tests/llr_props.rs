@@ -12,13 +12,15 @@
 //! 2. **System-level recovery laws** — for an arbitrary transient-only
 //!    storm (BER + flap schedules + degraded links) on a real network,
 //!    every generated packet is delivered exactly once with zero drops,
-//!    credit conservation holds, and serial vs parallel execution stays
-//!    bit-identical (`tick_threads` ∈ {1, 4}).
+//!    credit conservation holds, and the event and cycle engines stay
+//!    bit-identical.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hxsim::{Channel, Delivered, FaultSchedule, Flit, PacketDesc, Sim, SimConfig, Stats, Workload};
+use hxsim::{
+    Channel, Delivered, Engine, FaultSchedule, Flit, PacketDesc, Sim, SimConfig, Stats, Workload,
+};
 use hxtopo::{HyperX, PortTarget, Topology};
 use proptest::prelude::*;
 
@@ -243,10 +245,10 @@ fn run_storm(
     hx: &Arc<HyperX>,
     storms: &[RawStorm],
     ber: f64,
-    tick_threads: usize,
+    engine: Engine,
 ) -> Result<Vec<u64>, TestCaseError> {
     let cfg = SimConfig {
-        tick_threads,
+        engine,
         llr_enabled: true,
         error_ber: ber,
         llr_window: 64,
@@ -334,7 +336,7 @@ proptest! {
 
     /// System-level recovery: any transient-only storm (BER + flaps +
     /// degrades) yields exactly-once full delivery with zero drops, and
-    /// the parallel tick stays bit-identical to serial execution —
+    /// the event engine stays bit-identical to the cycle engine —
     /// including the LLR recovery counters.
     #[test]
     fn transient_storms_recover_below_transport(
@@ -366,8 +368,8 @@ proptest! {
             })
             .collect();
         let hx = Arc::new(HyperX::uniform(2, 3, 1));
-        let serial = run_storm(&hx, &storms, ber, 1)?;
-        let parallel = run_storm(&hx, &storms, ber, 4)?;
-        prop_assert_eq!(serial, parallel, "stats diverge across tick_threads");
+        let event = run_storm(&hx, &storms, ber, Engine::Event)?;
+        let cycle = run_storm(&hx, &storms, ber, Engine::Cycle)?;
+        prop_assert_eq!(event, cycle, "stats diverge across engines");
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use hxcore::{hyperx_algorithm, RoutingAlgorithm};
 use hxsim::{
-    run_steady_state, IdleWorkload, LoadPoint, MetricsConfig, PacketDesc, Sim, SimConfig,
+    run_steady_state, Engine, IdleWorkload, LoadPoint, MetricsConfig, PacketDesc, Sim, SimConfig,
     SteadyOpts,
 };
 use hxtopo::{HyperX, Topology};
@@ -225,20 +225,21 @@ fn golden_metric_stream_matches_committed_snapshot() {
     );
 }
 
-/// Parallel-tick invariance under the full steady-state protocol: for
-/// every routing algorithm and thread count, the `LoadPoint` floats are
-/// byte-identical and the deterministic metric stream matches the serial
-/// run exactly. The fault-schedule variant exercises the serial
-/// cycle-boundary fault path interleaved with parallel compute phases.
+/// Engine invariance under the full steady-state protocol: for every
+/// routing algorithm, the event engine's `LoadPoint` floats are
+/// byte-identical to the cycle engine's and the deterministic metric
+/// stream matches exactly. The fault-schedule variant exercises the
+/// cycle-boundary fault path, where the event engine resynchronises its
+/// wakes.
 #[test]
-fn parallel_tick_preserves_loadpoint_and_metric_stream() {
-    fn run(algo_name: &str, tick_threads: usize, faults: bool) -> (LoadPoint, String) {
+fn engines_preserve_loadpoint_and_metric_stream() {
+    fn run(algo_name: &str, engine: Engine, faults: bool) -> (LoadPoint, String) {
         let hx = Arc::new(HyperX::uniform(2, 3, 2));
         let algo: Arc<dyn RoutingAlgorithm> = hyperx_algorithm(algo_name, hx.clone(), 8)
             .expect("known algorithm")
             .into();
         let cfg = SimConfig {
-            tick_threads,
+            engine,
             ..small_cfg()
         };
         let mut sim = Sim::new(hx.clone(), algo, cfg, 21);
@@ -265,29 +266,27 @@ fn parallel_tick_preserves_loadpoint_and_metric_stream() {
 
     for algo in ["DimWAR", "OmniWAR", "UGAL"] {
         for faults in [false, true] {
-            let (p1, m1) = run(algo, 1, faults);
-            for threads in [2, 8] {
-                let (pn, mn) = run(algo, threads, faults);
-                let ctx = format!("{algo} faults={faults} threads={threads}");
-                assert_eq!(p1.offered.to_bits(), pn.offered.to_bits(), "{ctx}");
-                assert_eq!(p1.accepted.to_bits(), pn.accepted.to_bits(), "{ctx}");
-                assert_eq!(
-                    p1.mean_latency.to_bits(),
-                    pn.mean_latency.to_bits(),
-                    "{ctx}"
-                );
-                assert_eq!(
-                    p1.mean_net_latency.to_bits(),
-                    pn.mean_net_latency.to_bits(),
-                    "{ctx}"
-                );
-                assert_eq!(p1.p50_latency.to_bits(), pn.p50_latency.to_bits(), "{ctx}");
-                assert_eq!(p1.p99_latency.to_bits(), pn.p99_latency.to_bits(), "{ctx}");
-                assert_eq!(p1.mean_hops.to_bits(), pn.mean_hops.to_bits(), "{ctx}");
-                assert_eq!(p1.saturated, pn.saturated, "{ctx}");
-                assert_eq!(p1.delivered_packets, pn.delivered_packets, "{ctx}");
-                assert_eq!(m1, mn, "metric stream diverged: {ctx}");
-            }
+            let (p1, m1) = run(algo, Engine::Cycle, faults);
+            let (pn, mn) = run(algo, Engine::Event, faults);
+            let ctx = format!("{algo} faults={faults}");
+            assert_eq!(p1.offered.to_bits(), pn.offered.to_bits(), "{ctx}");
+            assert_eq!(p1.accepted.to_bits(), pn.accepted.to_bits(), "{ctx}");
+            assert_eq!(
+                p1.mean_latency.to_bits(),
+                pn.mean_latency.to_bits(),
+                "{ctx}"
+            );
+            assert_eq!(
+                p1.mean_net_latency.to_bits(),
+                pn.mean_net_latency.to_bits(),
+                "{ctx}"
+            );
+            assert_eq!(p1.p50_latency.to_bits(), pn.p50_latency.to_bits(), "{ctx}");
+            assert_eq!(p1.p99_latency.to_bits(), pn.p99_latency.to_bits(), "{ctx}");
+            assert_eq!(p1.mean_hops.to_bits(), pn.mean_hops.to_bits(), "{ctx}");
+            assert_eq!(p1.saturated, pn.saturated, "{ctx}");
+            assert_eq!(p1.delivered_packets, pn.delivered_packets, "{ctx}");
+            assert_eq!(m1, mn, "metric stream diverged: {ctx}");
         }
     }
 }

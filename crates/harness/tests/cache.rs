@@ -2,8 +2,7 @@
 //! answered entirely from the store with byte-identical merged output;
 //! axis changes invalidate exactly the affected points; an interrupted
 //! sweep resumed later is byte-identical to an uninterrupted one; and
-//! the cache composes with the deterministic parallel tick (thread count
-//! never changes bytes).
+//! uncached sweeps reproduce the committed reference rows byte for byte.
 
 use std::path::PathBuf;
 
@@ -201,21 +200,25 @@ fn committed_spec_files_load_and_expand() {
     assert!(p.fails >= 2 && p.router_fails >= 1 && p.retransmit > 0);
 }
 
-/// `results/fig6_reduced.jsonl` is the committed output of the committed
-/// spec. Rows carry nothing run-dependent, so an uncached sweep must
-/// reproduce the file byte for byte; a change that moves a result (or
-/// adds a row field) has to regenerate it with
-/// `hx sweep experiments/fig6_reduced.toml --no-cache`.
+/// `results/{name}.jsonl` is the committed output of
+/// `experiments/{name}.toml`, for the Figure 6 reduction, the fault
+/// recovery gate (kills, retransmission) and the chaos storm (LLR, flaps,
+/// degradation). Rows carry nothing run-dependent, so an uncached sweep
+/// must reproduce each file byte for byte; a change that moves a result
+/// (or adds a row field) has to regenerate it with
+/// `hx sweep experiments/{name}.toml --no-cache --out results/{name}.jsonl`.
 #[test]
-fn committed_fig6_reduced_rows_are_reproduced() {
+fn committed_reduced_rows_are_reproduced() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let spec = ExperimentSpec::load(&format!("{root}/experiments/fig6_reduced.toml")).unwrap();
-    let report = run_sweep(&spec, None, None, &SweepOpts::default()).unwrap();
-    assert!(report.complete && report.failed.is_empty());
-    let committed = read(&PathBuf::from(format!("{root}/results/fig6_reduced.jsonl")));
-    assert_eq!(
-        committed.lines().collect::<Vec<_>>(),
-        report.rows,
-        "results/fig6_reduced.jsonl is stale"
-    );
+    for name in ["fig6_reduced", "fault_recovery_reduced", "chaos_reduced"] {
+        let spec = ExperimentSpec::load(&format!("{root}/experiments/{name}.toml")).unwrap();
+        let report = run_sweep(&spec, None, None, &SweepOpts::default()).unwrap();
+        assert!(report.complete && report.failed.is_empty(), "{name}");
+        let committed = read(&PathBuf::from(format!("{root}/results/{name}.jsonl")));
+        assert_eq!(
+            committed.lines().collect::<Vec<_>>(),
+            report.rows,
+            "results/{name}.jsonl is stale"
+        );
+    }
 }

@@ -229,10 +229,9 @@ impl Channel {
     }
 
     /// Whether the egress may hand this channel a flit this cycle: always
-    /// on a legacy channel, window-gated under LLR. Read-only — the
-    /// parallel compute phase checks it against the immutable pre-cycle
-    /// view (at most one flit enters per channel per cycle, so the check
-    /// cannot race).
+    /// on a legacy channel, window-gated under LLR. The channel's one
+    /// flit sender asks right before its one send of the cycle, so the
+    /// answer is the window as `llr_tick` left it.
     #[inline]
     pub fn ready_for_flit(&self) -> bool {
         self.llr.as_ref().is_none_or(|l| l.tx_buf.len() < l.window)
@@ -508,14 +507,31 @@ impl Channel {
         self.flits_sent
     }
 
-    /// Receiver side: drains every flit that has arrived by `now`.
+    /// Receiver side: takes the oldest flit that has arrived by `now` off
+    /// the wire. A send made at `now` matures at `now + latency` or later,
+    /// so it is never taken in the cycle it was made.
     #[inline]
-    pub fn recv_flits(&mut self, now: u64, mut f: impl FnMut(Flit, u8)) {
-        while let Some(&(t, flit, vc)) = self.flits.front() {
-            if t > now {
-                break;
-            }
+    pub fn pop_flit(&mut self, now: u64) -> Option<(Flit, u8)> {
+        let &(t, flit, vc) = self.flits.front()?;
+        (t <= now).then(|| {
             self.flits.pop_front();
+            (flit, vc)
+        })
+    }
+
+    /// Sender side: takes the oldest credit that has arrived by `now`.
+    #[inline]
+    pub fn pop_credit(&mut self, now: u64) -> Option<u8> {
+        let &(t, vc) = self.credits.front()?;
+        (t <= now).then(|| {
+            self.credits.pop_front();
+            vc
+        })
+    }
+
+    /// Receiver side: drains every flit that has arrived by `now`.
+    pub fn recv_flits(&mut self, now: u64, mut f: impl FnMut(Flit, u8)) {
+        while let Some((flit, vc)) = self.pop_flit(now) {
             f(flit, vc);
         }
     }
@@ -531,62 +547,9 @@ impl Channel {
     }
 
     /// Sender side: drains every credit that has arrived by `now`.
-    #[inline]
     pub fn recv_credits(&mut self, now: u64, mut f: impl FnMut(u8)) {
-        while let Some(&(t, vc)) = self.credits.front() {
-            if t > now {
-                break;
-            }
-            self.credits.pop_front();
+        while let Some(vc) = self.pop_credit(now) {
             f(vc);
-        }
-    }
-
-    /// Receiver side, read-only: every flit that has arrived by `now`, in
-    /// wire order. The tick's compute phase peeks arrivals through
-    /// this; the commit phase consumes them with [`Self::discard_arrived`].
-    #[inline]
-    pub fn arrived_flits(&self, now: u64) -> impl Iterator<Item = (Flit, u8)> + '_ {
-        self.flits
-            .iter()
-            .take_while(move |&&(t, _, _)| t <= now)
-            .map(|&(_, f, vc)| (f, vc))
-    }
-
-    /// Sender side, read-only: every credit that has arrived by `now`.
-    #[inline]
-    pub fn arrived_credits(&self, now: u64) -> impl Iterator<Item = u8> + '_ {
-        self.credits
-            .iter()
-            .take_while(move |&&(t, _)| t <= now)
-            .map(|&(_, vc)| vc)
-    }
-
-    /// Drops everything that has arrived by `now` from both wires. The
-    /// cycle-stepped engine applies this blanket-wise because every
-    /// endpoint unconditionally consumes all matured arrivals each cycle;
-    /// the compute phase has already observed them via the `arrived_*`
-    /// iterators.
-    pub(crate) fn discard_arrived(&mut self, now: u64) {
-        self.discard_arrived_flits(now);
-        self.discard_arrived_credits(now);
-    }
-
-    /// Drops flits that have arrived by `now`. The event engine discards
-    /// per direction, only on channels whose consumer ticked this cycle —
-    /// arrival wakes guarantee the consumer is awake exactly when a flit
-    /// matures, so nothing is ever dropped unobserved.
-    pub(crate) fn discard_arrived_flits(&mut self, now: u64) {
-        while self.flits.front().is_some_and(|&(t, _, _)| t <= now) {
-            self.flits.pop_front();
-        }
-    }
-
-    /// Drops credits that have arrived by `now` (see
-    /// [`Self::discard_arrived_flits`]).
-    pub(crate) fn discard_arrived_credits(&mut self, now: u64) {
-        while self.credits.front().is_some_and(|&(t, _)| t <= now) {
-            self.credits.pop_front();
         }
     }
 
@@ -682,8 +645,9 @@ mod tests {
     }
 
     /// Drives one engine-ordered cycle: LLR tick first (start of cycle),
-    /// then the consumer reads arrivals, then the egress commits at most
-    /// one send — the exact order `Network::tick` uses.
+    /// then the consumer takes arrivals, then the egress makes at most
+    /// one send (a send never matures the cycle it is made, so which end
+    /// ticks first within the cycle is immaterial).
     fn llr_cycle(
         ch: &mut Channel,
         stats: &mut Stats,

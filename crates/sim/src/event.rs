@@ -1,7 +1,7 @@
 //! The deterministic event queue driving the event-driven engine.
 //!
-//! Endpoints (routers first, then terminals — the same id order the
-//! two-phase commit replays in) schedule *wakes*: "tick me at cycle `t`".
+//! Endpoints (routers first, then terminals — the same id order they
+//! tick in) schedule *wakes*: "tick me at cycle `t`".
 //! The engine pops every wake due at the current cycle and ticks exactly
 //! that endpoint set; cycles with no due wake, no workload activity, and
 //! no transport deadline are skipped wholesale.
@@ -17,8 +17,7 @@
 //! row upwards yields ids ascending — the due set comes out in order and
 //! free of duplicates because the representation cannot hold anything
 //! else. The
-//! order is the same whatever order the wakes were scheduled in; all
-//! scheduling happens in the commit phase anyway.
+//! order is the same whatever order the wakes were scheduled in.
 //! The rows are allocated once (`HORIZON × endpoints / 8` bytes) and never
 //! grow.
 //!
@@ -129,7 +128,7 @@ impl EventQueue {
 
     /// Pops every wake due at or before `now` into `out` as an ascending,
     /// duplicate-free endpoint set — the cycle's tick set, in the exact
-    /// order the serial commit phase replays endpoints. A `now` behind the
+    /// order the endpoints tick. A `now` behind the
     /// cursor pops nothing.
     pub fn pop_due(&mut self, now: u64, out: &mut Vec<u32>) {
         out.clear();

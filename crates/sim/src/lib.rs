@@ -36,7 +36,6 @@ mod runner;
 pub mod schema;
 #[allow(clippy::module_inception)]
 mod sim;
-mod sink;
 mod stats;
 mod terminal;
 mod trace;

@@ -175,8 +175,7 @@ impl PhaseTimers {
         self.ingress_ns + self.route_ns + self.vc_alloc_ns + self.crossbar_ns + self.channel_ns
     }
 
-    /// Adds another attribution (an outbox's timers folded at commit
-    /// time).
+    /// Adds another attribution (a cycle's timers, folded at its end).
     pub fn accumulate(&mut self, o: &PhaseTimers) {
         self.ingress_ns += o.ingress_ns;
         self.route_ns += o.route_ns;

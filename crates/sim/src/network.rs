@@ -12,10 +12,9 @@ use crate::channel::Channel;
 use crate::config::{Engine, SimConfig};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultAction;
-use crate::metrics::Metrics;
-use crate::packet::PacketPool;
-use crate::router::{apply_commit, poison_packet, ArrivalHint, Router};
-use crate::sink::{MetricEvent, PoolOp, TickSink};
+use crate::metrics::{Metrics, PhaseTimers};
+use crate::packet::{Flit, PacketId, PacketPool};
+use crate::router::{poison_packet, ArrivalHint, Router};
 use crate::stats::Stats;
 use crate::terminal::Terminal;
 use crate::trace::{DropReason, Trace};
@@ -32,18 +31,70 @@ pub struct Network {
     routers: Vec<Router>,
     terminals: Vec<Terminal>,
     channels: Vec<Channel>,
-    /// The due routers' outbox, reused every cycle.
-    router_sink: TickSink,
-    /// The due terminals' outbox, reused every cycle; commits after
-    /// `router_sink`.
-    term_sink: TickSink,
     /// This cycle's due endpoint ids, ascending: routers (`0..nr`) then
-    /// terminals (`nr..nr + nt`) — the exact order the commit phase
-    /// replays endpoints in. The event engine refills it from its queue
-    /// every cycle; the cycle engine fills it once, with every id.
+    /// terminals (`nr..nr + nt`) — the order they tick in. The event
+    /// engine refills it from its queue every cycle; the cycle engine
+    /// fills it once, with every id.
     due: Vec<u32>,
+    /// Event engine: this cycle's arrival hints, the matured router ends
+    /// in key order (scratch, reused; empty under the cycle engine).
+    hints: Vec<ArrivalHint>,
+    /// This cycle's hop-capped packets, poisoned once every due endpoint
+    /// has ticked (scratch, reused).
+    hop_capped: Vec<PacketId>,
     /// Event-engine wake state (`None` when `cfg.engine == Engine::Cycle`).
     event: Option<Box<EventState>>,
+}
+
+/// The shared state one cycle's due routers and terminals write, lent to
+/// each in turn. An endpoint takes its matured arrivals off `channels` as
+/// it reads them and applies every effect where it lands: sends on the
+/// wire, refcounts, releases, route commits and inject stamps in `pool`,
+/// counters in `stats`, deliveries in `delivered`, grants and stalls in
+/// `metrics`, hops in `trace`. The one effect it defers is the hop-cap
+/// poison (`hop_capped`; see [`Network::tick`]).
+pub(crate) struct TickCtx<'a> {
+    pub now: u64,
+    pub channels: &'a mut [Channel],
+    pub pool: &'a mut PacketPool,
+    pub stats: &'a mut Stats,
+    pub delivered: &'a mut Vec<Delivered>,
+    pub trace: Option<&'a mut Trace>,
+    pub metrics: Option<&'a mut Metrics>,
+    /// Packets over the hop cap, in grant-evaluation order.
+    pub hop_capped: &'a mut Vec<PacketId>,
+    /// Whether `timers` measures (metrics on with timers).
+    pub timed: bool,
+    /// Phase wall time of this cycle, folded into `metrics` at its end.
+    pub timers: PhaseTimers,
+    /// Event engine: sends plant their arrival wakes here.
+    pub wakes: Option<&'a mut EventState>,
+}
+
+impl TickCtx<'_> {
+    /// Puts `flit` on channel `ch`, bound for downstream VC `vc`. Under
+    /// the event engine this also plants its arrival — except under LLR,
+    /// where the flit only enters the sender's replay buffer and
+    /// `llr_tick` reports the delivery when the frame lands.
+    #[inline]
+    pub fn send_flit(&mut self, ch: usize, flit: Flit, vc: u8) {
+        self.channels[ch].send_flit(self.now, flit, vc);
+        if let Some(ev) = self.wakes.as_deref_mut() {
+            if !ev.llr {
+                ev.on_send(self.now, ch, true);
+            }
+        }
+    }
+
+    /// Returns one credit for `vc` on channel `ch` (and plants its
+    /// arrival under the event engine).
+    #[inline]
+    pub fn send_credit(&mut self, ch: usize, vc: u8) {
+        self.channels[ch].send_credit(self.now, vc);
+        if let Some(ev) = self.wakes.as_deref_mut() {
+            ev.on_send(self.now, ch, false);
+        }
+    }
 }
 
 /// Wake-scheduling state for the event-driven engine, keyed by the
@@ -54,7 +105,7 @@ pub struct Network {
 /// *arrival key*, numbered in the order a full ingress scan visits ends
 /// (see [`arrival_ends`]), so a row of key bits read upwards is the hint
 /// list in the scan's order, already unique.
-struct EventState {
+pub(crate) struct EventState {
     queue: EventQueue,
     /// Per channel: latency and the keys of its two ends.
     chans: Vec<ChanEnds>,
@@ -66,12 +117,9 @@ struct EventState {
     /// round to it again (`arrivals_len` exceeds the longest latency).
     arrivals: BitRows,
     arrivals_len: u64,
-    /// This cycle's matured arrivals (`ch << 1 | is_flit`, scratch, reused),
-    /// discarded from their channels once compute has observed them.
-    matured: Vec<u32>,
-    /// This cycle's arrival hints: the matured router ends, in key order
-    /// (scratch, reused).
-    hint_buf: Vec<ArrivalHint>,
+    /// LLR on: a flit send reaches the wire through `llr_tick`, which
+    /// plants the arrival itself.
+    llr: bool,
     /// Lifetime endpoint wakes executed.
     events_processed: u64,
 }
@@ -88,8 +136,8 @@ struct ChanEnds {
 /// What an arrival key names: one end of one channel.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct ArrivalEnd {
-    /// The channel, packed for the discard list: `ch << 1 | is_flit`.
-    matured: u32,
+    /// The channel end, packed: `ch << 1 | is_flit`.
+    chan_end: u32,
     /// Consuming endpoint id. Only routers (ids below the router count)
     /// take hints; terminals scan their two channels directly.
     consumer: u32,
@@ -108,7 +156,7 @@ fn arrival_ends(routers: &[Router], terminals: &[Terminal]) -> Vec<ArrivalEnd> {
         for (is_credit, ch) in chans.into_iter().enumerate() {
             if let Some(ch) = ch {
                 ends.push(ArrivalEnd {
-                    matured: (ch as u32) << 1 | (is_credit ^ 1) as u32,
+                    chan_end: (ch as u32) << 1 | (is_credit ^ 1) as u32,
                     consumer: consumer as u32,
                     step: (port << 1 | is_credit) as u16,
                 });
@@ -128,7 +176,7 @@ fn arrival_ends(routers: &[Router], terminals: &[Terminal]) -> Vec<ArrivalEnd> {
 }
 
 impl EventState {
-    fn new(routers: &[Router], terminals: &[Terminal], channels: &[Channel]) -> Self {
+    fn new(routers: &[Router], terminals: &[Terminal], channels: &[Channel], llr: bool) -> Self {
         let ends = arrival_ends(routers, terminals);
         let mut chans: Vec<ChanEnds> = channels
             .iter()
@@ -138,7 +186,7 @@ impl EventState {
             })
             .collect();
         for (key, end) in ends.iter().enumerate() {
-            let slot = &mut chans[(end.matured >> 1) as usize].ends[(end.matured & 1) as usize];
+            let slot = &mut chans[(end.chan_end >> 1) as usize].ends[(end.chan_end & 1) as usize];
             debug_assert_eq!(slot.0, u32::MAX, "channel end consumed twice");
             *slot = (end.consumer, key as u32);
         }
@@ -152,21 +200,19 @@ impl EventState {
             arrivals_len,
             chans,
             ends,
-            matured: Vec::new(),
-            hint_buf: Vec::new(),
+            llr,
             events_processed: 0,
         }
     }
 
-    /// Walks the arrivals matured at `now` once, in key order: every end
-    /// goes on the discard list, router ends (consumer ids below `nr`) also
-    /// on the hint list — so the busy tick touches only ports with actual
-    /// arrivals, in the full scan's visit order. `due` is this cycle's due
-    /// set.
-    fn collect_arrivals(&mut self, now: u64, nr: u32, due: &[u32]) {
+    /// Walks the arrivals matured at `now` once, in key order, into
+    /// `hints`: the router ends (consumer ids below `nr`), so the busy tick
+    /// touches only ports with actual arrivals, in the full scan's visit
+    /// order. Terminal ends yield no hint — a terminal reads its two
+    /// channels whenever it ticks. `due` is this cycle's due set.
+    fn collect_arrivals(&mut self, now: u64, nr: u32, due: &[u32], hints: &mut Vec<ArrivalHint>) {
         let row = (now % self.arrivals_len) as usize;
-        let (ends, matured, hints) = (&self.ends, &mut self.matured, &mut self.hint_buf);
-        matured.clear();
+        let ends = &self.ends;
         hints.clear();
         self.arrivals.drain(row, |key| {
             let end = ends[key as usize];
@@ -174,25 +220,11 @@ impl EventState {
                 due.binary_search(&end.consumer).is_ok(),
                 "arrival at cycle {now} without a wake of its consumer: {end:?}"
             );
-            matured.push(end.matured);
             if end.consumer < nr {
                 hints.push((end.consumer, end.step));
             }
         });
         debug_assert!(self.arrivals.row_is_clear(row));
-    }
-
-    /// Drops the `matured` arrivals from their channels; `now` is the
-    /// cycle they were collected at.
-    fn discard_matured(&mut self, now: u64, channels: &mut [Channel]) {
-        for packed in self.matured.drain(..) {
-            let ch = &mut channels[(packed >> 1) as usize];
-            if packed & 1 == 1 {
-                ch.discard_arrived_flits(now);
-            } else {
-                ch.discard_arrived_credits(now);
-            }
-        }
     }
 
     /// A flit or credit on channel `ch` reaches its consumer `delay`
@@ -295,8 +327,14 @@ impl Network {
             })
             .collect();
 
-        let event = (cfg.engine == Engine::Event)
-            .then(|| Box::new(EventState::new(&routers, &terminals, &channels)));
+        let event = (cfg.engine == Engine::Event).then(|| {
+            Box::new(EventState::new(
+                &routers,
+                &terminals,
+                &channels,
+                cfg.llr_enabled,
+            ))
+        });
 
         Network {
             topo,
@@ -305,13 +343,13 @@ impl Network {
             routers,
             terminals,
             channels,
-            router_sink: TickSink::default(),
-            term_sink: TickSink::default(),
             due: if event.is_some() {
                 Vec::new()
             } else {
                 (0..(nr + nt) as u32).collect()
             },
+            hints: Vec::new(),
+            hop_capped: Vec::new(),
             event,
         }
     }
@@ -358,8 +396,8 @@ impl Network {
     }
 
     /// Event engine: fault actions and fault fallout mutate state outside
-    /// the sink discipline (channel kills, direct credit sends from the
-    /// reaper, credit rebuilds at revival), so resynchronize
+    /// the tick's send helpers (channel kills, direct credit sends from
+    /// the reaper, credit rebuilds at revival), so resynchronize
     /// conservatively: wake every endpoint at `now` and both consumers of
     /// every channel one latency out, covering sends made behind the
     /// queue's back. Spurious wakes are no-op ticks, so over-scheduling
@@ -383,10 +421,17 @@ impl Network {
     /// One body serves both engines; they differ only in where the due
     /// set comes from. The event engine pops it from its queue (with
     /// arrival hints from the arrival ring), the cycle engine's is every
-    /// endpoint id, unhinted. Then, the same for both (see `sink`): the
-    /// due endpoints compute against the immutable pre-cycle channel/pool
-    /// state into the router and terminal outboxes, matured arrivals are
-    /// discarded, and the commit replays the outboxes in endpoint-id order.
+    /// endpoint id, unhinted. Then, the same for both: the due routers,
+    /// then the due terminals, tick in id order, each writing its effects
+    /// straight into the shared state ([`TickCtx`]).
+    ///
+    /// Every channel has latency >= 1, so nothing sent at `now` is read
+    /// by anyone before `now + 1`, and each channel has one flit sender
+    /// and one credit sender: an endpoint's reads do not depend on which
+    /// endpoints ticked before it. The one exception is the hop-cap
+    /// poison — `is_poisoned` is read by every later router this cycle —
+    /// so hop-capped packets are poisoned only after the last endpoint
+    /// has ticked.
     ///
     /// Bit-identity across engines holds because a non-due endpoint is
     /// provably a no-op under the cycle engine that cycle (no matured
@@ -399,21 +444,19 @@ impl Network {
         pool: &mut PacketPool,
         stats: &mut Stats,
         delivered: &mut Vec<Delivered>,
-        mut trace: Option<&mut Trace>,
-        mut metrics: Option<&mut Metrics>,
+        trace: Option<&mut Trace>,
+        metrics: Option<&mut Metrics>,
     ) {
-        let mut ev = self.event.as_deref_mut();
         let nr = self.routers.len();
 
-        // ---- LLR sublayer phase: runs before compute so frames landing
-        // this cycle are visible through the immutable pre-cycle view,
-        // exactly like plain wire arrivals. In channel-id order, so the
-        // error-model RNG draws are engine independent.
-        let llr_enabled = self.cfg.llr_enabled;
-        if llr_enabled {
+        // ---- LLR sublayer: runs first so frames landing this cycle are
+        // on the wire when their consumer reads it, exactly like plain
+        // arrivals. In channel-id order, so the error-model RNG draws are
+        // engine independent.
+        if self.cfg.llr_enabled {
             for (i, ch) in self.channels.iter_mut().enumerate() {
                 if ch.llr_tick(now, stats) {
-                    if let Some(ev) = ev.as_deref_mut() {
+                    if let Some(ev) = self.event.as_deref_mut() {
                         // The frame lands this very cycle: the arrival
                         // joins the row about to be walked and the wake
                         // the row about to be popped.
@@ -425,91 +468,69 @@ impl Network {
 
         // ---- Due set: the only step that knows the engine's nature. The
         // cycle engine's `due` is every id, filled once at construction.
-        if let Some(ev) = ev.as_deref_mut() {
+        if let Some(ev) = self.event.as_deref_mut() {
             ev.queue.pop_due(now, &mut self.due);
             ev.events_processed += self.due.len() as u64;
-            ev.collect_arrivals(now, nr as u32, &self.due);
+            ev.collect_arrivals(now, nr as u32, &self.due, &mut self.hints);
             if self.due.is_empty() {
                 return;
             }
         }
-        let hints = ev.as_deref().map(|ev| &ev.hint_buf[..]);
+        let hinted = self.event.is_some();
         let split = self.due.partition_point(|&e| (e as usize) < nr);
         let (r_ids, t_ids) = self.due.split_at(split);
 
-        let want_trace = trace.is_some();
-        let want_metrics = metrics.is_some();
         let timed = metrics.as_ref().is_some_and(|m| m.timers_enabled());
-        let (rsink, tsink) = (&mut self.router_sink, &mut self.term_sink);
-        rsink.reset(want_trace, want_metrics, timed);
-        tsink.reset(want_trace, want_metrics, timed);
+        let mut ctx = TickCtx {
+            now,
+            channels: &mut self.channels,
+            pool,
+            stats,
+            delivered,
+            trace,
+            metrics,
+            hop_capped: &mut self.hop_capped,
+            timed,
+            timers: PhaseTimers::default(),
+            wakes: self.event.as_deref_mut(),
+        };
 
-        // ---- Compute phase: the due routers, then the due terminals,
-        // against the pre-cycle view.
-        let (topo, algo) = (&*self.topo, &*self.algo);
-        let (channels, pool_view) = (&self.channels[..], &*pool);
-        // Hints are sorted by router id like the due ids, so one cursor
-        // walks both.
+        // ---- Compute: the due routers, then the due terminals. Hints are
+        // sorted by router id like the due ids, so one cursor walks both.
+        let (topo, algo, hints) = (&*self.topo, &*self.algo, &self.hints[..]);
         let mut hc = 0;
         for &e in r_ids {
-            let arrivals = hints.map(|h| {
-                while hc < h.len() && h[hc].0 < e {
+            let arrivals = hinted.then(|| {
+                while hc < hints.len() && hints[hc].0 < e {
                     hc += 1;
                 }
                 let s = hc;
-                while hc < h.len() && h[hc].0 == e {
+                while hc < hints.len() && hints[hc].0 == e {
                     hc += 1;
                 }
-                &h[s..hc]
+                &hints[s..hc]
             });
-            let router = &mut self.routers[e as usize];
-            router.tick(now, topo, algo, pool_view, channels, arrivals, rsink);
+            self.routers[e as usize].tick(topo, algo, arrivals, &mut ctx);
         }
         let mut stamp = timed.then(std::time::Instant::now);
         for &e in t_ids {
-            self.terminals[e as usize - nr].tick(now, pool_view, channels, tsink);
+            self.terminals[e as usize - nr].tick(&mut ctx);
         }
-        crate::metrics::lap(&mut stamp, &mut tsink.timers.channel_ns);
+        crate::metrics::lap(&mut stamp, &mut ctx.timers.channel_ns);
 
-        // ---- Discard: every arrival matured by `now` was observed through
-        // the immutable view during compute. The cycle engine ticked every
-        // endpoint, so it drops them wholesale.
-        match ev.as_deref_mut() {
-            Some(ev) => ev.discard_matured(now, &mut self.channels),
-            None => self
-                .channels
-                .iter_mut()
-                .for_each(|ch| ch.discard_arrived(now)),
+        // ---- The one deferred effect, in the order the routers decided
+        // it.
+        for pkt in ctx.hop_capped.drain(..) {
+            let trace = ctx.trace.as_deref_mut();
+            poison_packet(ctx.pool, ctx.stats, trace, pkt, now, DropReason::HopCap);
         }
-
-        // ---- Commit phase: in endpoint-id order. Under the event
-        // engine, replaying a send also plants its arrival wake — except
-        // for a flit under LLR, which only enters the sender-side replay
-        // buffer; `llr_tick` reports the delivery when the frame lands.
-        let mut on_send = |ch: usize, is_flit: bool| {
-            if let Some(ev) = ev.as_deref_mut() {
-                if !(is_flit && llr_enabled) {
-                    ev.on_send(now, ch, is_flit);
-                }
-            }
-        };
-        for sink in [rsink, tsink] {
-            commit_sink(
-                sink,
-                &mut self.channels,
-                pool,
-                stats,
-                delivered,
-                &mut trace,
-                &mut metrics,
-                now,
-                &mut on_send,
-            );
+        if let Some(m) = ctx.metrics {
+            m.timers.accumulate(&ctx.timers);
         }
 
         // ---- Reschedule: ticked endpoints self-wake from their post-tick
         // state ([`Router::next_wake`] / `Terminal::is_active`).
-        if let Some(ev) = ev {
+        if let Some(ev) = self.event.as_deref_mut() {
             for &e in &self.due {
                 let wake = if (e as usize) < nr {
                     self.routers[e as usize].next_wake(now)
@@ -855,100 +876,6 @@ impl Network {
     }
 }
 
-/// Replays one outbox against the shared state: wire sends, pool ops,
-/// stats merge, trace hops, metric events, deliveries. Each channel has
-/// exactly one flit-sending and one credit-sending endpoint, and the
-/// outboxes fill in endpoint-id order, so the wire order is the same for
-/// both engines.
-///
-/// `on_send(channel, is_flit)` fires for every flit/credit put on a wire:
-/// the event engine plants arrival wakes there, the cycle engine passes a
-/// no-op. Pool replay keeps the free list (and therefore future
-/// `PacketId`s, which feed age-arbitration tie-breaks) invariant across
-/// engines.
-#[allow(clippy::too_many_arguments)]
-fn commit_sink(
-    sink: &mut TickSink,
-    channels: &mut [Channel],
-    pool: &mut PacketPool,
-    stats: &mut Stats,
-    delivered: &mut Vec<Delivered>,
-    trace: &mut Option<&mut Trace>,
-    metrics: &mut Option<&mut Metrics>,
-    now: u64,
-    on_send: &mut dyn FnMut(usize, bool),
-) {
-    for &(ch, flit, vc) in &sink.flits {
-        channels[ch].send_flit(now, flit, vc);
-        on_send(ch, true);
-    }
-    for &(ch, vc) in &sink.credits {
-        channels[ch].send_credit(now, vc);
-        on_send(ch, false);
-    }
-    for op in sink.pool_ops.drain(..) {
-        match op {
-            PoolOp::Created(id) => pool.note_flit_created(id),
-            PoolOp::Gone(id) => pool.note_flit_gone(id),
-            PoolOp::Release(id) => pool.release(id),
-            PoolOp::Commit {
-                pkt,
-                commit,
-                count_hop,
-            } => {
-                let h = pool.hot_mut(pkt);
-                apply_commit(&mut h.route, commit);
-                if count_hop {
-                    h.hops = h.hops.saturating_add(1);
-                }
-            }
-            PoolOp::Inject { pkt, cycle } => pool.cold_mut(pkt).inject = cycle,
-            PoolOp::HopPoison(pkt) => poison_packet(
-                pool,
-                stats,
-                trace.as_deref_mut(),
-                pkt,
-                now,
-                DropReason::HopCap,
-            ),
-        }
-    }
-    stats.merge_delta(&sink.stats);
-    if let Some(t) = trace.as_deref_mut() {
-        for &h in &sink.hops {
-            t.record(h);
-        }
-    }
-    if let Some(m) = metrics.as_deref_mut() {
-        for ev in &sink.events {
-            match *ev {
-                MetricEvent::Grant {
-                    router,
-                    out_port,
-                    oldest,
-                    ejection,
-                    nonminimal,
-                    commit_dim,
-                } => m.on_grant(
-                    router as usize,
-                    out_port as usize,
-                    oldest,
-                    ejection,
-                    nonminimal,
-                    commit_dim.map(|d| d as usize),
-                ),
-                MetricEvent::Stall {
-                    router,
-                    out_port,
-                    credit_starved,
-                } => m.on_alloc_stall(router as usize, out_port as usize, credit_starved),
-            }
-        }
-        m.timers.accumulate(&sink.timers);
-    }
-    delivered.append(&mut sink.delivered);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -972,7 +899,8 @@ mod tests {
     /// The arrival-key table on a 3x3 HyperX with two terminals per
     /// router: keys in ascending order name the ends in exactly the order
     /// `Router::ingress`'s full scan visits them, every channel's two ends
-    /// have keys of their own, and a terminal end is discarded, not hinted.
+    /// have keys of their own, and a terminal end wakes its consumer but
+    /// yields no hint.
     #[test]
     fn arrival_keys_enumerate_ends_in_full_scan_order() {
         let hx = Arc::new(HyperX::uniform(2, 3, 2));
@@ -1000,7 +928,7 @@ mod tests {
         assert_eq!(router_ends, ev.ends.len() - 2 * net.terminals.len());
         for (end, &(r, p, ch, is_flit)) in ev.ends.iter().zip(&scan) {
             let want = ArrivalEnd {
-                matured: (ch as u32) << 1 | is_flit as u32,
+                chan_end: (ch as u32) << 1 | is_flit as u32,
                 consumer: r as u32,
                 step: (p << 1 | !is_flit as usize) as u16,
             };
@@ -1017,13 +945,13 @@ mod tests {
             assert_ne!(credit_consumer, flit_consumer, "channel {ch}");
             for (is_flit, (consumer, key)) in c.ends.into_iter().enumerate() {
                 let end = ev.ends[key as usize];
-                assert_eq!(end.matured, (ch as u32) << 1 | is_flit as u32);
+                assert_eq!(end.chan_end, (ch as u32) << 1 | is_flit as u32);
                 assert_eq!(end.consumer, consumer);
             }
         }
 
         // A flit ejected to terminal 0 and one injected by it mature
-        // together: both are discarded, only the router's end is hinted.
+        // together: both consumers wake, only the router's end is hinted.
         let eject = net.terminals[0].in_chan;
         let inject = net.terminals[0].out_chan;
         assert_eq!(ev.chans[eject].latency, ev.chans[inject].latency);
@@ -1033,12 +961,13 @@ mod tests {
         let mut due = Vec::new();
         ev.queue.pop_due(at, &mut due);
         assert_eq!(due.len(), 2, "router and terminal both woken");
-        ev.collect_arrivals(at, nr as u32, &due);
+        let mut hints = Vec::new();
+        ev.collect_arrivals(at, nr as u32, &due, &mut hints);
         // Key order: the router's end first, the terminal's after it.
-        let both = [(inject as u32) << 1 | 1, (eject as u32) << 1 | 1];
-        assert_eq!(ev.matured, both);
-        let inject_end = ev.ends[ev.chans[inject].ends[1].1 as usize];
-        assert_eq!(ev.hint_buf, [(inject_end.consumer, inject_end.step)]);
+        let (inject_key, eject_key) = (ev.chans[inject].ends[1].1, ev.chans[eject].ends[1].1);
+        assert!(inject_key < eject_key);
+        let inject_end = ev.ends[inject_key as usize];
+        assert_eq!(hints, [(inject_end.consumer, inject_end.step)]);
         assert!(ev.queue.is_empty());
     }
 

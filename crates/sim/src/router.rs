@@ -42,8 +42,8 @@ use rand::{RngExt, SeedableRng};
 use crate::channel::Channel;
 use crate::config::SimConfig;
 use crate::metrics::lap;
+use crate::network::TickCtx;
 use crate::packet::{Flit, PacketId, PacketPool};
-use crate::sink::{MetricEvent, PoolOp, TickSink};
 use crate::stats::Stats;
 use crate::trace::{DropReason, DropRecord, HopRecord, Trace};
 
@@ -75,7 +75,8 @@ struct OutView<'a> {
     /// Outgoing channel per port (`NO_WIRE` sentinel), for link-health
     /// sensing.
     out_chan: &'a [u32],
-    /// Pre-cycle channel state (read-only during compute).
+    /// Channel state, for link health. Only this router sends on its
+    /// outgoing channels, and it routes before it sends.
     channels: &'a [Channel],
     now: u64,
 }
@@ -394,58 +395,48 @@ impl Router {
             + self.out_q.iter().map(|q| q.len()).sum::<usize>()
     }
 
-    /// One simulation cycle's compute phase. Reads the pre-cycle state of
-    /// `channels` and `pool` (both read-only during compute) and
-    /// defers every externally visible effect into `sink`, which the
-    /// network's commit phase replays in router-id order. Trace/metric
-    /// observation rides the sink too, gated by its `want_*` flags.
+    /// One simulation cycle: ingress, route + VC allocation, switch
+    /// traversal, crossbar drain, link egress. Every effect lands in
+    /// `ctx` as it happens — arrivals come off the wire as they are read,
+    /// sends go onto it, pool and counter updates apply in place — except
+    /// the hop-cap poison, which `ctx.hop_capped` holds for the network
+    /// to apply after the last endpoint of the cycle.
     ///
     /// `hints`, when present (event engine), lists exactly the ports with
     /// matured flit/credit arrivals this cycle (sorted ascending, flits
     /// before credits per port — the full scan's visit order), so ingress
     /// touches only those ports instead of scanning all `num_ports`.
     /// `None` (cycle engine) falls back to the full scan.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn tick(
         &mut self,
-        now: u64,
         topo: &dyn Topology,
         algo: &dyn RoutingAlgorithm,
-        pool: &PacketPool,
-        channels: &[Channel],
         hints: Option<&[ArrivalHint]>,
-        sink: &mut TickSink,
+        ctx: &mut TickCtx,
     ) {
-        let mut stamp = sink.timed.then(std::time::Instant::now);
-        self.ingress(now, pool, channels, hints, sink);
-        lap(&mut stamp, &mut sink.timers.ingress_ns);
-        let route_before = sink.timers.route_ns;
-        self.allocate(now, topo, algo, pool, channels, sink);
-        if sink.timed {
-            lap(&mut stamp, &mut sink.timers.vc_alloc_ns);
+        let mut stamp = ctx.timed.then(std::time::Instant::now);
+        self.ingress(hints, ctx);
+        lap(&mut stamp, &mut ctx.timers.ingress_ns);
+        let route_before = ctx.timers.route_ns;
+        self.allocate(topo, algo, ctx);
+        if ctx.timed {
+            lap(&mut stamp, &mut ctx.timers.vc_alloc_ns);
             // `lap` measured the whole allocate phase; carve the inner
             // route-computation time back out so the two don't double count.
-            let route_delta = sink.timers.route_ns - route_before;
-            sink.timers.vc_alloc_ns = sink.timers.vc_alloc_ns.saturating_sub(route_delta);
+            let route_delta = ctx.timers.route_ns - route_before;
+            ctx.timers.vc_alloc_ns = ctx.timers.vc_alloc_ns.saturating_sub(route_delta);
         }
-        self.switch_traverse(now, pool, sink);
-        self.xbar_drain(now);
-        lap(&mut stamp, &mut sink.timers.crossbar_ns);
-        self.link_egress(channels, sink);
-        lap(&mut stamp, &mut sink.timers.channel_ns);
+        self.switch_traverse(ctx);
+        self.xbar_drain(ctx.now);
+        lap(&mut stamp, &mut ctx.timers.crossbar_ns);
+        self.link_egress(ctx);
+        lap(&mut stamp, &mut ctx.timers.channel_ns);
     }
 
     /// Phase 1: accept arriving flits and returning credits. Flits of
     /// poisoned packets are discarded on arrival, with their buffer
     /// credit returned immediately.
-    fn ingress(
-        &mut self,
-        now: u64,
-        pool: &PacketPool,
-        channels: &[Channel],
-        hints: Option<&[ArrivalHint]>,
-        sink: &mut TickSink,
-    ) {
+    fn ingress(&mut self, hints: Option<&[ArrivalHint]>, ctx: &mut TickCtx) {
         match hints {
             Some(hints) => {
                 // Ascending, unique (port, kind) keys reproduce the full
@@ -456,38 +447,31 @@ impl Router {
                 for &(_, key) in hints {
                     let port = (key >> 1) as usize;
                     if key & 1 == 0 {
-                        self.ingress_flits(now, port, pool, channels, sink);
+                        self.ingress_flits(port, ctx);
                     } else {
-                        self.ingress_credits(now, port, channels);
+                        self.ingress_credits(ctx.now, port, ctx.channels);
                     }
                 }
             }
             None => {
                 for port in 0..self.num_ports {
-                    self.ingress_flits(now, port, pool, channels, sink);
-                    self.ingress_credits(now, port, channels);
+                    self.ingress_flits(port, ctx);
+                    self.ingress_credits(ctx.now, port, ctx.channels);
                 }
             }
         }
     }
 
     /// Accepts every matured flit on `port`'s incoming channel.
-    fn ingress_flits(
-        &mut self,
-        now: u64,
-        port: usize,
-        pool: &PacketPool,
-        channels: &[Channel],
-        sink: &mut TickSink,
-    ) {
+    fn ingress_flits(&mut self, port: usize, ctx: &mut TickCtx) {
         let Some(ch) = self.in_ch(port) else { return };
-        for (flit, vc) in channels[ch].arrived_flits(now) {
-            if pool.is_poisoned(flit.pkt) {
+        while let Some((flit, vc)) = ctx.channels[ch].pop_flit(ctx.now) {
+            if ctx.pool.is_poisoned(flit.pkt) {
                 // Discard and return the buffer credit right away:
                 // the flit never occupies a slot here.
-                sink.credits.push((ch, vc));
-                sink.stats.dropped_flits += 1;
-                sink.pool_ops.push(PoolOp::Gone(flit.pkt));
+                ctx.send_credit(ch, vc);
+                ctx.stats.dropped_flits += 1;
+                ctx.pool.note_flit_gone(flit.pkt);
                 continue;
             }
             let q = &mut self.in_q[port * self.num_vcs + vc as usize];
@@ -496,29 +480,29 @@ impl Router {
                 flits.clear();
                 q.push_back(PktBuf {
                     pkt: flit.pkt,
-                    birth: pool.hot(flit.pkt).birth,
+                    birth: ctx.pool.hot(flit.pkt).birth,
                     route: None,
                     flits,
                     sent: 0,
                 });
                 // The buffer itself pins the packet slot until it
                 // is dismantled (tail forwarded or fault-reaped).
-                sink.pool_ops.push(PoolOp::Created(flit.pkt));
+                ctx.pool.note_flit_created(flit.pkt);
             }
             let back = q.back_mut().expect("body flit without a head");
             debug_assert_eq!(back.pkt, flit.pkt, "packets interleaved on one VC");
             back.flits.push_back(flit);
             self.flits_buffered += 1;
             self.port_flits[port] += 1;
-            sink.stats.flit_moves += 1;
+            ctx.stats.flit_moves += 1;
         }
     }
 
     /// Absorbs every matured returning credit on `port`'s outgoing channel.
-    fn ingress_credits(&mut self, now: u64, port: usize, channels: &[Channel]) {
+    fn ingress_credits(&mut self, now: u64, port: usize, channels: &mut [Channel]) {
         let Some(ch) = self.out_ch(port) else { return };
         let base = port * self.num_vcs;
-        for vc in channels[ch].arrived_credits(now) {
+        while let Some(vc) = channels[ch].pop_credit(now) {
             self.out_credits[base + vc as usize] += 1;
             self.out_occ[port] -= 1;
             debug_assert!(
@@ -537,16 +521,7 @@ impl Router {
 
     /// Phase 2: route computation + virtual cut-through VC allocation,
     /// oldest packet first.
-    #[allow(clippy::too_many_arguments)]
-    fn allocate(
-        &mut self,
-        now: u64,
-        topo: &dyn Topology,
-        algo: &dyn RoutingAlgorithm,
-        pool: &PacketPool,
-        channels: &[Channel],
-        sink: &mut TickSink,
-    ) {
+    fn allocate(&mut self, topo: &dyn Topology, algo: &dyn RoutingAlgorithm, ctx: &mut TickCtx) {
         if self.flits_buffered == 0 {
             return;
         }
@@ -584,168 +559,130 @@ impl Router {
             // For age-arbitration accounting: the first sorted head is this
             // router's oldest waiting packet this cycle.
             let oldest = head_idx == 0;
-            if pool.is_poisoned(pkt_id) {
+            if ctx.pool.is_poisoned(pkt_id) {
                 // Fault fallout will reap this buffer; don't route it.
                 continue;
             }
-            let pkt = pool.hot(pkt_id);
+            let pkt = ctx.pool.hot(pkt_id);
             let (dst_router, dst_term, len) = (pkt.dst_router as usize, pkt.dst as usize, pkt.len);
             let state = pkt.route;
             let hops = pkt.hops;
 
-            cands.clear();
-            if dst_router == self.id {
+            // The chosen output: (port, VC range, routing commit, ejection,
+            // deroute).
+            let (out_port, range, commit, ejection, nonminimal) = if dst_router == self.id {
                 // Ejection: any VC of the destination terminal's port
                 // (classes don't apply to the terminal link).
                 let (_, eject_port) = topo.terminal_attach(dst_term);
-                if let Some(out_vc) = self.pick_vc(eject_port, 0..self.num_vcs, len) {
-                    self.grant(
-                        pkt_id,
-                        port,
-                        vc,
-                        eject_port,
-                        out_vc,
-                        len,
-                        Commit::None,
-                        false,
-                        sink,
-                    );
-                    if sink.want_metrics {
-                        sink.events.push(MetricEvent::Grant {
-                            router: self.id as u32,
-                            out_port: eject_port as u16,
-                            oldest,
-                            ejection: true,
-                            nonminimal: false,
-                            commit_dim: None,
-                        });
-                    }
-                    if sink.want_trace {
-                        sink.hops.push(HopRecord {
-                            pkt: pkt_id,
-                            tag: pool.cold(pkt_id).tag,
-                            router: self.id as u32,
-                            out_port: eject_port as u16,
-                            out_vc: out_vc as u8,
-                            ejection: true,
-                            cycle: now,
-                        });
-                    }
-                } else if sink.want_metrics {
-                    let starved = self.has_unclaimed_vc(eject_port, 0..self.num_vcs);
-                    sink.events.push(MetricEvent::Stall {
-                        router: self.id as u32,
-                        out_port: eject_port as u16,
-                        credit_starved: starved,
-                    });
+                (eject_port, 0..self.num_vcs, Commit::None, true, false)
+            } else {
+                // Livelock guard: a packet that has burned its hop budget
+                // is dropped instead of granted another network hop. The
+                // poison waits for the end of the cycle (see
+                // `Network::tick`): routers after this one still read the
+                // packet as live this cycle.
+                if hops >= self.hop_cap {
+                    ctx.hop_capped.push(pkt_id);
+                    continue;
                 }
-                continue;
-            }
-
-            // Livelock guard: a packet that has burned its hop budget is
-            // dropped instead of granted another network hop. The poison
-            // itself lands at commit time, like every other effect, so it
-            // becomes visible network-wide at the next cycle regardless of
-            // router ids.
-            if hops >= self.hop_cap {
-                sink.pool_ops.push(PoolOp::HopPoison(pkt_id));
-                continue;
-            }
-
-            let view = OutView {
-                num_vcs: self.num_vcs,
-                cap: self.buf_cap as usize,
-                credits: &self.out_credits,
-                occ: &self.out_occ,
-                backlog: &self.out_backlog,
-                live: &self.live_ports,
-                out_chan: &self.out_chan,
-                channels,
-                now,
-            };
-            let ctx = RouteCtx {
-                router: self.id,
-                input_port: port,
-                input_vc: vc,
-                from_terminal: self.port_term[port] != NO_WIRE,
-                dst_router,
-                dst_terminal: dst_term,
-                pkt_len: len as usize,
-                state,
-                view: &view,
-            };
-            let route_t0 = sink.timed.then(std::time::Instant::now);
-            algo.route(&ctx, &mut self.rng, &mut cands);
-            if let Some(t0) = route_t0 {
-                sink.timers.route_ns += t0.elapsed().as_nanos() as u64;
-            }
-            // With every port up an empty candidate set is a routing bug;
-            // under faults it just means "wait for a revival or a reroute".
-            debug_assert!(
-                !cands.is_empty() || self.live_ports.iter().any(|&l| !l),
-                "routing produced no candidates on a fault-free router"
-            );
-
-            // "Choose the output with the minimal weight" (Sections 5.1/5.2):
-            // the best-weighted candidate is selected *before* checking
-            // grantability; if its VC class is currently claimed or
-            // credit-starved the packet waits and re-evaluates next cycle.
-            // (Falling back to the cheapest *grantable* candidate instead
-            // turns transient credit exhaustion into spurious deroutes and
-            // destabilizes the network near saturation.) Ties prefer fewer
-            // hops, then a random draw to avoid systematic port bias.
-            let mut best: Option<(CandKey, usize, u8, Commit)> = None;
-            let mut min_hops = u8::MAX;
-            for c in &cands {
-                let salt = self.rng.random::<u32>();
-                let key = (c.weight, c.hops, salt);
-                min_hops = min_hops.min(c.hops);
-                if best.as_ref().is_none_or(|(k, ..)| *k > key) {
-                    best = Some((key, c.port as usize, c.class, c.commit));
+                let view = OutView {
+                    num_vcs: self.num_vcs,
+                    cap: self.buf_cap as usize,
+                    credits: &self.out_credits,
+                    occ: &self.out_occ,
+                    backlog: &self.out_backlog,
+                    live: &self.live_ports,
+                    out_chan: &self.out_chan,
+                    channels: ctx.channels,
+                    now: ctx.now,
+                };
+                let route_ctx = RouteCtx {
+                    router: self.id,
+                    input_port: port,
+                    input_vc: vc,
+                    from_terminal: self.port_term[port] != NO_WIRE,
+                    dst_router,
+                    dst_terminal: dst_term,
+                    pkt_len: len as usize,
+                    state,
+                    view: &view,
+                };
+                let route_t0 = ctx.timed.then(std::time::Instant::now);
+                cands.clear();
+                algo.route(&route_ctx, &mut self.rng, &mut cands);
+                if let Some(t0) = route_t0 {
+                    ctx.timers.route_ns += t0.elapsed().as_nanos() as u64;
                 }
-            }
-            if let Some((key, out_port, class, commit)) = best {
+                // With every port up an empty candidate set is a routing
+                // bug; under faults it just means "wait for a revival or a
+                // reroute".
+                debug_assert!(
+                    !cands.is_empty() || self.live_ports.iter().any(|&l| !l),
+                    "routing produced no candidates on a fault-free router"
+                );
+
+                // "Choose the output with the minimal weight" (Sections
+                // 5.1/5.2): the best-weighted candidate is selected *before*
+                // checking grantability; if its VC class is currently
+                // claimed or credit-starved the packet waits and
+                // re-evaluates next cycle. (Falling back to the cheapest
+                // *grantable* candidate instead turns transient credit
+                // exhaustion into spurious deroutes and destabilizes the
+                // network near saturation.) Ties prefer fewer hops, then a
+                // random draw to avoid systematic port bias.
+                let mut best: Option<(CandKey, usize, u8, Commit)> = None;
+                let mut min_hops = u8::MAX;
+                for c in &cands {
+                    let salt = self.rng.random::<u32>();
+                    let key = (c.weight, c.hops, salt);
+                    min_hops = min_hops.min(c.hops);
+                    if best.as_ref().is_none_or(|(k, ..)| *k > key) {
+                        best = Some((key, c.port as usize, c.class, c.commit));
+                    }
+                }
+                let Some((key, out_port, class, commit)) = best else {
+                    continue;
+                };
+                // A grant whose hop count exceeds the cheapest offered path
+                // is a deroute.
                 let range = self.class_map.vcs_of(class as usize);
-                if let Some(out_vc) = self.pick_vc(out_port, range.clone(), len) {
-                    self.grant(pkt_id, port, vc, out_port, out_vc, len, commit, true, sink);
-                    if sink.want_metrics {
-                        // A grant whose hop count exceeds the cheapest
-                        // offered path is a deroute; DAL names its dimension
-                        // in the commit, otherwise the port's topology
-                        // dimension attributes it.
-                        let nonminimal = key.1 > min_hops;
-                        let dim = match commit {
-                            Commit::Deroute { dim } => Some(dim),
-                            _ => None,
-                        };
-                        sink.events.push(MetricEvent::Grant {
-                            router: self.id as u32,
-                            out_port: out_port as u16,
-                            oldest,
-                            ejection: false,
-                            nonminimal,
-                            commit_dim: dim,
-                        });
-                    }
-                    if sink.want_trace {
-                        sink.hops.push(HopRecord {
-                            pkt: pkt_id,
-                            tag: pool.cold(pkt_id).tag,
-                            router: self.id as u32,
-                            out_port: out_port as u16,
-                            out_vc: out_vc as u8,
-                            ejection: false,
-                            cycle: now,
-                        });
-                    }
-                } else if sink.want_metrics {
+                (out_port, range, commit, false, key.1 > min_hops)
+            };
+
+            let Some(out_vc) = self.pick_vc(out_port, range.clone(), len) else {
+                if let Some(m) = ctx.metrics.as_deref_mut() {
                     let starved = self.has_unclaimed_vc(out_port, range);
-                    sink.events.push(MetricEvent::Stall {
-                        router: self.id as u32,
-                        out_port: out_port as u16,
-                        credit_starved: starved,
-                    });
+                    m.on_alloc_stall(self.id, out_port, starved);
                 }
+                continue;
+            };
+            self.grant(
+                pkt_id,
+                self.pv(port, vc),
+                out_port,
+                out_vc,
+                commit,
+                ctx.pool,
+            );
+            if let Some(m) = ctx.metrics.as_deref_mut() {
+                // DAL names a deroute's dimension in the commit; otherwise
+                // the port's topology dimension attributes it.
+                let dim = match commit {
+                    Commit::Deroute { dim } => Some(dim as usize),
+                    _ => None,
+                };
+                m.on_grant(self.id, out_port, oldest, ejection, nonminimal, dim);
+            }
+            if let Some(t) = ctx.trace.as_deref_mut() {
+                t.record(HopRecord {
+                    pkt: pkt_id,
+                    tag: ctx.pool.cold(pkt_id).tag,
+                    router: self.id as u32,
+                    out_port: out_port as u16,
+                    out_vc: out_vc as u8,
+                    ejection,
+                    cycle: ctx.now,
+                });
             }
         }
         self.heads = heads;
@@ -792,55 +729,49 @@ impl Router {
     }
 
     /// Commits a VC allocation: claims the downstream VC, reserves credits
-    /// for the whole packet, and defers the packet-state update (routing
-    /// commit + hop count) to the commit phase. Nothing reads that state
-    /// again before the next cycle — the packet is routed here and the
-    /// downstream router can't see its head for at least one channel
-    /// latency — so deferral is invisible.
-    #[allow(clippy::too_many_arguments)]
+    /// for the whole packet, and applies the packet-state update (routing
+    /// commit + hop count) to `pool`. Nothing else reads that state this
+    /// cycle — the packet's head is here, already routed, and the
+    /// downstream router can't see it for at least one channel latency.
+    /// Only a grant onto a router-to-router link counts a hop.
+    /// `i` is the grantee's input VC, as [`Self::pv`] indexes it.
     fn grant(
         &mut self,
         pkt_id: PacketId,
-        in_port: usize,
-        in_vc: usize,
+        i: usize,
         out_port: usize,
         out_vc: usize,
-        len: u16,
         commit: Commit,
-        network_hop: bool,
-        sink: &mut TickSink,
+        pool: &mut PacketPool,
     ) {
+        let len = pool.hot(pkt_id).len;
         let o = self.pv(out_port, out_vc);
         debug_assert!(self.out_owner[o] == NO_OWNER);
         debug_assert!(self.out_credits[o] >= len as u32);
         self.out_owner[o] = pkt_id;
         self.out_credits[o] -= len as u32;
         self.out_occ[out_port] += len as u32;
-        let i = self.pv(in_port, in_vc);
         // Heads are collected as each VC's first unrouted packet, and at
         // most one per VC per cycle, so the grantee still sits there.
         let buf = &mut self.in_q[i][self.routed[i] as usize];
         debug_assert!(buf.pkt == pkt_id && buf.route.is_none());
         buf.route = Some((out_port as u16, out_vc as u8));
         self.routed[i] += 1;
-        let count_hop = network_hop && self.port_term[out_port] == NO_WIRE;
-        if count_hop || !matches!(commit, Commit::None) {
-            sink.pool_ops.push(PoolOp::Commit {
-                pkt: pkt_id,
-                commit,
-                count_hop,
-            });
+        let hot = pool.hot_mut(pkt_id);
+        apply_commit(&mut hot.route, commit);
+        if self.port_term[out_port] == NO_WIRE {
+            hot.hops = hot.hops.saturating_add(1);
         }
     }
 
     /// Phase 3: each input port forwards up to `crossbar_speedup` flits
     /// (oldest routed packet first) into the crossbar, returning credits
     /// upstream.
-    fn switch_traverse(&mut self, now: u64, pool: &PacketPool, sink: &mut TickSink) {
+    fn switch_traverse(&mut self, ctx: &mut TickCtx) {
         if self.flits_buffered == 0 {
             return;
         }
-        let any_poisoned = pool.any_poisoned();
+        let any_poisoned = ctx.pool.any_poisoned();
         for port in 0..self.num_ports {
             for _ in 0..self.xbar_speedup {
                 if self.port_flits[port] == 0 {
@@ -857,7 +788,7 @@ impl Router {
                         if buf.flits.is_empty() {
                             continue;
                         }
-                        if any_poisoned && pool.is_poisoned(buf.pkt) {
+                        if any_poisoned && ctx.pool.is_poisoned(buf.pkt) {
                             // Held for the fault reaper; don't forward.
                             continue;
                         }
@@ -874,22 +805,22 @@ impl Router {
                 buf.sent += 1;
                 self.flits_buffered -= 1;
                 self.port_flits[port] -= 1;
-                sink.stats.flit_moves += 1;
+                ctx.stats.flit_moves += 1;
                 if flit.is_tail() {
                     let buf = self.in_q[i].remove(bi).expect("indexed buffer exists");
                     self.routed[i] -= 1;
                     self.recycle_buf(buf);
-                    sink.pool_ops.push(PoolOp::Gone(flit.pkt)); // the buffer's own pin
+                    ctx.pool.note_flit_gone(flit.pkt); // the buffer's own pin
                     let o = self.pv(out_port as usize, out_vc as usize);
                     debug_assert_eq!(self.out_owner[o], flit.pkt);
                     self.out_owner[o] = NO_OWNER;
                 }
                 self.xbar
-                    .push_back((now + self.xbar_latency, flit, out_port, out_vc));
+                    .push_back((ctx.now + self.xbar_latency, flit, out_port, out_vc));
                 self.out_backlog[out_port as usize] += 1;
                 // Credit for the freed input-buffer slot.
                 if let Some(ch) = self.in_ch(port) {
-                    sink.credits.push((ch, vc as u8));
+                    ctx.send_credit(ch, vc as u8);
                 }
             }
         }
@@ -906,22 +837,22 @@ impl Router {
         }
     }
 
-    /// Phase 5: one flit per output port onto the wire (sent at commit).
-    /// A port whose LLR replay window is full holds its flit — the queue
-    /// keeps the router awake ([`Self::next_wake`]) and the window reopens
-    /// as acks arrive, so the backpressure is transient.
-    fn link_egress(&mut self, channels: &[Channel], sink: &mut TickSink) {
+    /// Phase 5: one flit per output port onto the wire. A port whose LLR
+    /// replay window is full holds its flit — the queue keeps the router
+    /// awake ([`Self::next_wake`]) and the window reopens as acks arrive,
+    /// so the backpressure is transient.
+    fn link_egress(&mut self, ctx: &mut TickCtx) {
         for port in 0..self.num_ports {
             if self.out_q[port].is_empty() {
                 continue;
             }
             let ch = self.out_ch(port).expect("queued flit on unwired port");
-            if !channels[ch].ready_for_flit() {
+            if !ctx.channels[ch].ready_for_flit() {
                 continue;
             }
             let (flit, vc) = self.out_q[port].pop_front().expect("checked non-empty");
             self.out_backlog[port] -= 1;
-            sink.flits.push((ch, flit, vc));
+            ctx.send_flit(ch, flit, vc);
         }
     }
 
@@ -1064,7 +995,7 @@ impl Router {
 }
 
 /// Applies a routing commit to packet state.
-pub(crate) fn apply_commit(state: &mut PacketRouteState, commit: Commit) {
+fn apply_commit(state: &mut PacketRouteState, commit: Commit) {
     match commit {
         Commit::None => {}
         Commit::SetValiant {
@@ -1163,7 +1094,6 @@ mod tests {
             r.live_ports[p] = true;
         }
         let mut pool = PacketPool::new();
-        let mut sink = TickSink::default();
         let check = |r: &Router, channels: &[Channel]| {
             let view = OutView {
                 num_vcs: v,
@@ -1216,24 +1146,36 @@ mod tests {
                 len,
             };
             channels[0].send_flit(ids.len() as u64, head, in_vc as u8);
-            // The head flit and the input buffer each pin the packet slot
-            // (the sink's deferred `PoolOp::Created`, applied by hand).
-            pool.note_flit_created(id);
+            // The head flit pins the packet slot (ingress adds the input
+            // buffer's own pin).
             pool.note_flit_created(id);
             ids.push(id);
         }
-        r.ingress_flits(3, 0, &pool, &channels, &mut sink);
-        for (&(in_vc, out_port, out_vc, len), &id) in grants.iter().zip(&ids) {
+        let mut stats = Stats::default();
+        r.ingress_flits(
+            0,
+            &mut TickCtx {
+                now: 3,
+                channels: &mut channels,
+                pool: &mut pool,
+                stats: &mut stats,
+                delivered: &mut Vec::new(),
+                trace: None,
+                metrics: None,
+                hop_capped: &mut Vec::new(),
+                timed: false,
+                timers: Default::default(),
+                wakes: None,
+            },
+        );
+        for (&(in_vc, out_port, out_vc, _), &id) in grants.iter().zip(&ids) {
             r.grant(
                 id,
-                0,
-                in_vc,
+                r.pv(0, in_vc),
                 out_port,
                 out_vc,
-                len,
                 Commit::None,
-                true,
-                &mut sink,
+                &mut pool,
             );
             check(&r, &channels);
         }
@@ -1243,14 +1185,13 @@ mod tests {
         for vc in [0, 0, 5] {
             channels[1].send_credit(0, vc);
         }
-        r.ingress_credits(1, 1, &channels);
+        r.ingress_credits(1, 1, &mut channels);
         check(&r, &channels);
         assert_eq!(r.out_occ, [0, 17, 5]);
 
         // Reaping the first packet refunds its 8-flit reservation, but VC
         // 0 is only 6 short of capacity: the refund clamps and the port
         // counter moves by 6.
-        let mut stats = Stats::default();
         pool.poison(ids[0]);
         r.reap_poisoned(1, &mut pool, &mut stats, &mut channels);
         check(&r, &channels);

@@ -230,8 +230,8 @@ impl Sim {
             );
         }
         if event_engine && fault_acted {
-            // Faults mutate wires and credits outside the sink discipline;
-            // rebuild conservative wake coverage before ticking.
+            // Faults mutate wires and credits outside the tick's send
+            // helpers; rebuild conservative wake coverage before ticking.
             self.net.fault_resync(now);
         }
 

@@ -149,32 +149,6 @@ impl Stats {
         self.hops_sum = 0;
         self.hist.reset();
     }
-
-    /// Folds an outbox's counter delta into this accumulator (tick
-    /// commit). Every field is a sum except `latency_max` (max) and
-    /// `window_start` (owned by the accumulator). All-integer, so merge
-    /// order cannot perturb results.
-    pub fn merge_delta(&mut self, d: &Stats) {
-        self.generated_flits += d.generated_flits;
-        self.injected_flits += d.injected_flits;
-        self.delivered_flits += d.delivered_flits;
-        self.delivered_packets += d.delivered_packets;
-        self.latency_sum += d.latency_sum;
-        self.net_latency_sum += d.net_latency_sum;
-        self.latency_max = self.latency_max.max(d.latency_max);
-        self.hops_sum += d.hops_sum;
-        self.hist.merge(&d.hist);
-        self.total_generated_flits += d.total_generated_flits;
-        self.total_delivered_flits += d.total_delivered_flits;
-        self.total_delivered_packets += d.total_delivered_packets;
-        self.dropped_flits += d.dropped_flits;
-        self.dropped_packets += d.dropped_packets;
-        self.fault_events += d.fault_events;
-        self.flit_moves += d.flit_moves;
-        self.llr_replays += d.llr_replays;
-        self.crc_errors += d.crc_errors;
-        self.flaps += d.flaps;
-    }
 }
 
 #[cfg(test)]

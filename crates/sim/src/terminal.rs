@@ -7,10 +7,9 @@ use std::collections::VecDeque;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::channel::Channel;
 use crate::config::SimConfig;
+use crate::network::TickCtx;
 use crate::packet::{Flit, PacketId, PacketPool};
-use crate::sink::{PoolOp, TickSink};
 use crate::workload::Delivered;
 
 /// One compute endpoint.
@@ -78,36 +77,32 @@ impl Terminal {
         self.cur.is_some() || !self.inj_q.is_empty()
     }
 
-    /// One simulation cycle's compute phase: absorb credits, consume
-    /// arriving flits (recording deliveries), and push at most one flit
-    /// into the network. Like `Router::tick`, reads the pre-cycle channel
-    /// and pool state and defers all shared-state effects into `sink`.
-    pub(crate) fn tick(
-        &mut self,
-        now: u64,
-        pool: &PacketPool,
-        channels: &[Channel],
-        sink: &mut TickSink,
-    ) {
+    /// One simulation cycle: absorb credits, consume arriving flits
+    /// (recording deliveries), and push at most one flit into the
+    /// network. Like `Router::tick`, writes every effect straight into
+    /// `ctx`.
+    pub(crate) fn tick(&mut self, ctx: &mut TickCtx) {
+        let now = ctx.now;
         // Returning credits from the router.
-        for vc in channels[self.out_chan].arrived_credits(now) {
+        while let Some(vc) = ctx.channels[self.out_chan].pop_credit(now) {
             self.credits[vc as usize] += 1;
         }
 
         // Ejection: consume everything that arrived; credits go straight
         // back (the terminal is an infinite sink).
-        for (flit, vc) in channels[self.in_chan].arrived_flits(now) {
-            sink.credits.push((self.in_chan, vc));
-            sink.stats.flit_moves += 1;
+        while let Some((flit, vc)) = ctx.channels[self.in_chan].pop_flit(now) {
+            ctx.send_credit(self.in_chan, vc);
+            ctx.stats.flit_moves += 1;
+            let pool = &mut *ctx.pool;
             if flit.is_tail() && !pool.is_poisoned(flit.pkt) {
                 let hot = pool.hot(flit.pkt);
                 let cold = pool.cold(flit.pkt);
                 debug_assert_eq!(hot.dst as usize, self.id, "misrouted packet");
                 let latency = now - hot.birth;
                 let net_latency = now - cold.inject;
-                sink.stats
+                ctx.stats
                     .record_delivery(latency, net_latency, hot.hops, hot.len);
-                sink.delivered.push(Delivered {
+                ctx.delivered.push(Delivered {
                     src: cold.src,
                     dst: hot.dst,
                     len: hot.len,
@@ -119,11 +114,11 @@ impl Terminal {
                     hops: hot.hops,
                     seq: cold.seq,
                 });
-                sink.pool_ops.push(PoolOp::Gone(flit.pkt));
-                sink.pool_ops.push(PoolOp::Release(flit.pkt));
+                pool.note_flit_gone(flit.pkt);
+                pool.release(flit.pkt);
             } else {
                 // Body flit, or the remnant of a fault-killed packet.
-                sink.pool_ops.push(PoolOp::Gone(flit.pkt));
+                pool.note_flit_gone(flit.pkt);
             }
         }
 
@@ -133,7 +128,7 @@ impl Terminal {
         // routers' `pick_vc`), then send one flit per cycle.
         if self.cur.is_none() {
             if let Some(&pkt_id) = self.inj_q.front() {
-                let len = pool.hot(pkt_id).len as u32;
+                let len = ctx.pool.hot(pkt_id).len as u32;
                 // Most-credits VC that can hold the whole packet; random
                 // tie-break across fully-idle VCs avoids biasing VC 0.
                 let mut best: Option<(u32, u32, usize)> = None;
@@ -154,33 +149,30 @@ impl Terminal {
                     self.inj_q.pop_front();
                     self.credits[vc] -= len;
                     self.cur = Some((pkt_id, 0, vc as u8));
-                    sink.pool_ops.push(PoolOp::Inject {
-                        pkt: pkt_id,
-                        cycle: now,
-                    });
+                    ctx.pool.cold_mut(pkt_id).inject = now;
                     // The in-progress injection pins the packet slot.
-                    sink.pool_ops.push(PoolOp::Created(pkt_id));
+                    ctx.pool.note_flit_created(pkt_id);
                 }
             }
         }
         // A full LLR replay window on the injection link holds the flit
         // for a cycle; `is_active` keeps the terminal awake until the
         // window reopens.
-        if channels[self.out_chan].ready_for_flit() {
+        if ctx.channels[self.out_chan].ready_for_flit() {
             if let Some((pkt_id, idx, vc)) = self.cur {
-                let len = pool.hot(pkt_id).len;
+                let len = ctx.pool.hot(pkt_id).len;
                 let flit = Flit {
                     pkt: pkt_id,
                     idx,
                     len,
                 };
-                sink.pool_ops.push(PoolOp::Created(pkt_id));
-                sink.flits.push((self.out_chan, flit, vc));
-                sink.stats.record_injection();
-                sink.stats.flit_moves += 1;
+                ctx.pool.note_flit_created(pkt_id);
+                ctx.send_flit(self.out_chan, flit, vc);
+                ctx.stats.record_injection();
+                ctx.stats.flit_moves += 1;
                 if flit.is_tail() {
                     self.cur = None;
-                    sink.pool_ops.push(PoolOp::Gone(pkt_id)); // drop the injection pin
+                    ctx.pool.note_flit_gone(pkt_id); // drop the injection pin
                 } else {
                     self.cur = Some((pkt_id, idx + 1, vc));
                 }
@@ -206,7 +198,9 @@ impl Terminal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Channel;
     use crate::packet::Packet;
+    use crate::stats::Stats;
 
     fn mk_pkt(len: u16) -> Packet {
         Packet {
@@ -234,11 +228,27 @@ mod tests {
 
     /// Runs `term` for one cycle and reports whether it put a flit on the
     /// wire.
-    fn tick_once(term: &mut Terminal, now: u64, pool: &PacketPool, channels: &[Channel]) -> bool {
-        let mut sink = TickSink::default();
-        sink.reset(false, false, false);
-        term.tick(now, pool, channels, &mut sink);
-        !sink.flits.is_empty()
+    fn tick_once(
+        term: &mut Terminal,
+        now: u64,
+        pool: &mut PacketPool,
+        channels: &mut [Channel],
+    ) -> bool {
+        let sent = channels[term.out_chan].flits_sent();
+        term.tick(&mut TickCtx {
+            now,
+            channels,
+            pool,
+            stats: &mut Stats::default(),
+            delivered: &mut Vec::new(),
+            trace: None,
+            metrics: None,
+            hop_capped: &mut Vec::new(),
+            timed: false,
+            timers: Default::default(),
+            wakes: None,
+        });
+        channels[term.out_chan].flits_sent() > sent
     }
 
     /// Regression for the Section 4.2 atomic-queue-allocation contract at
@@ -253,7 +263,7 @@ mod tests {
             let mut pool = PacketPool::new();
             let p1 = pool.alloc(mk_pkt(4));
             let p2 = pool.alloc(mk_pkt(4));
-            let channels = vec![Channel::new(1), Channel::new(1)];
+            let mut channels = vec![Channel::new(1), Channel::new(1)];
             let c = cfg(atomic);
             let mut term = Terminal::new(0, &c, 0, 1, 1);
             term.enqueue(p1);
@@ -261,13 +271,13 @@ mod tests {
 
             // Serialize the first packet fully: 4 flits over cycles 0..4.
             for now in 0..4 {
-                assert!(tick_once(&mut term, now, &pool, &channels));
+                assert!(tick_once(&mut term, now, &mut pool, &mut channels));
             }
             assert_eq!(term.credits[0], 12, "4 credits reserved, none returned");
 
             // The single VC is only partially credited (12 of 16): atomic
             // allocation must refuse the second packet, non-atomic takes it.
-            let sent = tick_once(&mut term, 4, &pool, &channels);
+            let sent = tick_once(&mut term, 4, &mut pool, &mut channels);
             assert_eq!(
                 sent, !atomic,
                 "atomic={atomic}: injection into a partially-credited VC"
@@ -275,20 +285,16 @@ mod tests {
 
             if atomic {
                 // Returning only part of the reservation is not enough.
-                let mut ch = Channel::new(1);
                 for _ in 0..2 {
-                    ch.send_credit(4, 0);
+                    channels[0].send_credit(4, 0);
                 }
-                let channels = vec![ch, Channel::new(1)];
-                assert!(!tick_once(&mut term, 5, &pool, &channels));
+                assert!(!tick_once(&mut term, 5, &mut pool, &mut channels));
                 assert_eq!(term.credits[0], 14);
                 // Once every credit is home the claim goes through.
-                let mut ch = Channel::new(1);
                 for _ in 0..2 {
-                    ch.send_credit(5, 0);
+                    channels[0].send_credit(5, 0);
                 }
-                let channels = vec![ch, Channel::new(1)];
-                assert!(tick_once(&mut term, 6, &pool, &channels));
+                assert!(tick_once(&mut term, 6, &mut pool, &mut channels));
                 assert_eq!(term.credits[0], 12, "whole-packet reservation taken");
             }
         }

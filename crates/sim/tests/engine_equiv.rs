@@ -376,3 +376,103 @@ fn engines_equivalent_beyond_the_calendar_horizon() {
         check_cell("OmniWAR", Pattern::Ur, 0.1, scenario, true);
     }
 }
+
+/// One hop-capped run: the outcome plus the trace's `(tag, cycle)` of
+/// every hop-cap drop. The last three stats are dropped packets, packets
+/// still live and undelivered flits.
+fn run_hop_capped(engine: Engine) -> (RunOutcome, Vec<(u64, u64)>) {
+    let hx = Arc::new(HyperX::uniform(2, 3, 2));
+    let algo: Arc<dyn RoutingAlgorithm> = hyperx_algorithm("UGAL", hx.clone(), 8)
+        .expect("registered algorithm")
+        .into();
+    // One-cycle wires and crossbars stretch a packet over several
+    // routers: when its head is capped, its body is still buffered or
+    // arriving upstream, at routers that may tick later in the cycle.
+    let cfg = SimConfig {
+        buf_flits: 32,
+        crossbar_latency: 1,
+        router_chan_latency: 1,
+        term_chan_latency: 1,
+        max_packet_hops: 2,
+        engine,
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::new(hx.clone(), algo, cfg, 17);
+    sim.enable_metrics(MetricsConfig {
+        sample_interval: 200,
+        timers: false,
+    });
+    sim.enable_tracing();
+    let mut wl = RecordingTraffic::new(hx, Pattern::Dcr, 0.5, 0x40B_CA9);
+    sim.run(&mut wl, CYCLES);
+    let s = &sim.stats;
+    let drops = sim
+        .trace
+        .as_ref()
+        .expect("tracing enabled")
+        .drops()
+        .iter()
+        .map(|d| {
+            assert_eq!(d.reason, hxsim::DropReason::HopCap, "no faults scheduled");
+            (d.tag, d.cycle)
+        })
+        .collect();
+    let outcome = RunOutcome {
+        stats: (
+            s.total_generated_flits,
+            s.total_delivered_flits,
+            s.total_delivered_packets,
+            s.latency_sum,
+            s.net_latency_sum,
+            s.latency_max,
+            s.hops_sum,
+            s.dropped_flits,
+            s.flit_moves,
+            s.dropped_packets,
+            sim.pool.live() as u64,
+            s.total_generated_flits - s.total_delivered_flits,
+        ),
+        metrics_jsonl: sim
+            .metrics()
+            .expect("metrics enabled")
+            .deterministic_jsonl(),
+        delivered: wl.delivered,
+    };
+    (outcome, drops)
+}
+
+/// The livelock hop cap firing under load, on both engines: UGAL's
+/// Valiant paths under DCR at load 0.5 take up to four hops, and a cap of
+/// two drops every packet that reaches a third router short of its
+/// destination. The poison lands only after every endpoint of the cycle
+/// has ticked, so the digest pins exactly which flits later routers still
+/// forwarded or accepted that cycle — poisoning during the tick changes
+/// it.
+#[test]
+fn engines_equivalent_under_hop_cap_drops() {
+    let (reference, ref_drops) = run_hop_capped(Engine::Cycle);
+    let dropped = reference.stats.9;
+    assert!(
+        dropped > 0 && reference.stats.2 > 0,
+        "hop cap never fired (dropped={dropped}) — cell is vacuous"
+    );
+    assert_eq!(ref_drops.len() as u64, dropped, "every drop traced");
+    let (got, drops) = run_hop_capped(Engine::Event);
+    assert_eq!(got.stats, reference.stats, "hop-cap stats diverge");
+    assert_eq!(got.metrics_jsonl, reference.metrics_jsonl);
+    assert_eq!(got.delivered, reference.delivered);
+    assert_eq!(drops, ref_drops, "hop-cap drop sequences diverge");
+    let digest = hxsim::fnv1a(
+        format!(
+            "{:?}{}{:?}{:?}",
+            reference.stats, reference.metrics_jsonl, reference.delivered, ref_drops
+        )
+        .as_bytes(),
+    );
+    // Captured from the two-phase (compute, then commit) tick: 45 hop-cap
+    // drops, 203 dropped flits, 1,297 packets delivered.
+    assert_eq!(
+        digest, 11159241852290580443,
+        "hop-cap run drifted from its pinned digest"
+    );
+}

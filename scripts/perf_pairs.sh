@@ -7,11 +7,14 @@
 # into separate target directories, copies both executables, and runs N
 # pairs per workload at the benchmark driver's settings (--seed i
 # --seconds 12 --trace 0, pair i at seed i), alternating which side goes
-# first. Prints, per workload and end-to-end metric, each side's median and
-# quartiles, wins/pairs, and the verdict: a gain needs wins >= 9/10 of all
-# pairs and a median gap wider than the parent's inter-quartile distance.
-# Exits non-zero if any sim_* value differs between the sides or any run
-# reports failed > 0. Everything it writes lives under target/perf_pairs/.
+# first. Prints, per workload and metric, each side's median and quartiles,
+# wins/pairs, and the verdict: a gain needs wins >= 9/10 of all pairs and a
+# median gap wider than the parent's inter-quartile distance. Which way is
+# better, and each end-to-end metric's bound, come from BENCHMARK.json (read
+# only): a change median worse than the parent's by more than the bound is
+# "over bound". Exits non-zero if any metric is over bound, any sim_* value
+# differs between the sides or any run reports failed > 0. Everything it
+# writes lives under target/perf_pairs/.
 #
 # The parent is a `git archive` export rather than a `git worktree`: it
 # builds the same committed files and leaves nothing registered in .git.
@@ -68,6 +71,12 @@ for w in "$@"; do
     done
 done
 
+# One line per declared metric: name, better (lower/higher), bound (end-to-end
+# metrics only).
+metrics=$work/metrics.txt
+sed -n 's/.*{"name": "\([^"]*\)", "unit": "[^"]*", "better": "\([a-z]*\)"\(, "bound": \([0-9.]*\)\)\{0,1\}}.*/\1 \2 \4/p' \
+    BENCHMARK.json > "$metrics"
+
 awk '
 function sorted(src, n, dst,    a, b, t) {
     for (a = 1; a <= n; a++) dst[a] = src[a]
@@ -81,6 +90,7 @@ function quantile(v, n, q,    pos, lo, frac) {
     pos = 1 + (n - 1) * q; lo = int(pos); frac = pos - lo
     return lo >= n ? v[n] : v[lo] + frac * (v[lo + 1] - v[lo])
 }
+NR == FNR { better[$1] = $2; if (NF > 2) bound[$1] = $3; next }
 {
     key = $1 SUBSEP $4
     if (!(key in seen)) { seen[key] = 1; order[++nkeys] = key }
@@ -93,6 +103,8 @@ END {
         "parent med [q1, q3]", "change med [q1, q3]", "wins", "verdict"
     for (k = 1; k <= nkeys; k++) {
         split(order[k], part, SUBSEP); w = part[1]; m = part[2]
+        # +1 when higher is better, -1 when lower is (the default).
+        dir = better[m] == "higher" ? 1 : -1
         n = 0; wins = 0; losses = 0; differs = 0
         for (i = 1; i <= npairs[w]; i++) {
             if (!((order[k], i, "parent") in val) || !((order[k], i, "change") in val)) {
@@ -101,8 +113,8 @@ END {
             n++
             p[n] = val[order[k], i, "parent"] + 0; c[n] = val[order[k], i, "change"] + 0
             if ((val[order[k], i, "parent"] "") != (val[order[k], i, "change"] "")) differs++
-            if (c[n] < p[n]) wins++
-            if (c[n] > p[n]) losses++
+            if (dir * (c[n] - p[n]) > 0) wins++
+            if (dir * (c[n] - p[n]) < 0) losses++
         }
         if (n == 0) continue
         if (m == "failed") {
@@ -114,12 +126,17 @@ END {
         sorted(p, n, ps); sorted(c, n, cs)
         pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
         iqr = quantile(ps, n, 0.75) - quantile(ps, n, 0.25)
+        gap = dir * (cm - pm)
         if (m ~ /^sim_/) {
             verdict = differs ? "DIFFERS" : "identical"
             if (differs) bad = 1
-        } else if (wins * 10 >= n * 9 && pm - cm > iqr) verdict = "gain"
-        else if (losses * 10 >= n * 9 && cm - pm > iqr) verdict = "worse"
+        } else if (wins * 10 >= n * 9 && gap > iqr) verdict = "gain"
+        else if (losses * 10 >= n * 9 && -gap > iqr) verdict = "worse"
         else verdict = "unresolved"
+        if ((m in bound) && -gap > bound[m] * pm) {
+            verdict = verdict ", over bound " bound[m]
+            bad = 1
+        }
         printf "%-14s %-15s %10.4f [%9.4f,%9.4f] %10.4f [%9.4f,%9.4f] %3d/%-2d  %s", w, m, \
             pm, quantile(ps, n, 0.25), quantile(ps, n, 0.75), \
             cm, quantile(cs, n, 0.25), quantile(cs, n, 0.75), wins, n, verdict
@@ -127,4 +144,4 @@ END {
         printf "\n"
     }
     exit bad
-}' "$rows"
+}' "$metrics" "$rows"

@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 
-use hxsim::{SimConfig, SteadyOpts};
+use hxsim::{SimConfig, SteadyOpts, MAX_VCS};
 use hxtopo::HyperX;
 
 use crate::value::{parse_json, parse_toml, Value};
@@ -752,7 +752,7 @@ impl ExperimentSpec {
         // point config so a bad override fails at load time, not mid-sweep.
         for p in self.expand() {
             let c = p.sim;
-            if c.num_vcs < 1
+            if !(1..=MAX_VCS).contains(&c.num_vcs)
                 || c.buf_flits < c.max_packet_flits
                 || c.max_packet_flits < 1
                 || c.watchdog_stall_cycles <= c.router_chan_latency
@@ -957,8 +957,14 @@ pub fn apply_sim_overrides(cfg: &mut SimConfig, t: &BTreeMap<String, Value>) -> 
                 .filter(|&i| i >= 0)
                 .ok_or_else(|| format!("sim.{k} must be a non-negative integer"))
         };
+        // Fields narrower than i64 take only what they can hold.
+        let ranged = |lo: i64, hi: i64| {
+            v.as_i64()
+                .filter(|i| (lo..=hi).contains(i))
+                .ok_or_else(|| format!("sim.{k} must be an integer in {lo}..={hi}"))
+        };
         match k.as_str() {
-            "num_vcs" => cfg.num_vcs = int()? as usize,
+            "num_vcs" => cfg.num_vcs = ranged(1, MAX_VCS as i64)? as usize,
             "buf_flits" => cfg.buf_flits = int()? as usize,
             "crossbar_latency" => cfg.crossbar_latency = int()? as u64,
             "crossbar_speedup" => cfg.crossbar_speedup = int()? as usize,
@@ -973,9 +979,11 @@ pub fn apply_sim_overrides(cfg: &mut SimConfig, t: &BTreeMap<String, Value>) -> 
                     .ok_or_else(|| format!("sim.{k} must be a boolean"))?
             }
             "watchdog_stall_cycles" => cfg.watchdog_stall_cycles = int()? as u64,
-            "max_packet_hops" => cfg.max_packet_hops = int()? as u8,
+            "max_packet_hops" => cfg.max_packet_hops = ranged(1, u8::MAX.into())? as u8,
             "retransmit_timeout" => cfg.retransmit_timeout = int()? as u64,
-            "retransmit_max_retries" => cfg.retransmit_max_retries = int()? as u32,
+            "retransmit_max_retries" => {
+                cfg.retransmit_max_retries = ranged(0, u32::MAX.into())? as u32
+            }
             "retransmit_backoff_cap" => cfg.retransmit_backoff_cap = int()? as u64,
             "llr_enabled" => {
                 cfg.llr_enabled = v
@@ -1238,6 +1246,55 @@ seed = [1, 2]
         assert_eq!(back.axes.seeds, s.axes.seeds);
         assert_eq!(back.sim.num_vcs, 3);
         assert_eq!(back.overrides.len(), 1);
+    }
+
+    /// `[sim]` integers narrower than the TOML integer are range-checked,
+    /// not truncated: an out-of-range value is an error naming its key.
+    fn sim_key(key: &str, value: &str) -> Result<ExperimentSpec, String> {
+        spec(&format!("{BASE}\n[sim]\n{key} = {value}\n"))
+    }
+
+    fn assert_names_key(r: Result<ExperimentSpec, String>, key: &str) {
+        let err = r.expect_err("out-of-range value accepted");
+        assert!(err.contains(&format!("sim.{key}")), "{err}");
+    }
+
+    #[test]
+    fn num_vcs_is_bounded_by_the_router_mask() {
+        assert_eq!(sim_key("num_vcs", "64").unwrap().sim.num_vcs, MAX_VCS);
+        assert_names_key(sim_key("num_vcs", "65"), "num_vcs");
+        assert_names_key(sim_key("num_vcs", "0"), "num_vcs");
+    }
+
+    #[test]
+    fn max_packet_hops_is_not_truncated() {
+        assert_eq!(
+            sim_key("max_packet_hops", "255")
+                .unwrap()
+                .sim
+                .max_packet_hops,
+            255
+        );
+        // 300 would otherwise wrap to a hop cap of 44.
+        assert_names_key(sim_key("max_packet_hops", "300"), "max_packet_hops");
+        assert_names_key(sim_key("max_packet_hops", "0"), "max_packet_hops");
+    }
+
+    #[test]
+    fn retransmit_max_retries_is_not_truncated() {
+        let max = u32::MAX.to_string();
+        assert_eq!(
+            sim_key("retransmit_max_retries", &max)
+                .unwrap()
+                .sim
+                .retransmit_max_retries,
+            u32::MAX
+        );
+        let over = (u32::MAX as u64 + 1).to_string();
+        assert_names_key(
+            sim_key("retransmit_max_retries", &over),
+            "retransmit_max_retries",
+        );
     }
 
     #[test]

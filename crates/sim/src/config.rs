@@ -1,5 +1,9 @@
 //! Simulator configuration.
 
+/// The most virtual channels a port may have: a router keeps each input
+/// port's VC occupancy in one `u64` mask.
+pub const MAX_VCS: usize = 64;
+
 /// Which inner-loop engine drives the simulation.
 ///
 /// Both engines produce bit-identical results (the differential
@@ -36,7 +40,7 @@ pub enum Engine {
 /// without becoming so deep that congestion back-pressure turns mushy.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// Virtual channels per port.
+    /// Virtual channels per port, 1 to [`MAX_VCS`].
     pub num_vcs: usize,
     /// Input buffer depth per VC, in flits. Must be at least
     /// `max_packet_flits` (virtual cut-through reserves whole packets).
@@ -219,6 +223,11 @@ impl SimConfig {
     pub fn validate(&self) {
         assert!(self.num_vcs >= 1, "need at least one VC");
         assert!(
+            self.num_vcs <= MAX_VCS,
+            "num_vcs ({}) exceeds the {MAX_VCS} VCs a router's occupancy mask holds",
+            self.num_vcs
+        );
+        assert!(
             self.buf_flits >= self.max_packet_flits,
             "virtual cut-through needs buf_flits ({}) >= max_packet_flits ({})",
             self.buf_flits,
@@ -336,6 +345,18 @@ mod tests {
         assert!(canon.llr_enabled);
         assert_eq!(canon.error_ber, 1e-5);
         assert_ne!(canon, SimConfig::default().canonical());
+    }
+
+    #[test]
+    #[should_panic(expected = "num_vcs (65) exceeds")]
+    fn vc_count_is_bounded_by_the_mask_width() {
+        let mut c = SimConfig {
+            num_vcs: MAX_VCS,
+            ..SimConfig::default()
+        };
+        c.validate();
+        c.num_vcs += 1;
+        c.validate();
     }
 
     #[test]

@@ -822,8 +822,10 @@ impl Network {
     /// wire, buffered downstream, and the credits still in flight back —
     /// plus at most one in-progress packet's whole-packet reservation when
     /// the VC is claimed. Every router's derived allocation
-    /// state (per-port occupancy counter, routed-prefix counts) is checked
-    /// against the credits and queues it summarizes, dead ports included.
+    /// state (per-port occupancy counter, routed-prefix counts, packet
+    /// buffer counters, per-VC flit counts, VC and output-active masks) is
+    /// checked against the credits and queues it summarizes, dead ports
+    /// included.
     /// Returns the list of violations (empty = sound).
     pub fn audit_flow_control(&self) -> Vec<String> {
         let mut errs = Vec::new();

@@ -26,8 +26,12 @@
 //! datapath state (input VC queues, credit/owner/backlog arrays, output
 //! queues) up front — empty queues hold no heap, and deferring the rest to
 //! first use measured no saving in peak bytes at any `fig2_sim` rung.
-//! Per-packet input buffers recycle their flit deques through an arena
-//! ([`Self::recycle_buf`]), keeping the steady-state tick allocation-free.
+//! A buffered packet is three counters, not a flit queue: its flits are
+//! always the consecutive indices `sent..arrived` (see [`PktBuf`]). Each
+//! input port keeps a `u64` mask of the VCs holding flits and the router
+//! one bit per output port with a queued flit, so allocation, switch
+//! traversal, link egress and [`Router::next_wake`] touch only VCs and
+//! ports that have work.
 
 use std::collections::VecDeque;
 
@@ -146,12 +150,23 @@ pub(crate) fn poison_packet(
 /// Flit order is preserved per packet, and packets still serialize on any
 /// single output VC through the ownership claim, so channels never see
 /// interleaved packets on one VC.
+///
+/// That is also why the buffer stores no flits. Channels deliver each VC
+/// in order (LLR replays go-back-N, in order too), and the upstream claim
+/// keeps a VC to one packet until its tail, so the flits that reach a
+/// buffer are the packet's indices `0, 1, 2, …` in turn; the crossbar
+/// takes them from the front. The buffered flits are therefore exactly
+/// `sent..arrived`, and a forwarded flit is rebuilt as `Flit { pkt, idx:
+/// sent, len }`.
 struct PktBuf {
     pkt: PacketId,
     /// Packet creation cycle, cached for age-based arbitration scans.
     birth: u64,
     route: Option<(u16, u8)>,
-    flits: VecDeque<Flit>,
+    /// Packet length in flits.
+    len: u16,
+    /// Flits of this packet received so far.
+    arrived: u16,
     /// Flits of this packet already forwarded out of this router (fault
     /// fallout uses this to refund exactly the unsent credit reservation).
     sent: u16,
@@ -176,6 +191,12 @@ pub struct Router {
     /// awaiting a route and `in_q[i][..routed[i]]` is all the crossbar may
     /// forward.
     routed: Vec<u32>,
+    /// Buffered flits per input VC: `Σ (arrived − sent)` over its packets.
+    vc_flits: Vec<u32>,
+    /// Per input port, bit `vc` set iff `vc_flits` of that VC is non-zero
+    /// (hence `num_vcs <= 64`). Walking the set bits upwards is the
+    /// ascending VC order the allocation and crossbar scans need.
+    vc_mask: Vec<u64>,
 
     // Output side.
     out_credits: Vec<u32>,
@@ -188,6 +209,8 @@ pub struct Router {
     /// Flits per output port inside the crossbar pipe + output queue.
     out_backlog: Vec<u32>,
     out_q: Vec<VecDeque<(Flit, u8)>>,
+    /// Bit `port` set iff `out_q[port]` is non-empty, 64 ports per word.
+    out_active: Vec<u64>,
 
     /// Crossbar delay pipe: (ready_cycle, flit, out_port, out_vc).
     xbar: VecDeque<(u64, Flit, u16, u8)>,
@@ -207,17 +230,9 @@ pub struct Router {
     rng: SmallRng,
     /// Total flits buffered on the input side (fast-path skip).
     flits_buffered: u32,
-    /// Flits buffered per input port (skips the per-port VC/buffer scans
-    /// in allocation and switch traversal when a port holds nothing).
-    port_flits: Vec<u32>,
     // Scratch buffers reused every cycle.
     heads: Vec<(u64, PacketId, u16, u8)>,
     cands: Vec<Candidate>,
-    /// Recycled flit deques for dismantled [`PktBuf`]s: head arrivals pop
-    /// from here instead of allocating, so the steady-state tick touches
-    /// the allocator only while the in-flight packet count is still
-    /// growing toward its high-water mark.
-    buf_pool: Vec<VecDeque<Flit>>,
 }
 
 impl Router {
@@ -244,11 +259,14 @@ impl Router {
             class_map: ClassMap::new(v, num_classes),
             in_q: (0..n * v).map(|_| VecDeque::new()).collect(),
             routed: vec![0; n * v],
+            vc_flits: vec![0; n * v],
+            vc_mask: vec![0; n],
             out_credits: vec![buf_cap; n * v],
             out_occ: vec![0; n],
             out_owner: vec![NO_OWNER; n * v],
             out_backlog: vec![0; n],
             out_q: (0..n).map(|_| VecDeque::new()).collect(),
+            out_active: vec![0; n.div_ceil(64)],
             xbar: VecDeque::new(),
             out_chan: vec![NO_WIRE; num_ports],
             in_chan: vec![NO_WIRE; num_ports],
@@ -257,16 +275,40 @@ impl Router {
             hop_cap: cfg.max_packet_hops,
             rng: SmallRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             flits_buffered: 0,
-            port_flits: vec![0; n],
             heads: Vec::new(),
             cands: Vec::new(),
-            buf_pool: Vec::new(),
         }
     }
 
     #[inline]
     fn pv(&self, port: usize, vc: usize) -> usize {
         port * self.num_vcs + vc
+    }
+
+    /// Counts one more flit buffered on input `(port, vc)`.
+    #[inline]
+    fn buffer_flit(&mut self, port: usize, vc: usize) {
+        let i = self.pv(port, vc);
+        self.vc_flits[i] += 1;
+        self.vc_mask[port] |= 1u64 << vc;
+        self.flits_buffered += 1;
+    }
+
+    /// Counts one flit leaving input `(port, vc)`, forwarded or reaped.
+    #[inline]
+    fn unbuffer_flit(&mut self, port: usize, vc: usize) {
+        let i = self.pv(port, vc);
+        self.vc_flits[i] -= 1;
+        if self.vc_flits[i] == 0 {
+            self.vc_mask[port] &= !(1u64 << vc);
+        }
+        self.flits_buffered -= 1;
+    }
+
+    /// Whether any output queue holds a flit.
+    #[inline]
+    fn egress_pending(&self) -> bool {
+        self.out_active.iter().any(|&w| w != 0)
     }
 
     /// Incoming channel of `port`, if wired.
@@ -288,9 +330,11 @@ impl Router {
         self.id
     }
 
-    /// Whether the router holds no work at all (fast-path skip helper).
+    /// Whether the router holds no work at all: no buffered input flit, no
+    /// flit in the crossbar pipe and no output queue marked active (with
+    /// the pipe empty, every port's backlog is its output queue).
     pub fn is_idle(&self) -> bool {
-        self.flits_buffered == 0 && self.xbar.is_empty() && self.out_backlog.iter().all(|&b| b == 0)
+        self.flits_buffered == 0 && self.xbar.is_empty() && !self.egress_pending()
     }
 
     /// Event engine: the next cycle this router must tick, given it just
@@ -304,8 +348,10 @@ impl Router {
     /// router stays awake; with only crossbar-pipe flits in flight it
     /// sleeps until the earliest maturity (the pipe is pushed in
     /// monotonically increasing ready order, so the front is the minimum).
+    /// Queued output flits are read off the output-active mask words, not
+    /// by visiting every port's queue.
     pub(crate) fn next_wake(&self, now: u64) -> Option<u64> {
-        if self.flits_buffered > 0 || self.out_q.iter().any(|q| !q.is_empty()) {
+        if self.flits_buffered > 0 || self.egress_pending() {
             return Some(now + 1);
         }
         self.xbar.front().map(|&(t, ..)| t.max(now + 1))
@@ -321,7 +367,7 @@ impl Router {
     pub fn input_occupancy(&self, port: usize, vc: usize) -> usize {
         self.in_q[port * self.num_vcs + vc]
             .iter()
-            .map(|p| p.flits.len())
+            .map(|p| (p.arrived - p.sent) as usize)
             .sum()
     }
 
@@ -353,11 +399,19 @@ impl Router {
     }
 
     /// Audits the derived allocation state against what it summarizes,
-    /// on every port (dead ones too): each port's occupancy counter must
-    /// equal `Σ_vc (buf_flits − credits)`, and each input VC's routed
-    /// packets must be exactly its first `routed` ones. Appends one line
-    /// per violation.
+    /// on every port (dead ones too):
+    /// - each port's occupancy counter equals `Σ_vc (buf_flits − credits)`;
+    /// - each input VC's routed packets are exactly its first `routed`;
+    /// - every packet buffer has `sent <= arrived <= len`;
+    /// - each input VC's flit count equals its packets' `Σ (arrived − sent)`;
+    /// - each input port's VC mask marks exactly the VCs holding flits;
+    /// - `flits_buffered` is the total over all input VCs;
+    /// - the output-active mask marks exactly the ports with a queued flit.
+    ///
+    /// Appends one line per violation.
     pub(crate) fn audit_derived_state(&self, errs: &mut Vec<String>) {
+        let mut buffered = 0;
+        let mut active = vec![0u64; self.out_active.len()];
         for port in 0..self.num_ports {
             let base = port * self.num_vcs;
             let occupied: u32 = self.out_credits[base..base + self.num_vcs]
@@ -370,6 +424,7 @@ impl Router {
                     self.id, self.out_occ[port]
                 ));
             }
+            let mut mask = 0u64;
             for vc in 0..self.num_vcs {
                 let routed = self.routed[base + vc] as usize;
                 let q = &self.in_q[base + vc];
@@ -384,7 +439,47 @@ impl Router {
                         q.len()
                     ));
                 }
+                if let Some(buf) = q.iter().find(|b| b.sent > b.arrived || b.arrived > b.len) {
+                    errs.push(format!(
+                        "router {} port {port} vc {vc}: packet {} has sent {} arrived {} len {}",
+                        self.id, buf.pkt, buf.sent, buf.arrived, buf.len
+                    ));
+                    continue;
+                }
+                let held = self.input_occupancy(port, vc);
+                if self.vc_flits[base + vc] as usize != held {
+                    errs.push(format!(
+                        "router {} port {port} vc {vc}: flit count {} but the buffers hold {held}",
+                        self.id,
+                        self.vc_flits[base + vc]
+                    ));
+                }
+                if held > 0 {
+                    mask |= 1u64 << vc;
+                }
+                buffered += held;
             }
+            if self.vc_mask[port] != mask {
+                errs.push(format!(
+                    "router {} port {port}: VC mask {:#x} but the VCs holding flits are {mask:#x}",
+                    self.id, self.vc_mask[port]
+                ));
+            }
+            if !self.out_q[port].is_empty() {
+                active[port >> 6] |= 1u64 << (port & 63);
+            }
+        }
+        if self.flits_buffered as usize != buffered {
+            errs.push(format!(
+                "router {}: flits_buffered {} but the buffers hold {buffered}",
+                self.id, self.flits_buffered
+            ));
+        }
+        if self.out_active != active {
+            errs.push(format!(
+                "router {}: output-active mask {:x?} but the queued ports are {active:x?}",
+                self.id, self.out_active
+            ));
         }
     }
 
@@ -476,13 +571,12 @@ impl Router {
             }
             let q = &mut self.in_q[port * self.num_vcs + vc as usize];
             if flit.is_head() {
-                let mut flits = self.buf_pool.pop().unwrap_or_default();
-                flits.clear();
                 q.push_back(PktBuf {
                     pkt: flit.pkt,
                     birth: ctx.pool.hot(flit.pkt).birth,
                     route: None,
-                    flits,
+                    len: flit.len,
+                    arrived: 0,
                     sent: 0,
                 });
                 // The buffer itself pins the packet slot until it
@@ -491,9 +585,9 @@ impl Router {
             }
             let back = q.back_mut().expect("body flit without a head");
             debug_assert_eq!(back.pkt, flit.pkt, "packets interleaved on one VC");
-            back.flits.push_back(flit);
-            self.flits_buffered += 1;
-            self.port_flits[port] += 1;
+            debug_assert_eq!(flit.idx, back.arrived, "flits out of order on one VC");
+            back.arrived += 1;
+            self.buffer_flit(port, vc as usize);
             ctx.stats.flit_moves += 1;
         }
     }
@@ -512,13 +606,6 @@ impl Router {
         }
     }
 
-    /// Returns a dismantled packet buffer's flit deque to the arena.
-    #[inline]
-    fn recycle_buf(&mut self, buf: PktBuf) {
-        debug_assert!(buf.flits.is_empty());
-        self.buf_pool.push(buf.flits);
-    }
-
     /// Phase 2: route computation + virtual cut-through VC allocation,
     /// oldest packet first.
     fn allocate(&mut self, topo: &dyn Topology, algo: &dyn RoutingAlgorithm, ctx: &mut TickCtx) {
@@ -535,18 +622,17 @@ impl Router {
         let mut heads = std::mem::take(&mut self.heads);
         heads.clear();
         for port in 0..self.num_ports {
-            // An unrouted packet with buffered flits implies a buffered
-            // flit on this port (routed packets may sit empty mid-stream,
-            // unrouted ones cannot), so empty ports have no heads.
-            if self.port_flits[port] == 0 {
-                continue;
-            }
-            for vc in 0..self.num_vcs {
+            // An unrouted packet holds at least its head flit (routed
+            // packets may sit empty mid-stream, unrouted ones cannot), so
+            // only VCs with buffered flits can have a head.
+            let mut vcs = self.vc_mask[port];
+            while vcs != 0 {
+                let vc = vcs.trailing_zeros() as usize;
+                vcs &= vcs - 1;
                 let i = self.pv(port, vc);
                 if let Some(buf) = self.in_q[i].get(self.routed[i] as usize) {
-                    if !buf.flits.is_empty() {
-                        heads.push((buf.birth, buf.pkt, port as u16, vc as u8));
-                    }
+                    debug_assert!(buf.arrived > buf.sent, "unrouted packet without flits");
+                    heads.push((buf.birth, buf.pkt, port as u16, vc as u8));
                 }
             }
         }
@@ -774,18 +860,21 @@ impl Router {
         let any_poisoned = ctx.pool.any_poisoned();
         for port in 0..self.num_ports {
             for _ in 0..self.xbar_speedup {
-                if self.port_flits[port] == 0 {
+                let mut vcs = self.vc_mask[port];
+                if vcs == 0 {
                     break;
                 }
                 // Oldest routed packet with buffered flits on this input
-                // port, across all VCs; routed packets are each queue's
-                // prefix, so the scan stops there.
+                // port, across the VCs that hold flits; routed packets are
+                // each queue's prefix, so the scan stops there.
                 let mut pick: Option<(u64, PacketId, usize, usize)> = None;
-                for vc in 0..self.num_vcs {
+                while vcs != 0 {
+                    let vc = vcs.trailing_zeros() as usize;
+                    vcs &= vcs - 1;
                     let i = self.pv(port, vc);
                     let routed = self.routed[i] as usize;
                     for (bi, buf) in self.in_q[i].iter().take(routed).enumerate() {
-                        if buf.flits.is_empty() {
+                        if buf.arrived == buf.sent {
                             continue;
                         }
                         if any_poisoned && ctx.pool.is_poisoned(buf.pkt) {
@@ -801,15 +890,17 @@ impl Router {
                 let i = self.pv(port, vc);
                 let buf = &mut self.in_q[i][bi];
                 let (out_port, out_vc) = buf.route.expect("picked a routed packet");
-                let flit = buf.flits.pop_front().expect("picked a non-empty packet");
+                let flit = Flit {
+                    pkt: buf.pkt,
+                    idx: buf.sent,
+                    len: buf.len,
+                };
                 buf.sent += 1;
-                self.flits_buffered -= 1;
-                self.port_flits[port] -= 1;
+                self.unbuffer_flit(port, vc);
                 ctx.stats.flit_moves += 1;
                 if flit.is_tail() {
-                    let buf = self.in_q[i].remove(bi).expect("indexed buffer exists");
+                    self.in_q[i].remove(bi);
                     self.routed[i] -= 1;
-                    self.recycle_buf(buf);
                     ctx.pool.note_flit_gone(flit.pkt); // the buffer's own pin
                     let o = self.pv(out_port as usize, out_vc as usize);
                     debug_assert_eq!(self.out_owner[o], flit.pkt);
@@ -833,26 +924,36 @@ impl Router {
                 break;
             }
             self.xbar.pop_front();
-            self.out_q[out_port as usize].push_back((flit, out_vc));
+            let port = out_port as usize;
+            self.out_q[port].push_back((flit, out_vc));
+            self.out_active[port >> 6] |= 1u64 << (port & 63);
         }
     }
 
-    /// Phase 5: one flit per output port onto the wire. A port whose LLR
-    /// replay window is full holds its flit — the queue keeps the router
-    /// awake ([`Self::next_wake`]) and the window reopens as acks arrive,
-    /// so the backpressure is transient.
+    /// Phase 5: one flit per output port onto the wire, visiting only the
+    /// ports the output-active mask marks (ascending, as a full scan
+    /// would). A port whose LLR replay window is full holds its flit — the
+    /// queue keeps the router awake ([`Self::next_wake`]) and the window
+    /// reopens as acks arrive, so the backpressure is transient.
     fn link_egress(&mut self, ctx: &mut TickCtx) {
-        for port in 0..self.num_ports {
-            if self.out_q[port].is_empty() {
-                continue;
+        for w in 0..self.out_active.len() {
+            let mut ports = self.out_active[w];
+            while ports != 0 {
+                let port = w << 6 | ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                let ch = self.out_ch(port).expect("queued flit on unwired port");
+                if !ctx.channels[ch].ready_for_flit() {
+                    continue;
+                }
+                let (flit, vc) = self.out_q[port]
+                    .pop_front()
+                    .expect("active port has a flit");
+                if self.out_q[port].is_empty() {
+                    self.out_active[w] &= !(1u64 << (port & 63));
+                }
+                self.out_backlog[port] -= 1;
+                ctx.send_flit(ch, flit, vc);
             }
-            let ch = self.out_ch(port).expect("queued flit on unwired port");
-            if !ctx.channels[ch].ready_for_flit() {
-                continue;
-            }
-            let (flit, vc) = self.out_q[port].pop_front().expect("checked non-empty");
-            self.out_backlog[port] -= 1;
-            ctx.send_flit(ch, flit, vc);
         }
     }
 
@@ -887,8 +988,7 @@ impl Router {
         for vc in 0..self.num_vcs {
             let i = self.pv(port, vc);
             for buf in &self.in_q[i] {
-                let len = pool.hot(buf.pkt).len;
-                if (buf.sent as usize + buf.flits.len()) < len as usize {
+                if buf.arrived < buf.len {
                     poison_packet(
                         pool,
                         stats,
@@ -925,8 +1025,7 @@ impl Router {
                         bi += 1;
                         continue;
                     }
-                    let mut buf = self.in_q[i].remove(bi).expect("indexed buffer exists");
-                    let len = pool.hot(buf.pkt).len;
+                    let buf = self.in_q[i].remove(bi).expect("indexed buffer exists");
                     if let Some((op, ov)) = buf.route {
                         self.routed[i] -= 1;
                         let o = self.pv(op as usize, ov as usize);
@@ -939,21 +1038,19 @@ impl Router {
                         // The refund clamps at capacity, so the port counter
                         // moves by what the credits actually gained.
                         let refund =
-                            ((len - buf.sent) as u32).min(self.buf_cap - self.out_credits[o]);
+                            ((buf.len - buf.sent) as u32).min(self.buf_cap - self.out_credits[o]);
                         self.out_credits[o] += refund;
                         self.out_occ[op as usize] -= refund;
                     }
-                    for flit in buf.flits.drain(..) {
-                        self.flits_buffered -= 1;
-                        self.port_flits[port] -= 1;
+                    for _ in buf.sent..buf.arrived {
+                        self.unbuffer_flit(port, vc);
                         stats.dropped_flits += 1;
                         if self.in_chan[port] != NO_WIRE {
                             channels[self.in_chan[port] as usize].send_credit(now, vc as u8);
                         }
-                        pool.note_flit_gone(flit.pkt);
+                        pool.note_flit_gone(buf.pkt);
                     }
                     pool.note_flit_gone(buf.pkt); // the buffer's own pin
-                    self.recycle_buf(buf);
                 }
             }
         }
@@ -974,6 +1071,7 @@ impl Router {
             }
         }
         let q = std::mem::take(&mut self.out_q[port]);
+        self.out_active[port >> 6] &= !(1u64 << (port & 63));
         for (flit, _) in q {
             self.out_backlog[port] -= 1;
             stats.dropped_flits += 1;
@@ -1055,6 +1153,91 @@ mod tests {
         assert_eq!(r.next_wake(10), None);
         assert_eq!(r.credits(0, 0), cfg.buf_flits as u32);
         assert_eq!(r.input_occupancy(3, 1), 0);
+    }
+
+    /// A counter buffer cut off mid-packet: a 5-flit packet's head and
+    /// first body flit are buffered on input port 0 when that port's link
+    /// dies. The packet is incomplete (`arrived < len`), so it is poisoned;
+    /// reaping it frees exactly the two buffered slots — two credits
+    /// upstream, two dropped flits — and drops the last pin on its slot.
+    #[test]
+    fn reap_drops_exactly_the_buffered_prefix_of_a_cut_packet() {
+        let cfg = SimConfig::default();
+        let mut r = Router::new(0, 2, &cfg, 2, 7);
+        let mut channels: Vec<Channel> = (0..2).map(|_| Channel::new(1)).collect();
+        for p in 0..2 {
+            r.out_chan[p] = p as u32;
+            r.in_chan[p] = p as u32;
+            r.live_ports[p] = true;
+        }
+        let mut pool = PacketPool::new();
+        let id = pool.alloc(crate::packet::Packet {
+            src: 0,
+            dst: 1,
+            dst_router: 1,
+            len: 5,
+            hops: 0,
+            birth: 0,
+            inject: 0,
+            route: PacketRouteState::default(),
+            tag: 0,
+            seq: 0,
+        });
+        let vc = 3u8;
+        for idx in 0..2 {
+            channels[0].send_flit(
+                idx as u64,
+                Flit {
+                    pkt: id,
+                    idx,
+                    len: 5,
+                },
+                vc,
+            );
+            pool.note_flit_created(id);
+        }
+        let mut stats = Stats::default();
+        r.ingress_flits(
+            0,
+            &mut TickCtx {
+                now: 2,
+                channels: &mut channels,
+                pool: &mut pool,
+                stats: &mut stats,
+                delivered: &mut Vec::new(),
+                trace: None,
+                metrics: None,
+                hop_capped: &mut Vec::new(),
+                timed: false,
+                timers: Default::default(),
+                wakes: None,
+            },
+        );
+        assert_eq!(r.input_occupancy(0, vc as usize), 2);
+        assert_eq!(r.vc_mask[0], 1 << vc);
+        let mut errs = Vec::new();
+        r.audit_derived_state(&mut errs);
+        assert_eq!(errs, Vec::<String>::new());
+
+        r.poison_port_traffic(0, &mut pool, &mut stats, None, 2);
+        assert!(pool.is_poisoned(id), "incomplete packet not poisoned");
+        assert_eq!(stats.dropped_packets, 1);
+        assert_eq!(
+            pool.live(),
+            1,
+            "two flits and the buffer still pin the slot"
+        );
+
+        r.reap_poisoned(2, &mut pool, &mut stats, &mut channels);
+        assert_eq!(channels[0].credits_in_flight().count(), 2);
+        assert!(channels[0].credits_in_flight().all(|v| v == vc));
+        assert_eq!(stats.dropped_flits, 2);
+        assert_eq!(pool.live(), 0, "refcount did not reach zero");
+        assert!(!pool.any_poisoned());
+        assert!(r.is_idle());
+        assert_eq!(r.vc_mask[0], 0);
+        r.audit_derived_state(&mut errs);
+        assert_eq!(errs, Vec::<String>::new());
     }
 
     /// A view that answers only the per-VC primitives, so the aggregate

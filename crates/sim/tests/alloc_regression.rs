@@ -2,8 +2,9 @@
 //! one tick body, so both must hold together).
 //!
 //! The scale refactor's contract: once a simulation reaches steady state
-//! (every router materialized, the flit-buffer arena and hint buffer grown
-//! to their working size, the event queue warm), ticking allocates
+//! (every router's packet-buffer and output queues, the hint buffer and
+//! the scratch lists grown to their working size, the event queue warm;
+//! buffered packets are counters and own no flit storage), ticking allocates
 //! *nothing* — all per-tick scratch is recycled. This is what lets the
 //! 100k-terminal runs in `fig2_sim` spend their time simulating instead of
 //! in the allocator, and it is easy to regress silently (one `Vec::new()`

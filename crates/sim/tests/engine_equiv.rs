@@ -10,7 +10,8 @@
 //! The matrix runs channel and crossbar latencies of 2/5/8 cycles, all far
 //! inside the event queue's 256-cycle calendar. One more cell per fault
 //! kind runs 300-cycle wires and crossbars, so the queue's overflow heap
-//! and an arrival ring longer than the calendar are compared too.
+//! and an arrival ring longer than the calendar are compared too. One
+//! cell runs 64 VCs, the most a router's per-port VC mask holds.
 //!
 //! hxsim cannot depend on hxtraffic, so the UR and DCR destination rules
 //! are re-derived here over a reversal-symmetric HyperX with a local
@@ -179,20 +180,24 @@ struct RunOutcome {
 /// multiplied by this when the wires are long.
 const LONG_WIRE_SCALE: u64 = 10;
 
-fn run_once(
+/// A cell's simulation and workload, ready to run for `CYCLES` (times
+/// [`LONG_WIRE_SCALE`] with long wires).
+fn build(
     algo_name: &str,
     pattern: Pattern,
     load: f64,
     scenario: Scenario,
     long_wires: bool,
     engine: Engine,
-) -> RunOutcome {
+    num_vcs: usize,
+) -> (Sim, RecordingTraffic) {
     let x = if long_wires { LONG_WIRE_SCALE } else { 1 };
     let hx = Arc::new(HyperX::uniform(2, 3, 2));
-    let algo: Arc<dyn RoutingAlgorithm> = hyperx_algorithm(algo_name, hx.clone(), 8)
+    let algo: Arc<dyn RoutingAlgorithm> = hyperx_algorithm(algo_name, hx.clone(), num_vcs)
         .expect("registered algorithm")
         .into();
     let mut cfg = SimConfig {
+        num_vcs,
         buf_flits: 32,
         crossbar_latency: 5,
         router_chan_latency: 8,
@@ -262,7 +267,23 @@ fn run_once(
             );
         }
     }
-    let mut wl = RecordingTraffic::new(hx, pattern, load, 0xE11A_5EED ^ load.to_bits());
+    let wl = RecordingTraffic::new(hx, pattern, load, 0xE11A_5EED ^ load.to_bits());
+    (sim, wl)
+}
+
+fn run_once(
+    algo_name: &str,
+    pattern: Pattern,
+    load: f64,
+    scenario: Scenario,
+    long_wires: bool,
+    engine: Engine,
+    num_vcs: usize,
+) -> RunOutcome {
+    let x = if long_wires { LONG_WIRE_SCALE } else { 1 };
+    let (mut sim, mut wl) = build(
+        algo_name, pattern, load, scenario, long_wires, engine, num_vcs,
+    );
     sim.run(&mut wl, CYCLES * x);
     let s = &sim.stats;
     RunOutcome {
@@ -292,7 +313,7 @@ fn check_matrix(scenario: Scenario) {
     for algo in ALGOS {
         for pattern in PATTERNS {
             for load in LOADS {
-                check_cell(algo, pattern, load, scenario, false);
+                check_cell(algo, pattern, load, scenario, false, 8);
             }
         }
     }
@@ -300,14 +321,21 @@ fn check_matrix(scenario: Scenario) {
 
 /// One cell: the cycle engine is the reference; the event engine must
 /// reproduce it.
-fn check_cell(algo: &str, pattern: Pattern, load: f64, scenario: Scenario, long_wires: bool) {
+fn check_cell(
+    algo: &str,
+    pattern: Pattern,
+    load: f64,
+    scenario: Scenario,
+    long_wires: bool,
+    num_vcs: usize,
+) {
     let wires = if long_wires { "/long-wires" } else { "" };
     let cell = format!(
-        "{algo}/{}/load={load}/{}{wires}",
+        "{algo}/{}/load={load}/{}{wires}/{num_vcs}-vcs",
         pattern.name(),
         scenario.name()
     );
-    let run = |engine| run_once(algo, pattern, load, scenario, long_wires, engine);
+    let run = |engine| run_once(algo, pattern, load, scenario, long_wires, engine, num_vcs);
     let reference = run(Engine::Cycle);
     assert!(
         reference.stats.2 > 0,
@@ -373,8 +401,30 @@ fn engines_equivalent_with_error_model() {
 #[test]
 fn engines_equivalent_beyond_the_calendar_horizon() {
     for scenario in [Scenario::FaultFree, Scenario::Faults, Scenario::ErrorModel] {
-        check_cell("OmniWAR", Pattern::Ur, 0.1, scenario, true);
+        check_cell("OmniWAR", Pattern::Ur, 0.1, scenario, true, 8);
     }
+}
+
+/// 64 VCs, the most a router's per-port occupancy mask holds, under the
+/// link and router kill/revive schedule. Terminals inject on a random
+/// fully-credited VC, so input VC 63 — the mask's top bit — carries
+/// traffic; a cycle-by-cycle replay confirms it held flits.
+#[test]
+fn engines_equivalent_at_64_vcs() {
+    let (algo, pattern, load, scenario) = ("DimWAR", Pattern::Ur, 0.7, Scenario::Faults);
+    check_cell(algo, pattern, load, scenario, false, 64);
+    let (mut sim, mut wl) = build(algo, pattern, load, scenario, false, Engine::Cycle, 64);
+    let topo = sim.net.topo.clone();
+    let mut top_vc_flits = 0;
+    for _ in 0..CYCLES {
+        sim.step(&mut wl);
+        for r in 0..topo.num_routers() {
+            for p in 0..topo.num_ports(r) {
+                top_vc_flits += sim.net.router(r).input_occupancy(p, 63);
+            }
+        }
+    }
+    assert!(top_vc_flits > 0, "no flit was ever buffered on VC 63");
 }
 
 /// One hop-capped run: the outcome plus the trace's `(tag, cycle)` of

@@ -34,12 +34,6 @@ impl Dissemination {
         debug_assert!(k < self.rounds.max(1));
         (i + (1usize << k)) % self.n
     }
-
-    /// Peer node `i` receives from in round `k`.
-    pub fn recv_peer(&self, i: usize, k: u32) -> usize {
-        let step = (1usize << k) % self.n;
-        (i + self.n - step) % self.n
-    }
 }
 
 #[cfg(test)]
@@ -56,13 +50,12 @@ mod tests {
     }
 
     #[test]
-    fn send_recv_are_inverse() {
+    fn send_peer_permutes_each_round() {
         let d = Dissemination::new(37);
         for k in 0..d.rounds() {
-            for i in 0..37 {
-                let to = d.send_peer(i, k);
-                assert_eq!(d.recv_peer(to, k), i, "round {k} node {i}");
-            }
+            let mut to: Vec<usize> = (0..37).map(|i| d.send_peer(i, k)).collect();
+            to.sort_unstable();
+            assert_eq!(to, (0..37).collect::<Vec<_>>(), "round {k}");
         }
     }
 
@@ -70,7 +63,6 @@ mod tests {
     fn round_zero_is_plus_minus_one() {
         let d = Dissemination::new(16);
         assert_eq!(d.send_peer(3, 0), 4);
-        assert_eq!(d.recv_peer(3, 0), 2);
         assert_eq!(d.send_peer(15, 0), 0, "wraps around");
     }
 
@@ -80,15 +72,17 @@ mod tests {
     fn dependency_closure_covers_all_nodes() {
         let n = 20;
         let d = Dissemination::new(n);
+        // The node `j` receives from in round `k`.
+        let sender = |j: usize, k: u32| (0..n).find(|&i| d.send_peer(i, k) == j).unwrap();
         for i in 0..n {
             let mut reached = std::collections::HashSet::from([i]);
             let mut frontier = vec![i];
             for k in (0..d.rounds()).rev() {
-                // Node j's round-k completion depends on recv_peer(j, k)'s
-                // round-(k-1) completion.
+                // Node j's round-k completion depends on its round-k
+                // sender's round-(k-1) completion.
                 let mut next = frontier.clone();
                 for &j in &frontier {
-                    let dep = d.recv_peer(j, k);
+                    let dep = sender(j, k);
                     if reached.insert(dep) {
                         next.push(dep);
                     }

@@ -192,11 +192,6 @@ impl StencilApp {
         app
     }
 
-    /// Total processes.
-    pub fn num_procs(&self) -> usize {
-        self.place.len()
-    }
-
     /// Completion cycle of the whole run (None while running).
     pub fn finish_cycle(&self) -> Option<u64> {
         if self.unfinished == 0 {

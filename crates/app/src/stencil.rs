@@ -20,7 +20,7 @@ pub enum NeighborKind {
 
 impl NeighborKind {
     /// Relative message weight for a sub-cube of side `n`.
-    pub fn weight(self, n: usize) -> usize {
+    pub(crate) fn weight(self, n: usize) -> usize {
         match self {
             NeighborKind::Face => n * n,
             NeighborKind::Edge => n,
@@ -85,19 +85,14 @@ impl StencilGrid {
         self.dims[0] * self.dims[1] * self.dims[2]
     }
 
-    /// Grid dimensions.
-    pub fn dims(&self) -> [usize; 3] {
-        self.dims
-    }
-
     /// Process coordinate (little-endian: x fastest).
-    pub fn coord_of(&self, p: usize) -> [usize; 3] {
+    pub(crate) fn coord_of(&self, p: usize) -> [usize; 3] {
         let [px, py, _] = self.dims;
         [p % px, (p / px) % py, p / (px * py)]
     }
 
     /// Process id at a (periodic) coordinate.
-    pub fn proc_at(&self, x: isize, y: isize, z: isize) -> usize {
+    pub(crate) fn proc_at(&self, x: isize, y: isize, z: isize) -> usize {
         let [px, py, pz] = self.dims;
         let w = |v: isize, m: usize| ((v % m as isize + m as isize) % m as isize) as usize;
         w(x, px) + w(y, py) * px + w(z, pz) * px * py
@@ -205,11 +200,11 @@ mod tests {
 
     #[test]
     fn near_cubic_factorizations() {
-        assert_eq!(StencilGrid::near_cubic(64).dims(), [4, 4, 4]);
+        assert_eq!(StencilGrid::near_cubic(64).dims, [4, 4, 4]);
         assert_eq!(StencilGrid::near_cubic(4096).num_procs(), 4096);
-        let d = StencilGrid::near_cubic(4096).dims();
+        let d = StencilGrid::near_cubic(4096).dims;
         assert_eq!(d, [16, 16, 16]);
-        let d = StencilGrid::near_cubic(256).dims();
+        let d = StencilGrid::near_cubic(256).dims;
         let (lo, hi) = (d.iter().min().unwrap(), d.iter().max().unwrap());
         assert!(hi - lo <= 4, "256 should factor near-cubically: {d:?}");
     }

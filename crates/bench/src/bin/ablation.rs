@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use hxbench::{evaluation_config, evaluation_hyperx, render_table, write_jsonl, CommonArgs};
+use hxbench::{evaluation_hyperx, render_table, write_jsonl, CommonArgs};
 use hxcore::{DimWar, OmniWar, RoutingAlgorithm};
 use hxsim::{run_steady_state, Sim, SimConfig, SteadyOpts};
 use hxtopo::{HyperX, Topology};
@@ -54,7 +54,7 @@ fn run_one(
 fn main() {
     let (common, _) = CommonArgs::parse_env(&[], &[]);
     let seed = common.seed;
-    let cfg = evaluation_config();
+    let cfg = SimConfig::default();
     let hx = evaluation_hyperx(common.full);
     let mut rows: Vec<Row> = Vec::new();
 

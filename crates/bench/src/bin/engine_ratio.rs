@@ -28,9 +28,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hxbench::{evaluation_config, evaluation_hyperx, CommonArgs};
+use hxbench::{evaluation_hyperx, CommonArgs};
 use hxcore::hyperx_algorithm;
-use hxsim::{Engine, Sim};
+use hxsim::{Engine, Sim, SimConfig};
 use hxtopo::Topology;
 use hxtraffic::{pattern_by_name, SyntheticWorkload};
 use serde::Serialize;
@@ -138,8 +138,10 @@ fn main() {
         let mut load_fp: Option<Vec<u64>> = None;
         let mut cycle_secs = None;
         for &engine in &engines {
-            let mut cfg = evaluation_config();
-            cfg.engine = engine;
+            let cfg = SimConfig {
+                engine,
+                ..SimConfig::default()
+            };
             let algo: Arc<dyn hxcore::RoutingAlgorithm> =
                 hyperx_algorithm(&algo_name, hx.clone(), cfg.num_vcs)
                     .unwrap_or_else(|| panic!("unknown algorithm {algo_name}"))

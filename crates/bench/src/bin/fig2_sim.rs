@@ -29,9 +29,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hxbench::{evaluation_config, CommonArgs};
+use hxbench::CommonArgs;
 use hxcore::hyperx_algorithm;
-use hxsim::{CountingAllocator, Engine, Sim};
+use hxsim::{CountingAllocator, Engine, Sim, SimConfig};
 use hxtopo::{HyperX, Topology};
 use hxtraffic::{pattern_by_name, SyntheticWorkload};
 use serde::Serialize;
@@ -93,8 +93,10 @@ fn run_point(rung: &Rung, default_algo: &str, seed: u64, engine: Engine) -> Poin
 
     let t0 = Instant::now();
     let hx = Arc::new(HyperX::uniform(rung.dims, rung.width, rung.terms));
-    let mut cfg = evaluation_config();
-    cfg.engine = engine;
+    let cfg = SimConfig {
+        engine,
+        ..SimConfig::default()
+    };
     let algo: Arc<dyn hxcore::RoutingAlgorithm> =
         hyperx_algorithm(algo_name, hx.clone(), cfg.num_vcs)
             .unwrap_or_else(|| panic!("unknown algorithm {algo_name}"))

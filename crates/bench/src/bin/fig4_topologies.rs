@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use hxapp::{Placement, StencilApp, StencilConfig, StencilGrid};
-use hxbench::{evaluation_config, parallel_map, render_table, write_jsonl, CommonArgs};
+use hxbench::{parallel_map, render_table, write_jsonl, CommonArgs};
 use hxcore::{DfPolicy, DragonflyRouting, FatTreeRouting, OmniWar, RoutingAlgorithm};
 use hxsim::{Sim, SimConfig};
 use hxtopo::{Dragonfly, FatTree, HyperX, Topology};
@@ -92,7 +92,7 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|| vec![1, if full { 16 } else { 4 }]);
-    let cfg: SimConfig = evaluation_config();
+    let cfg = SimConfig::default();
 
     let sys = systems(full, cfg.num_vcs);
     // Same process count everywhere so the work is identical.

@@ -11,11 +11,9 @@
 use std::sync::Arc;
 
 use hxapp::{PhaseMode, Placement, StencilApp, StencilConfig};
-use hxbench::{
-    evaluation_config, evaluation_hyperx, parallel_map, render_table, write_jsonl, CommonArgs,
-};
+use hxbench::{evaluation_hyperx, parallel_map, render_table, write_jsonl, CommonArgs};
 use hxcore::hyperx_algorithm;
-use hxsim::Sim;
+use hxsim::{Sim, SimConfig};
 use hxtopo::Topology;
 use serde::Serialize;
 
@@ -62,7 +60,7 @@ fn main() {
         .unwrap_or_else(|| DEFAULT_ALGOS.iter().map(|s| s.to_string()).collect());
 
     let hx = evaluation_hyperx(full);
-    let cfg = evaluation_config();
+    let cfg = SimConfig::default();
 
     let mut work = Vec::new();
     for phase in &phases {

@@ -15,9 +15,7 @@
 
 use std::sync::Arc;
 
-use hxbench::{
-    evaluation_config, evaluation_hyperx, parallel_map, render_table, write_jsonl, CommonArgs,
-};
+use hxbench::{evaluation_hyperx, parallel_map, render_table, write_jsonl, CommonArgs};
 use hxcore::hyperx_algorithm;
 use hxsim::{run_steady_state, Sim, SimConfig, SteadyOpts};
 use hxtopo::Topology;
@@ -36,7 +34,7 @@ fn main() {
     let (common, _) = CommonArgs::parse_env(&[], &[]);
     let (full, seed) = (common.full, common.seed);
     let hx = evaluation_hyperx(full);
-    let base_cfg = evaluation_config();
+    let base_cfg = SimConfig::default();
 
     // (label, min flits, max flits)
     let sizes: Vec<(&str, u16, u16)> = vec![("1", 1, 1), ("1..16", 1, 16), ("16", 16, 16)];

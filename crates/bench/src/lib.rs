@@ -22,7 +22,7 @@
 //! Each binary accepts the uniform switches `--full` (the paper's
 //! 4,096-node configuration; default is a reduced 256-node network that
 //! preserves the qualitative shapes), `--seed N` and `--json PATH` for
-//! machine-readable output — see [`args::CommonArgs`] — and exits with
+//! machine-readable output — see [`CommonArgs`] — and exits with
 //! status 2 on any option it does not accept. This library holds
 //! the shared plumbing: the CLI surface and the table renderer
 //! (re-exported from `hxharness`), an order-preserving parallel map over
@@ -32,10 +32,9 @@ use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hxsim::SimConfig;
 use hxtopo::HyperX;
 
-pub mod args;
+mod args;
 
 pub use args::{Args, CommonArgs};
 pub use hxharness::render_table;
@@ -49,11 +48,6 @@ pub fn evaluation_hyperx(full: bool) -> Arc<HyperX> {
     } else {
         Arc::new(HyperX::uniform(3, 4, 4))
     }
-}
-
-/// The paper's Section 6 simulator configuration.
-pub fn evaluation_config() -> SimConfig {
-    SimConfig::default()
 }
 
 /// Order-preserving parallel map over `items`, using all cores (scoped

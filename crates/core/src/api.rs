@@ -210,18 +210,6 @@ impl ClassMap {
         }
     }
 
-    /// Number of physical VCs.
-    #[inline]
-    pub fn num_vcs(&self) -> usize {
-        self.num_vcs
-    }
-
-    /// Number of resource classes.
-    #[inline]
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
     /// First VC of class `c`.
     #[inline]
     pub fn first_vc(&self, c: usize) -> usize {

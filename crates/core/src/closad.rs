@@ -37,7 +37,7 @@ pub struct ClosAd {
 impl ClosAd {
     /// Creates Clos-AD for `hx` with `num_vcs` VCs split into two phase
     /// classes.
-    pub fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
         ClosAd {
             base: HxBase::new(hx, num_vcs, 2),
         }

@@ -25,9 +25,9 @@ use crate::hyperx_common::HxBase;
 use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// The adaptive resource class.
-pub const CLASS_ADAPTIVE: usize = 0;
+pub(crate) const CLASS_ADAPTIVE: usize = 0;
 /// The escape (DOR) resource class.
-pub const CLASS_ESCAPE: usize = 1;
+pub(crate) const CLASS_ESCAPE: usize = 1;
 
 /// Weight penalty keeping packets off the escape class while adaptive
 /// candidates are viable (escape is a last resort by construction).
@@ -41,7 +41,7 @@ pub struct Dal {
 impl Dal {
     /// Creates DAL for `hx` with `num_vcs` VCs split between the adaptive
     /// and escape classes.
-    pub fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
         Dal {
             base: HxBase::new(hx, num_vcs, 2),
         }

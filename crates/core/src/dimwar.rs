@@ -30,9 +30,9 @@ use crate::hyperx_common::HxBase;
 use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// The resource class minimal hops ride on.
-pub const CLASS_MINIMAL: usize = 0;
+pub(crate) const CLASS_MINIMAL: usize = 0;
 /// The resource class deroute hops ride on.
-pub const CLASS_DEROUTE: usize = 1;
+pub(crate) const CLASS_DEROUTE: usize = 1;
 
 /// Dimensionally-ordered weighted adaptive routing.
 pub struct DimWar {

@@ -23,7 +23,7 @@ pub struct Dor {
 impl Dor {
     /// Creates DOR for `hx` with `num_vcs` virtual channels (all spent on
     /// head-of-line-blocking relief — DOR needs only one class).
-    pub fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
         Dor {
             base: HxBase::new(hx, num_vcs, 1),
         }

@@ -54,7 +54,7 @@ impl DragonflyRouting {
 
     /// The minimal next-hop port from `router` toward `target`
     /// (local-global-local). `None` when already there.
-    pub fn min_port(&self, router: usize, target: usize) -> Option<usize> {
+    pub(crate) fn min_port(&self, router: usize, target: usize) -> Option<usize> {
         if router == target {
             return None;
         }

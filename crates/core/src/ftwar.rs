@@ -50,7 +50,7 @@ impl FtWar {
     ///
     /// # Panics
     /// Panics if `dims + deroutes > num_vcs`.
-    pub fn new(hx: Arc<HyperX>, num_vcs: usize, deroutes: usize) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize, deroutes: usize) -> Self {
         let classes = hx.dims() + deroutes;
         assert!(
             classes <= num_vcs,
@@ -65,15 +65,10 @@ impl FtWar {
     /// Creates FT-WAR using every VC as a distance class, i.e.
     /// `M = num_vcs - dims` deroutes — the deepest escape budget the VC
     /// set affords.
-    pub fn max_deroutes(hx: Arc<HyperX>, num_vcs: usize) -> Self {
+    pub(crate) fn max_deroutes(hx: Arc<HyperX>, num_vcs: usize) -> Self {
         let dims = hx.dims();
         assert!(num_vcs >= dims, "need at least one VC per dimension");
         Self::new(hx, num_vcs, num_vcs - dims)
-    }
-
-    /// The number of deroutes this instance may take (`M`).
-    pub fn deroutes(&self) -> usize {
-        self.classes - self.base.hx.dims()
     }
 }
 

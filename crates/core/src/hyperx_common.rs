@@ -10,12 +10,12 @@ use crate::weight::{candidate_congestion, weight};
 /// Topology + class-map bundle every HyperX algorithm carries.
 #[derive(Clone)]
 pub(crate) struct HxBase {
-    pub hx: Arc<HyperX>,
-    pub map: ClassMap,
+    pub(crate) hx: Arc<HyperX>,
+    pub(crate) map: ClassMap,
 }
 
 impl HxBase {
-    pub fn new(hx: Arc<HyperX>, num_vcs: usize, num_classes: usize) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize, num_classes: usize) -> Self {
         HxBase {
             hx,
             map: ClassMap::new(num_vcs, num_classes),
@@ -25,7 +25,7 @@ impl HxBase {
     /// The dimension-order-routing next hop from `router` toward `target`:
     /// the port aligning the lowest-indexed unaligned dimension.
     /// Returns `None` when already at the target.
-    pub fn dor_port(&self, router: usize, target: usize) -> Option<usize> {
+    pub(crate) fn dor_port(&self, router: usize, target: usize) -> Option<usize> {
         let cur = self.hx.coord_of(router);
         let dst = self.hx.coord_of(target);
         let d = cur.first_unaligned(&dst)?;
@@ -35,7 +35,7 @@ impl HxBase {
     /// Builds a weighted candidate for `(port, class)` with `hops` total
     /// remaining hops (including this one).
     #[inline]
-    pub fn candidate(
+    pub(crate) fn candidate(
         &self,
         view: &dyn RouterView,
         port: usize,
@@ -55,7 +55,7 @@ impl HxBase {
 
     /// Minimal router-hop distance between two routers.
     #[inline]
-    pub fn hops(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn hops(&self, a: usize, b: usize) -> usize {
         self.hx.coord_of(a).unaligned_count(&self.hx.coord_of(b))
     }
 }

@@ -26,7 +26,7 @@ pub struct MinAd {
 impl MinAd {
     /// Creates MinAD for `hx` with `num_vcs` VCs split into `dims`
     /// distance classes.
-    pub fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
         let dims = hx.dims();
         MinAd {
             base: HxBase::new(hx, num_vcs, dims),

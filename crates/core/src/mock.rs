@@ -17,7 +17,7 @@ pub struct MockView {
     /// Output queue backlog per port.
     pub queues: Vec<usize>,
     /// Whether each port's outgoing link is up.
-    pub live: Vec<bool>,
+    pub(crate) live: Vec<bool>,
     /// Link-health penalty per port (gray-failure pressure in weight
     /// units; see `RouterView::link_health_penalty`).
     pub health: Vec<u64>,

@@ -74,11 +74,6 @@ impl OmniWar {
             restrict_backtoback,
         }
     }
-
-    /// The number of deroutes this instance may take (`M`).
-    pub fn deroutes(&self) -> usize {
-        self.classes - self.base.hx.dims()
-    }
 }
 
 impl RoutingAlgorithm for OmniWar {

@@ -28,7 +28,7 @@ pub struct Ugal {
 impl Ugal {
     /// Creates UGAL for `hx` with `num_vcs` VCs split into two phase
     /// classes.
-    pub fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
         Ugal {
             base: HxBase::new(hx, num_vcs, 2),
         }

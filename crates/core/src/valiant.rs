@@ -25,7 +25,7 @@ pub struct Valiant {
 impl Valiant {
     /// Creates VAL for `hx` with `num_vcs` virtual channels split into the
     /// two phase classes.
-    pub fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
         Valiant {
             base: HxBase::new(hx, num_vcs, 2),
         }

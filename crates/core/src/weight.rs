@@ -72,7 +72,7 @@ pub fn candidate_congestion(
 /// congestion difference would trigger a deroute whose extra hop costs
 /// ~100 cycles — adaptive algorithms would burn bandwidth and latency on
 /// transient noise and lose to DOR on latency-sensitive phases.
-pub const HOP_LATENCY: u64 = 100;
+pub(crate) const HOP_LATENCY: u64 = 100;
 
 /// The latency estimate all adaptive algorithms minimize:
 /// `(congestion + HOP_LATENCY) x hopcount`.
@@ -84,7 +84,7 @@ pub const HOP_LATENCY: u64 = 100;
 /// deroute is only taken once the minimal path's queueing exceeds about
 /// one hop's worth of latency.
 #[inline]
-pub fn weight(congestion: u64, hops: usize) -> u64 {
+pub(crate) fn weight(congestion: u64, hops: usize) -> u64 {
     (congestion + HOP_LATENCY) * hops as u64
 }
 

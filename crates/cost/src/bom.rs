@@ -11,11 +11,9 @@ use crate::layout::FloorPlan;
 #[derive(Clone, Debug)]
 pub struct CablingBom {
     /// Cable lengths and multiplicities.
-    pub cables: Vec<(f64, u64)>,
+    pub(crate) cables: Vec<(f64, u64)>,
     /// Terminals served.
-    pub nodes: usize,
-    /// Racks used.
-    pub racks: usize,
+    pub(crate) nodes: usize,
 }
 
 impl CablingBom {
@@ -30,7 +28,7 @@ impl CablingBom {
     }
 
     /// Total cabling cost under a technology and price model.
-    pub fn total_cost(&self, tech: CableTech, prices: &PriceModel) -> f64 {
+    pub(crate) fn total_cost(&self, tech: CableTech, prices: &PriceModel) -> f64 {
         self.cables
             .iter()
             .map(|&(l, n)| prices.cable_cost(tech, l) * n as f64)
@@ -52,7 +50,6 @@ impl CablingBom {
 /// networks simply stop at the corresponding level (a 2D HyperX is
 /// chassis + rack, no floor cables at all).
 pub fn hyperx_cabling(hx: &HyperX, plan: Option<FloorPlan>) -> CablingBom {
-    let outer_racks: usize = hx.widths().iter().skip(2).product();
     let plan = plan.unwrap_or_else(|| {
         if hx.dims() >= 3 {
             FloorPlan::standard(hx.width(2))
@@ -90,7 +87,6 @@ pub fn hyperx_cabling(hx: &HyperX, plan: Option<FloorPlan>) -> CablingBom {
     CablingBom {
         cables,
         nodes: hx.num_terminals(),
-        racks: outer_racks.max(1),
     }
 }
 
@@ -127,7 +123,6 @@ pub fn dragonfly_cabling(df: &Dragonfly, plan: Option<FloorPlan>) -> CablingBom 
     CablingBom {
         cables,
         nodes: df.num_terminals(),
-        racks,
     }
 }
 

@@ -26,17 +26,17 @@ pub enum CableTech {
 #[derive(Clone, Copy, Debug)]
 pub struct PriceModel {
     /// DAC: connectors/assembly base price.
-    pub dac_base: f64,
+    pub(crate) dac_base: f64,
     /// DAC copper per meter.
-    pub dac_per_m: f64,
+    pub(crate) dac_per_m: f64,
     /// AOC: two pluggable transceivers.
-    pub aoc_base: f64,
+    pub(crate) aoc_base: f64,
     /// AOC fiber per meter.
-    pub aoc_per_m: f64,
+    pub(crate) aoc_per_m: f64,
     /// Passive optical: connectors (lasers live in the router package).
-    pub po_base: f64,
+    pub(crate) po_base: f64,
     /// Passive optical fiber per meter.
-    pub po_per_m: f64,
+    pub(crate) po_per_m: f64,
 }
 
 impl Default for PriceModel {
@@ -54,7 +54,7 @@ impl Default for PriceModel {
 
 impl PriceModel {
     /// Price of one cable of `len_m` meters under `tech`.
-    pub fn cable_cost(&self, tech: CableTech, len_m: f64) -> f64 {
+    pub(crate) fn cable_cost(&self, tech: CableTech, len_m: f64) -> f64 {
         match tech {
             CableTech::ElectricalOptical { dac_reach_m } => {
                 if len_m <= dac_reach_m {

@@ -12,23 +12,23 @@
 #[derive(Clone, Copy, Debug)]
 pub struct FloorPlan {
     /// Racks per row.
-    pub racks_per_row: usize,
+    pub(crate) racks_per_row: usize,
     /// Rack pitch along a row, meters.
-    pub rack_pitch_m: f64,
+    pub(crate) rack_pitch_m: f64,
     /// Row pitch (rack depth + aisle), meters.
-    pub row_pitch_m: f64,
+    pub(crate) row_pitch_m: f64,
     /// Fixed per-cable overhead (vertical legs + slack), meters.
-    pub overhead_m: f64,
+    pub(crate) overhead_m: f64,
     /// Length of an intra-rack cable, meters.
-    pub intra_rack_m: f64,
+    pub(crate) intra_rack_m: f64,
     /// Length of a chassis backplane connection, meters.
-    pub backplane_m: f64,
+    pub(crate) backplane_m: f64,
 }
 
 impl FloorPlan {
     /// Common defaults: 0.6 m rack pitch, 2.4 m row pitch (rack + aisle),
     /// 2 m overhead, 1 m intra-rack cables.
-    pub fn standard(racks_per_row: usize) -> Self {
+    pub(crate) fn standard(racks_per_row: usize) -> Self {
         FloorPlan {
             racks_per_row: racks_per_row.max(1),
             rack_pitch_m: 0.6,
@@ -40,17 +40,17 @@ impl FloorPlan {
     }
 
     /// A near-square floor for `racks` racks.
-    pub fn square_for(racks: usize) -> Self {
+    pub(crate) fn square_for(racks: usize) -> Self {
         Self::standard((racks as f64).sqrt().ceil() as usize)
     }
 
     /// Floor position (row, column) of rack `r`.
-    pub fn position(&self, rack: usize) -> (usize, usize) {
+    pub(crate) fn position(&self, rack: usize) -> (usize, usize) {
         (rack / self.racks_per_row, rack % self.racks_per_row)
     }
 
     /// Cable length between two racks (same rack = intra-rack length).
-    pub fn cable_len(&self, rack_a: usize, rack_b: usize) -> f64 {
+    pub(crate) fn cable_len(&self, rack_a: usize, rack_b: usize) -> f64 {
         if rack_a == rack_b {
             return self.intra_rack_m;
         }

@@ -17,14 +17,14 @@ use crate::value::write_json_object;
 /// Workspace version baked into every digest; all workspace crates share
 /// `[workspace.package].version`, so bumping it invalidates the store —
 /// exactly right, since any crate may have changed simulation behavior.
-pub const WORKSPACE_VERSION: &str = env!("CARGO_PKG_VERSION");
+pub(crate) const WORKSPACE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// The canonical JSON form a point's digest is computed over. Field order
 /// is fixed here; every scalar renders through the same serde encoder as
 /// the result rows, so the encoding is bit-stable across runs and
 /// platforms. (Assembled by hand, into one buffer, because the vendored
 /// derive macro does not support borrowed fields.)
-pub fn canonical_json(p: &Point) -> String {
+pub(crate) fn canonical_json(p: &Point) -> String {
     // Fault knobs only shape fault-kind runs; zero them for steady
     // points so tuning [fault] never invalidates steady results. (The
     // retransmit axis needs no field of its own: it is mirrored into

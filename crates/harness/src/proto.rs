@@ -30,7 +30,7 @@ use crate::value::{parse_json, write_json_object, Value};
 
 /// Protocol revision spoken by this build. Bumped on any incompatible
 /// frame-semantics change; the handshake rejects mismatches.
-pub const PROTO_VERSION: u32 = 1;
+pub(crate) const PROTO_VERSION: u32 = 1;
 
 /// Hard ceiling on a frame's payload size. Spec texts and result rows
 /// are a few KiB; 16 MiB leaves three orders of magnitude of headroom
@@ -189,7 +189,7 @@ impl From<std::io::Error> for ProtoError {
 
 impl Frame {
     /// The frame's kind tag and rendered JSON payload.
-    pub fn encode(&self) -> (u8, String) {
+    pub(crate) fn encode(&self) -> (u8, String) {
         let (kind, members): (u8, &[(&str, &dyn serde::Serialize)]) = match self {
             Frame::Hello {
                 role,
@@ -318,7 +318,7 @@ impl Frame {
 
     /// Decodes a payload for `kind`. `Ok(None)` means the kind is unknown
     /// to this build (skip it — forward compatibility).
-    pub fn decode(kind: u8, payload: &str) -> Result<Option<Frame>, ProtoError> {
+    pub(crate) fn decode(kind: u8, payload: &str) -> Result<Option<Frame>, ProtoError> {
         let known = matches!(
             kind,
             K_HELLO
@@ -538,7 +538,7 @@ pub fn hello(role: &str) -> Frame {
 
 /// Validates a peer's `Hello` against this build. Returns the role on
 /// success, a rejection message on any skew.
-pub fn check_hello(frame: &Frame) -> Result<String, String> {
+pub(crate) fn check_hello(frame: &Frame) -> Result<String, String> {
     let Frame::Hello {
         role,
         proto,

@@ -21,63 +21,63 @@ use crate::spec::{Kind, Point};
 /// `schema_version`.
 #[derive(serde::Serialize, Clone, Debug)]
 pub struct PointRow {
-    pub digest: String,
-    pub kind: &'static str,
-    pub dims: usize,
-    pub width: usize,
-    pub terminals: usize,
-    pub pattern: String,
-    pub algo: String,
-    pub seed: u64,
-    pub fails: usize,
-    pub router_fails: usize,
+    pub(crate) digest: String,
+    pub(crate) kind: &'static str,
+    pub(crate) dims: usize,
+    pub(crate) width: usize,
+    pub(crate) terminals: usize,
+    pub(crate) pattern: String,
+    pub(crate) algo: String,
+    pub(crate) seed: u64,
+    pub(crate) fails: usize,
+    pub(crate) router_fails: usize,
     /// Retransmission timeout axis value (0 = transport off).
-    pub retransmit: u64,
-    pub offered: f64,
-    pub accepted: f64,
-    pub mean_latency: f64,
-    pub mean_net_latency: f64,
-    pub p50_latency: f64,
-    pub p99_latency: f64,
-    pub mean_hops: f64,
-    pub saturated: bool,
-    pub attempted_packets: u64,
-    pub delivered_packets: u64,
-    pub dropped_packets: u64,
-    pub stranded_packets: u64,
-    pub delivered_fraction: f64,
-    pub wedged: bool,
+    pub(crate) retransmit: u64,
+    pub(crate) offered: f64,
+    pub(crate) accepted: f64,
+    pub(crate) mean_latency: f64,
+    pub(crate) mean_net_latency: f64,
+    pub(crate) p50_latency: f64,
+    pub(crate) p99_latency: f64,
+    pub(crate) mean_hops: f64,
+    pub(crate) saturated: bool,
+    pub(crate) attempted_packets: u64,
+    pub(crate) delivered_packets: u64,
+    pub(crate) dropped_packets: u64,
+    pub(crate) stranded_packets: u64,
+    pub(crate) delivered_fraction: f64,
+    pub(crate) wedged: bool,
     /// Transport accounting; all zero when the transport is off.
-    pub logical_sent: u64,
-    pub logical_delivered: u64,
-    pub retransmits: u64,
-    pub duplicates_dropped: u64,
-    pub abandoned: u64,
-    pub recovered: u64,
-    pub recovery_p50: f64,
-    pub recovery_p99: f64,
+    pub(crate) logical_sent: u64,
+    pub(crate) logical_delivered: u64,
+    pub(crate) retransmits: u64,
+    pub(crate) duplicates_dropped: u64,
+    pub(crate) abandoned: u64,
+    pub(crate) recovered: u64,
+    pub(crate) recovery_p50: f64,
+    pub(crate) recovery_p99: f64,
     /// Flits injected for retransmitted copies per delivered flit — the
     /// bandwidth price of reliability.
-    pub goodput_overhead: f64,
+    pub(crate) goodput_overhead: f64,
     /// Cycles from the fault strike to the last timeout-recovered
     /// delivery (0 when nothing needed recovery).
-    pub time_to_recover: u64,
+    pub(crate) time_to_recover: u64,
     /// Gray-failure recovery metrics; all zero without `llr_enabled`.
     /// Frames resent by the link-level retry sublayer.
-    pub llr_replays: u64,
+    pub(crate) llr_replays: u64,
     /// Flits discarded at a receiver for CRC failure (all recovered by
     /// replay).
-    pub crc_errors: u64,
+    pub(crate) crc_errors: u64,
     /// Link down-edges (flaps) survived.
-    pub flaps_survived: u64,
+    pub(crate) flaps_survived: u64,
 }
 
 /// One executed point: its row, its metrics summary when collection was
 /// requested, and the wall-clock cost the store's meta line records.
 pub struct PointRun {
-    pub row: String,
-    pub metrics: Option<MetricsSummary>,
-    pub elapsed_ms: u64,
+    pub(crate) row: String,
+    pub(crate) metrics: Option<MetricsSummary>,
+    pub(crate) elapsed_ms: u64,
 }
 
 /// [`execute_point`] for a sweep: a panicking point must not take the

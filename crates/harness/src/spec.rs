@@ -80,9 +80,9 @@ impl NetworkSpec {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultProtocol {
     /// Injection window in cycles.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Drain window as a multiple of `cycles`.
-    pub drain_factor: u64,
+    pub(crate) drain_factor: u64,
     /// Cycle the scheduled faults strike (must lie inside the injection
     /// window; 0 = faults present from the start, the legacy protocol).
     pub kill_cycle: u64,
@@ -97,22 +97,22 @@ pub struct FaultProtocol {
     /// set — a flap on an already-dead cable would be invisible.
     pub flap_links: usize,
     /// Cycle of the first down edge of every flap schedule.
-    pub flap_first: u64,
+    pub(crate) flap_first: u64,
     /// Cycles between consecutive down edges (must exceed
     /// `flap_down_cycles`).
-    pub flap_period: u64,
+    pub(crate) flap_period: u64,
     /// Cycles each flap keeps the link down.
-    pub flap_down_cycles: u64,
+    pub(crate) flap_down_cycles: u64,
     /// Down/up edges per flapping link.
-    pub flap_count: u32,
+    pub(crate) flap_count: u32,
     /// Distinct extra cables degraded (gray, not dead) at `kill_cycle`
     /// and restored at `revive_cycle` (if nonzero); also disjoint from
     /// the killed set.
     pub degrade_links: usize,
     /// One-way latency added to each degraded cable.
-    pub degrade_extra_latency: u64,
+    pub(crate) degrade_extra_latency: u64,
     /// Whether degraded cables also serialize at half bandwidth.
-    pub degrade_half_bw: bool,
+    pub(crate) degrade_half_bw: bool,
 }
 
 impl Default for FaultProtocol {
@@ -136,7 +136,7 @@ impl Default for FaultProtocol {
 
 impl FaultProtocol {
     /// Whether any gray (transient) fault knob is active.
-    pub fn has_transients(&self) -> bool {
+    pub(crate) fn has_transients(&self) -> bool {
         self.flap_links > 0 || self.degrade_links > 0
     }
 }
@@ -161,8 +161,8 @@ pub struct Axes {
 /// values, the `sim` table is applied on top of the spec-level config.
 #[derive(Clone, Debug)]
 pub struct Override {
-    pub when: BTreeMap<String, Value>,
-    pub sim: BTreeMap<String, Value>,
+    pub(crate) when: BTreeMap<String, Value>,
+    pub(crate) sim: BTreeMap<String, Value>,
 }
 
 /// A fully parsed, validated experiment description.
@@ -378,7 +378,7 @@ impl ExperimentSpec {
     }
 
     /// Builds a spec from a parsed TOML/JSON document.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
+    pub(crate) fn from_value(v: &Value) -> Result<Self, String> {
         let root = v.as_table().ok_or("spec root must be a table")?;
         check_keys(
             root,
@@ -563,7 +563,10 @@ impl ExperimentSpec {
                 fault.flap_down_cycles = d;
             }
             if let Some(c) = uint("flap_count")? {
-                fault.flap_count = c as u32;
+                // Range-checked, not truncated: 2^32 + 3 is not 3.
+                fault.flap_count = u32::try_from(c).map_err(|_| {
+                    format!("fault.flap_count must be an integer in 0..={}", u32::MAX)
+                })?;
             }
             if let Some(n) = uint("degrade_links")? {
                 fault.degrade_links = n as usize;
@@ -950,7 +953,10 @@ fn load_axis(t: &BTreeMap<String, Value>) -> Result<Vec<f64>, String> {
 
 /// Applies a `[sim]` table onto a `SimConfig`. Unknown keys are errors
 /// (a typo must not silently run the default experiment).
-pub fn apply_sim_overrides(cfg: &mut SimConfig, t: &BTreeMap<String, Value>) -> Result<(), String> {
+pub(crate) fn apply_sim_overrides(
+    cfg: &mut SimConfig,
+    t: &BTreeMap<String, Value>,
+) -> Result<(), String> {
     for (k, v) in t {
         let int = || {
             v.as_i64()
@@ -1004,7 +1010,7 @@ pub fn apply_sim_overrides(cfg: &mut SimConfig, t: &BTreeMap<String, Value>) -> 
 }
 
 /// Applies a `[steady]` table onto `SteadyOpts`; unknown keys are errors.
-pub fn apply_steady_overrides(
+pub(crate) fn apply_steady_overrides(
     opts: &mut SteadyOpts,
     t: &BTreeMap<String, Value>,
 ) -> Result<(), String> {
@@ -1014,9 +1020,14 @@ pub fn apply_steady_overrides(
                 .filter(|&i| i > 0)
                 .ok_or_else(|| format!("steady.{k} must be a positive integer"))
         };
+        let ranged = |lo: i64, hi: i64| {
+            v.as_i64()
+                .filter(|i| (lo..=hi).contains(i))
+                .ok_or_else(|| format!("steady.{k} must be an integer in {lo}..={hi}"))
+        };
         match k.as_str() {
             "warmup_window" => opts.warmup_window = int()? as u64,
-            "max_warmup_windows" => opts.max_warmup_windows = int()? as u32,
+            "max_warmup_windows" => opts.max_warmup_windows = ranged(1, u32::MAX.into())? as u32,
             "measure_cycles" => opts.measure_cycles = int()? as u64,
             "stability_tol" => {
                 opts.stability_tol = v
@@ -1295,6 +1306,37 @@ seed = [1, 2]
             sim_key("retransmit_max_retries", &over),
             "retransmit_max_retries",
         );
+    }
+
+    #[test]
+    fn max_warmup_windows_is_not_truncated() {
+        let steady =
+            |value: &str| spec(&format!("{BASE}\n[steady]\nmax_warmup_windows = {value}\n"));
+        let max = u32::MAX.to_string();
+        assert_eq!(steady(&max).unwrap().steady.max_warmup_windows, u32::MAX);
+        // 2^32 would otherwise run with zero warm-up windows, and 2^32 + 1
+        // as the same point as 1.
+        for over in [1u64 << 32, (1u64 << 32) + 1] {
+            let err = steady(&over.to_string()).expect_err("out-of-range value accepted");
+            assert!(err.contains("steady.max_warmup_windows"), "{err}");
+        }
+        assert!(steady("0").is_err());
+    }
+
+    #[test]
+    fn flap_count_is_not_truncated() {
+        let fault_base = BASE.replace("kind = \"steady\"", "kind = \"fault\"");
+        let flaps = |count: &str| {
+            spec(&format!(
+                "{fault_base}\n[sim]\nllr_enabled = true\n[fault]\ncycles = 1000\nflap_links = 1\n\
+                 flap_first = 100\nflap_period = 200\nflap_down_cycles = 40\nflap_count = {count}\n"
+            ))
+        };
+        assert_eq!(flaps("3").unwrap().fault.flap_count, 3);
+        // 2^32 + 3 would otherwise run as the same point as 3.
+        let over = ((1u64 << 32) + 3).to_string();
+        let err = flaps(&over).expect_err("out-of-range value accepted");
+        assert!(err.contains("fault.flap_count"), "{err}");
     }
 
     #[test]

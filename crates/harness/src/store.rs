@@ -42,7 +42,7 @@ pub struct StoreMeta {
 /// A scanned entry (for `hx status` / `hx gc`).
 #[derive(Clone, Debug)]
 pub struct EntryInfo {
-    pub digest: u64,
+    pub(crate) digest: u64,
     pub experiment: String,
     pub bytes: u64,
     /// Schema version from the entry's meta line (`None` if unreadable).

@@ -83,7 +83,7 @@ impl Value {
     /// `parse_json(v.to_json_string())` reproduces `v` exactly — the
     /// property `hx submit` relies on when a spec crosses the wire as
     /// JSON (`ExperimentSpec::to_json`).
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Value::Str(s) => serde::Serialize::to_json(s.as_str(), out),
             Value::Int(i) => serde::Serialize::to_json(i, out),
@@ -171,7 +171,7 @@ pub(crate) fn write_json_object(out: &mut String, members: &[(&str, &dyn serde::
 /// Deepest nesting of arrays and objects the JSON descent follows: ten
 /// times what any spec or row uses, and shallow enough that a payload of
 /// a million `[` is an error instead of a stack overflow.
-pub const MAX_JSON_DEPTH: usize = 64;
+pub(crate) const MAX_JSON_DEPTH: usize = 64;
 
 /// Parses a JSON document into a [`Value`].
 pub fn parse_json(src: &str) -> Result<Value, String> {
@@ -489,7 +489,7 @@ impl<'a> JsonParser<'a> {
 // ---------------------------------------------------------------- TOML --
 
 /// Parses a TOML-subset document (see module docs) into a table [`Value`].
-pub fn parse_toml(src: &str) -> Result<Value, String> {
+pub(crate) fn parse_toml(src: &str) -> Result<Value, String> {
     let mut root = BTreeMap::new();
     // Key path of the section the parser is currently filling. A segment
     // naming an array of tables addresses its most recently appended

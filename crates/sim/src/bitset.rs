@@ -13,26 +13,9 @@ pub struct BitSet {
 }
 
 impl BitSet {
-    /// Creates an empty bitset.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of bits tracked (mirrors the parallel slot vector's length).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set tracks zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Appends one bit (slot grown at the tail).
     #[inline]
-    pub fn push(&mut self, value: bool) {
+    pub(crate) fn push(&mut self, value: bool) {
         let word = self.len / 64;
         if word == self.words.len() {
             self.words.push(0);
@@ -45,14 +28,14 @@ impl BitSet {
 
     /// Reads bit `i`.
     #[inline]
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         (self.words[i / 64] >> (i % 64)) & 1 != 0
     }
 
     /// Sets bit `i` to `value`.
     #[inline]
-    pub fn set(&mut self, i: usize, value: bool) {
+    pub(crate) fn set(&mut self, i: usize, value: bool) {
         debug_assert!(i < self.len);
         let mask = 1u64 << (i % 64);
         if value {
@@ -143,12 +126,12 @@ mod tests {
 
     #[test]
     fn push_get_set_roundtrip() {
-        let mut bs = BitSet::new();
-        assert!(bs.is_empty());
+        let mut bs = BitSet::default();
+        assert_eq!(bs.len, 0);
         for i in 0..200 {
             bs.push(i % 3 == 0);
         }
-        assert_eq!(bs.len(), 200);
+        assert_eq!(bs.len, 200);
         for i in 0..200 {
             assert_eq!(bs.get(i), i % 3 == 0, "bit {i}");
         }
@@ -166,12 +149,12 @@ mod tests {
 
     #[test]
     fn word_boundary_growth() {
-        let mut bs = BitSet::new();
+        let mut bs = BitSet::default();
         for _ in 0..64 {
             bs.push(false);
         }
         bs.push(true); // first bit of the second word
-        assert_eq!(bs.len(), 65);
+        assert_eq!(bs.len, 65);
         assert!(bs.get(64));
         assert!(!bs.get(0));
     }

@@ -202,7 +202,7 @@ pub struct Channel {
 
 impl Channel {
     /// Creates a channel with the given one-way latency (>= 1 cycle).
-    pub fn new(latency: u64) -> Self {
+    pub(crate) fn new(latency: u64) -> Self {
         assert!(latency >= 1, "zero-latency channels break cycle ordering");
         Channel {
             latency,
@@ -223,11 +223,6 @@ impl Channel {
         ch
     }
 
-    /// Whether the LLR sublayer is attached.
-    pub fn has_llr(&self) -> bool {
-        self.llr.is_some()
-    }
-
     /// Whether the egress may hand this channel a flit this cycle: always
     /// on a legacy channel, window-gated under LLR. The channel's one
     /// flit sender asks right before its one send of the cycle, so the
@@ -238,12 +233,12 @@ impl Channel {
     }
 
     /// One-way latency in cycles.
-    pub fn latency(&self) -> u64 {
+    pub(crate) fn latency(&self) -> u64 {
         self.latency
     }
 
     /// Whether the channel is up.
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive
     }
 
@@ -252,7 +247,7 @@ impl Channel {
     /// Under LLR the authoritative loss set is the delivered-but-unread
     /// queue plus the whole replay buffer; wire frames are copies of
     /// replay-buffer entries and are simply discarded.
-    pub fn kill(&mut self) -> Vec<(Flit, u8)> {
+    pub(crate) fn kill(&mut self) -> Vec<(Flit, u8)> {
         self.alive = false;
         self.credits.clear();
         let mut lost: Vec<(Flit, u8)> = self.flits.drain(..).map(|(_, f, vc)| (f, vc)).collect();
@@ -275,18 +270,18 @@ impl Channel {
 
     /// Brings a dead channel back up. The caller must have drained the
     /// dead-drop bin (via [`Self::take_dead_drops`]) first.
-    pub fn revive(&mut self) {
+    pub(crate) fn revive(&mut self) {
         debug_assert!(self.dead_drops.is_empty(), "revive with unswept dead drops");
         self.alive = true;
     }
 
     /// Drains flits that were sent into the dead channel.
-    pub fn take_dead_drops(&mut self) -> Vec<(Flit, u8)> {
+    pub(crate) fn take_dead_drops(&mut self) -> Vec<(Flit, u8)> {
         std::mem::take(&mut self.dead_drops)
     }
 
     /// Whether unswept dead drops exist.
-    pub fn has_dead_drops(&self) -> bool {
+    pub(crate) fn has_dead_drops(&self) -> bool {
         !self.dead_drops.is_empty()
     }
 
@@ -447,11 +442,6 @@ impl Channel {
         self.degrade(0, false);
     }
 
-    /// Whether the link is flapped down (always false without LLR).
-    pub fn is_flapped_down(&self) -> bool {
-        self.llr.as_ref().is_some_and(|l| !l.up)
-    }
-
     /// The earliest cycle `>= now` the LLR sublayer has work due: a wire
     /// or ctrl frame maturing, or a pending transmission. `None` when
     /// fully quiet. Bounds the event engine's dead-cycle skip, which
@@ -478,7 +468,7 @@ impl Channel {
     /// flaps, replay-buffer occupancy, and any standing degradation. Pure
     /// (no decay fold), so reads are engine-order independent. Zero for a
     /// clean or non-LLR link.
-    pub fn health_penalty(&self, now: u64) -> u64 {
+    pub(crate) fn health_penalty(&self, now: u64) -> u64 {
         let Some(llr) = &self.llr else {
             return 0;
         };
@@ -503,7 +493,7 @@ impl Channel {
     /// Lifetime flits accepted onto the wire (monotonic; excludes flits
     /// dead-dropped while the channel was down).
     #[inline]
-    pub fn flits_sent(&self) -> u64 {
+    pub(crate) fn flits_sent(&self) -> u64 {
         self.flits_sent
     }
 
@@ -511,7 +501,7 @@ impl Channel {
     /// the wire. A send made at `now` matures at `now + latency` or later,
     /// so it is never taken in the cycle it was made.
     #[inline]
-    pub fn pop_flit(&mut self, now: u64) -> Option<(Flit, u8)> {
+    pub(crate) fn pop_flit(&mut self, now: u64) -> Option<(Flit, u8)> {
         let &(t, flit, vc) = self.flits.front()?;
         (t <= now).then(|| {
             self.flits.pop_front();
@@ -521,7 +511,7 @@ impl Channel {
 
     /// Sender side: takes the oldest credit that has arrived by `now`.
     #[inline]
-    pub fn pop_credit(&mut self, now: u64) -> Option<u8> {
+    pub(crate) fn pop_credit(&mut self, now: u64) -> Option<u8> {
         let &(t, vc) = self.credits.front()?;
         (t <= now).then(|| {
             self.credits.pop_front();
@@ -571,7 +561,7 @@ impl Channel {
     /// arrival queue, plus replay-buffer entries not yet accepted
     /// downstream (`seq >= rx_next`); wire frames are copies and acked
     /// front entries are already counted downstream.
-    pub fn flits_in_flight(&self) -> impl Iterator<Item = (Flit, u8)> + '_ {
+    pub(crate) fn flits_in_flight(&self) -> impl Iterator<Item = (Flit, u8)> + '_ {
         let skip = self
             .llr
             .as_ref()
@@ -584,7 +574,7 @@ impl Channel {
     }
 
     /// Credits currently in flight (test/invariant support).
-    pub fn credits_in_flight(&self) -> impl Iterator<Item = u8> + '_ {
+    pub(crate) fn credits_in_flight(&self) -> impl Iterator<Item = u8> + '_ {
         self.credits.iter().map(|&(_, vc)| vc)
     }
 }
@@ -731,11 +721,18 @@ mod tests {
         llr_run(&mut ch, &mut stats, 0..5, 3, &mut got);
         assert!(got.is_empty());
         ch.flap_down(5, &mut stats);
-        assert!(ch.is_flapped_down());
-        assert_eq!(ch.health_penalty(5), 1_000_000);
+        assert_eq!(
+            ch.health_penalty(5),
+            1_000_000,
+            "a flapped-down link repels routing"
+        );
         llr_run(&mut ch, &mut stats, 5..20, 0, &mut got);
         assert!(got.is_empty(), "flapped-down link delivered");
         ch.flap_up();
+        assert!(
+            ch.health_penalty(20) < 1_000_000,
+            "flap-up restores the link"
+        );
         llr_run(&mut ch, &mut stats, 20..100, 0, &mut got);
         assert_eq!(got, vec![0, 1, 2], "replay after flap-up");
         assert_eq!(stats.flaps, 1);

@@ -173,24 +173,24 @@ fn default_engine() -> Engine {
 /// `tick_threads`.
 #[derive(serde::Serialize, Clone, Copy, Debug, PartialEq)]
 pub struct CanonicalSimConfig {
-    pub num_vcs: usize,
-    pub buf_flits: usize,
-    pub crossbar_latency: u64,
-    pub crossbar_speedup: usize,
-    pub router_chan_latency: u64,
-    pub short_chan_latency: u64,
-    pub term_chan_latency: u64,
-    pub max_packet_flits: usize,
-    pub max_source_queue: usize,
-    pub atomic_queue_alloc: bool,
-    pub watchdog_stall_cycles: u64,
-    pub max_packet_hops: u8,
-    pub retransmit_timeout: u64,
-    pub retransmit_max_retries: u32,
-    pub retransmit_backoff_cap: u64,
-    pub llr_enabled: bool,
-    pub error_ber: f64,
-    pub llr_window: usize,
+    pub(crate) num_vcs: usize,
+    pub(crate) buf_flits: usize,
+    pub(crate) crossbar_latency: u64,
+    pub(crate) crossbar_speedup: usize,
+    pub(crate) router_chan_latency: u64,
+    pub(crate) short_chan_latency: u64,
+    pub(crate) term_chan_latency: u64,
+    pub(crate) max_packet_flits: usize,
+    pub(crate) max_source_queue: usize,
+    pub(crate) atomic_queue_alloc: bool,
+    pub(crate) watchdog_stall_cycles: u64,
+    pub(crate) max_packet_hops: u8,
+    pub(crate) retransmit_timeout: u64,
+    pub(crate) retransmit_max_retries: u32,
+    pub(crate) retransmit_backoff_cap: u64,
+    pub(crate) llr_enabled: bool,
+    pub(crate) error_ber: f64,
+    pub(crate) llr_window: usize,
 }
 
 impl SimConfig {
@@ -220,7 +220,7 @@ impl SimConfig {
     }
 
     /// Validates internal consistency (buffer must hold a whole packet).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.num_vcs >= 1, "need at least one VC");
         assert!(
             self.num_vcs <= MAX_VCS,
@@ -268,12 +268,12 @@ impl SimConfig {
     }
 
     /// Whether the source-retransmission transport is enabled.
-    pub fn retransmit_enabled(&self) -> bool {
+    pub(crate) fn retransmit_enabled(&self) -> bool {
         self.retransmit_timeout > 0
     }
 
     /// The effective backoff cap in cycles (resolves the 0 = auto default).
-    pub fn effective_backoff_cap(&self) -> u64 {
+    pub(crate) fn effective_backoff_cap(&self) -> u64 {
         if self.retransmit_backoff_cap == 0 {
             self.retransmit_timeout.saturating_mul(8)
         } else {
@@ -285,7 +285,7 @@ impl SimConfig {
     /// router-to-router hop: channel there + crossbar + channel back, plus
     /// a couple of cycles of router pipelining. Used by the Section 4.2
     /// analytic model.
-    pub fn credit_round_trip(&self) -> u64 {
+    pub(crate) fn credit_round_trip(&self) -> u64 {
         self.router_chan_latency + self.crossbar_latency + self.router_chan_latency + 2
     }
 

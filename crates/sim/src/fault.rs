@@ -66,7 +66,7 @@ impl FaultAction {
     /// timing or loses frames that LLR recovers, but never poisons packets
     /// or changes routing liveness. Transient-only schedules must deliver
     /// 100% of traffic with zero transport retransmissions.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(
             self,
             FaultAction::FlapDown { .. }
@@ -84,21 +84,21 @@ impl FaultAction {
 /// [`FaultSchedule::finalize`] time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlapSpec {
-    pub router: usize,
-    pub port: usize,
-    pub first_down: u64,
-    pub period: u64,
-    pub down_cycles: u64,
-    pub count: u32,
+    pub(crate) router: usize,
+    pub(crate) port: usize,
+    pub(crate) first_down: u64,
+    pub(crate) period: u64,
+    pub(crate) down_cycles: u64,
+    pub(crate) count: u32,
 }
 
 /// One scheduled fault action.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Cycle the action applies (at the start of that cycle).
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// The action.
-    pub action: FaultAction,
+    pub(crate) action: FaultAction,
 }
 
 /// A time-ordered list of fault actions applied while the simulation runs.
@@ -208,13 +208,8 @@ impl FaultSchedule {
         self
     }
 
-    /// Whether no events remain.
-    pub fn is_done(&self) -> bool {
-        self.next >= self.events.len() && (self.expanded || self.flaps.is_empty())
-    }
-
     /// Whether any scheduled action is transient (needs LLR to recover).
-    pub fn has_transient(&self) -> bool {
+    pub(crate) fn has_transient(&self) -> bool {
         !self.flaps.is_empty() || self.events.iter().any(|e| e.action.is_transient())
     }
 
@@ -388,26 +383,26 @@ pub struct RouterDiag {
     /// Router id.
     pub router: usize,
     /// Total flits buffered anywhere inside the router.
-    pub buffered_flits: usize,
+    pub(crate) buffered_flits: usize,
     /// Input-side VC occupancy: `(port, vc, flits)` for non-empty VCs.
-    pub occupancy: Vec<(u16, u8, usize)>,
+    pub(crate) occupancy: Vec<(u16, u8, usize)>,
     /// Downstream VC claims held: `(port, vc, owner packet)`.
-    pub claimed: Vec<(u16, u8, PacketId)>,
+    pub(crate) claimed: Vec<(u16, u8, PacketId)>,
 }
 
 /// Diagnostic dump produced when the watchdog aborts a wedged simulation.
 #[derive(Clone, Debug)]
 pub struct WatchdogReport {
     /// Cycle the abort fired.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// Consecutive cycles without a single flit movement.
     pub stall_cycles: u64,
     /// Packets still live (queued or in the network).
     pub live_packets: usize,
     /// Workload tag of the oldest live packet.
-    pub oldest_tag: u64,
+    pub(crate) oldest_tag: u64,
     /// Age in cycles of the oldest live packet.
-    pub oldest_age: u64,
+    pub(crate) oldest_age: u64,
     /// Routers holding flits or claims (empty routers are omitted).
     pub routers: Vec<RouterDiag>,
 }
@@ -457,7 +452,7 @@ mod tests {
             s.pop_due(100),
             Some(FaultAction::KillLink { router: 1, port: 2 })
         );
-        assert!(s.is_done());
+        assert!(s.pop_due(u64::MAX).is_none(), "schedule not exhausted");
         assert!(s.pop_due(u64::MAX).is_none());
     }
 
@@ -475,7 +470,7 @@ mod tests {
         assert_eq!(s.pop_due(25), Some(FaultAction::KillRouter { router: 7 }));
         assert!(s.pop_due(29).is_none());
         assert_eq!(s.pop_due(30), Some(FaultAction::ReviveRouter { router: 7 }));
-        assert!(s.is_done());
+        assert!(s.pop_due(u64::MAX).is_none(), "schedule not exhausted");
     }
 
     #[test]
@@ -499,14 +494,14 @@ mod tests {
             s.pop_due(160),
             Some(FaultAction::FlapUp { router: 2, port: 1 })
         );
-        assert!(s.is_done());
+        assert!(s.pop_due(u64::MAX).is_none(), "schedule not exhausted");
         // finalize is idempotent: re-finalizing must not re-expand.
         s.finalize();
         assert!(s.pop_due(100).is_some());
         assert!(s.pop_due(160).is_some());
         assert!(s.pop_due(160).is_some());
         assert!(s.pop_due(160).is_some());
-        assert!(s.is_done());
+        assert!(s.pop_due(u64::MAX).is_none(), "schedule not exhausted");
     }
 
     #[test]

@@ -22,24 +22,24 @@
 //! ```
 
 #[allow(unsafe_code)]
-pub mod alloc_track;
+mod alloc_track;
 mod bitset;
 mod channel;
 mod config;
-pub mod event;
+mod event;
 mod fault;
-pub mod metrics;
+mod metrics;
 mod network;
 mod packet;
 mod router;
 mod runner;
-pub mod schema;
+mod schema;
 #[allow(clippy::module_inception)]
 mod sim;
 mod stats;
 mod terminal;
 mod trace;
-pub mod transport;
+mod transport;
 mod workload;
 
 pub use alloc_track::CountingAllocator;

@@ -33,7 +33,7 @@ use crate::network::Network;
 /// Maximum dimensions tracked for per-dimension deroute attribution
 /// (`PacketRouteState::deroute_mask` is a `u8`, so 8 covers every
 /// supported topology).
-pub const MAX_DIMS: usize = 8;
+pub(crate) const MAX_DIMS: usize = 8;
 
 /// Log2-bucketed histogram of `u64` samples with quantile extraction.
 ///
@@ -122,7 +122,7 @@ impl LogHist {
     }
 
     /// Clears all samples.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.buckets = [0; 40];
         self.count = 0;
     }
@@ -189,9 +189,9 @@ impl PhaseTimers {
 #[derive(Clone, Copy, Debug, serde::Serialize)]
 pub struct OccEntry {
     /// Virtual channel.
-    pub vc: u8,
+    pub(crate) vc: u8,
     /// Buffered flits in that VC at sample time.
-    pub flits: u32,
+    pub(crate) flits: u32,
 }
 
 /// One sampled `(router, port)` time-series row. Only ports with activity
@@ -201,53 +201,53 @@ pub struct OccEntry {
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct PortSample {
     /// Row discriminator for JSONL consumers (`"port"`).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// Sample cycle.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// Router id.
-    pub router: u32,
+    pub(crate) router: u32,
     /// Port index on that router.
-    pub port: u16,
+    pub(crate) port: u16,
     /// Flits sent into the attached outgoing channel during the window.
-    pub flits: u64,
+    pub(crate) flits: u64,
     /// `flits / sample_interval` — link utilization in flits/cycle.
-    pub util: f64,
+    pub(crate) util: f64,
     /// VC-allocation failures that targeted this output port during the
     /// window (credit- or claim-starved).
-    pub stalls: u64,
+    pub(crate) stalls: u64,
     /// Non-zero input-buffer occupancy per VC at sample time.
-    pub occ: Vec<OccEntry>,
+    pub(crate) occ: Vec<OccEntry>,
 }
 
 /// One sampled network-wide delta row (emitted every sample).
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct NetSample {
     /// Row discriminator for JSONL consumers (`"net"`).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// Sample cycle.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// VC-allocation grants in the window.
-    pub grants: u64,
+    pub(crate) grants: u64,
     /// Grants that went to the locally oldest waiting packet (age-based
     /// arbitration wins).
-    pub age_wins: u64,
+    pub(crate) age_wins: u64,
     /// Non-minimal (deroute) grants per dimension in the window.
-    pub deroutes: Vec<u64>,
+    pub(crate) deroutes: Vec<u64>,
     /// Allocation failures with an unclaimed but credit-starved VC.
-    pub credit_stalls: u64,
+    pub(crate) credit_stalls: u64,
     /// Allocation failures with every candidate VC claimed.
-    pub claim_stalls: u64,
+    pub(crate) claim_stalls: u64,
 }
 
 /// A labeled protocol event (warm-up/measurement window boundaries).
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct EventRow {
     /// Row discriminator for JSONL consumers (`"event"`).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// Cycle the event was recorded.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// Event label, e.g. `"measure_start"`.
-    pub label: String,
+    pub(crate) label: String,
 }
 
 /// End-of-run aggregate view, serializable for the bench JSONL outputs.
@@ -258,7 +258,7 @@ pub struct MetricsSummary {
     /// Grants that ejected a packet to its terminal.
     pub ejection_grants: u64,
     /// Grants to the locally oldest waiting packet.
-    pub age_wins: u64,
+    pub(crate) age_wins: u64,
     /// Total non-minimal (deroute) grants.
     pub deroutes_total: u64,
     /// Deroute grants per dimension.
@@ -270,18 +270,18 @@ pub struct MetricsSummary {
     /// Allocation failures with all candidate VCs claimed.
     pub claim_stalls: u64,
     /// Median of sampled per-port input-buffer occupancy (flits).
-    pub occ_p50: f64,
+    pub(crate) occ_p50: f64,
     /// 99th percentile of sampled per-port occupancy (flits).
-    pub occ_p99: f64,
+    pub(crate) occ_p99: f64,
     /// Number of occupancy samples taken.
-    pub occ_samples: u64,
+    pub(crate) occ_samples: u64,
     /// Mean link utilization over all ports and sampled cycles
     /// (flits/port/cycle).
-    pub mean_util: f64,
+    pub(crate) mean_util: f64,
     /// Highest single-port single-window utilization observed.
-    pub max_util: f64,
+    pub(crate) max_util: f64,
     /// Number of time-series samples taken.
-    pub samples: u64,
+    pub(crate) samples: u64,
 }
 
 /// Snapshot of the network-wide counters, for window deltas.
@@ -309,15 +309,15 @@ pub struct Metrics {
     /// Total VC-allocation grants.
     pub grants: u64,
     /// Grants that ejected a packet.
-    pub ejection_grants: u64,
+    pub(crate) ejection_grants: u64,
     /// Grants to the locally oldest waiting packet.
-    pub age_wins: u64,
+    pub(crate) age_wins: u64,
     /// Non-minimal grants per dimension.
     pub deroutes: [u64; MAX_DIMS],
     /// Allocation failures with an unclaimed but credit-starved VC.
-    pub credit_stalls: u64,
+    pub(crate) credit_stalls: u64,
     /// Allocation failures with every candidate VC claimed.
-    pub claim_stalls: u64,
+    pub(crate) claim_stalls: u64,
     /// Per-port allocation failures (flat index).
     port_stalls: Vec<u64>,
 
@@ -331,38 +331,38 @@ pub struct Metrics {
 
     // Output streams.
     /// Per-port time series.
-    pub port_samples: Vec<PortSample>,
+    pub(crate) port_samples: Vec<PortSample>,
     /// Network-wide delta series.
-    pub net_samples: Vec<NetSample>,
+    pub(crate) net_samples: Vec<NetSample>,
     /// Protocol window events.
-    pub events: Vec<EventRow>,
+    pub(crate) events: Vec<EventRow>,
     /// Histogram of sampled per-port input-buffer occupancies.
-    pub occ_hist: LogHist,
+    pub(crate) occ_hist: LogHist,
     /// Wall-clock phase attribution (all zero unless
     /// [`MetricsConfig::timers`]).
     pub timers: PhaseTimers,
     /// Latest retransmission-transport snapshot, kept fresh by
     /// [`Sim::step`](crate::Sim::step) while the transport is enabled.
-    pub transport: Option<crate::transport::TransportSummary>,
+    pub(crate) transport: Option<crate::transport::TransportSummary>,
     /// Latest link-level retry counters, kept fresh by
     /// [`Sim::step`](crate::Sim::step) while LLR is enabled.
-    pub llr: Option<LlrSummary>,
+    pub(crate) llr: Option<LlrSummary>,
 }
 
 /// Aggregate link-level retry recovery counters for the metric stream.
 #[derive(serde::Serialize, Clone, Copy, Debug, Default)]
 pub struct LlrSummary {
     /// Frames resent by the go-back-N sublayer.
-    pub llr_replays: u64,
+    pub(crate) llr_replays: u64,
     /// Flits discarded at a receiver for CRC failure.
-    pub crc_errors: u64,
+    pub(crate) crc_errors: u64,
     /// Link down-edges survived.
-    pub flaps_survived: u64,
+    pub(crate) flaps_survived: u64,
 }
 
 impl Metrics {
     /// Builds a collector for a network over `topo` with `num_vcs` VCs.
-    pub fn new(cfg: MetricsConfig, topo: &dyn Topology, num_vcs: usize) -> Self {
+    pub(crate) fn new(cfg: MetricsConfig, topo: &dyn Topology, num_vcs: usize) -> Self {
         assert!(cfg.sample_interval >= 1, "sample_interval must be >= 1");
         let nr = topo.num_routers();
         let mut port_base = Vec::with_capacity(nr + 1);
@@ -408,14 +408,9 @@ impl Metrics {
         }
     }
 
-    /// Cycles between time-series samples.
-    pub fn sample_interval(&self) -> u64 {
-        self.cfg.sample_interval
-    }
-
     /// Whether wall-clock phase timers are on.
     #[inline]
-    pub fn timers_enabled(&self) -> bool {
+    pub(crate) fn timers_enabled(&self) -> bool {
         self.cfg.timers
     }
 
@@ -472,7 +467,7 @@ impl Metrics {
     }
 
     /// Records a protocol event (e.g. measurement window boundaries).
-    pub fn mark_event(&mut self, cycle: u64, label: &str) {
+    pub(crate) fn mark_event(&mut self, cycle: u64, label: &str) {
         self.events.push(EventRow {
             kind: "event",
             cycle,
@@ -497,7 +492,7 @@ impl Metrics {
     /// Takes one time-series sample over the network state at cycle `now`.
     /// Called by [`Sim::step`](crate::Sim::step) at every due cycle; safe
     /// to call directly for a final partial-window snapshot.
-    pub fn sample(&mut self, now: u64, net: &Network) {
+    pub(crate) fn sample(&mut self, now: u64, net: &Network) {
         let interval = self.cfg.sample_interval as f64;
         let nr = net.topo.num_routers();
         for r in 0..nr {

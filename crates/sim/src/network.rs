@@ -25,7 +25,7 @@ pub struct Network {
     /// The topology being simulated.
     pub topo: Arc<dyn Topology>,
     /// The routing algorithm shared by every router.
-    pub algo: Arc<dyn RoutingAlgorithm>,
+    pub(crate) algo: Arc<dyn RoutingAlgorithm>,
     /// Simulation parameters.
     pub cfg: SimConfig,
     routers: Vec<Router>,
@@ -54,21 +54,21 @@ pub struct Network {
 /// `metrics`, hops in `trace`. The one effect it defers is the hop-cap
 /// poison (`hop_capped`; see [`Network::tick`]).
 pub(crate) struct TickCtx<'a> {
-    pub now: u64,
-    pub channels: &'a mut [Channel],
-    pub pool: &'a mut PacketPool,
-    pub stats: &'a mut Stats,
-    pub delivered: &'a mut Vec<Delivered>,
-    pub trace: Option<&'a mut Trace>,
-    pub metrics: Option<&'a mut Metrics>,
+    pub(crate) now: u64,
+    pub(crate) channels: &'a mut [Channel],
+    pub(crate) pool: &'a mut PacketPool,
+    pub(crate) stats: &'a mut Stats,
+    pub(crate) delivered: &'a mut Vec<Delivered>,
+    pub(crate) trace: Option<&'a mut Trace>,
+    pub(crate) metrics: Option<&'a mut Metrics>,
     /// Packets over the hop cap, in grant-evaluation order.
-    pub hop_capped: &'a mut Vec<PacketId>,
+    pub(crate) hop_capped: &'a mut Vec<PacketId>,
     /// Whether `timers` measures (metrics on with timers).
-    pub timed: bool,
+    pub(crate) timed: bool,
     /// Phase wall time of this cycle, folded into `metrics` at its end.
-    pub timers: PhaseTimers,
+    pub(crate) timers: PhaseTimers,
     /// Event engine: sends plant their arrival wakes here.
-    pub wakes: Option<&'a mut EventState>,
+    pub(crate) wakes: Option<&'a mut EventState>,
 }
 
 impl TickCtx<'_> {
@@ -77,7 +77,7 @@ impl TickCtx<'_> {
     /// where the flit only enters the sender's replay buffer and
     /// `llr_tick` reports the delivery when the frame lands.
     #[inline]
-    pub fn send_flit(&mut self, ch: usize, flit: Flit, vc: u8) {
+    pub(crate) fn send_flit(&mut self, ch: usize, flit: Flit, vc: u8) {
         self.channels[ch].send_flit(self.now, flit, vc);
         if let Some(ev) = self.wakes.as_deref_mut() {
             if !ev.llr {
@@ -89,7 +89,7 @@ impl TickCtx<'_> {
     /// Returns one credit for `vc` on channel `ch` (and plants its
     /// arrival under the event engine).
     #[inline]
-    pub fn send_credit(&mut self, ch: usize, vc: u8) {
+    pub(crate) fn send_credit(&mut self, ch: usize, vc: u8) {
         self.channels[ch].send_credit(self.now, vc);
         if let Some(ev) = self.wakes.as_deref_mut() {
             ev.on_send(self.now, ch, false);
@@ -252,7 +252,7 @@ impl EventState {
 impl Network {
     /// Builds the network. `seed` derives every router/terminal RNG, so a
     /// fixed seed reproduces the run exactly.
-    pub fn new(
+    pub(crate) fn new(
         topo: Arc<dyn Topology>,
         algo: Arc<dyn RoutingAlgorithm>,
         cfg: SimConfig,
@@ -355,13 +355,13 @@ impl Network {
     }
 
     /// Whether the event-driven engine drives this network.
-    pub fn engine_is_event(&self) -> bool {
+    pub(crate) fn engine_is_event(&self) -> bool {
         self.event.is_some()
     }
 
     /// Endpoint wakes executed by the event engine so far (0 under the
     /// cycle engine, which has no notion of a wake).
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.event.as_ref().map_or(0, |ev| ev.events_processed)
     }
 
@@ -438,7 +438,7 @@ impl Network {
     /// arrivals, no buffered or queued work — and no randomness is drawn on
     /// those paths), and due endpoints run the identical code in the
     /// identical id order.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         now: u64,
         pool: &mut PacketPool,
@@ -658,7 +658,7 @@ impl Network {
     /// revival, so arbitrary interleavings of link and router events
     /// compose; each scheduled action counts once in
     /// `Stats::fault_events`.
-    pub fn apply_fault(
+    pub(crate) fn apply_fault(
         &mut self,
         action: FaultAction,
         now: u64,
@@ -736,7 +736,7 @@ impl Network {
     /// terminals. Cheap when nothing is poisoned. Returns whether anything
     /// happened (the event engine resynchronizes its wake state when so —
     /// the reaper sends credits outside the sink discipline).
-    pub fn collect_fault_fallout(
+    pub(crate) fn collect_fault_fallout(
         &mut self,
         now: u64,
         pool: &mut PacketPool,
@@ -775,7 +775,7 @@ impl Network {
     }
 
     /// Access to a terminal (injection queues).
-    pub fn terminal_mut(&mut self, t: usize) -> &mut Terminal {
+    pub(crate) fn terminal_mut(&mut self, t: usize) -> &mut Terminal {
         &mut self.terminals[t]
     }
 
@@ -785,18 +785,13 @@ impl Network {
     }
 
     /// Read access to a channel by id (metrics/invariants).
-    pub fn channel(&self, ch: usize) -> &Channel {
+    pub(crate) fn channel(&self, ch: usize) -> &Channel {
         &self.channels[ch]
     }
 
     /// Number of terminals.
     pub fn num_terminals(&self) -> usize {
         self.terminals.len()
-    }
-
-    /// Total packets queued at source terminals (injection backlog).
-    pub fn injection_backlog(&self) -> usize {
-        self.terminals.iter().map(|t| t.queued()).sum()
     }
 
     /// Whether the whole network holds no flits, no queued packets, and no

@@ -35,13 +35,13 @@ pub struct Flit {
 impl Flit {
     /// Whether this is the packet's head flit.
     #[inline]
-    pub fn is_head(&self) -> bool {
+    pub(crate) fn is_head(&self) -> bool {
         self.idx == 0
     }
 
     /// Whether this is the packet's tail flit (a 1-flit packet is both).
     #[inline]
-    pub fn is_tail(&self) -> bool {
+    pub(crate) fn is_tail(&self) -> bool {
         self.idx + 1 == self.len
     }
 }
@@ -51,57 +51,57 @@ impl Flit {
 #[derive(Clone, Debug)]
 pub struct Packet {
     /// Source terminal.
-    pub src: u32,
+    pub(crate) src: u32,
     /// Destination terminal.
-    pub dst: u32,
+    pub(crate) dst: u32,
     /// Destination router (cached from the topology at creation).
-    pub dst_router: u32,
+    pub(crate) dst_router: u32,
     /// Length in flits.
-    pub len: u16,
+    pub(crate) len: u16,
     /// Router-to-router hops taken so far (statistics).
-    pub hops: u8,
+    pub(crate) hops: u8,
     /// Cycle the packet was created (entered the source terminal queue).
-    pub birth: u64,
+    pub(crate) birth: u64,
     /// Cycle the head flit left the terminal (u64::MAX until then).
-    pub inject: u64,
+    pub(crate) inject: u64,
     /// Mutable routing state (Valiant intermediate, DAL deroute mask, ...).
-    pub route: PacketRouteState,
+    pub(crate) route: PacketRouteState,
     /// Workload-defined tag (e.g. message id for multi-packet messages).
-    pub tag: u64,
+    pub(crate) tag: u64,
     /// Transport sequence number: identifies the logical packet across
     /// retransmitted copies for receiver-side duplicate suppression.
     /// 0 when the retransmission transport is disabled.
-    pub seq: u64,
+    pub(crate) seq: u64,
 }
 
 /// Fields read on the per-cycle routing/forwarding path (32 bytes).
 #[derive(Clone, Debug)]
 pub struct PacketHot {
     /// Cycle the packet was created (age arbitration key).
-    pub birth: u64,
+    pub(crate) birth: u64,
     /// Mutable routing state (Valiant intermediate, DAL deroute mask, ...).
-    pub route: PacketRouteState,
+    pub(crate) route: PacketRouteState,
     /// Destination terminal.
-    pub dst: u32,
+    pub(crate) dst: u32,
     /// Destination router (cached from the topology at creation).
-    pub dst_router: u32,
+    pub(crate) dst_router: u32,
     /// Length in flits.
     pub len: u16,
     /// Router-to-router hops taken so far (statistics).
-    pub hops: u8,
+    pub(crate) hops: u8,
 }
 
 /// Fields read only at injection/delivery/trace boundaries (32 bytes).
 #[derive(Clone, Debug)]
 pub struct PacketCold {
     /// Workload-defined tag (e.g. message id for multi-packet messages).
-    pub tag: u64,
+    pub(crate) tag: u64,
     /// Transport sequence number (0 when retransmission is disabled).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Cycle the head flit left the terminal (u64::MAX until then).
-    pub inject: u64,
+    pub(crate) inject: u64,
     /// Source terminal.
-    pub src: u32,
+    pub(crate) src: u32,
 }
 
 /// Slab allocator for in-flight packets.
@@ -133,12 +133,12 @@ pub struct PacketPool {
 
 impl PacketPool {
     /// Creates an empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Allocates a packet, reusing a retired slot when possible.
-    pub fn alloc(&mut self, pkt: Packet) -> PacketId {
+    pub(crate) fn alloc(&mut self, pkt: Packet) -> PacketId {
         let hot = PacketHot {
             birth: pkt.birth,
             route: pkt.route,
@@ -175,30 +175,30 @@ impl PacketPool {
 
     /// Read access to a live packet's hot fields.
     #[inline]
-    pub fn hot(&self, id: PacketId) -> &PacketHot {
+    pub(crate) fn hot(&self, id: PacketId) -> &PacketHot {
         &self.hot[id as usize]
     }
 
     /// Write access to a live packet's hot fields.
     #[inline]
-    pub fn hot_mut(&mut self, id: PacketId) -> &mut PacketHot {
+    pub(crate) fn hot_mut(&mut self, id: PacketId) -> &mut PacketHot {
         &mut self.hot[id as usize]
     }
 
     /// Read access to a live packet's cold fields.
     #[inline]
-    pub fn cold(&self, id: PacketId) -> &PacketCold {
+    pub(crate) fn cold(&self, id: PacketId) -> &PacketCold {
         &self.cold[id as usize]
     }
 
     /// Write access to a live packet's cold fields.
     #[inline]
-    pub fn cold_mut(&mut self, id: PacketId) -> &mut PacketCold {
+    pub(crate) fn cold_mut(&mut self, id: PacketId) -> &mut PacketCold {
         &mut self.cold[id as usize]
     }
 
     /// Retires a packet after its tail flit is consumed at the destination.
-    pub fn release(&mut self, id: PacketId) {
+    pub(crate) fn release(&mut self, id: PacketId) {
         let i = id as usize;
         debug_assert!(self.live > 0);
         debug_assert!(self.alive.get(i), "double release of packet {id}");
@@ -215,7 +215,7 @@ impl PacketPool {
     /// (callers count the packet drop then). If none of its flits are
     /// materialized anywhere, the slot is released immediately; otherwise
     /// it is held until the last flit is discarded.
-    pub fn poison(&mut self, id: PacketId) -> bool {
+    pub(crate) fn poison(&mut self, id: PacketId) -> bool {
         let i = id as usize;
         if !self.alive.get(i) || self.poisoned.get(i) {
             return false;
@@ -230,7 +230,7 @@ impl PacketPool {
 
     /// Whether `id` is a poisoned, not-yet-drained packet.
     #[inline]
-    pub fn is_poisoned(&self, id: PacketId) -> bool {
+    pub(crate) fn is_poisoned(&self, id: PacketId) -> bool {
         self.poisoned.get(id as usize)
     }
 
@@ -245,7 +245,7 @@ impl PacketPool {
     /// terminal's in-progress injection) that may outlive the packet's
     /// buffered flits and must pin the slot.
     #[inline]
-    pub fn note_flit_created(&mut self, id: PacketId) {
+    pub(crate) fn note_flit_created(&mut self, id: PacketId) {
         self.flits_out[id as usize] += 1;
     }
 
@@ -253,7 +253,7 @@ impl PacketPool {
     /// the destination or discarded by fault fallout; holder structure
     /// dismantled). Releases the slot when the last reference to a
     /// poisoned packet disappears.
-    pub fn note_flit_gone(&mut self, id: PacketId) {
+    pub(crate) fn note_flit_gone(&mut self, id: PacketId) {
         let i = id as usize;
         debug_assert!(self.flits_out[i] > 0, "flit refcount underflow");
         self.flits_out[i] -= 1;
@@ -275,11 +275,6 @@ impl PacketPool {
             .enumerate()
             .filter(|&(i, _)| self.alive.get(i))
             .map(|(i, (h, c))| (i as PacketId, h, c))
-    }
-
-    /// Total slots ever allocated (high-water mark).
-    pub fn capacity(&self) -> usize {
-        self.hot.len()
     }
 }
 
@@ -360,7 +355,7 @@ mod tests {
         assert_eq!(pool.live(), 1);
         let c = pool.alloc(pkt(2));
         assert_eq!(c, a, "slot not recycled");
-        assert_eq!(pool.capacity(), 2);
+        assert_eq!(pool.hot.len(), 2, "slot high-water grew");
         assert_eq!(pool.hot(b).len, 8);
         assert_eq!(pool.hot(c).len, 2);
     }

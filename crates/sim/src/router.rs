@@ -239,7 +239,7 @@ impl Router {
     /// Creates router `id` with `num_ports` unwired ports (the network
     /// wires them immediately after construction), every VC empty and
     /// every downstream credit full.
-    pub fn new(
+    pub(crate) fn new(
         id: usize,
         num_ports: usize,
         cfg: &SimConfig,
@@ -326,14 +326,14 @@ impl Router {
     }
 
     /// Router id.
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.id
     }
 
     /// Whether the router holds no work at all: no buffered input flit, no
     /// flit in the crossbar pipe and no output queue marked active (with
     /// the pipe empty, every port's backlog is its output queue).
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.flits_buffered == 0 && self.xbar.is_empty() && !self.egress_pending()
     }
 
@@ -373,19 +373,19 @@ impl Router {
 
     /// Owner of the downstream VC claim on `(port, vc)` (invariant
     /// support).
-    pub fn vc_owner(&self, port: usize, vc: usize) -> Option<PacketId> {
+    pub(crate) fn vc_owner(&self, port: usize, vc: usize) -> Option<PacketId> {
         let o = self.out_owner[port * self.num_vcs + vc];
         (o != NO_OWNER).then_some(o)
     }
 
     /// Whether `port`'s outgoing link is up (wired and not failed).
-    pub fn port_live(&self, port: usize) -> bool {
+    pub(crate) fn port_live(&self, port: usize) -> bool {
         self.live_ports[port]
     }
 
     /// Flits inside the crossbar pipe or output queue heading to
     /// `(port, vc)` (invariant support).
-    pub fn in_flight_to(&self, port: usize, vc: usize) -> usize {
+    pub(crate) fn in_flight_to(&self, port: usize, vc: usize) -> usize {
         let xbar = self
             .xbar
             .iter()
@@ -484,7 +484,7 @@ impl Router {
     }
 
     /// Total flits buffered anywhere inside this router.
-    pub fn total_flits(&self) -> usize {
+    pub(crate) fn total_flits(&self) -> usize {
         self.flits_buffered as usize
             + self.xbar.len()
             + self.out_q.iter().map(|q| q.len()).sum::<usize>()

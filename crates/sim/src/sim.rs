@@ -124,11 +124,6 @@ impl Sim {
         self.metrics.as_deref()
     }
 
-    /// Detaches and returns the metrics collector.
-    pub fn take_metrics(&mut self) -> Option<Box<Metrics>> {
-        self.metrics.take()
-    }
-
     /// Records a labeled event (e.g. a measurement-window boundary) into
     /// the metric stream, if metrics are enabled.
     pub fn mark_metrics_event(&mut self, label: &str) {

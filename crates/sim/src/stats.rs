@@ -12,13 +12,13 @@ pub type LatencyHist = crate::metrics::LogHist;
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     /// Cycle the current window began.
-    pub window_start: u64,
+    pub(crate) window_start: u64,
     /// Flits handed to terminals (generated) in the window.
     pub generated_flits: u64,
     /// Flits that left a terminal into the network in the window.
     pub injected_flits: u64,
     /// Flits delivered to destination terminals in the window.
-    pub delivered_flits: u64,
+    pub(crate) delivered_flits: u64,
     /// Packets delivered in the window.
     pub delivered_packets: u64,
     /// Sum of delivered packet latencies (birth -> tail ejection).
@@ -62,14 +62,14 @@ pub struct Stats {
 
 impl Stats {
     /// Creates zeroed stats.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records a delivered packet. `latency` is birth -> tail ejection,
     /// `net_latency` is head injection -> tail ejection (the in-network
     /// part; the difference is source-queue wait).
-    pub fn record_delivery(&mut self, latency: u64, net_latency: u64, hops: u8, len: u16) {
+    pub(crate) fn record_delivery(&mut self, latency: u64, net_latency: u64, hops: u8, len: u16) {
         debug_assert!(net_latency <= latency, "network time exceeds total");
         self.delivered_flits += len as u64;
         self.delivered_packets += 1;
@@ -83,13 +83,13 @@ impl Stats {
     }
 
     /// Records a generated packet (entered a terminal queue).
-    pub fn record_generation(&mut self, len: u16) {
+    pub(crate) fn record_generation(&mut self, len: u16) {
         self.generated_flits += len as u64;
         self.total_generated_flits += len as u64;
     }
 
     /// Records one flit leaving a terminal.
-    pub fn record_injection(&mut self) {
+    pub(crate) fn record_injection(&mut self) {
         self.injected_flits += 1;
     }
 
@@ -131,7 +131,7 @@ impl Stats {
     }
 
     /// Generated-but-undelivered flit backlog over the whole run.
-    pub fn backlog_flits(&self) -> u64 {
+    pub(crate) fn backlog_flits(&self) -> u64 {
         self.total_generated_flits
             .saturating_sub(self.total_delivered_flits)
     }

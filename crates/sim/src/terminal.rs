@@ -37,7 +37,13 @@ pub struct Terminal {
 
 impl Terminal {
     /// Creates terminal `id` wired to `out_chan` / `in_chan`.
-    pub fn new(id: usize, cfg: &SimConfig, out_chan: usize, in_chan: usize, seed: u64) -> Self {
+    pub(crate) fn new(
+        id: usize,
+        cfg: &SimConfig,
+        out_chan: usize,
+        in_chan: usize,
+        seed: u64,
+    ) -> Self {
         Terminal {
             id,
             inj_q: VecDeque::new(),
@@ -54,17 +60,17 @@ impl Terminal {
     }
 
     /// Terminal id.
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.id
     }
 
     /// Packets waiting (plus the one in flight) at this source.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.inj_q.len() + usize::from(self.cur.is_some())
     }
 
     /// Enqueues a freshly allocated packet for injection.
-    pub fn enqueue(&mut self, pkt: PacketId) {
+    pub(crate) fn enqueue(&mut self, pkt: PacketId) {
         self.inj_q.push_back(pkt);
     }
 

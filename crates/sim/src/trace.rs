@@ -14,10 +14,10 @@ use crate::packet::PacketId;
 pub struct HopRecord {
     /// The packet granted (pool slot — recycled after ejection; use `tag`
     /// to identify packets across a whole run).
-    pub pkt: PacketId,
+    pub(crate) pkt: PacketId,
     /// The packet's workload tag (unique per packet for the synthetic
     /// workloads; message id for the stencil model).
-    pub tag: u64,
+    pub(crate) tag: u64,
     /// Router making the grant.
     pub router: u32,
     /// Output port granted.
@@ -27,7 +27,7 @@ pub struct HopRecord {
     /// Whether this grant ejects the packet to its terminal.
     pub ejection: bool,
     /// Grant cycle.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
 }
 
 /// Why a packet was dropped by fault injection.
@@ -44,7 +44,7 @@ pub enum DropReason {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DropRecord {
     /// The dropped packet (pool slot; see [`HopRecord::pkt`]).
-    pub pkt: PacketId,
+    pub(crate) pkt: PacketId,
     /// The packet's workload tag.
     pub tag: u64,
     /// Cycle the drop was decided.
@@ -62,7 +62,7 @@ pub struct Trace {
 
 impl Trace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -83,27 +83,8 @@ impl Trace {
         &self.drops
     }
 
-    /// All recorded hops, in grant order.
-    pub fn hops(&self) -> &[HopRecord] {
-        &self.hops
-    }
-
-    /// The hop sequence of one packet (by tag), in order.
-    pub fn path_of(&self, tag: u64) -> Vec<HopRecord> {
-        self.hops.iter().filter(|h| h.tag == tag).copied().collect()
-    }
-
-    /// Tags of all packets with at least one recorded hop.
-    pub fn packets(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.hops.iter().map(|h| h.tag).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// All per-packet paths, grouped in one pass (hop order preserved
-    /// within each path). Prefer this over repeated [`Self::path_of`]
-    /// calls when analyzing whole runs.
+    /// within each path), in order of each packet's first hop.
     pub fn paths(&self) -> Vec<Vec<HopRecord>> {
         let mut index: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         let mut out: Vec<Vec<HopRecord>> = Vec::new();
@@ -116,12 +97,6 @@ impl Trace {
         }
         out
     }
-
-    /// Drops all records.
-    pub fn clear(&mut self) {
-        self.hops.clear();
-        self.drops.clear();
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +104,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn path_of_filters_and_preserves_order() {
+    fn paths_group_by_packet_and_preserve_order() {
         let mut t = Trace::new();
         for (pkt, router) in [(1u32, 0u32), (2, 0), (1, 3), (1, 7)] {
             t.record(HopRecord {
@@ -142,13 +117,12 @@ mod tests {
                 cycle: router as u64,
             });
         }
-        let p = t.path_of(1);
-        assert_eq!(p.len(), 3);
-        assert_eq!(
-            p.iter().map(|h| h.router).collect::<Vec<_>>(),
-            vec![0, 3, 7]
-        );
-        assert_eq!(t.packets(), vec![1, 2]);
-        assert_eq!(t.hops().len(), 4);
+        let paths = t.paths();
+        let routers = |p: &[HopRecord]| p.iter().map(|h| h.router).collect::<Vec<_>>();
+        assert_eq!(paths.len(), 2);
+        assert!(paths[0].iter().all(|h| h.tag == 1));
+        assert_eq!(routers(&paths[0]), vec![0, 3, 7]);
+        assert_eq!(paths[1].len(), 1);
+        assert_eq!(paths[1][0].tag, 2);
     }
 }

@@ -52,25 +52,25 @@ struct Pending {
 #[derive(Clone, Debug, Default)]
 pub struct TransportStats {
     /// Logical packets accepted from the workload.
-    pub logical_sent: u64,
+    pub(crate) logical_sent: u64,
     /// Logical packets delivered at least once.
-    pub logical_delivered: u64,
+    pub(crate) logical_delivered: u64,
     /// Retransmitted copies injected.
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Flits those copies added to the network (goodput overhead).
-    pub retransmitted_flits: u64,
+    pub(crate) retransmitted_flits: u64,
     /// Deliveries suppressed because their sequence had already arrived.
-    pub duplicates_dropped: u64,
+    pub(crate) duplicates_dropped: u64,
     /// Packets the transport gave up on (retry budget exhausted). A
     /// straggling copy may still arrive and count as delivered.
-    pub abandoned: u64,
+    pub(crate) abandoned: u64,
     /// Packets delivered after at least one retransmission.
-    pub recovered: u64,
+    pub(crate) recovered: u64,
     /// Cycle of the most recent such recovery (0 if none).
-    pub last_recovery_cycle: u64,
+    pub(crate) last_recovery_cycle: u64,
     /// End-to-end latency (first enqueue to first delivery) of recovered
     /// packets.
-    pub recovery_latency: LogHist,
+    pub(crate) recovery_latency: LogHist,
 }
 
 /// Deterministic summary row of [`TransportStats`], embedded in
@@ -136,13 +136,13 @@ pub struct Transport {
     /// Earliest active deadline — gates the pump scan.
     next_due: u64,
     /// Counters and histograms.
-    pub stats: TransportStats,
+    pub(crate) stats: TransportStats,
 }
 
 impl Transport {
     /// Builds the transport from the simulator configuration. Panics if
     /// retransmission is disabled in `cfg`.
-    pub fn new(cfg: &SimConfig) -> Self {
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
         assert!(cfg.retransmit_enabled(), "transport requires a timeout");
         Transport {
             timeout: cfg.retransmit_timeout,
@@ -170,7 +170,7 @@ impl Transport {
 
     /// Registers a freshly accepted logical packet and returns its
     /// sequence number (to stamp into the [`Packet`](crate::Packet)).
-    pub fn register(&mut self, desc: PacketDesc, now: u64) -> u64 {
+    pub(crate) fn register(&mut self, desc: PacketDesc, now: u64) -> u64 {
         self.next_seq += 1;
         let deadline = now + self.interval(0);
         self.pending.insert(
@@ -193,7 +193,7 @@ impl Transport {
     /// refused copies retry next cycle without burning an attempt) and
     /// abandons packets whose retry budget ran out. Called once per cycle
     /// from the serial pre-cycle section.
-    pub fn pump(&mut self, now: u64, inject: &mut dyn FnMut(PacketDesc, u64, u64) -> bool) {
+    pub(crate) fn pump(&mut self, now: u64, inject: &mut dyn FnMut(PacketDesc, u64, u64) -> bool) {
         if self.active == 0 || now < self.next_due {
             return;
         }
@@ -230,7 +230,7 @@ impl Transport {
     /// Filters one delivery: returns `true` when the workload should see
     /// it (first arrival of its sequence) and `false` for a suppressed
     /// duplicate.
-    pub fn on_delivered(&mut self, d: &Delivered, now: u64) -> bool {
+    pub(crate) fn on_delivered(&mut self, d: &Delivered, now: u64) -> bool {
         debug_assert!(d.seq != 0, "transport-enabled packets carry a sequence");
         if !self.delivered.insert(d.seq) {
             self.stats.duplicates_dropped += 1;
@@ -257,7 +257,7 @@ impl Transport {
     /// Whether the transport has nothing left to do: no pending packet is
     /// still scheduled for retransmission. Abandoned packets count as
     /// settled — their budget is spent.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.active == 0
     }
 
@@ -265,18 +265,12 @@ impl Transport {
     /// May be conservatively *early* after a delivery (the pump scan
     /// recomputes it), never late — so the event engine can safely skip
     /// dead cycles up to this bound.
-    pub fn next_due(&self) -> u64 {
+    pub(crate) fn next_due(&self) -> u64 {
         if self.active == 0 {
             u64::MAX
         } else {
             self.next_due
         }
-    }
-
-    /// Logical packets still awaiting their first delivery (including
-    /// abandoned ones).
-    pub fn undelivered(&self) -> usize {
-        self.pending.len()
     }
 }
 

@@ -46,7 +46,7 @@ pub struct Delivered {
     /// Transport sequence number (0 when retransmission is disabled).
     /// Retransmitted copies of one logical packet share a `seq`; the
     /// simulator suppresses duplicates before workloads see them.
-    pub seq: u64,
+    pub(crate) seq: u64,
 }
 
 /// A packet-injecting workload driven by the simulator.

@@ -38,7 +38,7 @@ impl Coord {
     }
 
     /// Creates the all-zeros coordinate with `dims` dimensions.
-    pub fn zeros(dims: usize) -> Self {
+    pub(crate) fn zeros(dims: usize) -> Self {
         assert!(dims <= MAX_DIMS, "too many dimensions");
         Coord {
             len: dims as u8,
@@ -48,7 +48,7 @@ impl Coord {
 
     /// Number of dimensions.
     #[inline]
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.len as usize
     }
 
@@ -72,11 +72,6 @@ impl Coord {
         let mut c = *self;
         c.set(d, val);
         c
-    }
-
-    /// Iterator over per-dimension positions.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.v[..self.dims()].iter().map(|&x| x as usize)
     }
 
     /// Number of dimensions in which `self` and `other` differ.
@@ -143,7 +138,7 @@ mod tests {
     fn zeros_has_all_zero() {
         let c = Coord::zeros(4);
         assert_eq!(c.dims(), 4);
-        assert!(c.iter().all(|x| x == 0));
+        assert!((0..c.dims()).all(|d| c.get(d) == 0));
     }
 
     #[test]

@@ -6,26 +6,17 @@
 //! worst-case admissible traffic" the theoretical optimum for non-minimal
 //! routing).
 
-use crate::hyperx::HyperX;
-
 /// An optimized HyperX configuration for a given radix and dimension count.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HyperXDesign {
     /// Per-dimension router counts (may be non-uniform).
-    pub widths: Vec<usize>,
+    pub(crate) widths: Vec<usize>,
     /// Terminals per router.
-    pub terms_per_router: usize,
+    pub(crate) terms_per_router: usize,
     /// Total terminals.
     pub terminals: usize,
     /// Ports consumed (must be <= radix).
-    pub ports_used: usize,
-}
-
-impl HyperXDesign {
-    /// Instantiates the concrete topology for this design.
-    pub fn build(&self) -> HyperX {
-        HyperX::new(&self.widths, self.terms_per_router)
-    }
+    pub(crate) ports_used: usize,
 }
 
 /// Finds the HyperX with `dims` dimensions maximizing terminal count for a
@@ -93,13 +84,13 @@ pub fn best_hyperx(radix: usize, dims: usize) -> Option<HyperXDesign> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DragonflyDesign {
     /// Terminals per router.
-    pub p: usize,
+    pub(crate) p: usize,
     /// Routers per group.
-    pub a: usize,
+    pub(crate) a: usize,
     /// Global channels per router.
-    pub h: usize,
+    pub(crate) h: usize,
     /// Groups (maximal: `a*h + 1`).
-    pub groups: usize,
+    pub(crate) groups: usize,
     /// Total terminals.
     pub terminals: usize,
 }
@@ -139,6 +130,7 @@ pub fn fattree_max_terminals(radix: usize, levels: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hyperx::HyperX;
     use crate::Topology;
 
     #[test]
@@ -172,11 +164,11 @@ mod tests {
             for dims in 1..=4 {
                 if let Some(d) = best_hyperx(radix, dims) {
                     assert!(d.ports_used <= radix, "{d:?}");
-                    let hx = d.build();
+                    let hx = HyperX::new(&d.widths, d.terms_per_router);
+                    let bisection = crate::hyperx::cut_bisection(&hx);
                     assert!(
-                        hx.relative_bisection() >= 0.5 - 1e-9,
-                        "bisection violated: {d:?} -> {}",
-                        hx.relative_bisection()
+                        bisection >= 0.5 - 1e-9,
+                        "bisection violated: {d:?} -> {bisection}"
                     );
                     assert_eq!(hx.num_terminals(), d.terminals);
                 }

@@ -59,10 +59,6 @@ impl Dragonfly {
     pub fn routers_per_group(&self) -> usize {
         self.a
     }
-    /// Global channels per router.
-    pub fn globals_per_router(&self) -> usize {
-        self.h
-    }
     /// Number of groups.
     pub fn groups(&self) -> usize {
         self.g
@@ -82,7 +78,7 @@ impl Dragonfly {
 
     /// Router id from `(group, in-group index)`.
     #[inline]
-    pub fn router_id(&self, group: usize, idx: usize) -> usize {
+    pub(crate) fn router_id(&self, group: usize, idx: usize) -> usize {
         group * self.a + idx
     }
 
@@ -92,7 +88,7 @@ impl Dragonfly {
     /// valid indices, since every pair is wired when both indices are in
     /// range).
     #[inline]
-    pub fn global_index_to(&self, from: usize, to: usize) -> Option<usize> {
+    pub(crate) fn global_index_to(&self, from: usize, to: usize) -> Option<usize> {
         debug_assert_ne!(from, to);
         let idx = if to < from { to } else { to - 1 };
         (idx < self.a * self.h).then_some(idx)
@@ -108,7 +104,7 @@ impl Dragonfly {
     }
 
     /// Which group a global port on router `r` leads to.
-    pub fn global_port_group(&self, r: usize, port: usize) -> Option<usize> {
+    pub(crate) fn global_port_group(&self, r: usize, port: usize) -> Option<usize> {
         let base = self.p + self.a - 1;
         if port < base || port >= base + self.h {
             return None;
@@ -128,7 +124,7 @@ impl Dragonfly {
     }
 
     /// Which in-group router index a local port leads to.
-    pub fn local_port_target(&self, r: usize, port: usize) -> Option<usize> {
+    pub(crate) fn local_port_target(&self, r: usize, port: usize) -> Option<usize> {
         if port < self.p || port >= self.p + self.a - 1 {
             return None;
         }

@@ -45,15 +45,15 @@ impl FatTree {
     }
 
     /// Number of edge routers.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.k * self.half()
     }
     /// Number of aggregation routers.
-    pub fn num_aggs(&self) -> usize {
+    pub(crate) fn num_aggs(&self) -> usize {
         self.k * self.half()
     }
     /// Number of core routers.
-    pub fn num_cores(&self) -> usize {
+    pub(crate) fn num_cores(&self) -> usize {
         self.half() * self.half()
     }
 
@@ -78,26 +78,21 @@ impl FatTree {
     }
 
     /// Edge router id for `(pod, index)`.
-    pub fn edge_id(&self, pod: usize, i: usize) -> usize {
+    pub(crate) fn edge_id(&self, pod: usize, i: usize) -> usize {
         pod * self.half() + i
     }
     /// Aggregation router id for `(pod, index)`.
-    pub fn agg_id(&self, pod: usize, j: usize) -> usize {
+    pub(crate) fn agg_id(&self, pod: usize, j: usize) -> usize {
         self.num_edges() + pod * self.half() + j
     }
     /// Core router id for core index `c` in `[0, (k/2)^2)`.
-    pub fn core_id(&self, c: usize) -> usize {
+    pub(crate) fn core_id(&self, c: usize) -> usize {
         self.num_edges() + self.num_aggs() + c
     }
 
     /// Edge router of terminal `t` and the down-port it occupies.
     pub fn terminal_edge(&self, t: usize) -> (usize, usize) {
         (t / self.half(), t % self.half())
-    }
-
-    /// Number of up ports on edge/agg routers (== k/2).
-    pub fn up_ports(&self) -> usize {
-        self.half()
     }
 }
 

@@ -67,18 +67,18 @@ pub struct FaultSet {
 
 impl FaultSet {
     /// An empty fault set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Fails the link attached to `port` of `router` (both directions).
-    pub fn fail_link(&mut self, router: usize, port: usize) -> &mut Self {
+    pub(crate) fn fail_link(&mut self, router: usize, port: usize) -> &mut Self {
         self.links.insert((router, port));
         self
     }
 
     /// Fails `router`: every network link it terminates goes down.
-    pub fn fail_router(&mut self, router: usize) -> &mut Self {
+    pub(crate) fn fail_router(&mut self, router: usize) -> &mut Self {
         self.routers.insert(router);
         self
     }
@@ -211,15 +211,6 @@ impl FaultSet {
         }
         added
     }
-
-    /// Draws `n` distinct routers uniformly at random under `seed` whose
-    /// removal keeps the surviving router graph connected. See
-    /// [`FaultSet::extend_random_routers`].
-    pub fn random_routers(topo: &dyn Topology, n: usize, seed: u64) -> FaultSet {
-        let mut set = FaultSet::new();
-        set.extend_random_routers(topo, n, seed);
-        set
-    }
 }
 
 /// Size of the connected component containing the first surviving router,
@@ -262,7 +253,6 @@ fn surviving_component(
 /// (`check_distance_metric` is valid for link-only fault sets).
 pub struct DegradedTopology {
     base: Arc<dyn Topology>,
-    faults: FaultSet,
     /// `dead[r][p]`: the network link out of `(r, p)` is down.
     dead: Vec<Vec<bool>>,
     failed_router: Vec<bool>,
@@ -381,33 +371,12 @@ impl DegradedTopology {
 
         Ok(DegradedTopology {
             base,
-            faults,
             dead,
             failed_router,
             dist,
             diameter,
             num_failed_cables,
         })
-    }
-
-    /// The wrapped base topology.
-    pub fn base(&self) -> &Arc<dyn Topology> {
-        &self.base
-    }
-
-    /// The applied fault set.
-    pub fn faults(&self) -> &FaultSet {
-        &self.faults
-    }
-
-    /// Whether the network link out of `(router, port)` is down.
-    pub fn is_port_dead(&self, router: usize, port: usize) -> bool {
-        self.dead[router][port]
-    }
-
-    /// Whether `router` is failed.
-    pub fn is_router_failed(&self, router: usize) -> bool {
-        self.failed_router[router]
     }
 
     /// Distinct failed cables (each bidirectional link counted once).
@@ -498,7 +467,7 @@ mod tests {
         faults.fail_link(0, p);
         let deg = DegradedTopology::new(hx.clone(), faults).unwrap();
         assert_eq!(deg.port_target(0, p), PortTarget::Unused);
-        assert!(deg.is_port_dead(0, p));
+        assert!(deg.name().ends_with("-degraded(links=1,routers=0)"));
         assert_eq!(deg.num_failed_cables(), 1);
         check_wiring(&deg);
         check_distance_metric(&deg);
@@ -529,7 +498,7 @@ mod tests {
         let mut faults = FaultSet::new();
         faults.fail_router(4);
         let deg = DegradedTopology::new(hx.clone(), faults).unwrap();
-        assert!(deg.is_router_failed(4));
+        assert!(deg.name().ends_with(",routers=1)"));
         for p in 0..deg.num_ports(4) {
             match hx.port_target(4, p) {
                 PortTarget::Router { .. } => {
@@ -600,14 +569,19 @@ mod tests {
     fn random_routers_respects_count_and_connectivity() {
         let hx = Arc::new(HyperX::uniform(3, 3, 2));
         for seed in 0..5u64 {
-            let faults = FaultSet::random_routers(&*hx, 3, seed);
+            let mut faults = FaultSet::new();
+            assert_eq!(faults.extend_random_routers(&*hx, 3, seed), 3);
             assert_eq!(faults.routers().count(), 3, "seed {seed}");
             let deg = DegradedTopology::new(hx.clone(), faults).unwrap();
             check_wiring(&deg);
         }
         // Deterministic under a fixed seed.
-        let a = FaultSet::random_routers(&*hx, 2, 9);
-        let b = FaultSet::random_routers(&*hx, 2, 9);
+        let draw = |seed| {
+            let mut set = FaultSet::new();
+            set.extend_random_routers(&*hx, 2, seed);
+            set
+        };
+        let (a, b) = (draw(9), draw(9));
         assert_eq!(a, b);
         // Decorrelated from the link draw of the same seed.
         assert!(FaultSet::random_links(&*hx, 2, 9) != a);

@@ -163,36 +163,10 @@ impl HyperX {
         r * self.terms_per_router + k
     }
 
-    /// Coordinate of the router a terminal is attached to.
-    #[inline]
-    pub fn terminal_coord(&self, t: usize) -> Coord {
-        self.coord_of(t / self.terms_per_router)
-    }
-
     /// Router coordinate position of router `r` in dimension `d`.
     #[inline]
-    pub fn coord_in_dim(&self, r: usize, d: usize) -> usize {
+    pub(crate) fn coord_in_dim(&self, r: usize, d: usize) -> usize {
         (r / self.strides[d]) % self.widths[d]
-    }
-
-    /// Relative bisection capacity of the network, as a fraction of the
-    /// capacity needed for 100% throughput under uniform random traffic.
-    ///
-    /// For a uniform HyperX, cutting the narrowest dimension `d` in half
-    /// yields `(s/2)*(s/2)` crossing channels per row of `s` routers, giving
-    /// a relative bisection of roughly `s / (2t)` (exactly
-    /// `2*ceil(s/2)*floor(s/2) / (s*t)` accounting for odd widths). The
-    /// network-wide value is the minimum over dimensions.
-    pub fn relative_bisection(&self) -> f64 {
-        let t = self.terms_per_router as f64;
-        self.widths
-            .iter()
-            .map(|&s| {
-                let half = (s / 2) as f64;
-                let other = (s - s / 2) as f64;
-                2.0 * half * other / (s as f64 * t)
-            })
-            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -260,6 +234,28 @@ impl Topology for HyperX {
     fn port_dim(&self, r: usize, p: usize) -> Option<usize> {
         self.port_dim_target(r, p).map(|(d, _)| d)
     }
+}
+
+/// Relative bisection capacity, counted off the wiring: for each dimension,
+/// the router-to-router channels crossing a cut of that dimension in half
+/// (one direction), over the `N/2` channels uniform random traffic needs;
+/// the minimum over dimensions.
+#[cfg(test)]
+pub(crate) fn cut_bisection(hx: &HyperX) -> f64 {
+    (0..hx.dims())
+        .map(|d| {
+            let half = hx.width(d) / 2;
+            let crossing = (0..hx.num_routers())
+                .filter(|&r| hx.coord_in_dim(r, d) < half)
+                .flat_map(|r| (0..hx.num_ports(r)).map(move |p| (r, p)))
+                .filter(|&(r, p)| match hx.port_target(r, p) {
+                    PortTarget::Router { router, .. } => hx.coord_in_dim(router, d) >= half,
+                    _ => false,
+                })
+                .count();
+            crossing as f64 / (hx.num_terminals() as f64 / 2.0)
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
@@ -336,11 +332,11 @@ mod tests {
     fn bisection_matches_design_rule() {
         // Paper's design point: s=17, t=16 gives ~50% bisection in each dim.
         let hx = HyperX::uniform(3, 17, 16);
-        let b = hx.relative_bisection();
+        let b = cut_bisection(&hx);
         assert!((0.5..0.56).contains(&b), "bisection {b} out of range");
         // t == s gives >= 0.5 for even widths.
         let hx2 = HyperX::uniform(2, 8, 8);
-        assert!((hx2.relative_bisection() - 0.5).abs() < 1e-12);
+        assert!((cut_bisection(&hx2) - 0.5).abs() < 1e-12);
     }
 
     #[test]

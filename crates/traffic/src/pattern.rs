@@ -57,7 +57,7 @@ pub struct BitComplement {
 
 impl BitComplement {
     /// `n` = number of terminals, must be a power of two.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n.is_power_of_two(), "bit complement needs 2^k terminals");
         BitComplement { mask: n - 1 }
     }
@@ -83,7 +83,7 @@ pub struct UniformRandomBisection {
 
 impl UniformRandomBisection {
     /// Targets dimension `dim` of `hx`.
-    pub fn new(hx: Arc<HyperX>, dim: usize) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>, dim: usize) -> Self {
         assert!(dim < hx.dims());
         UniformRandomBisection { hx, dim }
     }
@@ -122,7 +122,7 @@ impl Swap2 {
     /// Needs at least two dimensions and an even number of terminals per
     /// router (so terminal-id parity equals local-index parity and the
     /// pattern is a permutation, as in the paper's t=8 configuration).
-    pub fn new(hx: Arc<HyperX>) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
         assert!(hx.dims() >= 2, "Swap2 needs X and Y dimensions");
         assert!(
             hx.terms_per_router().is_multiple_of(2),
@@ -161,7 +161,7 @@ impl DimComplementReverse {
     /// Needs at least two dimensions, and reversal-symmetric widths
     /// (`width(d) == width(D-1-d)`) so the reversed-complemented
     /// coordinates stay in range.
-    pub fn new(hx: Arc<HyperX>) -> Self {
+    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
         assert!(hx.dims() >= 2, "DCR needs at least two dimensions");
         let nd = hx.dims();
         for d in 0..nd {

@@ -55,11 +55,6 @@ impl SyntheticWorkload {
             next_tag: 0,
         }
     }
-
-    /// The pattern driving destination selection.
-    pub fn pattern_name(&self) -> String {
-        self.pattern.name()
-    }
 }
 
 impl Workload for SyntheticWorkload {

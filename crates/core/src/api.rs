@@ -182,46 +182,89 @@ pub trait RoutingAlgorithm: Send + Sync {
     fn meta(&self) -> crate::meta::AlgoMeta;
 }
 
+/// The most VCs a [`ClassMap`] tabulates (the simulator's per-port VC
+/// masks are one `u64` word, so it caps `num_vcs` at the same 64).
+const MAP_MAX_VCS: usize = 64;
+
 /// Maps resource classes onto physical VCs.
 ///
 /// Class `c` of `C` owns VCs `[c*V/C, (c+1)*V/C)`; when `V` is not a
 /// multiple of `C` the remainder spreads over the lowest classes so every
 /// class owns at least one VC.
+///
+/// Every answer is tabulated at construction (`V <= 64`): the class
+/// bounds, each VC's class and each class's occupancy scale, as bytes. A
+/// candidate's weight reads the map once or twice, and this way no read
+/// divides; the map stays a small `Copy` value.
 #[derive(Clone, Copy, Debug)]
 pub struct ClassMap {
     num_vcs: usize,
     num_classes: usize,
+    /// `bounds[c] = c*V/C` for `c` in `0..=C`: class `c` owns
+    /// `bounds[c]..bounds[c + 1]`.
+    bounds: [u8; MAP_MAX_VCS + 1],
+    /// The class of each VC.
+    class: [u8; MAP_MAX_VCS],
+    /// `V / n` for a class of `n` VCs when `n` divides `V`, else 0.
+    scale: [u8; MAP_MAX_VCS],
 }
 
 impl ClassMap {
     /// Creates a map of `num_classes` classes over `num_vcs` VCs.
     ///
     /// # Panics
-    /// Panics if `num_classes` is zero or exceeds `num_vcs`.
+    /// Panics if `num_classes` is zero or exceeds `num_vcs`, or if
+    /// `num_vcs` exceeds 64.
     pub fn new(num_vcs: usize, num_classes: usize) -> Self {
         assert!(num_classes >= 1, "need at least one class");
         assert!(
             num_classes <= num_vcs,
             "{num_classes} classes cannot fit in {num_vcs} VCs"
         );
-        ClassMap {
+        assert!(
+            num_vcs <= MAP_MAX_VCS,
+            "a class map covers at most {MAP_MAX_VCS} VCs, not {num_vcs}"
+        );
+        let mut map = ClassMap {
             num_vcs,
             num_classes,
+            bounds: [0; MAP_MAX_VCS + 1],
+            class: [0; MAP_MAX_VCS],
+            scale: [0; MAP_MAX_VCS],
+        };
+        for c in 0..=num_classes {
+            map.bounds[c] = (c * num_vcs / num_classes) as u8;
         }
+        for c in 0..num_classes {
+            let vcs = map.vcs_of(c);
+            if num_vcs.is_multiple_of(vcs.len()) {
+                map.scale[c] = (num_vcs / vcs.len()) as u8;
+            }
+            for vc in vcs {
+                map.class[vc] = c as u8;
+            }
+        }
+        map
+    }
+
+    /// Number of VCs the map covers.
+    #[inline]
+    pub(crate) fn num_vcs(&self) -> usize {
+        self.num_vcs
     }
 
     /// First VC of class `c`.
     #[inline]
     pub fn first_vc(&self, c: usize) -> usize {
         debug_assert!(c < self.num_classes);
-        c * self.num_vcs / self.num_classes
+        self.bounds[c] as usize
     }
 
     /// The VC range `[start, end)` owned by class `c`.
     #[inline]
     pub fn vcs_of(&self, c: usize) -> std::ops::Range<usize> {
         debug_assert!(c < self.num_classes);
-        self.first_vc(c)..(c + 1) * self.num_vcs / self.num_classes
+        self.bounds[c] as usize..self.bounds[c + 1] as usize
     }
 
     /// Which class a VC belongs to.
@@ -231,7 +274,18 @@ impl ClassMap {
     #[inline]
     pub fn class_of(&self, vc: usize) -> usize {
         debug_assert!(vc < self.num_vcs);
-        ((vc + 1) * self.num_classes).div_ceil(self.num_vcs) - 1
+        self.class[vc] as usize
+    }
+
+    /// Class `c`'s occupancy `occ` scaled to the whole port: `occ * V / n`
+    /// for a class of `n` VCs, rounded down. A multiply when `n` divides
+    /// `V` (every class of an even split), the division otherwise.
+    #[inline]
+    pub(crate) fn scale_to_port(&self, c: usize, occ: u64) -> u64 {
+        match self.scale[c] {
+            0 => occ * self.num_vcs as u64 / self.vcs_of(c).len() as u64,
+            k => occ * k as u64,
+        }
     }
 }
 
@@ -261,24 +315,42 @@ mod tests {
         }
     }
 
+    /// Every map the simulator can build (`V` in 1..=64, `C` in 1..=V):
+    /// the classes cover the VCs, and every table entry equals its closed
+    /// form.
     #[test]
     fn classmap_uneven_split_covers_all_vcs() {
-        for v in 1..=16usize {
+        for v in 1..=64usize {
             for c in 1..=v {
                 let m = ClassMap::new(v, c);
                 let mut seen = vec![false; v];
                 for cls in 0..c {
                     let r = m.vcs_of(cls);
+                    assert_eq!(m.first_vc(cls), cls * v / c, "v={v} c={c}");
+                    assert_eq!(r, cls * v / c..(cls + 1) * v / c);
+                    let n = r.len() as u64;
+                    for cap in [1u64, 7, 32, 100] {
+                        for occ in 0..=n * cap {
+                            assert_eq!(m.scale_to_port(cls, occ), occ * v as u64 / n);
+                        }
+                    }
                     assert!(!r.is_empty(), "class {cls} of {c} over {v} VCs is empty");
                     for vc in r {
                         assert!(!seen[vc], "vc {vc} in two classes");
                         seen[vc] = true;
                         assert_eq!(m.class_of(vc), cls, "v={v} c={c} vc={vc}");
+                        assert_eq!(cls, ((vc + 1) * c).div_ceil(v) - 1);
                     }
                 }
                 assert!(seen.iter().all(|&s| s), "v={v} c={c}: uncovered vc");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 VCs")]
+    fn classmap_over_64_vcs_panics() {
+        let _ = ClassMap::new(65, 2);
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!
 //! Per the paper (Section 4.1 / footnote 5), the *sequential allocation*
 //! the original Clos-AD relied on is infeasible in high-radix routers and
-//! is not modelled: all candidates here are weighed against the same
-//! cycle-start congestion snapshot.
+//! is not modelled as such: no packet reserves a share of a port ahead of
+//! its grant. The simulator does weigh a router's heads one after another
+//! (oldest first) against its live output state, so a packet's candidates
+//! see the credits that older packets' grants took earlier in the same
+//! cycle — the same rule every algorithm gets, not a cycle-start snapshot.
 
 use std::sync::Arc;
 

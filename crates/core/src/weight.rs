@@ -50,7 +50,9 @@ pub fn port_congestion(view: &dyn RouterView, port: usize) -> u64 {
 /// are read once and added after the maximum: `max(c + s, p + s) =
 /// max(c, p) + s`. Per candidate this is two aggregate reads
 /// ([`RouterView::range_occupancy`], [`RouterView::port_occupancy`]),
-/// independent of the VC count.
+/// independent of the VC count. The class term's scale `V / n` is read
+/// off the class map's table: a multiply whenever `n` divides `V`, the
+/// exact `occ * V / n` division otherwise (uneven splits).
 #[inline]
 pub fn candidate_congestion(
     view: &dyn RouterView,
@@ -58,9 +60,12 @@ pub fn candidate_congestion(
     map: &ClassMap,
     class: usize,
 ) -> u64 {
-    let vcs = map.vcs_of(class);
-    let n = vcs.len() as u64;
-    let class_occ = view.range_occupancy(port, vcs) as u64 * view.num_vcs() as u64 / n.max(1);
+    debug_assert_eq!(
+        view.num_vcs(),
+        map.num_vcs(),
+        "view and class map disagree on V"
+    );
+    let class_occ = map.scale_to_port(class, view.range_occupancy(port, map.vcs_of(class)) as u64);
     class_occ.max(view.port_occupancy(port) as u64) + shared_pressure(view, port)
 }
 

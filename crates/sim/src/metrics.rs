@@ -160,8 +160,8 @@ pub struct PhaseTimers {
     pub ingress_ns: u64,
     /// Route computation (`RoutingAlgorithm::route` calls).
     pub route_ns: u64,
-    /// VC allocation around route computation (head collection, candidate
-    /// selection, grants).
+    /// VC allocation around route computation (the head-list walk,
+    /// candidate selection, grants).
     pub vc_alloc_ns: u64,
     /// Switch traversal + crossbar drain.
     pub crossbar_ns: u64,

@@ -818,16 +818,16 @@ impl Network {
     /// plus at most one in-progress packet's whole-packet reservation when
     /// the VC is claimed. Every router's derived allocation
     /// state (per-port occupancy counter, routed-prefix counts, packet
-    /// buffer counters, per-VC flit counts, VC and output-active masks) is
-    /// checked against the credits and queues it summarizes, dead ports
-    /// included.
+    /// buffer counters, per-VC flit counts, VC and output-active masks,
+    /// head list) is checked against the credits, queues and `pool` slots
+    /// it summarizes, dead ports included.
     /// Returns the list of violations (empty = sound).
-    pub fn audit_flow_control(&self) -> Vec<String> {
+    pub fn audit_flow_control(&self, pool: &PacketPool) -> Vec<String> {
         let mut errs = Vec::new();
         let cap = self.cfg.buf_flits;
         let max_pkt = self.cfg.max_packet_flits;
         for r in &self.routers {
-            r.audit_derived_state(&mut errs);
+            r.audit_derived_state(pool, &mut errs);
             for port in 0..self.topo.num_ports(r.id()) {
                 let Some(ch) = r.out_ch(port) else { continue };
                 if !r.port_live(port) || !self.channels[ch].is_alive() {
@@ -974,7 +974,7 @@ mod tests {
     fn audit_violation_renders_on_one_clean_line() {
         let mut net = small_net();
         assert!(
-            net.audit_flow_control().is_empty(),
+            net.audit_flow_control(&PacketPool::new()).is_empty(),
             "idle net must audit clean"
         );
         // Fake occupancy on a router-to-router port: the sender now thinks
@@ -985,7 +985,7 @@ mod tests {
         let mut occ = vec![0usize; net.cfg.num_vcs];
         occ[0] = 5;
         net.routers[0].reset_out_credits(port, &occ);
-        let errs = net.audit_flow_control();
+        let errs = net.audit_flow_control(&PacketPool::new());
         assert!(!errs.is_empty(), "forced violation must be reported");
         for e in &errs {
             assert!(!e.contains('\n'), "violation spans lines: {e:?}");

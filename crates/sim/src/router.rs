@@ -14,7 +14,9 @@
 //!    packet first), ask the routing algorithm for weighted candidates and
 //!    grant the cheapest feasible `(port, vc)`: the VC must be unclaimed
 //!    and hold credits for the *whole packet* (virtual cut-through), or be
-//!    completely empty under atomic queue allocation (Section 4.2).
+//!    completely empty under atomic queue allocation (Section 4.2). Heads
+//!    are weighed one after another against the live output state, so an
+//!    older head's grant is already visible to a younger head's weights.
 //! 3. *Switch traversal* — each input port forwards up to
 //!    `crossbar_speedup` flits per cycle from its oldest routed packets
 //!    into the crossbar delay pipe, returning credits upstream.
@@ -32,6 +34,13 @@
 //! one bit per output port with a queued flit, so allocation, switch
 //! traversal, link egress and [`Router::next_wake`] touch only VCs and
 //! ports that have work.
+//!
+//! At saturation most heads are blocked and re-evaluated every cycle, so
+//! the router keeps its heads as a persistent list in age order, each
+//! carrying a copy of its packet's routing fields ([`Head`], 32 bytes).
+//! Re-evaluating a blocked head then reads no packet-pool slot and no
+//! input queue, and nothing is sorted per cycle; the list changes only
+//! when a head flit lands, a head is granted or a fault reap runs.
 
 use std::collections::VecDeque;
 
@@ -47,7 +56,7 @@ use crate::channel::Channel;
 use crate::config::SimConfig;
 use crate::metrics::lap;
 use crate::network::TickCtx;
-use crate::packet::{Flit, PacketId, PacketPool};
+use crate::packet::{Flit, PacketHot, PacketId, PacketPool};
 use crate::stats::Stats;
 use crate::trace::{DropReason, DropRecord, HopRecord, Trace};
 
@@ -172,6 +181,73 @@ struct PktBuf {
     sent: u16,
 }
 
+/// One input VC's first unrouted packet, with the fields route + VC
+/// allocation reads (32 bytes).
+///
+/// The fields are copied from the packet pool once, when the packet
+/// becomes its VC's head, so re-evaluating a blocked head touches no pool
+/// slot. The copy stays exact: while the head sits at this router only
+/// this router's [`Router::grant`] writes the packet's route state and hop
+/// count, and a grant takes the head off the list. The route state is
+/// stored field by field, which packs it without padding.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Head {
+    /// Packet creation cycle: the age-arbitration key, `pkt` breaking ties.
+    birth: u64,
+    pkt: PacketId,
+    dst_router: u32,
+    /// Destination terminal.
+    dst: u32,
+    /// [`PacketRouteState::intermediate`].
+    intermediate: u32,
+    /// Packet length in flits.
+    len: u16,
+    /// Input port the packet is buffered on.
+    port: u16,
+    /// [`PacketRouteState::phase`].
+    phase: u8,
+    /// [`PacketRouteState::deroute_mask`].
+    deroute_mask: u8,
+    /// Input VC the packet is buffered on.
+    vc: u8,
+    /// Router-to-router hops taken so far.
+    hops: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Head>() == 32);
+
+impl Head {
+    fn new(pkt: PacketId, hot: &PacketHot, port: usize, vc: usize) -> Self {
+        Head {
+            birth: hot.birth,
+            pkt,
+            dst_router: hot.dst_router,
+            dst: hot.dst,
+            intermediate: hot.route.intermediate,
+            len: hot.len,
+            port: port as u16,
+            phase: hot.route.phase,
+            deroute_mask: hot.route.deroute_mask,
+            vc: vc as u8,
+            hops: hot.hops,
+        }
+    }
+
+    fn route(&self) -> PacketRouteState {
+        PacketRouteState {
+            intermediate: self.intermediate,
+            phase: self.phase,
+            deroute_mask: self.deroute_mask,
+        }
+    }
+
+    /// Age order: oldest first. `pkt` is unique among a router's heads,
+    /// so no two keys tie.
+    fn key(&self) -> (u64, PacketId) {
+        (self.birth, self.pkt)
+    }
+}
+
 /// One router instance.
 pub struct Router {
     id: usize,
@@ -230,8 +306,15 @@ pub struct Router {
     rng: SmallRng,
     /// Total flits buffered on the input side (fast-path skip).
     flits_buffered: u32,
+    /// Every input VC's first unrouted packet (`in_q[i][routed[i]]`),
+    /// ascending by [`Head::key`]: the order route + VC allocation visits
+    /// them in. Maintained where a VC's first unrouted packet changes —
+    /// a head flit landing in a VC with none, a grant (exposing the next
+    /// packet after the pass) and a fault reap (rebuilt whole).
+    heads: Vec<Head>,
     // Scratch buffers reused every cycle.
-    heads: Vec<(u64, PacketId, u16, u8)>,
+    /// Input `(port, vc)` of this pass's grants.
+    granted: Vec<(u16, u8)>,
     cands: Vec<Candidate>,
 }
 
@@ -276,6 +359,7 @@ impl Router {
             rng: SmallRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             flits_buffered: 0,
             heads: Vec::new(),
+            granted: Vec::new(),
             cands: Vec::new(),
         }
     }
@@ -406,10 +490,13 @@ impl Router {
     /// - each input VC's flit count equals its packets' `Σ (arrived − sent)`;
     /// - each input port's VC mask marks exactly the VCs holding flits;
     /// - `flits_buffered` is the total over all input VCs;
-    /// - the output-active mask marks exactly the ports with a queued flit.
+    /// - the output-active mask marks exactly the ports with a queued flit;
+    /// - the head list holds exactly each input VC's first unrouted packet,
+    ///   strictly ascending in `(birth, pkt)`, every copied field equal to
+    ///   the pool's.
     ///
     /// Appends one line per violation.
-    pub(crate) fn audit_derived_state(&self, errs: &mut Vec<String>) {
+    pub(crate) fn audit_derived_state(&self, pool: &PacketPool, errs: &mut Vec<String>) {
         let mut buffered = 0;
         let mut active = vec![0u64; self.out_active.len()];
         for port in 0..self.num_ports {
@@ -480,6 +567,47 @@ impl Router {
                 "router {}: output-active mask {:x?} but the queued ports are {active:x?}",
                 self.id, self.out_active
             ));
+        }
+        self.audit_heads(pool, errs);
+    }
+
+    /// The head-list part of [`Self::audit_derived_state`].
+    fn audit_heads(&self, pool: &PacketPool, errs: &mut Vec<String>) {
+        let unrouted = (0..self.in_q.len())
+            .filter(|&i| self.in_q[i].len() > self.routed[i] as usize)
+            .count();
+        if self.heads.len() != unrouted {
+            errs.push(format!(
+                "router {}: {} listed heads but {unrouted} VCs hold an unrouted packet",
+                self.id,
+                self.heads.len()
+            ));
+        }
+        for (k, head) in self.heads.iter().enumerate() {
+            if k > 0 && self.heads[k - 1].key() >= head.key() {
+                errs.push(format!(
+                    "router {}: head {k} (packet {}) breaks the age order",
+                    self.id, head.pkt
+                ));
+            }
+            let (port, vc) = (head.port as usize, head.vc as usize);
+            let first = (port < self.num_ports && vc < self.num_vcs)
+                .then(|| {
+                    let i = self.pv(port, vc);
+                    self.in_q[i].get(self.routed[i] as usize)
+                })
+                .flatten();
+            if first.is_none_or(|buf| buf.pkt != head.pkt) {
+                errs.push(format!(
+                    "router {} port {port} vc {vc}: listed head {} is not the first unrouted packet",
+                    self.id, head.pkt
+                ));
+            } else if *head != Head::new(head.pkt, pool.hot(head.pkt), port, vc) {
+                errs.push(format!(
+                    "router {} port {port} vc {vc}: head copy {head:?} differs from the pool's",
+                    self.id
+                ));
+            }
         }
     }
 
@@ -569,21 +697,27 @@ impl Router {
                 ctx.pool.note_flit_gone(flit.pkt);
                 continue;
             }
-            let q = &mut self.in_q[port * self.num_vcs + vc as usize];
+            let i = self.pv(port, vc as usize);
             if flit.is_head() {
-                q.push_back(PktBuf {
+                let head = Head::new(flit.pkt, ctx.pool.hot(flit.pkt), port, vc as usize);
+                self.in_q[i].push_back(PktBuf {
                     pkt: flit.pkt,
-                    birth: ctx.pool.hot(flit.pkt).birth,
+                    birth: head.birth,
                     route: None,
                     len: flit.len,
                     arrived: 0,
                     sent: 0,
                 });
+                // Landing behind routed packets only, it is the VC's
+                // first unrouted packet.
+                if self.in_q[i].len() == self.routed[i] as usize + 1 {
+                    self.insert_head(head);
+                }
                 // The buffer itself pins the packet slot until it
                 // is dismantled (tail forwarded or fault-reaped).
                 ctx.pool.note_flit_created(flit.pkt);
             }
-            let back = q.back_mut().expect("body flit without a head");
+            let back = self.in_q[i].back_mut().expect("body flit without a head");
             debug_assert_eq!(back.pkt, flit.pkt, "packets interleaved on one VC");
             debug_assert_eq!(flit.idx, back.arrived, "flits out of order on one VC");
             back.arrived += 1;
@@ -608,171 +742,208 @@ impl Router {
 
     /// Phase 2: route computation + virtual cut-through VC allocation,
     /// oldest packet first.
+    ///
+    /// The pass visits [`Self::heads`], the first unrouted packet of every
+    /// input VC (the packet a real VC-state machine would be routing).
+    /// Routed packets ahead of it keep draining independently, so routing
+    /// pipelines across packets; and because every input VC's front is
+    /// (re)considered every cycle, the class-ordered drain argument for
+    /// deadlock freedom holds — no packet that could make progress is
+    /// ever starved of route computation. Each head is weighed against the
+    /// live output state: an older head's grant in this pass has already
+    /// taken its credits (`out_credits`, `out_occ`) when a younger head's
+    /// candidates are weighed. A granted head leaves the list, and its
+    /// VC's next packet joins only after the pass, so it is first routed
+    /// next cycle.
     fn allocate(&mut self, topo: &dyn Topology, algo: &dyn RoutingAlgorithm, ctx: &mut TickCtx) {
-        if self.flits_buffered == 0 {
+        if self.heads.is_empty() {
             return;
         }
-        // Collect the first unrouted packet of every input VC (the packet a
-        // real VC-state machine would be routing). Routed packets ahead of
-        // it keep draining independently, so routing pipelines across
-        // packets; and because every input VC's front is (re)considered
-        // every cycle, the class-ordered drain argument for deadlock
-        // freedom holds — no packet that could make progress is ever
-        // starved of route computation.
         let mut heads = std::mem::take(&mut self.heads);
-        heads.clear();
+        let mut granted = std::mem::take(&mut self.granted);
+        let mut cands = std::mem::take(&mut self.cands);
+        let mut kept = 0;
+        for idx in 0..heads.len() {
+            let head = heads[idx];
+            // For age-arbitration accounting: the first head is this
+            // router's oldest waiting packet this cycle.
+            if self.route_head(&head, idx == 0, topo, algo, ctx, &mut cands) {
+                granted.push((head.port, head.vc));
+            } else {
+                heads[kept] = head;
+                kept += 1;
+            }
+        }
+        heads.truncate(kept);
+        self.heads = heads;
+        for &(port, vc) in &granted {
+            self.expose_head(port as usize, vc as usize, ctx.pool);
+        }
+        granted.clear();
+        self.granted = granted;
+        self.cands = cands;
+    }
+
+    /// Routes one head and, if its chosen output VC is grantable, grants
+    /// it. Returns whether it was granted.
+    #[inline]
+    fn route_head(
+        &mut self,
+        head: &Head,
+        oldest: bool,
+        topo: &dyn Topology,
+        algo: &dyn RoutingAlgorithm,
+        ctx: &mut TickCtx,
+        cands: &mut Vec<Candidate>,
+    ) -> bool {
+        let (pkt_id, port, vc) = (head.pkt, head.port as usize, head.vc as usize);
+        if ctx.pool.any_poisoned() && ctx.pool.is_poisoned(pkt_id) {
+            // Fault fallout will reap this buffer; don't route it.
+            return false;
+        }
+        let dst_router = head.dst_router as usize;
+
+        // The chosen output: (port, VC range, routing commit, ejection,
+        // deroute).
+        let (out_port, range, commit, ejection, nonminimal) = if dst_router == self.id {
+            // Ejection: any VC of the destination terminal's port
+            // (classes don't apply to the terminal link).
+            let (_, eject_port) = topo.terminal_attach(head.dst as usize);
+            (eject_port, 0..self.num_vcs, Commit::None, true, false)
+        } else {
+            // Livelock guard: a packet that has burned its hop budget
+            // is dropped instead of granted another network hop. The
+            // poison waits for the end of the cycle (see
+            // `Network::tick`): routers after this one still read the
+            // packet as live this cycle.
+            if head.hops >= self.hop_cap {
+                ctx.hop_capped.push(pkt_id);
+                return false;
+            }
+            let view = OutView {
+                num_vcs: self.num_vcs,
+                cap: self.buf_cap as usize,
+                credits: &self.out_credits,
+                occ: &self.out_occ,
+                backlog: &self.out_backlog,
+                live: &self.live_ports,
+                out_chan: &self.out_chan,
+                channels: ctx.channels,
+                now: ctx.now,
+            };
+            let route_ctx = RouteCtx {
+                router: self.id,
+                input_port: port,
+                input_vc: vc,
+                from_terminal: self.port_term[port] != NO_WIRE,
+                dst_router,
+                dst_terminal: head.dst as usize,
+                pkt_len: head.len as usize,
+                state: head.route(),
+                view: &view,
+            };
+            let route_t0 = ctx.timed.then(std::time::Instant::now);
+            cands.clear();
+            algo.route(&route_ctx, &mut self.rng, cands);
+            if let Some(t0) = route_t0 {
+                ctx.timers.route_ns += t0.elapsed().as_nanos() as u64;
+            }
+            // With every port up an empty candidate set is a routing
+            // bug; under faults it just means "wait for a revival or a
+            // reroute".
+            debug_assert!(
+                !cands.is_empty() || self.live_ports.iter().any(|&l| !l),
+                "routing produced no candidates on a fault-free router"
+            );
+
+            // "Choose the output with the minimal weight" (Sections
+            // 5.1/5.2): the best-weighted candidate is selected *before*
+            // checking grantability; if its VC class is currently
+            // claimed or credit-starved the packet waits and
+            // re-evaluates next cycle. (Falling back to the cheapest
+            // *grantable* candidate instead turns transient credit
+            // exhaustion into spurious deroutes and destabilizes the
+            // network near saturation.) Ties prefer fewer hops, then a
+            // random draw to avoid systematic port bias.
+            let mut best: Option<(CandKey, usize, u8, Commit)> = None;
+            let mut min_hops = u8::MAX;
+            for c in cands.iter() {
+                let salt = self.rng.random::<u32>();
+                let key = (c.weight, c.hops, salt);
+                min_hops = min_hops.min(c.hops);
+                if best.as_ref().is_none_or(|(k, ..)| *k > key) {
+                    best = Some((key, c.port as usize, c.class, c.commit));
+                }
+            }
+            let Some((key, out_port, class, commit)) = best else {
+                return false;
+            };
+            // A grant whose hop count exceeds the cheapest offered path
+            // is a deroute.
+            let range = self.class_map.vcs_of(class as usize);
+            (out_port, range, commit, false, key.1 > min_hops)
+        };
+
+        let Some(out_vc) = self.pick_vc(out_port, range.clone(), head.len) else {
+            if let Some(m) = ctx.metrics.as_deref_mut() {
+                let starved = self.has_unclaimed_vc(out_port, range);
+                m.on_alloc_stall(self.id, out_port, starved);
+            }
+            return false;
+        };
+        self.grant(head, out_port, out_vc, commit, ctx.pool);
+        if let Some(m) = ctx.metrics.as_deref_mut() {
+            // DAL names a deroute's dimension in the commit; otherwise
+            // the port's topology dimension attributes it.
+            let dim = match commit {
+                Commit::Deroute { dim } => Some(dim as usize),
+                _ => None,
+            };
+            m.on_grant(self.id, out_port, oldest, ejection, nonminimal, dim);
+        }
+        if let Some(t) = ctx.trace.as_deref_mut() {
+            t.record(HopRecord {
+                pkt: pkt_id,
+                tag: ctx.pool.cold(pkt_id).tag,
+                router: self.id as u32,
+                out_port: out_port as u16,
+                out_vc: out_vc as u8,
+                ejection,
+                cycle: ctx.now,
+            });
+        }
+        true
+    }
+
+    /// Puts `head` on the head list at its age rank.
+    fn insert_head(&mut self, head: Head) {
+        let at = self.heads.partition_point(|h| h.key() < head.key());
+        self.heads.insert(at, head);
+    }
+
+    /// Lists input `(port, vc)`'s first unrouted packet, if it has one:
+    /// after a grant took the previous one off the list.
+    fn expose_head(&mut self, port: usize, vc: usize, pool: &PacketPool) {
+        let i = self.pv(port, vc);
+        if let Some(buf) = self.in_q[i].get(self.routed[i] as usize) {
+            let head = Head::new(buf.pkt, pool.hot(buf.pkt), port, vc);
+            self.insert_head(head);
+        }
+    }
+
+    /// Rebuilds the head list from the input queues.
+    fn rebuild_heads(&mut self, pool: &PacketPool) {
+        self.heads.clear();
         for port in 0..self.num_ports {
-            // An unrouted packet holds at least its head flit (routed
-            // packets may sit empty mid-stream, unrouted ones cannot), so
-            // only VCs with buffered flits can have a head.
-            let mut vcs = self.vc_mask[port];
-            while vcs != 0 {
-                let vc = vcs.trailing_zeros() as usize;
-                vcs &= vcs - 1;
+            for vc in 0..self.num_vcs {
                 let i = self.pv(port, vc);
                 if let Some(buf) = self.in_q[i].get(self.routed[i] as usize) {
-                    debug_assert!(buf.arrived > buf.sent, "unrouted packet without flits");
-                    heads.push((buf.birth, buf.pkt, port as u16, vc as u8));
+                    self.heads
+                        .push(Head::new(buf.pkt, pool.hot(buf.pkt), port, vc));
                 }
             }
         }
-        // Age-based arbitration: oldest packet claims resources first.
-        heads.sort_unstable();
-
-        let mut cands = std::mem::take(&mut self.cands);
-        for (head_idx, &(_, pkt_id, port16, vc8)) in heads.iter().enumerate() {
-            let (port, vc) = (port16 as usize, vc8 as usize);
-            // For age-arbitration accounting: the first sorted head is this
-            // router's oldest waiting packet this cycle.
-            let oldest = head_idx == 0;
-            if ctx.pool.is_poisoned(pkt_id) {
-                // Fault fallout will reap this buffer; don't route it.
-                continue;
-            }
-            let pkt = ctx.pool.hot(pkt_id);
-            let (dst_router, dst_term, len) = (pkt.dst_router as usize, pkt.dst as usize, pkt.len);
-            let state = pkt.route;
-            let hops = pkt.hops;
-
-            // The chosen output: (port, VC range, routing commit, ejection,
-            // deroute).
-            let (out_port, range, commit, ejection, nonminimal) = if dst_router == self.id {
-                // Ejection: any VC of the destination terminal's port
-                // (classes don't apply to the terminal link).
-                let (_, eject_port) = topo.terminal_attach(dst_term);
-                (eject_port, 0..self.num_vcs, Commit::None, true, false)
-            } else {
-                // Livelock guard: a packet that has burned its hop budget
-                // is dropped instead of granted another network hop. The
-                // poison waits for the end of the cycle (see
-                // `Network::tick`): routers after this one still read the
-                // packet as live this cycle.
-                if hops >= self.hop_cap {
-                    ctx.hop_capped.push(pkt_id);
-                    continue;
-                }
-                let view = OutView {
-                    num_vcs: self.num_vcs,
-                    cap: self.buf_cap as usize,
-                    credits: &self.out_credits,
-                    occ: &self.out_occ,
-                    backlog: &self.out_backlog,
-                    live: &self.live_ports,
-                    out_chan: &self.out_chan,
-                    channels: ctx.channels,
-                    now: ctx.now,
-                };
-                let route_ctx = RouteCtx {
-                    router: self.id,
-                    input_port: port,
-                    input_vc: vc,
-                    from_terminal: self.port_term[port] != NO_WIRE,
-                    dst_router,
-                    dst_terminal: dst_term,
-                    pkt_len: len as usize,
-                    state,
-                    view: &view,
-                };
-                let route_t0 = ctx.timed.then(std::time::Instant::now);
-                cands.clear();
-                algo.route(&route_ctx, &mut self.rng, &mut cands);
-                if let Some(t0) = route_t0 {
-                    ctx.timers.route_ns += t0.elapsed().as_nanos() as u64;
-                }
-                // With every port up an empty candidate set is a routing
-                // bug; under faults it just means "wait for a revival or a
-                // reroute".
-                debug_assert!(
-                    !cands.is_empty() || self.live_ports.iter().any(|&l| !l),
-                    "routing produced no candidates on a fault-free router"
-                );
-
-                // "Choose the output with the minimal weight" (Sections
-                // 5.1/5.2): the best-weighted candidate is selected *before*
-                // checking grantability; if its VC class is currently
-                // claimed or credit-starved the packet waits and
-                // re-evaluates next cycle. (Falling back to the cheapest
-                // *grantable* candidate instead turns transient credit
-                // exhaustion into spurious deroutes and destabilizes the
-                // network near saturation.) Ties prefer fewer hops, then a
-                // random draw to avoid systematic port bias.
-                let mut best: Option<(CandKey, usize, u8, Commit)> = None;
-                let mut min_hops = u8::MAX;
-                for c in &cands {
-                    let salt = self.rng.random::<u32>();
-                    let key = (c.weight, c.hops, salt);
-                    min_hops = min_hops.min(c.hops);
-                    if best.as_ref().is_none_or(|(k, ..)| *k > key) {
-                        best = Some((key, c.port as usize, c.class, c.commit));
-                    }
-                }
-                let Some((key, out_port, class, commit)) = best else {
-                    continue;
-                };
-                // A grant whose hop count exceeds the cheapest offered path
-                // is a deroute.
-                let range = self.class_map.vcs_of(class as usize);
-                (out_port, range, commit, false, key.1 > min_hops)
-            };
-
-            let Some(out_vc) = self.pick_vc(out_port, range.clone(), len) else {
-                if let Some(m) = ctx.metrics.as_deref_mut() {
-                    let starved = self.has_unclaimed_vc(out_port, range);
-                    m.on_alloc_stall(self.id, out_port, starved);
-                }
-                continue;
-            };
-            self.grant(
-                pkt_id,
-                self.pv(port, vc),
-                out_port,
-                out_vc,
-                commit,
-                ctx.pool,
-            );
-            if let Some(m) = ctx.metrics.as_deref_mut() {
-                // DAL names a deroute's dimension in the commit; otherwise
-                // the port's topology dimension attributes it.
-                let dim = match commit {
-                    Commit::Deroute { dim } => Some(dim as usize),
-                    _ => None,
-                };
-                m.on_grant(self.id, out_port, oldest, ejection, nonminimal, dim);
-            }
-            if let Some(t) = ctx.trace.as_deref_mut() {
-                t.record(HopRecord {
-                    pkt: pkt_id,
-                    tag: ctx.pool.cold(pkt_id).tag,
-                    router: self.id as u32,
-                    out_port: out_port as u16,
-                    out_vc: out_vc as u8,
-                    ejection,
-                    cycle: ctx.now,
-                });
-            }
-        }
-        self.heads = heads;
-        self.cands = cands;
+        self.heads.sort_unstable_by_key(Head::key);
     }
 
     /// Picks the feasible VC with most free space in `range` for a packet
@@ -819,26 +990,27 @@ impl Router {
     /// commit + hop count) to `pool`. Nothing else reads that state this
     /// cycle — the packet's head is here, already routed, and the
     /// downstream router can't see it for at least one channel latency.
-    /// Only a grant onto a router-to-router link counts a hop.
-    /// `i` is the grantee's input VC, as [`Self::pv`] indexes it.
+    /// Only a grant onto a router-to-router link counts a hop. The caller
+    /// takes `head` off [`Self::heads`] and exposes the VC's next packet.
     fn grant(
         &mut self,
-        pkt_id: PacketId,
-        i: usize,
+        head: &Head,
         out_port: usize,
         out_vc: usize,
         commit: Commit,
         pool: &mut PacketPool,
     ) {
-        let len = pool.hot(pkt_id).len;
+        let (pkt_id, len) = (head.pkt, head.len);
+        let i = self.pv(head.port as usize, head.vc as usize);
         let o = self.pv(out_port, out_vc);
         debug_assert!(self.out_owner[o] == NO_OWNER);
         debug_assert!(self.out_credits[o] >= len as u32);
         self.out_owner[o] = pkt_id;
         self.out_credits[o] -= len as u32;
         self.out_occ[out_port] += len as u32;
-        // Heads are collected as each VC's first unrouted packet, and at
-        // most one per VC per cycle, so the grantee still sits there.
+        // A head is its VC's first unrouted packet, and a VC's next
+        // packet joins the list only after the pass, so the grantee still
+        // sits there.
         let buf = &mut self.in_q[i][self.routed[i] as usize];
         debug_assert!(buf.pkt == pkt_id && buf.route.is_none());
         buf.route = Some((out_port as u16, out_vc as u8));
@@ -1016,6 +1188,7 @@ impl Router {
         if !pool.any_poisoned() {
             return;
         }
+        let mut reaped = false;
         for port in 0..self.num_ports {
             for vc in 0..self.num_vcs {
                 let i = self.pv(port, vc);
@@ -1025,6 +1198,7 @@ impl Router {
                         bi += 1;
                         continue;
                     }
+                    reaped = true;
                     let buf = self.in_q[i].remove(bi).expect("indexed buffer exists");
                     if let Some((op, ov)) = buf.route {
                         self.routed[i] -= 1;
@@ -1053,6 +1227,12 @@ impl Router {
                     pool.note_flit_gone(buf.pkt); // the buffer's own pin
                 }
             }
+        }
+        // A reap can remove heads and the packets ahead of them; faults
+        // are rare, so the list is rebuilt whole. The surviving packets
+        // are live, so their pool slots are theirs.
+        if reaped {
+            self.rebuild_heads(pool);
         }
     }
 
@@ -1112,6 +1292,58 @@ fn apply_commit(state: &mut PacketRouteState, commit: Commit) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Runs `f` with a tick context at cycle `now` over `channels` and
+    /// `pool` (no trace, metrics or event engine).
+    fn with_ctx<T>(
+        now: u64,
+        channels: &mut [Channel],
+        pool: &mut PacketPool,
+        f: impl FnOnce(&mut TickCtx) -> T,
+    ) -> T {
+        f(&mut TickCtx {
+            now,
+            channels,
+            pool,
+            stats: &mut Stats::default(),
+            delivered: &mut Vec::new(),
+            trace: None,
+            metrics: None,
+            hop_capped: &mut Vec::new(),
+            timed: false,
+            timers: Default::default(),
+            wakes: None,
+        })
+    }
+
+    /// A router with `ports` ports, each wired to channel `port` both
+    /// ways and live, with one channel of latency 1 per port.
+    fn wired_router(ports: usize, cfg: &SimConfig, classes: usize) -> (Router, Vec<Channel>) {
+        let mut r = Router::new(0, ports, cfg, classes, 7);
+        for p in 0..ports {
+            r.out_chan[p] = p as u32;
+            r.in_chan[p] = p as u32;
+            r.live_ports[p] = true;
+        }
+        (r, (0..ports).map(|_| Channel::new(1)).collect())
+    }
+
+    /// A live packet of `len` flits born at `birth`, bound for router 1.
+    fn packet(pool: &mut PacketPool, len: u16, birth: u64) -> PacketId {
+        pool.alloc(crate::packet::Packet {
+            src: 0,
+            dst: 1,
+            dst_router: 1,
+            len,
+            hops: 0,
+            birth,
+            inject: 0,
+            route: PacketRouteState::default(),
+            tag: 0,
+            seq: 0,
+        })
+    }
 
     #[test]
     fn apply_commit_variants() {
@@ -1162,27 +1394,9 @@ mod tests {
     /// upstream, two dropped flits — and drops the last pin on its slot.
     #[test]
     fn reap_drops_exactly_the_buffered_prefix_of_a_cut_packet() {
-        let cfg = SimConfig::default();
-        let mut r = Router::new(0, 2, &cfg, 2, 7);
-        let mut channels: Vec<Channel> = (0..2).map(|_| Channel::new(1)).collect();
-        for p in 0..2 {
-            r.out_chan[p] = p as u32;
-            r.in_chan[p] = p as u32;
-            r.live_ports[p] = true;
-        }
+        let (mut r, mut channels) = wired_router(2, &SimConfig::default(), 2);
         let mut pool = PacketPool::new();
-        let id = pool.alloc(crate::packet::Packet {
-            src: 0,
-            dst: 1,
-            dst_router: 1,
-            len: 5,
-            hops: 0,
-            birth: 0,
-            inject: 0,
-            route: PacketRouteState::default(),
-            tag: 0,
-            seq: 0,
-        });
+        let id = packet(&mut pool, 5, 0);
         let vc = 3u8;
         for idx in 0..2 {
             channels[0].send_flit(
@@ -1197,26 +1411,12 @@ mod tests {
             pool.note_flit_created(id);
         }
         let mut stats = Stats::default();
-        r.ingress_flits(
-            0,
-            &mut TickCtx {
-                now: 2,
-                channels: &mut channels,
-                pool: &mut pool,
-                stats: &mut stats,
-                delivered: &mut Vec::new(),
-                trace: None,
-                metrics: None,
-                hop_capped: &mut Vec::new(),
-                timed: false,
-                timers: Default::default(),
-                wakes: None,
-            },
-        );
+        with_ctx(2, &mut channels, &mut pool, |ctx| r.ingress_flits(0, ctx));
         assert_eq!(r.input_occupancy(0, vc as usize), 2);
         assert_eq!(r.vc_mask[0], 1 << vc);
+        assert_eq!(r.heads.len(), 1);
         let mut errs = Vec::new();
-        r.audit_derived_state(&mut errs);
+        r.audit_derived_state(&pool, &mut errs);
         assert_eq!(errs, Vec::<String>::new());
 
         r.poison_port_traffic(0, &mut pool, &mut stats, None, 2);
@@ -1236,7 +1436,8 @@ mod tests {
         assert!(!pool.any_poisoned());
         assert!(r.is_idle());
         assert_eq!(r.vc_mask[0], 0);
-        r.audit_derived_state(&mut errs);
+        assert!(r.heads.is_empty());
+        r.audit_derived_state(&pool, &mut errs);
         assert_eq!(errs, Vec::<String>::new());
     }
 
@@ -1269,15 +1470,9 @@ mod tests {
             ..SimConfig::default()
         };
         let (ports, v) = (3, cfg.num_vcs);
-        let mut r = Router::new(0, ports, &cfg, 2, 7);
-        let mut channels: Vec<Channel> = (0..ports).map(|_| Channel::new(1)).collect();
-        for p in 0..ports {
-            r.out_chan[p] = p as u32;
-            r.in_chan[p] = p as u32;
-            r.live_ports[p] = true;
-        }
+        let (mut r, mut channels) = wired_router(ports, &cfg, 2);
         let mut pool = PacketPool::new();
-        let check = |r: &Router, channels: &[Channel]| {
+        let check = |r: &Router, channels: &[Channel], pool: &PacketPool| {
             let view = OutView {
                 num_vcs: v,
                 cap: r.buf_cap as usize,
@@ -1301,28 +1496,17 @@ mod tests {
                 }
             }
             let mut errs = Vec::new();
-            r.audit_derived_state(&mut errs);
+            r.audit_derived_state(pool, &mut errs);
             assert_eq!(errs, Vec::<String>::new());
         };
-        check(&r, &channels);
+        check(&r, &channels, &pool);
 
         // The heads of three packets arrive on input port 0, one
         // per VC, and are granted output VCs on ports 1 and 2.
         let grants = [(0usize, 1usize, 0usize, 8u16), (1, 1, 5, 12), (2, 2, 3, 5)];
         let mut ids = Vec::new();
         for &(in_vc, _, _, len) in &grants {
-            let id = pool.alloc(crate::packet::Packet {
-                src: 0,
-                dst: 1,
-                dst_router: 1,
-                len,
-                hops: 0,
-                birth: 0,
-                inject: 0,
-                route: PacketRouteState::default(),
-                tag: 0,
-                seq: 0,
-            });
+            let id = packet(&mut pool, len, 0);
             let head = Flit {
                 pkt: id,
                 idx: 0,
@@ -1335,32 +1519,12 @@ mod tests {
             ids.push(id);
         }
         let mut stats = Stats::default();
-        r.ingress_flits(
-            0,
-            &mut TickCtx {
-                now: 3,
-                channels: &mut channels,
-                pool: &mut pool,
-                stats: &mut stats,
-                delivered: &mut Vec::new(),
-                trace: None,
-                metrics: None,
-                hop_capped: &mut Vec::new(),
-                timed: false,
-                timers: Default::default(),
-                wakes: None,
-            },
-        );
-        for (&(in_vc, out_port, out_vc, _), &id) in grants.iter().zip(&ids) {
-            r.grant(
-                id,
-                r.pv(0, in_vc),
-                out_port,
-                out_vc,
-                Commit::None,
-                &mut pool,
-            );
-            check(&r, &channels);
+        with_ctx(3, &mut channels, &mut pool, |ctx| r.ingress_flits(0, ctx));
+        for (&(_, out_port, out_vc, _), &id) in grants.iter().zip(&ids) {
+            let at = r.heads.iter().position(|h| h.pkt == id).unwrap();
+            let head = r.heads.remove(at);
+            r.grant(&head, out_port, out_vc, Commit::None, &mut pool);
+            check(&r, &channels, &pool);
         }
         assert_eq!(r.out_occ, [0, 20, 5]);
 
@@ -1369,7 +1533,7 @@ mod tests {
             channels[1].send_credit(0, vc);
         }
         r.ingress_credits(1, 1, &mut channels);
-        check(&r, &channels);
+        check(&r, &channels, &pool);
         assert_eq!(r.out_occ, [0, 17, 5]);
 
         // Reaping the first packet refunds its 8-flit reservation, but VC
@@ -1377,8 +1541,116 @@ mod tests {
         // counter moves by 6.
         pool.poison(ids[0]);
         r.reap_poisoned(1, &mut pool, &mut stats, &mut channels);
-        check(&r, &channels);
+        check(&r, &channels, &pool);
         assert_eq!(r.out_occ, [0, 11, 5]);
         assert_eq!(r.credits(1, 0), r.buf_cap);
+    }
+
+    /// Routes every packet to one output port in class 0 and records, per
+    /// call, the packet length and the candidate's congestion.
+    struct Probe {
+        port: usize,
+        map: ClassMap,
+        seen: Mutex<Vec<(usize, u64)>>,
+    }
+
+    impl RoutingAlgorithm for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn num_classes(&self) -> usize {
+            1
+        }
+        fn route(&self, ctx: &RouteCtx<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+            let q = hxcore::weight::candidate_congestion(ctx.view, self.port, &self.map, 0);
+            self.seen.lock().unwrap().push((ctx.pkt_len, q));
+            out.push(Candidate {
+                port: self.port as u32,
+                class: 0,
+                weight: q,
+                hops: 1,
+                commit: Commit::None,
+            });
+        }
+        fn meta(&self) -> hxcore::meta::AlgoMeta {
+            unreachable!("the probe is not a listed algorithm")
+        }
+    }
+
+    /// A router of a 4-wide one-dimensional HyperX (one terminal port,
+    /// three network ports) whose packets all route to port 3.
+    fn probe_rig() -> (Router, Vec<Channel>, hxtopo::HyperX, Probe) {
+        let cfg = SimConfig::default();
+        let (r, channels) = wired_router(4, &cfg, 1);
+        let probe = Probe {
+            port: 3,
+            map: ClassMap::new(cfg.num_vcs, 1),
+            seen: Mutex::new(Vec::new()),
+        };
+        (r, channels, hxtopo::HyperX::new(&[4], 1), probe)
+    }
+
+    /// Two one-flit packets queue on one input VC. A pass grants the
+    /// first; the second, now the VC's first unrouted packet, is not
+    /// routed in that pass but in the next one.
+    #[test]
+    fn packet_behind_a_grant_is_routed_next_pass() {
+        let (mut r, mut channels, hx, probe) = probe_rig();
+        let mut pool = PacketPool::new();
+        let ids = [packet(&mut pool, 1, 0), packet(&mut pool, 1, 1)];
+        for (t, &id) in ids.iter().enumerate() {
+            let flit = Flit {
+                pkt: id,
+                idx: 0,
+                len: 1,
+            };
+            channels[1].send_flit(t as u64, flit, 2);
+            pool.note_flit_created(id);
+        }
+        let i = r.pv(1, 2);
+        with_ctx(2, &mut channels, &mut pool, |ctx| {
+            r.ingress_flits(1, ctx);
+            assert_eq!(r.in_q[i].len(), 2);
+            r.allocate(&hx, &probe, ctx);
+            assert_eq!(r.routed[i], 1, "the first packet is granted");
+            assert!(r.in_q[i][1].route.is_none(), "the second waits a pass");
+            assert_eq!(probe.seen.lock().unwrap().len(), 1);
+            r.allocate(&hx, &probe, ctx);
+        });
+        assert_eq!(r.routed[i], 2, "the second packet is granted next pass");
+        assert_eq!(probe.seen.lock().unwrap().len(), 2);
+        let mut errs = Vec::new();
+        r.audit_derived_state(&pool, &mut errs);
+        assert_eq!(errs, Vec::<String>::new());
+    }
+
+    /// Two heads compete for output port 3 in one pass. The older one
+    /// (on the higher input port) is weighed first, at zero congestion;
+    /// its grant reserves its 4 flits of credit on the spot, so the
+    /// younger head's candidate already sees port 3 carrying 4 flits.
+    #[test]
+    fn younger_head_weighs_the_older_heads_grant() {
+        let (mut r, mut channels, hx, probe) = probe_rig();
+        let mut pool = PacketPool::new();
+        let older = packet(&mut pool, 4, 0);
+        let younger = packet(&mut pool, 6, 1);
+        for (port, id, len) in [(1, younger, 6), (2, older, 4)] {
+            let flit = Flit {
+                pkt: id,
+                idx: 0,
+                len,
+            };
+            channels[port].send_flit(0, flit, 0);
+            pool.note_flit_created(id);
+        }
+        with_ctx(1, &mut channels, &mut pool, |ctx| {
+            r.ingress_flits(1, ctx);
+            r.ingress_flits(2, ctx);
+            r.allocate(&hx, &probe, ctx);
+        });
+        assert_eq!(*probe.seen.lock().unwrap(), [(4, 0), (6, 4)]);
+        assert_eq!(r.routed[r.pv(1, 0)], 1);
+        assert_eq!(r.routed[r.pv(2, 0)], 1);
+        assert_eq!(r.out_occ[3], 10);
     }
 }

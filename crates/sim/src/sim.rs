@@ -303,7 +303,7 @@ impl Sim {
             // channel).
             #[cfg(debug_assertions)]
             if !self.pool.any_poisoned() {
-                let errs = self.net.audit_flow_control();
+                let errs = self.net.audit_flow_control(&self.pool);
                 assert!(errs.is_empty(), "credit conservation violated: {errs:?}");
             }
         }

@@ -106,7 +106,7 @@ fn run(hx: &Arc<HyperX>, events: &[RawEvent], engine: Engine) -> Vec<u64> {
     };
     sim.run(&mut traffic, 700);
     sim.run(&mut IdleWorkload, 300);
-    let errs = sim.net.audit_flow_control();
+    let errs = sim.net.audit_flow_control(&sim.pool);
     assert!(errs.is_empty(), "credit conservation violated: {errs:?}");
     let s = &sim.stats;
     vec![

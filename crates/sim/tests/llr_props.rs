@@ -269,7 +269,7 @@ fn run_storm(
         delivered: HashMap::new(),
     };
     sim.run(&mut traffic, 1300);
-    let errs = sim.net.audit_flow_control();
+    let errs = sim.net.audit_flow_control(&sim.pool);
     prop_assert!(errs.is_empty(), "credit conservation violated: {:?}", errs);
 
     // Transient-only storm: the retry sublayer recovers everything, so

@@ -24,8 +24,11 @@ pub struct HyperX {
     terms_per_router: usize,
     /// Port index where each dimension's link block begins.
     dim_port_base: Vec<usize>,
-    /// Little-endian mixed-radix strides for coordinate <-> id conversion.
+    /// Little-endian mixed-radix strides for coordinate -> id conversion.
     strides: Vec<usize>,
+    /// Coordinate of every router (14 B each), so the routing hot path
+    /// reads a router's position instead of dividing its id.
+    coords: Vec<Coord>,
     num_routers: usize,
     ports_per_router: usize,
 }
@@ -60,11 +63,23 @@ impl HyperX {
             strides.push(stride);
             stride *= s;
         }
+        let coords = (0..stride)
+            .map(|r| {
+                let mut c = Coord::zeros(widths.len());
+                let mut rem = r;
+                for (d, &s) in widths.iter().enumerate() {
+                    c.set(d, rem % s);
+                    rem /= s;
+                }
+                c
+            })
+            .collect();
         HyperX {
             widths: widths.to_vec(),
             terms_per_router,
             dim_port_base,
             strides,
+            coords,
             num_routers: stride,
             ports_per_router: base,
         }
@@ -99,17 +114,13 @@ impl HyperX {
         self.terms_per_router
     }
 
-    /// Coordinate of router `r` (little-endian mixed radix).
+    /// Coordinate of router `r` (little-endian mixed radix: dimension 0
+    /// varies fastest). Read from a table built once in [`Self::new`], so
+    /// routing pays no division per dimension; [`Self::router_at`] is the
+    /// inverse.
     #[inline]
     pub fn coord_of(&self, r: usize) -> Coord {
-        debug_assert!(r < self.num_routers);
-        let mut c = Coord::zeros(self.dims());
-        let mut rem = r;
-        for d in 0..self.dims() {
-            c.set(d, rem % self.widths[d]);
-            rem /= self.widths[d];
-        }
-        c
+        self.coords[r]
     }
 
     /// Router id at coordinate `c`.
@@ -128,7 +139,7 @@ impl HyperX {
     /// `d`. `to` must differ from the router's own coordinate in `d`.
     #[inline]
     pub fn port_towards(&self, r: usize, d: usize, to: usize) -> usize {
-        let own = (r / self.strides[d]) % self.widths[d];
+        let own = self.coord_in_dim(r, d);
         debug_assert_ne!(own, to, "port_towards requires a different coordinate");
         debug_assert!(to < self.widths[d]);
         self.dim_port_base[d] + if to < own { to } else { to - 1 }
@@ -151,7 +162,7 @@ impl HyperX {
             d = i;
         }
         let off = p - self.dim_port_base[d];
-        let own = (r / self.strides[d]) % self.widths[d];
+        let own = self.coord_in_dim(r, d);
         let to = if off < own { off } else { off + 1 };
         Some((d, to))
     }
@@ -166,7 +177,7 @@ impl HyperX {
     /// Router coordinate position of router `r` in dimension `d`.
     #[inline]
     pub(crate) fn coord_in_dim(&self, r: usize, d: usize) -> usize {
-        (r / self.strides[d]) % self.widths[d]
+        self.coords[r].get(d)
     }
 }
 
@@ -272,26 +283,47 @@ mod tests {
         assert_eq!(hx.num_ports(0), 29);
     }
 
+    /// Shapes with odd, mixed and single widths.
+    const SHAPES: [&[usize]; 5] = [&[3, 4, 5], &[4, 3], &[2, 3, 5, 7], &[16, 2], &[9]];
+
+    /// The coordinate table is the mixed-radix decode of the router id,
+    /// and `router_at` inverts it.
     #[test]
     fn coord_roundtrip() {
-        let hx = HyperX::new(&[3, 4, 5], 2);
-        for r in 0..hx.num_routers() {
-            assert_eq!(hx.router_at(&hx.coord_of(r)), r);
+        for widths in SHAPES {
+            let hx = HyperX::new(widths, 2);
+            for r in 0..hx.num_routers() {
+                let c = hx.coord_of(r);
+                let mut rem = r;
+                for (d, &s) in widths.iter().enumerate() {
+                    assert_eq!(c.get(d), rem % s, "{widths:?} router {r} dim {d}");
+                    assert_eq!(hx.coord_in_dim(r, d), rem % s);
+                    rem /= s;
+                }
+                assert_eq!(hx.router_at(&c), r, "{widths:?}");
+            }
         }
     }
 
+    /// `port_towards` and `port_dim_target` invert each other for every
+    /// `(router, dimension, coordinate)` and every network port.
     #[test]
     fn port_towards_roundtrip() {
-        let hx = HyperX::new(&[4, 3], 2);
-        for r in 0..hx.num_routers() {
-            for d in 0..hx.dims() {
-                let own = hx.coord_in_dim(r, d);
-                for to in 0..hx.width(d) {
-                    if to == own {
-                        continue;
+        for widths in SHAPES {
+            let hx = HyperX::new(widths, 2);
+            for r in 0..hx.num_routers() {
+                for d in 0..hx.dims() {
+                    let own = hx.coord_in_dim(r, d);
+                    for to in (0..hx.width(d)).filter(|&to| to != own) {
+                        let p = hx.port_towards(r, d, to);
+                        assert_eq!(hx.port_dim_target(r, p), Some((d, to)), "{widths:?}");
                     }
-                    let p = hx.port_towards(r, d, to);
-                    assert_eq!(hx.port_dim_target(r, p), Some((d, to)));
+                }
+                for p in 0..hx.num_ports(r) {
+                    match hx.port_dim_target(r, p) {
+                        Some((d, to)) => assert_eq!(hx.port_towards(r, d, to), p),
+                        None => assert!(p < hx.terms_per_router()),
+                    }
                 }
             }
         }

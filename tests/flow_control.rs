@@ -22,7 +22,7 @@ fn credit_ledger_balances_under_load() {
         let mut traffic = SyntheticWorkload::new(pattern, hx.num_terminals(), 0.7, 17);
         for _ in 0..16 {
             sim.run(&mut traffic, 250);
-            let errs = sim.net.audit_flow_control();
+            let errs = sim.net.audit_flow_control(&sim.pool);
             assert!(
                 errs.is_empty(),
                 "{algo_name}: flow-control violations: {:?}",
@@ -51,7 +51,7 @@ fn drain_restores_full_credits() {
         "credits still in flight after drain"
     );
     assert_eq!(sim.pool.live(), 0, "leaked packets");
-    assert!(sim.net.audit_flow_control().is_empty());
+    assert!(sim.net.audit_flow_control(&sim.pool).is_empty());
     // Every router-to-router VC holds its full credit allotment again.
     let cap = sim.net.cfg.buf_flits as u32;
     for r in 0..hx.num_routers() {
@@ -93,7 +93,7 @@ fn derived_router_state_survives_faults_at_saturation() {
     for cycle in 0..2_300 {
         sim.step(&mut traffic);
         if !sim.pool.any_poisoned() {
-            let errs = sim.net.audit_flow_control();
+            let errs = sim.net.audit_flow_control(&sim.pool);
             assert!(
                 errs.is_empty(),
                 "cycle {cycle}: {:?}",

@@ -3,28 +3,21 @@
 //! Beivide, *"Achieving High-Performance Fault-Tolerant Routing in HyperX
 //! Interconnection Networks"* (arXiv 2404.04315).
 //!
-//! Fault-free, FT-WAR routes exactly like OmniWAR: any unaligned dimension
-//! at any time, minimal or derouted, under distance-class deadlock
-//! avoidance (`VC_out = VC_in + 1`, N + M classes). The fault extension is
-//! *lazy*: routing only deviates at routers that are locally blocked, so
-//! the fault-free fast path pays nothing — the practicality argument of
+//! FT-WAR *is* OmniWAR (back-to-back restriction on) plus one lazy
+//! extension: routing only deviates at routers that are locally blocked,
+//! so the fault-free fast path pays nothing — the practicality argument of
 //! the source paper carried over to fault handling.
 //!
 //! When every port that makes progress is dead — the minimal port *and*
-//! all lateral coordinates of every unaligned dimension — the packet would
-//! stall under OmniWAR. FT-WAR instead **escapes through an aligned
-//! dimension**: it deroutes to any live coordinate of a dimension it has
-//! already aligned, reaching a router whose view of the faulty dimensions
-//! is different. The escape un-aligns a dimension, so it costs two extra
-//! hops (one to leave, one to come back) and is affordable only while
-//! `classes_left >= remaining + 1`. Because escapes ride the same
-//! strictly-incrementing distance classes as every other hop, the channel
-//! dependency graph stays acyclic — fault tolerance costs no extra VCs,
-//! only deroute budget.
-//!
-//! Like DimWAR and OmniWAR, no routing state lives in the packet: the hop
-//! index *is* the input VC class, and blockage is re-evaluated from the
-//! purely local live-port view at every hop.
+//! all lateral coordinates of every unaligned dimension — OmniWAR offers
+//! nothing. FT-WAR instead **escapes through an aligned dimension** to any
+//! live coordinate of it, reaching a router whose view of the faulty
+//! dimensions is different. The escape un-aligns a dimension, so it costs
+//! two extra hops and is affordable only while `classes_left > remaining`.
+//! Escapes ride the same strictly-incrementing distance classes as every
+//! other hop, so the channel dependency graph stays acyclic — fault
+//! tolerance costs no extra VCs, only deroute budget. No routing state
+//! lives in the packet.
 
 use std::sync::Arc;
 
@@ -32,14 +25,13 @@ use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
 use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm};
-use crate::hyperx_common::HxBase;
 use crate::meta::{AlgoMeta, RoutingStyle};
+use crate::omniwar::OmniWar;
 
 /// Fault-tolerant omni-dimensional weighted adaptive routing.
 pub struct FtWar {
-    base: HxBase,
-    /// Total distance classes (N + M).
-    classes: usize,
+    /// The normal pass, back-to-back restriction included.
+    omni: OmniWar,
 }
 
 impl FtWar {
@@ -51,14 +43,8 @@ impl FtWar {
     /// # Panics
     /// Panics if `dims + deroutes > num_vcs`.
     pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize, deroutes: usize) -> Self {
-        let classes = hx.dims() + deroutes;
-        assert!(
-            classes <= num_vcs,
-            "N+M = {classes} distance classes cannot fit in {num_vcs} VCs"
-        );
         FtWar {
-            base: HxBase::new(hx, num_vcs, classes),
-            classes,
+            omni: OmniWar::new(hx, num_vcs, deroutes),
         }
     }
 
@@ -78,106 +64,37 @@ impl RoutingAlgorithm for FtWar {
     }
 
     fn num_classes(&self) -> usize {
-        self.classes
+        self.omni.num_classes()
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        let hx = &self.base.hx;
+    fn route(&self, ctx: &RouteCtx<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        self.omni.route(ctx, rng, out);
+        if !out.is_empty() {
+            return;
+        }
+        // Every port making progress is dead. Escape if the class budget
+        // can absorb un-aligning a dimension; any live lateral move in an
+        // aligned dimension qualifies, and the weights steer among them.
+        let base = &self.omni.base;
+        let hx = &base.hx;
         let cur = hx.coord_of(ctx.router);
         let dst = hx.coord_of(ctx.dst_router);
         let remaining = cur.unaligned_count(&dst);
-        debug_assert!(remaining > 0, "route() not called at destination");
-
-        // Distance class of the outgoing hop: 0 at the source router,
-        // input class + 1 afterwards.
-        let out_class = if ctx.from_terminal {
-            0
-        } else {
-            self.base.map.class_of(ctx.input_vc) + 1
-        };
-        debug_assert!(
-            out_class < self.classes,
-            "distance classes exhausted: the deroute guard was violated"
-        );
-        // Classes still available after this hop.
-        let classes_left = self.classes - 1 - out_class;
-        // In-dimension deroutes keep `remaining` unchanged, so they need a
-        // full `remaining` classes afterwards; minimal hops need
-        // remaining - 1.
-        let may_deroute = classes_left >= remaining;
-        debug_assert!(
-            classes_left >= remaining - 1,
-            "cannot even finish minimally"
-        );
-
-        // Back-to-back restriction (as in OmniWAR): arriving on a network
-        // channel of dimension d with d still unaligned implies the last
-        // hop was a deroute in d; don't deroute there again unless the
-        // minimal port is dead.
-        let blocked_dim = if !ctx.from_terminal {
-            hx.port_dim_target(ctx.router, ctx.input_port)
-                .map(|(d, _)| d)
-                .filter(|&d| !cur.aligned(&dst, d))
-        } else {
-            None
-        };
-
-        // Normal pass: exactly OmniWAR.
+        let (out_class, classes_left) = self.omni.hop_classes(ctx);
+        if classes_left <= remaining {
+            return;
+        }
         for d in 0..hx.dims() {
-            if cur.aligned(&dst, d) {
+            if !cur.aligned(&dst, d) {
                 continue;
             }
-            let min_port = hx.port_towards(ctx.router, d, dst.get(d));
-            let min_live = ctx.view.port_live(min_port);
-            if min_live {
-                out.push(self.base.candidate(
-                    ctx.view,
-                    min_port,
-                    out_class,
-                    remaining,
-                    Commit::None,
-                ));
-            }
-            if may_deroute && (blocked_dim != Some(d) || !min_live) {
-                for c in 0..hx.width(d) {
-                    if c == cur.get(d) || c == dst.get(d) {
-                        continue;
-                    }
-                    let port = hx.port_towards(ctx.router, d, c);
-                    if !ctx.view.port_live(port) {
-                        continue;
-                    }
-                    out.push(self.base.candidate(
-                        ctx.view,
-                        port,
-                        out_class,
-                        remaining + 1,
-                        Commit::None,
-                    ));
-                }
-            }
-        }
-
-        // Fault escape: only when the normal pass came up empty (every
-        // port making progress is dead) and the class budget can absorb
-        // un-aligning a dimension (the escape needs one class more than
-        // the remaining minimal hops). Any live lateral move in an
-        // aligned dimension qualifies — the weights then steer among
-        // escapes by congestion like any other candidate set.
-        if out.is_empty() && classes_left > remaining {
-            for d in 0..hx.dims() {
-                if !cur.aligned(&dst, d) {
+            for c in 0..hx.width(d) {
+                if c == cur.get(d) {
                     continue;
                 }
-                for c in 0..hx.width(d) {
-                    if c == cur.get(d) {
-                        continue;
-                    }
-                    let port = hx.port_towards(ctx.router, d, c);
-                    if !ctx.view.port_live(port) {
-                        continue;
-                    }
-                    out.push(self.base.candidate(
+                let port = hx.port_towards(ctx.router, d, c);
+                if ctx.view.port_live(port) {
+                    out.push(base.candidate(
                         ctx.view,
                         port,
                         out_class,

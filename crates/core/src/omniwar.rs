@@ -30,7 +30,7 @@ use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Omni-dimensional weighted adaptive routing.
 pub struct OmniWar {
-    base: HxBase,
+    pub(crate) base: HxBase,
     /// Total distance classes (N + M).
     classes: usize,
     restrict_backtoback: bool,
@@ -74,6 +74,22 @@ impl OmniWar {
             restrict_backtoback,
         }
     }
+
+    /// Distance class of `ctx`'s outgoing hop (0 at the source router,
+    /// input class + 1 afterwards) and the classes still available after
+    /// it.
+    pub(crate) fn hop_classes(&self, ctx: &RouteCtx<'_>) -> (usize, usize) {
+        let out_class = if ctx.from_terminal {
+            0
+        } else {
+            self.base.map.class_of(ctx.input_vc) + 1
+        };
+        debug_assert!(
+            out_class < self.classes,
+            "distance classes exhausted: the deroute guard was violated"
+        );
+        (out_class, self.classes - 1 - out_class)
+    }
 }
 
 impl RoutingAlgorithm for OmniWar {
@@ -92,19 +108,7 @@ impl RoutingAlgorithm for OmniWar {
         let remaining = cur.unaligned_count(&dst);
         debug_assert!(remaining > 0, "route() not called at destination");
 
-        // Distance class of the outgoing hop: 0 at the source router,
-        // input class + 1 afterwards.
-        let out_class = if ctx.from_terminal {
-            0
-        } else {
-            self.base.map.class_of(ctx.input_vc) + 1
-        };
-        debug_assert!(
-            out_class < self.classes,
-            "distance classes exhausted: the deroute guard was violated"
-        );
-        // Classes still available after this hop.
-        let classes_left = self.classes - 1 - out_class;
+        let (out_class, classes_left) = self.hop_classes(ctx);
         // Derouting keeps `remaining` unchanged, so it needs a full
         // `remaining` classes afterwards; minimal hops need remaining - 1.
         let may_deroute = classes_left >= remaining;

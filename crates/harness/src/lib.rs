@@ -5,8 +5,8 @@
 //!
 //! * **Declarative sweep specs** ([`spec`]): a TOML/JSON file names the
 //!   network, the axes (pattern × algorithm × load × seed × fault count),
-//!   simulator overrides, and per-axis-value patches; the spec expands to
-//!   a deterministic point list.
+//!   and simulator settings shared by every point; the spec expands to a
+//!   deterministic point list.
 //! * **Content-addressed result store** (`store.rs`, `digest.rs`): each
 //!   point is keyed by the FNV digest of its canonicalized configuration
 //!   (excluding execution knobs like the engine, which cannot change a

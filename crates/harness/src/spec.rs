@@ -2,8 +2,7 @@
 //!
 //! A spec (TOML or JSON, by file extension) names an experiment, the
 //! network it runs on, the axes to sweep (traffic pattern, routing
-//! algorithm, offered load, seed, fault count), protocol knobs, and
-//! optional per-axis-value overrides of simulator parameters:
+//! algorithm, offered load, seed, fault count), and protocol knobs:
 //!
 //! ```toml
 //! [experiment]
@@ -23,11 +22,6 @@
 //!
 //! [sim]                      # optional SimConfig overrides
 //! num_vcs = 8
-//!
-//! [[override]]               # optional per-point patches
-//! when = { pattern = "DCR" }
-//! [override.sim]
-//! watchdog_stall_cycles = 20000
 //! ```
 //!
 //! [`ExperimentSpec::expand`] produces the cartesian product of the axes
@@ -37,10 +31,10 @@
 
 use std::collections::BTreeMap;
 
-use hxsim::{SimConfig, SteadyOpts, MAX_VCS};
-use hxtopo::HyperX;
+use hxsim::{SimConfig, SteadyOpts, MAX_PORTS, MAX_VCS};
+use hxtopo::{HyperX, MAX_DIMS};
 
-use crate::value::{parse_json, parse_toml, Value};
+use crate::value::{parse_json, parse_toml, write_json_object, Value};
 
 /// Which measurement protocol a spec's points run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,13 +65,53 @@ pub struct NetworkSpec {
 }
 
 impl NetworkSpec {
+    /// Checks that the simulator's types can hold this network: at most
+    /// [`MAX_DIMS`] dimensions, at most [`MAX_PORTS`] ports per router,
+    /// and every router and terminal numbered by a `u32`. Runs before
+    /// [`NetworkSpec::build`] allocates anything.
+    fn check(&self) -> Result<(), String> {
+        let NetworkSpec {
+            dims,
+            width,
+            terminals,
+        } = *self;
+        if !(1..=MAX_DIMS).contains(&dims) {
+            return Err(format!("network.dims {dims} must be 1 to {MAX_DIMS}"));
+        }
+        if width < 2 || terminals == 0 {
+            return Err(format!(
+                "network.width must be >= 2 and network.terminals >= 1 (got {self:?})"
+            ));
+        }
+        let radix = (width - 1)
+            .checked_mul(dims)
+            .and_then(|p| p.checked_add(terminals))
+            .filter(|&r| r <= MAX_PORTS);
+        if radix.is_none() {
+            return Err(format!(
+                "network: terminals + dims * (width - 1) ports per router exceeds \
+                 {MAX_PORTS} (got {self:?})"
+            ));
+        }
+        let endpoints = width
+            .checked_pow(dims as u32)
+            .and_then(|r| r.checked_mul(terminals + 1));
+        if endpoints.is_none_or(|n| u32::try_from(n).is_err()) {
+            return Err(format!(
+                "network: width^dims * (1 + terminals) endpoints exceed the u32 ids \
+                 a simulation numbers them with (got {self:?})"
+            ));
+        }
+        Ok(())
+    }
+
     pub fn build(&self) -> HyperX {
         HyperX::uniform(self.dims, self.width, self.terminals)
     }
 }
 
 /// Fault-protocol knobs (`kind = "fault"` only).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize)]
 pub struct FaultProtocol {
     /// Injection window in cycles.
     pub(crate) cycles: u64,
@@ -139,6 +173,51 @@ impl FaultProtocol {
     pub(crate) fn has_transients(&self) -> bool {
         self.flap_links > 0 || self.degrade_links > 0
     }
+
+    /// Checks that the knobs describe a protocol that can run.
+    fn check(&self) -> Result<(), String> {
+        if self.cycles == 0 || self.drain_factor == 0 {
+            return Err("fault.cycles and fault.drain_factor must be > 0".into());
+        }
+        if self.kill_cycle >= self.cycles {
+            return Err(format!(
+                "fault.kill_cycle {} must lie inside the injection window ({} cycles)",
+                self.kill_cycle, self.cycles
+            ));
+        }
+        if self.revive_cycle != 0 && self.revive_cycle <= self.kill_cycle {
+            return Err(format!(
+                "fault.revive_cycle {} must come after kill_cycle {}",
+                self.revive_cycle, self.kill_cycle
+            ));
+        }
+        if self.flap_links > 0 {
+            if self.flap_down_cycles == 0 || self.flap_period <= self.flap_down_cycles {
+                return Err(format!(
+                    "fault.flap_period {} must exceed fault.flap_down_cycles {} (> 0): \
+                     a zero-width or always-down flap never recovers",
+                    self.flap_period, self.flap_down_cycles
+                ));
+            }
+            if self.flap_count == 0 {
+                return Err("fault.flap_count must be >= 1 when flap_links > 0".into());
+            }
+            if self.flap_first >= self.cycles {
+                return Err(format!(
+                    "fault.flap_first {} must lie inside the injection window ({} cycles)",
+                    self.flap_first, self.cycles
+                ));
+            }
+        }
+        if self.degrade_links > 0 && self.degrade_extra_latency == 0 && !self.degrade_half_bw {
+            return Err(
+                "fault.degrade_links > 0 needs degrade_extra_latency > 0 or \
+                 degrade_half_bw = true (a no-op degradation tests nothing)"
+                    .into(),
+            );
+        }
+        Ok(())
+    }
 }
 
 /// The swept axes. Every combination (cartesian product) is one point.
@@ -157,14 +236,6 @@ pub struct Axes {
     pub retransmit: Vec<u64>,
 }
 
-/// A conditional patch: when every `when` entry matches a point's axis
-/// values, the `sim` table is applied on top of the spec-level config.
-#[derive(Clone, Debug)]
-pub struct Override {
-    pub(crate) when: BTreeMap<String, Value>,
-    pub(crate) sim: BTreeMap<String, Value>,
-}
-
 /// A fully parsed, validated experiment description.
 #[derive(Clone, Debug)]
 pub struct ExperimentSpec {
@@ -176,7 +247,6 @@ pub struct ExperimentSpec {
     pub sim: SimConfig,
     pub steady: SteadyOpts,
     pub fault: FaultProtocol,
-    pub overrides: Vec<Override>,
 }
 
 /// One expanded sweep point: everything needed to execute it in
@@ -239,140 +309,40 @@ impl ExperimentSpec {
     /// digests). This is how a spec built in memory travels to an
     /// `hx serve` daemon, which insists on expanding specs itself.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-
         let mut s = String::with_capacity(1024);
-        let jstr = |out: &mut String, v: &str| serde::Serialize::to_json(v, out);
-        let jf64 = |out: &mut String, v: &f64| serde::Serialize::to_json(v, out);
-
-        s.push_str("{\"experiment\":{\"name\":");
-        jstr(&mut s, &self.name);
-        s.push_str(",\"kind\":");
-        jstr(&mut s, self.kind.as_str());
-        s.push_str(",\"description\":");
-        jstr(&mut s, &self.description);
-        let _ = write!(
-            s,
-            "}},\"network\":{{\"dims\":{},\"width\":{},\"terminals\":{}}}",
-            self.network.dims, self.network.width, self.network.terminals
+        s.push_str("{\"experiment\":");
+        write_json_object(
+            &mut s,
+            &[
+                ("name", &self.name),
+                ("kind", &self.kind.as_str()),
+                ("description", &self.description),
+            ],
         );
-
-        s.push_str(",\"axes\":{");
-        let str_axis = |out: &mut String, key: &str, vals: &[String]| {
-            let _ = write!(out, "\"{key}\":[");
-            for (i, v) in vals.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                jstr(out, v);
-            }
-            out.push(']');
-        };
-        str_axis(&mut s, "pattern", &self.axes.patterns);
-        s.push(',');
-        str_axis(&mut s, "algo", &self.axes.algos);
-        s.push_str(",\"load\":[");
-        for (i, l) in self.axes.loads.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            jf64(&mut s, l);
-        }
-        s.push(']');
-        let int_axis = |out: &mut String, key: &str, vals: &[u64]| {
-            let _ = write!(out, ",\"{key}\":[");
-            for (i, v) in vals.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push(']');
-        };
-        int_axis(&mut s, "seed", &self.axes.seeds);
-        let as_u64 = |v: &[usize]| v.iter().map(|&x| x as u64).collect::<Vec<_>>();
-        int_axis(&mut s, "fails", &as_u64(&self.axes.fails));
-        int_axis(&mut s, "router_fails", &as_u64(&self.axes.router_fails));
-        int_axis(&mut s, "retransmit", &self.axes.retransmit);
-        s.push('}');
-
-        // Every [sim] key apply_sim_overrides accepts, explicitly: the
-        // resolved config survives the round trip even when it differs
-        // from SimConfig::default() in this build.
-        let c = &self.sim;
-        let _ = write!(
-            s,
-            ",\"sim\":{{\"num_vcs\":{},\"buf_flits\":{},\"crossbar_latency\":{},\
-             \"crossbar_speedup\":{},\"router_chan_latency\":{},\"short_chan_latency\":{},\
-             \"term_chan_latency\":{},\"max_packet_flits\":{},\"max_source_queue\":{},\
-             \"atomic_queue_alloc\":{},\"watchdog_stall_cycles\":{},\"max_packet_hops\":{},\
-             \"retransmit_timeout\":{},\"retransmit_max_retries\":{},\
-             \"retransmit_backoff_cap\":{},\"llr_enabled\":{},\"error_ber\":",
-            c.num_vcs,
-            c.buf_flits,
-            c.crossbar_latency,
-            c.crossbar_speedup,
-            c.router_chan_latency,
-            c.short_chan_latency,
-            c.term_chan_latency,
-            c.max_packet_flits,
-            c.max_source_queue,
-            c.atomic_queue_alloc,
-            c.watchdog_stall_cycles,
-            c.max_packet_hops,
-            c.retransmit_timeout,
-            c.retransmit_max_retries,
-            c.retransmit_backoff_cap,
-            c.llr_enabled,
+        s.push_str(",\"network\":");
+        serde::Serialize::to_json(&self.network, &mut s);
+        let a = &self.axes;
+        s.push_str(",\"axes\":");
+        write_json_object(
+            &mut s,
+            &[
+                ("pattern", &a.patterns),
+                ("algo", &a.algos),
+                ("load", &a.loads),
+                ("seed", &a.seeds),
+                ("fails", &a.fails),
+                ("router_fails", &a.router_fails),
+                ("retransmit", &a.retransmit),
+            ],
         );
-        jf64(&mut s, &c.error_ber);
-        let _ = write!(s, ",\"llr_window\":{}}}", c.llr_window);
-
-        let st = &self.steady;
-        let _ = write!(
-            s,
-            ",\"steady\":{{\"warmup_window\":{},\"max_warmup_windows\":{},\
-             \"measure_cycles\":{},\"stability_tol\":",
-            st.warmup_window, st.max_warmup_windows, st.measure_cycles
-        );
-        jf64(&mut s, &st.stability_tol);
-        s.push('}');
-
-        let f = &self.fault;
-        let _ = write!(
-            s,
-            ",\"fault\":{{\"cycles\":{},\"drain_factor\":{},\"kill_cycle\":{},\
-             \"revive_cycle\":{},\"flap_links\":{},\"flap_first\":{},\"flap_period\":{},\
-             \"flap_down_cycles\":{},\"flap_count\":{},\"degrade_links\":{},\
-             \"degrade_extra_latency\":{},\"degrade_half_bw\":{}}}",
-            f.cycles,
-            f.drain_factor,
-            f.kill_cycle,
-            f.revive_cycle,
-            f.flap_links,
-            f.flap_first,
-            f.flap_period,
-            f.flap_down_cycles,
-            f.flap_count,
-            f.degrade_links,
-            f.degrade_extra_latency,
-            f.degrade_half_bw,
-        );
-
-        if !self.overrides.is_empty() {
-            s.push_str(",\"override\":[");
-            for (i, o) in self.overrides.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str("{\"when\":");
-                Value::Table(o.when.clone()).write_json(&mut s);
-                s.push_str(",\"sim\":");
-                Value::Table(o.sim.clone()).write_json(&mut s);
-                s.push('}');
-            }
-            s.push(']');
-        }
+        // The whole resolved config, not just what differs from this
+        // build's SimConfig::default().
+        s.push_str(",\"sim\":");
+        serde::Serialize::to_json(&self.sim.canonical(), &mut s);
+        s.push_str(",\"steady\":");
+        serde::Serialize::to_json(&self.steady, &mut s);
+        s.push_str(",\"fault\":");
+        serde::Serialize::to_json(&self.fault, &mut s);
         s.push('}');
         s
     }
@@ -390,7 +360,6 @@ impl ExperimentSpec {
                 "sim",
                 "steady",
                 "fault",
-                "override",
             ],
             "top level",
         )?;
@@ -444,11 +413,6 @@ impl ExperimentSpec {
             width: usize_field(net, "width", "[network]")?,
             terminals: usize_field(net, "terminals", "[network]")?,
         };
-        if network.dims == 0 || network.width < 2 || network.terminals == 0 {
-            return Err(format!(
-                "[network] needs dims >= 1, width >= 2, terminals >= 1 (got {network:?})"
-            ));
-        }
 
         let axes_t = v
             .get("axes")
@@ -498,167 +462,7 @@ impl ExperimentSpec {
         let mut fault = FaultProtocol::default();
         if let Some(t) = v.get("fault") {
             let t = t.as_table().ok_or("[fault] must be a table")?;
-            check_keys(
-                t,
-                &[
-                    "cycles",
-                    "drain_factor",
-                    "kill_cycle",
-                    "revive_cycle",
-                    "flap_links",
-                    "flap_first",
-                    "flap_period",
-                    "flap_down_cycles",
-                    "flap_count",
-                    "degrade_links",
-                    "degrade_extra_latency",
-                    "degrade_half_bw",
-                ],
-                "[fault]",
-            )?;
-            if let Some(c) = t.get("cycles") {
-                fault.cycles = c
-                    .as_i64()
-                    .filter(|&c| c > 0)
-                    .ok_or("fault.cycles must be > 0")? as u64;
-            }
-            if let Some(d) = t.get("drain_factor") {
-                fault.drain_factor =
-                    d.as_i64()
-                        .filter(|&d| d > 0)
-                        .ok_or("fault.drain_factor must be > 0")? as u64;
-            }
-            if let Some(k) = t.get("kill_cycle") {
-                fault.kill_cycle =
-                    k.as_i64()
-                        .filter(|&k| k >= 0)
-                        .ok_or("fault.kill_cycle must be >= 0")? as u64;
-            }
-            if let Some(r) = t.get("revive_cycle") {
-                fault.revive_cycle =
-                    r.as_i64()
-                        .filter(|&r| r >= 0)
-                        .ok_or("fault.revive_cycle must be >= 0")? as u64;
-            }
-            let uint = |key: &str| -> Result<Option<u64>, String> {
-                match t.get(key) {
-                    None => Ok(None),
-                    Some(v) => v
-                        .as_i64()
-                        .filter(|&x| x >= 0)
-                        .map(|x| Some(x as u64))
-                        .ok_or_else(|| format!("fault.{key} must be a non-negative integer")),
-                }
-            };
-            if let Some(n) = uint("flap_links")? {
-                fault.flap_links = n as usize;
-            }
-            if let Some(c) = uint("flap_first")? {
-                fault.flap_first = c;
-            }
-            if let Some(p) = uint("flap_period")? {
-                fault.flap_period = p;
-            }
-            if let Some(d) = uint("flap_down_cycles")? {
-                fault.flap_down_cycles = d;
-            }
-            if let Some(c) = uint("flap_count")? {
-                // Range-checked, not truncated: 2^32 + 3 is not 3.
-                fault.flap_count = u32::try_from(c).map_err(|_| {
-                    format!("fault.flap_count must be an integer in 0..={}", u32::MAX)
-                })?;
-            }
-            if let Some(n) = uint("degrade_links")? {
-                fault.degrade_links = n as usize;
-            }
-            if let Some(l) = uint("degrade_extra_latency")? {
-                fault.degrade_extra_latency = l;
-            }
-            if let Some(b) = t.get("degrade_half_bw") {
-                fault.degrade_half_bw = b
-                    .as_bool()
-                    .ok_or("fault.degrade_half_bw must be a boolean")?;
-            }
-            if fault.kill_cycle >= fault.cycles {
-                return Err(format!(
-                    "fault.kill_cycle {} must lie inside the injection window ({} cycles)",
-                    fault.kill_cycle, fault.cycles
-                ));
-            }
-            if fault.revive_cycle != 0 && fault.revive_cycle <= fault.kill_cycle {
-                return Err(format!(
-                    "fault.revive_cycle {} must come after kill_cycle {}",
-                    fault.revive_cycle, fault.kill_cycle
-                ));
-            }
-            if fault.flap_links > 0 {
-                if fault.flap_down_cycles == 0 || fault.flap_period <= fault.flap_down_cycles {
-                    return Err(format!(
-                        "fault.flap_period {} must exceed fault.flap_down_cycles {} (> 0): \
-                         a zero-width or always-down flap never recovers",
-                        fault.flap_period, fault.flap_down_cycles
-                    ));
-                }
-                if fault.flap_count == 0 {
-                    return Err("fault.flap_count must be >= 1 when flap_links > 0".into());
-                }
-                if fault.flap_first >= fault.cycles {
-                    return Err(format!(
-                        "fault.flap_first {} must lie inside the injection window ({} cycles)",
-                        fault.flap_first, fault.cycles
-                    ));
-                }
-            }
-            if fault.degrade_links > 0 && fault.degrade_extra_latency == 0 && !fault.degrade_half_bw
-            {
-                return Err(
-                    "fault.degrade_links > 0 needs degrade_extra_latency > 0 or \
-                     degrade_half_bw = true (a no-op degradation tests nothing)"
-                        .into(),
-                );
-            }
-        }
-
-        let mut overrides = Vec::new();
-        if let Some(list) = v.get("override") {
-            let list = list
-                .as_array()
-                .ok_or("override must be [[override]] tables")?;
-            for (i, o) in list.iter().enumerate() {
-                let t = o
-                    .as_table()
-                    .ok_or_else(|| format!("override[{i}] must be a table"))?;
-                check_keys(t, &["when", "sim"], &format!("override[{i}]"))?;
-                let when = t
-                    .get("when")
-                    .and_then(Value::as_table)
-                    .ok_or_else(|| format!("override[{i}] needs a `when` table"))?;
-                check_keys(
-                    when,
-                    &[
-                        "pattern",
-                        "algo",
-                        "load",
-                        "seed",
-                        "fails",
-                        "router_fails",
-                        "retransmit",
-                    ],
-                    &format!("override[{i}].when"),
-                )?;
-                let sim_patch = t
-                    .get("sim")
-                    .and_then(Value::as_table)
-                    .ok_or_else(|| format!("override[{i}] needs a [override.sim] table"))?;
-                // Validate the patch by applying it to a scratch config.
-                let mut scratch = sim;
-                apply_sim_overrides(&mut scratch, sim_patch)
-                    .map_err(|e| format!("override[{i}]: {e}"))?;
-                overrides.push(Override {
-                    when: when.clone(),
-                    sim: sim_patch.clone(),
-                });
-            }
+            apply_fault_overrides(&mut fault, t)?;
         }
 
         let spec = ExperimentSpec {
@@ -670,56 +474,71 @@ impl ExperimentSpec {
             sim,
             steady,
             fault,
-            overrides,
         };
         spec.validate()?;
         Ok(spec)
     }
 
-    /// Semantic validation: axis values must name real algorithms and
-    /// patterns, loads must be in (0, 1], and every expanded point's
-    /// simulator config must be internally consistent.
+    /// Semantic validation: the network must fit the simulator's types,
+    /// axis values must name real algorithms and patterns, loads must be
+    /// in (0, 1], and every point's simulator config must pass
+    /// [`SimConfig::validate`]. Each bound is checked before the work it
+    /// bounds: nothing here expands the points.
     pub fn validate(&self) -> Result<(), String> {
-        if self.axes.patterns.is_empty() || self.axes.algos.is_empty() {
-            return Err("axes.pattern and axes.algo must be non-empty".into());
-        }
-        if self.axes.loads.is_empty()
-            || self.axes.seeds.is_empty()
-            || self.axes.fails.is_empty()
-            || self.axes.router_fails.is_empty()
-            || self.axes.retransmit.is_empty()
-        {
+        self.network.check()?;
+        self.fault.check()?;
+        let a = &self.axes;
+        let lens = [
+            a.patterns.len(),
+            a.algos.len(),
+            a.loads.len(),
+            a.seeds.len(),
+            a.fails.len(),
+            a.router_fails.len(),
+            a.retransmit.len(),
+        ];
+        if lens.contains(&0) {
             return Err(
-                "axes.load, axes.seed, axes.fails, axes.router_fails, axes.retransmit \
-                 must be non-empty"
+                "axes.pattern, axes.algo, axes.load, axes.seed, axes.fails, \
+                 axes.router_fails and axes.retransmit must be non-empty"
                     .into(),
             );
         }
-        for &l in &self.axes.loads {
+        let n = lens.iter().try_fold(1usize, |n, &l| n.checked_mul(l));
+        if n.is_none_or(|n| n > 1_000_000) {
+            return Err("axes expand to more than 1,000,000 points".into());
+        }
+        for &l in &a.loads {
             if !(l > 0.0 && l <= 1.0) {
-                return Err(format!("load {l} outside (0, 1]"));
+                return Err(format!("axes.load {l} outside (0, 1]"));
             }
         }
-        let n = self.axes.patterns.len()
-            * self.axes.algos.len()
-            * self.axes.loads.len()
-            * self.axes.seeds.len()
-            * self.axes.fails.len()
-            * self.axes.router_fails.len()
-            * self.axes.retransmit.len();
-        if n > 1_000_000 {
-            return Err(format!("spec expands to {n} points (limit 1,000,000)"));
+        // The retransmit axis is the only one that changes a point's config.
+        for &retransmit_timeout in &a.retransmit {
+            SimConfig {
+                retransmit_timeout,
+                ..self.sim
+            }
+            .validate()
+            .map_err(|e| format!("sim: {e}"))?;
+        }
+        if self.fault.has_transients() && !self.sim.llr_enabled {
+            return Err(
+                "fault.flap_links/degrade_links are transient faults only link-level retry \
+                 can recover; set sim.llr_enabled = true"
+                    .into(),
+            );
         }
         let hx = std::sync::Arc::new(self.network.build());
-        for a in &self.axes.algos {
-            if hxcore::hyperx_algorithm(a, hx.clone(), self.sim.num_vcs).is_none() {
+        for algo in &a.algos {
+            if hxcore::hyperx_algorithm(algo, hx.clone(), self.sim.num_vcs).is_none() {
                 return Err(format!(
-                    "unknown algorithm {a:?} (known: {})",
+                    "unknown algorithm {algo:?} (known: {})",
                     hxcore::HYPERX_ALGORITHMS.join(", ")
                 ));
             }
         }
-        for p in &self.axes.patterns {
+        for p in &a.patterns {
             if hxtraffic::pattern_by_name(p, hx.clone()).is_none() {
                 return Err(format!(
                     "unknown pattern {p:?} (known: {})",
@@ -728,8 +547,7 @@ impl ExperimentSpec {
             }
         }
         if self.kind == Kind::Steady
-            && (self.axes.fails.iter().any(|&f| f != 0)
-                || self.axes.router_fails.iter().any(|&f| f != 0))
+            && (a.fails.iter().any(|&f| f != 0) || a.router_fails.iter().any(|&f| f != 0))
         {
             return Err(
                 "steady-state specs must keep axes.fails and axes.router_fails = [0] \
@@ -737,7 +555,7 @@ impl ExperimentSpec {
                     .into(),
             );
         }
-        if self.kind == Kind::Steady && self.axes.retransmit.iter().any(|&t| t != 0) {
+        if self.kind == Kind::Steady && a.retransmit.iter().any(|&t| t != 0) {
             return Err(
                 "steady-state specs must keep axes.retransmit = [0]: the warm-up protocol \
                  measures raw network throughput, not transport goodput"
@@ -750,34 +568,6 @@ impl ExperimentSpec {
                  warm-up measures a healthy network"
                     .into(),
             );
-        }
-        // validate() panics on inconsistency; run it on every resolved
-        // point config so a bad override fails at load time, not mid-sweep.
-        for p in self.expand() {
-            let c = p.sim;
-            if !(1..=MAX_VCS).contains(&c.num_vcs)
-                || c.buf_flits < c.max_packet_flits
-                || c.max_packet_flits < 1
-                || c.watchdog_stall_cycles <= c.router_chan_latency
-                || c.max_packet_hops < 1
-                || (c.retransmit_timeout > 0
-                    && c.retransmit_backoff_cap != 0
-                    && c.retransmit_backoff_cap < c.retransmit_timeout)
-                || (c.llr_enabled && c.llr_window < 1)
-                || (c.error_ber > 0.0 && !c.llr_enabled)
-            {
-                return Err(format!(
-                    "point {}/{} load {} seed {} fails {}: inconsistent sim config {c:?}",
-                    p.pattern, p.algo, p.load, p.seed, p.fails
-                ));
-            }
-            if self.fault.has_transients() && !c.llr_enabled {
-                return Err(format!(
-                    "point {}/{}: fault.flap_links/degrade_links are transient faults only \
-                     link-level retry can recover; set sim.llr_enabled = true",
-                    p.pattern, p.algo
-                ));
-            }
         }
         Ok(())
     }
@@ -795,24 +585,7 @@ impl ExperimentSpec {
                             for &retransmit in &self.axes.retransmit {
                                 for &seed in &self.axes.seeds {
                                     let mut sim = self.sim;
-                                    // The axis value is the timeout; overrides
-                                    // below may still refine budget and cap.
                                     sim.retransmit_timeout = retransmit;
-                                    for o in &self.overrides {
-                                        if override_matches(
-                                            o,
-                                            pattern,
-                                            algo,
-                                            load,
-                                            seed,
-                                            fails,
-                                            router_fails,
-                                            retransmit,
-                                        ) {
-                                            apply_sim_overrides(&mut sim, &o.sim)
-                                                .expect("override validated at load time");
-                                        }
-                                    }
                                     points.push(Point {
                                         kind: self.kind,
                                         network: self.network,
@@ -836,29 +609,6 @@ impl ExperimentSpec {
         }
         points
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn override_matches(
-    o: &Override,
-    pattern: &str,
-    algo: &str,
-    load: f64,
-    seed: u64,
-    fails: usize,
-    router_fails: usize,
-    retransmit: u64,
-) -> bool {
-    o.when.iter().all(|(k, v)| match k.as_str() {
-        "pattern" => v.as_str() == Some(pattern),
-        "algo" => v.as_str() == Some(algo),
-        "load" => v.as_f64().is_some_and(|w| (w - load).abs() < 1e-9),
-        "seed" => v.as_i64() == Some(seed as i64),
-        "fails" => v.as_i64() == Some(fails as i64),
-        "router_fails" => v.as_i64() == Some(router_fails as i64),
-        "retransmit" => v.as_i64() == Some(retransmit as i64),
-        _ => false,
-    })
 }
 
 fn check_keys(table: &BTreeMap<String, Value>, allowed: &[&str], ctx: &str) -> Result<(), String> {
@@ -917,7 +667,8 @@ fn int_axis(t: &BTreeMap<String, Value>, key: &str, default: &[u64]) -> Result<V
 
 /// `axes.load` accepts either an explicit array or an inclusive
 /// `{ start, stop, step }` grid. Grid values are rounded to 1e-3 so grids
-/// and hand-written lists hash identically.
+/// and hand-written lists hash identically; a grid is bounded (at most
+/// 1,000 values, none repeated) before it is expanded.
 fn load_axis(t: &BTreeMap<String, Value>) -> Result<Vec<f64>, String> {
     let v = t.get("load").ok_or("axes.load is required")?;
     if let Some(arr) = v.as_array() {
@@ -939,8 +690,8 @@ fn load_axis(t: &BTreeMap<String, Value>) -> Result<Vec<f64>, String> {
             .ok_or_else(|| format!("axes.load.{k} must be a number"))
     };
     let (start, stop, step) = (f("start")?, f("stop")?, f("step")?);
-    if step <= 0.0 || start <= 0.0 || stop < start {
-        return Err("axes.load grid needs 0 < start <= stop and step > 0".into());
+    if !(start > 0.0 && start <= stop && stop <= 1.0 && step >= 1e-3) {
+        return Err("axes.load grid needs 0 < start <= stop <= 1 and step >= 0.001".into());
     }
     let mut loads = Vec::new();
     let mut l = start;
@@ -1004,6 +755,47 @@ pub(crate) fn apply_sim_overrides(
             }
             "llr_window" => cfg.llr_window = int()? as usize,
             other => return Err(format!("unknown [sim] key {other:?}")),
+        }
+    }
+    Ok(())
+}
+
+/// Applies a `[fault]` table onto `FaultProtocol`; unknown keys are
+/// errors. [`FaultProtocol::check`] then relates the knobs to each other.
+fn apply_fault_overrides(
+    fault: &mut FaultProtocol,
+    t: &BTreeMap<String, Value>,
+) -> Result<(), String> {
+    for (k, v) in t {
+        let int = || {
+            v.as_i64()
+                .filter(|&i| i >= 0)
+                .map(|i| i as u64)
+                .ok_or_else(|| format!("fault.{k} must be a non-negative integer"))
+        };
+        match k.as_str() {
+            "cycles" => fault.cycles = int()?,
+            "drain_factor" => fault.drain_factor = int()?,
+            "kill_cycle" => fault.kill_cycle = int()?,
+            "revive_cycle" => fault.revive_cycle = int()?,
+            "flap_links" => fault.flap_links = int()? as usize,
+            "flap_first" => fault.flap_first = int()?,
+            "flap_period" => fault.flap_period = int()?,
+            "flap_down_cycles" => fault.flap_down_cycles = int()?,
+            // Range-checked, not truncated: 2^32 + 3 is not 3.
+            "flap_count" => {
+                fault.flap_count = u32::try_from(int()?).map_err(|_| {
+                    format!("fault.flap_count must be an integer in 0..={}", u32::MAX)
+                })?
+            }
+            "degrade_links" => fault.degrade_links = int()? as usize,
+            "degrade_extra_latency" => fault.degrade_extra_latency = int()?,
+            "degrade_half_bw" => {
+                fault.degrade_half_bw = v
+                    .as_bool()
+                    .ok_or("fault.degrade_half_bw must be a boolean")?
+            }
+            other => return Err(format!("unknown [fault] key {other:?}")),
         }
     }
     Ok(())
@@ -1108,21 +900,16 @@ seed = [1, 2]
         assert!(spec(&BASE.replace("[\"UR\"]", "[\"XX\"]")).is_err());
     }
 
+    /// `[[override]]` is gone: neither encoding of it loads.
     #[test]
-    fn overrides_patch_matching_points_only() {
-        let s = spec(&format!(
-            "{BASE}\n[[override]]\nwhen = {{ algo = \"DOR\", load = 0.2 }}\n[override.sim]\nnum_vcs = 4\n"
-        ))
-        .unwrap();
-        let pts = s.expand();
-        for p in &pts {
-            let expect = if p.algo == "DOR" && (p.load - 0.2).abs() < 1e-9 {
-                4
-            } else {
-                8
-            };
-            assert_eq!(p.sim.num_vcs, expect, "{}/{}", p.algo, p.load);
-        }
+    fn override_blocks_are_rejected() {
+        let toml = format!("{BASE}\n[[override]]\nwhen = {{ algo = \"DOR\" }}\n");
+        let err = ExperimentSpec::parse(&toml, "toml").unwrap_err();
+        assert!(err.contains("[[override]]"), "{err}");
+        let json = spec(BASE).unwrap().to_json();
+        let json = format!("{},\"override\":[]}}", &json[..json.len() - 1]);
+        let err = ExperimentSpec::parse(&json, "json").unwrap_err();
+        assert!(err.contains("\"override\""), "{err}");
     }
 
     #[test]
@@ -1225,17 +1012,8 @@ seed = [1, 2]
         .is_err());
     }
 
-    /// `to_json` must survive a parse round trip with identical point
-    /// digests — it is how programmatic specs reach an `hx serve` daemon,
-    /// and a digest drift would silently split the shared cache.
-    #[test]
-    fn to_json_round_trips_with_identical_digests() {
-        let s = spec(&format!(
-            "{BASE}\n[sim]\nnum_vcs = 3\nerror_ber = 1e-7\nllr_enabled = true\nllr_window = 8\n\
-             [steady]\nwarmup_window = 128\nstability_tol = 0.025\n\
-             [[override]]\nwhen = {{ algo = \"DimWAR\" }}\n[override.sim]\nnum_vcs = 4\n"
-        ))
-        .unwrap();
+    /// Parses `s.to_json()` back and asserts every point digest survives.
+    fn assert_round_trips(s: &ExperimentSpec) -> ExperimentSpec {
         let json = s.to_json();
         let back = ExperimentSpec::parse(&json, "json").unwrap_or_else(|e| {
             panic!("emitted JSON must re-parse: {e}\n{json}");
@@ -1247,16 +1025,43 @@ seed = [1, 2]
             assert_eq!(
                 crate::digest::point_digest(pa),
                 crate::digest::point_digest(pb),
-                "digest drift at {}/{} load {} seed {}",
-                pa.pattern,
-                pa.algo,
-                pa.load,
-                pa.seed
+                "{}: digest drift at {pa}",
+                s.name
             );
         }
+        back
+    }
+
+    /// `to_json` must survive a parse round trip with identical point
+    /// digests — it is how programmatic specs reach an `hx serve` daemon,
+    /// and a digest drift would silently split the shared cache.
+    #[test]
+    fn to_json_round_trips_with_identical_digests() {
+        let s = spec(&format!(
+            "{BASE}\n[sim]\nnum_vcs = 3\nerror_ber = 1e-7\nllr_enabled = true\nllr_window = 8\n\
+             [steady]\nwarmup_window = 128\nstability_tol = 0.025\n"
+        ))
+        .unwrap();
+        let back = assert_round_trips(&s);
         assert_eq!(back.axes.seeds, s.axes.seeds);
         assert_eq!(back.sim.num_vcs, 3);
-        assert_eq!(back.overrides.len(), 1);
+    }
+
+    /// Every committed spec, sweeps and benchmark workloads alike.
+    #[test]
+    fn committed_specs_round_trip_through_to_json() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut seen = 0;
+        for dir in ["experiments", "perf/specs"] {
+            for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_some_and(|e| e == "toml") {
+                    assert_round_trips(&ExperimentSpec::load(path.to_str().unwrap()).unwrap());
+                    seen += 1;
+                }
+            }
+        }
+        assert!(seen >= 8, "found only {seen} committed specs");
     }
 
     /// `[sim]` integers narrower than the TOML integer are range-checked,
@@ -1344,12 +1149,89 @@ seed = [1, 2]
         assert!(ExperimentSpec::parse("{}", "yaml").is_err());
     }
 
+    /// `SimConfig::validate`'s own rule, reported at load time.
     #[test]
-    fn bad_override_config_rejected_at_load() {
-        // buf_flits < max_packet_flits is inconsistent.
-        let s = spec(&format!(
-            "{BASE}\n[[override]]\nwhen = {{ algo = \"DOR\" }}\n[override.sim]\nbuf_flits = 4\n"
-        ));
-        assert!(s.is_err(), "{s:?}");
+    fn inconsistent_sim_config_rejected_at_load() {
+        let err = spec(&format!("{BASE}\n[sim]\nbuf_flits = 4\n")).unwrap_err();
+        assert!(err.contains("virtual cut-through"), "{err}");
+    }
+
+    fn assert_rejected_naming(toml: &str, key: &str) {
+        let err = spec(toml).expect_err("hostile spec accepted");
+        assert!(err.contains(key), "{err}");
+    }
+
+    /// 1,024 values on six axes and 16 on the seventh: 2^64 points, a
+    /// product that wraps to 0 in unchecked arithmetic.
+    #[test]
+    fn axis_product_is_checked_not_wrapped() {
+        let mut toml = "[experiment]\nname = \"t\"\nkind = \"fault\"\n\
+                        [network]\ndims = 2\nwidth = 2\nterminals = 1\n[axes]\n"
+            .to_string();
+        for (key, value, n) in [
+            ("pattern", "\"UR\"", 1024),
+            ("algo", "\"DOR\"", 1024),
+            ("load", "0.5", 1024),
+            ("seed", "1", 1024),
+            ("fails", "0", 1024),
+            ("router_fails", "0", 1024),
+            ("retransmit", "0", 16),
+        ] {
+            toml += &format!("{key} = [{}]\n", vec![value; n].join(", "));
+        }
+        assert_rejected_naming(&toml, "axes");
+    }
+
+    fn load_grid(grid: &str) -> String {
+        BASE.replace("load = [0.1, 0.2]", &format!("load = {grid}"))
+    }
+
+    /// Below the 1e-3 rounding, a grid would repeat every load.
+    #[test]
+    fn load_grid_step_is_at_least_the_rounding() {
+        assert_rejected_naming(
+            &load_grid("{ start = 0.1, stop = 0.2, step = 0.0001 }"),
+            "axes.load",
+        );
+    }
+
+    /// A grid past load 1 is rejected before any value is pushed.
+    #[test]
+    fn load_grid_stops_at_one() {
+        assert_rejected_naming(
+            &load_grid("{ start = 0.1, stop = 2, step = 0.1 }"),
+            "axes.load",
+        );
+        assert_rejected_naming(
+            &load_grid("{ start = 0.1, stop = 1e12, step = 0.001 }"),
+            "axes.load",
+        );
+    }
+
+    #[test]
+    fn network_dims_are_bounded() {
+        assert_rejected_naming(&BASE.replace("dims = 2", "dims = 7"), "network.dims");
+    }
+
+    /// `terminals + dims * (width - 1)` ports must fit a `u16` ingress step.
+    #[test]
+    fn network_radix_is_bounded() {
+        assert_rejected_naming(
+            &BASE.replace("terminals = 1", "terminals = 40000"),
+            "ports per router",
+        );
+    }
+
+    /// Routers plus terminals must fit `u32` ids, checked without overflow.
+    #[test]
+    fn network_endpoint_count_is_bounded() {
+        let net = |dims: usize, width: usize| {
+            BASE.replace("dims = 2", &format!("dims = {dims}"))
+                .replace("width = 2", &format!("width = {width}"))
+        };
+        // 64^6 * 2 = 2^37 endpoints.
+        assert_rejected_naming(&net(6, 64), "endpoints");
+        // 5000^6 overflows even a 64-bit count.
+        assert_rejected_naming(&net(6, 5000), "endpoints");
     }
 }

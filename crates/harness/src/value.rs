@@ -3,10 +3,10 @@
 //! The workspace's vendored `serde` stand-in only serializes (it renders
 //! JSON directly and has no `Deserialize` half), so the spec loader and
 //! the result-store reader parse into this [`Value`] enum by hand. The
-//! TOML dialect covers what experiment specs need: `[section]` /
-//! `[[array-of-tables]]` headers (dotted), dotted keys, basic and literal
-//! strings, integers (with `_` separators), floats, booleans, single- and
-//! multi-line arrays, inline tables, and `#` comments.
+//! TOML dialect covers what experiment specs need: `[section]` headers
+//! (dotted), dotted keys, basic and literal strings, integers (with `_`
+//! separators), floats, booleans, single- and multi-line arrays, inline
+//! tables, and `#` comments. `[[array-of-tables]]` headers are an error.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -80,10 +80,8 @@ impl Value {
 
     /// Appends `self` as JSON. Strings escape through the same encoder as
     /// result rows; floats use the shortest round-trip form, so
-    /// `parse_json(v.to_json_string())` reproduces `v` exactly — the
-    /// property `hx submit` relies on when a spec crosses the wire as
-    /// JSON (`ExperimentSpec::to_json`).
-    pub(crate) fn write_json(&self, out: &mut String) {
+    /// `parse_json(v.to_json_string())` reproduces `v` exactly.
+    fn write_json(&self, out: &mut String) {
         match self {
             Value::Str(s) => serde::Serialize::to_json(s.as_str(), out),
             Value::Int(i) => serde::Serialize::to_json(i, out),
@@ -491,10 +489,7 @@ impl<'a> JsonParser<'a> {
 /// Parses a TOML-subset document (see module docs) into a table [`Value`].
 pub(crate) fn parse_toml(src: &str) -> Result<Value, String> {
     let mut root = BTreeMap::new();
-    // Key path of the section the parser is currently filling. A segment
-    // naming an array of tables addresses its most recently appended
-    // element, so `[override.sim]` after `[[override]]` extends the last
-    // override.
+    // Key path of the section the parser is currently filling.
     let mut current: Vec<String> = Vec::new();
 
     let mut lines = src.lines().enumerate().peekable();
@@ -505,11 +500,10 @@ pub(crate) fn parse_toml(src: &str) -> Result<Value, String> {
         }
         let err = |msg: String| format!("line {}: {msg}", lineno + 1);
 
-        if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-            let path = parse_key_path(header.trim()).map_err(&err)?;
-            let arr = resolve_array(&mut root, &path).map_err(&err)?;
-            arr.push(Value::Table(BTreeMap::new()));
-            current = path;
+        if line.starts_with("[[") {
+            return Err(err(format!(
+                "{line}: [[array-of-tables]] headers are not supported"
+            )));
         } else if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
             let path = parse_key_path(header.trim()).map_err(&err)?;
             ensure_table(&mut root, &path).map_err(&err)?;
@@ -542,8 +536,7 @@ pub(crate) fn parse_toml(src: &str) -> Result<Value, String> {
     Ok(Value::Table(root))
 }
 
-/// Walks (creating as needed) to the table at `path`; array-of-tables
-/// segments dereference to their last element.
+/// Walks (creating as needed) to the table at `path`.
 fn ensure_table<'a>(
     root: &'a mut BTreeMap<String, Value>,
     path: &[String],
@@ -553,32 +546,12 @@ fn ensure_table<'a>(
         let entry = cur
             .entry(k.clone())
             .or_insert_with(|| Value::Table(BTreeMap::new()));
-        cur = match entry {
-            Value::Table(t) => t,
-            Value::Array(a) => match a.last_mut() {
-                Some(Value::Table(t)) => t,
-                _ => return Err(format!("{k:?} is not a table")),
-            },
-            _ => return Err(format!("{k:?} is not a table")),
+        let Value::Table(t) = entry else {
+            return Err(format!("{k:?} is not a table"));
         };
+        cur = t;
     }
     Ok(cur)
-}
-
-/// Walks (creating as needed) to the array of tables at `path`.
-fn resolve_array<'a>(
-    root: &'a mut BTreeMap<String, Value>,
-    path: &[String],
-) -> Result<&'a mut Vec<Value>, String> {
-    let (last, parents) = path.split_last().ok_or("empty [[header]]")?;
-    let parent = ensure_table(root, parents)?;
-    let entry = parent
-        .entry(last.clone())
-        .or_insert_with(|| Value::Array(Vec::new()));
-    match entry {
-        Value::Array(a) => Ok(a),
-        _ => Err(format!("{last:?} is not an array of tables")),
-    }
 }
 
 /// Removes a trailing `#` comment, respecting quoted strings.
@@ -905,42 +878,9 @@ big = 1_000_000
     }
 
     #[test]
-    fn toml_array_of_tables_with_subsections() {
-        let v = parse_toml(
-            r#"
-[[override]]
-when = { pattern = "DCR" }
-[override.sim]
-watchdog_stall_cycles = 5000
-
-[[override]]
-when = { algo = "DOR", load = 0.4 }
-[override.sim]
-num_vcs = 4
-"#,
-        )
-        .unwrap();
-        let overrides = v.get("override").unwrap().as_array().unwrap();
-        assert_eq!(overrides.len(), 2);
-        assert_eq!(
-            overrides[0].get_path("when.pattern").unwrap().as_str(),
-            Some("DCR")
-        );
-        assert_eq!(
-            overrides[0]
-                .get_path("sim.watchdog_stall_cycles")
-                .unwrap()
-                .as_i64(),
-            Some(5000)
-        );
-        assert_eq!(
-            overrides[1].get_path("when.load").unwrap().as_f64(),
-            Some(0.4)
-        );
-        assert_eq!(
-            overrides[1].get_path("sim.num_vcs").unwrap().as_i64(),
-            Some(4)
-        );
+    fn toml_array_of_tables_header_is_an_error_naming_its_line() {
+        let err = parse_toml("a = 1\n\n[[x]]\nb = 2").unwrap_err();
+        assert!(err.starts_with("line 3: [[x]]"), "{err}");
     }
 
     #[test]

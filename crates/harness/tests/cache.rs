@@ -39,7 +39,6 @@ fn tiny_spec() -> ExperimentSpec {
             ..SteadyOpts::default()
         },
         fault: Default::default(),
-        overrides: Vec::new(),
     }
 }
 

@@ -38,7 +38,6 @@ fn spec(n: u64) -> ExperimentSpec {
         sim: SimConfig::default(),
         steady: SteadyOpts::default(),
         fault: Default::default(),
-        overrides: Vec::new(),
     }
 }
 

@@ -74,7 +74,6 @@ fn golden_spec() -> ExperimentSpec {
             ..SteadyOpts::default()
         },
         fault: Default::default(),
-        overrides: Vec::new(),
     }
 }
 
@@ -665,4 +664,66 @@ fn a_committed_row_is_relayed_at_once_and_a_vanished_client_abandons_the_job() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// 1,024 values on six axes and 16 on the seventh: 2^64 points, which
+/// unchecked arithmetic wraps to 0.
+fn wrapped_product_spec() -> String {
+    let mut toml = "[experiment]\nname = \"wrap\"\nkind = \"fault\"\n\
+                    [network]\ndims = 2\nwidth = 2\nterminals = 1\n[axes]\n"
+        .to_string();
+    for (key, value, n) in [
+        ("pattern", "\"UR\"", 1024),
+        ("algo", "\"DOR\"", 1024),
+        ("load", "0.5", 1024),
+        ("seed", "1", 1024),
+        ("fails", "0", 1024),
+        ("router_fails", "0", 1024),
+        ("retransmit", "0", 16),
+    ] {
+        toml += &format!("{key} = [{}]\n", vec![value; n].join(", "));
+    }
+    toml
+}
+
+/// Each hostile spec is refused with an error naming its key, before the
+/// work its bound limits (a connection-thread panic, a 2^64-point
+/// expansion, an unbounded load grid), and the daemon then serves the
+/// golden spec byte-identically.
+#[test]
+fn hostile_specs_are_refused_by_key_and_the_daemon_keeps_serving() {
+    let tmp = TmpDir::new("hostile_specs");
+    let spec_path = tmp.path("spec.toml");
+    std::fs::write(&spec_path, SPEC_TOML).unwrap();
+    let want = golden(&tmp);
+    let (_daemon, addr) = spawn_daemon(&tmp, 10_000);
+
+    let hostile = [
+        (SPEC_TOML.replace("dims = 2", "dims = 7"), "network.dims"),
+        (wrapped_product_spec(), "axes"),
+        (
+            SPEC_TOML.replace(
+                "load = [0.1, 0.2]",
+                "load = { start = 0.1, stop = 1e12, step = 0.001 }",
+            ),
+            "axes.load",
+        ),
+    ];
+    for (text, key) in hostile {
+        let err = hxharness::submit_text(&addr, &text, "toml", false, None, false)
+            .err()
+            .unwrap_or_else(|| panic!("spec naming {key} was accepted"));
+        assert!(err.contains(key), "{key}: {err}");
+    }
+
+    let _w = spawn_worker(&addr, &[]);
+    let out = tmp.path("out.jsonl");
+    let mut submit = Command::new(HX)
+        .args(submit_args(&spec_path, &addr, &out))
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn hx submit");
+    let status = wait_with_timeout(&mut submit, 120, "submit after the hostile specs");
+    assert!(status.success(), "submit failed: {status}");
+    assert_eq!(read(&out), want);
 }

@@ -219,52 +219,58 @@ impl SimConfig {
         }
     }
 
-    /// Validates internal consistency (buffer must hold a whole packet).
-    pub(crate) fn validate(&self) {
-        assert!(self.num_vcs >= 1, "need at least one VC");
-        assert!(
-            self.num_vcs <= MAX_VCS,
-            "num_vcs ({}) exceeds the {MAX_VCS} VCs a router's occupancy mask holds",
-            self.num_vcs
-        );
-        assert!(
-            self.buf_flits >= self.max_packet_flits,
-            "virtual cut-through needs buf_flits ({}) >= max_packet_flits ({})",
-            self.buf_flits,
-            self.max_packet_flits
-        );
-        assert!(self.max_packet_flits >= 1);
-        assert!(
-            self.watchdog_stall_cycles > self.router_chan_latency,
-            "watchdog window must exceed the longest channel latency"
-        );
-        assert!(self.max_packet_hops >= 1);
-        if self.retransmit_timeout > 0 {
-            assert!(
-                self.retransmit_backoff_cap == 0
-                    || self.retransmit_backoff_cap >= self.retransmit_timeout,
+    /// Checks internal consistency (a buffer must hold a whole packet, a
+    /// bit-error rate needs link-level retry, ...). `Network::new` panics
+    /// with the message; a sweep spec reports it at load time.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.num_vcs < 1 {
+            return Err("need at least one VC".into());
+        }
+        if self.num_vcs > MAX_VCS {
+            return Err(format!(
+                "num_vcs ({}) exceeds the {MAX_VCS} VCs a router's occupancy mask holds",
+                self.num_vcs
+            ));
+        }
+        if self.buf_flits < self.max_packet_flits {
+            return Err(format!(
+                "virtual cut-through needs buf_flits ({}) >= max_packet_flits ({})",
+                self.buf_flits, self.max_packet_flits
+            ));
+        }
+        if self.max_packet_flits < 1 {
+            return Err("max_packet_flits must be at least 1".into());
+        }
+        if self.watchdog_stall_cycles <= self.router_chan_latency {
+            return Err("watchdog window must exceed the longest channel latency".into());
+        }
+        if self.max_packet_hops < 1 {
+            return Err("max_packet_hops must be at least 1".into());
+        }
+        if self.retransmit_timeout > 0
+            && self.retransmit_backoff_cap != 0
+            && self.retransmit_backoff_cap < self.retransmit_timeout
+        {
+            return Err(format!(
                 "retransmit_backoff_cap ({}) must be 0 (auto) or >= retransmit_timeout ({})",
-                self.retransmit_backoff_cap,
-                self.retransmit_timeout
+                self.retransmit_backoff_cap, self.retransmit_timeout
+            ));
+        }
+        if !(0.0..1.0).contains(&self.error_ber) {
+            return Err(format!(
+                "error_ber ({}) must be a finite rate in [0, 1)",
+                self.error_ber
+            ));
+        }
+        if self.error_ber > 0.0 && !self.llr_enabled {
+            return Err(
+                "error_ber > 0 corrupts flits that only LLR can recover; enable llr_enabled".into(),
             );
         }
-        assert!(
-            (0.0..1.0).contains(&self.error_ber) && self.error_ber.is_finite(),
-            "error_ber ({}) must be a finite rate in [0, 1)",
-            self.error_ber
-        );
-        if self.error_ber > 0.0 {
-            assert!(
-                self.llr_enabled,
-                "error_ber > 0 corrupts flits that only LLR can recover; enable llr_enabled"
-            );
+        if self.llr_enabled && self.llr_window < 1 {
+            return Err("llr_window must hold at least one flit".into());
         }
-        if self.llr_enabled {
-            assert!(
-                self.llr_window >= 1,
-                "llr_window must hold at least one flit"
-            );
-        }
+        Ok(())
     }
 
     /// Whether the source-retransmission transport is enabled.
@@ -308,7 +314,7 @@ mod tests {
         assert_eq!(c.term_chan_latency, 5);
         assert_eq!(c.crossbar_latency, 50);
         assert_eq!(c.max_packet_flits, 16);
-        c.validate();
+        c.validate().unwrap();
     }
 
     #[test]
@@ -324,13 +330,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "enable llr_enabled")]
     fn ber_without_llr_is_rejected() {
         let c = SimConfig {
             error_ber: 1e-6,
             ..SimConfig::default()
         };
-        c.validate();
+        assert!(c.validate().unwrap_err().contains("enable llr_enabled"));
     }
 
     #[test]
@@ -340,7 +345,7 @@ mod tests {
             error_ber: 1e-5,
             ..SimConfig::default()
         };
-        c.validate();
+        c.validate().unwrap();
         let canon = c.canonical();
         assert!(canon.llr_enabled);
         assert_eq!(canon.error_ber, 1e-5);
@@ -348,25 +353,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "num_vcs (65) exceeds")]
     fn vc_count_is_bounded_by_the_mask_width() {
         let mut c = SimConfig {
             num_vcs: MAX_VCS,
             ..SimConfig::default()
         };
-        c.validate();
+        c.validate().unwrap();
         c.num_vcs += 1;
-        c.validate();
+        assert!(c.validate().unwrap_err().contains("num_vcs (65) exceeds"));
     }
 
     #[test]
-    #[should_panic(expected = "virtual cut-through")]
     fn rejects_buffer_smaller_than_packet() {
         let c = SimConfig {
             buf_flits: 8,
             max_packet_flits: 16,
             ..SimConfig::default()
         };
-        c.validate();
+        assert!(c.validate().unwrap_err().contains("virtual cut-through"));
     }
 }

@@ -51,7 +51,7 @@ pub use fault::{FaultAction, FaultEvent, FaultSchedule, RouterDiag, WatchdogRepo
 pub use metrics::{
     LlrSummary, LogHist, Metrics, MetricsConfig, MetricsSummary, NetSample, PhaseTimers, PortSample,
 };
-pub use network::Network;
+pub use network::{Network, MAX_PORTS};
 pub use packet::{Flit, Packet, PacketCold, PacketHot, PacketId, PacketPool};
 pub use router::Router;
 pub use runner::{run_steady_state, LoadPoint, SteadyOpts};

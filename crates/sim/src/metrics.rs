@@ -23,7 +23,6 @@
 //!   cycle loop, which is what the ROADMAP's hot-loop optimization work
 //!   needs.
 
-use std::io::Write;
 use std::time::Instant;
 
 use hxtopo::Topology;
@@ -683,27 +682,6 @@ impl Metrics {
     /// for golden/determinism tests.
     pub fn digest(&self) -> u64 {
         crate::schema::fnv1a(self.deterministic_jsonl().as_bytes())
-    }
-
-    /// Writes the metric streams to `path` as JSON lines: the deterministic
-    /// stream, then (when timers are enabled) one `"timers"` row.
-    pub fn write_jsonl(&self, path: &str) -> std::io::Result<()> {
-        #[derive(serde::Serialize)]
-        struct TimersRow {
-            kind: &'static str,
-            timers: PhaseTimers,
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.deterministic_jsonl().as_bytes())?;
-        if self.cfg.timers {
-            let mut s = crate::schema::versioned_json_row(&TimersRow {
-                kind: "timers",
-                timers: self.timers,
-            });
-            s.push('\n');
-            f.write_all(s.as_bytes())?;
-        }
-        Ok(())
     }
 }
 

@@ -145,6 +145,10 @@ struct ArrivalEnd {
     step: u16,
 }
 
+/// The most ports a router may have: the event engine names a port's
+/// ingress step `port << 1 | is_credit` in a `u16`.
+pub const MAX_PORTS: usize = 1 << 15;
+
 /// Every channel end in arrival-key order — the order the full scan of
 /// `Router::ingress` visits them: routers ascending, ports ascending, a
 /// port's incoming flits before its returning credits; then the terminal
@@ -258,7 +262,15 @@ impl Network {
         cfg: SimConfig,
         seed: u64,
     ) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
+        let nr = topo.num_routers();
+        let nt = topo.num_terminals();
+        assert!(
+            (0..nr).all(|r| topo.num_ports(r) <= MAX_PORTS),
+            "a router has more than the {MAX_PORTS} ports an ingress step can name"
+        );
         assert!(
             algo.num_classes() <= cfg.num_vcs,
             "{} needs {} resource classes but only {} VCs configured",
@@ -266,8 +278,6 @@ impl Network {
             algo.num_classes(),
             cfg.num_vcs
         );
-        let nr = topo.num_routers();
-        let nt = topo.num_terminals();
         let mut routers: Vec<Router> = (0..nr)
             .map(|r| Router::new(r, topo.num_ports(r), &cfg, algo.num_classes(), seed))
             .collect();
@@ -966,6 +976,31 @@ mod tests {
         let inject_end = ev.ends[inject_key as usize];
         assert_eq!(hints, [(inject_end.consumer, inject_end.step)]);
         assert!(ev.queue.is_empty());
+    }
+
+    /// The spec loader reports an inconsistent config as an error; a
+    /// direct caller still gets the same message as a panic.
+    #[test]
+    #[should_panic(expected = "virtual cut-through")]
+    fn new_panics_on_an_inconsistent_config() {
+        let hx = Arc::new(HyperX::uniform(2, 2, 1));
+        let algo: Arc<dyn RoutingAlgorithm> =
+            hyperx_algorithm("DOR", hx.clone(), 8).expect("DOR").into();
+        let cfg = SimConfig {
+            buf_flits: 4,
+            ..SimConfig::default()
+        };
+        Network::new(hx, algo, cfg, 1);
+    }
+
+    /// One port more than a `u16` ingress step can name.
+    #[test]
+    #[should_panic(expected = "ingress step")]
+    fn new_panics_on_more_ports_than_a_step_names() {
+        let hx = Arc::new(HyperX::uniform(1, 2, MAX_PORTS));
+        let algo: Arc<dyn RoutingAlgorithm> =
+            hyperx_algorithm("DOR", hx.clone(), 8).expect("DOR").into();
+        Network::new(hx, algo, SimConfig::default(), 1);
     }
 
     /// A forced flow-control violation renders as exactly one clean

@@ -11,7 +11,7 @@ use crate::sim::Sim;
 use crate::workload::Workload;
 
 /// Parameters of the warm-up / measurement protocol.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, serde::Serialize)]
 pub struct SteadyOpts {
     /// Cycles per warm-up window.
     pub warmup_window: u64,

@@ -144,7 +144,7 @@ fn main() {
             };
             let algo: Arc<dyn hxcore::RoutingAlgorithm> =
                 hyperx_algorithm(&algo_name, hx.clone(), cfg.num_vcs)
-                    .unwrap_or_else(|| panic!("unknown algorithm {algo_name}"))
+                    .unwrap_or_else(|e| panic!("{e}"))
                     .into();
             let mut sim = Sim::new(hx.clone(), algo, cfg, seed);
             let pat = pattern_by_name("UR", hx.clone()).expect("UR pattern");

@@ -99,7 +99,7 @@ fn run_point(rung: &Rung, default_algo: &str, seed: u64, engine: Engine) -> Poin
     };
     let algo: Arc<dyn hxcore::RoutingAlgorithm> =
         hyperx_algorithm(algo_name, hx.clone(), cfg.num_vcs)
-            .unwrap_or_else(|| panic!("unknown algorithm {algo_name}"))
+            .unwrap_or_else(|e| panic!("{e}"))
             .into();
     let mut sim = Sim::new(hx.clone(), algo, cfg, seed);
     let pat = pattern_by_name("UR", hx.clone()).expect("UR pattern");

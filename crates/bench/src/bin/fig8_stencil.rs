@@ -81,7 +81,7 @@ fn main() {
     let rows: Vec<Row> = parallel_map(work, |(phase, iterations, algo_name)| {
         let algo: Arc<dyn hxcore::RoutingAlgorithm> =
             hyperx_algorithm(&algo_name, hx.clone(), cfg.num_vcs)
-                .unwrap_or_else(|| panic!("unknown algorithm {algo_name}"))
+                .unwrap_or_else(|e| panic!("{e}"))
                 .into();
         let mut sim = Sim::new(hx.clone(), algo, cfg, seed);
         let app_cfg = StencilConfig {

@@ -1,11 +1,14 @@
 //! The routing-algorithm abstraction.
 //!
 //! A [`RoutingAlgorithm`] is consulted by a router whenever the head flit of
-//! a packet sits unrouted at the front of an input virtual channel. It
-//! receives a local [`RouterView`] (congestion of this router's output side
-//! only — adaptive decisions use *local* information, exactly as in the
-//! paper) and emits a set of [`Candidate`] output choices. The simulator
-//! grants the cheapest *feasible* candidate under virtual cut-through flow
+//! a packet sits unrouted at the front of an input virtual channel. Given
+//! the packet's [`Hop`] — where it is, where it goes, the resource class it
+//! arrived on and which of this router's links are up — it enumerates the
+//! legal `(port, resource class)` next hops as unweighted [`Candidate`]s
+//! (paper Sections 5.1 and 5.2, step 2). It reads no congestion. The
+//! router then weighs every candidate by one rule, "minimal congestion x
+//! hop count" ([`crate::weight::weigh`]), from its own output state, and
+//! grants the cheapest *feasible* one under virtual cut-through flow
 //! control, applying the candidate's [`Commit`] to the packet's routing
 //! state when the grant happens.
 //!
@@ -16,6 +19,8 @@
 //! methodology, footnote 4).
 
 use rand::rngs::SmallRng;
+
+use crate::mock::MockView;
 
 /// Sentinel meaning "no Valiant intermediate router".
 pub const NO_INTERMEDIATE: u32 = u32::MAX;
@@ -61,15 +66,16 @@ pub enum Commit {
     Deroute { dim: u8 },
 }
 
-/// One possible `(output port, resource class)` choice for a packet,
-/// weighted by estimated latency to the destination.
+/// One possible `(output port, resource class)` choice for a packet.
 #[derive(Clone, Copy, Debug)]
 pub struct Candidate {
     /// Output port on the current router.
     pub port: u32,
     /// Resource class of the next channel (mapped to VCs by [`ClassMap`]).
     pub class: u8,
-    /// `congestion x hopcount` estimate; lower is better.
+    /// Estimated latency to the destination; lower is better. An
+    /// algorithm leaves it 0 or preloads a bias; weighing
+    /// ([`crate::weight::weigh`]) adds `congestion x hopcount` to it.
     pub weight: u64,
     /// Remaining hop count if this candidate is taken (tie-breaker: fewer
     /// hops preferred, so uncongested networks route minimally).
@@ -78,66 +84,48 @@ pub struct Candidate {
     pub commit: Commit,
 }
 
-/// Read-only congestion view of a single router's output side.
-///
-/// Implemented by the simulator; all quantities are in flits. "Free space"
-/// is the credit count for the downstream buffer of `(port, vc)`.
-///
-/// Per-VC quantities (`free_space`, `capacity`, `occupancy`) are the
-/// primitives. [`Self::range_occupancy`] and [`Self::port_occupancy`] are
-/// aggregates over them: the weight function reads only those two, once
-/// per candidate, so a view that keeps the sums (the simulator's router
-/// maintains a per-port occupied-flits counter next to its credit array)
-/// answers in one call instead of one per VC. An override must return
-/// exactly what the provided per-VC loop would.
-pub trait RouterView {
-    /// Number of virtual channels per port.
-    fn num_vcs(&self) -> usize;
-    /// Remaining downstream buffer space (credits) of `(port, vc)`.
-    fn free_space(&self, port: usize, vc: usize) -> usize;
-    /// Total downstream buffer capacity of `(port, vc)`.
-    fn capacity(&self, port: usize, vc: usize) -> usize;
-    /// Backlog of the output queue feeding `port`'s channel.
-    fn queue_len(&self, port: usize) -> usize;
-
-    /// Whether `port`'s outgoing link is currently usable. Fault-aware
-    /// algorithms skip candidates on dead ports; a packet whose every
-    /// legal next hop is down emits no candidates and waits for a revival
-    /// (the simulator's watchdog flags permanent stalls). Defaults to
-    /// `true` so fault-oblivious views need no changes.
-    fn port_live(&self, _port: usize) -> bool {
-        true
-    }
-
-    /// Occupied downstream space of `(port, vc)` (derived).
-    fn occupancy(&self, port: usize, vc: usize) -> usize {
-        self.capacity(port, vc) - self.free_space(port, vc)
-    }
-
-    /// Occupied downstream space of `port` summed over the VCs in `vcs`
-    /// (aggregate; a resource class's share of the port).
-    fn range_occupancy(&self, port: usize, vcs: std::ops::Range<usize>) -> usize {
-        vcs.map(|vc| self.occupancy(port, vc)).sum()
-    }
-
-    /// Occupied downstream space of `port` summed over all its VCs
-    /// (aggregate).
-    fn port_occupancy(&self, port: usize) -> usize {
-        self.range_occupancy(port, 0..self.num_vcs())
-    }
-
-    /// Health penalty of `port`'s outgoing link, in equivalent flits of
-    /// congestion. Nonzero when the link's retry sublayer has seen recent
-    /// CRC errors or flaps, its replay buffer is filling, or the link runs
-    /// degraded — the weight function folds it in so adaptive algorithms
-    /// steer around lossy links *before* they die. Defaults to 0 for
-    /// views without link-health tracking.
-    fn link_health_penalty(&self, _port: usize) -> u64 {
-        0
+impl Candidate {
+    /// An unweighted candidate for `(port, class)` with `hops` total
+    /// remaining hops (including this one).
+    #[inline]
+    pub(crate) fn new(port: usize, class: usize, hops: usize, commit: Commit) -> Self {
+        Candidate {
+            port: port as u32,
+            class: class as u8,
+            weight: 0,
+            hops: hops as u8,
+            commit,
+        }
     }
 }
 
-/// Everything a routing algorithm may inspect when making a decision.
+/// Everything an algorithm's candidate set may depend on: one packet's
+/// head at one router. There is no congestion here — the router weighs.
+pub struct Hop<'a> {
+    /// Router making the decision.
+    pub router: usize,
+    /// Input port the packet arrived on (meaningless if `from_terminal`).
+    pub input_port: usize,
+    /// Resource class of the input VC the packet occupies, under the
+    /// algorithm's [`ClassMap`] (meaningless if `from_terminal`).
+    pub input_class: usize,
+    /// True at the packet's source router (arrived from a terminal).
+    pub from_terminal: bool,
+    /// Destination router.
+    pub dst_router: usize,
+    /// Destination terminal.
+    pub dst_terminal: usize,
+    /// Current per-packet routing state.
+    pub state: PacketRouteState,
+    /// Whether each port's outgoing link is up. Fault-aware algorithms
+    /// skip candidates on dead ports; a packet whose every legal next hop
+    /// is down gets no candidates and waits for a revival (the
+    /// simulator's watchdog flags permanent stalls).
+    pub live: &'a [bool],
+}
+
+/// A routing decision against a table-driven congestion state, for unit
+/// tests and micro-benchmarks ([`RoutingAlgorithm::route`]).
 pub struct RouteCtx<'a> {
     /// Router making the decision.
     pub router: usize,
@@ -151,12 +139,13 @@ pub struct RouteCtx<'a> {
     pub dst_router: usize,
     /// Destination terminal.
     pub dst_terminal: usize,
-    /// Packet length in flits.
+    /// Packet length in flits. No algorithm reads it (a [`Hop`] has no
+    /// length); `hxperf`'s routing driver still sets it.
     pub pkt_len: usize,
     /// Current per-packet routing state.
     pub state: PacketRouteState,
-    /// Congestion view of this router.
-    pub view: &'a dyn RouterView,
+    /// Congestion and liveness of this router's output side.
+    pub view: &'a MockView,
 }
 
 /// A routing algorithm instance, bound to one topology + VC configuration.
@@ -172,14 +161,37 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// freedom (the `ClassMap` divisor).
     fn num_classes(&self) -> usize;
 
-    /// Produce candidates for the packet described by `ctx` into `out`
-    /// (cleared by the caller). Must emit at least one candidate; the
-    /// destination router case is handled by the simulator (ejection) and
-    /// never reaches `route`.
-    fn route(&self, ctx: &RouteCtx<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>);
+    /// Emits the unweighted candidates for the packet described by `hop`
+    /// into `out` (cleared by the caller). Must emit at least one
+    /// candidate while every port is up; the destination router case is
+    /// handled by the simulator (ejection) and never reaches here.
+    fn candidates(&self, hop: &Hop<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>);
 
     /// Static implementation-comparison metadata (Table 1).
     fn meta(&self) -> crate::meta::AlgoMeta;
+
+    /// [`Self::candidates`] weighed against `ctx.view` by the rule the
+    /// simulator's router applies to its own output state (the view's
+    /// classes laid out by a [`ClassMap`] built per call). `out` is
+    /// cleared by the caller.
+    fn route(&self, ctx: &RouteCtx<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        let view = ctx.view;
+        let map = ClassMap::new(view.num_vcs(), self.num_classes());
+        let hop = Hop {
+            router: ctx.router,
+            input_port: ctx.input_port,
+            input_class: map.class_of(ctx.input_vc),
+            from_terminal: ctx.from_terminal,
+            dst_router: ctx.dst_router,
+            dst_terminal: ctx.dst_terminal,
+            state: ctx.state,
+            live: view.live(),
+        };
+        self.candidates(&hop, rng, out);
+        for c in out.iter_mut() {
+            view.weigh(c, &map);
+        }
+    }
 }
 
 /// The most VCs a [`ClassMap`] tabulates (the simulator's per-port VC
@@ -245,12 +257,6 @@ impl ClassMap {
             }
         }
         map
-    }
-
-    /// Number of VCs the map covers.
-    #[inline]
-    pub(crate) fn num_vcs(&self) -> usize {
-        self.num_vcs
     }
 
     /// First VC of class `c`.

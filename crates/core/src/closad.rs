@@ -27,23 +27,19 @@ use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm, NO_INTERMEDIATE};
-use crate::hyperx_common::HxBase;
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm, NO_INTERMEDIATE};
 use crate::meta::{AlgoMeta, RoutingStyle};
 use crate::valiant::valiant_continue;
 
 /// Clos-AD / UGAL+ source-adaptive routing.
 pub struct ClosAd {
-    base: HxBase,
+    hx: Arc<HyperX>,
 }
 
 impl ClosAd {
-    /// Creates Clos-AD for `hx` with `num_vcs` VCs split into two phase
-    /// classes.
-    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
-        ClosAd {
-            base: HxBase::new(hx, num_vcs, 2),
-        }
+    /// Creates Clos-AD for `hx` (two phase classes).
+    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
+        ClosAd { hx }
     }
 }
 
@@ -56,38 +52,32 @@ impl RoutingAlgorithm for ClosAd {
         2
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        if !(ctx.from_terminal && ctx.state.intermediate == NO_INTERMEDIATE) {
-            valiant_continue(&self.base, ctx, out);
+    fn candidates(&self, hop: &Hop<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        if !(hop.from_terminal && hop.state.intermediate == NO_INTERMEDIATE) {
+            valiant_continue(&self.hx, hop, out);
             return;
         }
-        let hx = &self.base.hx;
-        let cur = hx.coord_of(ctx.router);
-        let dst = hx.coord_of(ctx.dst_router);
+        let hx = &self.hx;
+        let cur = hx.coord_of(hop.router);
+        let dst = hx.coord_of(hop.dst_router);
         let h_min = cur.unaligned_count(&dst);
-        debug_assert!(h_min > 0, "route() not called at destination");
         let d = cur
             .first_unaligned(&dst)
-            .expect("route() not called at destination");
+            .expect("never asked at the destination router");
         // Minimal candidate: pure DOR from here, entirely in phase 1.
-        let min_port = hx.port_towards(ctx.router, d, dst.get(d));
-        out.push(self.base.candidate(
-            ctx.view,
-            min_port,
-            1,
-            h_min,
-            Commit::SetValiant {
-                intermediate: ctx.router as u32,
-                phase: 1,
-            },
-        ));
+        let min_port = hx.port_towards(hop.router, d, dst.get(d));
+        let commit = Commit::SetValiant {
+            intermediate: hop.router as u32,
+            phase: 1,
+        };
+        out.push(Candidate::new(min_port, 1, h_min, commit));
         // Non-minimal candidates: every other port of the first unaligned
         // dimension, with an LCA-consistent random intermediate behind it.
         for c in 0..hx.width(d) {
             if c == cur.get(d) || c == dst.get(d) {
                 continue;
             }
-            let port = hx.port_towards(ctx.router, d, c);
+            let port = hx.port_towards(hop.router, d, c);
             let mut x = cur.with(d, c);
             for e in (d + 1)..hx.dims() {
                 if !cur.aligned(&dst, e) {
@@ -98,16 +88,11 @@ impl RoutingAlgorithm for ClosAd {
             let hops = cur.unaligned_count(&x) + x.unaligned_count(&dst);
             // The whole leg to the intermediate rides class 0; the DOR leg
             // from the intermediate rides class 1.
-            out.push(self.base.candidate(
-                ctx.view,
-                port,
-                0,
-                hops,
-                Commit::SetValiant {
-                    intermediate: xr as u32,
-                    phase: 0,
-                },
-            ));
+            let commit = Commit::SetValiant {
+                intermediate: xr as u32,
+                phase: 0,
+            };
+            out.push(Candidate::new(port, 0, hops, commit));
         }
     }
 
@@ -127,7 +112,7 @@ impl RoutingAlgorithm for ClosAd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{PacketRouteState, RouterView};
+    use crate::api::{PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::{Coord, Topology};
     use rand::SeedableRng;
@@ -136,7 +121,7 @@ mod tests {
         hx: &HyperX,
         router: usize,
         dst_router: usize,
-        view: &'a dyn RouterView,
+        view: &'a MockView,
     ) -> RouteCtx<'a> {
         RouteCtx {
             router,
@@ -154,7 +139,7 @@ mod tests {
     #[test]
     fn evaluates_first_unaligned_dimension_only() {
         let hx = Arc::new(HyperX::uniform(3, 4, 1));
-        let algo = ClosAd::new(hx.clone(), 8);
+        let algo = ClosAd::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let src = hx.router_at(&Coord::new(&[0, 0, 0]));
         let dst = hx.router_at(&Coord::new(&[1, 2, 0])); // dims 0,1 unaligned
@@ -172,7 +157,7 @@ mod tests {
     #[test]
     fn minimal_candidate_and_valiant_hops() {
         let hx = Arc::new(HyperX::uniform(3, 4, 1));
-        let algo = ClosAd::new(hx.clone(), 8);
+        let algo = ClosAd::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let src = hx.router_at(&Coord::new(&[0, 0, 0]));
         let dst = hx.router_at(&Coord::new(&[1, 2, 3]));
@@ -197,7 +182,7 @@ mod tests {
     #[test]
     fn intermediate_randomizes_higher_unaligned_dims() {
         let hx = Arc::new(HyperX::uniform(3, 4, 1));
-        let algo = ClosAd::new(hx.clone(), 8);
+        let algo = ClosAd::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let src = hx.router_at(&Coord::new(&[0, 0, 2]));
         let dst = hx.router_at(&Coord::new(&[1, 2, 2])); // dim 2 aligned
@@ -224,14 +209,13 @@ mod tests {
     #[test]
     fn intermediate_matches_first_hop_port() {
         let hx = Arc::new(HyperX::uniform(3, 4, 1));
-        let algo = ClosAd::new(hx.clone(), 8);
+        let algo = ClosAd::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let src = hx.router_at(&Coord::new(&[1, 1, 1]));
         let dst = hx.router_at(&Coord::new(&[2, 3, 1]));
         let mut rng = SmallRng::seed_from_u64(4);
         let mut out = Vec::new();
         algo.route(&source_ctx(&hx, src, dst, &view), &mut rng, &mut out);
-        let base = HxBase::new(hx.clone(), 8, 2);
         for c in &out {
             match c.commit {
                 Commit::SetValiant {
@@ -240,7 +224,7 @@ mod tests {
                 } => {
                     // DOR toward the intermediate must start with this port.
                     assert_eq!(
-                        base.dor_port(src, intermediate as usize).unwrap(),
+                        crate::hyperx_common::dor_port(&hx, src, intermediate as usize).unwrap(),
                         c.port as usize,
                         "intermediate inconsistent with evaluated port"
                     );
@@ -257,7 +241,7 @@ mod tests {
     #[test]
     fn deroutes_around_congested_minimal_port() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let algo = ClosAd::new(hx.clone(), 8);
+        let algo = ClosAd::new(hx.clone());
         let mut view = MockView::idle(hx.max_ports(), 8, 16);
         let src = hx.router_at(&Coord::new(&[0, 0]));
         let dst = hx.router_at(&Coord::new(&[2, 0])); // only dim 0 unaligned

@@ -20,8 +20,8 @@ use std::sync::Arc;
 use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm};
-use crate::hyperx_common::HxBase;
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
+use crate::hyperx_common::dor_port;
 use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// The adaptive resource class.
@@ -29,22 +29,20 @@ pub(crate) const CLASS_ADAPTIVE: usize = 0;
 /// The escape (DOR) resource class.
 pub(crate) const CLASS_ESCAPE: usize = 1;
 
-/// Weight penalty keeping packets off the escape class while adaptive
-/// candidates are viable (escape is a last resort by construction).
+/// Weight preloaded on the escape candidate while adaptive candidates are
+/// viable, keeping packets off the escape class (escape is a last resort
+/// by construction); weighing adds the congestion term on top.
 const ESCAPE_BIAS: u64 = 1 << 20;
 
 /// Dimensionally adaptive load-balancing with an escape class.
 pub struct Dal {
-    base: HxBase,
+    hx: Arc<HyperX>,
 }
 
 impl Dal {
-    /// Creates DAL for `hx` with `num_vcs` VCs split between the adaptive
-    /// and escape classes.
-    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
-        Dal {
-            base: HxBase::new(hx, num_vcs, 2),
-        }
+    /// Creates DAL for `hx` (an adaptive and an escape class).
+    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
+        Dal { hx }
     }
 }
 
@@ -57,14 +55,14 @@ impl RoutingAlgorithm for Dal {
         2
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        let hx = &self.base.hx;
-        let cur = hx.coord_of(ctx.router);
-        let dst = hx.coord_of(ctx.dst_router);
+    fn candidates(&self, hop: &Hop<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        let hx = &self.hx;
+        let cur = hx.coord_of(hop.router);
+        let dst = hx.coord_of(hop.dst_router);
         let remaining = cur.unaligned_count(&dst);
         debug_assert!(remaining > 0);
 
-        let on_escape = !ctx.from_terminal && self.base.map.class_of(ctx.input_vc) == CLASS_ESCAPE;
+        let on_escape = !hop.from_terminal && hop.input_class == CLASS_ESCAPE;
 
         if !on_escape {
             for d in 0..hx.dims() {
@@ -72,9 +70,8 @@ impl RoutingAlgorithm for Dal {
                     continue;
                 }
                 // Minimal hop.
-                let min_port = hx.port_towards(ctx.router, d, dst.get(d));
-                out.push(self.base.candidate(
-                    ctx.view,
+                let min_port = hx.port_towards(hop.router, d, dst.get(d));
+                out.push(Candidate::new(
                     min_port,
                     CLASS_ADAPTIVE,
                     remaining,
@@ -82,19 +79,14 @@ impl RoutingAlgorithm for Dal {
                 ));
                 // One deroute per dimension, tracked in the packet's N-bit
                 // field (Table 1's "packet contents" for DAL).
-                if ctx.state.deroute_mask & (1 << d) == 0 {
+                if hop.state.deroute_mask & (1 << d) == 0 {
                     for c in 0..hx.width(d) {
                         if c == cur.get(d) || c == dst.get(d) {
                             continue;
                         }
-                        let port = hx.port_towards(ctx.router, d, c);
-                        out.push(self.base.candidate(
-                            ctx.view,
-                            port,
-                            CLASS_ADAPTIVE,
-                            remaining + 1,
-                            Commit::Deroute { dim: d as u8 },
-                        ));
+                        let port = hx.port_towards(hop.router, d, c);
+                        let commit = Commit::Deroute { dim: d as u8 };
+                        out.push(Candidate::new(port, CLASS_ADAPTIVE, remaining + 1, commit));
                     }
                 }
             }
@@ -102,15 +94,10 @@ impl RoutingAlgorithm for Dal {
 
         // Escape candidate: DOR on the escape class. Once a packet is on
         // the escape class it stays there (simplest sound Duato variant).
-        let esc_port = self
-            .base
-            .dor_port(ctx.router, ctx.dst_router)
-            .expect("not at destination");
-        let mut esc =
-            self.base
-                .candidate(ctx.view, esc_port, CLASS_ESCAPE, remaining, Commit::None);
+        let esc_port = dor_port(hx, hop.router, hop.dst_router).expect("not at destination");
+        let mut esc = Candidate::new(esc_port, CLASS_ESCAPE, remaining, Commit::None);
         if !on_escape {
-            esc.weight = esc.weight.saturating_add(ESCAPE_BIAS);
+            esc.weight = ESCAPE_BIAS;
         }
         out.push(esc);
     }
@@ -131,7 +118,7 @@ impl RoutingAlgorithm for Dal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ClassMap, PacketRouteState, RouterView};
+    use crate::api::{ClassMap, PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::{Coord, Topology};
     use rand::SeedableRng;
@@ -143,7 +130,7 @@ mod tests {
         from_terminal: bool,
         input_vc: usize,
         deroute_mask: u8,
-        view: &'a dyn RouterView,
+        view: &'a MockView,
     ) -> RouteCtx<'a> {
         RouteCtx {
             router,
@@ -168,7 +155,7 @@ mod tests {
     #[test]
     fn derouted_dims_offer_no_more_deroutes() {
         let hx = Arc::new(HyperX::uniform(2, 4, 2));
-        let algo = Dal::new(hx.clone(), 8);
+        let algo = Dal::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 64);
         let src = hx.router_at(&Coord::new(&[0, 0]));
         let dst = hx.router_at(&Coord::new(&[2, 2]));
@@ -199,7 +186,7 @@ mod tests {
     #[test]
     fn escape_candidate_always_present_and_biased() {
         let hx = Arc::new(HyperX::uniform(2, 4, 2));
-        let algo = Dal::new(hx.clone(), 8);
+        let algo = Dal::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 64);
         let src = 0;
         let dst = hx.router_at(&Coord::new(&[3, 3]));
@@ -224,7 +211,7 @@ mod tests {
     #[test]
     fn once_on_escape_stays_on_escape() {
         let hx = Arc::new(HyperX::uniform(2, 4, 2));
-        let algo = Dal::new(hx.clone(), 8);
+        let algo = Dal::new(hx.clone());
         let map = ClassMap::new(8, 2);
         let view = MockView::idle(hx.max_ports(), 8, 64);
         let src = hx.router_at(&Coord::new(&[1, 0]));

@@ -25,8 +25,7 @@ use std::sync::Arc;
 use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm};
-use crate::hyperx_common::HxBase;
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
 use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// The resource class minimal hops ride on.
@@ -36,16 +35,15 @@ pub(crate) const CLASS_DEROUTE: usize = 1;
 
 /// Dimensionally-ordered weighted adaptive routing.
 pub struct DimWar {
-    base: HxBase,
+    hx: Arc<HyperX>,
 }
 
 impl DimWar {
-    /// Creates DimWAR for `hx` with `num_vcs` VCs split into the two
-    /// resource classes (spares relieve head-of-line blocking).
-    pub fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
-        DimWar {
-            base: HxBase::new(hx, num_vcs, 2),
-        }
+    /// Creates DimWAR for `hx`. The simulator splits its VCs into the two
+    /// resource classes (spares relieve head-of-line blocking), so the VC
+    /// count is the simulation's, not the algorithm's.
+    pub fn new(hx: Arc<HyperX>, _num_vcs: usize) -> Self {
+        DimWar { hx }
     }
 }
 
@@ -58,24 +56,21 @@ impl RoutingAlgorithm for DimWar {
         2
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        let hx = &self.base.hx;
-        let cur = hx.coord_of(ctx.router);
-        let dst = hx.coord_of(ctx.dst_router);
+    fn candidates(&self, hop: &Hop<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        let hx = &self.hx;
+        let cur = hx.coord_of(hop.router);
+        let dst = hx.coord_of(hop.dst_router);
         let d = cur
             .first_unaligned(&dst)
-            .expect("route() not called at destination");
+            .expect("never asked at the destination router");
         let h = cur.unaligned_count(&dst);
 
         // Minimal hop: straight to the destination's coordinate in the
         // current dimension, class 0.
-        let min_port = hx.port_towards(ctx.router, d, dst.get(d));
-        let min_live = ctx.view.port_live(min_port);
+        let min_port = hx.port_towards(hop.router, d, dst.get(d));
+        let min_live = hop.live[min_port];
         if min_live {
-            out.push(
-                self.base
-                    .candidate(ctx.view, min_port, CLASS_MINIMAL, h, Commit::None),
-            );
+            out.push(Candidate::new(min_port, CLASS_MINIMAL, h, Commit::None));
         }
 
         // Deroutes are permitted only from the first resource class: a
@@ -87,21 +82,16 @@ impl RoutingAlgorithm for DimWar {
         // failure; with a single dead link per dimension row the next
         // minimal hop is live again, so no dependency cycle closes (under
         // heavier correlated failures the watchdog reports any stall).
-        let may_deroute =
-            ctx.from_terminal || self.base.map.class_of(ctx.input_vc) == CLASS_MINIMAL;
+        let may_deroute = hop.from_terminal || hop.input_class == CLASS_MINIMAL;
         if may_deroute || !min_live {
             for c in 0..hx.width(d) {
                 if c == cur.get(d) || c == dst.get(d) {
                     continue;
                 }
-                let port = hx.port_towards(ctx.router, d, c);
-                if !ctx.view.port_live(port) {
-                    continue;
+                let port = hx.port_towards(hop.router, d, c);
+                if hop.live[port] {
+                    out.push(Candidate::new(port, CLASS_DEROUTE, h + 1, Commit::None));
                 }
-                out.push(
-                    self.base
-                        .candidate(ctx.view, port, CLASS_DEROUTE, h + 1, Commit::None),
-                );
             }
         }
     }
@@ -122,7 +112,7 @@ impl RoutingAlgorithm for DimWar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ClassMap, PacketRouteState, RouterView};
+    use crate::api::{ClassMap, PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::{Coord, Topology};
     use rand::SeedableRng;
@@ -133,7 +123,7 @@ mod tests {
         dst_router: usize,
         from_terminal: bool,
         input_vc: usize,
-        view: &'a dyn RouterView,
+        view: &'a MockView,
     ) -> RouteCtx<'a> {
         RouteCtx {
             router,
@@ -228,7 +218,7 @@ mod tests {
             .iter()
             .find(|c| c.class as usize == CLASS_DEROUTE)
             .unwrap();
-        let q = 10 * 8 + crate::weight::HOP_LATENCY; // 10 flits on 8 VCs + hop term
+        let q = 10 * 8 + 100; // 10 flits on 8 VCs + the 100-cycle hop term
         assert_eq!(min.weight, q * 2);
         assert_eq!(der.weight, q * 3, "deroute pays for the extra hop");
     }

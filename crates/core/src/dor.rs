@@ -11,22 +11,20 @@ use std::sync::Arc;
 use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm};
-use crate::hyperx_common::HxBase;
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
+use crate::hyperx_common::{dor_port, hops};
 use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Deterministic dimension-order routing.
 pub struct Dor {
-    base: HxBase,
+    hx: Arc<HyperX>,
 }
 
 impl Dor {
-    /// Creates DOR for `hx` with `num_vcs` virtual channels (all spent on
-    /// head-of-line-blocking relief — DOR needs only one class).
-    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
-        Dor {
-            base: HxBase::new(hx, num_vcs, 1),
-        }
+    /// Creates DOR for `hx` (every VC is spent on head-of-line-blocking
+    /// relief — DOR needs only one class).
+    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
+        Dor { hx }
     }
 }
 
@@ -39,19 +37,17 @@ impl RoutingAlgorithm for Dor {
         1
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        let port = self
-            .base
-            .dor_port(ctx.router, ctx.dst_router)
-            .expect("route() must not be called at the destination router");
+    fn candidates(&self, hop: &Hop<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        let port = dor_port(&self.hx, hop.router, hop.dst_router)
+            .expect("never asked at the destination router");
         // DOR is deterministic: with its one legal port down the packet
         // can only wait for a revival (fault-oblivious baselines degrade
         // under failures; the watchdog reports permanent stalls).
-        if !ctx.view.port_live(port) {
+        if !hop.live[port] {
             return;
         }
-        let hops = self.base.hops(ctx.router, ctx.dst_router);
-        out.push(self.base.candidate(ctx.view, port, 0, hops, Commit::None));
+        let h = hops(&self.hx, hop.router, hop.dst_router);
+        out.push(Candidate::new(port, 0, h, Commit::None));
     }
 
     fn meta(&self) -> AlgoMeta {
@@ -70,17 +66,12 @@ impl RoutingAlgorithm for Dor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{PacketRouteState, RouterView};
+    use crate::api::{PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::{Coord, Topology};
     use rand::SeedableRng;
 
-    fn ctx<'a>(
-        hx: &HyperX,
-        router: usize,
-        dst_router: usize,
-        view: &'a dyn RouterView,
-    ) -> RouteCtx<'a> {
+    fn ctx<'a>(hx: &HyperX, router: usize, dst_router: usize, view: &'a MockView) -> RouteCtx<'a> {
         RouteCtx {
             router,
             input_port: 0,
@@ -97,7 +88,7 @@ mod tests {
     #[test]
     fn routes_lowest_dimension_first() {
         let hx = Arc::new(HyperX::uniform(3, 4, 2));
-        let dor = Dor::new(hx.clone(), 8);
+        let dor = Dor::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let src = hx.router_at(&Coord::new(&[0, 0, 0]));
         let dst = hx.router_at(&Coord::new(&[2, 3, 1]));
@@ -115,7 +106,7 @@ mod tests {
     #[test]
     fn skips_aligned_dimensions() {
         let hx = Arc::new(HyperX::uniform(3, 4, 2));
-        let dor = Dor::new(hx.clone(), 8);
+        let dor = Dor::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let src = hx.router_at(&Coord::new(&[1, 0, 0]));
         let dst = hx.router_at(&Coord::new(&[1, 0, 3]));
@@ -129,7 +120,7 @@ mod tests {
     #[test]
     fn full_path_visits_each_dim_once() {
         let hx = Arc::new(HyperX::uniform(3, 4, 1));
-        let dor = Dor::new(hx.clone(), 8);
+        let dor = Dor::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let mut rng = SmallRng::seed_from_u64(1);
         let dst = hx.router_at(&Coord::new(&[3, 2, 1]));
@@ -149,7 +140,7 @@ mod tests {
     #[test]
     fn dead_minimal_port_yields_no_candidates() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let dor = Dor::new(hx.clone(), 4);
+        let dor = Dor::new(hx.clone());
         let mut view = MockView::idle(hx.max_ports(), 4, 16);
         let src = hx.router_at(&Coord::new(&[0, 0]));
         let dst = hx.router_at(&Coord::new(&[2, 2]));
@@ -163,7 +154,7 @@ mod tests {
     #[test]
     fn weight_reflects_congestion_times_hops() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let dor = Dor::new(hx.clone(), 4);
+        let dor = Dor::new(hx.clone());
         let mut view = MockView::idle(hx.max_ports(), 4, 16);
         let src = hx.router_at(&Coord::new(&[0, 0]));
         let dst = hx.router_at(&Coord::new(&[2, 2]));
@@ -172,6 +163,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut out = Vec::new();
         dor.route(&ctx(&hx, src, dst, &view), &mut rng, &mut out);
-        assert_eq!(out[0].weight, (6 * 4 + crate::weight::HOP_LATENCY) * 2);
+        // 6 flits on each of 4 VCs plus the 100-cycle hop latency, x 2 hops.
+        assert_eq!(out[0].weight, (6 * 4 + 100) * 2);
     }
 }

@@ -14,9 +14,8 @@ use hxtopo::{Dragonfly, Topology};
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
-use crate::api::{Candidate, ClassMap, Commit, RouteCtx, RoutingAlgorithm, NO_INTERMEDIATE};
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm, NO_INTERMEDIATE};
 use crate::meta::{AlgoMeta, RoutingStyle};
-use crate::weight::{candidate_congestion, weight};
 
 /// Distance classes needed by a two-phase (Valiant) Dragonfly path.
 const DF_CLASSES: usize = 6;
@@ -35,21 +34,15 @@ pub enum DfPolicy {
 /// Dragonfly routing with distance-class deadlock avoidance.
 pub struct DragonflyRouting {
     df: Arc<Dragonfly>,
-    map: ClassMap,
     policy: DfPolicy,
 }
 
 impl DragonflyRouting {
-    /// Creates a Dragonfly router for `df` with `num_vcs` VCs.
-    ///
-    /// # Panics
-    /// Panics if `num_vcs < 6` (the Valiant distance-class requirement).
-    pub fn new(df: Arc<Dragonfly>, num_vcs: usize, policy: DfPolicy) -> Self {
-        DragonflyRouting {
-            df,
-            map: ClassMap::new(num_vcs, DF_CLASSES),
-            policy,
-        }
+    /// Creates Dragonfly routing for `df`. Its six distance classes (the
+    /// Valiant requirement) must fit in the simulation's VC count, which
+    /// `Sim::new` checks.
+    pub fn new(df: Arc<Dragonfly>, _num_vcs: usize, policy: DfPolicy) -> Self {
+        DragonflyRouting { df, policy }
     }
 
     /// The minimal next-hop port from `router` toward `target`
@@ -72,25 +65,6 @@ impl DragonflyRouting {
             Some(df.local_port_towards(router, df.index_in_group(gw_router)))
         }
     }
-
-    fn push(
-        &self,
-        ctx: &RouteCtx<'_>,
-        port: usize,
-        class: usize,
-        hops: usize,
-        commit: Commit,
-        out: &mut Vec<Candidate>,
-    ) {
-        let q = candidate_congestion(ctx.view, port, &self.map, class);
-        out.push(Candidate {
-            port: port as u32,
-            class: class as u8,
-            weight: weight(q, hops),
-            hops: hops as u8,
-            commit,
-        });
-    }
 }
 
 impl RoutingAlgorithm for DragonflyRouting {
@@ -106,80 +80,74 @@ impl RoutingAlgorithm for DragonflyRouting {
         DF_CLASSES
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+    fn candidates(&self, hop: &Hop<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
         let df = &self.df;
-        let out_class = if ctx.from_terminal {
+        let out_class = if hop.from_terminal {
             0
         } else {
-            self.map.class_of(ctx.input_vc) + 1
+            hop.input_class + 1
         };
         debug_assert!(out_class < DF_CLASSES, "dragonfly path exceeded 6 hops");
 
-        if ctx.from_terminal && ctx.state.intermediate == NO_INTERMEDIATE {
-            let h_min = df.min_router_hops(ctx.router, ctx.dst_router);
+        if hop.from_terminal && hop.state.intermediate == NO_INTERMEDIATE {
+            let h_min = df.min_router_hops(hop.router, hop.dst_router);
             let min_port = self
-                .min_port(ctx.router, ctx.dst_router)
+                .min_port(hop.router, hop.dst_router)
                 .expect("not at dst");
             let min_commit = Commit::SetValiant {
-                intermediate: ctx.router as u32,
+                intermediate: hop.router as u32,
                 phase: 1,
             };
             let want_min = matches!(self.policy, DfPolicy::Min | DfPolicy::Ugal);
             if want_min {
-                self.push(ctx, min_port, out_class, h_min, min_commit, out);
+                out.push(Candidate::new(min_port, out_class, h_min, min_commit));
             }
             if matches!(self.policy, DfPolicy::Val | DfPolicy::Ugal) {
                 let x = rng.random_range(0..df.num_routers() as u32) as usize;
-                if x != ctx.router && x != ctx.dst_router {
-                    let port = self.min_port(ctx.router, x).expect("x != router");
+                if x != hop.router && x != hop.dst_router {
+                    let port = self.min_port(hop.router, x).expect("x != router");
                     let hops =
-                        df.min_router_hops(ctx.router, x) + df.min_router_hops(x, ctx.dst_router);
-                    self.push(
-                        ctx,
-                        port,
-                        out_class,
-                        hops,
-                        Commit::SetValiant {
-                            intermediate: x as u32,
-                            phase: 0,
-                        },
-                        out,
-                    );
+                        df.min_router_hops(hop.router, x) + df.min_router_hops(x, hop.dst_router);
+                    let commit = Commit::SetValiant {
+                        intermediate: x as u32,
+                        phase: 0,
+                    };
+                    out.push(Candidate::new(port, out_class, hops, commit));
                 } else if !want_min {
                     // Degenerate Valiant draw for the pure-VAL policy:
                     // fall back to the minimal path this cycle.
-                    self.push(ctx, min_port, out_class, h_min, min_commit, out);
+                    out.push(Candidate::new(min_port, out_class, h_min, min_commit));
                 }
             }
             return;
         }
 
         // Committed packet: minimal toward the current phase target.
-        let (target, phase) = if ctx.state.phase == 0 {
-            let x = ctx.state.intermediate as usize;
-            if x == ctx.router {
-                (ctx.dst_router, 1u8)
+        let (target, phase) = if hop.state.phase == 0 {
+            let x = hop.state.intermediate as usize;
+            if x == hop.router {
+                (hop.dst_router, 1u8)
             } else {
                 (x, 0)
             }
         } else {
-            (ctx.dst_router, 1)
+            (hop.dst_router, 1)
         };
         let port = self
-            .min_port(ctx.router, target)
+            .min_port(hop.router, target)
             .expect("phase target differs");
-        let hops = df.min_router_hops(ctx.router, target)
+        let hops = df.min_router_hops(hop.router, target)
             + if phase == 0 {
-                df.min_router_hops(target, ctx.dst_router)
+                df.min_router_hops(target, hop.dst_router)
             } else {
                 0
             };
-        let commit = if phase != ctx.state.phase {
+        let commit = if phase != hop.state.phase {
             Commit::SetPhase(1)
         } else {
             Commit::None
         };
-        self.push(ctx, port, out_class, hops, commit, out);
+        out.push(Candidate::new(port, out_class, hops, commit));
     }
 
     fn meta(&self) -> AlgoMeta {
@@ -201,7 +169,7 @@ impl RoutingAlgorithm for DragonflyRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::PacketRouteState;
+    use crate::api::{ClassMap, PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use rand::SeedableRng;
 

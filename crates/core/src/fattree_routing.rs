@@ -12,9 +12,8 @@ use std::sync::Arc;
 use hxtopo::FatTree;
 use rand::rngs::SmallRng;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm};
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
 use crate::meta::{AlgoMeta, RoutingStyle};
-use crate::weight::{port_congestion, weight};
 
 /// Adaptive-up/deterministic-down fat-tree routing.
 pub struct FatTreeRouting {
@@ -25,17 +24,6 @@ impl FatTreeRouting {
     /// Creates fat-tree routing with `num_vcs` VCs (one class).
     pub fn new(ft: Arc<FatTree>, _num_vcs: usize) -> Self {
         FatTreeRouting { ft }
-    }
-
-    fn push(&self, ctx: &RouteCtx<'_>, port: usize, hops: usize, out: &mut Vec<Candidate>) {
-        let q = port_congestion(ctx.view, port);
-        out.push(Candidate {
-            port: port as u32,
-            class: 0,
-            weight: weight(q, hops),
-            hops: hops as u8,
-            commit: Commit::None,
-        });
     }
 }
 
@@ -48,40 +36,30 @@ impl RoutingAlgorithm for FatTreeRouting {
         1
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+    fn candidates(&self, hop: &Hop<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
         let ft = &self.ft;
         let h = ft.radix() / 2;
-        let (dst_edge, dst_down_port) = ft.terminal_edge(ctx.dst_terminal);
+        let (dst_edge, _) = ft.terminal_edge(hop.dst_terminal);
         let dst_pod = ft.pod_of(dst_edge);
-        match ft.level(ctx.router) {
+        // Every candidate rides the single class, which spans all VCs.
+        let mut push = |port, hops| out.push(Candidate::new(port, 0, hops, Commit::None));
+        match ft.level(hop.router) {
             0 => {
-                debug_assert_ne!(ctx.router, dst_edge, "ejection handled by the router");
+                debug_assert_ne!(hop.router, dst_edge, "ejection handled by the router");
                 // Remaining hops: up to agg, then 1 (same pod) or 3 (via core).
-                let hops = if ft.pod_of(ctx.router) == dst_pod {
+                let hops = if ft.pod_of(hop.router) == dst_pod {
                     2
                 } else {
                     4
                 };
-                for p in h..2 * h {
-                    self.push(ctx, p, hops, out);
-                }
-                let _ = dst_down_port;
+                (h..2 * h).for_each(|p| push(p, hops));
             }
-            1 => {
-                if ft.pod_of(ctx.router) == dst_pod {
-                    // Deterministic down to the destination edge.
-                    let i = dst_edge % h;
-                    self.push(ctx, i, 1, out);
-                } else {
-                    for p in h..2 * h {
-                        self.push(ctx, p, 3, out);
-                    }
-                }
-            }
-            _ => {
-                // Core: deterministic down into the destination pod.
-                self.push(ctx, dst_pod, 2, out);
-            }
+            // Aggregation: deterministic down to the destination edge in
+            // its own pod, else adaptive up.
+            1 if ft.pod_of(hop.router) == dst_pod => push(dst_edge % h, 1),
+            1 => (h..2 * h).for_each(|p| push(p, 3)),
+            // Core: deterministic down into the destination pod.
+            _ => push(dst_pod, 2),
         }
     }
 
@@ -101,7 +79,7 @@ impl RoutingAlgorithm for FatTreeRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::PacketRouteState;
+    use crate::api::{PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::{PortTarget, Topology};
     use rand::SeedableRng;

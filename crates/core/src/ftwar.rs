@@ -24,7 +24,7 @@ use std::sync::Arc;
 use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm};
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
 use crate::meta::{AlgoMeta, RoutingStyle};
 use crate::omniwar::OmniWar;
 
@@ -67,40 +67,27 @@ impl RoutingAlgorithm for FtWar {
         self.omni.num_classes()
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        self.omni.route(ctx, rng, out);
+    fn candidates(&self, hop: &Hop<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        self.omni.candidates(hop, rng, out);
         if !out.is_empty() {
             return;
         }
         // Every port making progress is dead. Escape if the class budget
         // can absorb un-aligning a dimension; any live lateral move in an
         // aligned dimension qualifies, and the weights steer among them.
-        let base = &self.omni.base;
-        let hx = &base.hx;
-        let cur = hx.coord_of(ctx.router);
-        let dst = hx.coord_of(ctx.dst_router);
+        let hx = &self.omni.hx;
+        let cur = hx.coord_of(hop.router);
+        let dst = hx.coord_of(hop.dst_router);
         let remaining = cur.unaligned_count(&dst);
-        let (out_class, classes_left) = self.omni.hop_classes(ctx);
+        let (out_class, classes_left) = self.omni.hop_classes(hop);
         if classes_left <= remaining {
             return;
         }
-        for d in 0..hx.dims() {
-            if !cur.aligned(&dst, d) {
-                continue;
-            }
-            for c in 0..hx.width(d) {
-                if c == cur.get(d) {
-                    continue;
-                }
-                let port = hx.port_towards(ctx.router, d, c);
-                if ctx.view.port_live(port) {
-                    out.push(base.candidate(
-                        ctx.view,
-                        port,
-                        out_class,
-                        remaining + 2,
-                        Commit::None,
-                    ));
+        for d in (0..hx.dims()).filter(|&d| cur.aligned(&dst, d)) {
+            for c in (0..hx.width(d)).filter(|&c| c != cur.get(d)) {
+                let port = hx.port_towards(hop.router, d, c);
+                if hop.live[port] {
+                    out.push(Candidate::new(port, out_class, remaining + 2, Commit::None));
                 }
             }
         }
@@ -122,7 +109,7 @@ impl RoutingAlgorithm for FtWar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ClassMap, PacketRouteState, RouterView};
+    use crate::api::{ClassMap, PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::{Coord, Topology};
     use rand::SeedableRng;
@@ -134,7 +121,7 @@ mod tests {
         from_terminal: bool,
         input_port: usize,
         input_vc: usize,
-        view: &'a dyn RouterView,
+        view: &'a MockView,
     ) -> RouteCtx<'a> {
         RouteCtx {
             router,
@@ -301,7 +288,7 @@ mod tests {
         let mut hops = 0usize;
         let mut escaped = false;
         while cur != dst {
-            let view: &dyn RouterView = if cur == src { &blocked } else { &healthy };
+            let view: &MockView = if cur == src { &blocked } else { &healthy };
             let mut out = Vec::new();
             algo.route(
                 &make_ctx(&hx, cur, dst, first, in_port, vc, view),

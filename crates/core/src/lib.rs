@@ -7,10 +7,12 @@
 //! the paper evaluates against ([`Dor`], [`Valiant`], [`Ugal`], [`ClosAd`])
 //! and the prior-work algorithms it analyzes ([`Dal`], [`MinAd`]).
 //!
-//! Algorithms are expressed against the [`RoutingAlgorithm`] trait: given
-//! local congestion ([`RouterView`]) they emit weighted
-//! `(port, resource-class)` [`Candidate`]s; the cycle-accurate simulator in
-//! `hxsim` grants the cheapest feasible one. Deadlock avoidance is encoded
+//! Algorithms are expressed against the [`RoutingAlgorithm`] trait: given a
+//! packet's [`Hop`] they enumerate the legal `(port, resource-class)`
+//! [`Candidate`]s and read no congestion. The cycle-accurate simulator in
+//! `hxsim` weighs every candidate by the paper's one rule, "minimal
+//! congestion x hop count" ([`weight::weigh`]), from its own output state,
+//! and grants the cheapest feasible one. Deadlock avoidance is encoded
 //! purely in resource classes mapped onto virtual channels ([`ClassMap`]) —
 //! DimWAR and OmniWAR keep **no routing state in the packet**, which is the
 //! paper's implementability claim (Table 1, regenerated by
@@ -46,8 +48,7 @@ mod valiant;
 pub mod weight;
 
 pub use api::{
-    Candidate, ClassMap, Commit, PacketRouteState, RouteCtx, RouterView, RoutingAlgorithm,
-    NO_INTERMEDIATE,
+    Candidate, ClassMap, Commit, Hop, PacketRouteState, RouteCtx, RoutingAlgorithm, NO_INTERMEDIATE,
 };
 pub use closad::ClosAd;
 pub use dal::Dal;
@@ -75,24 +76,46 @@ pub const HYPERX_ALGORITHMS: &[&str] = &[
 
 /// Instantiates a HyperX routing algorithm by name (case-insensitive;
 /// `"UGAL+"` is accepted as an alias for `"Clos-AD"`, as in the paper's
-/// Figure 6 labels). Returns `None` for unknown names.
+/// Figure 6 labels) for a simulation with `num_vcs` VCs per port.
+///
+/// # Errors
+/// An unknown name, or an algorithm whose resource classes cannot fit in
+/// `num_vcs` VCs; the message names the constraint that failed.
 pub fn hyperx_algorithm(
     name: &str,
     hx: Arc<HyperX>,
     num_vcs: usize,
-) -> Option<Box<dyn RoutingAlgorithm>> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "dor" => Box::new(Dor::new(hx, num_vcs)),
-        "val" | "valiant" => Box::new(Valiant::new(hx, num_vcs)),
-        "ugal" => Box::new(Ugal::new(hx, num_vcs)),
-        "clos-ad" | "closad" | "ugal+" => Box::new(ClosAd::new(hx, num_vcs)),
-        "minad" | "min-ad" => Box::new(MinAd::new(hx, num_vcs)),
-        "dal" => Box::new(Dal::new(hx, num_vcs)),
+) -> Result<Box<dyn RoutingAlgorithm>, String> {
+    let dims = hx.dims();
+    let algo: Box<dyn RoutingAlgorithm> = match name.to_ascii_lowercase().as_str() {
+        "dor" => Box::new(Dor::new(hx)),
+        "val" | "valiant" => Box::new(Valiant::new(hx)),
+        "ugal" => Box::new(Ugal::new(hx)),
+        "clos-ad" | "closad" | "ugal+" => Box::new(ClosAd::new(hx)),
+        "minad" | "min-ad" => Box::new(MinAd::new(hx)),
+        "dal" => Box::new(Dal::new(hx)),
         "dimwar" => Box::new(DimWar::new(hx, num_vcs)),
+        "omniwar" | "ft-war" | "ftwar" if num_vcs < dims => {
+            return Err(format!(
+                "{name} needs at least one VC per dimension: {num_vcs} VCs, {dims} dimensions"
+            ))
+        }
         "omniwar" => Box::new(OmniWar::max_deroutes(hx, num_vcs)),
         "ft-war" | "ftwar" => Box::new(FtWar::max_deroutes(hx, num_vcs)),
-        _ => return None,
-    })
+        _ => {
+            return Err(format!(
+                "unknown algorithm {name} (known: {})",
+                HYPERX_ALGORITHMS.join(", ")
+            ))
+        }
+    };
+    let classes = algo.num_classes();
+    if classes > num_vcs {
+        return Err(format!(
+            "{name} needs {classes} resource classes, which cannot fit in {num_vcs} VCs"
+        ));
+    }
+    Ok(algo)
 }
 
 #[cfg(test)]
@@ -104,7 +127,7 @@ mod tests {
         let hx = Arc::new(HyperX::uniform(3, 4, 2));
         for name in HYPERX_ALGORITHMS {
             let algo = hyperx_algorithm(name, hx.clone(), 8)
-                .unwrap_or_else(|| panic!("factory missing {name}"));
+                .unwrap_or_else(|e| panic!("factory missing {name}: {e}"));
             assert!(algo.num_classes() >= 1);
             assert!(algo.num_classes() <= 8);
         }
@@ -120,7 +143,24 @@ mod tests {
     #[test]
     fn factory_rejects_unknown() {
         let hx = Arc::new(HyperX::uniform(2, 4, 2));
-        assert!(hyperx_algorithm("nope", hx, 8).is_none());
+        let e = hyperx_algorithm("nope", hx, 8).err().unwrap();
+        assert!(e.starts_with("unknown algorithm nope"), "{e}");
+    }
+
+    /// Class counts that cannot fit are errors naming the constraint, not
+    /// constructor panics.
+    #[test]
+    fn factory_rejects_classes_that_cannot_fit() {
+        let hx = Arc::new(HyperX::uniform(3, 4, 2));
+        let err = |name, vcs| hyperx_algorithm(name, hx.clone(), vcs).err().unwrap();
+        for name in ["OmniWAR", "FT-WAR"] {
+            let e = err(name, 2);
+            assert!(e.contains("at least one VC per dimension"), "{e}");
+        }
+        assert!(err("DimWAR", 1).contains("2 resource classes"));
+        assert!(err("MinAD", 2).contains("3 resource classes"));
+        assert!(err("DOR", 0).contains("cannot fit in 0 VCs"));
+        assert!(hyperx_algorithm("OmniWAR", hx.clone(), 3).is_ok());
     }
 
     #[test]

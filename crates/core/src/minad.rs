@@ -14,23 +14,18 @@ use std::sync::Arc;
 use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm};
-use crate::hyperx_common::HxBase;
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
 use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Minimal adaptive routing over distance classes.
 pub struct MinAd {
-    base: HxBase,
+    hx: Arc<HyperX>,
 }
 
 impl MinAd {
-    /// Creates MinAD for `hx` with `num_vcs` VCs split into `dims`
-    /// distance classes.
-    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
-        let dims = hx.dims();
-        MinAd {
-            base: HxBase::new(hx, num_vcs, dims),
-        }
+    /// Creates MinAD for `hx` (`dims` distance classes).
+    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
+        MinAd { hx }
     }
 }
 
@@ -40,29 +35,26 @@ impl RoutingAlgorithm for MinAd {
     }
 
     fn num_classes(&self) -> usize {
-        self.base.hx.dims()
+        self.hx.dims()
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        let hx = &self.base.hx;
-        let cur = hx.coord_of(ctx.router);
-        let dst = hx.coord_of(ctx.dst_router);
+    fn candidates(&self, hop: &Hop<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        let hx = &self.hx;
+        let cur = hx.coord_of(hop.router);
+        let dst = hx.coord_of(hop.dst_router);
         let remaining = cur.unaligned_count(&dst);
-        let out_class = if ctx.from_terminal {
+        let out_class = if hop.from_terminal {
             0
         } else {
-            self.base.map.class_of(ctx.input_vc) + 1
+            hop.input_class + 1
         };
         debug_assert!(out_class < self.num_classes());
         for d in 0..hx.dims() {
             if cur.aligned(&dst, d) {
                 continue;
             }
-            let port = hx.port_towards(ctx.router, d, dst.get(d));
-            out.push(
-                self.base
-                    .candidate(ctx.view, port, out_class, remaining, Commit::None),
-            );
+            let port = hx.port_towards(hop.router, d, dst.get(d));
+            out.push(Candidate::new(port, out_class, remaining, Commit::None));
         }
     }
 
@@ -82,7 +74,7 @@ impl RoutingAlgorithm for MinAd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ClassMap, PacketRouteState};
+    use crate::api::{ClassMap, PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::{Coord, Topology};
     use rand::SeedableRng;
@@ -90,7 +82,7 @@ mod tests {
     #[test]
     fn offers_only_minimal_ports_in_all_unaligned_dims() {
         let hx = Arc::new(HyperX::uniform(3, 4, 2));
-        let algo = MinAd::new(hx.clone(), 8);
+        let algo = MinAd::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 64);
         let src = hx.router_at(&Coord::new(&[0, 0, 0]));
         let dst = hx.router_at(&Coord::new(&[1, 2, 0]));
@@ -119,7 +111,7 @@ mod tests {
     #[test]
     fn class_is_hop_index() {
         let hx = Arc::new(HyperX::uniform(3, 4, 2));
-        let algo = MinAd::new(hx.clone(), 9);
+        let algo = MinAd::new(hx.clone());
         let map = ClassMap::new(9, 3);
         let view = MockView::idle(hx.max_ports(), 9, 64);
         let src = hx.router_at(&Coord::new(&[1, 1, 0]));

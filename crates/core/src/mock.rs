@@ -1,13 +1,15 @@
-//! A table-driven [`RouterView`] for unit tests and micro-benchmarks.
+//! A table-driven congestion state for unit tests and micro-benchmarks.
 //!
 //! Lets tests assert adaptive behaviour ("given this congestion, the
-//! algorithm deroutes") without spinning up the cycle-accurate simulator,
-//! and lets `hxperf`'s `core.route_ns.*` drivers time pure
-//! routing-decision cost.
+//! algorithm deroutes") through [`crate::RoutingAlgorithm::route`] without
+//! spinning up the cycle-accurate simulator, and lets `hxperf`'s
+//! `core.route_ns.*` drivers time pure routing-decision cost. Weighing
+//! goes through the same [`weigh`] the simulator's router calls.
 
-use crate::api::RouterView;
+use crate::api::{Candidate, ClassMap};
+use crate::weight::weigh;
 
-/// A fully materialized congestion state for one router.
+/// A fully materialized congestion state for one router's output side.
 #[derive(Clone, Debug)]
 pub struct MockView {
     vcs: usize,
@@ -17,9 +19,9 @@ pub struct MockView {
     /// Output queue backlog per port.
     pub queues: Vec<usize>,
     /// Whether each port's outgoing link is up.
-    pub(crate) live: Vec<bool>,
-    /// Link-health penalty per port (gray-failure pressure in weight
-    /// units; see `RouterView::link_health_penalty`).
+    live: Vec<bool>,
+    /// Link-health penalty per port, in equivalent flits of congestion
+    /// (gray-failure pressure; see [`crate::weight`]).
     pub health: Vec<u64>,
 }
 
@@ -48,25 +50,24 @@ impl MockView {
     pub fn kill_port(&mut self, port: usize) {
         self.live[port] = false;
     }
-}
 
-impl RouterView for MockView {
-    fn num_vcs(&self) -> usize {
+    /// Number of virtual channels per port.
+    pub(crate) fn num_vcs(&self) -> usize {
         self.vcs
     }
-    fn free_space(&self, port: usize, vc: usize) -> usize {
-        self.cap - self.occ[port][vc]
+
+    /// Liveness of every port's outgoing link.
+    pub(crate) fn live(&self) -> &[bool] {
+        &self.live
     }
-    fn capacity(&self, _port: usize, _vc: usize) -> usize {
-        self.cap
-    }
-    fn queue_len(&self, port: usize) -> usize {
-        self.queues[port]
-    }
-    fn port_live(&self, port: usize) -> bool {
-        self.live[port]
-    }
-    fn link_health_penalty(&self, port: usize) -> u64 {
-        self.health[port]
+
+    /// Weighs `c` against this state, with classes laid out by `map`.
+    pub(crate) fn weigh(&self, c: &mut Candidate, map: &ClassMap) {
+        let port = c.port as usize;
+        let occ = &self.occ[port];
+        let class_occ: usize = occ[map.vcs_of(c.class as usize)].iter().sum();
+        let port_occ: usize = occ.iter().sum();
+        let pressure = self.queues[port] as u64 + self.health[port];
+        weigh(c, map, class_occ as u64, port_occ as u64, pressure);
     }
 }

@@ -24,13 +24,12 @@ use std::sync::Arc;
 use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm};
-use crate::hyperx_common::HxBase;
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
 use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Omni-dimensional weighted adaptive routing.
 pub struct OmniWar {
-    pub(crate) base: HxBase,
+    pub(crate) hx: Arc<HyperX>,
     /// Total distance classes (N + M).
     classes: usize,
     restrict_backtoback: bool,
@@ -69,20 +68,20 @@ impl OmniWar {
             "N+M = {classes} distance classes cannot fit in {num_vcs} VCs"
         );
         OmniWar {
-            base: HxBase::new(hx, num_vcs, classes),
+            hx,
             classes,
             restrict_backtoback,
         }
     }
 
-    /// Distance class of `ctx`'s outgoing hop (0 at the source router,
+    /// Distance class of `hop`'s outgoing hop (0 at the source router,
     /// input class + 1 afterwards) and the classes still available after
     /// it.
-    pub(crate) fn hop_classes(&self, ctx: &RouteCtx<'_>) -> (usize, usize) {
-        let out_class = if ctx.from_terminal {
+    pub(crate) fn hop_classes(&self, hop: &Hop<'_>) -> (usize, usize) {
+        let out_class = if hop.from_terminal {
             0
         } else {
-            self.base.map.class_of(ctx.input_vc) + 1
+            hop.input_class + 1
         };
         debug_assert!(
             out_class < self.classes,
@@ -101,14 +100,14 @@ impl RoutingAlgorithm for OmniWar {
         self.classes
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        let hx = &self.base.hx;
-        let cur = hx.coord_of(ctx.router);
-        let dst = hx.coord_of(ctx.dst_router);
+    fn candidates(&self, hop: &Hop<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        let hx = &self.hx;
+        let cur = hx.coord_of(hop.router);
+        let dst = hx.coord_of(hop.dst_router);
         let remaining = cur.unaligned_count(&dst);
-        debug_assert!(remaining > 0, "route() not called at destination");
+        debug_assert!(remaining > 0, "never asked at the destination router");
 
-        let (out_class, classes_left) = self.hop_classes(ctx);
+        let (out_class, classes_left) = self.hop_classes(hop);
         // Derouting keeps `remaining` unchanged, so it needs a full
         // `remaining` classes afterwards; minimal hops need remaining - 1.
         let may_deroute = classes_left >= remaining;
@@ -120,8 +119,8 @@ impl RoutingAlgorithm for OmniWar {
         // Back-to-back restriction: arriving on a network channel of
         // dimension d with d still unaligned implies the last hop was a
         // deroute in d.
-        let blocked_dim = if self.restrict_backtoback && !ctx.from_terminal {
-            hx.port_dim_target(ctx.router, ctx.input_port)
+        let blocked_dim = if self.restrict_backtoback && !hop.from_terminal {
+            hx.port_dim_target(hop.router, hop.input_port)
                 .map(|(d, _)| d)
                 .filter(|&d| !cur.aligned(&dst, d))
         } else {
@@ -133,16 +132,10 @@ impl RoutingAlgorithm for OmniWar {
                 continue;
             }
             // Minimal hop in this dimension.
-            let min_port = hx.port_towards(ctx.router, d, dst.get(d));
-            let min_live = ctx.view.port_live(min_port);
+            let min_port = hx.port_towards(hop.router, d, dst.get(d));
+            let min_live = hop.live[min_port];
             if min_live {
-                out.push(self.base.candidate(
-                    ctx.view,
-                    min_port,
-                    out_class,
-                    remaining,
-                    Commit::None,
-                ));
+                out.push(Candidate::new(min_port, out_class, remaining, Commit::None));
             }
             // Deroutes in this dimension. The back-to-back restriction is
             // an optimization, not a correctness requirement, so it is
@@ -155,17 +148,10 @@ impl RoutingAlgorithm for OmniWar {
                     if c == cur.get(d) || c == dst.get(d) {
                         continue;
                     }
-                    let port = hx.port_towards(ctx.router, d, c);
-                    if !ctx.view.port_live(port) {
-                        continue;
+                    let port = hx.port_towards(hop.router, d, c);
+                    if hop.live[port] {
+                        out.push(Candidate::new(port, out_class, remaining + 1, Commit::None));
                     }
-                    out.push(self.base.candidate(
-                        ctx.view,
-                        port,
-                        out_class,
-                        remaining + 1,
-                        Commit::None,
-                    ));
                 }
             }
         }
@@ -187,7 +173,7 @@ impl RoutingAlgorithm for OmniWar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ClassMap, PacketRouteState, RouterView};
+    use crate::api::{ClassMap, PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::{Coord, Topology};
     use rand::SeedableRng;
@@ -199,7 +185,7 @@ mod tests {
         from_terminal: bool,
         input_port: usize,
         input_vc: usize,
-        view: &'a dyn RouterView,
+        view: &'a MockView,
     ) -> RouteCtx<'a> {
         RouteCtx {
             router,

@@ -15,23 +15,20 @@ use hxtopo::{HyperX, Topology};
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm, NO_INTERMEDIATE};
-use crate::hyperx_common::HxBase;
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm, NO_INTERMEDIATE};
+use crate::hyperx_common::{dor_port, hops};
 use crate::meta::{AlgoMeta, RoutingStyle};
 use crate::valiant::valiant_continue;
 
 /// Topology-agnostic UGAL: minimal vs one random Valiant candidate.
 pub struct Ugal {
-    base: HxBase,
+    hx: Arc<HyperX>,
 }
 
 impl Ugal {
-    /// Creates UGAL for `hx` with `num_vcs` VCs split into two phase
-    /// classes.
-    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
-        Ugal {
-            base: HxBase::new(hx, num_vcs, 2),
-        }
+    /// Creates UGAL for `hx` (two phase classes).
+    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
+        Ugal { hx }
     }
 }
 
@@ -44,49 +41,37 @@ impl RoutingAlgorithm for Ugal {
         2
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        if ctx.from_terminal && ctx.state.intermediate == NO_INTERMEDIATE {
-            // Minimal candidate: pure DOR, entirely in phase 1 / class 1.
-            let min_port = self
-                .base
-                .dor_port(ctx.router, ctx.dst_router)
-                .expect("route() not called at destination");
-            if ctx.view.port_live(min_port) {
-                let h_min = self.base.hops(ctx.router, ctx.dst_router);
-                out.push(self.base.candidate(
-                    ctx.view,
-                    min_port,
-                    1,
-                    h_min,
-                    Commit::SetValiant {
-                        intermediate: ctx.router as u32, // trivially "reached"
-                        phase: 1,
-                    },
-                ));
-            }
-            // Valiant candidate through one uniformly random intermediate
-            // (skipped when its first hop is dead; redrawn next cycle).
-            let x = rng.random_range(0..self.base.hx.num_routers() as u32) as usize;
-            if x != ctx.router && x != ctx.dst_router {
-                let val_port = self.base.dor_port(ctx.router, x).expect("x != router");
-                if !ctx.view.port_live(val_port) {
-                    return;
-                }
-                let h_val = self.base.hops(ctx.router, x) + self.base.hops(x, ctx.dst_router);
-                out.push(self.base.candidate(
-                    ctx.view,
-                    val_port,
-                    0,
-                    h_val,
-                    Commit::SetValiant {
-                        intermediate: x as u32,
-                        phase: 0,
-                    },
-                ));
-            }
+    fn candidates(&self, hop: &Hop<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        if !(hop.from_terminal && hop.state.intermediate == NO_INTERMEDIATE) {
+            valiant_continue(&self.hx, hop, out);
             return;
         }
-        valiant_continue(&self.base, ctx, out);
+        let hx = &*self.hx;
+        // Minimal candidate: pure DOR, entirely in phase 1 / class 1.
+        let min_port =
+            dor_port(hx, hop.router, hop.dst_router).expect("never asked at the destination");
+        if hop.live[min_port] {
+            let commit = Commit::SetValiant {
+                intermediate: hop.router as u32, // trivially "reached"
+                phase: 1,
+            };
+            let h_min = hops(hx, hop.router, hop.dst_router);
+            out.push(Candidate::new(min_port, 1, h_min, commit));
+        }
+        // Valiant candidate through one uniformly random intermediate
+        // (skipped when its first hop is dead; redrawn next cycle).
+        let x = rng.random_range(0..hx.num_routers() as u32) as usize;
+        if x != hop.router && x != hop.dst_router {
+            let val_port = dor_port(hx, hop.router, x).expect("x != router");
+            if hop.live[val_port] {
+                let commit = Commit::SetValiant {
+                    intermediate: x as u32,
+                    phase: 0,
+                };
+                let h_val = hops(hx, hop.router, x) + hops(hx, x, hop.dst_router);
+                out.push(Candidate::new(val_port, 0, h_val, commit));
+            }
+        }
     }
 
     fn meta(&self) -> AlgoMeta {
@@ -105,7 +90,7 @@ impl RoutingAlgorithm for Ugal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{PacketRouteState, RouterView};
+    use crate::api::{PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::{Coord, Topology};
     use rand::SeedableRng;
@@ -114,7 +99,7 @@ mod tests {
         hx: &HyperX,
         router: usize,
         dst_router: usize,
-        view: &'a dyn RouterView,
+        view: &'a MockView,
     ) -> RouteCtx<'a> {
         RouteCtx {
             router,
@@ -134,7 +119,7 @@ mod tests {
     #[test]
     fn idle_network_prefers_minimal() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let ugal = Ugal::new(hx.clone(), 8);
+        let ugal = Ugal::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let mut rng = SmallRng::seed_from_u64(1);
         let mut out = Vec::new();
@@ -150,7 +135,7 @@ mod tests {
     #[test]
     fn source_congestion_triggers_valiant() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let ugal = Ugal::new(hx.clone(), 8);
+        let ugal = Ugal::new(hx.clone());
         let mut view = MockView::idle(hx.max_ports(), 8, 16);
         let src = hx.router_at(&Coord::new(&[0, 0]));
         let dst = hx.router_at(&Coord::new(&[1, 0]));
@@ -178,7 +163,7 @@ mod tests {
     #[test]
     fn committed_packet_is_oblivious() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let ugal = Ugal::new(hx.clone(), 8);
+        let ugal = Ugal::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut ctx = source_ctx(&hx, 5, 15, &view);

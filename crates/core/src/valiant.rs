@@ -13,22 +13,19 @@ use hxtopo::{HyperX, Topology};
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
-use crate::api::{Candidate, Commit, RouteCtx, RoutingAlgorithm, NO_INTERMEDIATE};
-use crate::hyperx_common::HxBase;
+use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm, NO_INTERMEDIATE};
+use crate::hyperx_common::{dor_port, hops};
 use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Valiant's randomized two-phase routing.
 pub struct Valiant {
-    base: HxBase,
+    hx: Arc<HyperX>,
 }
 
 impl Valiant {
-    /// Creates VAL for `hx` with `num_vcs` virtual channels split into the
-    /// two phase classes.
-    pub(crate) fn new(hx: Arc<HyperX>, num_vcs: usize) -> Self {
-        Valiant {
-            base: HxBase::new(hx, num_vcs, 2),
-        }
+    /// Creates VAL for `hx` (two phase classes).
+    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
+        Valiant { hx }
     }
 }
 
@@ -36,38 +33,36 @@ impl Valiant {
 /// in phase 0 (switching to phase 1 upon arrival), DOR toward the
 /// destination in phase 1. Shared with UGAL and Clos-AD, whose packets
 /// behave identically once the source decision is made.
-pub(crate) fn valiant_continue(base: &HxBase, ctx: &RouteCtx<'_>, out: &mut Vec<Candidate>) {
-    let (target, phase) = if ctx.state.phase == 0 {
-        let x = ctx.state.intermediate as usize;
-        debug_assert_ne!(ctx.state.intermediate, NO_INTERMEDIATE);
-        if x == ctx.router {
-            (ctx.dst_router, 1)
+pub(crate) fn valiant_continue(hx: &HyperX, hop: &Hop<'_>, out: &mut Vec<Candidate>) {
+    let (target, phase) = if hop.state.phase == 0 {
+        let x = hop.state.intermediate as usize;
+        debug_assert_ne!(hop.state.intermediate, NO_INTERMEDIATE);
+        if x == hop.router {
+            (hop.dst_router, 1)
         } else {
             (x, 0)
         }
     } else {
-        (ctx.dst_router, 1)
+        (hop.dst_router, 1)
     };
-    let port = base
-        .dor_port(ctx.router, target)
-        .expect("phase target differs from current router");
+    let port = dor_port(hx, hop.router, target).expect("phase target differs from current router");
     // The two-phase DOR path is committed; with its next hop down the
     // packet waits for a revival (the watchdog reports permanent stalls).
-    if !ctx.view.port_live(port) {
+    if !hop.live[port] {
         return;
     }
-    let hops = base.hops(ctx.router, target)
+    let h = hops(hx, hop.router, target)
         + if phase == 0 {
-            base.hops(target, ctx.dst_router)
+            hops(hx, target, hop.dst_router)
         } else {
             0
         };
-    let commit = if phase != ctx.state.phase as usize {
+    let commit = if phase != hop.state.phase as usize {
         Commit::SetPhase(1)
     } else {
         Commit::None
     };
-    out.push(base.candidate(ctx.view, port, phase, hops, commit));
+    out.push(Candidate::new(port, phase, h, commit));
 }
 
 impl RoutingAlgorithm for Valiant {
@@ -79,57 +74,31 @@ impl RoutingAlgorithm for Valiant {
         2
     }
 
-    fn route(&self, ctx: &RouteCtx<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-        if ctx.from_terminal && ctx.state.intermediate == NO_INTERMEDIATE {
-            // Source router: draw a fresh intermediate (re-drawn every cycle
-            // the head waits; only the granted candidate commits).
-            let x = rng.random_range(0..self.base.hx.num_routers() as u32);
-            if x as usize == ctx.router {
-                // Degenerate intermediate: the whole path is phase 1.
-                let port = self
-                    .base
-                    .dor_port(ctx.router, ctx.dst_router)
-                    .expect("route() not called at destination");
-                if !ctx.view.port_live(port) {
-                    // Dead first hop: emit nothing and redraw next cycle.
-                    return;
-                }
-                let hops = self.base.hops(ctx.router, ctx.dst_router);
-                out.push(self.base.candidate(
-                    ctx.view,
-                    port,
-                    1,
-                    hops,
-                    Commit::SetValiant {
-                        intermediate: x,
-                        phase: 1,
-                    },
-                ));
-            } else {
-                let port = self
-                    .base
-                    .dor_port(ctx.router, x as usize)
-                    .expect("x differs from current router");
-                if !ctx.view.port_live(port) {
-                    // Dead first hop: emit nothing and redraw next cycle.
-                    return;
-                }
-                let hops = self.base.hops(ctx.router, x as usize)
-                    + self.base.hops(x as usize, ctx.dst_router);
-                out.push(self.base.candidate(
-                    ctx.view,
-                    port,
-                    0,
-                    hops,
-                    Commit::SetValiant {
-                        intermediate: x,
-                        phase: 0,
-                    },
-                ));
-            }
+    fn candidates(&self, hop: &Hop<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+        if !(hop.from_terminal && hop.state.intermediate == NO_INTERMEDIATE) {
+            valiant_continue(&self.hx, hop, out);
             return;
         }
-        valiant_continue(&self.base, ctx, out);
+        // Source router: draw a fresh intermediate (re-drawn every cycle
+        // the head waits; only the granted candidate commits). A
+        // degenerate draw (this router) makes the whole path phase 1.
+        let x = rng.random_range(0..self.hx.num_routers() as u32);
+        let (target, phase) = if x as usize == hop.router {
+            (hop.dst_router, 1)
+        } else {
+            (x as usize, 0)
+        };
+        let port = dor_port(&self.hx, hop.router, target).expect("target differs from router");
+        if !hop.live[port] {
+            // Dead first hop: emit nothing and redraw next cycle.
+            return;
+        }
+        let h = hops(&self.hx, hop.router, target) + hops(&self.hx, target, hop.dst_router);
+        let commit = Commit::SetValiant {
+            intermediate: x,
+            phase: phase as u8,
+        };
+        out.push(Candidate::new(port, phase, h, commit));
     }
 
     fn meta(&self) -> AlgoMeta {
@@ -148,7 +117,7 @@ impl RoutingAlgorithm for Valiant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{PacketRouteState, RouterView};
+    use crate::api::{PacketRouteState, RouteCtx};
     use crate::mock::MockView;
     use hxtopo::Topology;
     use rand::SeedableRng;
@@ -157,7 +126,7 @@ mod tests {
         hx: &HyperX,
         router: usize,
         dst_router: usize,
-        view: &'a dyn RouterView,
+        view: &'a MockView,
     ) -> RouteCtx<'a> {
         RouteCtx {
             router,
@@ -175,7 +144,7 @@ mod tests {
     #[test]
     fn source_commits_an_intermediate() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let val = Valiant::new(hx.clone(), 8);
+        let val = Valiant::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let mut rng = SmallRng::seed_from_u64(7);
         let mut out = Vec::new();
@@ -192,7 +161,7 @@ mod tests {
     #[test]
     fn phase0_routes_toward_intermediate() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let val = Valiant::new(hx.clone(), 8);
+        let val = Valiant::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let mut rng = SmallRng::seed_from_u64(7);
         let x = 10usize;
@@ -205,15 +174,14 @@ mod tests {
         };
         let mut out = Vec::new();
         val.route(&ctx, &mut rng, &mut out);
-        let base = HxBase::new(hx.clone(), 8, 2);
-        assert_eq!(out[0].port as usize, base.dor_port(0, x).unwrap());
+        assert_eq!(out[0].port as usize, dor_port(&hx, 0, x).unwrap());
         assert_eq!(out[0].class, 0);
     }
 
     #[test]
     fn switches_to_phase1_at_intermediate() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let val = Valiant::new(hx.clone(), 8);
+        let val = Valiant::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let mut rng = SmallRng::seed_from_u64(7);
         let x = 10usize;
@@ -228,14 +196,13 @@ mod tests {
         val.route(&ctx, &mut rng, &mut out);
         assert_eq!(out[0].class, 1, "phase 1 uses the second resource class");
         assert_eq!(out[0].commit, Commit::SetPhase(1));
-        let base = HxBase::new(hx.clone(), 8, 2);
-        assert_eq!(out[0].port as usize, base.dor_port(x, 15).unwrap());
+        assert_eq!(out[0].port as usize, dor_port(&hx, x, 15).unwrap());
     }
 
     #[test]
     fn intermediates_are_spread_out() {
         let hx = Arc::new(HyperX::uniform(2, 4, 1));
-        let val = Valiant::new(hx.clone(), 8);
+        let val = Valiant::new(hx.clone());
         let view = MockView::idle(hx.max_ports(), 8, 16);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();

@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use hxcore::weight::{candidate_congestion, port_congestion};
+use hxcore::weight::weigh;
 use hxcore::{
-    hyperx_algorithm, mock::MockView, ClassMap, PacketRouteState, RouteCtx, RouterView,
+    hyperx_algorithm, mock::MockView, Candidate, ClassMap, Commit, PacketRouteState, RouteCtx,
     HYPERX_ALGORITHMS, NO_INTERMEDIATE,
 };
 use hxtopo::{HyperX, Topology};
@@ -246,44 +246,36 @@ proptest! {
         }
     }
 
-    /// The weight terms are built on the view's aggregate reads; on any
-    /// view they must equal the formula written out per VC (queue backlog
-    /// and health penalty inside both arms of the maximum), and the
-    /// aggregates' provided defaults must equal the per-VC sums.
+    /// The weighing rule on plain numbers equals the formula written out
+    /// per VC: `(max(class occupancy x V / n, port occupancy) + backlog +
+    /// health + 100) x hops` for a class of `n` VCs, on top of any
+    /// preloaded weight.
     #[test]
-    fn congestion_matches_per_vc_reference(vcs in 1usize..=16, seed in any::<u64>()) {
-        let (ports, cap) = (6, 160);
-        let mut view = MockView::idle(ports, vcs, cap);
+    fn weigh_matches_per_vc_reference(vcs in 1usize..=16, seed in any::<u64>()) {
+        let cap = 160;
         let mut x = seed | 1;
         let mut draw = |modulus: usize| (lcg(&mut x) >> 33) as usize % modulus;
-        for p in 0..ports {
-            for vc in 0..vcs {
-                view.occ[p][vc] = draw(cap + 1);
-            }
-            view.queues[p] = draw(60);
-            view.health[p] = [0, 0, draw(2_000) as u64, 1_000_000][draw(4)];
-            if draw(4) == 0 {
-                view.kill_port(p);
-            }
-        }
-        for p in 0..ports {
-            let occ: Vec<u64> = (0..vcs).map(|vc| view.occupancy(p, vc) as u64).collect();
-            let shared = view.queue_len(p) as u64 + view.link_health_penalty(p);
-            let port_ref = occ.iter().sum::<u64>() + shared;
-            prop_assert_eq!(view.port_occupancy(p) as u64, occ.iter().sum::<u64>());
-            prop_assert_eq!(port_congestion(&view, p), port_ref);
-            for classes in 1..=vcs {
-                let map = ClassMap::new(vcs, classes);
-                for class in 0..classes {
-                    let range = map.vcs_of(class);
-                    let occ_cls: u64 = occ[range.clone()].iter().sum();
-                    prop_assert_eq!(view.range_occupancy(p, range.clone()) as u64, occ_cls);
-                    let class_ref = occ_cls * vcs as u64 / range.len().max(1) as u64 + shared;
-                    prop_assert_eq!(
-                        candidate_congestion(&view, p, &map, class),
-                        class_ref.max(port_ref),
-                        "vcs {} classes {} class {} port {}", vcs, classes, class, p
-                    );
+        let occ: Vec<u64> = (0..vcs).map(|_| draw(cap + 1) as u64).collect();
+        let shared = draw(60) as u64 + [0, 0, draw(2_000) as u64, 1_000_000][draw(4)];
+        let bias = [0, 0, 1 << 20][draw(3)];
+        let port_occ: u64 = occ.iter().sum();
+        for classes in 1..=vcs {
+            let map = ClassMap::new(vcs, classes);
+            for class in 0..classes {
+                let range = map.vcs_of(class);
+                let occ_cls: u64 = occ[range.clone()].iter().sum();
+                let scaled = occ_cls * vcs as u64 / range.len() as u64;
+                for hops in 0..=6u8 {
+                    let mut c = Candidate {
+                        port: 0,
+                        class: class as u8,
+                        weight: bias,
+                        hops,
+                        commit: Commit::None,
+                    };
+                    weigh(&mut c, &map, occ_cls, port_occ, shared);
+                    let want = bias + (scaled.max(port_occ) + shared + 100) * u64::from(hops);
+                    prop_assert_eq!(c.weight, want, "vcs {} classes {} class {}", vcs, classes, class);
                 }
             }
         }

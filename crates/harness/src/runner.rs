@@ -122,14 +122,14 @@ pub fn execute_point(
     let cfg = point.sim;
     let algo: Arc<dyn hxcore::RoutingAlgorithm> =
         hxcore::hyperx_algorithm(&point.algo, hx.clone(), cfg.num_vcs)
-            .unwrap_or_else(|| panic!("unknown algorithm {} (spec was validated)", point.algo))
+            .unwrap_or_else(|e| panic!("{e} (spec was validated)"))
             .into();
     let mut sim = Sim::new(hx.clone(), algo, cfg, point.seed);
     if let Some(mc) = metrics {
         sim.enable_metrics(mc);
     }
     let pattern = hxtraffic::pattern_by_name(&point.pattern, hx.clone())
-        .unwrap_or_else(|| panic!("unknown pattern {} (spec was validated)", point.pattern));
+        .unwrap_or_else(|e| panic!("{e} (spec was validated)"));
     let mut traffic = SyntheticWorkload::new(pattern, hx.num_terminals(), point.load, point.seed);
 
     let steady = match point.kind {

@@ -530,21 +530,20 @@ impl ExperimentSpec {
             );
         }
         let hx = std::sync::Arc::new(self.network.build());
+        let vcs = self.sim.num_vcs;
         for algo in &a.algos {
-            if hxcore::hyperx_algorithm(algo, hx.clone(), self.sim.num_vcs).is_none() {
-                return Err(format!(
-                    "unknown algorithm {algo:?} (known: {})",
-                    hxcore::HYPERX_ALGORITHMS.join(", ")
-                ));
-            }
+            hxcore::hyperx_algorithm(algo, hx.clone(), vcs)
+                .map_err(|e| format!("axes.algo {algo:?} with sim.num_vcs = {vcs}: {e}"))?;
         }
+        let net = self.network;
         for p in &a.patterns {
-            if hxtraffic::pattern_by_name(p, hx.clone()).is_none() {
-                return Err(format!(
-                    "unknown pattern {p:?} (known: {})",
-                    hxtraffic::FIG6_PATTERNS.join(", ")
-                ));
-            }
+            hxtraffic::pattern_by_name(p, hx.clone()).map_err(|e| {
+                format!(
+                    "axes.pattern {p:?} on network.dims = {}, network.width = {}, \
+                     network.terminals = {}: {e}",
+                    net.dims, net.width, net.terminals
+                )
+            })?;
         }
         if self.kind == Kind::Steady
             && (a.fails.iter().any(|&f| f != 0) || a.router_fails.iter().any(|&f| f != 0))
@@ -1159,6 +1158,94 @@ seed = [1, 2]
     fn assert_rejected_naming(toml: &str, key: &str) {
         let err = spec(toml).expect_err("hostile spec accepted");
         assert!(err.contains(key), "{err}");
+    }
+
+    /// `BASE` on a `dims` x `width` network with `terminals` per router,
+    /// running `pattern` under `algo` with `[sim]` lines `sim`.
+    fn resolving(dims: usize, width: usize, terminals: usize, axes: &str, sim: &str) -> String {
+        let net = format!("dims = {dims}\nwidth = {width}\nterminals = {terminals}\n");
+        let spec = BASE.replace("dims = 2\nwidth = 2\nterminals = 1\n", &net);
+        let spec = spec.replace("pattern = [\"UR\"]\nalgo = [\"DOR\", \"DimWAR\"]\n", axes);
+        format!("{spec}\n[sim]\n{sim}\n")
+    }
+
+    /// An algorithm or pattern that cannot run on the spec's VC count or
+    /// network is refused naming both keys and the failed constraint.
+    fn assert_unresolvable(toml: &str, keys: &[&str], why: &str) {
+        let err = spec(toml).expect_err("unresolvable spec accepted");
+        for key in keys.iter().chain([&why]) {
+            assert!(err.contains(key), "missing {key:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn omniwar_needs_a_vc_per_dimension() {
+        let toml = resolving(
+            3,
+            2,
+            1,
+            "pattern = [\"UR\"]\nalgo = [\"OmniWAR\"]\n",
+            "num_vcs = 2",
+        );
+        assert_unresolvable(
+            &toml,
+            &["axes.algo", "sim.num_vcs = 2"],
+            "one VC per dimension",
+        );
+    }
+
+    #[test]
+    fn dimwar_needs_two_vcs() {
+        let toml = resolving(
+            2,
+            2,
+            1,
+            "pattern = [\"UR\"]\nalgo = [\"DimWAR\"]\n",
+            "num_vcs = 1",
+        );
+        assert_unresolvable(
+            &toml,
+            &["axes.algo", "sim.num_vcs = 1"],
+            "2 resource classes",
+        );
+    }
+
+    #[test]
+    fn urbz_needs_a_third_dimension() {
+        let toml = resolving(2, 2, 1, "pattern = [\"URBz\"]\nalgo = [\"DOR\"]\n", "");
+        assert_unresolvable(&toml, &["axes.pattern", "network.dims = 2"], "dimension 2");
+    }
+
+    #[test]
+    fn dcr_needs_two_dimensions() {
+        let toml = resolving(1, 4, 2, "pattern = [\"DCR\"]\nalgo = [\"DOR\"]\n", "");
+        assert_unresolvable(
+            &toml,
+            &["axes.pattern", "network.dims = 1"],
+            "two dimensions",
+        );
+    }
+
+    #[test]
+    fn s2_needs_two_dimensions() {
+        let toml = resolving(1, 4, 2, "pattern = [\"S2\"]\nalgo = [\"DOR\"]\n", "");
+        assert_unresolvable(&toml, &["axes.pattern", "network.dims = 1"], "X and Y");
+    }
+
+    #[test]
+    fn s2_needs_an_even_terminal_count() {
+        let toml = resolving(2, 2, 3, "pattern = [\"S2\"]\nalgo = [\"DOR\"]\n", "");
+        assert_unresolvable(
+            &toml,
+            &["axes.pattern", "network.terminals = 3"],
+            "even terminal",
+        );
+    }
+
+    #[test]
+    fn bc_needs_a_power_of_two_terminal_count() {
+        let toml = resolving(2, 3, 1, "pattern = [\"BC\"]\nalgo = [\"DOR\"]\n", "");
+        assert_unresolvable(&toml, &["axes.pattern", "network.width = 3"], "not 9");
     }
 
     /// 1,024 values on six axes and 16 on the seventh: 2^64 points, a

@@ -708,6 +708,46 @@ fn hostile_specs_are_refused_by_key_and_the_daemon_keeps_serving() {
             ),
             "axes.load",
         ),
+        // Names that cannot resolve on this network or VC count.
+        (
+            SPEC_TOML
+                .replace("dims = 2", "dims = 3")
+                .replace("\"DimWAR\"", "\"OmniWAR\"")
+                + "[sim]\nnum_vcs = 2\n",
+            "axes.algo \"OmniWAR\" with sim.num_vcs = 2",
+        ),
+        (
+            format!("{SPEC_TOML}[sim]\nnum_vcs = 1\n"),
+            "axes.algo \"DimWAR\" with sim.num_vcs = 1",
+        ),
+        (
+            SPEC_TOML.replace("[\"UR\"]", "[\"URBz\"]"),
+            "axes.pattern \"URBz\" on network.dims = 2",
+        ),
+        (
+            SPEC_TOML
+                .replace("dims = 2", "dims = 1")
+                .replace("[\"UR\"]", "[\"DCR\"]"),
+            "axes.pattern \"DCR\" on network.dims = 1",
+        ),
+        (
+            SPEC_TOML
+                .replace("dims = 2", "dims = 1")
+                .replace("[\"UR\"]", "[\"S2\"]"),
+            "axes.pattern \"S2\" on network.dims = 1",
+        ),
+        (
+            SPEC_TOML
+                .replace("terminals = 1", "terminals = 3")
+                .replace("[\"UR\"]", "[\"S2\"]"),
+            "network.terminals = 3: S2 needs an even terminal count",
+        ),
+        (
+            SPEC_TOML
+                .replace("width = 2", "width = 3")
+                .replace("[\"UR\"]", "[\"BC\"]"),
+            "network.width = 3, network.terminals = 1: BC needs 2^k terminals",
+        ),
     ];
     for (text, key) in hostile {
         let err = hxharness::submit_text(&addr, &text, "toml", false, None, false)

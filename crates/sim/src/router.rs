@@ -11,7 +11,8 @@
 //! Per-cycle pipeline:
 //! 1. *Ingress* — accept flits/credits whose channel delay expired.
 //! 2. *Route + VC allocation* — for every unrouted head flit (oldest
-//!    packet first), ask the routing algorithm for weighted candidates and
+//!    packet first), ask the routing algorithm for its candidates, weigh
+//!    each from this router's output state ([`hxcore::weight::weigh`]) and
 //!    grant the cheapest feasible `(port, vc)`: the VC must be unclaimed
 //!    and hold credits for the *whole packet* (virtual cut-through), or be
 //!    completely empty under atomic queue allocation (Section 4.2). Heads
@@ -44,9 +45,9 @@
 
 use std::collections::VecDeque;
 
+use hxcore::weight::weigh;
 use hxcore::{
-    Candidate, ClassMap, Commit, PacketRouteState, RouteCtx, RouterView, RoutingAlgorithm,
-    NO_INTERMEDIATE,
+    Candidate, ClassMap, Commit, Hop, PacketRouteState, RoutingAlgorithm, NO_INTERMEDIATE,
 };
 use hxtopo::Topology;
 use rand::rngs::SmallRng;
@@ -74,58 +75,6 @@ type CandKey = (u64, u8, u32);
 /// credits per port). The event engine reads them off its arrival ring,
 /// whose keys are numbered in that order.
 pub(crate) type ArrivalHint = (u32, u16);
-
-/// Congestion view over a router's output side (credits, per-port
-/// occupancy, backlog, link liveness, link health).
-struct OutView<'a> {
-    num_vcs: usize,
-    cap: usize,
-    credits: &'a [u32],
-    /// [`Router::out_occ`]: occupied downstream flits per port.
-    occ: &'a [u32],
-    backlog: &'a [u32],
-    live: &'a [bool],
-    /// Outgoing channel per port (`NO_WIRE` sentinel), for link-health
-    /// sensing.
-    out_chan: &'a [u32],
-    /// Channel state, for link health. Only this router sends on its
-    /// outgoing channels, and it routes before it sends.
-    channels: &'a [Channel],
-    now: u64,
-}
-
-impl RouterView for OutView<'_> {
-    fn num_vcs(&self) -> usize {
-        self.num_vcs
-    }
-    fn free_space(&self, port: usize, vc: usize) -> usize {
-        self.credits[port * self.num_vcs + vc] as usize
-    }
-    fn capacity(&self, _port: usize, _vc: usize) -> usize {
-        self.cap
-    }
-    fn range_occupancy(&self, port: usize, vcs: std::ops::Range<usize>) -> usize {
-        let base = port * self.num_vcs;
-        let free: u32 = self.credits[base + vcs.start..base + vcs.end].iter().sum();
-        vcs.len() * self.cap - free as usize
-    }
-    fn port_occupancy(&self, port: usize) -> usize {
-        self.occ[port] as usize
-    }
-    fn queue_len(&self, port: usize) -> usize {
-        self.backlog[port] as usize
-    }
-    fn port_live(&self, port: usize) -> bool {
-        self.live[port]
-    }
-    fn link_health_penalty(&self, port: usize) -> u64 {
-        let ch = self.out_chan[port];
-        if ch == NO_WIRE {
-            return 0;
-        }
-        self.channels[ch as usize].health_penalty(self.now)
-    }
-}
 
 /// Poisons `id` (if not already) and records the drop.
 pub(crate) fn poison_packet(
@@ -796,7 +745,7 @@ impl Router {
         ctx: &mut TickCtx,
         cands: &mut Vec<Candidate>,
     ) -> bool {
-        let (pkt_id, port, vc) = (head.pkt, head.port as usize, head.vc as usize);
+        let pkt_id = head.pkt;
         if ctx.pool.any_poisoned() && ctx.pool.is_poisoned(pkt_id) {
             // Fault fallout will reap this buffer; don't route it.
             return false;
@@ -820,31 +769,8 @@ impl Router {
                 ctx.hop_capped.push(pkt_id);
                 return false;
             }
-            let view = OutView {
-                num_vcs: self.num_vcs,
-                cap: self.buf_cap as usize,
-                credits: &self.out_credits,
-                occ: &self.out_occ,
-                backlog: &self.out_backlog,
-                live: &self.live_ports,
-                out_chan: &self.out_chan,
-                channels: ctx.channels,
-                now: ctx.now,
-            };
-            let route_ctx = RouteCtx {
-                router: self.id,
-                input_port: port,
-                input_vc: vc,
-                from_terminal: self.port_term[port] != NO_WIRE,
-                dst_router,
-                dst_terminal: head.dst as usize,
-                pkt_len: head.len as usize,
-                state: head.route(),
-                view: &view,
-            };
             let route_t0 = ctx.timed.then(std::time::Instant::now);
-            cands.clear();
-            algo.route(&route_ctx, &mut self.rng, cands);
+            self.candidates(head, algo, ctx.channels, ctx.now, cands);
             if let Some(t0) = route_t0 {
                 ctx.timers.route_ns += t0.elapsed().as_nanos() as u64;
             }
@@ -913,6 +839,72 @@ impl Router {
             });
         }
         true
+    }
+
+    /// Fills `cands` with `head`'s weighed candidates: the algorithm
+    /// enumerates them (drawing its own randomness first), then each is
+    /// weighed against this router's live output state.
+    #[inline]
+    fn candidates(
+        &mut self,
+        head: &Head,
+        algo: &dyn RoutingAlgorithm,
+        channels: &[Channel],
+        now: u64,
+        cands: &mut Vec<Candidate>,
+    ) {
+        let port = head.port as usize;
+        let hop = Hop {
+            router: self.id,
+            input_port: port,
+            input_class: self.class_map.class_of(head.vc as usize),
+            from_terminal: self.port_term[port] != NO_WIRE,
+            dst_router: head.dst_router as usize,
+            dst_terminal: head.dst as usize,
+            state: head.route(),
+            live: &self.live_ports,
+        };
+        cands.clear();
+        algo.candidates(&hop, &mut self.rng, cands);
+        for c in cands.iter_mut() {
+            self.weigh(c, channels, now);
+        }
+    }
+
+    /// Weighs candidate `c` ([`weigh`]) from this router's output side:
+    /// the credits of its class's VCs, its port's occupied-flits counter,
+    /// and the port's backlog plus its link's health penalty. Only this
+    /// router sends on its outgoing channels, and it routes before it
+    /// sends, so `channels` reads this cycle's health.
+    #[inline]
+    fn weigh(&self, c: &mut Candidate, channels: &[Channel], now: u64) {
+        let port = c.port as usize;
+        let class_occ = self.range_occupancy(port, self.class_map.vcs_of(c.class as usize));
+        let ch = self.out_chan[port];
+        let health = if ch == NO_WIRE {
+            0
+        } else {
+            channels[ch as usize].health_penalty(now)
+        };
+        let pressure = u64::from(self.out_backlog[port]) + health;
+        weigh(
+            c,
+            &self.class_map,
+            class_occ,
+            u64::from(self.out_occ[port]),
+            pressure,
+        );
+    }
+
+    /// Occupied downstream flits of `port` over the VCs in `vcs`, from
+    /// their credits.
+    #[inline]
+    fn range_occupancy(&self, port: usize, vcs: std::ops::Range<usize>) -> u64 {
+        let base = port * self.num_vcs;
+        let free: u32 = self.out_credits[base + vcs.start..base + vcs.end]
+            .iter()
+            .sum();
+        vcs.len() as u64 * u64::from(self.buf_cap) - u64::from(free)
     }
 
     /// Puts `head` on the head list at its age rank.
@@ -1441,30 +1433,13 @@ mod tests {
         assert_eq!(errs, Vec::<String>::new());
     }
 
-    /// A view that answers only the per-VC primitives, so the aggregate
-    /// reads fall through to the trait's provided per-VC loops.
-    struct PerVc<'a>(&'a OutView<'a>);
-
-    impl RouterView for PerVc<'_> {
-        fn num_vcs(&self) -> usize {
-            self.0.num_vcs()
-        }
-        fn free_space(&self, port: usize, vc: usize) -> usize {
-            self.0.free_space(port, vc)
-        }
-        fn capacity(&self, port: usize, vc: usize) -> usize {
-            self.0.capacity(port, vc)
-        }
-        fn queue_len(&self, port: usize) -> usize {
-            self.0.queue_len(port)
-        }
-    }
-
-    /// `OutView` answers the aggregate reads from the router's port
-    /// counter and a slice sum over the credits; after grants, credit
-    /// returns and a clamped refund both must equal the per-VC defaults.
+    /// The router weighs a candidate from its class's VC range
+    /// ([`Router::range_occupancy`], a slice sum over the credits) and its
+    /// port's occupied-flits counter (`out_occ`). After grants, credit
+    /// returns and a clamped refund, both must equal a per-VC
+    /// recomputation from the credits, for every VC range.
     #[test]
-    fn out_view_aggregates_equal_per_vc_defaults() {
+    fn weighing_inputs_equal_per_vc_sums() {
         let cfg = SimConfig {
             buf_flits: 32,
             ..SimConfig::default()
@@ -1472,25 +1447,16 @@ mod tests {
         let (ports, v) = (3, cfg.num_vcs);
         let (mut r, mut channels) = wired_router(ports, &cfg, 2);
         let mut pool = PacketPool::new();
-        let check = |r: &Router, channels: &[Channel], pool: &PacketPool| {
-            let view = OutView {
-                num_vcs: v,
-                cap: r.buf_cap as usize,
-                credits: &r.out_credits,
-                occ: &r.out_occ,
-                backlog: &r.out_backlog,
-                live: &r.live_ports,
-                out_chan: &r.out_chan,
-                channels,
-                now: 0,
+        let check = |r: &Router, pool: &PacketPool| {
+            let per_vc = |p: usize, vcs: std::ops::Range<usize>| -> u64 {
+                vcs.map(|vc| u64::from(r.buf_cap - r.credits(p, vc))).sum()
             };
-            let per_vc = PerVc(&view);
             for p in 0..ports {
-                assert_eq!(view.port_occupancy(p), per_vc.port_occupancy(p));
+                assert_eq!(u64::from(r.out_occ[p]), per_vc(p, 0..v), "port {p}");
                 for (lo, hi) in (0..=v).flat_map(|lo| (lo..=v).map(move |hi| (lo, hi))) {
                     assert_eq!(
-                        view.range_occupancy(p, lo..hi),
-                        per_vc.range_occupancy(p, lo..hi),
+                        r.range_occupancy(p, lo..hi),
+                        per_vc(p, lo..hi),
                         "port {p} vcs {lo}..{hi}"
                     );
                 }
@@ -1499,7 +1465,7 @@ mod tests {
             r.audit_derived_state(pool, &mut errs);
             assert_eq!(errs, Vec::<String>::new());
         };
-        check(&r, &channels, &pool);
+        check(&r, &pool);
 
         // The heads of three packets arrive on input port 0, one
         // per VC, and are granted output VCs on ports 1 and 2.
@@ -1524,7 +1490,7 @@ mod tests {
             let at = r.heads.iter().position(|h| h.pkt == id).unwrap();
             let head = r.heads.remove(at);
             r.grant(&head, out_port, out_vc, Commit::None, &mut pool);
-            check(&r, &channels, &pool);
+            check(&r, &pool);
         }
         assert_eq!(r.out_occ, [0, 20, 5]);
 
@@ -1533,7 +1499,7 @@ mod tests {
             channels[1].send_credit(0, vc);
         }
         r.ingress_credits(1, 1, &mut channels);
-        check(&r, &channels, &pool);
+        check(&r, &pool);
         assert_eq!(r.out_occ, [0, 17, 5]);
 
         // Reaping the first packet refunds its 8-flit reservation, but VC
@@ -1541,17 +1507,108 @@ mod tests {
         // counter moves by 6.
         pool.poison(ids[0]);
         r.reap_poisoned(1, &mut pool, &mut stats, &mut channels);
-        check(&r, &channels, &pool);
+        check(&r, &pool);
         assert_eq!(r.out_occ, [0, 11, 5]);
         assert_eq!(r.credits(1, 0), r.buf_cap);
     }
 
+    /// The two callers of the weighing rule agree: on a congested router
+    /// (uneven credits on every port, an output backlog, an LLR-degraded
+    /// link and a dead one), every algorithm's candidates as the router
+    /// weighs them equal `RoutingAlgorithm::route`'s over a `MockView`
+    /// holding the same numbers — so the routing unit tests and `hxperf`'s
+    /// `core.route_ns.*` exercise the rule the simulator runs.
+    #[test]
+    fn router_weights_equal_mock_route_weights() {
+        use hxcore::mock::MockView;
+        use hxcore::{hyperx_algorithm, RouteCtx, HYPERX_ALGORITHMS};
+
+        let hx = std::sync::Arc::new(hxtopo::HyperX::uniform(3, 3, 1));
+        let ports = hx.max_ports();
+        let cfg = SimConfig {
+            buf_flits: 32,
+            ..SimConfig::default()
+        };
+        let (v, now) = (cfg.num_vcs, 50);
+        let (degraded, backlogged, dead) = (2, 3, 5);
+        let key = |cs: &[Candidate]| -> Vec<(u32, u8, u64, u8, Commit)> {
+            cs.iter()
+                .map(|c| (c.port, c.class, c.weight, c.hops, c.commit))
+                .collect()
+        };
+        let mut pool = PacketPool::new();
+        for name in HYPERX_ALGORITHMS {
+            let algo = hyperx_algorithm(name, hx.clone(), v).unwrap();
+            let (mut r, mut channels) = wired_router(ports, &cfg, algo.num_classes());
+            let mut view = MockView::idle(ports, v, 32);
+            r.port_term[0] = 0;
+            for p in 0..ports {
+                let occ: Vec<usize> = (0..v).map(|vc| (p * 7 + vc * 5) % 33).collect();
+                r.reset_out_credits(p, &occ);
+                view.occ[p] = occ;
+            }
+            r.out_backlog[backlogged] = 9;
+            view.queues[backlogged] = 9;
+            channels[degraded] = Channel::with_llr(1, 8, 0.0, 1);
+            channels[degraded].degrade(3, true);
+            view.health[degraded] = channels[degraded].health_penalty(now);
+            assert!(view.health[degraded] > 0);
+            r.live_ports[dead] = false;
+            view.kill_port(dead);
+
+            // (input port, input VC, Valiant intermediate, phase): a
+            // fresh packet from the terminal port, then packets mid-path
+            // on class-0 and class-1 VCs of network ports.
+            let arrivals = [(0, 0, NO_INTERMEDIATE, 0), (1, 1, 5, 0), (4, 4, 5, 1)];
+            for dst in 1..hx.num_routers() {
+                for (port, vc, intermediate, phase) in arrivals {
+                    let route = PacketRouteState {
+                        intermediate,
+                        phase,
+                        deroute_mask: 0b010,
+                    };
+                    let id = pool.alloc(crate::packet::Packet {
+                        src: 0,
+                        dst: dst as u32,
+                        dst_router: dst as u32,
+                        len: 4,
+                        hops: 0,
+                        birth: 0,
+                        inject: 0,
+                        route,
+                        tag: 0,
+                        seq: 0,
+                    });
+                    let head = Head::new(id, pool.hot(id), port, vc);
+                    let mut rng = r.rng.clone();
+                    let mut got = Vec::new();
+                    r.candidates(&head, &*algo, &channels, now, &mut got);
+                    let ctx = RouteCtx {
+                        router: 0,
+                        input_port: port,
+                        input_vc: vc,
+                        from_terminal: port == 0,
+                        dst_router: dst,
+                        dst_terminal: dst,
+                        pkt_len: 4,
+                        state: route,
+                        view: &view,
+                    };
+                    let mut want = Vec::new();
+                    algo.route(&ctx, &mut rng, &mut want);
+                    let case = format!("{name} dst {dst} port {port} vc {vc}");
+                    assert_eq!(key(&got), key(&want), "{case}");
+                    assert_eq!(r.rng.random::<u64>(), rng.random::<u64>(), "{case}");
+                }
+            }
+        }
+    }
+
     /// Routes every packet to one output port in class 0 and records, per
-    /// call, the packet length and the candidate's congestion.
+    /// call, the input port of the head it was asked about.
     struct Probe {
         port: usize,
-        map: ClassMap,
-        seen: Mutex<Vec<(usize, u64)>>,
+        seen: Mutex<Vec<usize>>,
     }
 
     impl RoutingAlgorithm for Probe {
@@ -1561,13 +1618,12 @@ mod tests {
         fn num_classes(&self) -> usize {
             1
         }
-        fn route(&self, ctx: &RouteCtx<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
-            let q = hxcore::weight::candidate_congestion(ctx.view, self.port, &self.map, 0);
-            self.seen.lock().unwrap().push((ctx.pkt_len, q));
+        fn candidates(&self, hop: &Hop<'_>, _rng: &mut SmallRng, out: &mut Vec<Candidate>) {
+            self.seen.lock().unwrap().push(hop.input_port);
             out.push(Candidate {
                 port: self.port as u32,
                 class: 0,
-                weight: q,
+                weight: 0,
                 hops: 1,
                 commit: Commit::None,
             });
@@ -1584,7 +1640,6 @@ mod tests {
         let (r, channels) = wired_router(4, &cfg, 1);
         let probe = Probe {
             port: 3,
-            map: ClassMap::new(cfg.num_vcs, 1),
             seen: Mutex::new(Vec::new()),
         };
         (r, channels, hxtopo::HyperX::new(&[4], 1), probe)
@@ -1627,7 +1682,9 @@ mod tests {
     /// Two heads compete for output port 3 in one pass. The older one
     /// (on the higher input port) is weighed first, at zero congestion;
     /// its grant reserves its 4 flits of credit on the spot, so the
-    /// younger head's candidate already sees port 3 carrying 4 flits.
+    /// younger head's one-hop candidate, weighed last (it is what the
+    /// candidate scratch holds after the pass), already sees port 3
+    /// carrying 4 flits: weight 4 plus the 100-cycle hop latency.
     #[test]
     fn younger_head_weighs_the_older_heads_grant() {
         let (mut r, mut channels, hx, probe) = probe_rig();
@@ -1648,7 +1705,8 @@ mod tests {
             r.ingress_flits(2, ctx);
             r.allocate(&hx, &probe, ctx);
         });
-        assert_eq!(*probe.seen.lock().unwrap(), [(4, 0), (6, 4)]);
+        assert_eq!(*probe.seen.lock().unwrap(), [2, 1], "oldest first");
+        assert_eq!(r.cands[0].weight, 4 + 100);
         assert_eq!(r.routed[r.pv(1, 0)], 1);
         assert_eq!(r.routed[r.pv(2, 0)], 1);
         assert_eq!(r.out_occ[3], 10);

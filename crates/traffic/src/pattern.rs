@@ -56,10 +56,12 @@ pub struct BitComplement {
 }
 
 impl BitComplement {
-    /// `n` = number of terminals, must be a power of two.
-    pub(crate) fn new(n: usize) -> Self {
-        assert!(n.is_power_of_two(), "bit complement needs 2^k terminals");
-        BitComplement { mask: n - 1 }
+    /// `n` = number of terminals, which must be a power of two.
+    pub(crate) fn new(n: usize) -> Result<Self, String> {
+        if !n.is_power_of_two() {
+            return Err(format!("BC needs 2^k terminals, not {n}"));
+        }
+        Ok(BitComplement { mask: n - 1 })
     }
 }
 
@@ -82,10 +84,15 @@ pub struct UniformRandomBisection {
 }
 
 impl UniformRandomBisection {
-    /// Targets dimension `dim` of `hx`.
-    pub(crate) fn new(hx: Arc<HyperX>, dim: usize) -> Self {
-        assert!(dim < hx.dims());
-        UniformRandomBisection { hx, dim }
+    /// Targets dimension `dim` of `hx`, which must have it.
+    pub(crate) fn new(hx: Arc<HyperX>, dim: usize) -> Result<Self, String> {
+        if dim >= hx.dims() {
+            return Err(format!(
+                "URB targets dimension {dim}, but the network has {} dimensions",
+                hx.dims()
+            ));
+        }
+        Ok(UniformRandomBisection { hx, dim })
     }
 }
 
@@ -122,13 +129,17 @@ impl Swap2 {
     /// Needs at least two dimensions and an even number of terminals per
     /// router (so terminal-id parity equals local-index parity and the
     /// pattern is a permutation, as in the paper's t=8 configuration).
-    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
-        assert!(hx.dims() >= 2, "Swap2 needs X and Y dimensions");
-        assert!(
-            hx.terms_per_router().is_multiple_of(2),
-            "Swap2 needs an even terminal count per router"
-        );
-        Swap2 { hx }
+    pub(crate) fn new(hx: Arc<HyperX>) -> Result<Self, String> {
+        if hx.dims() < 2 {
+            return Err("S2 needs X and Y dimensions".into());
+        }
+        let t = hx.terms_per_router();
+        if !t.is_multiple_of(2) {
+            return Err(format!(
+                "S2 needs an even terminal count per router, not {t}"
+            ));
+        }
+        Ok(Swap2 { hx })
     }
 }
 
@@ -161,17 +172,15 @@ impl DimComplementReverse {
     /// Needs at least two dimensions, and reversal-symmetric widths
     /// (`width(d) == width(D-1-d)`) so the reversed-complemented
     /// coordinates stay in range.
-    pub(crate) fn new(hx: Arc<HyperX>) -> Self {
-        assert!(hx.dims() >= 2, "DCR needs at least two dimensions");
+    pub(crate) fn new(hx: Arc<HyperX>) -> Result<Self, String> {
         let nd = hx.dims();
-        for d in 0..nd {
-            assert_eq!(
-                hx.width(d),
-                hx.width(nd - 1 - d),
-                "DCR needs reversal-symmetric dimension widths"
-            );
+        if nd < 2 {
+            return Err("DCR needs at least two dimensions".into());
         }
-        DimComplementReverse { hx }
+        if (0..nd).any(|d| hx.width(d) != hx.width(nd - 1 - d)) {
+            return Err("DCR needs reversal-symmetric dimension widths".into());
+        }
+        Ok(DimComplementReverse { hx })
     }
 }
 
@@ -195,19 +204,28 @@ impl TrafficPattern for DimComplementReverse {
     }
 }
 
-/// Instantiates a pattern by name: `UR`, `BC`, `URBx`/`URBy`/`URBz`, `S2`,
-/// `DCR`. Returns `None` for unknown names.
-pub fn pattern_by_name(name: &str, hx: Arc<HyperX>) -> Option<Arc<dyn TrafficPattern>> {
+/// Instantiates a pattern by name (case-insensitive): `UR`, `BC`,
+/// `URBx`/`URBy`/`URBz`, `S2`, `DCR`.
+///
+/// # Errors
+/// An unknown name, or a network the pattern cannot run on; the message
+/// names the constraint that failed.
+pub fn pattern_by_name(name: &str, hx: Arc<HyperX>) -> Result<Arc<dyn TrafficPattern>, String> {
     let n = hx.num_terminals();
-    Some(match name.to_ascii_uppercase().as_str() {
+    Ok(match name.to_ascii_uppercase().as_str() {
         "UR" => Arc::new(UniformRandom::new(n)),
-        "BC" => Arc::new(BitComplement::new(n)),
-        "URBX" => Arc::new(UniformRandomBisection::new(hx, 0)),
-        "URBY" => Arc::new(UniformRandomBisection::new(hx, 1)),
-        "URBZ" => Arc::new(UniformRandomBisection::new(hx, 2)),
-        "S2" => Arc::new(Swap2::new(hx)),
-        "DCR" => Arc::new(DimComplementReverse::new(hx)),
-        _ => return None,
+        "BC" => Arc::new(BitComplement::new(n)?),
+        "URBX" => Arc::new(UniformRandomBisection::new(hx, 0)?),
+        "URBY" => Arc::new(UniformRandomBisection::new(hx, 1)?),
+        "URBZ" => Arc::new(UniformRandomBisection::new(hx, 2)?),
+        "S2" => Arc::new(Swap2::new(hx)?),
+        "DCR" => Arc::new(DimComplementReverse::new(hx)?),
+        _ => {
+            return Err(format!(
+                "unknown pattern {name} (known: {})",
+                crate::FIG6_PATTERNS.join(", ")
+            ))
+        }
     })
 }
 
@@ -236,7 +254,7 @@ mod tests {
 
     #[test]
     fn bc_is_involution() {
-        let p = BitComplement::new(256);
+        let p = BitComplement::new(256).unwrap();
         let mut rng = SmallRng::seed_from_u64(0);
         for src in 0..256 {
             let d = p.dest(src, &mut rng);
@@ -248,7 +266,7 @@ mod tests {
     #[test]
     fn urb_complements_target_dim_only() {
         let hx = hx();
-        let p = UniformRandomBisection::new(hx.clone(), 1);
+        let p = UniformRandomBisection::new(hx.clone(), 1).unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
         let src = 37usize;
         let sc = hx.coord_of(src / 4);
@@ -269,7 +287,7 @@ mod tests {
     #[test]
     fn s2_is_permutation_split_by_parity() {
         let hx = hx();
-        let p = Swap2::new(hx.clone());
+        let p = Swap2::new(hx.clone()).unwrap();
         let mut rng = SmallRng::seed_from_u64(0);
         let n = hx.num_terminals();
         let mut targets = vec![false; n];
@@ -293,7 +311,7 @@ mod tests {
     #[test]
     fn dcr_reverses_and_complements() {
         let hx = hx();
-        let p = DimComplementReverse::new(hx.clone());
+        let p = DimComplementReverse::new(hx.clone()).unwrap();
         let mut rng = SmallRng::seed_from_u64(5);
         let src = 129usize;
         let sc = hx.coord_of(src / 4);
@@ -312,7 +330,7 @@ mod tests {
     #[test]
     fn dcr_dor_funnels_a_row_through_one_link() {
         let hx = hx();
-        let p = DimComplementReverse::new(hx.clone());
+        let p = DimComplementReverse::new(hx.clone()).unwrap();
         let mut rng = SmallRng::seed_from_u64(9);
         // Row y=1, z=2 (all x, all terminal indices).
         let mut y_links = std::collections::HashSet::new();
@@ -335,8 +353,22 @@ mod tests {
     fn factory_resolves_all_names() {
         let hx = hx();
         for name in ["UR", "BC", "URBx", "URBy", "URBz", "S2", "DCR"] {
-            assert!(pattern_by_name(name, hx.clone()).is_some(), "{name}");
+            assert!(pattern_by_name(name, hx.clone()).is_ok(), "{name}");
         }
-        assert!(pattern_by_name("bogus", hx).is_none());
+        let e = pattern_by_name("bogus", hx).err().unwrap();
+        assert!(e.starts_with("unknown pattern bogus"), "{e}");
+    }
+
+    /// A network a pattern cannot run on is an error naming the
+    /// constraint, not a constructor panic.
+    #[test]
+    fn factory_rejects_networks_patterns_cannot_run_on() {
+        let err = |name, hx: HyperX| pattern_by_name(name, Arc::new(hx)).err().unwrap();
+        assert!(err("BC", HyperX::uniform(2, 3, 1)).contains("2^k terminals, not 9"));
+        assert!(err("URBz", HyperX::uniform(2, 4, 2)).contains("dimension 2"));
+        assert!(err("S2", HyperX::uniform(2, 4, 3)).contains("even terminal count"));
+        assert!(err("S2", HyperX::uniform(1, 4, 2)).contains("X and Y"));
+        assert!(err("DCR", HyperX::uniform(1, 4, 2)).contains("two dimensions"));
+        assert!(err("DCR", HyperX::new(&[2, 3], 2)).contains("reversal-symmetric"));
     }
 }

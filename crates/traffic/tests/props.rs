@@ -34,7 +34,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(rng_seed);
         for name in FIG6_PATTERNS {
             let p = pattern_by_name(name, hx.clone())
-                .unwrap_or_else(|| panic!("{name} unavailable"));
+                .unwrap_or_else(|e| panic!("{name} unavailable: {e}"));
             for _ in 0..20 {
                 let d = p.dest(src, &mut rng);
                 prop_assert!(d < n, "{name}: dest {d} out of range {n}");

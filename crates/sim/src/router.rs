@@ -770,7 +770,7 @@ impl Router {
                 return false;
             }
             let route_t0 = ctx.timed.then(std::time::Instant::now);
-            self.candidates(head, algo, ctx.channels, ctx.now, cands);
+            self.weighed_candidates(head, algo, ctx.channels, ctx.now, cands);
             if let Some(t0) = route_t0 {
                 ctx.timers.route_ns += t0.elapsed().as_nanos() as u64;
             }
@@ -845,7 +845,7 @@ impl Router {
     /// enumerates them (drawing its own randomness first), then each is
     /// weighed against this router's live output state.
     #[inline]
-    fn candidates(
+    fn weighed_candidates(
         &mut self,
         head: &Head,
         algo: &dyn RoutingAlgorithm,
@@ -1582,7 +1582,7 @@ mod tests {
                     let head = Head::new(id, pool.hot(id), port, vc);
                     let mut rng = r.rng.clone();
                     let mut got = Vec::new();
-                    r.candidates(&head, &*algo, &channels, now, &mut got);
+                    r.weighed_candidates(&head, &*algo, &channels, now, &mut got);
                     let ctx = RouteCtx {
                         router: 0,
                         input_port: port,

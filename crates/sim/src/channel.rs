@@ -316,9 +316,12 @@ impl Channel {
     /// Advances the LLR sublayer one cycle: processes due acks/nacks,
     /// delivers due wire frames into the legacy arrival queue (dropping
     /// corrupt and out-of-sequence frames, nacking gaps), and serializes
-    /// at most one frame onto the wire. Runs serially in channel-id order
-    /// at the start of every executed cycle, in both engines, so the
-    /// mutation order is engine-independent.
+    /// at most one frame onto the wire. Runs at the start of an executed
+    /// cycle on the channels the network's LLR calendar holds due, serially
+    /// in channel-id order, in both engines, so the mutation order is
+    /// engine-independent. On a channel with nothing due
+    /// ([`Self::llr_next_activity`] later than `now`) it is a no-op: no
+    /// RNG draw, no counter.
     ///
     /// Returns `true` when a flit was delivered to the receiving end this
     /// cycle (the event engine uses this to wake the consumer).
@@ -444,10 +447,11 @@ impl Channel {
 
     /// The earliest cycle `>= now` the LLR sublayer has work due: a wire
     /// or ctrl frame maturing, or a pending transmission. `None` when
-    /// fully quiet. Bounds the event engine's dead-cycle skip, which
-    /// calls this with `now` = the next *unexecuted* cycle — work due at
-    /// exactly `now` must report `now`, or the skip jumps one cycle past
-    /// it and the frame lands a cycle later than under the cycle engine.
+    /// fully quiet. After visiting a channel at cycle `c`, the network
+    /// puts it back on its LLR calendar at `llr_next_activity(c + 1)`, and
+    /// the calendar bounds the event engine's dead-cycle skip: work due at
+    /// exactly `now` must report `now`, or the channel is visited a cycle
+    /// late and the frame lands a cycle later than its schedule says.
     pub(crate) fn llr_next_activity(&self, now: u64) -> Option<u64> {
         let llr = self.llr.as_ref()?;
         let mut t = u64::MAX;

@@ -1,10 +1,14 @@
-//! The deterministic event queue driving the event-driven engine.
+//! The deterministic event queue: a calendar of wakes keyed by small
+//! integer ids.
 //!
-//! Endpoints (routers first, then terminals — the same id order they
-//! tick in) schedule *wakes*: "tick me at cycle `t`".
-//! The engine pops every wake due at the current cycle and ticks exactly
-//! that endpoint set; cycles with no due wake, no workload activity, and
-//! no transport deadline are skipped wholesale.
+//! The event-driven engine keys one queue by endpoint (routers first, then
+//! terminals — the same id order they tick in): an endpoint schedules a
+//! *wake*, "tick me at cycle `t`", and the engine pops every wake due at
+//! the current cycle and ticks exactly that endpoint set; cycles with no
+//! due wake, no workload activity, and no transport deadline are skipped
+//! wholesale. With link-level retry on, both engines key a second queue by
+//! channel id: a channel is woken when its retry sublayer has work due,
+//! and only the due channels run `llr_tick` (see `Network::tick`).
 //!
 //! ## Representation: a calendar of bit rows
 //!
@@ -23,7 +27,8 @@
 //!
 //! Duplicate and spurious wakes are harmless: a wake for an endpoint with
 //! nothing to do is a no-op tick by construction (idle routers and
-//! terminals touch no state and draw no randomness).
+//! terminals touch no state and draw no randomness), and so is a wake for
+//! a channel whose retry sublayer has nothing due.
 //!
 //! Wakes farther than [`HORIZON`] cycles out (a channel or crossbar
 //! latency above it) overflow into a small heap of `(t, endpoint)` that
@@ -57,9 +62,12 @@ pub enum EventKind {
     Wake,
     /// Fault-schedule action or fault-fallout resynchronization.
     Fault,
+    /// Link-level retry work on a channel: a frame to serialize, or a
+    /// wire or ack frame maturing.
+    Llr,
 }
 
-/// A deterministic calendar of endpoint wakes.
+/// A deterministic calendar of wakes, keyed by endpoint or channel id.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Row `c % HORIZON` holds the endpoints waking at cycle `c`, for the

@@ -44,6 +44,16 @@ pub struct Network {
     hop_capped: Vec<PacketId>,
     /// Event-engine wake state (`None` when `cfg.engine == Engine::Cycle`).
     event: Option<Box<EventState>>,
+    /// The LLR calendar, keyed by channel id (`Some` iff
+    /// `cfg.llr_enabled`, under either engine): every channel whose retry
+    /// sublayer has work pending is scheduled at or before the cycle that
+    /// work falls due. Stale entries are no-op visits.
+    llr_due: Option<EventQueue>,
+    /// This cycle's due channel ids, ascending (scratch, reused).
+    llr_chans: Vec<u32>,
+    /// Ids of the dead channels, ascending — the only ones that can hold
+    /// dead drops.
+    dead_chans: Vec<u32>,
 }
 
 /// The shared state one cycle's due routers and terminals write, lent to
@@ -69,20 +79,23 @@ pub(crate) struct TickCtx<'a> {
     pub(crate) timers: PhaseTimers,
     /// Event engine: sends plant their arrival wakes here.
     pub(crate) wakes: Option<&'a mut EventState>,
+    /// LLR on: flit sends schedule their channel's serialization here.
+    pub(crate) llr_due: Option<&'a mut EventQueue>,
 }
 
 impl TickCtx<'_> {
     /// Puts `flit` on channel `ch`, bound for downstream VC `vc`. Under
-    /// the event engine this also plants its arrival — except under LLR,
-    /// where the flit only enters the sender's replay buffer and
-    /// `llr_tick` reports the delivery when the frame lands.
+    /// LLR the flit only enters the sender's replay buffer: the channel
+    /// goes on the LLR calendar for next cycle, when `llr_tick` serializes
+    /// the frame (and reports the delivery when it lands). Otherwise the
+    /// event engine plants its arrival here.
     #[inline]
     pub(crate) fn send_flit(&mut self, ch: usize, flit: Flit, vc: u8) {
         self.channels[ch].send_flit(self.now, flit, vc);
-        if let Some(ev) = self.wakes.as_deref_mut() {
-            if !ev.llr {
-                ev.on_send(self.now, ch, true);
-            }
+        if let Some(llr_due) = self.llr_due.as_deref_mut() {
+            llr_due.schedule(self.now + 1, ch as u32, EventKind::Llr);
+        } else if let Some(ev) = self.wakes.as_deref_mut() {
+            ev.on_send(self.now, ch, true);
         }
     }
 
@@ -117,9 +130,6 @@ pub(crate) struct EventState {
     /// round to it again (`arrivals_len` exceeds the longest latency).
     arrivals: BitRows,
     arrivals_len: u64,
-    /// LLR on: a flit send reaches the wire through `llr_tick`, which
-    /// plants the arrival itself.
-    llr: bool,
     /// Lifetime endpoint wakes executed.
     events_processed: u64,
 }
@@ -180,7 +190,7 @@ fn arrival_ends(routers: &[Router], terminals: &[Terminal]) -> Vec<ArrivalEnd> {
 }
 
 impl EventState {
-    fn new(routers: &[Router], terminals: &[Terminal], channels: &[Channel], llr: bool) -> Self {
+    fn new(routers: &[Router], terminals: &[Terminal], channels: &[Channel]) -> Self {
         let ends = arrival_ends(routers, terminals);
         let mut chans: Vec<ChanEnds> = channels
             .iter()
@@ -204,7 +214,6 @@ impl EventState {
             arrivals_len,
             chans,
             ends,
-            llr,
             events_processed: 0,
         }
     }
@@ -337,14 +346,9 @@ impl Network {
             })
             .collect();
 
-        let event = (cfg.engine == Engine::Event).then(|| {
-            Box::new(EventState::new(
-                &routers,
-                &terminals,
-                &channels,
-                cfg.llr_enabled,
-            ))
-        });
+        let event = (cfg.engine == Engine::Event)
+            .then(|| Box::new(EventState::new(&routers, &terminals, &channels)));
+        let llr_due = cfg.llr_enabled.then(|| EventQueue::new(channels.len()));
 
         Network {
             topo,
@@ -361,6 +365,9 @@ impl Network {
             hints: Vec::new(),
             hop_capped: Vec::new(),
             event,
+            llr_due,
+            llr_chans: Vec::new(),
+            dead_chans: Vec::new(),
         }
     }
 
@@ -384,25 +391,15 @@ impl Network {
         }
     }
 
-    /// Event engine: earliest pending wake time, if any. With LLR enabled
-    /// this also covers the retry sublayer's own activity (wire/ctrl
-    /// maturities, pending transmissions) — `llr_tick` runs on every
-    /// executed cycle, so dead-cycle skips must never jump past a cycle
-    /// where it would act.
-    pub(crate) fn next_event_time(&self, now: u64) -> Option<u64> {
+    /// Event engine: earliest pending wake time, if any — of an endpoint
+    /// or, with LLR enabled, of a channel on the LLR calendar. The
+    /// calendar holds every channel with retry work (wire/ctrl maturities,
+    /// pending transmissions) at or before that work's cycle, so a
+    /// dead-cycle skip never jumps past a cycle where `llr_tick` would act.
+    pub(crate) fn next_event_time(&self) -> Option<u64> {
         let queued = self.event.as_ref().and_then(|ev| ev.queue.next_time());
-        if !self.cfg.llr_enabled {
-            return queued;
-        }
-        let llr = self
-            .channels
-            .iter()
-            .filter_map(|c| c.llr_next_activity(now))
-            .min();
-        match (queued, llr) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let llr = self.llr_due.as_ref().and_then(EventQueue::next_time);
+        queued.into_iter().chain(llr).min()
     }
 
     /// Event engine: fault actions and fault fallout mutate state outside
@@ -461,19 +458,28 @@ impl Network {
 
         // ---- LLR sublayer: runs first so frames landing this cycle are
         // on the wire when their consumer reads it, exactly like plain
-        // arrivals. In channel-id order, so the error-model RNG draws are
-        // engine independent.
-        if self.cfg.llr_enabled {
-            for (i, ch) in self.channels.iter_mut().enumerate() {
+        // arrivals. Only the channels the calendar holds due run it (on any
+        // other, `llr_tick` would be a no-op), in channel-id order, so the
+        // error-model RNG draws are engine independent. Each visited
+        // channel goes back on the calendar for its next retry work.
+        if let Some(llr_due) = &mut self.llr_due {
+            llr_due.pop_due(now, &mut self.llr_chans);
+            for &i in &self.llr_chans {
+                let ch = &mut self.channels[i as usize];
                 if ch.llr_tick(now, stats) {
                     if let Some(ev) = self.event.as_deref_mut() {
                         // The frame lands this very cycle: the arrival
                         // joins the row about to be walked and the wake
                         // the row about to be popped.
-                        ev.arrival(now, 0, i, true);
+                        ev.arrival(now, 0, i as usize, true);
                     }
                 }
+                if let Some(t) = ch.llr_next_activity(now + 1) {
+                    llr_due.schedule(t, i, EventKind::Llr);
+                }
             }
+            #[cfg(debug_assertions)]
+            self.audit_llr_calendar(now);
         }
 
         // ---- Due set: the only step that knows the engine's nature. The
@@ -503,6 +509,7 @@ impl Network {
             timed,
             timers: PhaseTimers::default(),
             wakes: self.event.as_deref_mut(),
+            llr_due: self.llr_due.as_mut(),
         };
 
         // ---- Compute: the due routers, then the due terminals. Hints are
@@ -555,6 +562,21 @@ impl Network {
         }
     }
 
+    /// Debug builds, right after the LLR pass: no channel has retry work
+    /// due at `now` any more. A channel the pass visited consumed its due
+    /// frames and serialized if it could, so this holds for it by
+    /// construction; for a channel the calendar skipped it says the skip
+    /// was sound — `llr_tick` would have been a no-op.
+    #[cfg(debug_assertions)]
+    fn audit_llr_calendar(&self, now: u64) {
+        for (i, ch) in self.channels.iter().enumerate() {
+            assert!(
+                ch.llr_next_activity(now) != Some(now),
+                "channel {i} has retry work due at cycle {now} but was not on the LLR calendar"
+            );
+        }
+    }
+
     /// Resolves the far end of a router-to-router link.
     fn peer_of(&self, router: usize, port: usize) -> (usize, usize) {
         match self.topo.port_target(router, port) {
@@ -599,6 +621,9 @@ impl Network {
         for &(r, p) in &[(router, port), (r2, p2)] {
             self.routers[r].live_ports[p] = false;
             let ch = self.routers[r].out_ch(p).expect("killing an unwired port");
+            if let Err(at) = self.dead_chans.binary_search(&(ch as u32)) {
+                self.dead_chans.insert(at, ch as u32);
+            }
             for (flit, _) in self.channels[ch].kill() {
                 poison_packet(
                     pool,
@@ -648,6 +673,9 @@ impl Network {
                 pool.note_flit_gone(flit.pkt);
             }
             self.channels[ch].revive();
+            if let Ok(at) = self.dead_chans.binary_search(&(ch as u32)) {
+                self.dead_chans.remove(at);
+            }
             let occ: Vec<usize> = (0..self.cfg.num_vcs)
                 .map(|vc| self.routers[pr].input_occupancy(pp, vc))
                 .collect();
@@ -711,6 +739,10 @@ impl Network {
                 for &(r, p) in &[(router, port), (r2, p2)] {
                     let ch = self.routers[r].out_ch(p).expect("flapping an unwired port");
                     self.channels[ch].flap_up();
+                    // The sender replays from this very cycle on.
+                    if let Some(llr_due) = &mut self.llr_due {
+                        llr_due.schedule(now, ch as u32, EventKind::Llr);
+                    }
                 }
             }
             FaultAction::DegradeLink {
@@ -746,6 +778,10 @@ impl Network {
     /// terminals. Cheap when nothing is poisoned. Returns whether anything
     /// happened (the event engine resynchronizes its wake state when so —
     /// the reaper sends credits outside the sink discipline).
+    ///
+    /// Only a dead channel holds dead drops, so only `dead_chans` is
+    /// visited; ascending, it poisons in the order a walk over every
+    /// channel would.
     pub(crate) fn collect_fault_fallout(
         &mut self,
         now: u64,
@@ -753,13 +789,19 @@ impl Network {
         stats: &mut Stats,
         mut trace: Option<&mut Trace>,
     ) -> bool {
+        #[cfg(debug_assertions)]
+        for (i, ch) in self.channels.iter().enumerate() {
+            let listed = self.dead_chans.binary_search(&(i as u32)).is_ok();
+            assert_eq!(listed, !ch.is_alive(), "channel {i} misfiled in dead_chans");
+        }
         let mut acted = false;
-        for ch in 0..self.channels.len() {
-            if !self.channels[ch].has_dead_drops() {
+        for &ch in &self.dead_chans {
+            let ch = &mut self.channels[ch as usize];
+            if !ch.has_dead_drops() {
                 continue;
             }
             acted = true;
-            for (flit, _) in self.channels[ch].take_dead_drops() {
+            for (flit, _) in ch.take_dead_drops() {
                 poison_packet(
                     pool,
                     stats,

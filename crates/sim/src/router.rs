@@ -1306,6 +1306,7 @@ mod tests {
             timed: false,
             timers: Default::default(),
             wakes: None,
+            llr_due: None,
         })
     }
 

@@ -202,8 +202,10 @@ impl Sim {
             while let Some(action) = schedule.pop_due(now) {
                 self.fault_mode = true;
                 // Transient actions mutate only LLR sublayer state, which
-                // `llr_tick` advances on every executed cycle before the
-                // due set is popped — no conservative wake rebuild needed.
+                // the LLR calendar covers: a flap-up puts its channels on
+                // it for this cycle, a flap-down only removes retry work,
+                // and a degrade or restore retimes only frames not yet
+                // serialized — no conservative wake rebuild needed.
                 fault_acted |= !action.is_transient();
                 self.net.apply_fault(
                     action,
@@ -392,7 +394,7 @@ impl Sim {
         if let Some(t) = &self.transport {
             target = target.min(t.next_due());
         }
-        if let Some(t) = self.net.next_event_time(now) {
+        if let Some(t) = self.net.next_event_time() {
             target = target.min(t);
         }
         if let Some(m) = &self.metrics {

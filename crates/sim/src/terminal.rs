@@ -253,6 +253,7 @@ mod tests {
             timed: false,
             timers: Default::default(),
             wakes: None,
+            llr_due: None,
         });
         channels[term.out_chan].flits_sent() > sent
     }

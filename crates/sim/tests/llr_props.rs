@@ -373,3 +373,74 @@ proptest! {
         prop_assert_eq!(event, cycle, "stats diverge across engines");
     }
 }
+
+/// Injects one packet at cycle 0, then stays quiet; counts the cycles
+/// the simulator executes (every executed cycle calls `pre_cycle`).
+struct OnePacket {
+    src: u32,
+    dst: u32,
+    executed: u64,
+    delivered_at: Option<u64>,
+}
+
+impl Workload for OnePacket {
+    fn pre_cycle(&mut self, now: u64, inject: &mut dyn FnMut(PacketDesc) -> bool) {
+        self.executed += 1;
+        if now == 0 {
+            assert!(inject(PacketDesc {
+                src: self.src,
+                dst: self.dst,
+                len: 4,
+                tag: 0,
+            }));
+        }
+    }
+
+    fn on_delivered(&mut self, _d: &Delivered, now: u64) {
+        self.delivered_at = Some(now);
+    }
+
+    fn next_active_cycle(&self, now: u64) -> u64 {
+        if now == 0 {
+            0
+        } else {
+            u64::MAX
+        }
+    }
+}
+
+/// A drained LLR network goes quiet: once the one packet has landed and
+/// its last ack has come home, the LLR calendar holds nothing and the
+/// event engine skips the rest of the budget. A stale or
+/// self-perpetuating calendar entry would keep the dead-cycle skip from
+/// ever firing and execute all 20,000 cycles.
+#[test]
+fn drained_llr_network_goes_quiet() {
+    let hx = Arc::new(HyperX::uniform(2, 3, 1));
+    let cfg = SimConfig {
+        engine: Engine::Event,
+        llr_enabled: true,
+        error_ber: 0.0,
+        ..SimConfig::default()
+    };
+    let round_trip = 2 * cfg.router_chan_latency;
+    let algo: Arc<dyn hxcore::RoutingAlgorithm> =
+        hxcore::hyperx_algorithm("DOR", hx.clone(), cfg.num_vcs)
+            .expect("known algorithm")
+            .into();
+    let mut sim = Sim::new(hx.clone(), algo, cfg, 5);
+    let mut one = OnePacket {
+        src: 0,
+        dst: hx.num_terminals() as u32 - 1,
+        executed: 0,
+        delivered_at: None,
+    };
+    sim.run(&mut one, 20_000);
+    let delivered_at = one.delivered_at.expect("the packet was delivered");
+    assert!(sim.net.is_quiescent(), "network still busy after the run");
+    assert!(
+        one.executed <= delivered_at + 1 + round_trip,
+        "{} cycles executed for one packet delivered at cycle {delivered_at}",
+        one.executed
+    );
+}

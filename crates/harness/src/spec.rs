@@ -56,6 +56,18 @@ impl Kind {
     }
 }
 
+/// Most router ports (routers × ports per router) a network may have.
+///
+/// Every per-port structure of a simulation — topology tables, channels,
+/// each port's input VC records, credits and claims — scales with this
+/// count, and [`ExperimentSpec::validate`] builds the topology just to
+/// resolve names, so the bound has to hold before anything is built. The
+/// largest `fig2_sim` rung (19×19×19, 16 terminals per router: 6,859
+/// routers of 70 ports, 480,130 in all) peaks near 0.5 GB; 2^22 ports
+/// leaves about 8.7× that headroom, a few GB, where an unchecked spec such
+/// as `dims = 6, width = 30` (1.3e11 ports) would ask for terabytes.
+const MAX_NETWORK_PORTS: usize = 1 << 22;
+
 /// The simulated HyperX network.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize)]
 pub struct NetworkSpec {
@@ -65,9 +77,10 @@ pub struct NetworkSpec {
 }
 
 impl NetworkSpec {
-    /// Checks that the simulator's types can hold this network: at most
-    /// [`MAX_DIMS`] dimensions, at most [`MAX_PORTS`] ports per router,
-    /// and every router and terminal numbered by a `u32`. Runs before
+    /// Checks that the simulator's types and a host can hold this
+    /// network: at most [`MAX_DIMS`] dimensions, at most [`MAX_PORTS`]
+    /// ports per router, every router and terminal numbered by a `u32`,
+    /// and at most [`MAX_NETWORK_PORTS`] router ports in all. Runs before
     /// [`NetworkSpec::build`] allocates anything.
     fn check(&self) -> Result<(), String> {
         let NetworkSpec {
@@ -83,23 +96,30 @@ impl NetworkSpec {
                 "network.width must be >= 2 and network.terminals >= 1 (got {self:?})"
             ));
         }
-        let radix = (width - 1)
+        let Some(radix) = (width - 1)
             .checked_mul(dims)
             .and_then(|p| p.checked_add(terminals))
-            .filter(|&r| r <= MAX_PORTS);
-        if radix.is_none() {
+            .filter(|&r| r <= MAX_PORTS)
+        else {
             return Err(format!(
                 "network: terminals + dims * (width - 1) ports per router exceeds \
                  {MAX_PORTS} (got {self:?})"
             ));
-        }
-        let endpoints = width
-            .checked_pow(dims as u32)
-            .and_then(|r| r.checked_mul(terminals + 1));
+        };
+        let routers = width.checked_pow(dims as u32);
+        let endpoints = routers.and_then(|r| r.checked_mul(terminals + 1));
         if endpoints.is_none_or(|n| u32::try_from(n).is_err()) {
             return Err(format!(
                 "network: width^dims * (1 + terminals) endpoints exceed the u32 ids \
                  a simulation numbers them with (got {self:?})"
+            ));
+        }
+        let ports = routers.and_then(|r| r.checked_mul(radix));
+        if ports.is_none_or(|p| p > MAX_NETWORK_PORTS) {
+            return Err(format!(
+                "network: width^dims routers * {radix} ports each exceed the \
+                 {MAX_NETWORK_PORTS} router ports a simulation host is sized for \
+                 (got {self:?})"
             ));
         }
         Ok(())
@@ -1320,5 +1340,23 @@ seed = [1, 2]
         assert_rejected_naming(&net(6, 64), "endpoints");
         // 5000^6 overflows even a 64-bit count.
         assert_rejected_naming(&net(6, 5000), "endpoints");
+    }
+
+    /// Routers × ports per router is bounded before the topology is
+    /// built: 30^6 routers of 175 ports fit `u32` ids but not a host.
+    #[test]
+    fn network_port_count_is_bounded() {
+        let huge = BASE
+            .replace("dims = 2", "dims = 6")
+            .replace("width = 2", "width = 30");
+        assert_rejected_naming(&huge, "router ports");
+        assert_rejected_naming(&huge, "network");
+        // The largest fig2_sim rung is accepted.
+        let rung = NetworkSpec {
+            dims: 3,
+            width: 19,
+            terminals: 16,
+        };
+        assert_eq!(rung.check(), Ok(()));
     }
 }

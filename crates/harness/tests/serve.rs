@@ -700,6 +700,13 @@ fn hostile_specs_are_refused_by_key_and_the_daemon_keeps_serving() {
 
     let hostile = [
         (SPEC_TOML.replace("dims = 2", "dims = 7"), "network.dims"),
+        // 30^6 routers of 175 ports: within the id types, past a host.
+        (
+            SPEC_TOML
+                .replace("dims = 2", "dims = 6")
+                .replace("width = 2", "width = 30"),
+            "network: width^dims routers",
+        ),
         (wrapped_product_spec(), "axes"),
         (
             SPEC_TOML.replace(

@@ -26,15 +26,18 @@
 //!
 //! Scale notes (100k+ terminals): wiring arrays are u32 channel/terminal
 //! ids (`u32::MAX` = unwired), and the constructor allocates the per-port
-//! datapath state (input VC queues, credit/owner/backlog arrays, output
-//! queues) up front — empty queues hold no heap, and deferring the rest to
-//! first use measured no saving in peak bytes at any `fig2_sim` rung.
-//! A buffered packet is three counters, not a flit queue: its flits are
-//! always the consecutive indices `sent..arrived` (see [`PktBuf`]). Each
-//! input port keeps a `u64` mask of the VCs holding flits and the router
-//! one bit per output port with a queued flit, so allocation, switch
-//! traversal, link egress and [`Router::next_wake`] touch only VCs and
-//! ports that have work.
+//! datapath state (input VC records, credit/owner/backlog arrays, output
+//! queues) up front — deferring it to first use measured no saving in
+//! peak bytes at any `fig2_sim` rung. The input side holds no per-VC heap:
+//! each input VC is one fixed [`InVc`] record, and its packets are a
+//! linked list through one per-router slab of [`PktBuf`]s, which grows in
+//! bounded steps and recycles freed slots through a free list. A buffered
+//! packet is three counters, not a flit queue: its flits are always the
+//! consecutive indices `sent..arrived` (see [`PktBuf`]). Each input port
+//! keeps a `u64` mask of the VCs holding flits, and the router one bit per
+//! input port with a buffered flit and one per output port with a queued
+//! flit, so allocation, switch traversal, link egress and
+//! [`Router::next_wake`] touch only VCs and ports that have work.
 //!
 //! At saturation most heads are blocked and re-evaluated every cycle, so
 //! the router keeps its heads as a persistent list in age order, each
@@ -65,6 +68,8 @@ use crate::trace::{DropReason, DropRecord, HopRecord, Trace};
 pub(crate) const NO_WIRE: u32 = u32::MAX;
 /// Sentinel for an unclaimed output VC in the packed owner array.
 const NO_OWNER: PacketId = PacketId::MAX;
+/// Sentinel ending a slab list ("no slot").
+const NIL: u32 = u32::MAX;
 
 /// Arbitration sort key for routing candidates: `(weight, hops, random
 /// salt)`, compared lexicographically — lower wins.
@@ -116,8 +121,15 @@ pub(crate) fn poison_packet(
 /// takes them from the front. The buffered flits are therefore exactly
 /// `sent..arrived`, and a forwarded flit is rebuilt as `Flit { pkt, idx:
 /// sent, len }`.
+///
+/// Buffers live in their router's slab ([`Router::slab`]); `next` links a
+/// buffer to the next packet of its input VC, or a free slot to the next
+/// free one.
+#[derive(Clone, Copy)]
 struct PktBuf {
     pkt: PacketId,
+    /// Next slot on this buffer's list ([`NIL`] = end of list).
+    next: u32,
     /// Packet creation cycle, cached for age-based arbitration scans.
     birth: u64,
     route: Option<(u16, u8)>,
@@ -128,6 +140,35 @@ struct PktBuf {
     /// Flits of this packet already forwarded out of this router (fault
     /// fallout uses this to refund exactly the unsent credit reservation).
     sent: u16,
+}
+
+/// One input VC: its packet list in the router's slab, in arrival order,
+/// and the counters ingress, grant and switch traversal read (20 bytes).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct InVc {
+    /// First and last slot of the list ([`NIL`] when empty).
+    first: u32,
+    last: u32,
+    /// Packets on the list.
+    len: u32,
+    /// Routed packets. They are always the list's prefix: only a VC's
+    /// first unrouted packet is ever routed ([`Router::grant`]) and
+    /// removals keep order, so the packet `routed` links from `first` is
+    /// the VC's head awaiting a route, and the first `routed` packets are
+    /// all the crossbar may forward.
+    routed: u32,
+    /// Buffered flits: `Σ (arrived − sent)` over the list's packets.
+    flits: u32,
+}
+
+impl InVc {
+    const EMPTY: InVc = InVc {
+        first: NIL,
+        last: NIL,
+        len: 0,
+        routed: 0,
+        flits: 0,
+    };
 }
 
 /// One input VC's first unrouted packet, with the fields route + VC
@@ -208,20 +249,19 @@ pub struct Router {
     xbar_speedup: usize,
     class_map: ClassMap,
 
-    // Input side, indexed [port * num_vcs + vc]: per-VC packet queues.
-    in_q: Vec<VecDeque<PktBuf>>,
-    /// Routed packets per input VC. They are always the queue's prefix:
-    /// only a VC's first unrouted packet is ever routed ([`Self::grant`])
-    /// and removals keep order, so `in_q[i][routed[i]]` is the VC's head
-    /// awaiting a route and `in_q[i][..routed[i]]` is all the crossbar may
-    /// forward.
-    routed: Vec<u32>,
-    /// Buffered flits per input VC: `Σ (arrived − sent)` over its packets.
-    vc_flits: Vec<u32>,
-    /// Per input port, bit `vc` set iff `vc_flits` of that VC is non-zero
+    /// Input side, indexed [port * num_vcs + vc]: one record per input VC.
+    in_vc: Vec<InVc>,
+    /// Every buffered packet of every input VC, linked into per-VC lists
+    /// ([`InVc`]); unused slots form the free list from `free`.
+    slab: Vec<PktBuf>,
+    /// First free slab slot ([`NIL`] = none; the slab grows).
+    free: u32,
+    /// Per input port, bit `vc` set iff that VC's `flits` is non-zero
     /// (hence `num_vcs <= 64`). Walking the set bits upwards is the
     /// ascending VC order the allocation and crossbar scans need.
     vc_mask: Vec<u64>,
+    /// Bit `port` set iff `vc_mask[port]` is non-zero, 64 ports per word.
+    in_active: Vec<u64>,
 
     // Output side.
     out_credits: Vec<u32>,
@@ -255,11 +295,12 @@ pub struct Router {
     rng: SmallRng,
     /// Total flits buffered on the input side (fast-path skip).
     flits_buffered: u32,
-    /// Every input VC's first unrouted packet (`in_q[i][routed[i]]`),
-    /// ascending by [`Head::key`]: the order route + VC allocation visits
-    /// them in. Maintained where a VC's first unrouted packet changes —
-    /// a head flit landing in a VC with none, a grant (exposing the next
-    /// packet after the pass) and a fault reap (rebuilt whole).
+    /// Every input VC's first unrouted packet (the one `routed` links
+    /// from its list's `first`), ascending by [`Head::key`]: the order
+    /// route + VC allocation visits them in. Maintained where a VC's first
+    /// unrouted packet changes — a head flit landing in a VC with none, a
+    /// grant (exposing the next packet after the pass) and a fault reap
+    /// (rebuilt whole).
     heads: Vec<Head>,
     // Scratch buffers reused every cycle.
     /// Input `(port, vc)` of this pass's grants.
@@ -289,10 +330,11 @@ impl Router {
             xbar_latency: cfg.crossbar_latency,
             xbar_speedup: cfg.crossbar_speedup.max(1),
             class_map: ClassMap::new(v, num_classes),
-            in_q: (0..n * v).map(|_| VecDeque::new()).collect(),
-            routed: vec![0; n * v],
-            vc_flits: vec![0; n * v],
+            in_vc: vec![InVc::EMPTY; n * v],
+            slab: Vec::new(),
+            free: NIL,
             vc_mask: vec![0; n],
+            in_active: vec![0; n.div_ceil(64)],
             out_credits: vec![buf_cap; n * v],
             out_occ: vec![0; n],
             out_owner: vec![NO_OWNER; n * v],
@@ -322,8 +364,9 @@ impl Router {
     #[inline]
     fn buffer_flit(&mut self, port: usize, vc: usize) {
         let i = self.pv(port, vc);
-        self.vc_flits[i] += 1;
+        self.in_vc[i].flits += 1;
         self.vc_mask[port] |= 1u64 << vc;
+        self.in_active[port >> 6] |= 1u64 << (port & 63);
         self.flits_buffered += 1;
     }
 
@@ -331,11 +374,82 @@ impl Router {
     #[inline]
     fn unbuffer_flit(&mut self, port: usize, vc: usize) {
         let i = self.pv(port, vc);
-        self.vc_flits[i] -= 1;
-        if self.vc_flits[i] == 0 {
+        self.in_vc[i].flits -= 1;
+        if self.in_vc[i].flits == 0 {
             self.vc_mask[port] &= !(1u64 << vc);
+            if self.vc_mask[port] == 0 {
+                self.in_active[port >> 6] &= !(1u64 << (port & 63));
+            }
         }
         self.flits_buffered -= 1;
+    }
+
+    /// Appends `buf` to input VC `i`'s list, in a free slab slot if there
+    /// is one. A full slab grows by about a quarter, not by doubling: at
+    /// saturation a router buffers thousands of packets, and doubling
+    /// rounds that up to a much larger peak.
+    fn push_packet(&mut self, i: usize, buf: PktBuf) {
+        let s = if self.free != NIL {
+            let s = self.free;
+            self.free = self.slab[s as usize].next;
+            self.slab[s as usize] = buf;
+            s
+        } else {
+            if self.slab.len() == self.slab.capacity() {
+                self.slab.reserve_exact((self.slab.len() / 4).max(8));
+            }
+            self.slab.push(buf);
+            (self.slab.len() - 1) as u32
+        };
+        self.slab[s as usize].next = NIL;
+        let q = &mut self.in_vc[i];
+        if q.last == NIL {
+            q.first = s;
+        } else {
+            self.slab[q.last as usize].next = s;
+        }
+        q.last = s;
+        q.len += 1;
+    }
+
+    /// Unlinks slot `s`, whose predecessor on input VC `i`'s list is
+    /// `prev` ([`NIL`] = `s` is first), puts it on the free list and
+    /// returns its buffer. The caller keeps `routed` in step.
+    fn unlink(&mut self, i: usize, prev: u32, s: u32) -> PktBuf {
+        let next = self.slab[s as usize].next;
+        let q = &mut self.in_vc[i];
+        if prev == NIL {
+            q.first = next;
+        } else {
+            self.slab[prev as usize].next = next;
+        }
+        if q.last == s {
+            q.last = prev;
+        }
+        q.len -= 1;
+        let buf = self.slab[s as usize];
+        self.slab[s as usize].next = self.free;
+        self.free = s;
+        buf
+    }
+
+    /// Input VC `i`'s slots, first to last.
+    fn list(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        let first = self.in_vc[i].first;
+        std::iter::successors((first != NIL).then_some(first), |&s| {
+            let next = self.slab[s as usize].next;
+            (next != NIL).then_some(next)
+        })
+    }
+
+    /// Input VC `i`'s first unrouted packet, if it has one: `routed`
+    /// links along its list.
+    fn first_unrouted(&self, i: usize) -> Option<&PktBuf> {
+        let q = &self.in_vc[i];
+        (q.len > q.routed)
+            .then(|| self.list(i).nth(q.routed as usize))
+            .flatten()
+            .map(|s| &self.slab[s as usize])
     }
 
     /// Whether any output queue holds a flit.
@@ -398,9 +512,11 @@ impl Router {
     /// Input-buffer occupancy of `(port, vc)` in flits (test/invariant
     /// support).
     pub fn input_occupancy(&self, port: usize, vc: usize) -> usize {
-        self.in_q[port * self.num_vcs + vc]
-            .iter()
-            .map(|p| (p.arrived - p.sent) as usize)
+        self.list(port * self.num_vcs + vc)
+            .map(|s| {
+                let buf = &self.slab[s as usize];
+                (buf.arrived - buf.sent) as usize
+            })
             .sum()
     }
 
@@ -434,10 +550,14 @@ impl Router {
     /// Audits the derived allocation state against what it summarizes,
     /// on every port (dead ones too):
     /// - each port's occupancy counter equals `Σ_vc (buf_flits − credits)`;
+    /// - every slab slot is on exactly one input VC's list or on the free
+    ///   list, and each list's length and last slot match its [`InVc`];
     /// - each input VC's routed packets are exactly its first `routed`;
     /// - every packet buffer has `sent <= arrived <= len`;
     /// - each input VC's flit count equals its packets' `Σ (arrived − sent)`;
     /// - each input port's VC mask marks exactly the VCs holding flits;
+    /// - the input-active mask marks exactly the ports with a non-zero VC
+    ///   mask;
     /// - `flits_buffered` is the total over all input VCs;
     /// - the output-active mask marks exactly the ports with a queued flit;
     /// - the head list holds exactly each input VC's first unrouted packet,
@@ -446,8 +566,14 @@ impl Router {
     ///
     /// Appends one line per violation.
     pub(crate) fn audit_derived_state(&self, pool: &PacketPool, errs: &mut Vec<String>) {
+        if !self.audit_slab(errs) {
+            // A broken list cannot be walked; the checks below would only
+            // repeat the damage.
+            return;
+        }
         let mut buffered = 0;
-        let mut active = vec![0u64; self.out_active.len()];
+        let mut in_active = vec![0u64; self.in_active.len()];
+        let mut out_active = vec![0u64; self.out_active.len()];
         for port in 0..self.num_ports {
             let base = port * self.num_vcs;
             let occupied: u32 = self.out_credits[base..base + self.num_vcs]
@@ -462,20 +588,22 @@ impl Router {
             }
             let mut mask = 0u64;
             for vc in 0..self.num_vcs {
-                let routed = self.routed[base + vc] as usize;
-                let q = &self.in_q[base + vc];
-                if routed > q.len()
-                    || q.iter()
-                        .enumerate()
-                        .any(|(bi, buf)| buf.route.is_some() != (bi < routed))
+                let q = &self.in_vc[base + vc];
+                if self
+                    .list(base + vc)
+                    .enumerate()
+                    .any(|(k, s)| self.slab[s as usize].route.is_some() != (k < q.routed as usize))
                 {
                     errs.push(format!(
-                        "router {} port {port} vc {vc}: routed packets are not the first {routed} of {}",
-                        self.id,
-                        q.len()
+                        "router {} port {port} vc {vc}: routed packets are not the first {} of {}",
+                        self.id, q.routed, q.len
                     ));
                 }
-                if let Some(buf) = q.iter().find(|b| b.sent > b.arrived || b.arrived > b.len) {
+                let bad = self
+                    .list(base + vc)
+                    .map(|s| &self.slab[s as usize])
+                    .find(|b| b.sent > b.arrived || b.arrived > b.len);
+                if let Some(buf) = bad {
                     errs.push(format!(
                         "router {} port {port} vc {vc}: packet {} has sent {} arrived {} len {}",
                         self.id, buf.pkt, buf.sent, buf.arrived, buf.len
@@ -483,11 +611,10 @@ impl Router {
                     continue;
                 }
                 let held = self.input_occupancy(port, vc);
-                if self.vc_flits[base + vc] as usize != held {
+                if q.flits as usize != held {
                     errs.push(format!(
                         "router {} port {port} vc {vc}: flit count {} but the buffers hold {held}",
-                        self.id,
-                        self.vc_flits[base + vc]
+                        self.id, q.flits
                     ));
                 }
                 if held > 0 {
@@ -501,8 +628,11 @@ impl Router {
                     self.id, self.vc_mask[port]
                 ));
             }
+            if self.vc_mask[port] != 0 {
+                in_active[port >> 6] |= 1u64 << (port & 63);
+            }
             if !self.out_q[port].is_empty() {
-                active[port >> 6] |= 1u64 << (port & 63);
+                out_active[port >> 6] |= 1u64 << (port & 63);
             }
         }
         if self.flits_buffered as usize != buffered {
@@ -511,20 +641,82 @@ impl Router {
                 self.id, self.flits_buffered
             ));
         }
-        if self.out_active != active {
+        if self.in_active != in_active {
             errs.push(format!(
-                "router {}: output-active mask {:x?} but the queued ports are {active:x?}",
+                "router {}: input-active mask {:x?} but the ports with a VC mask are {in_active:x?}",
+                self.id, self.in_active
+            ));
+        }
+        if self.out_active != out_active {
+            errs.push(format!(
+                "router {}: output-active mask {:x?} but the queued ports are {out_active:x?}",
                 self.id, self.out_active
             ));
         }
         self.audit_heads(pool, errs);
     }
 
+    /// The slab part of [`Self::audit_derived_state`]: walks every input
+    /// VC's list and the free list, at most one step per slot each, and
+    /// checks that each slot is on exactly one of them and that each
+    /// list's length, last slot and routed count fit its [`InVc`].
+    /// Returns whether the lists are sound enough to walk.
+    fn audit_slab(&self, errs: &mut Vec<String>) -> bool {
+        let n = self.slab.len();
+        let mut owner: Vec<Option<usize>> = vec![None; n];
+        let before = errs.len();
+        // List `k` is input VC `k`; list `in_vc.len()` is the free list.
+        let free_list = self.in_vc.len();
+        let mut claim = |list: usize, first: u32, errs: &mut Vec<String>| {
+            let (mut s, mut last, mut len) = (first, NIL, 0u32);
+            while s != NIL {
+                let Some(slot) = owner.get_mut(s as usize) else {
+                    errs.push(format!(
+                        "router {}: list {list} links to slot {s} past the slab's {n}",
+                        self.id
+                    ));
+                    return None;
+                };
+                if let Some(other) = *slot {
+                    errs.push(format!(
+                        "router {}: slot {s} is on list {other} and on list {list}",
+                        self.id
+                    ));
+                    return None;
+                }
+                *slot = Some(list);
+                (last, len) = (s, len + 1);
+                s = self.slab[s as usize].next;
+            }
+            Some((last, len))
+        };
+        for (i, q) in self.in_vc.iter().enumerate() {
+            let Some((last, len)) = claim(i, q.first, errs) else {
+                continue;
+            };
+            if (last, len) != (q.last, q.len) || q.routed > q.len {
+                errs.push(format!(
+                    "router {} port {} vc {}: list holds {len} packets ending at slot {last}, \
+                     but the record says {q:?}",
+                    self.id,
+                    i / self.num_vcs,
+                    i % self.num_vcs
+                ));
+            }
+        }
+        claim(free_list, self.free, errs);
+        if let Some(s) = owner.iter().position(Option::is_none) {
+            errs.push(format!(
+                "router {}: slot {s} is on no list (leaked)",
+                self.id
+            ));
+        }
+        errs.len() == before
+    }
+
     /// The head-list part of [`Self::audit_derived_state`].
     fn audit_heads(&self, pool: &PacketPool, errs: &mut Vec<String>) {
-        let unrouted = (0..self.in_q.len())
-            .filter(|&i| self.in_q[i].len() > self.routed[i] as usize)
-            .count();
+        let unrouted = self.in_vc.iter().filter(|q| q.len > q.routed).count();
         if self.heads.len() != unrouted {
             errs.push(format!(
                 "router {}: {} listed heads but {unrouted} VCs hold an unrouted packet",
@@ -541,10 +733,7 @@ impl Router {
             }
             let (port, vc) = (head.port as usize, head.vc as usize);
             let first = (port < self.num_ports && vc < self.num_vcs)
-                .then(|| {
-                    let i = self.pv(port, vc);
-                    self.in_q[i].get(self.routed[i] as usize)
-                })
+                .then(|| self.first_unrouted(self.pv(port, vc)))
                 .flatten();
             if first.is_none_or(|buf| buf.pkt != head.pkt) {
                 errs.push(format!(
@@ -649,24 +838,30 @@ impl Router {
             let i = self.pv(port, vc as usize);
             if flit.is_head() {
                 let head = Head::new(flit.pkt, ctx.pool.hot(flit.pkt), port, vc as usize);
-                self.in_q[i].push_back(PktBuf {
-                    pkt: flit.pkt,
-                    birth: head.birth,
-                    route: None,
-                    len: flit.len,
-                    arrived: 0,
-                    sent: 0,
-                });
+                self.push_packet(
+                    i,
+                    PktBuf {
+                        pkt: flit.pkt,
+                        next: NIL,
+                        birth: head.birth,
+                        route: None,
+                        len: flit.len,
+                        arrived: 0,
+                        sent: 0,
+                    },
+                );
                 // Landing behind routed packets only, it is the VC's
                 // first unrouted packet.
-                if self.in_q[i].len() == self.routed[i] as usize + 1 {
+                if self.in_vc[i].len == self.in_vc[i].routed + 1 {
                     self.insert_head(head);
                 }
                 // The buffer itself pins the packet slot until it
                 // is dismantled (tail forwarded or fault-reaped).
                 ctx.pool.note_flit_created(flit.pkt);
             }
-            let back = self.in_q[i].back_mut().expect("body flit without a head");
+            let last = self.in_vc[i].last;
+            assert!(last != NIL, "body flit without a head");
+            let back = &mut self.slab[last as usize];
             debug_assert_eq!(back.pkt, flit.pkt, "packets interleaved on one VC");
             debug_assert_eq!(flit.idx, back.arrived, "flits out of order on one VC");
             back.arrived += 1;
@@ -916,26 +1111,25 @@ impl Router {
     /// Lists input `(port, vc)`'s first unrouted packet, if it has one:
     /// after a grant took the previous one off the list.
     fn expose_head(&mut self, port: usize, vc: usize, pool: &PacketPool) {
-        let i = self.pv(port, vc);
-        if let Some(buf) = self.in_q[i].get(self.routed[i] as usize) {
+        if let Some(buf) = self.first_unrouted(self.pv(port, vc)) {
             let head = Head::new(buf.pkt, pool.hot(buf.pkt), port, vc);
             self.insert_head(head);
         }
     }
 
-    /// Rebuilds the head list from the input queues.
+    /// Rebuilds the head list from the input VC lists.
     fn rebuild_heads(&mut self, pool: &PacketPool) {
-        self.heads.clear();
+        let mut heads = std::mem::take(&mut self.heads);
+        heads.clear();
         for port in 0..self.num_ports {
             for vc in 0..self.num_vcs {
-                let i = self.pv(port, vc);
-                if let Some(buf) = self.in_q[i].get(self.routed[i] as usize) {
-                    self.heads
-                        .push(Head::new(buf.pkt, pool.hot(buf.pkt), port, vc));
+                if let Some(buf) = self.first_unrouted(self.pv(port, vc)) {
+                    heads.push(Head::new(buf.pkt, pool.hot(buf.pkt), port, vc));
                 }
             }
         }
-        self.heads.sort_unstable_by_key(Head::key);
+        heads.sort_unstable_by_key(Head::key);
+        self.heads = heads;
     }
 
     /// Picks the feasible VC with most free space in `range` for a packet
@@ -1003,10 +1197,14 @@ impl Router {
         // A head is its VC's first unrouted packet, and a VC's next
         // packet joins the list only after the pass, so the grantee still
         // sits there.
-        let buf = &mut self.in_q[i][self.routed[i] as usize];
+        let s = self
+            .list(i)
+            .nth(self.in_vc[i].routed as usize)
+            .expect("a listed head is buffered");
+        let buf = &mut self.slab[s as usize];
         debug_assert!(buf.pkt == pkt_id && buf.route.is_none());
         buf.route = Some((out_port as u16, out_vc as u8));
-        self.routed[i] += 1;
+        self.in_vc[i].routed += 1;
         let hot = pool.hot_mut(pkt_id);
         apply_commit(&mut hot.route, commit);
         if self.port_term[out_port] == NO_WIRE {
@@ -1016,67 +1214,84 @@ impl Router {
 
     /// Phase 3: each input port forwards up to `crossbar_speedup` flits
     /// (oldest routed packet first) into the crossbar, returning credits
-    /// upstream.
+    /// upstream. Only the ports the input-active mask marks are visited,
+    /// ascending, as a full scan would.
     fn switch_traverse(&mut self, ctx: &mut TickCtx) {
         if self.flits_buffered == 0 {
             return;
         }
         let any_poisoned = ctx.pool.any_poisoned();
-        for port in 0..self.num_ports {
-            for _ in 0..self.xbar_speedup {
-                let mut vcs = self.vc_mask[port];
-                if vcs == 0 {
-                    break;
-                }
-                // Oldest routed packet with buffered flits on this input
-                // port, across the VCs that hold flits; routed packets are
-                // each queue's prefix, so the scan stops there.
-                let mut pick: Option<(u64, PacketId, usize, usize)> = None;
-                while vcs != 0 {
-                    let vc = vcs.trailing_zeros() as usize;
-                    vcs &= vcs - 1;
-                    let i = self.pv(port, vc);
-                    let routed = self.routed[i] as usize;
-                    for (bi, buf) in self.in_q[i].iter().take(routed).enumerate() {
-                        if buf.arrived == buf.sent {
-                            continue;
-                        }
-                        if any_poisoned && ctx.pool.is_poisoned(buf.pkt) {
-                            // Held for the fault reaper; don't forward.
-                            continue;
-                        }
-                        if pick.is_none_or(|p| (p.0, p.1) > (buf.birth, buf.pkt)) {
-                            pick = Some((buf.birth, buf.pkt, vc, bi));
-                        }
+        // Forwarding from one port changes no other port's bit, so each
+        // word's snapshot stays exact while its ports are visited.
+        for w in 0..self.in_active.len() {
+            let mut ports = self.in_active[w];
+            while ports != 0 {
+                let port = w << 6 | ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                self.forward_port(port, any_poisoned, ctx);
+            }
+        }
+    }
+
+    /// Switch traversal on one input port.
+    #[inline]
+    fn forward_port(&mut self, port: usize, any_poisoned: bool, ctx: &mut TickCtx) {
+        for _ in 0..self.xbar_speedup {
+            let mut vcs = self.vc_mask[port];
+            if vcs == 0 {
+                break;
+            }
+            // Oldest routed packet with buffered flits on this input port,
+            // across the VCs that hold flits; routed packets are each
+            // list's prefix, so the walk stops there. It keeps the pick's
+            // predecessor so a forwarded tail unlinks in O(1).
+            // (birth, pkt, vc, slot, predecessor slot)
+            let mut pick: Option<(u64, PacketId, usize, u32, u32)> = None;
+            while vcs != 0 {
+                let vc = vcs.trailing_zeros() as usize;
+                vcs &= vcs - 1;
+                let q = self.in_vc[self.pv(port, vc)];
+                let (mut prev, mut s) = (NIL, q.first);
+                for _ in 0..q.routed {
+                    let buf = &self.slab[s as usize];
+                    // Poisoned packets are held for the fault reaper.
+                    if buf.arrived != buf.sent
+                        && !(any_poisoned && ctx.pool.is_poisoned(buf.pkt))
+                        && pick.is_none_or(|p| (p.0, p.1) > (buf.birth, buf.pkt))
+                    {
+                        pick = Some((buf.birth, buf.pkt, vc, s, prev));
                     }
+                    (prev, s) = (s, buf.next);
                 }
-                let Some((_, _, vc, bi)) = pick else { break };
-                let i = self.pv(port, vc);
-                let buf = &mut self.in_q[i][bi];
-                let (out_port, out_vc) = buf.route.expect("picked a routed packet");
-                let flit = Flit {
-                    pkt: buf.pkt,
-                    idx: buf.sent,
-                    len: buf.len,
-                };
-                buf.sent += 1;
-                self.unbuffer_flit(port, vc);
-                ctx.stats.flit_moves += 1;
-                if flit.is_tail() {
-                    self.in_q[i].remove(bi);
-                    self.routed[i] -= 1;
-                    ctx.pool.note_flit_gone(flit.pkt); // the buffer's own pin
-                    let o = self.pv(out_port as usize, out_vc as usize);
-                    debug_assert_eq!(self.out_owner[o], flit.pkt);
-                    self.out_owner[o] = NO_OWNER;
-                }
-                self.xbar
-                    .push_back((ctx.now + self.xbar_latency, flit, out_port, out_vc));
-                self.out_backlog[out_port as usize] += 1;
-                // Credit for the freed input-buffer slot.
-                if let Some(ch) = self.in_ch(port) {
-                    ctx.send_credit(ch, vc as u8);
-                }
+            }
+            let Some((_, _, vc, s, prev)) = pick else {
+                break;
+            };
+            let i = self.pv(port, vc);
+            let buf = &mut self.slab[s as usize];
+            let (out_port, out_vc) = buf.route.expect("picked a routed packet");
+            let flit = Flit {
+                pkt: buf.pkt,
+                idx: buf.sent,
+                len: buf.len,
+            };
+            buf.sent += 1;
+            self.unbuffer_flit(port, vc);
+            ctx.stats.flit_moves += 1;
+            if flit.is_tail() {
+                self.unlink(i, prev, s);
+                self.in_vc[i].routed -= 1;
+                ctx.pool.note_flit_gone(flit.pkt); // the buffer's own pin
+                let o = self.pv(out_port as usize, out_vc as usize);
+                debug_assert_eq!(self.out_owner[o], flit.pkt);
+                self.out_owner[o] = NO_OWNER;
+            }
+            self.xbar
+                .push_back((ctx.now + self.xbar_latency, flit, out_port, out_vc));
+            self.out_backlog[out_port as usize] += 1;
+            // Credit for the freed input-buffer slot.
+            if let Some(ch) = self.in_ch(port) {
+                ctx.send_credit(ch, vc as u8);
             }
         }
     }
@@ -1134,8 +1349,9 @@ impl Router {
         now: u64,
     ) {
         // Packets granted the dead output port (from any input VC).
-        for q in &self.in_q {
-            for buf in q {
+        for i in 0..self.in_vc.len() {
+            for s in self.list(i) {
+                let buf = &self.slab[s as usize];
                 if buf.route.is_some_and(|(p, _)| p as usize == port) {
                     poison_packet(
                         pool,
@@ -1150,8 +1366,8 @@ impl Router {
         }
         // Incomplete packets whose remaining flits were on the dead wire.
         for vc in 0..self.num_vcs {
-            let i = self.pv(port, vc);
-            for buf in &self.in_q[i] {
+            for s in self.list(self.pv(port, vc)) {
+                let buf = &self.slab[s as usize];
                 if buf.arrived < buf.len {
                     poison_packet(
                         pool,
@@ -1184,16 +1400,18 @@ impl Router {
         for port in 0..self.num_ports {
             for vc in 0..self.num_vcs {
                 let i = self.pv(port, vc);
-                let mut bi = 0;
-                while bi < self.in_q[i].len() {
-                    if !pool.is_poisoned(self.in_q[i][bi].pkt) {
-                        bi += 1;
+                let (mut prev, mut s) = (NIL, self.in_vc[i].first);
+                while s != NIL {
+                    let next = self.slab[s as usize].next;
+                    if !pool.is_poisoned(self.slab[s as usize].pkt) {
+                        (prev, s) = (s, next);
                         continue;
                     }
                     reaped = true;
-                    let buf = self.in_q[i].remove(bi).expect("indexed buffer exists");
+                    let buf = self.unlink(i, prev, s);
+                    s = next;
                     if let Some((op, ov)) = buf.route {
-                        self.routed[i] -= 1;
+                        self.in_vc[i].routed -= 1;
                         let o = self.pv(op as usize, ov as usize);
                         debug_assert_eq!(self.out_owner[o], buf.pkt);
                         self.out_owner[o] = NO_OWNER;
@@ -1666,14 +1884,18 @@ mod tests {
         let i = r.pv(1, 2);
         with_ctx(2, &mut channels, &mut pool, |ctx| {
             r.ingress_flits(1, ctx);
-            assert_eq!(r.in_q[i].len(), 2);
+            assert_eq!(r.in_vc[i].len, 2);
             r.allocate(&hx, &probe, ctx);
-            assert_eq!(r.routed[i], 1, "the first packet is granted");
-            assert!(r.in_q[i][1].route.is_none(), "the second waits a pass");
+            assert_eq!(r.in_vc[i].routed, 1, "the first packet is granted");
+            let second = r.in_vc[i].last as usize;
+            assert!(r.slab[second].route.is_none(), "the second waits a pass");
             assert_eq!(probe.seen.lock().unwrap().len(), 1);
             r.allocate(&hx, &probe, ctx);
         });
-        assert_eq!(r.routed[i], 2, "the second packet is granted next pass");
+        assert_eq!(
+            r.in_vc[i].routed, 2,
+            "the second packet is granted next pass"
+        );
         assert_eq!(probe.seen.lock().unwrap().len(), 2);
         let mut errs = Vec::new();
         r.audit_derived_state(&pool, &mut errs);
@@ -1708,8 +1930,70 @@ mod tests {
         });
         assert_eq!(*probe.seen.lock().unwrap(), [2, 1], "oldest first");
         assert_eq!(r.cands[0].weight, 4 + 100);
-        assert_eq!(r.routed[r.pv(1, 0)], 1);
-        assert_eq!(r.routed[r.pv(2, 0)], 1);
+        assert_eq!(r.in_vc[r.pv(1, 0)].routed, 1);
+        assert_eq!(r.in_vc[r.pv(2, 0)].routed, 1);
         assert_eq!(r.out_occ[3], 10);
+    }
+
+    /// The crossbar forwards the oldest routed packet of a port, which need
+    /// not be first on its VC's list. Here a younger-born 2-flit packet
+    /// reaches input VC 2 first and an older-born 1-flit packet queues
+    /// behind it; once both are routed, the older one goes first and is
+    /// unlinked from behind the survivor, its slot going to the free list.
+    /// A third packet then lands in that slot, behind the survivor.
+    #[test]
+    fn forwarding_unlinks_mid_list_and_reuses_the_slot() {
+        let cfg = SimConfig {
+            crossbar_speedup: 1,
+            ..SimConfig::default()
+        };
+        let (mut r, mut channels) = wired_router(4, &cfg, 1);
+        let (hx, probe) = (hxtopo::HyperX::new(&[4], 1), probe_rig().3);
+        let mut pool = PacketPool::new();
+        let (younger, older, third) = (
+            packet(&mut pool, 2, 5),
+            packet(&mut pool, 1, 0),
+            packet(&mut pool, 1, 9),
+        );
+        let flits = [(younger, 0, 2), (younger, 1, 2), (older, 0, 1)];
+        for (t, &(pkt, idx, len)) in flits.iter().enumerate() {
+            channels[1].send_flit(t as u64, Flit { pkt, idx, len }, 2);
+            pool.note_flit_created(pkt);
+        }
+        let i = r.pv(1, 2);
+        let mut errs = Vec::new();
+        with_ctx(3, &mut channels, &mut pool, |ctx| {
+            r.ingress_flits(1, ctx);
+            r.allocate(&hx, &probe, ctx);
+            r.allocate(&hx, &probe, ctx);
+        });
+        let (first, second) = (r.in_vc[i].first, r.in_vc[i].last);
+        assert_eq!(r.slab[first as usize].pkt, younger);
+        assert_eq!(r.slab[second as usize].pkt, older);
+        assert_eq!((r.in_vc[i].len, r.in_vc[i].routed), (2, 2));
+
+        with_ctx(3, &mut channels, &mut pool, |ctx| r.switch_traverse(ctx));
+        assert_eq!(r.xbar.front().map(|x| x.1.pkt), Some(older), "oldest first");
+        assert_eq!(r.in_vc[i].first, first, "the survivor stays first");
+        assert_eq!(r.in_vc[i].last, first, "the older packet left the middle");
+        assert_eq!((r.in_vc[i].len, r.in_vc[i].routed), (1, 1));
+        assert_eq!(r.free, second, "its slot is free");
+        r.audit_derived_state(&pool, &mut errs);
+        assert_eq!(errs, Vec::<String>::new());
+
+        let flit = Flit {
+            pkt: third,
+            idx: 0,
+            len: 1,
+        };
+        channels[1].send_flit(3, flit, 2);
+        pool.note_flit_created(third);
+        with_ctx(4, &mut channels, &mut pool, |ctx| r.ingress_flits(1, ctx));
+        assert_eq!(r.in_vc[i].first, first);
+        assert_eq!(r.in_vc[i].last, second, "the freed slot is reused");
+        assert_eq!(r.slab[second as usize].pkt, third);
+        assert_eq!((r.slab.len(), r.free), (2, NIL));
+        r.audit_derived_state(&pool, &mut errs);
+        assert_eq!(errs, Vec::<String>::new());
     }
 }

@@ -4,16 +4,13 @@
 //! one router killed mid-run — every fault-aware algorithm must reach
 //! 100% logical delivery. On the transient-only points the transport must
 //! record **zero retransmits**: the link-level retry sublayer recovers
-//! corruption and flaps entirely below it. Everything stays bit-identical
-//! across both engines.
+//! corruption and flaps entirely below it.
 //!
 //! The CI chaos-smoke job sweeps the same spec, so the gate here and the
-//! gate there cannot drift apart.
-
-use std::sync::OnceLock;
+//! gate there cannot drift apart; it also `cmp`s the two engines' rows in
+//! release mode.
 
 use hxharness::{parse_json, run_sweep, ExperimentSpec, SweepOpts, Value};
-use hxsim::Engine;
 
 fn spec() -> ExperimentSpec {
     let path = concat!(
@@ -21,21 +18,6 @@ fn spec() -> ExperimentSpec {
         "/../../experiments/chaos_reduced.toml"
     );
     ExperimentSpec::load(path).expect("committed spec loads")
-}
-
-fn sweep_rows(engine: Engine) -> Vec<String> {
-    let mut spec = spec();
-    spec.sim.engine = engine;
-    let report = run_sweep(&spec, None, None, &SweepOpts::default()).expect("sweep runs");
-    assert!(report.complete && report.failed.is_empty());
-    report.rows
-}
-
-/// The event-engine sweep is shared across tests (sweeps of a
-/// 256-terminal network are not free).
-fn rows_event() -> &'static [String] {
-    static ROWS: OnceLock<Vec<String>> = OnceLock::new();
-    ROWS.get_or_init(|| sweep_rows(Engine::Event))
 }
 
 fn num(v: &Value, k: &str) -> f64 {
@@ -52,7 +34,9 @@ fn chaos_storm_recovers_below_transport() {
     assert!(spec.sim.llr_enabled && spec.sim.error_ber > 0.0);
     assert!(spec.fault.flap_links >= 2 && spec.fault.degrade_links >= 1);
 
-    for (p, line) in points.iter().zip(rows_event()) {
+    let report = run_sweep(&spec, None, None, &SweepOpts::default()).expect("sweep runs");
+    assert!(report.complete && report.failed.is_empty());
+    for (p, line) in points.iter().zip(&report.rows) {
         let v = parse_json(line).expect("row is valid JSON");
         assert_eq!(
             v.get("algo").and_then(|x| x.as_str()),
@@ -103,15 +87,4 @@ fn chaos_storm_recovers_below_transport() {
             );
         }
     }
-}
-
-#[test]
-fn chaos_rows_bit_identical_across_engines() {
-    // The row digest excludes the engine choice, so byte-equal rows mean
-    // byte-equal results.
-    assert_eq!(
-        rows_event(),
-        sweep_rows(Engine::Cycle),
-        "engines must agree under the chaos storm"
-    );
 }

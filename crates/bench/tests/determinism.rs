@@ -3,14 +3,13 @@
 //! digests — regardless of how many `parallel_map_threads` workers
 //! execute it.
 //! Each work item owns its seeded `Sim`, so scheduling order must not leak
-//! into any output. A single simulation is bit-identical across engines,
-//! faults and metrics included.
+//! into any output.
 
 use std::sync::Arc;
 
 use hxbench::parallel_map_threads;
 use hxcore::hyperx_algorithm;
-use hxsim::{run_steady_state, Engine, MetricsConfig, Sim, SimConfig, SteadyOpts};
+use hxsim::{run_steady_state, MetricsConfig, Sim, SimConfig, SteadyOpts};
 use hxtopo::{HyperX, Topology};
 use hxtraffic::{pattern_by_name, SyntheticWorkload};
 
@@ -86,82 +85,5 @@ fn sweep_results_identical_across_thread_counts() {
             single, multi,
             "sweep output depends on thread count ({threads} threads)"
         );
-    }
-}
-
-/// Full end-of-run fingerprint of one run on `engine`: the integer `Stats`
-/// totals plus the deterministic metrics JSONL (which covers every sample
-/// row, counter, and histogram).
-fn engine_run(engine: Engine, algo_name: &str, faults: bool) -> (Vec<u64>, String) {
-    use hxsim::FaultSchedule;
-
-    let hx = Arc::new(HyperX::uniform(2, 3, 2));
-    let cfg = SimConfig {
-        buf_flits: 32,
-        crossbar_latency: 5,
-        router_chan_latency: 8,
-        term_chan_latency: 2,
-        engine,
-        ..SimConfig::default()
-    };
-    let algo: Arc<dyn hxcore::RoutingAlgorithm> = hyperx_algorithm(algo_name, hx.clone(), 8)
-        .expect("known algorithm")
-        .into();
-    let mut sim = Sim::new(hx.clone(), algo, cfg, 11);
-    sim.enable_metrics(MetricsConfig {
-        sample_interval: 250,
-        timers: false,
-    });
-    if faults {
-        // Kill and later revive the first router-to-router link on router 0.
-        let port = (0..hx.num_ports(0))
-            .find(|&p| matches!(hx.port_target(0, p), hxtopo::PortTarget::Router { .. }))
-            .expect("router 0 has a network port");
-        sim.set_fault_schedule(
-            FaultSchedule::new()
-                .kill_link_at(200, 0, port)
-                .revive_link_at(700, 0, port),
-        );
-    }
-    let pattern = pattern_by_name("UR", hx.clone()).expect("UR pattern");
-    let mut traffic = SyntheticWorkload::new(pattern, hx.num_terminals(), 0.35, 11);
-    sim.run(&mut traffic, 1_500);
-    let s = &sim.stats;
-    let fingerprint = vec![
-        s.total_generated_flits,
-        s.total_delivered_flits,
-        s.total_delivered_packets,
-        s.delivered_packets,
-        s.latency_sum,
-        s.net_latency_sum,
-        s.latency_max,
-        s.hops_sum,
-        s.dropped_flits,
-        s.dropped_packets,
-        s.fault_events,
-        s.flit_moves,
-    ];
-    let jsonl = sim
-        .metrics()
-        .expect("metrics enabled")
-        .deterministic_jsonl();
-    (fingerprint, jsonl)
-}
-
-/// The event engine is bit-identical to the cycle engine for every
-/// routing algorithm and fault schedule — stats totals and the metrics
-/// JSONL stream both match.
-#[test]
-fn engines_match_across_matrix() {
-    for algo in ["DimWAR", "OmniWAR", "UGAL"] {
-        for faults in [false, true] {
-            let cycle = engine_run(Engine::Cycle, algo, faults);
-            let event = engine_run(Engine::Event, algo, faults);
-            assert_eq!(cycle.0, event.0, "stats diverge: {algo} faults={faults}");
-            assert_eq!(
-                cycle.1, event.1,
-                "metrics JSONL diverges: {algo} faults={faults}"
-            );
-        }
     }
 }

@@ -2,15 +2,14 @@
 //! one whole router AND two links mid-run (reviving them later), every
 //! fault-aware algorithm — DimWAR, OmniWAR, and FT-WAR — must reach 100%
 //! *logical* delivery once the source-retransmission transport is on,
-//! the result rows must carry the retransmission/recovery metrics, and
-//! the whole thing must stay bit-identical across both engines.
+//! and the result rows must carry the retransmission/recovery metrics.
 //!
 //! Runs the committed `experiments/fault_recovery_reduced.toml` spec
 //! (the same one CI sweeps), so the assertion here and the CI gate can
-//! never drift apart.
+//! never drift apart; the CI gate also `cmp`s both engines' rows with the
+//! committed reference in release mode.
 
 use hxharness::{parse_json, run_sweep, ExperimentSpec, SweepOpts};
-use hxsim::Engine;
 
 fn spec() -> ExperimentSpec {
     let path = concat!(
@@ -18,14 +17,6 @@ fn spec() -> ExperimentSpec {
         "/../../experiments/fault_recovery_reduced.toml"
     );
     ExperimentSpec::load(path).expect("committed spec loads")
-}
-
-fn sweep_rows(engine: Engine) -> Vec<String> {
-    let mut spec = spec();
-    spec.sim.engine = engine;
-    let report = run_sweep(&spec, None, None, &SweepOpts::default()).expect("sweep runs");
-    assert!(report.complete && report.failed.is_empty());
-    report.rows
 }
 
 #[test]
@@ -42,7 +33,9 @@ fn retransmission_reaches_full_delivery_under_router_and_link_kills() {
         assert!(p.retransmit > 0, "transport is on");
     }
 
-    let rows = sweep_rows(Engine::Event);
+    let report = run_sweep(&spec, None, None, &SweepOpts::default()).expect("sweep runs");
+    assert!(report.complete && report.failed.is_empty());
+    let rows = report.rows;
     for (p, line) in points.iter().zip(&rows) {
         let v = parse_json(line).expect("row is valid JSON");
         let num = |k: &str| {
@@ -98,14 +91,5 @@ fn retransmission_reaches_full_delivery_under_router_and_link_kills() {
     assert!(
         total_retransmits > 0.0,
         "the schedule must force some recovery work"
-    );
-}
-
-#[test]
-fn recovery_sweep_is_bit_identical_across_engines() {
-    assert_eq!(
-        sweep_rows(Engine::Event),
-        sweep_rows(Engine::Cycle),
-        "the engine must not change recovery results"
     );
 }

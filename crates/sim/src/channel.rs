@@ -523,6 +523,17 @@ impl Channel {
         })
     }
 
+    /// Debug builds: the cycles the oldest credit and the oldest flit on
+    /// the wire mature, indexed by `is_flit` — what the next `pop_credit`
+    /// and `pop_flit` compare with their cycle.
+    #[cfg(debug_assertions)]
+    pub(crate) fn next_arrivals(&self) -> [Option<u64>; 2] {
+        [
+            self.credits.front().map(|&(t, _)| t),
+            self.flits.front().map(|&(t, ..)| t),
+        ]
+    }
+
     /// Receiver side: drains every flit that has arrived by `now`.
     pub fn recv_flits(&mut self, now: u64, mut f: impl FnMut(Flit, u8)) {
         while let Some((flit, vc)) = self.pop_flit(now) {

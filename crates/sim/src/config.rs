@@ -6,24 +6,18 @@ pub const MAX_VCS: usize = 64;
 
 /// Which inner-loop engine drives the simulation.
 ///
-/// Both engines produce bit-identical results (the differential
-/// equivalence suite in `tests/engine_equiv.rs` pins this); the choice is
-/// purely a performance knob, so it is excluded from
-/// [`CanonicalSimConfig`].
+/// Both engines produce bit-identical results; the choice is purely a
+/// performance knob, so it is excluded from [`CanonicalSimConfig`]. Debug
+/// builds audit the event engine's calendar every executed cycle
+/// (`Network::audit_calendar`); the engines are still compared by
+/// `crates/sim/tests/engine_equiv.rs`'s horizon cells,
+/// `crates/sim/tests/alloc_regression.rs` and CI's three release-mode
+/// sweep `cmp`s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// Tick every router and terminal every cycle. This is the reference
-    /// the differential suite compares the event engine against
-    /// (`tests/engine_equiv.rs`, the root `tests/event_core_golden.rs`,
-    /// `hxperf`'s cycle-engine digest check). Measured by `hxperf`'s
-    /// `sim.engine_ratio` (event wall ÷ cycle wall, 2-vCPU host, three
-    /// reads each) it is level with or behind the event
-    /// engine on the busy 256-terminal workloads (`fig6_ur` 0.65–0.93,
-    /// `dcr_sat` 1.03–1.15) and loses where most endpoints idle
-    /// (`ladder_8k`, 8,192 terminals at load 0.02: 0.48–0.57). It is
-    /// still the faster of the two on large saturated networks: at 4,096
-    /// terminals and load 0.7, `engine_ratio --full` has the event
-    /// engine at 0.89–0.95× its speed (1.2× at load 0.3).
+    /// Tick every router and terminal every cycle. Measured by `hxperf`'s
+    /// `sim.engine_ratio` (event wall ÷ cycle wall) and `engine_ratio`;
+    /// README § Engines has the latest reads and the host they ran on.
     Cycle,
     /// Event-driven: endpoints schedule wakes on a deterministic event
     /// queue, only due endpoints tick, and dead cycles are skipped.
@@ -124,8 +118,8 @@ pub struct SimConfig {
     /// `[benchmark]` change deletes it together with `sim.tick2_ratio`.
     pub tick_threads: usize,
     /// Inner-loop engine. Defaults to [`Engine::Event`]; the `HX_ENGINE`
-    /// environment variable (`cycle` or `event`) overrides the default.
-    /// Results are bit-identical either way.
+    /// environment variable (`cycle` or `event`, nothing else) overrides
+    /// the default. Results are bit-identical either way.
     pub engine: Engine,
 }
 
@@ -156,12 +150,26 @@ impl Default for SimConfig {
     }
 }
 
-/// `HX_ENGINE` override for the default engine: `cycle` selects the
-/// cycle engine, anything else (or unset) the event engine.
+/// The default engine, as `HX_ENGINE` selects it ([`parse_engine`]).
+/// Panics on a value it refuses: a misspelt engine must not quietly run
+/// the other one.
 fn default_engine() -> Engine {
-    match std::env::var("HX_ENGINE") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("cycle") => Engine::Cycle,
-        _ => Engine::Event,
+    let v = std::env::var_os("HX_ENGINE");
+    parse_engine(v.as_ref().map(|v| v.to_string_lossy()).as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Reads an `HX_ENGINE` value: unset is the event engine, `cycle` and
+/// `event` (any case, surrounding blanks ignored) name theirs, and
+/// anything else is an error naming the variable and both values.
+fn parse_engine(value: Option<&str>) -> Result<Engine, String> {
+    let Some(v) = value else {
+        return Ok(Engine::Event);
+    };
+    match v.trim().to_ascii_lowercase().as_str() {
+        "cycle" => Ok(Engine::Cycle),
+        "event" => Ok(Engine::Event),
+        _ => Err(format!("HX_ENGINE={v:?}: expected `cycle` or `event`")),
     }
 }
 
@@ -315,6 +323,26 @@ mod tests {
         assert_eq!(c.crossbar_latency, 50);
         assert_eq!(c.max_packet_flits, 16);
         c.validate().unwrap();
+    }
+
+    /// `HX_ENGINE` takes `cycle` or `event` in any case, or nothing; a
+    /// typo is an error naming the variable and both accepted values.
+    #[test]
+    fn hx_engine_accepts_two_names_and_refuses_the_rest() {
+        assert_eq!(parse_engine(None), Ok(Engine::Event));
+        for v in ["cycle", "CYCLE", " Cycle\n"] {
+            assert_eq!(parse_engine(Some(v)), Ok(Engine::Cycle), "{v:?}");
+        }
+        for v in ["event", "Event"] {
+            assert_eq!(parse_engine(Some(v)), Ok(Engine::Event), "{v:?}");
+        }
+        for v in ["cylce", "", "cycle-engine", "1"] {
+            let e = parse_engine(Some(v)).expect_err(v);
+            assert!(
+                e.contains("HX_ENGINE") && e.contains("`cycle`") && e.contains("`event`"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -222,17 +222,13 @@ impl EventState {
     /// `hints`: the router ends (consumer ids below `nr`), so the busy tick
     /// touches only ports with actual arrivals, in the full scan's visit
     /// order. Terminal ends yield no hint — a terminal reads its two
-    /// channels whenever it ticks. `due` is this cycle's due set.
-    fn collect_arrivals(&mut self, now: u64, nr: u32, due: &[u32], hints: &mut Vec<ArrivalHint>) {
+    /// channels whenever it ticks.
+    fn collect_arrivals(&mut self, now: u64, nr: u32, hints: &mut Vec<ArrivalHint>) {
         let row = (now % self.arrivals_len) as usize;
         let ends = &self.ends;
         hints.clear();
         self.arrivals.drain(row, |key| {
             let end = ends[key as usize];
-            debug_assert!(
-                due.binary_search(&end.consumer).is_ok(),
-                "arrival at cycle {now} without a wake of its consumer: {end:?}"
-            );
             if end.consumer < nr {
                 hints.push((end.consumer, end.step));
             }
@@ -440,11 +436,13 @@ impl Network {
     /// so hop-capped packets are poisoned only after the last endpoint
     /// has ticked.
     ///
-    /// Bit-identity across engines holds because a non-due endpoint is
-    /// provably a no-op under the cycle engine that cycle (no matured
-    /// arrivals, no buffered or queued work — and no randomness is drawn on
-    /// those paths), and due endpoints run the identical code in the
-    /// identical id order.
+    /// Bit-identity across engines holds because a non-due endpoint is a
+    /// no-op under the cycle engine that cycle (no matured arrivals, no
+    /// buffered or queued work — and no randomness is drawn on those
+    /// paths), a due router's arrival hints name every port with a matured
+    /// arrival, and due endpoints run the identical code in the identical
+    /// id order. Debug builds check the first two every executed cycle of
+    /// the event engine ([`Self::audit_calendar`]).
     pub(crate) fn tick(
         &mut self,
         now: u64,
@@ -487,7 +485,9 @@ impl Network {
         if let Some(ev) = self.event.as_deref_mut() {
             ev.queue.pop_due(now, &mut self.due);
             ev.events_processed += self.due.len() as u64;
-            ev.collect_arrivals(now, nr as u32, &self.due, &mut self.hints);
+            ev.collect_arrivals(now, nr as u32, &mut self.hints);
+            #[cfg(debug_assertions)]
+            self.audit_calendar(now);
             if self.due.is_empty() {
                 return;
             }
@@ -574,6 +574,121 @@ impl Network {
                 ch.llr_next_activity(now) != Some(now),
                 "channel {i} has retry work due at cycle {now} but was not on the LLR calendar"
             );
+        }
+    }
+
+    /// Debug builds, event engine, once per executed cycle between the due
+    /// set and the first endpoint tick: the calendar left out nothing the
+    /// cycle engine would have done this cycle. It walks every endpoint's
+    /// channel ends the way a full ingress scan does, reading state only.
+    /// - (a) A router not in `due` holds no work ([`Router::idle_at`]) and
+    ///   has no flit or credit matured by `now` on its channels.
+    /// - (b) A terminal not in `due` is not active and has no matured
+    ///   arrival.
+    /// - (c) A due router's hints name every `(port, kind)` with a matured
+    ///   arrival, in ascending order. A hint with nothing behind it (a
+    ///   killed channel) is allowed.
+    /// - (d) Nothing on a wire matured before `now`: the cycle engine
+    ///   consumes every arrival on its maturity cycle, so a late wake or an
+    ///   over-long skip shows here.
+    #[cfg(debug_assertions)]
+    fn audit_calendar(&self, now: u64) {
+        let (due, hints) = (&self.due[..], &self.hints[..]);
+        assert!(
+            hints.windows(2).all(|w| w[0] < w[1]),
+            "calendar audit (c): hints at cycle {now} do not ascend"
+        );
+        // Cursors: `due` and `hints` ascend like the walk below.
+        let (mut d, mut h) = (0, 0);
+        let mut is_due = |e: u32| {
+            while d < due.len() && due[d] < e {
+                d += 1;
+            }
+            due.get(d) == Some(&e)
+        };
+        // Whether channel `ch`'s `is_flit` end has an arrival matured by
+        // `now`, which then must have matured at `now` exactly.
+        let matured = |ch: usize, is_flit: bool| {
+            let at = self.channels[ch].next_arrivals()[is_flit as usize];
+            let at = at.filter(|&at| at <= now);
+            assert!(
+                at.is_none_or(|at| at == now),
+                "calendar audit (d): channel {ch} (flit end: {is_flit}) holds an arrival \
+                 from cycle {} still unread at {now}",
+                at.unwrap_or(now)
+            );
+            at.is_some()
+        };
+        for r in &self.routers {
+            let id = r.id() as u32;
+            let due_now = is_due(id);
+            assert!(
+                due_now || r.idle_at(now),
+                "calendar audit (a): router {id} holds work at cycle {now} but is not due"
+            );
+            for p in 0..r.in_chan.len() {
+                for (kind, ch) in [r.in_ch(p), r.out_ch(p)].into_iter().enumerate() {
+                    if !ch.is_some_and(|ch| matured(ch, kind == 0)) {
+                        continue;
+                    }
+                    assert!(
+                        due_now,
+                        "calendar audit (a): router {id} port {p} has an arrival at cycle \
+                         {now} but is not due"
+                    );
+                    let hint = (id, (p << 1 | kind) as u16);
+                    while h < hints.len() && hints[h] < hint {
+                        h += 1;
+                    }
+                    assert!(
+                        hints.get(h) == Some(&hint),
+                        "calendar audit (c): router {id} has an arrival at cycle {now} \
+                         but no hint {hint:?}"
+                    );
+                }
+            }
+        }
+        let nr = self.routers.len();
+        for t in &self.terminals {
+            let arrival = matured(t.in_chan, true) | matured(t.out_chan, false);
+            assert!(
+                (!arrival && !t.is_active()) || is_due((nr + t.id()) as u32),
+                "calendar audit (b): terminal {} has work at cycle {now} but is not due",
+                t.id()
+            );
+        }
+    }
+
+    /// Debug builds, event engine: cycles `now..target` are dead, as the
+    /// dead-cycle skip about to jump them claims — no endpoint holds work
+    /// due before `target`, and no channel has an arrival or retry work
+    /// due before it.
+    #[cfg(debug_assertions)]
+    pub(crate) fn audit_dead_span(&self, now: u64, target: u64) {
+        let last = target - 1;
+        for r in &self.routers {
+            assert!(
+                r.idle_at(last),
+                "skip audit: router {} holds work before cycle {target} (skip from {now})",
+                r.id()
+            );
+        }
+        for t in &self.terminals {
+            assert!(
+                !t.is_active(),
+                "skip audit: terminal {} is active (skip from {now} to {target})",
+                t.id()
+            );
+        }
+        for (ch, c) in self.channels.iter().enumerate() {
+            let arrival = c.next_arrivals().into_iter().flatten().min();
+            let retry = c.llr_next_activity(now);
+            for at in [arrival, retry].into_iter().flatten() {
+                assert!(
+                    at >= target,
+                    "skip audit: channel {ch} has work at cycle {at} (skip from {now} to {target})"
+                );
+            }
         }
     }
 
@@ -940,6 +1055,7 @@ mod tests {
             crossbar_latency: 5,
             router_chan_latency: 8,
             term_chan_latency: 2,
+            engine: Engine::Event,
             ..SimConfig::default()
         };
         Network::new(hx, algo, cfg, 1)
@@ -1011,13 +1127,68 @@ mod tests {
         ev.queue.pop_due(at, &mut due);
         assert_eq!(due.len(), 2, "router and terminal both woken");
         let mut hints = Vec::new();
-        ev.collect_arrivals(at, nr as u32, &due, &mut hints);
+        ev.collect_arrivals(at, nr as u32, &mut hints);
         // Key order: the router's end first, the terminal's after it.
         let (inject_key, eject_key) = (ev.chans[inject].ends[1].1, ev.chans[eject].ends[1].1);
         assert!(inject_key < eject_key);
         let inject_end = ev.ends[inject_key as usize];
         assert_eq!(hints, [(inject_end.consumer, inject_end.step)]);
         assert!(ev.queue.is_empty());
+    }
+
+    /// The one flit the calendar-audit tests put on a wire.
+    #[cfg(debug_assertions)]
+    const FLIT: Flit = Flit {
+        pkt: 0,
+        idx: 0,
+        len: 1,
+    };
+
+    /// `small_net` with the outgoing channel of router 0's first network
+    /// port, whose flits another router consumes.
+    #[cfg(debug_assertions)]
+    fn net_and_router_link() -> (Network, usize) {
+        let net = small_net();
+        let port = (0..net.topo.num_ports(0))
+            .find(|&p| matches!(net.topo.port_target(0, p), PortTarget::Router { .. }))
+            .expect("router 0 has a network port");
+        let ch = net.routers[0].out_ch(port).expect("wired");
+        (net, ch)
+    }
+
+    /// Ticks `net` once at `now` with fresh shared state.
+    #[cfg(debug_assertions)]
+    fn tick_at(net: &mut Network, now: u64) {
+        let (mut pool, mut stats) = (PacketPool::new(), Stats::default());
+        net.tick(now, &mut pool, &mut stats, &mut Vec::new(), None, None);
+    }
+
+    /// A flit put on the wire behind the calendar's back (no arrival
+    /// wake): the audit stops the tick at the cycle it matures.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is not due")]
+    fn calendar_audit_catches_an_arrival_without_a_wake() {
+        let (mut net, ch) = net_and_router_link();
+        net.channels[ch].send_flit(0, FLIT, 0);
+        let at = net.channels[ch].latency();
+        tick_at(&mut net, at);
+    }
+
+    /// A flit sent the tick's way wakes its consumer router, but its
+    /// hint is wiped off the arrival ring: the audit catches the router
+    /// ticking blind to the port.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "but no hint")]
+    fn calendar_audit_catches_a_missing_hint() {
+        let (mut net, ch) = net_and_router_link();
+        net.channels[ch].send_flit(0, FLIT, 0);
+        let ev = net.event.as_deref_mut().expect("event engine");
+        ev.on_send(0, ch, true);
+        let at = ev.chans[ch].latency;
+        ev.arrivals.drain((at % ev.arrivals_len) as usize, |_| {});
+        tick_at(&mut net, at);
     }
 
     /// The spec loader reports an inconsistent config as an error; a

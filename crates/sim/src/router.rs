@@ -504,6 +504,17 @@ impl Router {
         self.xbar.front().map(|&(t, ..)| t.max(now + 1))
     }
 
+    /// Debug builds: whether a tick at `now` would find none of the
+    /// router's own work — no buffered input flit, no active output queue
+    /// and no crossbar entry ready (its channels report their arrivals
+    /// themselves).
+    #[cfg(debug_assertions)]
+    pub(crate) fn idle_at(&self, now: u64) -> bool {
+        self.flits_buffered == 0
+            && !self.egress_pending()
+            && self.xbar.front().is_none_or(|&(t, ..)| t > now)
+    }
+
     /// Downstream credits for `(port, vc)` (test/invariant support).
     pub fn credits(&self, port: usize, vc: usize) -> u32 {
         self.out_credits[port * self.num_vcs + vc]

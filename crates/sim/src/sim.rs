@@ -379,7 +379,8 @@ impl Sim {
     /// — never past `deadline`. The watchdog's stall accounting advances
     /// exactly as if the dead cycles had been stepped one by one, and the
     /// skip stops at the precise cycle a stall report would fire so the
-    /// report's cycle matches the cycle engine's bit for bit.
+    /// report's cycle matches the cycle engine's bit for bit. Debug builds
+    /// check that the skipped span is dead ([`Network::audit_dead_span`]).
     fn skip_dead_cycles(&mut self, workload: &dyn Workload, deadline: u64) {
         if self.pool.any_poisoned() {
             return; // fallout sweeps run per-cycle until poisons clear
@@ -407,32 +408,33 @@ impl Sim {
             // Dead cycles with nothing live reset the streak every cycle.
             self.last_flit_moves = self.stats.flit_moves;
             self.stall_streak = 0;
-            self.now = target;
-            return;
-        }
-        // With packets live, the streak at the end of skipped cycle
-        // `now + i` would be `i` (when the last executed cycle made
-        // progress, resetting at i = 0) or `stall_streak + 1 + i`; cap the
-        // skip at the cycle the watchdog would fire and let a real step
-        // execute it, so the report is built at the legacy cycle.
-        let threshold = self.net.cfg.watchdog_stall_cycles;
-        let changed = self.stats.flit_moves != self.last_flit_moves;
-        let fire_cycle = if changed {
-            now + threshold
         } else {
-            now + threshold - self.stall_streak - 1
-        };
-        target = target.min(fire_cycle);
-        if target <= now {
-            return;
+            // With packets live, the streak at the end of skipped cycle
+            // `now + i` would be `i` (when the last executed cycle made
+            // progress, resetting at i = 0) or `stall_streak + 1 + i`; cap
+            // the skip at the cycle the watchdog would fire and let a real
+            // step execute it, so the report is built at the legacy cycle.
+            let threshold = self.net.cfg.watchdog_stall_cycles;
+            let changed = self.stats.flit_moves != self.last_flit_moves;
+            let fire_cycle = if changed {
+                now + threshold
+            } else {
+                now + threshold - self.stall_streak - 1
+            };
+            target = target.min(fire_cycle);
+            if target <= now {
+                return;
+            }
+            let skipped = target - now;
+            if changed {
+                self.last_flit_moves = self.stats.flit_moves;
+                self.stall_streak = skipped - 1;
+            } else {
+                self.stall_streak += skipped;
+            }
         }
-        let skipped = target - now;
-        if changed {
-            self.last_flit_moves = self.stats.flit_moves;
-            self.stall_streak = skipped - 1;
-        } else {
-            self.stall_streak += skipped;
-        }
+        #[cfg(debug_assertions)]
+        self.net.audit_dead_span(now, target);
         self.now = target;
     }
 

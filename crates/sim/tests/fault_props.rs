@@ -2,8 +2,10 @@
 //! kill/revive events — links and whole routers, in any order, including
 //! double-kills, revives of healthy targets, and strikes landing on the
 //! same cycle — must never violate credit-based flow-control conservation
-//! and must never break the engine-equivalence guarantee (the event and
-//! cycle engines produce bit-identical stats). Unlike `engine_equiv.rs`'s
+//! and must never leave the event engine's calendar behind the state the
+//! faults and their fallout rewrote (debug builds audit the calendar on
+//! every executed cycle and every dead-cycle skip, fault cycles
+//! included). Unlike `engine_equiv.rs`'s
 //! hand-picked schedules, the interleavings here are random.
 //!
 //! Delivery is deliberately NOT asserted here: a hostile schedule may
@@ -85,13 +87,13 @@ fn schedule_of(hx: &HyperX, events: &[RawEvent]) -> FaultSchedule {
     s
 }
 
-/// Runs the schedule under random traffic plus a drain window and returns
-/// the bit-exact stats fingerprint; asserts the flow-control audit is
-/// clean at the end (debug builds also audit every single tick inside
+/// Runs the schedule on the event engine under random traffic plus a
+/// drain window, and asserts the flow-control audit is clean at the end
+/// (debug builds also audit flow control and the calendar inside
 /// `Sim::run`).
-fn run(hx: &Arc<HyperX>, events: &[RawEvent], engine: Engine) -> Vec<u64> {
+fn run(hx: &Arc<HyperX>, events: &[RawEvent]) {
     let cfg = SimConfig {
-        engine,
+        engine: Engine::Event,
         ..SimConfig::default()
     };
     let algo: Arc<dyn hxcore::RoutingAlgorithm> =
@@ -108,31 +110,16 @@ fn run(hx: &Arc<HyperX>, events: &[RawEvent], engine: Engine) -> Vec<u64> {
     sim.run(&mut IdleWorkload, 300);
     let errs = sim.net.audit_flow_control(&sim.pool);
     assert!(errs.is_empty(), "credit conservation violated: {errs:?}");
-    let s = &sim.stats;
-    vec![
-        s.total_generated_flits,
-        s.total_delivered_flits,
-        s.total_delivered_packets,
-        s.delivered_packets,
-        s.latency_sum,
-        s.net_latency_sum,
-        s.latency_max,
-        s.hops_sum,
-        s.dropped_flits,
-        s.dropped_packets,
-        s.fault_events,
-        s.flit_moves,
-    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole property: for any interleaving of link and router
-    /// kill/revive events, credits stay conserved and the event engine
-    /// stays bit-identical to the cycle engine.
+    /// kill/revive events, credits stay conserved and the calendar audit
+    /// stays clean.
     #[test]
-    fn arbitrary_kill_revive_interleavings_conserve_credits_and_determinism(
+    fn arbitrary_kill_revive_interleavings_conserve_credits_and_the_calendar(
         raw in prop::collection::vec(
             (1u64..650, any::<u8>(), any::<usize>(), any::<usize>()),
             1..12,
@@ -142,9 +129,6 @@ proptest! {
             .iter()
             .map(|&(cycle, kind, a, b)| RawEvent { cycle, kind, a, b })
             .collect();
-        let hx = Arc::new(HyperX::uniform(2, 3, 1));
-        let event = run(&hx, &events, Engine::Event);
-        let cycle = run(&hx, &events, Engine::Cycle);
-        prop_assert_eq!(event, cycle, "stats diverge across engines");
+        run(&Arc::new(HyperX::uniform(2, 3, 1)), &events);
     }
 }

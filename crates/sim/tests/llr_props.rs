@@ -12,8 +12,9 @@
 //! 2. **System-level recovery laws** — for an arbitrary transient-only
 //!    storm (BER + flap schedules + degraded links) on a real network,
 //!    every generated packet is delivered exactly once with zero drops,
-//!    credit conservation holds, and the event and cycle engines stay
-//!    bit-identical.
+//!    and credit conservation holds. The storms run on the event engine,
+//!    whose LLR calendar and endpoint calendar debug builds audit every
+//!    executed cycle and every dead-cycle skip.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -238,17 +239,12 @@ fn storm_schedule(hx: &HyperX, storms: &[RawStorm]) -> FaultSchedule {
     s
 }
 
-/// Runs an arbitrary transient-only storm over a live error model and
-/// returns the bit-exact stats fingerprint plus the per-tag delivery
-/// counts; asserts full exactly-once delivery and credit conservation.
-fn run_storm(
-    hx: &Arc<HyperX>,
-    storms: &[RawStorm],
-    ber: f64,
-    engine: Engine,
-) -> Result<Vec<u64>, TestCaseError> {
+/// Runs an arbitrary transient-only storm over a live error model on the
+/// event engine; asserts full exactly-once delivery and credit
+/// conservation.
+fn run_storm(hx: &Arc<HyperX>, storms: &[RawStorm], ber: f64) -> Result<(), TestCaseError> {
     let cfg = SimConfig {
-        engine,
+        engine: Engine::Event,
         llr_enabled: true,
         error_ber: ber,
         llr_window: 64,
@@ -288,22 +284,7 @@ fn run_storm(
     for (&tag, &n) in &traffic.delivered {
         prop_assert_eq!(n, 1, "tag {} delivered {} times", tag, n);
     }
-
-    let s = &sim.stats;
-    Ok(vec![
-        s.total_generated_flits,
-        s.total_delivered_flits,
-        s.total_delivered_packets,
-        s.latency_sum,
-        s.net_latency_sum,
-        s.latency_max,
-        s.hops_sum,
-        s.fault_events,
-        s.flit_moves,
-        s.llr_replays,
-        s.crc_errors,
-        s.flaps,
-    ])
+    Ok(())
 }
 
 proptest! {
@@ -335,9 +316,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// System-level recovery: any transient-only storm (BER + flaps +
-    /// degrades) yields exactly-once full delivery with zero drops, and
-    /// the event engine stays bit-identical to the cycle engine —
-    /// including the LLR recovery counters.
+    /// degrades) yields exactly-once full delivery with zero drops.
     #[test]
     fn transient_storms_recover_below_transport(
         ber_sel in 0usize..3,
@@ -367,10 +346,7 @@ proptest! {
                 degrade,
             })
             .collect();
-        let hx = Arc::new(HyperX::uniform(2, 3, 1));
-        let event = run_storm(&hx, &storms, ber, Engine::Event)?;
-        let cycle = run_storm(&hx, &storms, ber, Engine::Cycle)?;
-        prop_assert_eq!(event, cycle, "stats diverge across engines");
+        run_storm(&Arc::new(HyperX::uniform(2, 3, 1)), &storms, ber)?;
     }
 }
 

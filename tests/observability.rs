@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use hxcore::{hyperx_algorithm, RoutingAlgorithm};
 use hxsim::{
-    run_steady_state, Engine, IdleWorkload, LoadPoint, MetricsConfig, PacketDesc, Sim, SimConfig,
+    run_steady_state, IdleWorkload, LoadPoint, MetricsConfig, PacketDesc, Sim, SimConfig,
     SteadyOpts,
 };
 use hxtopo::{HyperX, Topology};
@@ -223,72 +223,6 @@ fn golden_metric_stream_matches_committed_snapshot() {
         "metric stream diverged from the golden snapshot; if intentional, \
          regenerate with HX_BLESS=1"
     );
-}
-
-/// Engine invariance under the full steady-state protocol: for every
-/// routing algorithm, the event engine's `LoadPoint` floats are
-/// byte-identical to the cycle engine's and the deterministic metric
-/// stream matches exactly. The fault-schedule variant exercises the
-/// cycle-boundary fault path, where the event engine resynchronises its
-/// wakes.
-#[test]
-fn engines_preserve_loadpoint_and_metric_stream() {
-    fn run(algo_name: &str, engine: Engine, faults: bool) -> (LoadPoint, String) {
-        let hx = Arc::new(HyperX::uniform(2, 3, 2));
-        let algo: Arc<dyn RoutingAlgorithm> = hyperx_algorithm(algo_name, hx.clone(), 8)
-            .expect("known algorithm")
-            .into();
-        let cfg = SimConfig {
-            engine,
-            ..small_cfg()
-        };
-        let mut sim = Sim::new(hx.clone(), algo, cfg, 21);
-        sim.enable_metrics(MetricsConfig {
-            sample_interval: 200,
-            timers: false,
-        });
-        if faults {
-            let port = (0..hx.num_ports(0))
-                .find(|&p| matches!(hx.port_target(0, p), hxtopo::PortTarget::Router { .. }))
-                .expect("router 0 has a network port");
-            sim.set_fault_schedule(
-                hxsim::FaultSchedule::new()
-                    .kill_link_at(200, 0, port)
-                    .revive_link_at(700, 0, port),
-            );
-        }
-        let pat = pattern_by_name("UR", hx.clone()).expect("UR pattern");
-        let mut traffic = SyntheticWorkload::new(pat, hx.num_terminals(), 0.3, 21);
-        let point = run_steady_state(&mut sim, &mut traffic, 0.3, short_opts());
-        let jsonl = sim.metrics().unwrap().deterministic_jsonl();
-        (point, jsonl)
-    }
-
-    for algo in ["DimWAR", "OmniWAR", "UGAL"] {
-        for faults in [false, true] {
-            let (p1, m1) = run(algo, Engine::Cycle, faults);
-            let (pn, mn) = run(algo, Engine::Event, faults);
-            let ctx = format!("{algo} faults={faults}");
-            assert_eq!(p1.offered.to_bits(), pn.offered.to_bits(), "{ctx}");
-            assert_eq!(p1.accepted.to_bits(), pn.accepted.to_bits(), "{ctx}");
-            assert_eq!(
-                p1.mean_latency.to_bits(),
-                pn.mean_latency.to_bits(),
-                "{ctx}"
-            );
-            assert_eq!(
-                p1.mean_net_latency.to_bits(),
-                pn.mean_net_latency.to_bits(),
-                "{ctx}"
-            );
-            assert_eq!(p1.p50_latency.to_bits(), pn.p50_latency.to_bits(), "{ctx}");
-            assert_eq!(p1.p99_latency.to_bits(), pn.p99_latency.to_bits(), "{ctx}");
-            assert_eq!(p1.mean_hops.to_bits(), pn.mean_hops.to_bits(), "{ctx}");
-            assert_eq!(p1.saturated, pn.saturated, "{ctx}");
-            assert_eq!(p1.delivered_packets, pn.delivered_packets, "{ctx}");
-            assert_eq!(m1, mn, "metric stream diverged: {ctx}");
-        }
-    }
 }
 
 /// The exported stream's shape: every line is one versioned JSON object

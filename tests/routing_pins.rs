@@ -6,10 +6,11 @@
 //! Cells: the nine HyperX algorithms under UR and DCR, the nine again with
 //! router 0's dimension-0 links dead (the liveness-driven candidates, and
 //! FT-WAR's aligned-dimension escape), DAL under atomic queue allocation,
-//! the three Dragonfly policies and fat-tree routing. The engine follows
-//! `HX_ENGINE`, so running under both engines checks the pair. Regenerate
-//! with `HX_BLESS=1 cargo test --test routing_pins` only when a routing
-//! change is meant to alter behaviour.
+//! the three Dragonfly policies and fat-tree routing. The pins were taken
+//! under both engines. The engine follows `HX_ENGINE` (the event engine
+//! when unset, whose calendar debug builds audit every executed cycle).
+//! Regenerate with `HX_BLESS=1 cargo test --test routing_pins` only when a
+//! routing change is meant to alter behaviour.
 
 use std::sync::Arc;
 

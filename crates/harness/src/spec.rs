@@ -1324,7 +1324,7 @@ seed = [1, 2]
     #[test]
     fn network_radix_is_bounded() {
         assert_rejected_naming(
-            &BASE.replace("terminals = 1", "terminals = 40000"),
+            &BASE.replace("terminals = 1", "terminals = 70000"),
             "ports per router",
         );
     }

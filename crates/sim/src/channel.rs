@@ -1,10 +1,11 @@
-//! Fixed-latency channels: a flit pipeline one way and a credit pipeline
-//! back the other way.
+//! Fixed-latency channels: a flit pipeline from a sender to a receiver.
 //!
 //! Bandwidth is one flit per cycle (enforced by the sender, which calls
 //! [`Channel::send_flit`] at most once per cycle per channel); latency is
-//! the configured cable delay. Credits ride a paired wire with the same
-//! delay, so the credit round trip is `2 x latency + receiver dwell time`.
+//! the configured cable delay. A channel carries flits only. The credits
+//! its receiver returns take the same delay back but ride the network's
+//! credit wheel (`credit.rs`), not the channel, so the credit round trip
+//! is still `2 x latency + receiver dwell time`.
 //!
 //! ## Link-level retry (LLR)
 //!
@@ -13,13 +14,12 @@
 //! to [`Channel::send_flit`] enter a replay buffer and are serialized onto
 //! the wire one per cycle with sequence numbers; the receiver accepts only
 //! the next expected sequence, returning cumulative acks (and gap nacks)
-//! on a reliable control sideband modeled after the credit path. A
-//! CRC-detected corruption (from the per-seed bit-error model) or a frame
-//! lost across a link flap triggers a nack; the sender rewinds to its
-//! oldest unacked frame and replays. The result: transient wire faults
-//! recover below the transport with exact credit conservation — the credit
-//! wire itself is untouched by the error model, so the flow-control audit
-//! holds bit-for-bit.
+//! on a reliable control sideband. A CRC-detected corruption (from the
+//! per-seed bit-error model) or a frame lost across a link flap triggers a
+//! nack; the sender rewinds to its oldest unacked frame and replays. The
+//! result: transient wire faults recover below the transport with exact
+//! credit conservation — returning credits never touch the error model,
+//! so the flow-control audit holds bit-for-bit.
 //!
 //! The LLR pipeline costs one extra cycle per hop (CRC serialization: a
 //! flit committed at cycle `t` is transmitted at `t + 1`), which is why
@@ -178,19 +178,19 @@ impl Llr {
     }
 }
 
-/// A directed channel plus its reverse credit wire.
+/// A directed channel.
 ///
 /// A channel can be *killed* by fault injection: a dead channel delivers
 /// nothing, and flits sent into it pile up in a dead-drop bin that the
 /// network sweeps each cycle (counting them as dropped and poisoning their
-/// packets). Credits sent into a dead channel vanish — the sender's credit
-/// state is rebuilt from the receiver's occupancy at revival.
+/// packets). The credit wheel drops credits returned over a dead channel
+/// — the sender's credit state is rebuilt from the receiver's occupancy
+/// at revival.
 #[derive(Debug)]
 pub struct Channel {
     latency: u64,
     alive: bool,
     flits: VecDeque<(u64, Flit, u8)>,
-    credits: VecDeque<(u64, u8)>,
     /// Flits sent while the channel was dead, awaiting fault fallout.
     dead_drops: Vec<(Flit, u8)>,
     /// Lifetime flits accepted onto the wire (dead-drops excluded). The
@@ -200,6 +200,9 @@ pub struct Channel {
     llr: Option<Box<Llr>>,
 }
 
+// One per directed link: 589,874 of them on the 19x19x19 rung.
+const _: () = assert!(std::mem::size_of::<Channel>() == 88);
+
 impl Channel {
     /// Creates a channel with the given one-way latency (>= 1 cycle).
     pub(crate) fn new(latency: u64) -> Self {
@@ -208,7 +211,6 @@ impl Channel {
             latency,
             alive: true,
             flits: VecDeque::new(),
-            credits: VecDeque::new(),
             dead_drops: Vec::new(),
             flits_sent: 0,
             llr: None,
@@ -242,14 +244,13 @@ impl Channel {
         self.alive
     }
 
-    /// Kills the channel: everything in flight (both directions) is lost.
-    /// Returns the dropped flits so the caller can poison their packets.
+    /// Kills the channel: every flit in flight is lost. Returns the dropped
+    /// flits so the caller can poison their packets.
     /// Under LLR the authoritative loss set is the delivered-but-unread
     /// queue plus the whole replay buffer; wire frames are copies of
     /// replay-buffer entries and are simply discarded.
     pub(crate) fn kill(&mut self) -> Vec<(Flit, u8)> {
         self.alive = false;
-        self.credits.clear();
         let mut lost: Vec<(Flit, u8)> = self.flits.drain(..).map(|(_, f, vc)| (f, vc)).collect();
         if let Some(llr) = &mut self.llr {
             // Frames already accepted downstream (seq < rx_next) were in
@@ -278,11 +279,6 @@ impl Channel {
     /// Drains flits that were sent into the dead channel.
     pub(crate) fn take_dead_drops(&mut self) -> Vec<(Flit, u8)> {
         std::mem::take(&mut self.dead_drops)
-    }
-
-    /// Whether unswept dead drops exist.
-    pub(crate) fn has_dead_drops(&self) -> bool {
-        !self.dead_drops.is_empty()
     }
 
     /// Sender side: puts a flit on the wire at cycle `now`, tagged with the
@@ -405,8 +401,8 @@ impl Channel {
 
     /// Transient link-down edge: the sender holds off and frames in
     /// flight are silently lost (the replay buffer keeps their payloads).
-    /// Unlike [`Self::kill`], nothing is poisoned and the credit wire is
-    /// untouched. No-op on a non-LLR channel.
+    /// Unlike [`Self::kill`], nothing is poisoned and returning credits
+    /// are untouched. No-op on a non-LLR channel.
     pub fn flap_down(&mut self, now: u64, stats: &mut Stats) {
         if let Some(llr) = &mut self.llr {
             if llr.up {
@@ -513,25 +509,11 @@ impl Channel {
         })
     }
 
-    /// Sender side: takes the oldest credit that has arrived by `now`.
-    #[inline]
-    pub(crate) fn pop_credit(&mut self, now: u64) -> Option<u8> {
-        let &(t, vc) = self.credits.front()?;
-        (t <= now).then(|| {
-            self.credits.pop_front();
-            vc
-        })
-    }
-
-    /// Debug builds: the cycles the oldest credit and the oldest flit on
-    /// the wire mature, indexed by `is_flit` — what the next `pop_credit`
-    /// and `pop_flit` compare with their cycle.
+    /// Debug builds: the cycle the oldest flit on the wire matures — what
+    /// the next `pop_flit` compares with its cycle.
     #[cfg(debug_assertions)]
-    pub(crate) fn next_arrivals(&self) -> [Option<u64>; 2] {
-        [
-            self.credits.front().map(|&(t, _)| t),
-            self.flits.front().map(|&(t, ..)| t),
-        ]
+    pub(crate) fn next_arrival(&self) -> Option<u64> {
+        self.flits.front().map(|&(t, ..)| t)
     }
 
     /// Receiver side: drains every flit that has arrived by `now`.
@@ -541,29 +523,11 @@ impl Channel {
         }
     }
 
-    /// Receiver side: returns one credit for `vc` to the sender. Credits
-    /// sent into a dead channel are lost (rebuilt at revival).
-    #[inline]
-    pub fn send_credit(&mut self, now: u64, vc: u8) {
-        if !self.alive {
-            return;
-        }
-        self.credits.push_back((now + self.latency, vc));
-    }
-
-    /// Sender side: drains every credit that has arrived by `now`.
-    pub fn recv_credits(&mut self, now: u64, mut f: impl FnMut(u8)) {
-        while let Some(vc) = self.pop_credit(now) {
-            f(vc);
-        }
-    }
-
-    /// Whether anything is in flight (either direction) or awaiting
-    /// fault-fallout processing. An LLR channel is idle only once its
-    /// replay buffer, wire, and ack sideband have all drained.
+    /// Whether any flit is in flight or awaiting fault-fallout
+    /// processing. An LLR channel is idle only once its replay buffer,
+    /// wire, and ack sideband have all drained.
     pub fn is_idle(&self) -> bool {
         self.flits.is_empty()
-            && self.credits.is_empty()
             && self.dead_drops.is_empty()
             && self
                 .llr
@@ -586,11 +550,6 @@ impl Channel {
                 .iter()
                 .flat_map(move |l| l.tx_buf.iter().skip(skip).map(|&(f, vc)| (f, vc))),
         )
-    }
-
-    /// Credits currently in flight (test/invariant support).
-    pub(crate) fn credits_in_flight(&self) -> impl Iterator<Item = u8> + '_ {
-        self.credits.iter().map(|&(_, vc)| vc)
     }
 }
 
@@ -626,18 +585,6 @@ mod tests {
         let mut got = Vec::new();
         ch.recv_flits(100, |f, _| got.push(f.idx));
         assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn credits_flow_backwards_with_latency() {
-        let mut ch = Channel::new(7);
-        ch.send_credit(0, 3);
-        let mut got = Vec::new();
-        ch.recv_credits(6, |vc| got.push(vc));
-        assert!(got.is_empty());
-        ch.recv_credits(7, |vc| got.push(vc));
-        assert_eq!(got, vec![3]);
-        assert!(ch.is_idle());
     }
 
     #[test]
@@ -856,20 +803,14 @@ mod tests {
     fn kill_drops_in_flight_and_dead_drops_sends() {
         let mut ch = Channel::new(3);
         ch.send_flit(0, flit(0), 1);
-        ch.send_credit(0, 2);
         let dropped = ch.kill();
         assert_eq!(dropped, vec![(flit(0), 1)]);
         assert!(!ch.is_alive());
-        let mut creds = Vec::new();
-        ch.recv_credits(100, |vc| creds.push(vc));
-        assert!(creds.is_empty(), "in-flight credits lost at kill");
         // Sends into a dead channel land in the dead-drop bin.
         ch.send_flit(5, flit(1), 0);
-        ch.send_credit(5, 0);
         let mut got = Vec::new();
         ch.recv_flits(100, |f, vc| got.push((f, vc)));
         assert!(got.is_empty(), "dead channel delivers nothing");
-        assert!(ch.has_dead_drops());
         assert_eq!(ch.take_dead_drops(), vec![(flit(1), 0)]);
         ch.revive();
         assert!(ch.is_alive());

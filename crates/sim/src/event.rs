@@ -35,9 +35,8 @@
 //! migrates into the rows as the cursor advances.
 //!
 //! The `next_drain` cursor only moves forward. A schedule at or behind the
-//! cursor (the post-tick fault resync does this) lands in the cursor's own
-//! row, preserving "never dropped, delivered at the first opportunity"
-//! semantics.
+//! cursor lands in the cursor's own row, preserving "never dropped,
+//! delivered at the first opportunity" semantics.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,12 +55,8 @@ const HORIZON: u64 = 256;
 pub enum EventKind {
     /// A flit on an incoming channel matures this cycle.
     FlitArrival,
-    /// A credit on an outgoing channel matures this cycle.
-    CreditArrival,
     /// Self-scheduled wake (buffered work, crossbar maturity, injection).
     Wake,
-    /// Fault-schedule action or fault-fallout resynchronization.
-    Fault,
     /// Link-level retry work on a channel: a frame to serialize, or a
     /// wire or ack frame maturing.
     Llr,
@@ -181,7 +176,7 @@ mod tests {
         let mut q = EventQueue::new(10);
         q.schedule(1, 9, EventKind::Wake);
         q.schedule(1, 2, EventKind::FlitArrival);
-        q.schedule(1, 9, EventKind::CreditArrival);
+        q.schedule(1, 9, EventKind::FlitArrival);
         q.schedule(0, 4, EventKind::Wake);
         q.schedule(3, 5, EventKind::Wake);
         let mut out = Vec::new();
@@ -225,7 +220,7 @@ mod tests {
         assert!(out.is_empty());
         // Nominal time 10 is behind the cursor (100): it must not be
         // dropped nor wait a full calendar turn.
-        q.schedule(10, 3, EventKind::Fault);
+        q.schedule(10, 3, EventKind::Wake);
         assert_eq!(q.next_time(), Some(100));
         q.pop_due(100, &mut out);
         assert_eq!(out, vec![3]);

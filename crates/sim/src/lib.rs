@@ -26,6 +26,7 @@ mod alloc_track;
 mod bitset;
 mod channel;
 mod config;
+mod credit;
 mod event;
 mod fault;
 mod metrics;
@@ -266,6 +267,62 @@ mod tests {
             (sim.stats.total_delivered_packets, sim.stats.latency_sum)
         };
         assert_eq!(run(11), run(11), "same seed must reproduce exactly");
+    }
+
+    /// Credits settle across a dead-cycle skip. When a packet's tail is
+    /// delivered its last credits are still returning, and nothing is
+    /// left to wake: the run that follows executes no cycle — the event
+    /// engine jumps it whole — yet leaves the network quiescent with every
+    /// router and terminal credit counter full, because the skip applies
+    /// the credits maturing inside the span it jumps.
+    #[test]
+    fn credits_settle_across_a_dead_cycle_skip() {
+        let hx = Arc::new(HyperX::uniform(2, 3, 1));
+        let algo: Arc<dyn hxcore::RoutingAlgorithm> =
+            hyperx_algorithm("DimWAR", hx.clone(), 8).unwrap().into();
+        let cfg = SimConfig {
+            engine: Engine::Event,
+            ..small_cfg()
+        };
+        let cap = cfg.buf_flits as u32;
+        let mut sim = Sim::new(hx.clone(), algo, cfg, 5);
+        sim.inject(PacketDesc {
+            src: 0,
+            dst: 8,
+            len: 16,
+            tag: 0,
+        });
+        while sim.stats.total_delivered_packets == 0 {
+            assert!(sim.now < 1_000, "packet not delivered");
+            sim.step(&mut IdleWorkload);
+        }
+        assert!(sim.net.is_drained());
+        assert!(!sim.net.is_quiescent(), "the tail's credits are returning");
+
+        let events = sim.events_processed();
+        sim.run(&mut IdleWorkload, 1_000);
+        assert_eq!(sim.events_processed(), events, "the run executed a cycle");
+        assert!(sim.net.is_quiescent(), "credits left on the wheel");
+        for r in 0..hx.num_routers() {
+            for p in 0..hx.num_ports(r) {
+                for vc in 0..8 {
+                    assert_eq!(
+                        sim.net.router(r).credits(p, vc),
+                        cap,
+                        "router {r} port {p} vc {vc}"
+                    );
+                }
+            }
+        }
+        for t in 0..hx.num_terminals() {
+            for vc in 0..8 {
+                assert_eq!(
+                    sim.net.terminal_mut(t).credits(vc),
+                    cap,
+                    "terminal {t} vc {vc}"
+                );
+            }
+        }
     }
 
     /// run_to_completion detects the drain point.

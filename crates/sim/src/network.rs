@@ -10,6 +10,7 @@ use hxtopo::{ChannelKind, PortTarget, Topology};
 use crate::bitset::BitRows;
 use crate::channel::Channel;
 use crate::config::{Engine, SimConfig};
+use crate::credit::{CreditSink, CreditWheel};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultAction;
 use crate::metrics::{Metrics, PhaseTimers};
@@ -54,12 +55,15 @@ pub struct Network {
     /// Ids of the dead channels, ascending — the only ones that can hold
     /// dead drops.
     dead_chans: Vec<u32>,
+    /// Every returning credit in flight, under either engine.
+    credits: CreditWheel,
 }
 
 /// The shared state one cycle's due routers and terminals write, lent to
 /// each in turn. An endpoint takes its matured arrivals off `channels` as
-/// it reads them and applies every effect where it lands: sends on the
-/// wire, refcounts, releases, route commits and inject stamps in `pool`,
+/// it reads them and applies every effect where it lands: flit sends on
+/// the wire, credits on the credit wheel, refcounts, releases, route
+/// commits and inject stamps in `pool`,
 /// counters in `stats`, deliveries in `delivered`, grants and stalls in
 /// `metrics`, hops in `trace`. The one effect it defers is the hop-cap
 /// poison (`hop_capped`; see [`Network::tick`]).
@@ -77,10 +81,12 @@ pub(crate) struct TickCtx<'a> {
     pub(crate) timed: bool,
     /// Phase wall time of this cycle, folded into `metrics` at its end.
     pub(crate) timers: PhaseTimers,
-    /// Event engine: sends plant their arrival wakes here.
+    /// Event engine: flit sends plant their arrival wakes here.
     pub(crate) wakes: Option<&'a mut EventState>,
     /// LLR on: flit sends schedule their channel's serialization here.
     pub(crate) llr_due: Option<&'a mut EventQueue>,
+    /// Credit sends go here.
+    pub(crate) credits: &'a mut CreditWheel,
 }
 
 impl TickCtx<'_> {
@@ -95,33 +101,32 @@ impl TickCtx<'_> {
         if let Some(llr_due) = self.llr_due.as_deref_mut() {
             llr_due.schedule(self.now + 1, ch as u32, EventKind::Llr);
         } else if let Some(ev) = self.wakes.as_deref_mut() {
-            ev.on_send(self.now, ch, true);
+            ev.on_send(self.now, ch);
         }
     }
 
-    /// Returns one credit for `vc` on channel `ch` (and plants its
-    /// arrival under the event engine).
+    /// Returns one credit for `vc` to the sender of channel `ch`: it goes
+    /// on the credit wheel, to be applied one channel latency from now
+    /// before that cycle's first tick. It wakes nobody (see
+    /// [`Router::next_wake`]), and no arrival key names it.
     #[inline]
     pub(crate) fn send_credit(&mut self, ch: usize, vc: u8) {
-        self.channels[ch].send_credit(self.now, vc);
-        if let Some(ev) = self.wakes.as_deref_mut() {
-            ev.on_send(self.now, ch, false);
-        }
+        self.credits.send(self.now, ch, &self.channels[ch], vc);
     }
 }
 
 /// Wake-scheduling state for the event-driven engine, keyed by the
 /// endpoint ids of `Network::due`.
 ///
-/// Every channel has two *ends*: the endpoint that consumes its flits and
-/// the endpoint that consumes its returning credits. Each end has an
-/// *arrival key*, numbered in the order a full ingress scan visits ends
+/// Every channel has one *end*: the endpoint that consumes its flits. (Its
+/// returning credits ride the credit wheel and wake nobody.) Each end has
+/// an *arrival key*, numbered in the order a full ingress scan visits ends
 /// (see [`arrival_ends`]), so a row of key bits read upwards is the hint
 /// list in the scan's order, already unique.
 pub(crate) struct EventState {
     queue: EventQueue,
-    /// Per channel: latency and the keys of its two ends.
-    chans: Vec<ChanEnds>,
+    /// Per channel: latency and the key of its end.
+    chans: Vec<ChanEnd>,
     /// Per arrival key: the end it names.
     ends: Vec<ArrivalEnd>,
     /// Row `c % arrivals_len` holds the keys with a send maturing at cycle
@@ -135,78 +140,70 @@ pub(crate) struct EventState {
 }
 
 /// A channel as the wake scheduler sees it.
-struct ChanEnds {
+struct ChanEnd {
     /// One-way latency in cycles.
     latency: u64,
-    /// `(consumer endpoint, arrival key)` of the credit end and the flit
-    /// end, indexed by `is_flit`.
-    ends: [(u32, u32); 2],
+    /// The endpoint consuming its flits.
+    consumer: u32,
+    /// The arrival key of its end.
+    key: u32,
 }
 
-/// What an arrival key names: one end of one channel.
+/// What an arrival key names: the end of one channel.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct ArrivalEnd {
-    /// The channel end, packed: `ch << 1 | is_flit`.
-    chan_end: u32,
+    /// The channel whose flits arrive here.
+    chan: u32,
     /// Consuming endpoint id. Only routers (ids below the router count)
-    /// take hints; terminals scan their two channels directly.
+    /// take hints; terminals read their one incoming channel directly.
     consumer: u32,
-    /// The consumer's ingress step for this end: `port << 1 | is_credit`.
+    /// The consumer's ingress step for this end: its port.
     step: u16,
 }
 
 /// The most ports a router may have: the event engine names a port's
-/// ingress step `port << 1 | is_credit` in a `u16`.
-pub const MAX_PORTS: usize = 1 << 15;
+/// ingress step in a `u16`.
+pub const MAX_PORTS: usize = 1 << 16;
 
 /// Every channel end in arrival-key order — the order the full scan of
-/// `Router::ingress` visits them: routers ascending, ports ascending, a
-/// port's incoming flits before its returning credits; then the terminal
-/// ends, which yield no hint and so need no particular place.
+/// `Router::ingress` visits them: routers ascending, ports ascending; then
+/// the terminal ends, which yield no hint and so need no particular place.
 fn arrival_ends(routers: &[Router], terminals: &[Terminal]) -> Vec<ArrivalEnd> {
     let mut ends = Vec::new();
-    // One port's flit end (its incoming channel), then its credit end.
-    let mut port_ends = |consumer: usize, port: usize, chans: [Option<usize>; 2]| {
-        for (is_credit, ch) in chans.into_iter().enumerate() {
-            if let Some(ch) = ch {
-                ends.push(ArrivalEnd {
-                    chan_end: (ch as u32) << 1 | (is_credit ^ 1) as u32,
-                    consumer: consumer as u32,
-                    step: (port << 1 | is_credit) as u16,
-                });
-            }
-        }
-    };
     for r in routers {
         for p in 0..r.in_chan.len() {
-            port_ends(r.id(), p, [r.in_ch(p), r.out_ch(p)]);
+            ends.extend(r.in_ch(p).map(|ch| ArrivalEnd {
+                chan: ch as u32,
+                consumer: r.id() as u32,
+                step: p as u16,
+            }));
         }
     }
-    for t in terminals {
-        let chans = [Some(t.in_chan), Some(t.out_chan)];
-        port_ends(routers.len() + t.id(), 0, chans);
-    }
+    ends.extend(terminals.iter().map(|t| ArrivalEnd {
+        chan: t.in_chan as u32,
+        consumer: (routers.len() + t.id()) as u32,
+        step: 0,
+    }));
     ends
 }
 
 impl EventState {
     fn new(routers: &[Router], terminals: &[Terminal], channels: &[Channel]) -> Self {
         let ends = arrival_ends(routers, terminals);
-        let mut chans: Vec<ChanEnds> = channels
+        let mut chans: Vec<ChanEnd> = channels
             .iter()
-            .map(|c| ChanEnds {
+            .map(|c| ChanEnd {
                 latency: c.latency(),
-                ends: [(u32::MAX, u32::MAX); 2],
+                consumer: u32::MAX,
+                key: u32::MAX,
             })
             .collect();
         for (key, end) in ends.iter().enumerate() {
-            let slot = &mut chans[(end.chan_end >> 1) as usize].ends[(end.chan_end & 1) as usize];
-            debug_assert_eq!(slot.0, u32::MAX, "channel end consumed twice");
-            *slot = (end.consumer, key as u32);
+            let slot = &mut chans[end.chan as usize];
+            debug_assert_eq!(slot.consumer, u32::MAX, "channel end consumed twice");
+            (slot.consumer, slot.key) = (end.consumer, key as u32);
         }
-        debug_assert!(chans
-            .iter()
-            .all(|c| c.ends.iter().all(|&(consumer, _)| consumer != u32::MAX)));
+        debug_assert!(chans.iter().all(|c| c.consumer != u32::MAX));
         let arrivals_len = chans.iter().map(|c| c.latency).max().unwrap_or(0) + 2;
         EventState {
             queue: EventQueue::new(routers.len() + terminals.len()),
@@ -236,25 +233,24 @@ impl EventState {
         debug_assert!(self.arrivals.row_is_clear(row));
     }
 
-    /// A flit or credit on channel `ch` reaches its consumer `delay`
-    /// cycles after `now`: mark the arrival and wake the consumer then.
+    /// A flit on channel `ch` reaches its consumer `delay` cycles after
+    /// `now`: mark the arrival and wake the consumer then.
     #[inline]
-    fn arrival(&mut self, now: u64, delay: u64, ch: usize, is_flit: bool) {
+    fn arrival(&mut self, now: u64, delay: u64, ch: usize) {
         debug_assert!(delay < self.arrivals_len, "arrival beyond the ring");
-        let (consumer, key) = self.chans[ch].ends[is_flit as usize];
+        let end = &self.chans[ch];
         let t = now + delay;
-        self.arrivals.set((t % self.arrivals_len) as usize, key);
-        let kind = [EventKind::CreditArrival, EventKind::FlitArrival][is_flit as usize];
-        self.queue.schedule(t, consumer, kind);
+        self.arrivals.set((t % self.arrivals_len) as usize, end.key);
+        self.queue.schedule(t, end.consumer, EventKind::FlitArrival);
     }
 
-    /// A flit or credit went onto channel `ch` at `now`: it matures one
-    /// channel latency later.
+    /// A flit went onto channel `ch` at `now`: it matures one channel
+    /// latency later.
     #[inline]
-    fn on_send(&mut self, now: u64, ch: usize, is_flit: bool) {
+    fn on_send(&mut self, now: u64, ch: usize) {
         let latency = self.chans[ch].latency;
         debug_assert!(latency >= 1, "zero-latency channel");
-        self.arrival(now, latency, ch, is_flit);
+        self.arrival(now, latency, ch);
     }
 }
 
@@ -287,6 +283,8 @@ impl Network {
             .map(|r| Router::new(r, topo.num_ports(r), &cfg, algo.num_classes(), seed))
             .collect();
         let mut channels: Vec<Channel> = Vec::new();
+        // Per channel, who its returning credits go to: its sender.
+        let mut sinks: Vec<CreditSink> = Vec::new();
         let mut term_wiring: Vec<Option<(usize, usize)>> = vec![None; nt];
 
         // With LLR enabled every channel (terminal links included) carries
@@ -303,6 +301,10 @@ impl Network {
 
         for r in 0..nr {
             for p in 0..topo.num_ports(r) {
+                let router_sink = CreditSink {
+                    endpoint: r as u32,
+                    port: p as u32,
+                };
                 let latency = match topo.channel_kind(r, p) {
                     ChannelKind::Terminal => cfg.term_chan_latency,
                     ChannelKind::Short => cfg.short_chan_latency,
@@ -313,6 +315,7 @@ impl Network {
                         // One directed channel per (source router, port).
                         let id = channels.len();
                         channels.push(mk_chan(id, latency));
+                        sinks.push(router_sink);
                         routers[r].out_chan[p] = id as u32;
                         routers[r].live_ports[p] = true;
                         routers[router].in_chan[port] = id as u32;
@@ -320,8 +323,13 @@ impl Network {
                     PortTarget::Terminal(t) => {
                         let eject = channels.len();
                         channels.push(mk_chan(eject, latency));
+                        sinks.push(router_sink);
                         let inject = channels.len();
                         channels.push(mk_chan(inject, latency));
+                        sinks.push(CreditSink {
+                            endpoint: (nr + t) as u32,
+                            port: 0,
+                        });
                         routers[r].out_chan[p] = eject as u32;
                         routers[r].in_chan[p] = inject as u32;
                         routers[r].port_term[p] = t as u32;
@@ -345,6 +353,8 @@ impl Network {
         let event = (cfg.engine == Engine::Event)
             .then(|| Box::new(EventState::new(&routers, &terminals, &channels)));
         let llr_due = cfg.llr_enabled.then(|| EventQueue::new(channels.len()));
+        let max_latency = channels.iter().map(Channel::latency).max().unwrap_or(1);
+        let credits = CreditWheel::new(max_latency, sinks);
 
         Network {
             topo,
@@ -364,6 +374,7 @@ impl Network {
             llr_due,
             llr_chans: Vec::new(),
             dead_chans: Vec::new(),
+            credits,
         }
     }
 
@@ -398,28 +409,31 @@ impl Network {
         queued.into_iter().chain(llr).min()
     }
 
-    /// Event engine: fault actions and fault fallout mutate state outside
-    /// the tick's send helpers (channel kills, direct credit sends from
-    /// the reaper, credit rebuilds at revival), so resynchronize
-    /// conservatively: wake every endpoint at `now` and both consumers of
-    /// every channel one latency out, covering sends made behind the
-    /// queue's back. Spurious wakes are no-op ticks, so over-scheduling
-    /// never perturbs results.
-    pub(crate) fn fault_resync(&mut self, now: u64) {
-        let n = (self.routers.len() + self.terminals.len()) as u32;
-        if let Some(ev) = &mut self.event {
-            for e in 0..n {
-                ev.queue.schedule(now, e, EventKind::Fault);
+    /// Applies every returning credit maturing at or before `through` to
+    /// its sender's counter. [`Self::tick`] settles its own cycle first
+    /// thing; the dead-cycle skip settles the span it jumps, so between
+    /// steps the counters always hold every credit matured so far.
+    pub(crate) fn settle_credits(&mut self, through: u64) {
+        let (routers, terminals) = (&mut self.routers, &mut self.terminals);
+        let nr = routers.len() as u32;
+        self.credits.settle(through, |sink, vc| {
+            if sink.endpoint < nr {
+                routers[sink.endpoint as usize].absorb_credit(sink.port as usize, vc);
+            } else {
+                terminals[(sink.endpoint - nr) as usize].absorb_credit(vc);
             }
-            for ch in 0..ev.chans.len() {
-                ev.on_send(now, ch, true);
-                ev.on_send(now, ch, false);
-            }
-        }
+        });
     }
 
     /// Advances the network by one cycle. `metrics`, like `trace`, is pure
     /// observation and never perturbs simulation state.
+    ///
+    /// First the cycle's returning credits are applied from the credit
+    /// wheel ([`Self::settle_credits`]), under either engine: a credit is
+    /// read only by its consumer's own allocation or injection, inside
+    /// that consumer's tick, so applying every matured credit before any
+    /// tick is what absorbing it at the consumer's ingress did, and
+    /// increments commute.
     ///
     /// One body serves both engines; they differ only in where the due
     /// set comes from. The event engine pops it from its queue (with
@@ -429,20 +443,19 @@ impl Network {
     /// straight into the shared state ([`TickCtx`]).
     ///
     /// Every channel has latency >= 1, so nothing sent at `now` is read
-    /// by anyone before `now + 1`, and each channel has one flit sender
-    /// and one credit sender: an endpoint's reads do not depend on which
-    /// endpoints ticked before it. The one exception is the hop-cap
-    /// poison — `is_poisoned` is read by every later router this cycle —
-    /// so hop-capped packets are poisoned only after the last endpoint
-    /// has ticked.
+    /// by anyone before `now + 1`, and each channel has one flit sender:
+    /// an endpoint's reads do not depend on which endpoints ticked before
+    /// it. The one exception is the hop-cap poison — `is_poisoned` is read
+    /// by every later router this cycle — so hop-capped packets are
+    /// poisoned only after the last endpoint has ticked.
     ///
     /// Bit-identity across engines holds because a non-due endpoint is a
-    /// no-op under the cycle engine that cycle (no matured arrivals, no
-    /// buffered or queued work — and no randomness is drawn on those
+    /// no-op under the cycle engine that cycle (no matured flit arrivals,
+    /// no buffered or queued work — and no randomness is drawn on those
     /// paths), a due router's arrival hints name every port with a matured
-    /// arrival, and due endpoints run the identical code in the identical
-    /// id order. Debug builds check the first two every executed cycle of
-    /// the event engine ([`Self::audit_calendar`]).
+    /// flit, and due endpoints run the identical code in the identical id
+    /// order. Debug builds check the first two every executed cycle of the
+    /// event engine ([`Self::audit_calendar`]).
     pub(crate) fn tick(
         &mut self,
         now: u64,
@@ -453,6 +466,7 @@ impl Network {
         metrics: Option<&mut Metrics>,
     ) {
         let nr = self.routers.len();
+        self.settle_credits(now);
 
         // ---- LLR sublayer: runs first so frames landing this cycle are
         // on the wire when their consumer reads it, exactly like plain
@@ -469,7 +483,7 @@ impl Network {
                         // The frame lands this very cycle: the arrival
                         // joins the row about to be walked and the wake
                         // the row about to be popped.
-                        ev.arrival(now, 0, i as usize, true);
+                        ev.arrival(now, 0, i as usize);
                     }
                 }
                 if let Some(t) = ch.llr_next_activity(now + 1) {
@@ -510,6 +524,7 @@ impl Network {
             timers: PhaseTimers::default(),
             wakes: self.event.as_deref_mut(),
             llr_due: self.llr_due.as_mut(),
+            credits: &mut self.credits,
         };
 
         // ---- Compute: the due routers, then the due terminals. Hints are
@@ -580,17 +595,20 @@ impl Network {
     /// Debug builds, event engine, once per executed cycle between the due
     /// set and the first endpoint tick: the calendar left out nothing the
     /// cycle engine would have done this cycle. It walks every endpoint's
-    /// channel ends the way a full ingress scan does, reading state only.
+    /// incoming channels the way a full ingress scan does, reading state
+    /// only.
     /// - (a) A router not in `due` holds no work ([`Router::idle_at`]) and
-    ///   has no flit or credit matured by `now` on its channels.
+    ///   has no flit matured by `now` on its incoming channels.
     /// - (b) A terminal not in `due` is not active and has no matured
-    ///   arrival.
-    /// - (c) A due router's hints name every `(port, kind)` with a matured
-    ///   arrival, in ascending order. A hint with nothing behind it (a
-    ///   killed channel) is allowed.
+    ///   flit.
+    /// - (c) A due router's hints name every port with a matured flit, in
+    ///   ascending order. A hint with nothing behind it (a killed channel)
+    ///   is allowed.
     /// - (d) Nothing on a wire matured before `now`: the cycle engine
     ///   consumes every arrival on its maturity cycle, so a late wake or an
     ///   over-long skip shows here.
+    /// - (e) After this cycle's settle, no credit on the wheel matures at
+    ///   or before `now`, and each sits in its own cycle's row.
     #[cfg(debug_assertions)]
     fn audit_calendar(&self, now: u64) {
         let (due, hints) = (&self.due[..], &self.hints[..]);
@@ -598,6 +616,9 @@ impl Network {
             hints.windows(2).all(|w| w[0] < w[1]),
             "calendar audit (c): hints at cycle {now} do not ascend"
         );
+        if let Err(e) = self.credits.audit(now) {
+            panic!("calendar audit (e): {e}");
+        }
         // Cursors: `due` and `hints` ascend like the walk below.
         let (mut d, mut h) = (0, 0);
         let mut is_due = |e: u32| {
@@ -606,15 +627,13 @@ impl Network {
             }
             due.get(d) == Some(&e)
         };
-        // Whether channel `ch`'s `is_flit` end has an arrival matured by
-        // `now`, which then must have matured at `now` exactly.
-        let matured = |ch: usize, is_flit: bool| {
-            let at = self.channels[ch].next_arrivals()[is_flit as usize];
-            let at = at.filter(|&at| at <= now);
+        // Whether channel `ch` has a flit matured by `now`, which then
+        // must have matured at `now` exactly.
+        let matured = |ch: usize| {
+            let at = self.channels[ch].next_arrival().filter(|&at| at <= now);
             assert!(
                 at.is_none_or(|at| at == now),
-                "calendar audit (d): channel {ch} (flit end: {is_flit}) holds an arrival \
-                 from cycle {} still unread at {now}",
+                "calendar audit (d): channel {ch} holds a flit from cycle {} still unread at {now}",
                 at.unwrap_or(now)
             );
             at.is_some()
@@ -627,32 +646,29 @@ impl Network {
                 "calendar audit (a): router {id} holds work at cycle {now} but is not due"
             );
             for p in 0..r.in_chan.len() {
-                for (kind, ch) in [r.in_ch(p), r.out_ch(p)].into_iter().enumerate() {
-                    if !ch.is_some_and(|ch| matured(ch, kind == 0)) {
-                        continue;
-                    }
-                    assert!(
-                        due_now,
-                        "calendar audit (a): router {id} port {p} has an arrival at cycle \
-                         {now} but is not due"
-                    );
-                    let hint = (id, (p << 1 | kind) as u16);
-                    while h < hints.len() && hints[h] < hint {
-                        h += 1;
-                    }
-                    assert!(
-                        hints.get(h) == Some(&hint),
-                        "calendar audit (c): router {id} has an arrival at cycle {now} \
-                         but no hint {hint:?}"
-                    );
+                if !r.in_ch(p).is_some_and(matured) {
+                    continue;
                 }
+                assert!(
+                    due_now,
+                    "calendar audit (a): router {id} port {p} has an arrival at cycle \
+                     {now} but is not due"
+                );
+                let hint = (id, p as u16);
+                while h < hints.len() && hints[h] < hint {
+                    h += 1;
+                }
+                assert!(
+                    hints.get(h) == Some(&hint),
+                    "calendar audit (c): router {id} has an arrival at cycle {now} \
+                     but no hint {hint:?}"
+                );
             }
         }
         let nr = self.routers.len();
         for t in &self.terminals {
-            let arrival = matured(t.in_chan, true) | matured(t.out_chan, false);
             assert!(
-                (!arrival && !t.is_active()) || is_due((nr + t.id()) as u32),
+                (!matured(t.in_chan) && !t.is_active()) || is_due((nr + t.id()) as u32),
                 "calendar audit (b): terminal {} has work at cycle {now} but is not due",
                 t.id()
             );
@@ -661,8 +677,9 @@ impl Network {
 
     /// Debug builds, event engine: cycles `now..target` are dead, as the
     /// dead-cycle skip about to jump them claims — no endpoint holds work
-    /// due before `target`, and no channel has an arrival or retry work
-    /// due before it.
+    /// due before `target`, and no channel has a flit arrival or retry
+    /// work due before it. Credits maturing inside the span are not work:
+    /// the skip settles them.
     #[cfg(debug_assertions)]
     pub(crate) fn audit_dead_span(&self, now: u64, target: u64) {
         let last = target - 1;
@@ -681,9 +698,8 @@ impl Network {
             );
         }
         for (ch, c) in self.channels.iter().enumerate() {
-            let arrival = c.next_arrivals().into_iter().flatten().min();
             let retry = c.llr_next_activity(now);
-            for at in [arrival, retry].into_iter().flatten() {
+            for at in [c.next_arrival(), retry].into_iter().flatten() {
                 assert!(
                     at >= target,
                     "skip audit: channel {ch} has work at cycle {at} (skip from {now} to {target})"
@@ -715,7 +731,8 @@ impl Network {
     }
 
     /// Kills both directions of the cable at `(router, port)`: flits on
-    /// either wire are dropped (their packets poisoned), packets committed
+    /// either wire are dropped (their packets poisoned), credits returning
+    /// over either are dropped from the credit wheel, packets committed
     /// to either dead port or left incomplete by the cut are poisoned, and
     /// the routers' liveness masks flip so routing stops considering the
     /// ports. Killing an already-dead link is a no-op, so overlapping
@@ -739,6 +756,7 @@ impl Network {
             if let Err(at) = self.dead_chans.binary_search(&(ch as u32)) {
                 self.dead_chans.insert(at, ch as u32);
             }
+            self.credits.purge(ch);
             for (flit, _) in self.channels[ch].kill() {
                 poison_packet(
                     pool,
@@ -890,9 +908,9 @@ impl Network {
 
     /// Sweeps fault fallout: drains dead channels' drop bins (poisoning the
     /// owning packets) and reaps every poisoned buffer from routers and
-    /// terminals. Cheap when nothing is poisoned. Returns whether anything
-    /// happened (the event engine resynchronizes its wake state when so —
-    /// the reaper sends credits outside the sink discipline).
+    /// terminals. Cheap when nothing is poisoned. It needs no wake: it
+    /// only removes work, and the credits the reaper returns go on the
+    /// credit wheel, which wakes nobody.
     ///
     /// Only a dead channel holds dead drops, so only `dead_chans` is
     /// visited; ascending, it poisons in the order a walk over every
@@ -903,20 +921,14 @@ impl Network {
         pool: &mut PacketPool,
         stats: &mut Stats,
         mut trace: Option<&mut Trace>,
-    ) -> bool {
+    ) {
         #[cfg(debug_assertions)]
         for (i, ch) in self.channels.iter().enumerate() {
             let listed = self.dead_chans.binary_search(&(i as u32)).is_ok();
             assert_eq!(listed, !ch.is_alive(), "channel {i} misfiled in dead_chans");
         }
-        let mut acted = false;
         for &ch in &self.dead_chans {
-            let ch = &mut self.channels[ch as usize];
-            if !ch.has_dead_drops() {
-                continue;
-            }
-            acted = true;
-            for (flit, _) in ch.take_dead_drops() {
+            for (flit, _) in self.channels[ch as usize].take_dead_drops() {
                 poison_packet(
                     pool,
                     stats,
@@ -930,15 +942,13 @@ impl Network {
             }
         }
         if pool.any_poisoned() {
-            acted = true;
             for r in &mut self.routers {
-                r.reap_poisoned(now, pool, stats, &mut self.channels);
+                r.reap_poisoned(now, pool, stats, &self.channels, &mut self.credits);
             }
             for t in &mut self.terminals {
                 t.reap_poisoned(pool);
             }
         }
-        acted
     }
 
     /// Access to a terminal (injection queues).
@@ -975,24 +985,44 @@ impl Network {
 
     /// Whether every credit has also returned home (strict quiescence).
     pub fn is_quiescent(&self) -> bool {
-        self.is_drained() && self.channels.iter().all(|c| c.is_idle())
+        self.is_drained() && self.channels.iter().all(|c| c.is_idle()) && self.credits.is_empty()
     }
 
-    /// Audits credit-based flow control on every router-to-router channel:
-    /// the credits a sender has consumed for `(port, vc)` must exactly
-    /// account for the flits it has in its crossbar/output queue, on the
-    /// wire, buffered downstream, and the credits still in flight back —
-    /// plus at most one in-progress packet's whole-packet reservation when
-    /// the VC is claimed. Every router's derived allocation
-    /// state (per-port occupancy counter, routed-prefix counts, packet
-    /// buffer counters, per-VC flit counts, VC and output-active masks,
-    /// head list) is checked against the credits, queues and `pool` slots
-    /// it summarizes, dead ports included.
-    /// Returns the list of violations (empty = sound).
+    /// Audits credit-based flow control on every link, both directions:
+    /// - Router to router or terminal: the credits a sender has consumed
+    ///   for `(port, vc)` must exactly account for the flits it has in its
+    ///   crossbar/output queue, on the wire, buffered downstream (a
+    ///   terminal buffers nothing), and the credits on their way back —
+    ///   plus at most one in-progress packet's whole-packet reservation
+    ///   when the VC is claimed.
+    /// - Terminal to router: the credits a terminal has consumed for `vc`
+    ///   are exactly the unsent flits of the packet it is injecting on
+    ///   `vc`, the flits on the wire, the router's input occupancy and the
+    ///   credits on their way back.
+    ///
+    /// Every router's derived allocation state (per-port occupancy
+    /// counter, routed-prefix counts, packet buffer counters, per-VC flit
+    /// counts, VC and output-active masks, head list) is checked against
+    /// the credits, queues and `pool` slots it summarizes, dead ports
+    /// included. Returns the list of violations (empty = sound).
     pub fn audit_flow_control(&self, pool: &PacketPool) -> Vec<String> {
         let mut errs = Vec::new();
         let cap = self.cfg.buf_flits;
         let max_pkt = self.cfg.max_packet_flits;
+        let v = self.cfg.num_vcs;
+        // Credits in flight per (channel, vc), from one walk of the wheel.
+        let mut returning = vec![0usize; self.channels.len() * v];
+        for (ch, vc) in self.credits.in_flight() {
+            returning[ch * v + vc as usize] += 1;
+        }
+        // Flits on channel `ch` plus credits returning over it, for `vc`.
+        let in_transit = |ch: usize, vc: usize| {
+            let flits = self.channels[ch]
+                .flits_in_flight()
+                .filter(|&(_, f)| f as usize == vc)
+                .count();
+            flits + returning[ch * v + vc]
+        };
         for r in &self.routers {
             r.audit_derived_state(pool, &mut errs);
             for port in 0..self.topo.num_ports(r.id()) {
@@ -1000,28 +1030,16 @@ impl Network {
                 if !r.port_live(port) || !self.channels[ch].is_alive() {
                     continue; // dead links settle their books at revival
                 }
-                let PortTarget::Router {
-                    router: r2,
-                    port: p2,
-                } = self.topo.port_target(r.id(), port)
-                else {
-                    continue; // terminal links return credits instantly
+                // The far end's input buffer; a terminal buffers nothing.
+                let far = match self.topo.port_target(r.id(), port) {
+                    PortTarget::Router { router, port } => Some((router, port)),
+                    _ => None,
                 };
-                for vc in 0..self.cfg.num_vcs {
+                for vc in 0..v {
                     let claimed = cap - r.credits(port, vc) as usize;
-                    let chan = &self.channels[ch];
-                    let in_chan = chan
-                        .flits_in_flight()
-                        .filter(|&(_, v)| v as usize == vc)
-                        .count();
-                    let creds_back = chan
-                        .credits_in_flight()
-                        .filter(|&v| v as usize == vc)
-                        .count();
-                    let observable = r.in_flight_to(port, vc)
-                        + in_chan
-                        + creds_back
-                        + self.routers[r2].input_occupancy(p2, vc);
+                    let buffered =
+                        far.map_or(0, |(r2, p2)| self.routers[r2].input_occupancy(p2, vc));
+                    let observable = r.in_flight_to(port, vc) + in_transit(ch, vc) + buffered;
                     let slack = if r.vc_owner(port, vc).is_some() {
                         max_pkt
                     } else {
@@ -1033,6 +1051,21 @@ impl Network {
                             r.id()
                         ));
                     }
+                }
+            }
+        }
+        for t in &self.terminals {
+            let (r, port) = self.topo.terminal_attach(t.id());
+            for vc in 0..v {
+                let claimed = cap - t.credits(vc) as usize;
+                let observable = t.unsent_on(vc, pool)
+                    + in_transit(t.out_chan, vc)
+                    + self.routers[r].input_occupancy(port, vc);
+                if claimed != observable {
+                    errs.push(format!(
+                        "terminal {} vc {vc}: claimed {claimed} observable {observable}",
+                        t.id()
+                    ));
                 }
             }
         }
@@ -1063,9 +1096,9 @@ mod tests {
 
     /// The arrival-key table on a 3x3 HyperX with two terminals per
     /// router: keys in ascending order name the ends in exactly the order
-    /// `Router::ingress`'s full scan visits them, every channel's two ends
-    /// have keys of their own, and a terminal end wakes its consumer but
-    /// yields no hint.
+    /// `Router::ingress`'s full scan visits them, every channel has one
+    /// end with a key of its own, and a terminal end wakes its consumer
+    /// but yields no hint.
     #[test]
     fn arrival_keys_enumerate_ends_in_full_scan_order() {
         let hx = Arc::new(HyperX::uniform(2, 3, 2));
@@ -1080,22 +1113,21 @@ mod tests {
         let ev = net.event.as_deref_mut().expect("event engine");
 
         // The full scan, spelled out: per router, per port, the incoming
-        // channel's flits and then the outgoing channel's credits.
+        // channel's flits.
         let mut scan = Vec::new();
         for r in &net.routers {
             for p in 0..r.in_chan.len() {
-                scan.extend(r.in_ch(p).map(|ch| (r.id(), p, ch, true)));
-                scan.extend(r.out_ch(p).map(|ch| (r.id(), p, ch, false)));
+                scan.extend(r.in_ch(p).map(|ch| (r.id(), p, ch)));
             }
         }
         let router_ends = scan.len();
-        assert_eq!(ev.ends.len(), 2 * net.channels.len());
-        assert_eq!(router_ends, ev.ends.len() - 2 * net.terminals.len());
-        for (end, &(r, p, ch, is_flit)) in ev.ends.iter().zip(&scan) {
+        assert_eq!(ev.ends.len(), net.channels.len());
+        assert_eq!(router_ends, ev.ends.len() - net.terminals.len());
+        for (end, &(r, p, ch)) in ev.ends.iter().zip(&scan) {
             let want = ArrivalEnd {
-                chan_end: (ch as u32) << 1 | is_flit as u32,
+                chan: ch as u32,
                 consumer: r as u32,
-                step: (p << 1 | !is_flit as usize) as u16,
+                step: p as u16,
             };
             assert_eq!(*end, want);
         }
@@ -1103,16 +1135,11 @@ mod tests {
             .iter()
             .all(|e| e.consumer as usize >= nr));
 
-        // Channel -> ends is the inverse of key -> end, two keys apiece.
+        // Channel -> end is the inverse of key -> end.
         for (ch, c) in ev.chans.iter().enumerate() {
-            let [(credit_consumer, credit_key), (flit_consumer, flit_key)] = c.ends;
-            assert_ne!(credit_key, flit_key, "channel {ch}");
-            assert_ne!(credit_consumer, flit_consumer, "channel {ch}");
-            for (is_flit, (consumer, key)) in c.ends.into_iter().enumerate() {
-                let end = ev.ends[key as usize];
-                assert_eq!(end.chan_end, (ch as u32) << 1 | is_flit as u32);
-                assert_eq!(end.consumer, consumer);
-            }
+            let end = ev.ends[c.key as usize];
+            assert_eq!(end.chan, ch as u32);
+            assert_eq!(end.consumer, c.consumer);
         }
 
         // A flit ejected to terminal 0 and one injected by it mature
@@ -1120,8 +1147,8 @@ mod tests {
         let eject = net.terminals[0].in_chan;
         let inject = net.terminals[0].out_chan;
         assert_eq!(ev.chans[eject].latency, ev.chans[inject].latency);
-        ev.on_send(7, eject, true);
-        ev.on_send(7, inject, true);
+        ev.on_send(7, eject);
+        ev.on_send(7, inject);
         let at = 7 + ev.chans[eject].latency;
         let mut due = Vec::new();
         ev.queue.pop_due(at, &mut due);
@@ -1129,7 +1156,7 @@ mod tests {
         let mut hints = Vec::new();
         ev.collect_arrivals(at, nr as u32, &mut hints);
         // Key order: the router's end first, the terminal's after it.
-        let (inject_key, eject_key) = (ev.chans[inject].ends[1].1, ev.chans[eject].ends[1].1);
+        let (inject_key, eject_key) = (ev.chans[inject].key, ev.chans[eject].key);
         assert!(inject_key < eject_key);
         let inject_end = ev.ends[inject_key as usize];
         assert_eq!(hints, [(inject_end.consumer, inject_end.step)]);
@@ -1185,7 +1212,7 @@ mod tests {
         let (mut net, ch) = net_and_router_link();
         net.channels[ch].send_flit(0, FLIT, 0);
         let ev = net.event.as_deref_mut().expect("event engine");
-        ev.on_send(0, ch, true);
+        ev.on_send(0, ch);
         let at = ev.chans[ch].latency;
         ev.arrivals.drain((at % ev.arrivals_len) as usize, |_| {});
         tick_at(&mut net, at);

@@ -9,7 +9,9 @@
 //! **age-based arbitration** for both VC allocation and switch scheduling.
 //!
 //! Per-cycle pipeline:
-//! 1. *Ingress* — accept flits/credits whose channel delay expired.
+//! 1. *Ingress* — accept flits whose channel delay expired. (Returning
+//!    credits are applied before the cycle's first tick by the network's
+//!    credit wheel, [`Router::absorb_credit`].)
 //! 2. *Route + VC allocation* — for every unrouted head flit (oldest
 //!    packet first), ask the routing algorithm for its candidates, weigh
 //!    each from this router's output state ([`hxcore::weight::weigh`]) and
@@ -58,6 +60,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::channel::Channel;
 use crate::config::SimConfig;
+use crate::credit::CreditWheel;
 use crate::metrics::lap;
 use crate::network::TickCtx;
 use crate::packet::{Flit, PacketHot, PacketId, PacketPool};
@@ -75,9 +78,9 @@ const NIL: u32 = u32::MAX;
 /// salt)`, compared lexicographically — lower wins.
 type CandKey = (u64, u8, u32);
 
-/// An ingress arrival hint: `(router_id, port << 1 | is_credit)`. Ascending
-/// order is the full scan's visit order (ports ascending, flits before
-/// credits per port). The event engine reads them off its arrival ring,
+/// An ingress arrival hint: `(router_id, port)`, a port whose incoming
+/// channel has a flit maturing this cycle. Ascending order is the full
+/// scan's visit order. The event engine reads them off its arrival ring,
 /// whose keys are numbered in that order.
 pub(crate) type ArrivalHint = (u32, u16);
 
@@ -485,10 +488,11 @@ impl Router {
     }
 
     /// Event engine: the next cycle this router must tick, given it just
-    /// ticked at `now`. `None` means fully asleep — only an arrival wake
-    /// (flit or credit) can reactivate it, and credits alone never can:
-    /// a sleeping router has no buffered flits, so absorbed credits don't
-    /// enable any work (allocation acts only on buffered heads).
+    /// ticked at `now`. `None` means fully asleep — only a flit arrival
+    /// wake can reactivate it. Returning credits wake nobody, and need
+    /// not: a sleeping router has no buffered flits, so credits don't
+    /// enable any work (allocation acts only on buffered heads), and the
+    /// credit wheel applies them before the router next ticks.
     ///
     /// Buffered input flits or queued output flits mean per-cycle work
     /// (routing draws randomness, links send one flit per cycle), so the
@@ -775,10 +779,10 @@ impl Router {
     /// to apply after the last endpoint of the cycle.
     ///
     /// `hints`, when present (event engine), lists exactly the ports with
-    /// matured flit/credit arrivals this cycle (sorted ascending, flits
-    /// before credits per port — the full scan's visit order), so ingress
-    /// touches only those ports instead of scanning all `num_ports`.
-    /// `None` (cycle engine) falls back to the full scan.
+    /// matured flit arrivals this cycle (sorted ascending — the full
+    /// scan's visit order), so ingress touches only those ports instead of
+    /// scanning all `num_ports`. `None` (cycle engine) falls back to the
+    /// full scan.
     pub(crate) fn tick(
         &mut self,
         topo: &dyn Topology,
@@ -805,30 +809,22 @@ impl Router {
         lap(&mut stamp, &mut ctx.timers.channel_ns);
     }
 
-    /// Phase 1: accept arriving flits and returning credits. Flits of
-    /// poisoned packets are discarded on arrival, with their buffer
-    /// credit returned immediately.
+    /// Phase 1: accept arriving flits. Flits of poisoned packets are
+    /// discarded on arrival, with their buffer credit returned
+    /// immediately.
     fn ingress(&mut self, hints: Option<&[ArrivalHint]>, ctx: &mut TickCtx) {
         match hints {
+            // Ascending, unique ports reproduce the full scan's order. A
+            // hinted port whose arrivals turn out empty (killed channel)
+            // is a no-op exactly like the full scan visiting it.
             Some(hints) => {
-                // Ascending, unique (port, kind) keys reproduce the full
-                // scan's order: ports ascending, flits (bit 0 clear) before
-                // credits. A hinted port whose arrivals turn out empty
-                // (killed channel) is a no-op exactly like the full scan
-                // visiting it.
-                for &(_, key) in hints {
-                    let port = (key >> 1) as usize;
-                    if key & 1 == 0 {
-                        self.ingress_flits(port, ctx);
-                    } else {
-                        self.ingress_credits(ctx.now, port, ctx.channels);
-                    }
+                for &(_, port) in hints {
+                    self.ingress_flits(port as usize, ctx);
                 }
             }
             None => {
                 for port in 0..self.num_ports {
                     self.ingress_flits(port, ctx);
-                    self.ingress_credits(ctx.now, port, ctx.channels);
                 }
             }
         }
@@ -881,18 +877,14 @@ impl Router {
         }
     }
 
-    /// Absorbs every matured returning credit on `port`'s outgoing channel.
-    fn ingress_credits(&mut self, now: u64, port: usize, channels: &mut [Channel]) {
-        let Some(ch) = self.out_ch(port) else { return };
-        let base = port * self.num_vcs;
-        while let Some(vc) = channels[ch].pop_credit(now) {
-            self.out_credits[base + vc as usize] += 1;
-            self.out_occ[port] -= 1;
-            debug_assert!(
-                self.out_credits[base + vc as usize] <= self.buf_cap,
-                "credit overflow"
-            );
-        }
+    /// Absorbs one returning credit for output `(port, vc)` (the credit
+    /// wheel applies it before the cycle's first tick).
+    #[inline]
+    pub(crate) fn absorb_credit(&mut self, port: usize, vc: u8) {
+        let i = self.pv(port, vc as usize);
+        self.out_credits[i] += 1;
+        self.out_occ[port] -= 1;
+        debug_assert!(self.out_credits[i] <= self.buf_cap, "credit overflow");
     }
 
     /// Phase 2: route computation + virtual cut-through VC allocation,
@@ -1402,7 +1394,8 @@ impl Router {
         now: u64,
         pool: &mut PacketPool,
         stats: &mut Stats,
-        channels: &mut [Channel],
+        channels: &[Channel],
+        credits: &mut CreditWheel,
     ) {
         if !pool.any_poisoned() {
             return;
@@ -1440,8 +1433,8 @@ impl Router {
                     for _ in buf.sent..buf.arrived {
                         self.unbuffer_flit(port, vc);
                         stats.dropped_flits += 1;
-                        if self.in_chan[port] != NO_WIRE {
-                            channels[self.in_chan[port] as usize].send_credit(now, vc as u8);
+                        if let Some(ch) = self.in_ch(port) {
+                            credits.send(now, ch, &channels[ch], vc as u8);
                         }
                         pool.note_flit_gone(buf.pkt);
                     }
@@ -1536,6 +1529,7 @@ mod tests {
             timers: Default::default(),
             wakes: None,
             llr_due: None,
+            credits: &mut CreditWheel::from_cycle(now, 1),
         })
     }
 
@@ -1650,9 +1644,14 @@ mod tests {
             "two flits and the buffer still pin the slot"
         );
 
-        r.reap_poisoned(2, &mut pool, &mut stats, &mut channels);
-        assert_eq!(channels[0].credits_in_flight().count(), 2);
-        assert!(channels[0].credits_in_flight().all(|v| v == vc));
+        let mut credits = CreditWheel::from_cycle(2, 1);
+        r.reap_poisoned(2, &mut pool, &mut stats, &channels, &mut credits);
+        let returned: Vec<(usize, u8)> = credits.in_flight().collect();
+        assert_eq!(
+            returned,
+            [(0, vc), (0, vc)],
+            "two credits upstream on channel 0"
+        );
         assert_eq!(stats.dropped_flits, 2);
         assert_eq!(pool.live(), 0, "refcount did not reach zero");
         assert!(!pool.any_poisoned());
@@ -1726,9 +1725,8 @@ mod tests {
 
         // Credits come home on port 1: two for VC 0, one for VC 5.
         for vc in [0, 0, 5] {
-            channels[1].send_credit(0, vc);
+            r.absorb_credit(1, vc);
         }
-        r.ingress_credits(1, 1, &mut channels);
         check(&r, &pool);
         assert_eq!(r.out_occ, [0, 17, 5]);
 
@@ -1736,7 +1734,8 @@ mod tests {
         // 0 is only 6 short of capacity: the refund clamps and the port
         // counter moves by 6.
         pool.poison(ids[0]);
-        r.reap_poisoned(1, &mut pool, &mut stats, &mut channels);
+        let mut credits = CreditWheel::from_cycle(1, 1);
+        r.reap_poisoned(1, &mut pool, &mut stats, &channels, &mut credits);
         check(&r, &pool);
         assert_eq!(r.out_occ, [0, 11, 5]);
         assert_eq!(r.credits(1, 0), r.buf_cap);

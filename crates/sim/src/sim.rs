@@ -195,18 +195,14 @@ impl Sim {
     /// Advances one cycle under `workload`.
     pub fn step(&mut self, workload: &mut dyn Workload) {
         let now = self.now;
-        let event_engine = self.net.engine_is_event();
-        // Scheduled faults land at the start of their cycle.
-        let mut fault_acted = false;
+        // Scheduled faults land at the start of their cycle. No action
+        // needs a wake: kills and the fallout reap only remove work,
+        // revivals only rebuild credits, and transient actions touch only
+        // LLR sublayer state, which the LLR calendar covers (a flap-up
+        // puts its channels on it for this cycle).
         if let Some(mut schedule) = self.fault_schedule.take() {
             while let Some(action) = schedule.pop_due(now) {
                 self.fault_mode = true;
-                // Transient actions mutate only LLR sublayer state, which
-                // the LLR calendar covers: a flap-up puts its channels on
-                // it for this cycle, a flap-down only removes retry work,
-                // and a degrade or restore retimes only frames not yet
-                // serialized — no conservative wake rebuild needed.
-                fault_acted |= !action.is_transient();
                 self.net.apply_fault(
                     action,
                     now,
@@ -219,17 +215,12 @@ impl Sim {
         }
         if self.pool.any_poisoned() {
             // Reap the kill's casualties before they are ticked.
-            fault_acted |= self.net.collect_fault_fallout(
+            self.net.collect_fault_fallout(
                 now,
                 &mut self.pool,
                 &mut self.stats,
                 self.trace.as_mut(),
             );
-        }
-        if event_engine && fault_acted {
-            // Faults mutate wires and credits outside the tick's send
-            // helpers; rebuild conservative wake coverage before ticking.
-            self.net.fault_resync(now);
         }
 
         // Retransmissions fire before the workload injects: recovery
@@ -291,15 +282,12 @@ impl Sim {
         }
 
         if self.fault_mode {
-            let acted = self.net.collect_fault_fallout(
+            self.net.collect_fault_fallout(
                 now,
                 &mut self.pool,
                 &mut self.stats,
                 self.trace.as_mut(),
             );
-            if event_engine && acted {
-                self.net.fault_resync(now);
-            }
             // With faults settled and nothing mid-drop, flow control must
             // balance exactly (debug builds only; the audit walks every
             // channel).
@@ -379,8 +367,10 @@ impl Sim {
     /// — never past `deadline`. The watchdog's stall accounting advances
     /// exactly as if the dead cycles had been stepped one by one, and the
     /// skip stops at the precise cycle a stall report would fire so the
-    /// report's cycle matches the cycle engine's bit for bit. Debug builds
-    /// check that the skipped span is dead ([`Network::audit_dead_span`]).
+    /// report's cycle matches the cycle engine's bit for bit. Returning
+    /// credits maturing inside the span are applied as it is jumped
+    /// ([`Network::settle_credits`]). Debug builds check that the skipped
+    /// span is dead ([`Network::audit_dead_span`]).
     fn skip_dead_cycles(&mut self, workload: &dyn Workload, deadline: u64) {
         if self.pool.any_poisoned() {
             return; // fallout sweeps run per-cycle until poisons clear
@@ -435,6 +425,10 @@ impl Sim {
         }
         #[cfg(debug_assertions)]
         self.net.audit_dead_span(now, target);
+        // Credits wake nobody, so the span may hold credit maturities:
+        // apply them, so the counters read between steps (and by the
+        // fault actions at the start of the next step) are current.
+        self.net.settle_credits(target - 1);
         self.now = target;
     }
 

@@ -1,6 +1,6 @@
 //! Network terminals: packet sources (injection queue feeding the attached
 //! router at one flit per cycle under credit flow control) and sinks
-//! (immediate consumption with instant credit return).
+//! (immediate consumption, each flit's credit sent straight back).
 
 use std::collections::VecDeque;
 
@@ -76,24 +76,40 @@ impl Terminal {
 
     /// Event engine: whether this terminal must tick next cycle. An active
     /// terminal (serializing or with queued packets) draws randomness and
-    /// may send a flit every cycle; an inactive one only reacts to arrivals
-    /// (flits to eject, credits to absorb), which arrival wakes cover —
-    /// absorbed credits alone never create work without a queued packet.
+    /// may send a flit every cycle; an inactive one only reacts to flits
+    /// to eject, which arrival wakes cover. Returning credits wake nobody:
+    /// they create no work without a queued packet.
     pub(crate) fn is_active(&self) -> bool {
         self.cur.is_some() || !self.inj_q.is_empty()
     }
 
-    /// One simulation cycle: absorb credits, consume arriving flits
-    /// (recording deliveries), and push at most one flit into the
-    /// network. Like `Router::tick`, writes every effect straight into
-    /// `ctx`.
+    /// Absorbs one returning credit for the router's input VC `vc` (the
+    /// credit wheel applies it before the cycle's first tick).
+    #[inline]
+    pub(crate) fn absorb_credit(&mut self, vc: u8) {
+        self.credits[vc as usize] += 1;
+        debug_assert!(self.credits[vc as usize] <= self.buf_cap, "credit overflow");
+    }
+
+    /// Credits held for the router's input VC `vc` (invariant support).
+    pub(crate) fn credits(&self, vc: usize) -> u32 {
+        self.credits[vc]
+    }
+
+    /// Flits of the packet being injected on VC `vc` not yet sent: the
+    /// part of its whole-packet credit reservation still at the terminal
+    /// (invariant support).
+    pub(crate) fn unsent_on(&self, vc: usize, pool: &PacketPool) -> usize {
+        self.cur
+            .filter(|&(_, _, v)| v as usize == vc)
+            .map_or(0, |(pkt, idx, _)| (pool.hot(pkt).len - idx) as usize)
+    }
+
+    /// One simulation cycle: consume arriving flits (recording
+    /// deliveries), and push at most one flit into the network. Like
+    /// `Router::tick`, writes every effect straight into `ctx`.
     pub(crate) fn tick(&mut self, ctx: &mut TickCtx) {
         let now = ctx.now;
-        // Returning credits from the router.
-        while let Some(vc) = ctx.channels[self.out_chan].pop_credit(now) {
-            self.credits[vc as usize] += 1;
-        }
-
         // Ejection: consume everything that arrived; credits go straight
         // back (the terminal is an infinite sink).
         while let Some((flit, vc)) = ctx.channels[self.in_chan].pop_flit(now) {
@@ -205,6 +221,7 @@ impl Terminal {
 mod tests {
     use super::*;
     use crate::channel::Channel;
+    use crate::credit::CreditWheel;
     use crate::packet::Packet;
     use crate::stats::Stats;
 
@@ -254,6 +271,7 @@ mod tests {
             timers: Default::default(),
             wakes: None,
             llr_due: None,
+            credits: &mut CreditWheel::from_cycle(now, 1),
         });
         channels[term.out_chan].flits_sent() > sent
     }
@@ -293,13 +311,13 @@ mod tests {
             if atomic {
                 // Returning only part of the reservation is not enough.
                 for _ in 0..2 {
-                    channels[0].send_credit(4, 0);
+                    term.absorb_credit(0);
                 }
                 assert!(!tick_once(&mut term, 5, &mut pool, &mut channels));
                 assert_eq!(term.credits[0], 14);
                 // Once every credit is home the claim goes through.
                 for _ in 0..2 {
-                    channels[0].send_credit(5, 0);
+                    term.absorb_credit(0);
                 }
                 assert!(tick_once(&mut term, 6, &mut pool, &mut channels));
                 assert_eq!(term.credits[0], 12, "whole-packet reservation taken");

@@ -6,8 +6,9 @@
 //!    of sends, link flaps, and degrade/restore events under an arbitrary
 //!    bit-error rate, the receiver observes every flit **exactly once, in
 //!    order**: never a duplicate, never a reorder, never a flit dropped
-//!    past the replay window. Credits (which bypass LLR by design) are
-//!    conserved independently.
+//!    past the replay window. (Returning credits never touch a channel:
+//!    they ride the network's credit wheel, which the system-level flow
+//!    control audit below covers.)
 //!
 //! 2. **System-level recovery laws** — for an arbitrary transient-only
 //!    storm (BER + flap schedules + degraded links) on a real network,
@@ -53,17 +54,10 @@ struct RawCmd {
 
 /// Drives one engine-ordered cycle on a standalone channel: LLR tick
 /// first (start of cycle), then the consumer reads arrivals — the exact
-/// order `Network::tick` uses. Credits drain on the same cycle.
-fn drive_cycle(
-    ch: &mut Channel,
-    stats: &mut Stats,
-    now: u64,
-    got: &mut Vec<u16>,
-    credits: &mut u64,
-) {
+/// order `Network::tick` uses.
+fn drive_cycle(ch: &mut Channel, stats: &mut Stats, now: u64, got: &mut Vec<u16>) {
     ch.llr_tick(now, stats);
     ch.recv_flits(now, |f, _| got.push(f.idx));
-    ch.recv_credits(now, |_| *credits += 1);
 }
 
 /// The go-back-N laws under an arbitrary command interleaving: exactly
@@ -78,18 +72,16 @@ fn check_channel_laws(
     let mut ch = Channel::with_llr(3, window, ber, seed);
     let mut stats = Stats::default();
     let mut got: Vec<u16> = Vec::new();
-    let mut credits_back: u64 = 0;
-    let mut credits_sent: u64 = 0;
     let mut sent: u16 = 0;
     let mut now: u64 = 0;
     let mut down = false;
 
     for cmd in cmds {
         for _ in 0..(cmd.gap % 4) {
-            drive_cycle(&mut ch, &mut stats, now, &mut got, &mut credits_back);
+            drive_cycle(&mut ch, &mut stats, now, &mut got);
             now += 1;
         }
-        drive_cycle(&mut ch, &mut stats, now, &mut got, &mut credits_back);
+        drive_cycle(&mut ch, &mut stats, now, &mut got);
         match cmd.op % 8 {
             // Sends dominate the distribution so the wire stays busy.
             0..=4 => {
@@ -98,9 +90,6 @@ fn check_channel_laws(
                 if ch.ready_for_flit() {
                     ch.send_flit(now, flit(sent), 0);
                     sent += 1;
-                    // Credits ride the legacy reverse path, LLR-exempt.
-                    ch.send_credit(now, 0);
-                    credits_sent += 1;
                 }
             }
             5 => {
@@ -128,7 +117,7 @@ fn check_channel_laws(
     // generous — replays under a hostile BER take many round trips.
     let mut budget = 40_000u64;
     while !(ch.is_idle() && got.len() == sent as usize) && budget > 0 {
-        drive_cycle(&mut ch, &mut stats, now, &mut got, &mut credits_back);
+        drive_cycle(&mut ch, &mut stats, now, &mut got);
         now += 1;
         budget -= 1;
     }
@@ -143,7 +132,6 @@ fn check_channel_laws(
         got.len()
     );
     prop_assert!(ch.is_idle(), "channel failed to drain within budget");
-    prop_assert_eq!(credits_back, credits_sent, "credit conservation violated");
     let (crc, replays, flaps) = ch.llr_counters();
     prop_assert_eq!(stats.llr_replays, replays);
     prop_assert_eq!(stats.crc_errors, crc);

@@ -46,9 +46,9 @@ impl BitSet {
     }
 }
 
-/// A fixed grid of equally wide bit rows — the representation of both
-/// event-engine calendars (rows are cycles modulo the row count, bits are
-/// endpoint ids or arrival keys). A set is idempotent and a drain walks
+/// A fixed grid of equally wide bit rows — the representation of the
+/// event calendars (rows are cycles modulo the row count, bits are wake
+/// keys or channel ids). A set is idempotent and a drain walks
 /// bits upwards, so whatever is read back out of a row is ascending and
 /// unique without any sorting.
 #[derive(Debug)]
@@ -97,6 +97,7 @@ impl BitRows {
     }
 
     /// Whether no bit of `row` is set.
+    #[cfg(test)]
     pub(crate) fn row_is_clear(&self, row: usize) -> bool {
         self.words[row * self.width..(row + 1) * self.width]
             .iter()

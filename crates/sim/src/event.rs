@@ -1,28 +1,29 @@
 //! The deterministic event queue: a calendar of wakes keyed by small
 //! integer ids.
 //!
-//! The event-driven engine keys one queue by endpoint (routers first, then
-//! terminals — the same id order they tick in): an endpoint schedules a
-//! *wake*, "tick me at cycle `t`", and the engine pops every wake due at
-//! the current cycle and ticks exactly that endpoint set; cycles with no
-//! due wake, no workload activity, and no transport deadline are skipped
-//! wholesale. With link-level retry on, both engines key a second queue by
-//! channel id: a channel is woken when its retry sublayer has work due,
-//! and only the due channels run `llr_tick` (see `Network::tick`).
+//! The event-driven engine keys one queue by *wake key*: every endpoint
+//! (routers first, then terminals — the order they tick in) owns a
+//! self-wake key followed by one arrival key per input port, so a key
+//! names "tick endpoint `e`" or "a flit matures on `e`'s port `p`". The
+//! engine pops every key due at the current cycle and ticks exactly the
+//! endpoints owning them; cycles with no due key, no workload activity,
+//! and no transport deadline are skipped wholesale. With link-level retry
+//! on, both engines key a second queue by channel id: a channel is woken
+//! when its retry sublayer has work due, and only the due channels run
+//! `llr_tick` (see `Network::tick`).
 //!
 //! ## Representation: a calendar of bit rows
 //!
 //! Nearly every wake lands within one channel latency of `now`, and the
 //! engine schedules and pops hundreds per cycle. The calendar is
-//! [`HORIZON`] rows of one bit per endpoint: `schedule` sets bit
-//! `endpoint` of row `t % HORIZON`, `pop_due` reads the due rows back out
-//! by `trailing_zeros`. A wake is therefore a bit, not an entry: scheduling
-//! an endpoint twice for one cycle sets the same bit twice, and reading a
-//! row upwards yields ids ascending — the due set comes out in order and
-//! free of duplicates because the representation cannot hold anything
-//! else. The
-//! order is the same whatever order the wakes were scheduled in.
-//! The rows are allocated once (`HORIZON × endpoints / 8` bytes) and never
+//! [`EventQueue::HORIZON`] rows of one bit per key: `schedule` sets bit
+//! `key` of row `t % HORIZON`, `pop_due` reads the due rows back out by
+//! `trailing_zeros`. A wake is therefore a bit, not an entry: scheduling a
+//! key twice for one cycle sets the same bit twice, and reading a row
+//! upwards yields keys ascending — the due set comes out in order and free
+//! of duplicates because the representation cannot hold anything else.
+//! The order is the same whatever order the wakes were scheduled in.
+//! The rows are allocated once (`HORIZON × keys / 8` bytes) and never
 //! grow.
 //!
 //! Duplicate and spurious wakes are harmless: a wake for an endpoint with
@@ -30,9 +31,9 @@
 //! terminals touch no state and draw no randomness), and so is a wake for
 //! a channel whose retry sublayer has nothing due.
 //!
-//! Wakes farther than [`HORIZON`] cycles out (a channel or crossbar
-//! latency above it) overflow into a small heap of `(t, endpoint)` that
-//! migrates into the rows as the cursor advances.
+//! Wakes farther than [`EventQueue::HORIZON`] cycles out (a channel or
+//! crossbar latency above it) overflow into a small heap of `(t, key)`
+//! that migrates into the rows as the cursor advances.
 //!
 //! The `next_drain` cursor only moves forward. A schedule at or behind the
 //! cursor lands in the cursor's own row, preserving "never dropped,
@@ -43,14 +44,15 @@ use std::collections::BinaryHeap;
 
 use crate::bitset::BitRows;
 
-/// Calendar length in cycles. Wakes farther out than this go through the
-/// overflow heap, so this trades memory against heap traffic and is not a
-/// correctness bound.
-const HORIZON: u64 = 256;
+/// Calendar length in cycles: the smallest power of two above every
+/// channel and crossbar latency the shipped configurations use (50
+/// cycles). Wakes farther out than this go through the overflow heap, so
+/// this trades memory against heap traffic and is not a correctness bound.
+const HORIZON: u64 = 64;
 
-/// Why an endpoint is being woken. Documentation at the call site only:
-/// the queue does not store it — an endpoint woken for several reasons in
-/// one cycle is one bit and ticks once.
+/// Why a key is being woken. Documentation at the call site only: the
+/// queue does not store it — a key woken for several reasons in one cycle
+/// is one bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A flit on an incoming channel matures this cycle.
@@ -62,10 +64,10 @@ pub enum EventKind {
     Llr,
 }
 
-/// A deterministic calendar of wakes, keyed by endpoint or channel id.
+/// A deterministic calendar of wakes, keyed by wake key or channel id.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Row `c % HORIZON` holds the endpoints waking at cycle `c`, for the
+    /// Row `c % HORIZON` holds the keys waking at cycle `c`, for the
     /// cycles `next_drain..next_drain + HORIZON`.
     rows: BitRows,
     /// Per row: whether it may hold a set bit. Lets `next_time` and
@@ -75,40 +77,43 @@ pub struct EventQueue {
     next_drain: u64,
     /// Wakes at or beyond `next_drain + HORIZON` when scheduled.
     far: BinaryHeap<Reverse<(u64, u32)>>,
-    endpoints: usize,
+    keys: usize,
 }
 
 impl EventQueue {
-    /// An empty queue over `endpoints` endpoint ids (`0..endpoints`).
-    pub fn new(endpoints: usize) -> Self {
+    /// Calendar length in cycles (see the module docs).
+    pub const HORIZON: u64 = HORIZON;
+
+    /// An empty queue over the keys `0..keys`.
+    pub fn new(keys: usize) -> Self {
         EventQueue {
-            rows: BitRows::new(HORIZON as usize, endpoints),
+            rows: BitRows::new(HORIZON as usize, keys),
             occupied: [false; HORIZON as usize],
             next_drain: 0,
             far: BinaryHeap::new(),
-            endpoints,
+            keys,
         }
     }
 
-    /// Schedules a wake for `endpoint` at cycle `t`. Scheduling the same
-    /// endpoint again for the same cycle changes nothing. Times at or
-    /// behind the drain cursor are delivered by the next `pop_due` that
-    /// reaches the cursor. `_kind` is not stored (see [`EventKind`]).
+    /// Schedules a wake for `key` at cycle `t`. Scheduling the same key
+    /// again for the same cycle changes nothing. Times at or behind the
+    /// drain cursor are delivered by the next `pop_due` that reaches the
+    /// cursor. `_kind` is not stored (see [`EventKind`]).
     #[inline]
-    pub fn schedule(&mut self, t: u64, endpoint: u32, _kind: EventKind) {
-        debug_assert!((endpoint as usize) < self.endpoints, "unknown endpoint");
+    pub fn schedule(&mut self, t: u64, key: u32, _kind: EventKind) {
+        debug_assert!((key as usize) < self.keys, "unknown key");
         let cycle = t.max(self.next_drain);
         if cycle >= self.next_drain + HORIZON {
-            self.far.push(Reverse((t, endpoint)));
+            self.far.push(Reverse((t, key)));
         } else {
-            self.set(cycle, endpoint);
+            self.set(cycle, key);
         }
     }
 
     #[inline]
-    fn set(&mut self, cycle: u64, endpoint: u32) {
+    fn set(&mut self, cycle: u64, key: u32) {
         let row = (cycle % HORIZON) as usize;
-        self.rows.set(row, endpoint);
+        self.rows.set(row, key);
         self.occupied[row] = true;
     }
 
@@ -130,9 +135,7 @@ impl EventQueue {
     }
 
     /// Pops every wake due at or before `now` into `out` as an ascending,
-    /// duplicate-free endpoint set — the cycle's tick set, in the exact
-    /// order the endpoints tick. A `now` behind the
-    /// cursor pops nothing.
+    /// duplicate-free key set. A `now` behind the cursor pops nothing.
     pub fn pop_due(&mut self, now: u64, out: &mut Vec<u32>) {
         out.clear();
         if now < self.next_drain {
@@ -153,12 +156,12 @@ impl EventQueue {
         // calendar move into their own row (strictly inside the window, so
         // never the row being drained), keeping the heap tiny however long
         // the run is.
-        while let Some(&Reverse((t, e))) = self.far.peek() {
+        while let Some(&Reverse((t, key))) = self.far.peek() {
             if t >= now + HORIZON {
                 break;
             }
             self.far.pop();
-            self.set(t.max(now), e);
+            self.set(t.max(now), key);
         }
         if std::mem::take(&mut self.occupied[dst]) {
             self.rows.drain(dst, |e| out.push(e));

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use hxcore::RoutingAlgorithm;
 use hxtopo::{ChannelKind, PortTarget, Topology};
 
-use crate::bitset::BitRows;
 use crate::channel::Channel;
 use crate::config::{Engine, SimConfig};
 use crate::credit::{CreditSink, CreditWheel};
@@ -15,7 +14,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultAction;
 use crate::metrics::{Metrics, PhaseTimers};
 use crate::packet::{Flit, PacketId, PacketPool};
-use crate::router::{poison_packet, ArrivalHint, Router};
+use crate::router::{poison_packet, ArrivalHint, Router, NO_WIRE};
 use crate::stats::Stats;
 use crate::terminal::Terminal;
 use crate::trace::{DropReason, Trace};
@@ -37,7 +36,7 @@ pub struct Network {
     /// engine refills it from its queue every cycle; the cycle engine
     /// fills it once, with every id.
     due: Vec<u32>,
-    /// Event engine: this cycle's arrival hints, the matured router ends
+    /// Event engine: this cycle's arrival hints, the matured router ports
     /// in key order (scratch, reused; empty under the cycle engine).
     hints: Vec<ArrivalHint>,
     /// This cycle's hop-capped packets, poisoned once every due endpoint
@@ -81,7 +80,7 @@ pub(crate) struct TickCtx<'a> {
     pub(crate) timed: bool,
     /// Phase wall time of this cycle, folded into `metrics` at its end.
     pub(crate) timers: PhaseTimers,
-    /// Event engine: flit sends plant their arrival wakes here.
+    /// Event engine: flit sends plant their arrival keys here.
     pub(crate) wakes: Option<&'a mut EventState>,
     /// LLR on: flit sends schedule their channel's serialization here.
     pub(crate) llr_due: Option<&'a mut EventQueue>,
@@ -94,163 +93,135 @@ impl TickCtx<'_> {
     /// LLR the flit only enters the sender's replay buffer: the channel
     /// goes on the LLR calendar for next cycle, when `llr_tick` serializes
     /// the frame (and reports the delivery when it lands). Otherwise the
-    /// event engine plants its arrival here.
+    /// event engine schedules the channel's arrival key for the cycle the
+    /// flit matures.
     #[inline]
     pub(crate) fn send_flit(&mut self, ch: usize, flit: Flit, vc: u8) {
-        self.channels[ch].send_flit(self.now, flit, vc);
+        let chan = &mut self.channels[ch];
+        chan.send_flit(self.now, flit, vc);
         if let Some(llr_due) = self.llr_due.as_deref_mut() {
             llr_due.schedule(self.now + 1, ch as u32, EventKind::Llr);
         } else if let Some(ev) = self.wakes.as_deref_mut() {
-            ev.on_send(self.now, ch);
+            ev.arrival(self.now + chan.latency(), ch);
         }
     }
 
     /// Returns one credit for `vc` to the sender of channel `ch`: it goes
     /// on the credit wheel, to be applied one channel latency from now
     /// before that cycle's first tick. It wakes nobody (see
-    /// [`Router::next_wake`]), and no arrival key names it.
+    /// [`Router::next_wake`]), and no wake key names it.
     #[inline]
     pub(crate) fn send_credit(&mut self, ch: usize, vc: u8) {
         self.credits.send(self.now, ch, &self.channels[ch], vc);
     }
 }
 
-/// Wake-scheduling state for the event-driven engine, keyed by the
-/// endpoint ids of `Network::due`.
+/// Wake-scheduling state for the event-driven engine: one calendar of
+/// *wake keys*.
 ///
-/// Every channel has one *end*: the endpoint that consumes its flits. (Its
-/// returning credits ride the credit wheel and wake nobody.) Each end has
-/// an *arrival key*, numbered in the order a full ingress scan visits ends
-/// (see [`arrival_ends`]), so a row of key bits read upwards is the hint
-/// list in the scan's order, already unique.
+/// Endpoint `e` (the ids of `Network::due`: routers, then terminals) owns
+/// the keys `first_key[e]..first_key[e + 1]`. Offset 0 is its self-wake;
+/// offset `1 + p` is the arrival key of its input port `p`, set when a
+/// flit on that port's incoming channel matures. Every router port has a
+/// key, wired or not, so the offset is the port; a terminal has one input,
+/// the channel from its router. Keys ascend with endpoint id, then port,
+/// so a popped row read upwards lists the due endpoints ascending, each
+/// followed by its matured ports ascending: one walk decodes it into the
+/// due set and the arrival hints, both in the full ingress scan's order.
+/// (A channel's returning credits ride the credit wheel and have no key.)
 pub(crate) struct EventState {
     queue: EventQueue,
-    /// Per channel: latency and the key of its end.
-    chans: Vec<ChanEnd>,
-    /// Per arrival key: the end it names.
-    ends: Vec<ArrivalEnd>,
-    /// Row `c % arrivals_len` holds the keys with a send maturing at cycle
-    /// `c`. Every set bit comes with a wake of its consumer at `c`, so
-    /// cycle `c` is executed and walks the row clean before the ring comes
-    /// round to it again (`arrivals_len` exceeds the longest latency).
-    arrivals: BitRows,
-    arrivals_len: u64,
+    /// Per endpoint: its self-wake key, the first of its keys; then the
+    /// key count.
+    first_key: Vec<u32>,
+    /// Per key: the endpoint owning it.
+    owner: Vec<u32>,
+    /// Per channel: the arrival key of the port consuming its flits.
+    chan_key: Vec<u32>,
+    /// This cycle's popped keys (scratch, reused).
+    keys: Vec<u32>,
     /// Lifetime endpoint wakes executed.
     events_processed: u64,
-}
-
-/// A channel as the wake scheduler sees it.
-struct ChanEnd {
-    /// One-way latency in cycles.
-    latency: u64,
-    /// The endpoint consuming its flits.
-    consumer: u32,
-    /// The arrival key of its end.
-    key: u32,
-}
-
-/// What an arrival key names: the end of one channel.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct ArrivalEnd {
-    /// The channel whose flits arrive here.
-    chan: u32,
-    /// Consuming endpoint id. Only routers (ids below the router count)
-    /// take hints; terminals read their one incoming channel directly.
-    consumer: u32,
-    /// The consumer's ingress step for this end: its port.
-    step: u16,
 }
 
 /// The most ports a router may have: the event engine names a port's
 /// ingress step in a `u16`.
 pub const MAX_PORTS: usize = 1 << 16;
 
-/// Every channel end in arrival-key order — the order the full scan of
-/// `Router::ingress` visits them: routers ascending, ports ascending; then
-/// the terminal ends, which yield no hint and so need no particular place.
-fn arrival_ends(routers: &[Router], terminals: &[Terminal]) -> Vec<ArrivalEnd> {
-    let mut ends = Vec::new();
-    for r in routers {
-        for p in 0..r.in_chan.len() {
-            ends.extend(r.in_ch(p).map(|ch| ArrivalEnd {
-                chan: ch as u32,
-                consumer: r.id() as u32,
-                step: p as u16,
-            }));
-        }
-    }
-    ends.extend(terminals.iter().map(|t| ArrivalEnd {
-        chan: t.in_chan as u32,
-        consumer: (routers.len() + t.id()) as u32,
-        step: 0,
-    }));
-    ends
-}
-
 impl EventState {
-    fn new(routers: &[Router], terminals: &[Terminal], channels: &[Channel]) -> Self {
-        let ends = arrival_ends(routers, terminals);
-        let mut chans: Vec<ChanEnd> = channels
-            .iter()
-            .map(|c| ChanEnd {
-                latency: c.latency(),
-                consumer: u32::MAX,
-                key: u32::MAX,
-            })
-            .collect();
-        for (key, end) in ends.iter().enumerate() {
-            let slot = &mut chans[end.chan as usize];
-            debug_assert_eq!(slot.consumer, u32::MAX, "channel end consumed twice");
-            (slot.consumer, slot.key) = (end.consumer, key as u32);
+    fn new(routers: &[Router], terminals: &[Terminal], channels: usize) -> Self {
+        let mut first_key = Vec::with_capacity(routers.len() + terminals.len() + 1);
+        // Sized exactly: it lives as long as the network.
+        let ports: usize = routers.iter().map(|r| r.in_chan.len()).sum();
+        let mut owner = Vec::with_capacity(routers.len() + ports + 2 * terminals.len());
+        let mut chan_key = vec![NO_WIRE; channels];
+        // The next endpoint claims its self key, then one key per input
+        // port in port order.
+        let mut claim = |inputs: &[u32]| {
+            let e = first_key.len() as u32;
+            first_key.push(owner.len() as u32);
+            owner.push(e);
+            for &ch in inputs {
+                if ch != NO_WIRE {
+                    debug_assert_eq!(chan_key[ch as usize], NO_WIRE, "channel consumed twice");
+                    chan_key[ch as usize] = owner.len() as u32;
+                }
+                owner.push(e);
+            }
+        };
+        for r in routers {
+            claim(&r.in_chan);
         }
-        debug_assert!(chans.iter().all(|c| c.consumer != u32::MAX));
-        let arrivals_len = chans.iter().map(|c| c.latency).max().unwrap_or(0) + 2;
+        for t in terminals {
+            claim(&[t.in_chan as u32]);
+        }
+        first_key.push(owner.len() as u32);
+        debug_assert!(!chan_key.contains(&NO_WIRE), "a channel without a consumer");
         EventState {
-            queue: EventQueue::new(routers.len() + terminals.len()),
-            arrivals: BitRows::new(arrivals_len as usize, ends.len()),
-            arrivals_len,
-            chans,
-            ends,
+            queue: EventQueue::new(owner.len()),
+            first_key,
+            owner,
+            chan_key,
+            keys: Vec::new(),
             events_processed: 0,
         }
     }
 
-    /// Walks the arrivals matured at `now` once, in key order, into
-    /// `hints`: the router ends (consumer ids below `nr`), so the busy tick
-    /// touches only ports with actual arrivals, in the full scan's visit
-    /// order. Terminal ends yield no hint — a terminal reads its two
-    /// channels whenever it ticks.
-    fn collect_arrivals(&mut self, now: u64, nr: u32, hints: &mut Vec<ArrivalHint>) {
-        let row = (now % self.arrivals_len) as usize;
-        let ends = &self.ends;
+    /// Pops the keys due at `now` and decodes them in one walk: each
+    /// owning endpoint once into `due`, each matured router port into
+    /// `hints`, both ascending. Terminal arrival keys wake their terminal
+    /// but yield no hint — a terminal reads its incoming channel whenever
+    /// it ticks.
+    fn pop_due(&mut self, now: u64, nr: u32, due: &mut Vec<u32>, hints: &mut Vec<ArrivalHint>) {
+        self.queue.pop_due(now, &mut self.keys);
+        due.clear();
         hints.clear();
-        self.arrivals.drain(row, |key| {
-            let end = ends[key as usize];
-            if end.consumer < nr {
-                hints.push((end.consumer, end.step));
+        let mut first = 0;
+        for &key in &self.keys {
+            let e = self.owner[key as usize];
+            if due.last() != Some(&e) {
+                due.push(e);
+                first = self.first_key[e as usize];
             }
-        });
-        debug_assert!(self.arrivals.row_is_clear(row));
+            if e < nr && key > first {
+                hints.push((e, (key - first - 1) as u16));
+            }
+        }
+        self.events_processed += due.len() as u64;
     }
 
-    /// A flit on channel `ch` reaches its consumer `delay` cycles after
-    /// `now`: mark the arrival and wake the consumer then.
+    /// Wakes endpoint `e` at cycle `t`.
     #[inline]
-    fn arrival(&mut self, now: u64, delay: u64, ch: usize) {
-        debug_assert!(delay < self.arrivals_len, "arrival beyond the ring");
-        let end = &self.chans[ch];
-        let t = now + delay;
-        self.arrivals.set((t % self.arrivals_len) as usize, end.key);
-        self.queue.schedule(t, end.consumer, EventKind::FlitArrival);
+    fn wake(&mut self, t: u64, e: usize) {
+        self.queue.schedule(t, self.first_key[e], EventKind::Wake);
     }
 
-    /// A flit went onto channel `ch` at `now`: it matures one channel
-    /// latency later.
+    /// A flit on channel `ch` matures at cycle `t`: wakes its consumer
+    /// with the hint for the port it arrives on.
     #[inline]
-    fn on_send(&mut self, now: u64, ch: usize) {
-        let latency = self.chans[ch].latency;
-        debug_assert!(latency >= 1, "zero-latency channel");
-        self.arrival(now, latency, ch);
+    fn arrival(&mut self, t: u64, ch: usize) {
+        self.queue
+            .schedule(t, self.chan_key[ch], EventKind::FlitArrival);
     }
 }
 
@@ -351,7 +322,7 @@ impl Network {
             .collect();
 
         let event = (cfg.engine == Engine::Event)
-            .then(|| Box::new(EventState::new(&routers, &terminals, &channels)));
+            .then(|| Box::new(EventState::new(&routers, &terminals, channels.len())));
         let llr_due = cfg.llr_enabled.then(|| EventQueue::new(channels.len()));
         let max_latency = channels.iter().map(Channel::latency).max().unwrap_or(1);
         let credits = CreditWheel::new(max_latency, sinks);
@@ -394,7 +365,7 @@ impl Network {
     pub(crate) fn wake_terminal(&mut self, t: usize, now: u64) {
         let nr = self.routers.len();
         if let Some(ev) = &mut self.event {
-            ev.queue.schedule(now, (nr + t) as u32, EventKind::Wake);
+            ev.wake(now, nr + t);
         }
     }
 
@@ -436,8 +407,8 @@ impl Network {
     /// increments commute.
     ///
     /// One body serves both engines; they differ only in where the due
-    /// set comes from. The event engine pops it from its queue (with
-    /// arrival hints from the arrival ring), the cycle engine's is every
+    /// set comes from. The event engine decodes it from the keys its
+    /// calendar pops (with the arrival hints), the cycle engine's is every
     /// endpoint id, unhinted. Then, the same for both: the due routers,
     /// then the due terminals, tick in id order, each writing its effects
     /// straight into the shared state ([`TickCtx`]).
@@ -480,10 +451,9 @@ impl Network {
                 let ch = &mut self.channels[i as usize];
                 if ch.llr_tick(now, stats) {
                     if let Some(ev) = self.event.as_deref_mut() {
-                        // The frame lands this very cycle: the arrival
-                        // joins the row about to be walked and the wake
-                        // the row about to be popped.
-                        ev.arrival(now, 0, i as usize);
+                        // The frame lands this very cycle: its arrival
+                        // key joins the row about to be popped.
+                        ev.arrival(now, i as usize);
                     }
                 }
                 if let Some(t) = ch.llr_next_activity(now + 1) {
@@ -497,9 +467,7 @@ impl Network {
         // ---- Due set: the only step that knows the engine's nature. The
         // cycle engine's `due` is every id, filled once at construction.
         if let Some(ev) = self.event.as_deref_mut() {
-            ev.queue.pop_due(now, &mut self.due);
-            ev.events_processed += self.due.len() as u64;
-            ev.collect_arrivals(now, nr as u32, &mut self.hints);
+            ev.pop_due(now, nr as u32, &mut self.due, &mut self.hints);
             #[cfg(debug_assertions)]
             self.audit_calendar(now);
             if self.due.is_empty() {
@@ -571,7 +539,7 @@ impl Network {
                     term.is_active().then_some(now + 1)
                 };
                 if let Some(t) = wake {
-                    ev.queue.schedule(t, e, EventKind::Wake);
+                    ev.wake(t, e as usize);
                 }
             }
         }
@@ -1094,13 +1062,13 @@ mod tests {
         Network::new(hx, algo, cfg, 1)
     }
 
-    /// The arrival-key table on a 3x3 HyperX with two terminals per
-    /// router: keys in ascending order name the ends in exactly the order
-    /// `Router::ingress`'s full scan visits them, every channel has one
-    /// end with a key of its own, and a terminal end wakes its consumer
-    /// but yields no hint.
+    /// The wake-key layout on a 3x3 HyperX with two terminals per router,
+    /// and the decode of a popped row: every endpoint's keys are its self
+    /// key then one per input port, in endpoint order; a router woken by
+    /// itself and by two ports in one cycle is one due id with two
+    /// ascending hints; a terminal's arrival wakes it with no hint.
     #[test]
-    fn arrival_keys_enumerate_ends_in_full_scan_order() {
+    fn wake_keys_pin_the_layout_and_the_decode() {
         let hx = Arc::new(HyperX::uniform(2, 3, 2));
         let algo: Arc<dyn RoutingAlgorithm> =
             hyperx_algorithm("DOR", hx.clone(), 8).expect("DOR").into();
@@ -1112,54 +1080,47 @@ mod tests {
         let nr = net.routers.len();
         let ev = net.event.as_deref_mut().expect("event engine");
 
-        // The full scan, spelled out: per router, per port, the incoming
-        // channel's flits.
-        let mut scan = Vec::new();
+        // Routers: self key, then port p at offset 1 + p.
+        let mut next = 0;
         for r in &net.routers {
+            let id = r.id();
+            assert_eq!(ev.first_key[id], next, "router {id} self key");
             for p in 0..r.in_chan.len() {
-                scan.extend(r.in_ch(p).map(|ch| (r.id(), p, ch)));
+                let ch = r.in_ch(p).expect("a uniform HyperX wires every port");
+                assert_eq!(ev.chan_key[ch], next + 1 + p as u32, "router {id} port {p}");
             }
+            next += 1 + r.in_chan.len() as u32;
         }
-        let router_ends = scan.len();
-        assert_eq!(ev.ends.len(), net.channels.len());
-        assert_eq!(router_ends, ev.ends.len() - net.terminals.len());
-        for (end, &(r, p, ch)) in ev.ends.iter().zip(&scan) {
-            let want = ArrivalEnd {
-                chan: ch as u32,
-                consumer: r as u32,
-                step: p as u16,
-            };
-            assert_eq!(*end, want);
+        // Terminals: self key, then the end of the channel from the router.
+        for t in &net.terminals {
+            let id = t.id();
+            assert_eq!(ev.first_key[nr + id], next, "terminal {id} self key");
+            assert_eq!(ev.chan_key[t.in_chan], next + 1, "terminal {id} end");
+            next += 2;
         }
-        assert!(ev.ends[router_ends..]
-            .iter()
-            .all(|e| e.consumer as usize >= nr));
-
-        // Channel -> end is the inverse of key -> end.
-        for (ch, c) in ev.chans.iter().enumerate() {
-            let end = ev.ends[c.key as usize];
-            assert_eq!(end.chan, ch as u32);
-            assert_eq!(end.consumer, c.consumer);
+        assert_eq!(ev.first_key.last(), Some(&next));
+        assert_eq!(ev.owner.len(), next as usize);
+        for (e, keys) in ev.first_key.windows(2).enumerate() {
+            let owners = &ev.owner[keys[0] as usize..keys[1] as usize];
+            assert!(
+                owners.iter().all(|&o| o as usize == e),
+                "endpoint {e}'s keys"
+            );
         }
 
-        // A flit ejected to terminal 0 and one injected by it mature
-        // together: both consumers wake, only the router's end is hinted.
-        let eject = net.terminals[0].in_chan;
-        let inject = net.terminals[0].out_chan;
-        assert_eq!(ev.chans[eject].latency, ev.chans[inject].latency);
-        ev.on_send(7, eject);
-        ev.on_send(7, inject);
-        let at = 7 + ev.chans[eject].latency;
-        let mut due = Vec::new();
-        ev.queue.pop_due(at, &mut due);
-        assert_eq!(due.len(), 2, "router and terminal both woken");
-        let mut hints = Vec::new();
-        ev.collect_arrivals(at, nr as u32, &mut hints);
-        // Key order: the router's end first, the terminal's after it.
-        let (inject_key, eject_key) = (ev.chans[inject].key, ev.chans[eject].key);
-        assert!(inject_key < eject_key);
-        let inject_end = ev.ends[inject_key as usize];
-        assert_eq!(hints, [(inject_end.consumer, inject_end.step)]);
+        // Router 4 woken by itself and by ports 3 and 1 (planted in that
+        // order), terminal 0 by its end, all at one cycle.
+        let (r, at) = (4, 17);
+        let in_ch = |p| net.routers[r].in_ch(p).expect("wired");
+        ev.arrival(at, in_ch(3));
+        ev.wake(at, r);
+        ev.arrival(at, net.terminals[0].in_chan);
+        ev.arrival(at, in_ch(1));
+        let (mut due, mut hints) = (Vec::new(), Vec::new());
+        ev.pop_due(at, nr as u32, &mut due, &mut hints);
+        assert_eq!(due, [r as u32, nr as u32]);
+        assert_eq!(hints, [(r as u32, 1), (r as u32, 3)]);
+        assert_eq!(ev.events_processed, 2);
         assert!(ev.queue.is_empty());
     }
 
@@ -1202,19 +1163,19 @@ mod tests {
         tick_at(&mut net, at);
     }
 
-    /// A flit sent the tick's way wakes its consumer router, but its
-    /// hint is wiped off the arrival ring: the audit catches the router
-    /// ticking blind to the port.
+    /// The consumer router is due through its self key, but the flit's
+    /// arrival key is never set: the audit catches the router ticking
+    /// blind to the port.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "but no hint")]
     fn calendar_audit_catches_a_missing_hint() {
         let (mut net, ch) = net_and_router_link();
         net.channels[ch].send_flit(0, FLIT, 0);
+        let at = net.channels[ch].latency();
         let ev = net.event.as_deref_mut().expect("event engine");
-        ev.on_send(0, ch);
-        let at = ev.chans[ch].latency;
-        ev.arrivals.drain((at % ev.arrivals_len) as usize, |_| {});
+        let consumer = ev.owner[ev.chan_key[ch] as usize] as usize;
+        ev.wake(at, consumer);
         tick_at(&mut net, at);
     }
 

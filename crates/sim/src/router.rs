@@ -80,8 +80,8 @@ type CandKey = (u64, u8, u32);
 
 /// An ingress arrival hint: `(router_id, port)`, a port whose incoming
 /// channel has a flit maturing this cycle. Ascending order is the full
-/// scan's visit order. The event engine reads them off its arrival ring,
-/// whose keys are numbered in that order.
+/// scan's visit order. The event engine decodes them from the port
+/// arrival keys its calendar pops, which are numbered in that order.
 pub(crate) type ArrivalHint = (u32, u16);
 
 /// Poisons `id` (if not already) and records the drop.

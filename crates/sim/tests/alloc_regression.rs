@@ -74,11 +74,12 @@ fn measure_phase(engine: Engine) -> u64 {
     };
 
     // Warm up until every queue capacity has seen its true maximum.
-    // The pattern period is 40 * 17 = 680 cycles (18 terminals), but the
-    // event/channel wheels hash cycles into 256 slots, so a given slot
-    // only sees every traffic phase after lcm(680, 256) = 21,760 cycles —
-    // until then each new (slot, phase) pairing can set a capacity
-    // record. One full lcm plus slack pins everything.
+    // The pattern period is 40 * 17 = 680 cycles (18 terminals). The
+    // event calendars are fixed bit rows that never grow, but the credit
+    // wheel's `max latency + 1` = 51 rows each keep their high-water
+    // capacity, so a given row only sees every traffic phase after
+    // lcm(680, 51) = 2,040 cycles — until then each new (row, phase)
+    // pairing can set a capacity record. The warm-up is many times that.
     sim.run(&mut traffic, 24_000);
 
     let before = ALLOC.allocations();

@@ -12,9 +12,9 @@
 //! second run; it asserts only that it exercised what it names.
 //!
 //! The matrix runs channel and crossbar latencies of 2/5/8 cycles, all far
-//! inside the event queue's 256-cycle calendar. One more cell per fault
-//! kind runs 300-cycle wires and crossbars, so the queue's overflow heap
-//! and an arrival ring longer than the calendar are exercised; those cells
+//! inside the event queue's 64-cycle calendar. One more cell per fault
+//! kind runs 300-cycle wires and crossbars, so every arrival key and
+//! crossbar wake goes through the queue's overflow heap; those cells
 //! still compare the event engine with the cycle engine byte for byte
 //! (stats, metrics JSONL, delivery sequence). One cell runs 64 VCs, the
 //! most a router's per-port VC mask holds, and one pins the hop cap's
@@ -212,9 +212,8 @@ fn build(
         ..SimConfig::default()
     };
     if long_wires {
-        // Beyond the event queue's calendar (256 cycles): every arrival
-        // and crossbar wake goes through its overflow heap, and the
-        // arrival ring is longer than the calendar.
+        // Beyond the event queue's calendar (64 cycles): every arrival
+        // key and crossbar wake goes through its overflow heap.
         cfg.crossbar_latency = 300;
         cfg.router_chan_latency = 300;
         cfg.watchdog_stall_cycles = 40 * 300;
@@ -387,11 +386,11 @@ fn event_engine_with_error_model() {
 
 /// 300-cycle wires and crossbars put every arrival and crossbar wake
 /// beyond the event queue's calendar: one cell fault-free, one with links
-/// and a router killed and revived (the resync plants 300-cycle arrivals
-/// on every channel), one under the error model (LLR deliveries land in
-/// the arrival row being walked). The cycle engine is the reference, and
-/// the event engine must reproduce its stats, metrics JSONL and delivery
-/// sequence byte for byte.
+/// and a router killed and revived (kills drop flits whose arrival keys
+/// still wait in the overflow heap), one under the error model (LLR
+/// deliveries set their arrival key in the row about to be popped). The
+/// cycle engine is the reference, and the event engine must reproduce its
+/// stats, metrics JSONL and delivery sequence byte for byte.
 #[test]
 fn engines_equivalent_beyond_the_calendar_horizon() {
     for scenario in [Scenario::FaultFree, Scenario::Faults, Scenario::ErrorModel] {

@@ -23,9 +23,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use hxsim::{EventKind, EventQueue};
 use proptest::prelude::*;
 
-/// `event::HORIZON` (private): the calendar length the distances below
-/// are chosen around.
-const HORIZON: u64 = 256;
+/// The calendar length the distances below are chosen around.
+const HORIZON: u64 = EventQueue::HORIZON;
 /// More than one 64-bit word of endpoints, so word boundaries are crossed.
 const ENDPOINTS: u32 = 150;
 

@@ -45,7 +45,7 @@ mod workload;
 
 pub use alloc_track::CountingAllocator;
 pub use bitset::BitSet;
-pub use channel::Channel;
+pub use channel::{Channel, WireSlab};
 pub use config::{CanonicalSimConfig, Engine, SimConfig, MAX_VCS};
 pub use event::{EventKind, EventQueue};
 pub use fault::{FaultAction, FaultEvent, FaultSchedule, RouterDiag, WatchdogReport};

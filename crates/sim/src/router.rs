@@ -833,7 +833,7 @@ impl Router {
     /// Accepts every matured flit on `port`'s incoming channel.
     fn ingress_flits(&mut self, port: usize, ctx: &mut TickCtx) {
         let Some(ch) = self.in_ch(port) else { return };
-        while let Some((flit, vc)) = ctx.channels[ch].pop_flit(ctx.now) {
+        while let Some((flit, vc)) = ctx.channels[ch].pop_flit(ctx.wire, ctx.now) {
             if ctx.pool.is_poisoned(flit.pkt) {
                 // Discard and return the buffer credit right away:
                 // the flit never occupies a slot here.
@@ -1506,19 +1506,21 @@ fn apply_commit(state: &mut PacketRouteState, commit: Commit) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::WireSlab;
     use std::sync::Mutex;
 
-    /// Runs `f` with a tick context at cycle `now` over `channels` and
-    /// `pool` (no trace, metrics or event engine).
+    /// Runs `f` with a tick context at cycle `now` over `channels` (their
+    /// flits in `wire`) and `pool` (no trace, metrics or event engine).
     fn with_ctx<T>(
         now: u64,
-        channels: &mut [Channel],
+        (channels, wire): (&mut [Channel], &mut WireSlab),
         pool: &mut PacketPool,
         f: impl FnOnce(&mut TickCtx) -> T,
     ) -> T {
         f(&mut TickCtx {
             now,
             channels,
+            wire,
             pool,
             stats: &mut Stats::default(),
             delivered: &mut Vec::new(),
@@ -1611,11 +1613,13 @@ mod tests {
     #[test]
     fn reap_drops_exactly_the_buffered_prefix_of_a_cut_packet() {
         let (mut r, mut channels) = wired_router(2, &SimConfig::default(), 2);
+        let mut wire = WireSlab::new();
         let mut pool = PacketPool::new();
         let id = packet(&mut pool, 5, 0);
         let vc = 3u8;
         for idx in 0..2 {
             channels[0].send_flit(
+                &mut wire,
                 idx as u64,
                 Flit {
                     pkt: id,
@@ -1627,7 +1631,9 @@ mod tests {
             pool.note_flit_created(id);
         }
         let mut stats = Stats::default();
-        with_ctx(2, &mut channels, &mut pool, |ctx| r.ingress_flits(0, ctx));
+        with_ctx(2, (&mut channels, &mut wire), &mut pool, |ctx| {
+            r.ingress_flits(0, ctx)
+        });
         assert_eq!(r.input_occupancy(0, vc as usize), 2);
         assert_eq!(r.vc_mask[0], 1 << vc);
         assert_eq!(r.heads.len(), 1);
@@ -1675,6 +1681,7 @@ mod tests {
         };
         let (ports, v) = (3, cfg.num_vcs);
         let (mut r, mut channels) = wired_router(ports, &cfg, 2);
+        let mut wire = WireSlab::new();
         let mut pool = PacketPool::new();
         let check = |r: &Router, pool: &PacketPool| {
             let per_vc = |p: usize, vcs: std::ops::Range<usize>| -> u64 {
@@ -1707,14 +1714,16 @@ mod tests {
                 idx: 0,
                 len,
             };
-            channels[0].send_flit(ids.len() as u64, head, in_vc as u8);
+            channels[0].send_flit(&mut wire, ids.len() as u64, head, in_vc as u8);
             // The head flit pins the packet slot (ingress adds the input
             // buffer's own pin).
             pool.note_flit_created(id);
             ids.push(id);
         }
         let mut stats = Stats::default();
-        with_ctx(3, &mut channels, &mut pool, |ctx| r.ingress_flits(0, ctx));
+        with_ctx(3, (&mut channels, &mut wire), &mut pool, |ctx| {
+            r.ingress_flits(0, ctx)
+        });
         for (&(_, out_port, out_vc, _), &id) in grants.iter().zip(&ids) {
             let at = r.heads.iter().position(|h| h.pkt == id).unwrap();
             let head = r.heads.remove(at);
@@ -1880,6 +1889,7 @@ mod tests {
     #[test]
     fn packet_behind_a_grant_is_routed_next_pass() {
         let (mut r, mut channels, hx, probe) = probe_rig();
+        let mut wire = WireSlab::new();
         let mut pool = PacketPool::new();
         let ids = [packet(&mut pool, 1, 0), packet(&mut pool, 1, 1)];
         for (t, &id) in ids.iter().enumerate() {
@@ -1888,11 +1898,11 @@ mod tests {
                 idx: 0,
                 len: 1,
             };
-            channels[1].send_flit(t as u64, flit, 2);
+            channels[1].send_flit(&mut wire, t as u64, flit, 2);
             pool.note_flit_created(id);
         }
         let i = r.pv(1, 2);
-        with_ctx(2, &mut channels, &mut pool, |ctx| {
+        with_ctx(2, (&mut channels, &mut wire), &mut pool, |ctx| {
             r.ingress_flits(1, ctx);
             assert_eq!(r.in_vc[i].len, 2);
             r.allocate(&hx, &probe, ctx);
@@ -1921,6 +1931,7 @@ mod tests {
     #[test]
     fn younger_head_weighs_the_older_heads_grant() {
         let (mut r, mut channels, hx, probe) = probe_rig();
+        let mut wire = WireSlab::new();
         let mut pool = PacketPool::new();
         let older = packet(&mut pool, 4, 0);
         let younger = packet(&mut pool, 6, 1);
@@ -1930,10 +1941,10 @@ mod tests {
                 idx: 0,
                 len,
             };
-            channels[port].send_flit(0, flit, 0);
+            channels[port].send_flit(&mut wire, 0, flit, 0);
             pool.note_flit_created(id);
         }
-        with_ctx(1, &mut channels, &mut pool, |ctx| {
+        with_ctx(1, (&mut channels, &mut wire), &mut pool, |ctx| {
             r.ingress_flits(1, ctx);
             r.ingress_flits(2, ctx);
             r.allocate(&hx, &probe, ctx);
@@ -1959,6 +1970,7 @@ mod tests {
         };
         let (mut r, mut channels) = wired_router(4, &cfg, 1);
         let (hx, probe) = (hxtopo::HyperX::new(&[4], 1), probe_rig().3);
+        let mut wire = WireSlab::new();
         let mut pool = PacketPool::new();
         let (younger, older, third) = (
             packet(&mut pool, 2, 5),
@@ -1967,12 +1979,12 @@ mod tests {
         );
         let flits = [(younger, 0, 2), (younger, 1, 2), (older, 0, 1)];
         for (t, &(pkt, idx, len)) in flits.iter().enumerate() {
-            channels[1].send_flit(t as u64, Flit { pkt, idx, len }, 2);
+            channels[1].send_flit(&mut wire, t as u64, Flit { pkt, idx, len }, 2);
             pool.note_flit_created(pkt);
         }
         let i = r.pv(1, 2);
         let mut errs = Vec::new();
-        with_ctx(3, &mut channels, &mut pool, |ctx| {
+        with_ctx(3, (&mut channels, &mut wire), &mut pool, |ctx| {
             r.ingress_flits(1, ctx);
             r.allocate(&hx, &probe, ctx);
             r.allocate(&hx, &probe, ctx);
@@ -1982,7 +1994,9 @@ mod tests {
         assert_eq!(r.slab[second as usize].pkt, older);
         assert_eq!((r.in_vc[i].len, r.in_vc[i].routed), (2, 2));
 
-        with_ctx(3, &mut channels, &mut pool, |ctx| r.switch_traverse(ctx));
+        with_ctx(3, (&mut channels, &mut wire), &mut pool, |ctx| {
+            r.switch_traverse(ctx)
+        });
         assert_eq!(r.xbar.front().map(|x| x.1.pkt), Some(older), "oldest first");
         assert_eq!(r.in_vc[i].first, first, "the survivor stays first");
         assert_eq!(r.in_vc[i].last, first, "the older packet left the middle");
@@ -1996,9 +2010,11 @@ mod tests {
             idx: 0,
             len: 1,
         };
-        channels[1].send_flit(3, flit, 2);
+        channels[1].send_flit(&mut wire, 3, flit, 2);
         pool.note_flit_created(third);
-        with_ctx(4, &mut channels, &mut pool, |ctx| r.ingress_flits(1, ctx));
+        with_ctx(4, (&mut channels, &mut wire), &mut pool, |ctx| {
+            r.ingress_flits(1, ctx)
+        });
         assert_eq!(r.in_vc[i].first, first);
         assert_eq!(r.in_vc[i].last, second, "the freed slot is reused");
         assert_eq!(r.slab[second as usize].pkt, third);

@@ -112,7 +112,7 @@ impl Terminal {
         let now = ctx.now;
         // Ejection: consume everything that arrived; credits go straight
         // back (the terminal is an infinite sink).
-        while let Some((flit, vc)) = ctx.channels[self.in_chan].pop_flit(now) {
+        while let Some((flit, vc)) = ctx.channels[self.in_chan].pop_flit(ctx.wire, now) {
             ctx.send_credit(self.in_chan, vc);
             ctx.stats.flit_moves += 1;
             let pool = &mut *ctx.pool;
@@ -220,7 +220,7 @@ impl Terminal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::Channel;
+    use crate::channel::{Channel, WireSlab};
     use crate::credit::CreditWheel;
     use crate::packet::Packet;
     use crate::stats::Stats;
@@ -255,12 +255,13 @@ mod tests {
         term: &mut Terminal,
         now: u64,
         pool: &mut PacketPool,
-        channels: &mut [Channel],
+        (channels, wire): (&mut [Channel], &mut WireSlab),
     ) -> bool {
         let sent = channels[term.out_chan].flits_sent();
         term.tick(&mut TickCtx {
             now,
             channels,
+            wire,
             pool,
             stats: &mut Stats::default(),
             delivered: &mut Vec::new(),
@@ -289,6 +290,7 @@ mod tests {
             let p1 = pool.alloc(mk_pkt(4));
             let p2 = pool.alloc(mk_pkt(4));
             let mut channels = vec![Channel::new(1), Channel::new(1)];
+            let mut wire = WireSlab::new();
             let c = cfg(atomic);
             let mut term = Terminal::new(0, &c, 0, 1, 1);
             term.enqueue(p1);
@@ -296,13 +298,18 @@ mod tests {
 
             // Serialize the first packet fully: 4 flits over cycles 0..4.
             for now in 0..4 {
-                assert!(tick_once(&mut term, now, &mut pool, &mut channels));
+                assert!(tick_once(
+                    &mut term,
+                    now,
+                    &mut pool,
+                    (&mut channels, &mut wire)
+                ));
             }
             assert_eq!(term.credits[0], 12, "4 credits reserved, none returned");
 
             // The single VC is only partially credited (12 of 16): atomic
             // allocation must refuse the second packet, non-atomic takes it.
-            let sent = tick_once(&mut term, 4, &mut pool, &mut channels);
+            let sent = tick_once(&mut term, 4, &mut pool, (&mut channels, &mut wire));
             assert_eq!(
                 sent, !atomic,
                 "atomic={atomic}: injection into a partially-credited VC"
@@ -313,13 +320,23 @@ mod tests {
                 for _ in 0..2 {
                     term.absorb_credit(0);
                 }
-                assert!(!tick_once(&mut term, 5, &mut pool, &mut channels));
+                assert!(!tick_once(
+                    &mut term,
+                    5,
+                    &mut pool,
+                    (&mut channels, &mut wire)
+                ));
                 assert_eq!(term.credits[0], 14);
                 // Once every credit is home the claim goes through.
                 for _ in 0..2 {
                     term.absorb_credit(0);
                 }
-                assert!(tick_once(&mut term, 6, &mut pool, &mut channels));
+                assert!(tick_once(
+                    &mut term,
+                    6,
+                    &mut pool,
+                    (&mut channels, &mut wire)
+                ));
                 assert_eq!(term.credits[0], 12, "whole-packet reservation taken");
             }
         }

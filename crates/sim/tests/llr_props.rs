@@ -21,7 +21,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use hxsim::{
-    Channel, Delivered, Engine, FaultSchedule, Flit, PacketDesc, Sim, SimConfig, Stats, Workload,
+    Channel, Delivered, Engine, FaultSchedule, Flit, PacketDesc, Sim, SimConfig, Stats, WireSlab,
+    Workload,
 };
 use hxtopo::{HyperX, PortTarget, Topology};
 use proptest::prelude::*;
@@ -55,9 +56,14 @@ struct RawCmd {
 /// Drives one engine-ordered cycle on a standalone channel: LLR tick
 /// first (start of cycle), then the consumer reads arrivals — the exact
 /// order `Network::tick` uses.
-fn drive_cycle(ch: &mut Channel, stats: &mut Stats, now: u64, got: &mut Vec<u16>) {
-    ch.llr_tick(now, stats);
-    ch.recv_flits(now, |f, _| got.push(f.idx));
+fn drive_cycle(
+    (ch, wire): (&mut Channel, &mut WireSlab),
+    stats: &mut Stats,
+    now: u64,
+    got: &mut Vec<u16>,
+) {
+    ch.llr_tick(wire, now, stats);
+    ch.recv_flits(wire, now, |f, _| got.push(f.idx));
 }
 
 /// The go-back-N laws under an arbitrary command interleaving: exactly
@@ -70,6 +76,7 @@ fn check_channel_laws(
     cmds: &[RawCmd],
 ) -> Result<(), TestCaseError> {
     let mut ch = Channel::with_llr(3, window, ber, seed);
+    let mut wire = WireSlab::new();
     let mut stats = Stats::default();
     let mut got: Vec<u16> = Vec::new();
     let mut sent: u16 = 0;
@@ -78,17 +85,17 @@ fn check_channel_laws(
 
     for cmd in cmds {
         for _ in 0..(cmd.gap % 4) {
-            drive_cycle(&mut ch, &mut stats, now, &mut got);
+            drive_cycle((&mut ch, &mut wire), &mut stats, now, &mut got);
             now += 1;
         }
-        drive_cycle(&mut ch, &mut stats, now, &mut got);
+        drive_cycle((&mut ch, &mut wire), &mut stats, now, &mut got);
         match cmd.op % 8 {
             // Sends dominate the distribution so the wire stays busy.
             0..=4 => {
                 // The window gate is the producer contract: egress holds
                 // the flit when the replay buffer is full.
                 if ch.ready_for_flit() {
-                    ch.send_flit(now, flit(sent), 0);
+                    ch.send_flit(&mut wire, now, flit(sent), 0);
                     sent += 1;
                 }
             }
@@ -117,7 +124,7 @@ fn check_channel_laws(
     // generous — replays under a hostile BER take many round trips.
     let mut budget = 40_000u64;
     while !(ch.is_idle() && got.len() == sent as usize) && budget > 0 {
-        drive_cycle(&mut ch, &mut stats, now, &mut got);
+        drive_cycle((&mut ch, &mut wire), &mut stats, now, &mut got);
         now += 1;
         budget -= 1;
     }

@@ -218,7 +218,7 @@ mod tests {
         let mut ch = Channel::new(3);
         w.send(0, 0, &ch, 2);
         w.send(0, 1, &Channel::new(3), 1);
-        ch.kill(&mut crate::channel::WireSlab::new());
+        ch.kill(&mut crate::channel::WireSlab::new(), &mut Vec::new());
         w.purge(0);
         assert_eq!(w.in_flight().collect::<Vec<_>>(), vec![(1, 1)]);
         // Sends into the dead channel are dropped.

@@ -37,6 +37,7 @@ mod runner;
 mod schema;
 #[allow(clippy::module_inception)]
 mod sim;
+mod slab;
 mod stats;
 mod terminal;
 mod trace;

@@ -54,9 +54,10 @@ pub struct Network {
     llr_due: Option<EventQueue>,
     /// This cycle's due channel ids, ascending (scratch, reused).
     llr_chans: Vec<u32>,
-    /// Ids of the dead channels, ascending — the only ones that can hold
-    /// dead drops.
-    dead_chans: Vec<u32>,
+    /// Flits lost on dead links, in the order lost, awaiting
+    /// [`Self::drop_lost`]: those a kill took off the wire, and those this
+    /// cycle's egress sent into dead channels.
+    lost: Vec<Flit>,
     /// Every returning credit in flight, under either engine.
     credits: CreditWheel,
 }
@@ -67,8 +68,9 @@ pub struct Network {
 /// where it lands: flit sends on the wire, credits on the credit wheel,
 /// refcounts, releases, route commits and inject stamps in `pool`,
 /// counters in `stats`, deliveries in `delivered`, grants and stalls in
-/// `metrics`, hops in `trace`. The one effect it defers is the hop-cap
-/// poison (`hop_capped`; see [`Network::tick`]).
+/// `metrics`, hops in `trace`. It defers two effects: the hop-cap poison
+/// (`hop_capped`; see [`Network::tick`]) and the drop of a flit sent into
+/// a dead channel (`lost`; see [`Network::collect_fault_fallout`]).
 pub(crate) struct TickCtx<'a> {
     pub(crate) now: u64,
     pub(crate) channels: &'a mut [Channel],
@@ -80,6 +82,8 @@ pub(crate) struct TickCtx<'a> {
     pub(crate) metrics: Option<&'a mut Metrics>,
     /// Packets over the hop cap, in grant-evaluation order.
     pub(crate) hop_capped: &'a mut Vec<PacketId>,
+    /// Flits sent into dead channels, in send order.
+    pub(crate) lost: &'a mut Vec<Flit>,
     /// Whether `timers` measures (metrics on with timers).
     pub(crate) timed: bool,
     /// Phase wall time of this cycle, folded into `metrics` at its end.
@@ -98,10 +102,15 @@ impl TickCtx<'_> {
     /// goes on the LLR calendar for next cycle, when `llr_tick` serializes
     /// the frame (and reports the delivery when it lands). Otherwise the
     /// event engine schedules the channel's arrival key for the cycle the
-    /// flit matures.
+    /// flit matures. A flit sent into a dead channel goes on `lost`
+    /// instead, and nothing is scheduled.
     #[inline]
     pub(crate) fn send_flit(&mut self, ch: usize, flit: Flit, vc: u8) {
         let chan = &mut self.channels[ch];
+        if !chan.is_alive() {
+            self.lost.push(flit);
+            return;
+        }
         chan.send_flit(self.wire, self.now, flit, vc);
         if let Some(llr_due) = self.llr_due.as_deref_mut() {
             llr_due.schedule(self.now + 1, ch as u32, EventKind::Llr);
@@ -349,7 +358,7 @@ impl Network {
             event,
             llr_due,
             llr_chans: Vec::new(),
-            dead_chans: Vec::new(),
+            lost: Vec::new(),
             credits,
         }
     }
@@ -494,6 +503,7 @@ impl Network {
             trace,
             metrics,
             hop_capped: &mut self.hop_capped,
+            lost: &mut self.lost,
             timed,
             timers: PhaseTimers::default(),
             wakes: self.event.as_deref_mut(),
@@ -698,6 +708,12 @@ impl Network {
         }
     }
 
+    /// The two directed channels of the cable at `(router, port)`.
+    fn cable(&self, router: usize, port: usize) -> [usize; 2] {
+        let (r2, p2) = self.peer_of(router, port);
+        [(router, port), (r2, p2)].map(|(r, p)| self.routers[r].out_ch(p).expect("wired"))
+    }
+
     /// The router-to-router ports of `router` (terminal and unused ports
     /// excluded) — the set a whole-router fault touches.
     fn network_ports(&self, router: usize) -> Vec<usize> {
@@ -729,62 +745,34 @@ impl Network {
         for &(r, p) in &[(router, port), (r2, p2)] {
             self.routers[r].live_ports[p] = false;
             let ch = self.routers[r].out_ch(p).expect("killing an unwired port");
-            if let Err(at) = self.dead_chans.binary_search(&(ch as u32)) {
-                self.dead_chans.insert(at, ch as u32);
-            }
             self.credits.purge(ch);
-            for (flit, _) in self.channels[ch].kill(&mut self.wire) {
-                poison_packet(
-                    pool,
-                    stats,
-                    trace.as_deref_mut(),
-                    flit.pkt,
-                    now,
-                    DropReason::LinkFailed,
-                );
-                stats.dropped_flits += 1;
-                pool.note_flit_gone(flit.pkt);
-            }
+            self.channels[ch].kill(&mut self.wire, &mut self.lost);
+            self.drop_lost(now, pool, stats, trace.as_deref_mut());
             self.routers[r].poison_port_traffic(p, pool, stats, trace.as_deref_mut(), now);
         }
     }
 
     /// Revives both directions of the cable at `(router, port)`: purges
-    /// stale egress remnants, clears the drop bins, and rebuilds sender
-    /// credits from the receivers' actual occupancy. Reviving a live link
-    /// is a no-op.
+    /// stale egress remnants and rebuilds sender credits from the
+    /// receivers' actual occupancy. Reviving a live link is a no-op. No
+    /// lost flit is pending: once a fault has struck, every step ends with
+    /// [`Self::collect_fault_fallout`].
     fn revive_link(
         &mut self,
         router: usize,
         port: usize,
-        now: u64,
         pool: &mut PacketPool,
         stats: &mut Stats,
-        mut trace: Option<&mut Trace>,
     ) {
         if self.routers[router].live_ports[port] {
             return;
         }
+        debug_assert!(self.lost.is_empty(), "revival with lost flits unswept");
         let (r2, p2) = self.peer_of(router, port);
         for &(r, p, pr, pp) in &[(router, port, r2, p2), (r2, p2, router, port)] {
             self.routers[r].purge_egress(p, pool, stats);
             let ch = self.routers[r].out_ch(p).expect("reviving an unwired port");
-            for (flit, _) in self.channels[ch].take_dead_drops() {
-                poison_packet(
-                    pool,
-                    stats,
-                    trace.as_deref_mut(),
-                    flit.pkt,
-                    now,
-                    DropReason::LinkFailed,
-                );
-                stats.dropped_flits += 1;
-                pool.note_flit_gone(flit.pkt);
-            }
             self.channels[ch].revive();
-            if let Ok(at) = self.dead_chans.binary_search(&(ch as u32)) {
-                self.dead_chans.remove(at);
-            }
             let occ: Vec<usize> = (0..self.cfg.num_vcs)
                 .map(|vc| self.routers[pr].input_occupancy(pp, vc))
                 .collect();
@@ -818,7 +806,7 @@ impl Network {
                 self.kill_link(router, port, now, pool, stats, trace.as_deref_mut());
             }
             FaultAction::ReviveLink { router, port } => {
-                self.revive_link(router, port, now, pool, stats, trace.as_deref_mut());
+                self.revive_link(router, port, pool, stats);
             }
             FaultAction::KillRouter { router } => {
                 for port in self.network_ports(router) {
@@ -827,7 +815,7 @@ impl Network {
             }
             FaultAction::ReviveRouter { router } => {
                 for port in self.network_ports(router) {
-                    self.revive_link(router, port, now, pool, stats, trace.as_deref_mut());
+                    self.revive_link(router, port, pool, stats);
                 }
             }
             // Transient (gray) faults act on the LLR sublayer of both
@@ -837,16 +825,12 @@ impl Network {
             // instead of a topology change.
             FaultAction::FlapDown { router, port } => {
                 debug_assert!(self.cfg.llr_enabled, "flap faults require llr_enabled");
-                let (r2, p2) = self.peer_of(router, port);
-                for &(r, p) in &[(router, port), (r2, p2)] {
-                    let ch = self.routers[r].out_ch(p).expect("flapping an unwired port");
+                for ch in self.cable(router, port) {
                     self.channels[ch].flap_down(now, stats);
                 }
             }
             FaultAction::FlapUp { router, port } => {
-                let (r2, p2) = self.peer_of(router, port);
-                for &(r, p) in &[(router, port), (r2, p2)] {
-                    let ch = self.routers[r].out_ch(p).expect("flapping an unwired port");
+                for ch in self.cable(router, port) {
                     self.channels[ch].flap_up();
                     // The sender replays from this very cycle on.
                     if let Some(llr_due) = &mut self.llr_due {
@@ -861,20 +845,12 @@ impl Network {
                 half_bw,
             } => {
                 debug_assert!(self.cfg.llr_enabled, "degrade faults require llr_enabled");
-                let (r2, p2) = self.peer_of(router, port);
-                for &(r, p) in &[(router, port), (r2, p2)] {
-                    let ch = self.routers[r]
-                        .out_ch(p)
-                        .expect("degrading an unwired port");
+                for ch in self.cable(router, port) {
                     self.channels[ch].degrade(extra_latency, half_bw);
                 }
             }
             FaultAction::RestoreLink { router, port } => {
-                let (r2, p2) = self.peer_of(router, port);
-                for &(r, p) in &[(router, port), (r2, p2)] {
-                    let ch = self.routers[r]
-                        .out_ch(p)
-                        .expect("restoring an unwired port");
+                for ch in self.cable(router, port) {
                     self.channels[ch].restore();
                 }
             }
@@ -882,41 +858,24 @@ impl Network {
         stats.fault_events += 1;
     }
 
-    /// Sweeps fault fallout: drains dead channels' drop bins (poisoning the
-    /// owning packets) and reaps every poisoned buffer from routers and
-    /// terminals. Cheap when nothing is poisoned. It needs no wake: it
-    /// only removes work, and the credits the reaper returns go on the
-    /// credit wheel, which wakes nobody.
+    /// Sweeps fault fallout: drops the flits sent into dead channels
+    /// (poisoning the owning packets) and reaps every poisoned buffer from
+    /// routers and terminals. Cheap when nothing is poisoned. It needs no
+    /// wake: it only removes work, and the credits the reaper returns go
+    /// on the credit wheel, which wakes nobody.
     ///
-    /// Only a dead channel holds dead drops, so only `dead_chans` is
-    /// visited; ascending, it poisons in the order a walk over every
-    /// channel would.
+    /// The lost flits drop in send order, which is ascending channel id:
+    /// only router egress sends on a channel that can die, one flit per
+    /// port per cycle, and routers tick in id order and egress in port
+    /// order.
     pub(crate) fn collect_fault_fallout(
         &mut self,
         now: u64,
         pool: &mut PacketPool,
         stats: &mut Stats,
-        mut trace: Option<&mut Trace>,
+        trace: Option<&mut Trace>,
     ) {
-        #[cfg(debug_assertions)]
-        for (i, ch) in self.channels.iter().enumerate() {
-            let listed = self.dead_chans.binary_search(&(i as u32)).is_ok();
-            assert_eq!(listed, !ch.is_alive(), "channel {i} misfiled in dead_chans");
-        }
-        for &ch in &self.dead_chans {
-            for (flit, _) in self.channels[ch as usize].take_dead_drops() {
-                poison_packet(
-                    pool,
-                    stats,
-                    trace.as_deref_mut(),
-                    flit.pkt,
-                    now,
-                    DropReason::LinkFailed,
-                );
-                stats.dropped_flits += 1;
-                pool.note_flit_gone(flit.pkt);
-            }
-        }
+        self.drop_lost(now, pool, stats, trace);
         if pool.any_poisoned() {
             for r in &mut self.routers {
                 r.reap_poisoned(now, pool, stats, &self.channels, &mut self.credits);
@@ -924,6 +883,23 @@ impl Network {
             for t in &mut self.terminals {
                 t.reap_poisoned(pool);
             }
+        }
+    }
+
+    /// Drops every lost flit, in the order lost: poisons its packet
+    /// (recording the drop once per packet) and counts the flit gone.
+    fn drop_lost(
+        &mut self,
+        now: u64,
+        pool: &mut PacketPool,
+        stats: &mut Stats,
+        mut trace: Option<&mut Trace>,
+    ) {
+        for flit in self.lost.drain(..) {
+            let trace = trace.as_deref_mut();
+            poison_packet(pool, stats, trace, flit.pkt, now, DropReason::LinkFailed);
+            stats.dropped_flits += 1;
+            pool.note_flit_gone(flit.pkt);
         }
     }
 
@@ -959,9 +935,13 @@ impl Network {
             })
     }
 
-    /// Whether every credit has also returned home (strict quiescence).
+    /// Whether every credit has also returned home and no lost flit awaits
+    /// fault fallout (strict quiescence).
     pub fn is_quiescent(&self) -> bool {
-        self.is_drained() && self.channels.iter().all(|c| c.is_idle()) && self.credits.is_empty()
+        self.is_drained()
+            && self.channels.iter().all(|c| c.is_idle())
+            && self.credits.is_empty()
+            && self.lost.is_empty()
     }
 
     /// Audits credit-based flow control on every link, both directions:
@@ -982,14 +962,12 @@ impl Network {
     /// the credits, queues and `pool` slots it summarizes, dead ports
     /// included. Returns the list of violations (empty = sound).
     ///
-    /// The wire slab is checked first ([`WireSlab::audit`]): every node
-    /// on exactly one channel's list or the free list, each channel's
-    /// `last` its list's tail, maturities non-decreasing along a list. A
+    /// The wire slab is checked first ([`WireSlab::audit_wire`]), and a
     /// broken slab is reported alone, since counting flits on the links
     /// would walk its broken lists.
     pub fn audit_flow_control(&self, pool: &PacketPool) -> Vec<String> {
         let mut errs = Vec::new();
-        self.wire.audit(&self.channels, &mut errs);
+        self.wire.audit_wire(&self.channels, &mut errs);
         if !errs.is_empty() {
             return errs;
         }
@@ -1226,6 +1204,88 @@ mod tests {
                 format!("wire slab: node 1 on channel {b}'s list is already on channel {a}'s list"),
             ]
         );
+    }
+
+    /// Router egress sends into dead links: four output queues, on both
+    /// directions of router 0's two network links, hold one single-flit
+    /// packet each when both links die. The next tick's egress loses the
+    /// four flits, planting no arrival, and the end-of-step fallout drops
+    /// them in ascending channel order — the order a walk over the dead
+    /// channels would take — whatever order the packets were made in.
+    /// Then nothing is left anywhere.
+    #[test]
+    fn flits_sent_into_dead_links_drop_in_channel_order() {
+        let mut net = small_net();
+        let (mut pool, mut stats, mut trace) = (PacketPool::new(), Stats::default(), Trace::new());
+        // (router, port) of each sender, ascending by channel id.
+        let mut senders = Vec::new();
+        for p in net.network_ports(0) {
+            let (r2, p2) = net.peer_of(0, p);
+            senders.extend([(0, p), (r2, p2)]);
+        }
+        let chan = |net: &Network, (r, p): (usize, usize)| net.routers[r].out_ch(p).unwrap();
+        senders.sort_by_key(|&s| chan(&net, s));
+        assert_eq!(senders.len(), 4);
+        // Packets made newest channel first, tagged with their channel.
+        for &(r, p) in senders.iter().rev() {
+            let pkt = pool.alloc(crate::packet::Packet {
+                src: 0,
+                dst: 1,
+                dst_router: 1,
+                len: 1,
+                hops: 0,
+                birth: 0,
+                inject: 0,
+                route: Default::default(),
+                tag: chan(&net, (r, p)) as u64,
+                seq: 0,
+            });
+            pool.note_flit_created(pkt);
+            net.routers[r].queue_egress(
+                p,
+                Flit {
+                    pkt,
+                    idx: 0,
+                    len: 1,
+                },
+                0,
+            );
+        }
+        let now = 3;
+        for p in net.network_ports(0) {
+            let kill = FaultAction::KillLink { router: 0, port: p };
+            net.apply_fault(kill, now, &mut pool, &mut stats, Some(&mut trace));
+        }
+        assert_eq!((stats.dropped_flits, stats.dropped_packets), (0, 0));
+        for &(r, _) in &senders {
+            net.event.as_deref_mut().unwrap().wake(now, r);
+        }
+        let mut delivered = Vec::new();
+        net.tick(
+            now,
+            &mut pool,
+            &mut stats,
+            &mut delivered,
+            Some(&mut trace),
+            None,
+        );
+        assert_eq!(net.lost.len(), 4);
+        assert!(!net.is_quiescent(), "lost flits await the fallout");
+        assert_eq!(net.next_event_time(), None, "a lost flit plants no arrival");
+        net.collect_fault_fallout(now, &mut pool, &mut stats, Some(&mut trace));
+        assert_eq!((stats.dropped_flits, stats.dropped_packets), (4, 4));
+        let drops: Vec<_> = trace
+            .drops()
+            .iter()
+            .map(|d| (d.tag, d.cycle, d.reason))
+            .collect();
+        let want: Vec<_> = senders
+            .iter()
+            .map(|&s| (chan(&net, s) as u64, now, DropReason::LinkFailed))
+            .collect();
+        assert_eq!(drops, want);
+        assert_eq!(pool.live(), 0);
+        assert!(net.is_quiescent());
     }
 
     /// The spec loader reports an inconsistent config as an error; a

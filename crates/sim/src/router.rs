@@ -31,9 +31,8 @@
 //! datapath state (input VC records, credit/owner/backlog arrays, output
 //! queues) up front — deferring it to first use measured no saving in
 //! peak bytes at any `fig2_sim` rung. The input side holds no per-VC heap:
-//! each input VC is one fixed [`InVc`] record, and its packets are a
-//! linked list through one per-router slab of [`PktBuf`]s, which grows in
-//! bounded steps and recycles freed slots through a free list. A buffered
+//! each input VC is one fixed [`InVc`] record, and its packets are a list
+//! through one per-router slab of [`PktBuf`]s (`slab.rs`). A buffered
 //! packet is three counters, not a flit queue: its flits are always the
 //! consecutive indices `sent..arrived` (see [`PktBuf`]). Each input port
 //! keeps a `u64` mask of the VCs holding flits, and the router one bit per
@@ -64,6 +63,7 @@ use crate::credit::CreditWheel;
 use crate::metrics::lap;
 use crate::network::TickCtx;
 use crate::packet::{Flit, PacketHot, PacketId, PacketPool};
+use crate::slab::{Linked, List, Slab, NIL};
 use crate::stats::Stats;
 use crate::trace::{DropReason, DropRecord, HopRecord, Trace};
 
@@ -71,8 +71,6 @@ use crate::trace::{DropReason, DropRecord, HopRecord, Trace};
 pub(crate) const NO_WIRE: u32 = u32::MAX;
 /// Sentinel for an unclaimed output VC in the packed owner array.
 const NO_OWNER: PacketId = PacketId::MAX;
-/// Sentinel ending a slab list ("no slot").
-const NIL: u32 = u32::MAX;
 
 /// Arbitration sort key for routing candidates: `(weight, hops, random
 /// salt)`, compared lexicographically — lower wins.
@@ -145,13 +143,24 @@ struct PktBuf {
     sent: u16,
 }
 
+const _: () = assert!(std::mem::size_of::<PktBuf>() == 32);
+
+impl Linked for PktBuf {
+    #[inline]
+    fn next(&self) -> u32 {
+        self.next
+    }
+    #[inline]
+    fn set_next(&mut self, next: u32) {
+        self.next = next;
+    }
+}
+
 /// One input VC: its packet list in the router's slab, in arrival order,
 /// and the counters ingress, grant and switch traversal read (20 bytes).
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct InVc {
-    /// First and last slot of the list ([`NIL`] when empty).
-    first: u32,
-    last: u32,
+    list: List,
     /// Packets on the list.
     len: u32,
     /// Routed packets. They are always the list's prefix: only a VC's
@@ -164,10 +173,11 @@ struct InVc {
     flits: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<InVc>() == 20);
+
 impl InVc {
     const EMPTY: InVc = InVc {
-        first: NIL,
-        last: NIL,
+        list: List::EMPTY,
         len: 0,
         routed: 0,
         flits: 0,
@@ -255,10 +265,8 @@ pub struct Router {
     /// Input side, indexed [port * num_vcs + vc]: one record per input VC.
     in_vc: Vec<InVc>,
     /// Every buffered packet of every input VC, linked into per-VC lists
-    /// ([`InVc`]); unused slots form the free list from `free`.
-    slab: Vec<PktBuf>,
-    /// First free slab slot ([`NIL`] = none; the slab grows).
-    free: u32,
+    /// ([`InVc`]).
+    slab: Slab<PktBuf>,
     /// Per input port, bit `vc` set iff that VC's `flits` is non-zero
     /// (hence `num_vcs <= 64`). Walking the set bits upwards is the
     /// ascending VC order the allocation and crossbar scans need.
@@ -334,8 +342,7 @@ impl Router {
             xbar_speedup: cfg.crossbar_speedup.max(1),
             class_map: ClassMap::new(v, num_classes),
             in_vc: vec![InVc::EMPTY; n * v],
-            slab: Vec::new(),
-            free: NIL,
+            slab: Slab::new(),
             vc_mask: vec![0; n],
             in_active: vec![0; n.div_ceil(64)],
             out_credits: vec![buf_cap; n * v],
@@ -387,72 +394,16 @@ impl Router {
         self.flits_buffered -= 1;
     }
 
-    /// Appends `buf` to input VC `i`'s list, in a free slab slot if there
-    /// is one. A full slab grows by about a quarter, not by doubling: at
-    /// saturation a router buffers thousands of packets, and doubling
-    /// rounds that up to a much larger peak.
-    fn push_packet(&mut self, i: usize, buf: PktBuf) {
-        let s = if self.free != NIL {
-            let s = self.free;
-            self.free = self.slab[s as usize].next;
-            self.slab[s as usize] = buf;
-            s
-        } else {
-            if self.slab.len() == self.slab.capacity() {
-                self.slab.reserve_exact((self.slab.len() / 4).max(8));
-            }
-            self.slab.push(buf);
-            (self.slab.len() - 1) as u32
-        };
-        self.slab[s as usize].next = NIL;
-        let q = &mut self.in_vc[i];
-        if q.last == NIL {
-            q.first = s;
-        } else {
-            self.slab[q.last as usize].next = s;
-        }
-        q.last = s;
-        q.len += 1;
-    }
-
-    /// Unlinks slot `s`, whose predecessor on input VC `i`'s list is
-    /// `prev` ([`NIL`] = `s` is first), puts it on the free list and
-    /// returns its buffer. The caller keeps `routed` in step.
-    fn unlink(&mut self, i: usize, prev: u32, s: u32) -> PktBuf {
-        let next = self.slab[s as usize].next;
-        let q = &mut self.in_vc[i];
-        if prev == NIL {
-            q.first = next;
-        } else {
-            self.slab[prev as usize].next = next;
-        }
-        if q.last == s {
-            q.last = prev;
-        }
-        q.len -= 1;
-        let buf = self.slab[s as usize];
-        self.slab[s as usize].next = self.free;
-        self.free = s;
-        buf
-    }
-
-    /// Input VC `i`'s slots, first to last.
-    fn list(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
-        let first = self.in_vc[i].first;
-        std::iter::successors((first != NIL).then_some(first), |&s| {
-            let next = self.slab[s as usize].next;
-            (next != NIL).then_some(next)
-        })
+    /// Input VC `i`'s buffers, first to last.
+    fn bufs(&self, i: usize) -> impl Iterator<Item = &PktBuf> + '_ {
+        self.slab.iter(self.in_vc[i].list).map(|s| &self.slab[s])
     }
 
     /// Input VC `i`'s first unrouted packet, if it has one: `routed`
     /// links along its list.
     fn first_unrouted(&self, i: usize) -> Option<&PktBuf> {
         let q = &self.in_vc[i];
-        (q.len > q.routed)
-            .then(|| self.list(i).nth(q.routed as usize))
-            .flatten()
-            .map(|s| &self.slab[s as usize])
+        (q.len > q.routed).then(|| self.bufs(i).nth(q.routed as usize))?
     }
 
     /// Whether any output queue holds a flit.
@@ -527,11 +478,8 @@ impl Router {
     /// Input-buffer occupancy of `(port, vc)` in flits (test/invariant
     /// support).
     pub fn input_occupancy(&self, port: usize, vc: usize) -> usize {
-        self.list(port * self.num_vcs + vc)
-            .map(|s| {
-                let buf = &self.slab[s as usize];
-                (buf.arrived - buf.sent) as usize
-            })
+        self.bufs(port * self.num_vcs + vc)
+            .map(|buf| (buf.arrived - buf.sent) as usize)
             .sum()
     }
 
@@ -566,7 +514,8 @@ impl Router {
     /// on every port (dead ones too):
     /// - each port's occupancy counter equals `Σ_vc (buf_flits − credits)`;
     /// - every slab slot is on exactly one input VC's list or on the free
-    ///   list, and each list's length and last slot match its [`InVc`];
+    ///   list ([`Slab::audit`]), and each list's last slot, length and
+    ///   routed count fit its [`InVc`];
     /// - each input VC's routed packets are exactly its first `routed`;
     /// - every packet buffer has `sent <= arrived <= len`;
     /// - each input VC's flit count equals its packets' `Σ (arrived − sent)`;
@@ -581,7 +530,12 @@ impl Router {
     ///
     /// Appends one line per violation.
     pub(crate) fn audit_derived_state(&self, pool: &PacketPool, errs: &mut Vec<String>) {
-        if !self.audit_slab(errs) {
+        let (v, what) = (self.num_vcs, format!("router {} slab", self.id));
+        let name = |i: usize| format!("port {} vc {}", i / v, i % v);
+        if !self
+            .slab
+            .audit(&what, self.in_vc.iter().map(|q| q.list), name, errs)
+        {
             // A broken list cannot be walked; the checks below would only
             // repeat the damage.
             return;
@@ -604,10 +558,18 @@ impl Router {
             let mut mask = 0u64;
             for vc in 0..self.num_vcs {
                 let q = &self.in_vc[base + vc];
+                let len = self.bufs(base + vc).count() as u32;
+                if len != q.len || q.routed > q.len {
+                    errs.push(format!(
+                        "router {} port {port} vc {vc}: list holds {len} packets, but the record \
+                         says {q:?}",
+                        self.id
+                    ));
+                }
                 if self
-                    .list(base + vc)
+                    .bufs(base + vc)
                     .enumerate()
-                    .any(|(k, s)| self.slab[s as usize].route.is_some() != (k < q.routed as usize))
+                    .any(|(k, buf)| buf.route.is_some() != (k < q.routed as usize))
                 {
                     errs.push(format!(
                         "router {} port {port} vc {vc}: routed packets are not the first {} of {}",
@@ -615,8 +577,7 @@ impl Router {
                     ));
                 }
                 let bad = self
-                    .list(base + vc)
-                    .map(|s| &self.slab[s as usize])
+                    .bufs(base + vc)
                     .find(|b| b.sent > b.arrived || b.arrived > b.len);
                 if let Some(buf) = bad {
                     errs.push(format!(
@@ -669,64 +630,6 @@ impl Router {
             ));
         }
         self.audit_heads(pool, errs);
-    }
-
-    /// The slab part of [`Self::audit_derived_state`]: walks every input
-    /// VC's list and the free list, at most one step per slot each, and
-    /// checks that each slot is on exactly one of them and that each
-    /// list's length, last slot and routed count fit its [`InVc`].
-    /// Returns whether the lists are sound enough to walk.
-    fn audit_slab(&self, errs: &mut Vec<String>) -> bool {
-        let n = self.slab.len();
-        let mut owner: Vec<Option<usize>> = vec![None; n];
-        let before = errs.len();
-        // List `k` is input VC `k`; list `in_vc.len()` is the free list.
-        let free_list = self.in_vc.len();
-        let mut claim = |list: usize, first: u32, errs: &mut Vec<String>| {
-            let (mut s, mut last, mut len) = (first, NIL, 0u32);
-            while s != NIL {
-                let Some(slot) = owner.get_mut(s as usize) else {
-                    errs.push(format!(
-                        "router {}: list {list} links to slot {s} past the slab's {n}",
-                        self.id
-                    ));
-                    return None;
-                };
-                if let Some(other) = *slot {
-                    errs.push(format!(
-                        "router {}: slot {s} is on list {other} and on list {list}",
-                        self.id
-                    ));
-                    return None;
-                }
-                *slot = Some(list);
-                (last, len) = (s, len + 1);
-                s = self.slab[s as usize].next;
-            }
-            Some((last, len))
-        };
-        for (i, q) in self.in_vc.iter().enumerate() {
-            let Some((last, len)) = claim(i, q.first, errs) else {
-                continue;
-            };
-            if (last, len) != (q.last, q.len) || q.routed > q.len {
-                errs.push(format!(
-                    "router {} port {} vc {}: list holds {len} packets ending at slot {last}, \
-                     but the record says {q:?}",
-                    self.id,
-                    i / self.num_vcs,
-                    i % self.num_vcs
-                ));
-            }
-        }
-        claim(free_list, self.free, errs);
-        if let Some(s) = owner.iter().position(Option::is_none) {
-            errs.push(format!(
-                "router {}: slot {s} is on no list (leaked)",
-                self.id
-            ));
-        }
-        errs.len() == before
     }
 
     /// The head-list part of [`Self::audit_derived_state`].
@@ -845,18 +748,17 @@ impl Router {
             let i = self.pv(port, vc as usize);
             if flit.is_head() {
                 let head = Head::new(flit.pkt, ctx.pool.hot(flit.pkt), port, vc as usize);
-                self.push_packet(
-                    i,
-                    PktBuf {
-                        pkt: flit.pkt,
-                        next: NIL,
-                        birth: head.birth,
-                        route: None,
-                        len: flit.len,
-                        arrived: 0,
-                        sent: 0,
-                    },
-                );
+                let buf = PktBuf {
+                    pkt: flit.pkt,
+                    next: NIL,
+                    birth: head.birth,
+                    route: None,
+                    len: flit.len,
+                    arrived: 0,
+                    sent: 0,
+                };
+                self.slab.push_back(&mut self.in_vc[i].list, buf);
+                self.in_vc[i].len += 1;
                 // Landing behind routed packets only, it is the VC's
                 // first unrouted packet.
                 if self.in_vc[i].len == self.in_vc[i].routed + 1 {
@@ -866,9 +768,9 @@ impl Router {
                 // is dismantled (tail forwarded or fault-reaped).
                 ctx.pool.note_flit_created(flit.pkt);
             }
-            let last = self.in_vc[i].last;
+            let last = self.in_vc[i].list.last;
             assert!(last != NIL, "body flit without a head");
-            let back = &mut self.slab[last as usize];
+            let back = &mut self.slab[last];
             debug_assert_eq!(back.pkt, flit.pkt, "packets interleaved on one VC");
             debug_assert_eq!(flit.idx, back.arrived, "flits out of order on one VC");
             back.arrived += 1;
@@ -1201,10 +1103,11 @@ impl Router {
         // packet joins the list only after the pass, so the grantee still
         // sits there.
         let s = self
-            .list(i)
+            .slab
+            .iter(self.in_vc[i].list)
             .nth(self.in_vc[i].routed as usize)
             .expect("a listed head is buffered");
-        let buf = &mut self.slab[s as usize];
+        let buf = &mut self.slab[s];
         debug_assert!(buf.pkt == pkt_id && buf.route.is_none());
         buf.route = Some((out_port as u16, out_vc as u8));
         self.in_vc[i].routed += 1;
@@ -1254,9 +1157,9 @@ impl Router {
                 let vc = vcs.trailing_zeros() as usize;
                 vcs &= vcs - 1;
                 let q = self.in_vc[self.pv(port, vc)];
-                let (mut prev, mut s) = (NIL, q.first);
+                let (mut prev, mut s) = (NIL, q.list.first);
                 for _ in 0..q.routed {
-                    let buf = &self.slab[s as usize];
+                    let buf = &self.slab[s];
                     // Poisoned packets are held for the fault reaper.
                     if buf.arrived != buf.sent
                         && !(any_poisoned && ctx.pool.is_poisoned(buf.pkt))
@@ -1271,7 +1174,7 @@ impl Router {
                 break;
             };
             let i = self.pv(port, vc);
-            let buf = &mut self.slab[s as usize];
+            let buf = &mut self.slab[s];
             let (out_port, out_vc) = buf.route.expect("picked a routed packet");
             let flit = Flit {
                 pkt: buf.pkt,
@@ -1282,8 +1185,9 @@ impl Router {
             self.unbuffer_flit(port, vc);
             ctx.stats.flit_moves += 1;
             if flit.is_tail() {
-                self.unlink(i, prev, s);
-                self.in_vc[i].routed -= 1;
+                let q = &mut self.in_vc[i];
+                self.slab.unlink(&mut q.list, prev, s);
+                (q.len, q.routed) = (q.len - 1, q.routed - 1);
                 ctx.pool.note_flit_gone(flit.pkt); // the buffer's own pin
                 let o = self.pv(out_port as usize, out_vc as usize);
                 debug_assert_eq!(self.out_owner[o], flit.pkt);
@@ -1351,37 +1255,17 @@ impl Router {
         mut trace: Option<&mut Trace>,
         now: u64,
     ) {
-        // Packets granted the dead output port (from any input VC).
-        for i in 0..self.in_vc.len() {
-            for s in self.list(i) {
-                let buf = &self.slab[s as usize];
-                if buf.route.is_some_and(|(p, _)| p as usize == port) {
-                    poison_packet(
-                        pool,
-                        stats,
-                        trace.as_deref_mut(),
-                        buf.pkt,
-                        now,
-                        DropReason::LinkFailed,
-                    );
-                }
-            }
-        }
-        // Incomplete packets whose remaining flits were on the dead wire.
-        for vc in 0..self.num_vcs {
-            for s in self.list(self.pv(port, vc)) {
-                let buf = &self.slab[s as usize];
-                if buf.arrived < buf.len {
-                    poison_packet(
-                        pool,
-                        stats,
-                        trace.as_deref_mut(),
-                        buf.pkt,
-                        now,
-                        DropReason::LinkFailed,
-                    );
-                }
-            }
+        // Packets granted the dead output port (from any input VC), then
+        // incomplete packets whose remaining flits were on the dead wire.
+        let granted = (0..self.in_vc.len())
+            .flat_map(|i| self.bufs(i))
+            .filter(|buf| buf.route.is_some_and(|(p, _)| p as usize == port));
+        let cut = (0..self.num_vcs)
+            .flat_map(|vc| self.bufs(self.pv(port, vc)))
+            .filter(|buf| buf.arrived < buf.len);
+        for buf in granted.chain(cut) {
+            let trace = trace.as_deref_mut();
+            poison_packet(pool, stats, trace, buf.pkt, now, DropReason::LinkFailed);
         }
     }
 
@@ -1404,15 +1288,17 @@ impl Router {
         for port in 0..self.num_ports {
             for vc in 0..self.num_vcs {
                 let i = self.pv(port, vc);
-                let (mut prev, mut s) = (NIL, self.in_vc[i].first);
+                let (mut prev, mut s) = (NIL, self.in_vc[i].list.first);
                 while s != NIL {
-                    let next = self.slab[s as usize].next;
-                    if !pool.is_poisoned(self.slab[s as usize].pkt) {
+                    let next = self.slab[s].next;
+                    if !pool.is_poisoned(self.slab[s].pkt) {
                         (prev, s) = (s, next);
                         continue;
                     }
                     reaped = true;
-                    let buf = self.unlink(i, prev, s);
+                    let q = &mut self.in_vc[i];
+                    let buf = self.slab.unlink(&mut q.list, prev, s);
+                    q.len -= 1;
                     s = next;
                     if let Some((op, ov)) = buf.route {
                         self.in_vc[i].routed -= 1;
@@ -1454,21 +1340,20 @@ impl Router {
     /// heading to `port`. Called before reviving the attached link so stale
     /// remnants of killed packets never reach the fresh wire.
     pub(crate) fn purge_egress(&mut self, port: usize, pool: &mut PacketPool, stats: &mut Stats) {
-        let xbar = std::mem::take(&mut self.xbar);
-        for (t, flit, op, ov) in xbar {
-            if op as usize == port {
-                self.out_backlog[port] -= 1;
-                stats.dropped_flits += 1;
-                pool.note_flit_gone(flit.pkt);
+        let mut gone = Vec::new();
+        for x in std::mem::take(&mut self.xbar) {
+            if x.2 as usize == port {
+                gone.push(x.1);
             } else {
-                self.xbar.push_back((t, flit, op, ov));
+                self.xbar.push_back(x);
             }
         }
         let q = std::mem::take(&mut self.out_q[port]);
+        gone.extend(q.into_iter().map(|(flit, _)| flit));
         self.out_active[port >> 6] &= !(1u64 << (port & 63));
-        for (flit, _) in q {
-            self.out_backlog[port] -= 1;
-            stats.dropped_flits += 1;
+        self.out_backlog[port] -= gone.len() as u32;
+        stats.dropped_flits += gone.len() as u64;
+        for flit in gone {
             pool.note_flit_gone(flit.pkt);
         }
     }
@@ -1509,6 +1394,15 @@ mod tests {
     use crate::channel::WireSlab;
     use std::sync::Mutex;
 
+    impl Router {
+        /// Queues `flit` for `port`'s link, as the crossbar would.
+        pub(crate) fn queue_egress(&mut self, port: usize, flit: Flit, vc: u8) {
+            self.out_q[port].push_back((flit, vc));
+            self.out_active[port >> 6] |= 1u64 << (port & 63);
+            self.out_backlog[port] += 1;
+        }
+    }
+
     /// Runs `f` with a tick context at cycle `now` over `channels` (their
     /// flits in `wire`) and `pool` (no trace, metrics or event engine).
     fn with_ctx<T>(
@@ -1527,6 +1421,7 @@ mod tests {
             trace: None,
             metrics: None,
             hop_capped: &mut Vec::new(),
+            lost: &mut Vec::new(),
             timed: false,
             timers: Default::default(),
             wakes: None,
@@ -1907,7 +1802,7 @@ mod tests {
             assert_eq!(r.in_vc[i].len, 2);
             r.allocate(&hx, &probe, ctx);
             assert_eq!(r.in_vc[i].routed, 1, "the first packet is granted");
-            let second = r.in_vc[i].last as usize;
+            let second = r.in_vc[i].list.last;
             assert!(r.slab[second].route.is_none(), "the second waits a pass");
             assert_eq!(probe.seen.lock().unwrap().len(), 1);
             r.allocate(&hx, &probe, ctx);
@@ -1989,19 +1884,25 @@ mod tests {
             r.allocate(&hx, &probe, ctx);
             r.allocate(&hx, &probe, ctx);
         });
-        let (first, second) = (r.in_vc[i].first, r.in_vc[i].last);
-        assert_eq!(r.slab[first as usize].pkt, younger);
-        assert_eq!(r.slab[second as usize].pkt, older);
+        let List {
+            first,
+            last: second,
+        } = r.in_vc[i].list;
+        assert_eq!(r.slab[first].pkt, younger);
+        assert_eq!(r.slab[second].pkt, older);
         assert_eq!((r.in_vc[i].len, r.in_vc[i].routed), (2, 2));
 
         with_ctx(3, (&mut channels, &mut wire), &mut pool, |ctx| {
             r.switch_traverse(ctx)
         });
         assert_eq!(r.xbar.front().map(|x| x.1.pkt), Some(older), "oldest first");
-        assert_eq!(r.in_vc[i].first, first, "the survivor stays first");
-        assert_eq!(r.in_vc[i].last, first, "the older packet left the middle");
+        assert_eq!(r.in_vc[i].list.first, first, "the survivor stays first");
+        assert_eq!(
+            r.in_vc[i].list.last, first,
+            "the older packet left the middle"
+        );
         assert_eq!((r.in_vc[i].len, r.in_vc[i].routed), (1, 1));
-        assert_eq!(r.free, second, "its slot is free");
+        assert_eq!(r.slab.free_head(), second, "its slot is free");
         r.audit_derived_state(&pool, &mut errs);
         assert_eq!(errs, Vec::<String>::new());
 
@@ -2015,10 +1916,10 @@ mod tests {
         with_ctx(4, (&mut channels, &mut wire), &mut pool, |ctx| {
             r.ingress_flits(1, ctx)
         });
-        assert_eq!(r.in_vc[i].first, first);
-        assert_eq!(r.in_vc[i].last, second, "the freed slot is reused");
-        assert_eq!(r.slab[second as usize].pkt, third);
-        assert_eq!((r.slab.len(), r.free), (2, NIL));
+        assert_eq!(r.in_vc[i].list.first, first);
+        assert_eq!(r.in_vc[i].list.last, second, "the freed slot is reused");
+        assert_eq!(r.slab[second].pkt, third);
+        assert_eq!((r.slab.len(), r.slab.free_head()), (2, NIL));
         r.audit_derived_state(&pool, &mut errs);
         assert_eq!(errs, Vec::<String>::new());
     }

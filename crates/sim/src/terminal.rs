@@ -268,6 +268,7 @@ mod tests {
             trace: None,
             metrics: None,
             hop_capped: &mut Vec::new(),
+            lost: &mut Vec::new(),
             timed: false,
             timers: Default::default(),
             wakes: None,

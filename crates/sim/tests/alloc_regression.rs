@@ -2,11 +2,12 @@
 //! one tick body, so both must hold together).
 //!
 //! The scale refactor's contract: once a simulation reaches steady state
-//! (every router's packet-buffer and output queues, the network's wire
+//! (every router's packet slab and output queues, the network's wire
 //! slab, the hint buffer and the scratch lists grown to their working
-//! size, the event queue warm; buffered packets are counters and own no
-//! flit storage, and a flit on a wire is a recycled slab node), ticking
-//! allocates *nothing* — all per-tick scratch is recycled. This is what lets the
+//! size, the event queue warm), ticking allocates *nothing* — all
+//! per-tick scratch is recycled. Buffered packets and flits on the wires
+//! are records of list slabs (`slab.rs`), whose freed slots the next push
+//! reuses, and a buffered packet is counters that own no flit storage. This is what lets the
 //! 100k-terminal runs in `fig2_sim` spend their time simulating instead of
 //! in the allocator, and it is easy to regress silently (one `Vec::new()`
 //! in a hot path). The counting allocator makes it a hard assertion.
@@ -80,9 +81,10 @@ fn measure_phase(engine: Engine) -> u64 {
     // wheel's `max latency + 1` = 51 rows each keep their high-water
     // capacity, so a given row only sees every traffic phase after
     // lcm(680, 51) = 2,040 cycles — until then each new (row, phase)
-    // pairing can set a capacity record. The wire slab is one pool for
-    // every channel, so it stops at the flits-in-flight peak, which one
-    // period reaches. The warm-up is many times that.
+    // pairing can set a capacity record. A list slab is one pool for all
+    // its lists — every channel's for the wire slab, every input VC's for
+    // a router's — so it stops at its records-held peak, which one period
+    // reaches. The warm-up is many times that.
     sim.run(&mut traffic, 24_000);
 
     let before = ALLOC.allocations();

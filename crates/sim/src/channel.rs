@@ -122,12 +122,6 @@ pub struct Llr {
     half_bw: bool,
     /// Earliest cycle the sender may put the next frame on the wire.
     next_tx_allowed: u64,
-    /// Lifetime CRC-detected corrupt frames seen by the receiver.
-    crc_errors: u64,
-    /// Lifetime frames retransmitted.
-    replays: u64,
-    /// Lifetime flap down-edges.
-    flaps: u64,
     /// Decayed recent CRC errors (see [`decayed`]).
     recent_crc: u64,
     /// Decayed recent flap down-edges.
@@ -163,9 +157,6 @@ impl Llr {
             extra_latency: 0,
             half_bw: false,
             next_tx_allowed: 0,
-            crc_errors: 0,
-            replays: 0,
-            flaps: 0,
             recent_crc: 0,
             recent_flaps: 0,
             health_epoch: 0,
@@ -414,7 +405,6 @@ impl Channel {
             llr.wire.pop_front();
             if corrupted {
                 llr.fold_health(now);
-                llr.crc_errors += 1;
                 llr.recent_crc += 1;
                 stats.crc_errors += 1;
                 // Always nack a CRC failure — a corrupted *replay* frame
@@ -446,7 +436,6 @@ impl Channel {
             llr.wire
                 .push_back((now + latency + llr.extra_latency, seq, flit, vc, corrupted));
             if llr.tx_next < llr.sent_mark {
-                llr.replays += 1;
                 stats.llr_replays += 1;
             } else {
                 llr.sent_mark += 1;
@@ -469,7 +458,6 @@ impl Channel {
                 llr.up = false;
                 llr.wire.clear();
                 llr.fold_health(now);
-                llr.flaps += 1;
                 llr.recent_flaps += 1;
                 stats.flaps += 1;
             }
@@ -540,14 +528,6 @@ impl Channel {
             + llr.tx_buf.len() as u64 * 50
             + llr.extra_latency * 20
             + if llr.half_bw { 500 } else { 0 }
-    }
-
-    /// Lifetime LLR health counters `(crc_errors, replays, flaps)`; zeros
-    /// without LLR.
-    pub fn llr_counters(&self) -> (u64, u64, u64) {
-        self.llr
-            .as_ref()
-            .map_or((0, 0, 0), |l| (l.crc_errors, l.replays, l.flaps))
     }
 
     /// Lifetime flits accepted onto the wire (monotonic).
@@ -890,10 +870,7 @@ mod tests {
         assert_eq!(got, (0..20).collect::<Vec<_>>(), "lost/reordered/duped");
         assert!(stats.crc_errors > 0, "seed produced no corruption");
         assert!(stats.llr_replays >= stats.crc_errors);
-        let (crc, replays, flaps) = ch.llr_counters();
-        assert_eq!(crc, stats.crc_errors);
-        assert_eq!(replays, stats.llr_replays);
-        assert_eq!(flaps, 0);
+        assert_eq!(stats.flaps, 0);
         assert!(ch.is_idle(), "replay state failed to drain");
     }
 

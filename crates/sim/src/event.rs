@@ -42,8 +42,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::bitset::BitRows;
-
 /// Calendar length in cycles: the smallest power of two above every
 /// channel and crossbar latency the shipped configurations use (50
 /// cycles). Wakes farther out than this go through the overflow heap, so
@@ -170,9 +168,82 @@ impl EventQueue {
     }
 }
 
+/// A fixed grid of equally wide bit rows — the representation of the
+/// event calendars (rows are cycles modulo the row count, bits are wake
+/// keys or channel ids). A set is idempotent and a drain walks
+/// bits upwards, so whatever is read back out of a row is ascending and
+/// unique without any sorting.
+#[derive(Debug)]
+struct BitRows {
+    /// Words per row.
+    width: usize,
+    words: Vec<u64>,
+}
+
+impl BitRows {
+    /// `rows` all-zero rows of `bits` bits each.
+    fn new(rows: usize, bits: usize) -> Self {
+        let width = bits.div_ceil(64);
+        BitRows {
+            width,
+            words: vec![0; rows * width],
+        }
+    }
+
+    /// Sets `bit` of `row`.
+    #[inline]
+    fn set(&mut self, row: usize, bit: u32) {
+        self.words[row * self.width + (bit >> 6) as usize] |= 1u64 << (bit & 63);
+    }
+
+    /// ORs row `src` into row `dst` and clears `src`.
+    fn merge(&mut self, src: usize, dst: usize) {
+        debug_assert_ne!(src, dst);
+        for i in 0..self.width {
+            let w = std::mem::take(&mut self.words[src * self.width + i]);
+            self.words[dst * self.width + i] |= w;
+        }
+    }
+
+    /// Clears `row`, handing its set bits to `f` in ascending order.
+    #[inline]
+    fn drain(&mut self, row: usize, mut f: impl FnMut(u32)) {
+        let words = &mut self.words[row * self.width..(row + 1) * self.width];
+        for (i, word) in words.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            while w != 0 {
+                f((i as u32) << 6 | w.trailing_zeros());
+                w &= w - 1;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn row_is_clear(rows: &BitRows, row: usize) -> bool {
+        rows.words[row * rows.width..(row + 1) * rows.width]
+            .iter()
+            .all(|&w| w == 0)
+    }
+
+    #[test]
+    fn bit_rows_drain_ascending_unique_and_clear() {
+        let mut rows = BitRows::new(3, 130);
+        for bit in [129, 0, 64, 63, 64, 7] {
+            rows.set(1, bit);
+        }
+        rows.set(2, 5);
+        rows.set(2, 64);
+        rows.merge(2, 1);
+        assert!(row_is_clear(&rows, 2) && row_is_clear(&rows, 0));
+        let mut seen = Vec::new();
+        rows.drain(1, |b| seen.push(b));
+        assert_eq!(seen, vec![0, 5, 7, 63, 64, 129]);
+        assert!(row_is_clear(&rows, 1));
+    }
 
     #[test]
     fn pop_due_is_ascending_and_unique() {

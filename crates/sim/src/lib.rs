@@ -23,7 +23,6 @@
 
 #[allow(unsafe_code)]
 mod alloc_track;
-mod bitset;
 mod channel;
 mod config;
 mod credit;
@@ -45,7 +44,6 @@ mod transport;
 mod workload;
 
 pub use alloc_track::CountingAllocator;
-pub use bitset::BitSet;
 pub use channel::{Channel, WireSlab};
 pub use config::{CanonicalSimConfig, Engine, SimConfig, MAX_VCS};
 pub use event::{EventKind, EventQueue};
@@ -54,7 +52,7 @@ pub use metrics::{
     LlrSummary, LogHist, Metrics, MetricsConfig, MetricsSummary, NetSample, PhaseTimers, PortSample,
 };
 pub use network::{Network, MAX_PORTS};
-pub use packet::{Flit, Packet, PacketCold, PacketHot, PacketId, PacketPool};
+pub use packet::{Flit, Packet, PacketId, PacketPool};
 pub use router::Router;
 pub use runner::{run_steady_state, LoadPoint, SteadyOpts};
 pub use schema::{fnv1a, versioned_json_row, SCHEMA_VERSION};

@@ -266,9 +266,18 @@ impl Network {
         let mut routers: Vec<Router> = (0..nr)
             .map(|r| Router::new(r, topo.num_ports(r), &cfg, algo.num_classes(), seed))
             .collect();
-        let mut channels: Vec<Channel> = Vec::new();
+        // A router port wires one directed channel, a terminal port two.
+        let num_chans = (0..nr)
+            .flat_map(|r| (0..topo.num_ports(r)).map(move |p| (r, p)))
+            .map(|(r, p)| match topo.port_target(r, p) {
+                PortTarget::Router { .. } => 1,
+                PortTarget::Terminal(_) => 2,
+                PortTarget::Unused => 0,
+            })
+            .sum();
+        let mut channels: Vec<Channel> = Vec::with_capacity(num_chans);
         // Per channel, who its returning credits go to: its sender.
-        let mut sinks: Vec<CreditSink> = Vec::new();
+        let mut sinks: Vec<CreditSink> = Vec::with_capacity(num_chans);
         let mut term_wiring: Vec<Option<(usize, usize)>> = vec![None; nt];
 
         // With LLR enabled every channel (terminal links included) carries
@@ -324,6 +333,8 @@ impl Network {
                 }
             }
         }
+
+        debug_assert_eq!(channels.len(), num_chans);
 
         let terminals: Vec<Terminal> = term_wiring
             .into_iter()
@@ -1145,6 +1156,19 @@ mod tests {
     fn tick_at(net: &mut Network, now: u64) {
         let (mut pool, mut stats) = (PacketPool::new(), Stats::default());
         net.tick(now, &mut pool, &mut stats, &mut Vec::new(), None, None);
+    }
+
+    /// The channel array is sized from a count taken before wiring, so
+    /// it holds no doubled-capacity tail: 64 routers with 9 router ports
+    /// and 4 terminal ports each wire 64 * (9 + 2 * 4) = 1,088 channels.
+    #[test]
+    fn channel_array_is_allocated_exactly() {
+        let hx = Arc::new(HyperX::uniform(3, 4, 4));
+        let algo: Arc<dyn RoutingAlgorithm> =
+            hyperx_algorithm("DOR", hx.clone(), 8).expect("DOR").into();
+        let net = Network::new(hx, algo, SimConfig::default(), 1);
+        assert_eq!(net.channels.len(), 1_088);
+        assert_eq!(net.channels.capacity(), net.channels.len());
     }
 
     /// A flit put on the wire behind the calendar's back (no arrival

@@ -62,7 +62,7 @@ use crate::config::SimConfig;
 use crate::credit::CreditWheel;
 use crate::metrics::lap;
 use crate::network::TickCtx;
-use crate::packet::{Flit, PacketHot, PacketId, PacketPool};
+use crate::packet::{Flit, Packet, PacketId, PacketPool};
 use crate::slab::{Linked, List, Slab, NIL};
 use crate::stats::Stats;
 use crate::trace::{DropReason, DropRecord, HopRecord, Trace};
@@ -91,7 +91,7 @@ pub(crate) fn poison_packet(
     now: u64,
     reason: DropReason,
 ) {
-    let tag = pool.cold(id).tag;
+    let tag = pool.get(id).tag;
     if pool.poison(id) {
         stats.dropped_packets += 1;
         if let Some(t) = trace {
@@ -220,19 +220,19 @@ struct Head {
 const _: () = assert!(std::mem::size_of::<Head>() == 32);
 
 impl Head {
-    fn new(pkt: PacketId, hot: &PacketHot, port: usize, vc: usize) -> Self {
+    fn new(pkt: PacketId, p: &Packet, port: usize, vc: usize) -> Self {
         Head {
-            birth: hot.birth,
+            birth: p.birth,
             pkt,
-            dst_router: hot.dst_router,
-            dst: hot.dst,
-            intermediate: hot.route.intermediate,
-            len: hot.len,
+            dst_router: p.dst_router,
+            dst: p.dst,
+            intermediate: p.route.intermediate,
+            len: p.len,
             port: port as u16,
-            phase: hot.route.phase,
-            deroute_mask: hot.route.deroute_mask,
+            phase: p.route.phase,
+            deroute_mask: p.route.deroute_mask,
             vc: vc as u8,
-            hops: hot.hops,
+            hops: p.hops,
         }
     }
 
@@ -658,7 +658,7 @@ impl Router {
                     "router {} port {port} vc {vc}: listed head {} is not the first unrouted packet",
                     self.id, head.pkt
                 ));
-            } else if *head != Head::new(head.pkt, pool.hot(head.pkt), port, vc) {
+            } else if *head != Head::new(head.pkt, pool.get(head.pkt), port, vc) {
                 errs.push(format!(
                     "router {} port {port} vc {vc}: head copy {head:?} differs from the pool's",
                     self.id
@@ -747,7 +747,7 @@ impl Router {
             }
             let i = self.pv(port, vc as usize);
             if flit.is_head() {
-                let head = Head::new(flit.pkt, ctx.pool.hot(flit.pkt), port, vc as usize);
+                let head = Head::new(flit.pkt, ctx.pool.get(flit.pkt), port, vc as usize);
                 let buf = PktBuf {
                     pkt: flit.pkt,
                     next: NIL,
@@ -930,7 +930,7 @@ impl Router {
         if let Some(t) = ctx.trace.as_deref_mut() {
             t.record(HopRecord {
                 pkt: pkt_id,
-                tag: ctx.pool.cold(pkt_id).tag,
+                tag: ctx.pool.get(pkt_id).tag,
                 router: self.id as u32,
                 out_port: out_port as u16,
                 out_vc: out_vc as u8,
@@ -1017,7 +1017,7 @@ impl Router {
     /// after a grant took the previous one off the list.
     fn expose_head(&mut self, port: usize, vc: usize, pool: &PacketPool) {
         if let Some(buf) = self.first_unrouted(self.pv(port, vc)) {
-            let head = Head::new(buf.pkt, pool.hot(buf.pkt), port, vc);
+            let head = Head::new(buf.pkt, pool.get(buf.pkt), port, vc);
             self.insert_head(head);
         }
     }
@@ -1029,7 +1029,7 @@ impl Router {
         for port in 0..self.num_ports {
             for vc in 0..self.num_vcs {
                 if let Some(buf) = self.first_unrouted(self.pv(port, vc)) {
-                    heads.push(Head::new(buf.pkt, pool.hot(buf.pkt), port, vc));
+                    heads.push(Head::new(buf.pkt, pool.get(buf.pkt), port, vc));
                 }
             }
         }
@@ -1111,10 +1111,10 @@ impl Router {
         debug_assert!(buf.pkt == pkt_id && buf.route.is_none());
         buf.route = Some((out_port as u16, out_vc as u8));
         self.in_vc[i].routed += 1;
-        let hot = pool.hot_mut(pkt_id);
-        apply_commit(&mut hot.route, commit);
+        let p = pool.get_mut(pkt_id);
+        apply_commit(&mut p.route, commit);
         if self.port_term[out_port] == NO_WIRE {
-            hot.hops = hot.hops.saturating_add(1);
+            p.hops = p.hops.saturating_add(1);
         }
     }
 
@@ -1712,7 +1712,7 @@ mod tests {
                         tag: 0,
                         seq: 0,
                     });
-                    let head = Head::new(id, pool.hot(id), port, vc);
+                    let head = Head::new(id, pool.get(id), port, vc);
                     let mut rng = r.rng.clone();
                     let mut got = Vec::new();
                     r.weighed_candidates(&head, &*algo, &channels, now, &mut got);

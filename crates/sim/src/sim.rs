@@ -319,11 +319,11 @@ impl Sim {
     /// Snapshots the wedged network for the abort diagnostic.
     fn build_watchdog_report(&self) -> WatchdogReport {
         let (mut oldest_tag, mut oldest_age) = (0, 0);
-        for (_, hot, cold) in self.pool.live_packets() {
-            let age = self.now.saturating_sub(hot.birth);
+        for (_, p, ()) in self.pool.live_packets() {
+            let age = self.now.saturating_sub(p.birth);
             if age >= oldest_age {
                 oldest_age = age;
-                oldest_tag = cold.tag;
+                oldest_tag = p.tag;
             }
         }
         let mut routers = Vec::new();

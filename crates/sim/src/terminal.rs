@@ -102,7 +102,7 @@ impl Terminal {
     pub(crate) fn unsent_on(&self, vc: usize, pool: &PacketPool) -> usize {
         self.cur
             .filter(|&(_, _, v)| v as usize == vc)
-            .map_or(0, |(pkt, idx, _)| (pool.hot(pkt).len - idx) as usize)
+            .map_or(0, |(pkt, idx, _)| (pool.get(pkt).len - idx) as usize)
     }
 
     /// One simulation cycle: consume arriving flits (recording
@@ -117,24 +117,23 @@ impl Terminal {
             ctx.stats.flit_moves += 1;
             let pool = &mut *ctx.pool;
             if flit.is_tail() && !pool.is_poisoned(flit.pkt) {
-                let hot = pool.hot(flit.pkt);
-                let cold = pool.cold(flit.pkt);
-                debug_assert_eq!(hot.dst as usize, self.id, "misrouted packet");
-                let latency = now - hot.birth;
-                let net_latency = now - cold.inject;
+                let p = pool.get(flit.pkt);
+                debug_assert_eq!(p.dst as usize, self.id, "misrouted packet");
+                let latency = now - p.birth;
+                let net_latency = now - p.inject;
                 ctx.stats
-                    .record_delivery(latency, net_latency, hot.hops, hot.len);
+                    .record_delivery(latency, net_latency, p.hops, p.len);
                 ctx.delivered.push(Delivered {
-                    src: cold.src,
-                    dst: hot.dst,
-                    len: hot.len,
-                    tag: cold.tag,
-                    birth: hot.birth,
-                    inject: cold.inject,
+                    src: p.src,
+                    dst: p.dst,
+                    len: p.len,
+                    tag: p.tag,
+                    birth: p.birth,
+                    inject: p.inject,
                     latency,
                     net_latency,
-                    hops: hot.hops,
-                    seq: cold.seq,
+                    hops: p.hops,
+                    seq: p.seq,
                 });
                 pool.note_flit_gone(flit.pkt);
                 pool.release(flit.pkt);
@@ -150,7 +149,7 @@ impl Terminal {
         // routers' `pick_vc`), then send one flit per cycle.
         if self.cur.is_none() {
             if let Some(&pkt_id) = self.inj_q.front() {
-                let len = ctx.pool.hot(pkt_id).len as u32;
+                let len = ctx.pool.get(pkt_id).len as u32;
                 // Most-credits VC that can hold the whole packet; random
                 // tie-break across fully-idle VCs avoids biasing VC 0.
                 let mut best: Option<(u32, u32, usize)> = None;
@@ -171,7 +170,7 @@ impl Terminal {
                     self.inj_q.pop_front();
                     self.credits[vc] -= len;
                     self.cur = Some((pkt_id, 0, vc as u8));
-                    ctx.pool.cold_mut(pkt_id).inject = now;
+                    ctx.pool.get_mut(pkt_id).inject = now;
                     // The in-progress injection pins the packet slot.
                     ctx.pool.note_flit_created(pkt_id);
                 }
@@ -182,7 +181,7 @@ impl Terminal {
         // window reopens.
         if ctx.channels[self.out_chan].ready_for_flit() {
             if let Some((pkt_id, idx, vc)) = self.cur {
-                let len = ctx.pool.hot(pkt_id).len;
+                let len = ctx.pool.get(pkt_id).len;
                 let flit = Flit {
                     pkt: pkt_id,
                     idx,
@@ -208,7 +207,7 @@ impl Terminal {
     pub(crate) fn reap_poisoned(&mut self, pool: &mut PacketPool) {
         if let Some((pkt_id, idx, vc)) = self.cur {
             if pool.is_poisoned(pkt_id) {
-                let len = pool.hot(pkt_id).len;
+                let len = pool.get(pkt_id).len;
                 self.credits[vc as usize] += (len - idx) as u32;
                 self.cur = None;
                 pool.note_flit_gone(pkt_id); // drop the injection pin

@@ -29,17 +29,27 @@
 //! ## The wire slab
 //!
 //! A channel owns no flit storage. Every flit on every wire of the network
-//! is a 24-byte node of one [`WireSlab`], the list slab of `slab.rs`, and
-//! a channel holds only its [`List`]: its flits in the order they reach
-//! the receiver, each with the cycle it matures. The network owns the slab
+//! is a 20-byte [`Node`] of one [`WireSlab`], the list slab of `slab.rs`,
+//! and a channel holds only its [`List`]: its flits in the order they
+//! reach the receiver, each with the cycle it matures. Routers keep their
+//! crossbar pipes and output queues as lists of the same slab, so a flit
+//! keeps one node from switch traversal until the next ingress takes it
+//! off the wire: the crossbar drain and the link egress relink it
+//! ([`Slab::move_front`]) rather than copy it. The network owns the slab
 //! next to its channels and lends it with them, so every flit method takes
-//! it as a parameter. A popped node's slot is reused by the next send
+//! it as a parameter. A freed node's slot is reused by the next push
 //! anywhere, so the slab stops growing at the run's peak count of flits in
-//! flight, however they spread over the channels.
+//! flight, however they spread over pipes, queues and channels.
+//!
+//! A node keeps only the low 32 bits of its maturity. Every latency is
+//! below [`MAX_LATENCY`] = 2^31 cycles (`SimConfig::validate`,
+//! [`Channel::degrade`]) and a node is read no later than the cycle it
+//! matures, so the wrapping difference from the current cycle is exact.
 
 use std::collections::VecDeque;
 
 use crate::packet::Flit;
+use crate::router::Router;
 use crate::slab::{Linked, List, Slab, NIL};
 use crate::stats::Stats;
 
@@ -182,27 +192,61 @@ impl Llr {
     }
 }
 
-/// One flit on a wire: a record of the [`WireSlab`].
+/// The bound on every latency a node's maturity spans (crossbar and
+/// channel, degraded or not): a node keeps only the low 32 bits of its
+/// maturity, which stay unambiguous while the maturity lies less than
+/// 2^31 cycles from the cycle that reads it.
+pub(crate) const MAX_LATENCY: u64 = 1 << 31;
+
+/// One in-flight flit: a record of the [`WireSlab`], on a router's
+/// crossbar pipe, one of its output queues or a channel (20 bytes).
 #[derive(Clone, Copy, Debug)]
 pub struct Node {
-    /// The cycle the flit reaches the receiver.
-    maturity: u64,
-    flit: Flit,
+    /// The low 32 bits of the cycle the flit leaves the crossbar (in a
+    /// pipe) or reaches the receiver (on a channel); stale in an output
+    /// queue. [`Node::due`] and [`Node::at`] read it by wrapping
+    /// difference from the current cycle.
+    maturity: u32,
+    pub(crate) flit: Flit,
     /// The downstream VC it will occupy.
-    vc: u8,
-    /// The next flit on the same channel, or the next free node.
+    pub(crate) vc: u8,
+    /// In a crossbar pipe: the output port it goes to.
+    pub(crate) port: u16,
+    /// The next node on the same list, or the next free node.
     next: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Node>() == 24);
+const _: () = assert!(std::mem::size_of::<Node>() == 20);
 
-/// The node of a flit maturing at `maturity`, bound for VC `vc`.
-fn node(maturity: u64, flit: Flit, vc: u8) -> Node {
-    Node {
-        maturity,
-        flit,
-        vc,
-        next: NIL,
+impl Node {
+    /// The node of a flit maturing at `maturity`, bound for VC `vc` of
+    /// output `port`.
+    pub(crate) fn new(maturity: u64, flit: Flit, vc: u8, port: u16) -> Node {
+        Node {
+            maturity: maturity as u32,
+            flit,
+            vc,
+            port,
+            next: NIL,
+        }
+    }
+
+    /// Whether the node has matured by cycle `now`.
+    #[inline]
+    pub(crate) fn due(&self, now: u64) -> bool {
+        (now as u32).wrapping_sub(self.maturity) as i32 >= 0
+    }
+
+    /// The full cycle the node matures at, read from `now`.
+    #[inline]
+    pub(crate) fn at(&self, now: u64) -> u64 {
+        now.wrapping_add_signed(i64::from(self.maturity.wrapping_sub(now as u32) as i32))
+    }
+
+    /// Sets the cycle the node matures at.
+    #[inline]
+    fn mature_at(&mut self, cycle: u64) {
+        self.maturity = cycle as u32;
     }
 }
 
@@ -217,24 +261,65 @@ impl Linked for Node {
     }
 }
 
-/// Every flit on every wire of the network, in one slab (see the module
-/// docs): each channel's flits are a list in receiver order.
+/// Every in-flight flit of the network, in one slab (see the module docs):
+/// each channel's flits are a list in receiver order, and each router's
+/// crossbar pipe and output queues are lists too.
 pub type WireSlab = Slab<Node>;
 
 impl WireSlab {
     /// Pushes a line onto `errs` for each fault of the lists of `channels`
-    /// ([`Slab::audit`]) and, if they are sound, for each list whose
-    /// maturities decrease.
-    pub(crate) fn audit_wire(&self, channels: &[Channel], errs: &mut Vec<String>) {
-        let lists = channels.iter().map(|ch| ch.flits);
-        let name = |c| format!("channel {c}");
+    /// and of `routers`' crossbar pipes and output queues ([`Slab::audit`])
+    /// and, if they are sound, for each channel or pipe whose maturities
+    /// decrease (by wrapping difference, as [`Node::due`] reads them).
+    pub(crate) fn audit_wire(
+        &self,
+        channels: &[Channel],
+        routers: &[Router],
+        errs: &mut Vec<String>,
+    ) {
+        let lists = (channels.iter().map(|ch| ch.flits))
+            .chain(routers.iter().flat_map(Router::egress_lists));
+        let name = |k: usize| {
+            if k < channels.len() {
+                return format!("channel {k}");
+            }
+            let mut k = k - channels.len();
+            for r in routers {
+                let n = r.egress_lists().count();
+                match k {
+                    0 => return format!("router {}'s crossbar pipe", r.id()),
+                    k if k < n => {
+                        return format!("router {} port {}'s output queue", r.id(), k - 1)
+                    }
+                    _ => k -= n,
+                }
+            }
+            unreachable!("list {k} past the last router")
+        };
         if !self.audit("wire slab", lists, name, errs) {
             return;
         }
+        let in_order = |list: List| {
+            let mut prev: Option<u32> = None;
+            self.iter(list).all(|i| {
+                let m = self[i].maturity;
+                let sorted = prev.is_none_or(|p| m.wrapping_sub(p) as i32 >= 0);
+                prev = Some(m);
+                sorted
+            })
+        };
         for (c, ch) in channels.iter().enumerate() {
-            if !self.iter(ch.flits).map(|i| self[i].maturity).is_sorted() {
+            if !in_order(ch.flits) {
                 errs.push(format!(
                     "wire slab: channel {c}'s flits mature out of order"
+                ));
+            }
+        }
+        for r in routers {
+            if r.egress_lists().next().is_some_and(|pipe| !in_order(pipe)) {
+                errs.push(format!(
+                    "wire slab: router {}'s crossbar pipe matures out of order",
+                    r.id()
                 ));
             }
         }
@@ -266,9 +351,14 @@ pub struct Channel {
 const _: () = assert!(std::mem::size_of::<Channel>() == 40);
 
 impl Channel {
-    /// Creates a channel with the given one-way latency (>= 1 cycle).
+    /// Creates a channel with the given one-way latency (>= 1 cycle, below
+    /// [`MAX_LATENCY`]).
     pub(crate) fn new(latency: u64) -> Self {
         assert!(latency >= 1, "zero-latency channels break cycle ordering");
+        assert!(
+            latency < MAX_LATENCY,
+            "channel latency {latency} is not below 2^31"
+        );
         Channel {
             latency,
             alive: true,
@@ -338,26 +428,59 @@ impl Channel {
     }
 
     /// Sender side: puts a flit on the wire at cycle `now`, tagged with the
-    /// downstream VC it will occupy. The channel must be alive. Under LLR
-    /// the flit enters the replay buffer; [`Self::llr_tick`] serializes it
-    /// onto the wire next cycle.
+    /// downstream VC it will occupy, in a new node. The channel must be
+    /// alive. Under LLR the flit enters the replay buffer instead;
+    /// [`Self::llr_tick`] serializes it onto the wire next cycle.
     #[inline]
     pub fn send_flit(&mut self, wire: &mut WireSlab, now: u64, flit: Flit, vc: u8) {
-        debug_assert!(self.alive, "flit sent into a dead channel");
-        if let Some(llr) = &mut self.llr {
-            debug_assert!(
-                llr.tx_buf.len() < llr.window,
-                "LLR replay window overrun: egress ignored ready_for_flit"
-            );
-            llr.tx_buf.push_back((flit, vc));
-            return;
+        if !self.replay(flit, vc) {
+            let at = self.arrival(wire, now);
+            wire.push_back(&mut self.flits, Node::new(at, flit, vc, 0));
         }
+    }
+
+    /// Sender side: [`Self::send_flit`] of the front node of `from` (an
+    /// output queue), which keeps its slot and moves onto the wire. Under
+    /// LLR its flit enters the replay buffer and the node is freed.
+    #[inline]
+    pub(crate) fn send_front(&mut self, wire: &mut WireSlab, from: &mut List, now: u64) {
+        let n = wire.front(*from).expect("a flit to send");
+        if self.replay(n.flit, n.vc) {
+            wire.pop_front(from);
+        } else {
+            let at = self.arrival(wire, now);
+            let s = wire.move_front(from, &mut self.flits);
+            wire[s].mature_at(at);
+        }
+    }
+
+    /// Under LLR, puts a flit sent this cycle in the replay buffer and
+    /// returns `true`; a legacy channel returns `false`.
+    #[inline]
+    fn replay(&mut self, flit: Flit, vc: u8) -> bool {
+        debug_assert!(self.alive, "flit sent into a dead channel");
+        let Some(llr) = &mut self.llr else {
+            return false;
+        };
         debug_assert!(
-            self.flits.last == NIL || wire[self.flits.last].maturity < now + self.latency,
+            llr.tx_buf.len() < llr.window,
+            "LLR replay window overrun: egress ignored ready_for_flit"
+        );
+        llr.tx_buf.push_back((flit, vc));
+        true
+    }
+
+    /// Counts a flit sent at `now` onto the legacy wire and returns the
+    /// cycle it matures: one latency later.
+    #[inline]
+    fn arrival(&mut self, wire: &WireSlab, now: u64) -> u64 {
+        let at = now + self.latency;
+        debug_assert!(
+            self.flits.last == NIL || wire[self.flits.last].at(now) < at,
             "channel bandwidth exceeded (two flits in one cycle)"
         );
-        wire.push_back(&mut self.flits, node(now + self.latency, flit, vc));
         self.flits_sent += 1;
+        at
     }
 
     /// Advances the LLR sublayer one cycle: processes due acks/nacks,
@@ -415,7 +538,7 @@ impl Channel {
                 llr.ctrl.push_back((now + latency, llr.rx_next, true));
             } else if seq == llr.rx_next {
                 llr.rx_next += 1;
-                wire.push_back(&mut self.flits, node(now, flit, vc));
+                wire.push_back(&mut self.flits, Node::new(now, flit, vc, 0));
                 delivered = true;
                 // Cumulative ack; duplicates of later acks are harmless.
                 llr.ctrl.push_back((now + latency, llr.rx_next, false));
@@ -476,8 +599,14 @@ impl Channel {
     }
 
     /// Gray degradation: adds one-way latency and optionally halves the
-    /// serialization rate. No-op on a non-LLR channel.
+    /// serialization rate. No-op on a non-LLR channel. The degraded
+    /// latency must stay below [`MAX_LATENCY`].
     pub fn degrade(&mut self, extra_latency: u64, half_bw: bool) {
+        assert!(
+            self.latency.saturating_add(extra_latency) < MAX_LATENCY,
+            "degraded latency {} + {extra_latency} is not below 2^31",
+            self.latency
+        );
         if let Some(llr) = &mut self.llr {
             llr.extra_latency = extra_latency;
             llr.half_bw = half_bw;
@@ -541,17 +670,17 @@ impl Channel {
     /// so it is never taken in the cycle it was made.
     #[inline]
     pub(crate) fn pop_flit(&mut self, wire: &mut WireSlab, now: u64) -> Option<(Flit, u8)> {
-        if wire.front(self.flits)?.maturity > now {
+        if !wire.front(self.flits)?.due(now) {
             return None;
         }
         wire.pop_front(&mut self.flits).map(|n| (n.flit, n.vc))
     }
 
-    /// Debug builds: the cycle the oldest flit on the wire matures — what
-    /// the next `pop_flit` compares with its cycle.
+    /// Debug builds: the cycle the oldest flit on the wire matures, read
+    /// at cycle `now` — what the next `pop_flit` compares with its cycle.
     #[cfg(debug_assertions)]
-    pub(crate) fn next_arrival(&self, wire: &WireSlab) -> Option<u64> {
-        wire.front(self.flits).map(|n| n.maturity)
+    pub(crate) fn next_arrival(&self, wire: &WireSlab, now: u64) -> Option<u64> {
+        wire.front(self.flits).map(|n| n.at(now))
     }
 
     /// Receiver side: drains every flit that has arrived by `now`.
@@ -640,8 +769,24 @@ mod tests {
     /// The slab audit's findings for `channels` (empty = sound).
     fn audit(wire: &WireSlab, channels: &[Channel]) -> Vec<String> {
         let mut errs = Vec::new();
-        wire.audit_wire(channels, &mut errs);
+        wire.audit_wire(channels, &[], &mut errs);
         errs
+    }
+
+    /// A flit sent two cycles before the 32-bit maturity wraps arrives
+    /// exactly one latency later, past the wrap: not a cycle early, not
+    /// a cycle late.
+    #[test]
+    fn a_flit_maturing_across_the_wrap_arrives_on_time() {
+        let (mut ch, mut wire) = (Channel::new(5), WireSlab::new());
+        let sent = (1u64 << 32) - 2;
+        ch.send_flit(&mut wire, sent, flit(0), 1);
+        assert_eq!(ch.next_arrival(&wire, sent), Some(sent + 5));
+        for t in sent..sent + 5 {
+            assert_eq!(ch.pop_flit(&mut wire, t), None, "arrived at cycle {t}");
+        }
+        assert_eq!(ch.pop_flit(&mut wire, sent + 5), Some((flit(0), 1)));
+        assert!(ch.is_idle());
     }
 
     /// Three channels of different latencies share one slab, their sends
@@ -755,7 +900,7 @@ mod tests {
         }
         let at = landed.expect("the frame landed");
         assert_eq!(at, 6, "committed at 0, on the wire at 1, latency 5");
-        assert_eq!(ch.next_arrival(&wire), Some(at));
+        assert_eq!(ch.next_arrival(&wire, at), Some(at));
         assert_eq!(wire.len(), 2);
         assert_eq!(
             ch.flits_in_flight(&wire).collect::<Vec<_>>(),
@@ -792,7 +937,27 @@ mod tests {
         let (mut ch, mut wire) = (Channel::new(3), WireSlab::new());
         ch.send_flit(&mut wire, 0, flit(0), 0);
         ch.send_flit(&mut wire, 1, flit(1), 0);
-        wire[1].maturity = 2;
+        wire[1].mature_at(2);
+        assert_eq!(
+            audit(&wire, &[ch]),
+            ["wire slab: channel 0's flits mature out of order"]
+        );
+    }
+
+    /// Maturities are ordered by wrapping difference: a list that spans
+    /// the 32-bit wrap is in order, and the same list reversed is not.
+    #[test]
+    fn audit_orders_maturities_across_the_wrap() {
+        let (mut ch, mut wire) = (Channel::new(3), WireSlab::new());
+        let start = (1u64 << 32) - 2;
+        for t in start..start + 4 {
+            ch.send_flit(&mut wire, t, flit(t as u16), 0);
+        }
+        assert_eq!(audit(&wire, &[ch]), Vec::<String>::new());
+        let (mut ch, mut wire) = (Channel::new(3), WireSlab::new());
+        ch.send_flit(&mut wire, start + 2, flit(0), 0);
+        ch.send_flit(&mut wire, start + 3, flit(1), 0);
+        wire[1].mature_at(start);
         assert_eq!(
             audit(&wire, &[ch]),
             ["wire slab: channel 0's flits mature out of order"]

@@ -1,5 +1,7 @@
 //! Simulator configuration.
 
+use crate::channel::MAX_LATENCY;
+
 /// The most virtual channels a port may have: a router keeps each input
 /// port's VC occupancy in one `u64` mask.
 pub const MAX_VCS: usize = 64;
@@ -240,6 +242,18 @@ impl SimConfig {
                 self.num_vcs
             ));
         }
+        let latencies = [
+            ("crossbar_latency", self.crossbar_latency),
+            ("router_chan_latency", self.router_chan_latency),
+            ("short_chan_latency", self.short_chan_latency),
+            ("term_chan_latency", self.term_chan_latency),
+        ];
+        if let Some((name, lat)) = latencies.iter().find(|&&(_, l)| l >= MAX_LATENCY) {
+            return Err(format!(
+                "{name} ({lat}) must be below 2^31: an in-flight flit keeps the low 32 bits of \
+                 its maturity"
+            ));
+        }
         if self.buf_flits < self.max_packet_flits {
             return Err(format!(
                 "virtual cut-through needs buf_flits ({}) >= max_packet_flits ({})",
@@ -389,6 +403,54 @@ mod tests {
         c.validate().unwrap();
         c.num_vcs += 1;
         assert!(c.validate().unwrap_err().contains("num_vcs (65) exceeds"));
+    }
+
+    #[test]
+    fn latencies_are_bounded_by_the_maturity_wrap() {
+        let ok = SimConfig {
+            crossbar_latency: MAX_LATENCY - 1,
+            term_chan_latency: MAX_LATENCY - 1,
+            ..SimConfig::default()
+        };
+        ok.validate().unwrap();
+        let d = SimConfig::default;
+        let bad = [
+            (
+                "crossbar_latency",
+                SimConfig {
+                    crossbar_latency: MAX_LATENCY,
+                    ..d()
+                },
+            ),
+            (
+                "router_chan_latency",
+                SimConfig {
+                    router_chan_latency: MAX_LATENCY,
+                    ..d()
+                },
+            ),
+            (
+                "short_chan_latency",
+                SimConfig {
+                    short_chan_latency: MAX_LATENCY,
+                    ..d()
+                },
+            ),
+            (
+                "term_chan_latency",
+                SimConfig {
+                    term_chan_latency: MAX_LATENCY,
+                    ..d()
+                },
+            ),
+        ];
+        for (name, c) in bad {
+            let err = c.validate().unwrap_err();
+            assert!(
+                err.starts_with(&format!("{name} (2147483648) must be below 2^31")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! commute, so the order entries sit in a row is immaterial.
 
 use crate::channel::Channel;
+use crate::config::MAX_VCS;
 
 /// Who absorbs a channel's returning credits: the channel's sending
 /// endpoint, by id (routers `0..nr`, then terminals), and for a router the
@@ -22,14 +23,39 @@ pub(crate) struct CreditSink {
     pub(crate) port: u32,
 }
 
-/// One credit in flight (8 bytes in release builds).
+/// Bits of an entry's key that hold the VC: enough for [`MAX_VCS`].
+const VC_BITS: u32 = 6;
+const _: () = assert!(MAX_VCS <= 1 << VC_BITS);
+
+/// The channels an entry's key can name, above its VC bits in a `u32`.
+/// `Network::new` asserts fewer.
+pub(crate) const MAX_CHANNELS: usize = 1 << (32 - VC_BITS);
+
+/// One credit in flight (4 bytes in release builds): its channel and VC
+/// packed as `channel << 6 | vc`.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
-    ch: u32,
-    vc: u8,
+    key: u32,
     /// Debug builds: the cycle it matures, which its row must say too.
     #[cfg(debug_assertions)]
     at: u64,
+}
+
+#[cfg(not(debug_assertions))]
+const _: () = assert!(std::mem::size_of::<Entry>() == 4);
+
+impl Entry {
+    /// The channel the credit returns over.
+    #[inline]
+    fn ch(self) -> usize {
+        (self.key >> VC_BITS) as usize
+    }
+
+    /// The VC it frees.
+    #[inline]
+    fn vc(self) -> u8 {
+        (self.key & ((1 << VC_BITS) - 1)) as u8
+    }
 }
 
 /// Every returning credit in flight, filed by the cycle it matures.
@@ -82,9 +108,9 @@ impl CreditWheel {
             self.next
         );
         let row = (at % self.rows.len() as u64) as usize;
+        debug_assert!(ch < MAX_CHANNELS && usize::from(vc) < MAX_VCS);
         self.rows[row].push(Entry {
-            ch: ch as u32,
-            vc,
+            key: (ch as u32) << VC_BITS | u32::from(vc),
             #[cfg(debug_assertions)]
             at,
         });
@@ -108,7 +134,7 @@ impl CreditWheel {
                     "credit wheel: a credit maturing at cycle {} sat in cycle {c}'s row",
                     e.at
                 );
-                apply(self.sinks[e.ch as usize], e.vc);
+                apply(self.sinks[e.ch()], e.vc());
             }
         }
         self.next = end;
@@ -117,7 +143,7 @@ impl CreditWheel {
     /// Drops every credit in flight on channel `ch` (the channel died).
     pub(crate) fn purge(&mut self, ch: usize) {
         for row in &mut self.rows {
-            row.retain(|e| e.ch as usize != ch);
+            row.retain(|e| e.ch() != ch);
         }
     }
 
@@ -129,7 +155,7 @@ impl CreditWheel {
     /// Every credit in flight as `(channel, vc)`, in no particular order
     /// (invariant support).
     pub(crate) fn in_flight(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.rows.iter().flatten().map(|e| (e.ch as usize, e.vc))
+        self.rows.iter().flatten().map(|e| (e.ch(), e.vc()))
     }
 
     /// Debug builds: every credit in flight matures after `now`, in the
@@ -145,7 +171,9 @@ impl CreditWheel {
             {
                 return Err(format!(
                     "channel {} vc {} credit maturing at cycle {} sits in row {row} at cycle {now}",
-                    e.ch, e.vc, e.at
+                    e.ch(),
+                    e.vc(),
+                    e.at
                 ));
             }
         }
@@ -227,6 +255,24 @@ mod tests {
         ch.revive();
         w.send(101, 0, &ch, 0);
         assert_eq!(settle(&mut w, 104), vec![(4, 2, 0)]);
+    }
+
+    /// The highest channel the key can name, with the highest VC, keeps
+    /// both fields, next to a credit on channel 0: neither bleeds into the
+    /// other, and a purge of the one leaves the other.
+    #[test]
+    fn the_key_holds_the_last_channel_and_vc() {
+        let mut w = CreditWheel::from_cycle(0, 3);
+        let last = MAX_CHANNELS - 1;
+        let ch = Channel::new(3);
+        w.send(0, last, &ch, 63);
+        w.send(0, 0, &ch, 63);
+        w.send(0, last, &ch, 0);
+        let mut got: Vec<_> = w.in_flight().collect();
+        got.sort_unstable();
+        assert_eq!(got, [(0, 63), (last, 0), (last, 63)]);
+        w.purge(last);
+        assert_eq!(w.in_flight().collect::<Vec<_>>(), [(0, 63)]);
     }
 
     #[cfg(debug_assertions)]

@@ -9,12 +9,13 @@ use hxtopo::{ChannelKind, PortTarget, Topology};
 
 use crate::channel::{Channel, WireSlab};
 use crate::config::{Engine, SimConfig};
-use crate::credit::{CreditSink, CreditWheel};
+use crate::credit::{CreditSink, CreditWheel, MAX_CHANNELS};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultAction;
 use crate::metrics::{Metrics, PhaseTimers};
 use crate::packet::{Flit, PacketId, PacketPool};
 use crate::router::{poison_packet, ArrivalHint, Router, NO_WIRE};
+use crate::slab::List;
 use crate::stats::Stats;
 use crate::terminal::Terminal;
 use crate::trace::{DropReason, Trace};
@@ -31,8 +32,8 @@ pub struct Network {
     routers: Vec<Router>,
     terminals: Vec<Terminal>,
     channels: Vec<Channel>,
-    /// Every flit on every channel: each channel's flits are a list
-    /// through this one slab.
+    /// Every flit in flight: each channel's flits, and each router's
+    /// crossbar pipe and output queues, are lists through this one slab.
     wire: WireSlab,
     /// This cycle's due endpoint ids, ascending: routers (`0..nr`) then
     /// terminals (`nr..nr + nt`) — the order they tick in. The event
@@ -112,10 +113,31 @@ impl TickCtx<'_> {
             return;
         }
         chan.send_flit(self.wire, self.now, flit, vc);
+        self.schedule_send(ch);
+    }
+
+    /// [`Self::send_flit`] of the front flit of `from` (an output queue):
+    /// its node moves onto the wire ([`Channel::send_front`]), or is freed
+    /// when the flit enters a replay buffer or goes on `lost`.
+    #[inline]
+    pub(crate) fn send_front(&mut self, ch: usize, from: &mut List) {
+        let chan = &mut self.channels[ch];
+        if !chan.is_alive() {
+            let node = self.wire.pop_front(from).expect("a flit to send");
+            self.lost.push(node.flit);
+            return;
+        }
+        chan.send_front(self.wire, from, self.now);
+        self.schedule_send(ch);
+    }
+
+    /// Schedules what a send on live channel `ch` this cycle sets off.
+    #[inline]
+    fn schedule_send(&mut self, ch: usize) {
         if let Some(llr_due) = self.llr_due.as_deref_mut() {
             llr_due.schedule(self.now + 1, ch as u32, EventKind::Llr);
         } else if let Some(ev) = self.wakes.as_deref_mut() {
-            ev.arrival(self.now + chan.latency(), ch);
+            ev.arrival(self.now + self.channels[ch].latency(), ch);
         }
     }
 
@@ -335,6 +357,10 @@ impl Network {
         }
 
         debug_assert_eq!(channels.len(), num_chans);
+        assert!(
+            num_chans < MAX_CHANNELS,
+            "{num_chans} channels: a credit names at most {MAX_CHANNELS}"
+        );
 
         let terminals: Vec<Terminal> = term_wiring
             .into_iter()
@@ -560,7 +586,7 @@ impl Network {
         if let Some(ev) = self.event.as_deref_mut() {
             for &e in &self.due {
                 let wake = if (e as usize) < nr {
-                    self.routers[e as usize].next_wake(now)
+                    self.routers[e as usize].next_wake(now, &self.wire)
                 } else {
                     let term = &self.terminals[e as usize - nr];
                     term.is_active().then_some(now + 1)
@@ -626,7 +652,7 @@ impl Network {
         // must have matured at `now` exactly.
         let matured = |ch: usize| {
             let at = self.channels[ch]
-                .next_arrival(&self.wire)
+                .next_arrival(&self.wire, now)
                 .filter(|&at| at <= now);
             assert!(
                 at.is_none_or(|at| at == now),
@@ -639,7 +665,7 @@ impl Network {
             let id = r.id() as u32;
             let due_now = is_due(id);
             assert!(
-                due_now || r.idle_at(now),
+                due_now || r.idle_at(now, &self.wire),
                 "calendar audit (a): router {id} holds work at cycle {now} but is not due"
             );
             for p in 0..r.in_chan.len() {
@@ -682,7 +708,7 @@ impl Network {
         let last = target - 1;
         for r in &self.routers {
             assert!(
-                r.idle_at(last),
+                r.idle_at(last, &self.wire),
                 "skip audit: router {} holds work before cycle {target} (skip from {now})",
                 r.id()
             );
@@ -696,7 +722,10 @@ impl Network {
         }
         for (ch, c) in self.channels.iter().enumerate() {
             let retry = c.llr_next_activity(now);
-            for at in [c.next_arrival(&self.wire), retry].into_iter().flatten() {
+            for at in [c.next_arrival(&self.wire, now), retry]
+                .into_iter()
+                .flatten()
+            {
                 assert!(
                     at >= target,
                     "skip audit: channel {ch} has work at cycle {at} (skip from {now} to {target})"
@@ -781,7 +810,7 @@ impl Network {
         debug_assert!(self.lost.is_empty(), "revival with lost flits unswept");
         let (r2, p2) = self.peer_of(router, port);
         for &(r, p, pr, pp) in &[(router, port, r2, p2), (r2, p2, router, port)] {
-            self.routers[r].purge_egress(p, pool, stats);
+            self.routers[r].purge_egress(p, &mut self.wire, pool, stats);
             let ch = self.routers[r].out_ch(p).expect("reviving an unwired port");
             self.channels[ch].revive();
             let occ: Vec<usize> = (0..self.cfg.num_vcs)
@@ -978,7 +1007,8 @@ impl Network {
     /// would walk its broken lists.
     pub fn audit_flow_control(&self, pool: &PacketPool) -> Vec<String> {
         let mut errs = Vec::new();
-        self.wire.audit_wire(&self.channels, &mut errs);
+        self.wire
+            .audit_wire(&self.channels, &self.routers, &mut errs);
         if !errs.is_empty() {
             return errs;
         }
@@ -1014,7 +1044,8 @@ impl Network {
                     let claimed = cap - r.credits(port, vc) as usize;
                     let buffered =
                         far.map_or(0, |(r2, p2)| self.routers[r2].input_occupancy(p2, vc));
-                    let observable = r.in_flight_to(port, vc) + in_transit(ch, vc) + buffered;
+                    let observable =
+                        r.in_flight_to(port, vc, &self.wire) + in_transit(ch, vc) + buffered;
                     let slack = if r.vc_owner(port, vc).is_some() {
                         max_pkt
                     } else {
@@ -1266,6 +1297,7 @@ mod tests {
             });
             pool.note_flit_created(pkt);
             net.routers[r].queue_egress(
+                &mut net.wire,
                 p,
                 Flit {
                     pkt,

@@ -108,7 +108,8 @@ impl PacketPool {
     }
 
     /// Allocates a packet, reusing the most recently retired slot when
-    /// possible.
+    /// possible. A full pool grows by a quarter (at least 8 slots), not by
+    /// doubling, so it stays near the peak count of packets alive at once.
     pub(crate) fn alloc(&mut self, pkt: Packet) -> PacketId {
         let slot = Slot {
             pkt,
@@ -122,6 +123,9 @@ impl PacketPool {
             self.slots[id as usize] = slot;
             id
         } else {
+            if self.slots.len() == self.slots.capacity() {
+                self.slots.reserve_exact((self.slots.len() / 4).max(8));
+            }
             self.slots.push(slot);
             (self.slots.len() - 1) as PacketId
         }
@@ -301,6 +305,20 @@ mod tests {
         assert_eq!(pool.slots.len(), 2, "slot high-water grew");
         assert_eq!(pool.get(b).len, 8);
         assert_eq!(pool.get(c).len, 2);
+    }
+
+    /// A full pool grows by a quarter of its length, at least 8 slots.
+    #[test]
+    fn a_full_pool_grows_by_a_quarter() {
+        let mut pool = PacketPool::new();
+        let mut caps = Vec::new();
+        for _ in 0..100 {
+            pool.alloc(pkt(1));
+            if caps.last() != Some(&pool.slots.capacity()) {
+                caps.push(pool.slots.capacity());
+            }
+        }
+        assert_eq!(caps, [8, 16, 24, 32, 40, 50, 62, 77, 96, 120]);
     }
 
     #[test]

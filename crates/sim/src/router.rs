@@ -29,8 +29,12 @@
 //! Scale notes (100k+ terminals): wiring arrays are u32 channel/terminal
 //! ids (`u32::MAX` = unwired), and the constructor allocates the per-port
 //! datapath state (input VC records, credit/owner/backlog arrays, output
-//! queues) up front — deferring it to first use measured no saving in
-//! peak bytes at any `fig2_sim` rung. The input side holds no per-VC heap:
+//! queue heads) up front — deferring it to first use measured no saving in
+//! peak bytes at any `fig2_sim` rung. The output side holds no flit
+//! storage of its own: the crossbar pipe and each output queue are lists
+//! through the network's wire slab (`channel.rs`), so a flit keeps one
+//! node from switch traversal until the next router's ingress takes it
+//! off the wire. The input side holds no per-VC heap:
 //! each input VC is one fixed [`InVc`] record, and its packets are a list
 //! through one per-router slab of [`PktBuf`]s (`slab.rs`). A buffered
 //! packet is three counters, not a flit queue: its flits are always the
@@ -47,8 +51,6 @@
 //! input queue, and nothing is sorted per cycle; the list changes only
 //! when a head flit lands, a head is granted or a fault reap runs.
 
-use std::collections::VecDeque;
-
 use hxcore::weight::weigh;
 use hxcore::{
     Candidate, ClassMap, Commit, Hop, PacketRouteState, RoutingAlgorithm, NO_INTERMEDIATE,
@@ -57,7 +59,7 @@ use hxtopo::Topology;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::channel::Channel;
+use crate::channel::{Channel, Node, WireSlab};
 use crate::config::SimConfig;
 use crate::credit::CreditWheel;
 use crate::metrics::lap;
@@ -284,12 +286,16 @@ pub struct Router {
     out_owner: Vec<PacketId>,
     /// Flits per output port inside the crossbar pipe + output queue.
     out_backlog: Vec<u32>,
-    out_q: Vec<VecDeque<(Flit, u8)>>,
+    /// Per output port, the flits waiting for its link: a list through
+    /// the network's [`WireSlab`].
+    out_q: Vec<List>,
     /// Bit `port` set iff `out_q[port]` is non-empty, 64 ports per word.
     out_active: Vec<u64>,
 
-    /// Crossbar delay pipe: (ready_cycle, flit, out_port, out_vc).
-    xbar: VecDeque<(u64, Flit, u16, u8)>,
+    /// Crossbar delay pipe, a list through the network's [`WireSlab`] in
+    /// push order: each node matures the cycle its flit leaves the
+    /// crossbar, and its `port` names the output queue it drops into.
+    xbar: List,
 
     /// Outgoing channel id per port ([`NO_WIRE`] = unused port).
     pub(crate) out_chan: Vec<u32>,
@@ -349,9 +355,9 @@ impl Router {
             out_occ: vec![0; n],
             out_owner: vec![NO_OWNER; n * v],
             out_backlog: vec![0; n],
-            out_q: (0..n).map(|_| VecDeque::new()).collect(),
+            out_q: vec![List::EMPTY; n],
             out_active: vec![0; n.div_ceil(64)],
-            xbar: VecDeque::new(),
+            xbar: List::EMPTY,
             out_chan: vec![NO_WIRE; num_ports],
             in_chan: vec![NO_WIRE; num_ports],
             port_term: vec![NO_WIRE; num_ports],
@@ -435,7 +441,13 @@ impl Router {
     /// flit in the crossbar pipe and no output queue marked active (with
     /// the pipe empty, every port's backlog is its output queue).
     pub(crate) fn is_idle(&self) -> bool {
-        self.flits_buffered == 0 && self.xbar.is_empty() && !self.egress_pending()
+        self.flits_buffered == 0 && self.xbar.first == NIL && !self.egress_pending()
+    }
+
+    /// The router's lists in the network's [`WireSlab`]: its crossbar pipe
+    /// first, then each port's output queue.
+    pub(crate) fn egress_lists(&self) -> impl Iterator<Item = List> + '_ {
+        std::iter::once(self.xbar).chain(self.out_q.iter().copied())
     }
 
     /// Event engine: the next cycle this router must tick, given it just
@@ -449,14 +461,14 @@ impl Router {
     /// (routing draws randomness, links send one flit per cycle), so the
     /// router stays awake; with only crossbar-pipe flits in flight it
     /// sleeps until the earliest maturity (the pipe is pushed in
-    /// monotonically increasing ready order, so the front is the minimum).
-    /// Queued output flits are read off the output-active mask words, not
-    /// by visiting every port's queue.
-    pub(crate) fn next_wake(&self, now: u64) -> Option<u64> {
+    /// monotonically increasing ready order, so the front is the minimum;
+    /// `wire` holds its nodes). Queued output flits are read off the
+    /// output-active mask words, not by visiting every port's queue.
+    pub(crate) fn next_wake(&self, now: u64, wire: &WireSlab) -> Option<u64> {
         if self.flits_buffered > 0 || self.egress_pending() {
             return Some(now + 1);
         }
-        self.xbar.front().map(|&(t, ..)| t.max(now + 1))
+        wire.front(self.xbar).map(|n| n.at(now).max(now + 1))
     }
 
     /// Debug builds: whether a tick at `now` would find none of the
@@ -464,10 +476,10 @@ impl Router {
     /// and no crossbar entry ready (its channels report their arrivals
     /// themselves).
     #[cfg(debug_assertions)]
-    pub(crate) fn idle_at(&self, now: u64) -> bool {
+    pub(crate) fn idle_at(&self, now: u64, wire: &WireSlab) -> bool {
         self.flits_buffered == 0
             && !self.egress_pending()
-            && self.xbar.front().is_none_or(|&(t, ..)| t > now)
+            && wire.front(self.xbar).is_none_or(|n| !n.due(now))
     }
 
     /// Downstream credits for `(port, vc)` (test/invariant support).
@@ -497,15 +509,14 @@ impl Router {
 
     /// Flits inside the crossbar pipe or output queue heading to
     /// `(port, vc)` (invariant support).
-    pub(crate) fn in_flight_to(&self, port: usize, vc: usize) -> usize {
-        let xbar = self
-            .xbar
-            .iter()
-            .filter(|&&(_, _, p, v)| p as usize == port && v as usize == vc)
+    pub(crate) fn in_flight_to(&self, port: usize, vc: usize, wire: &WireSlab) -> usize {
+        let xbar = wire
+            .iter(self.xbar)
+            .filter(|&s| wire[s].port as usize == port && wire[s].vc as usize == vc)
             .count();
-        let outq = self.out_q[port]
-            .iter()
-            .filter(|&&(_, v)| v as usize == vc)
+        let outq = wire
+            .iter(self.out_q[port])
+            .filter(|&s| wire[s].vc as usize == vc)
             .count();
         xbar + outq
     }
@@ -607,7 +618,7 @@ impl Router {
             if self.vc_mask[port] != 0 {
                 in_active[port >> 6] |= 1u64 << (port & 63);
             }
-            if !self.out_q[port].is_empty() {
+            if self.out_q[port].first != NIL {
                 out_active[port >> 6] |= 1u64 << (port & 63);
             }
         }
@@ -669,9 +680,7 @@ impl Router {
 
     /// Total flits buffered anywhere inside this router.
     pub(crate) fn total_flits(&self) -> usize {
-        self.flits_buffered as usize
-            + self.xbar.len()
-            + self.out_q.iter().map(|q| q.len()).sum::<usize>()
+        self.flits_buffered as usize + self.out_backlog.iter().map(|&b| b as usize).sum::<usize>()
     }
 
     /// One simulation cycle: ingress, route + VC allocation, switch
@@ -706,7 +715,7 @@ impl Router {
             ctx.timers.vc_alloc_ns = ctx.timers.vc_alloc_ns.saturating_sub(route_delta);
         }
         self.switch_traverse(ctx);
-        self.xbar_drain(ctx.now);
+        self.xbar_drain(ctx.wire, ctx.now);
         lap(&mut stamp, &mut ctx.timers.crossbar_ns);
         self.link_egress(ctx);
         lap(&mut stamp, &mut ctx.timers.channel_ns);
@@ -737,7 +746,7 @@ impl Router {
     fn ingress_flits(&mut self, port: usize, ctx: &mut TickCtx) {
         let Some(ch) = self.in_ch(port) else { return };
         while let Some((flit, vc)) = ctx.channels[ch].pop_flit(ctx.wire, ctx.now) {
-            if ctx.pool.is_poisoned(flit.pkt) {
+            if ctx.pool.any_poisoned() && ctx.pool.is_poisoned(flit.pkt) {
                 // Discard and return the buffer credit right away:
                 // the flit never occupies a slot here.
                 ctx.send_credit(ch, vc);
@@ -1193,8 +1202,8 @@ impl Router {
                 debug_assert_eq!(self.out_owner[o], flit.pkt);
                 self.out_owner[o] = NO_OWNER;
             }
-            self.xbar
-                .push_back((ctx.now + self.xbar_latency, flit, out_port, out_vc));
+            let node = Node::new(ctx.now + self.xbar_latency, flit, out_vc, out_port);
+            ctx.wire.push_back(&mut self.xbar, node);
             self.out_backlog[out_port as usize] += 1;
             // Credit for the freed input-buffer slot.
             if let Some(ch) = self.in_ch(port) {
@@ -1203,15 +1212,12 @@ impl Router {
         }
     }
 
-    /// Phase 4: matured crossbar flits drop into output queues.
-    fn xbar_drain(&mut self, now: u64) {
-        while let Some(&(t, flit, out_port, out_vc)) = self.xbar.front() {
-            if t > now {
-                break;
-            }
-            self.xbar.pop_front();
-            let port = out_port as usize;
-            self.out_q[port].push_back((flit, out_vc));
+    /// Phase 4: matured crossbar flits drop into output queues, each node
+    /// relinked from the pipe onto its port's list in `wire`.
+    fn xbar_drain(&mut self, wire: &mut WireSlab, now: u64) {
+        while let Some(n) = wire.front(self.xbar).filter(|n| n.due(now)) {
+            let port = n.port as usize;
+            wire.move_front(&mut self.xbar, &mut self.out_q[port]);
             self.out_active[port >> 6] |= 1u64 << (port & 63);
         }
     }
@@ -1231,14 +1237,11 @@ impl Router {
                 if !ctx.channels[ch].ready_for_flit() {
                     continue;
                 }
-                let (flit, vc) = self.out_q[port]
-                    .pop_front()
-                    .expect("active port has a flit");
-                if self.out_q[port].is_empty() {
+                ctx.send_front(ch, &mut self.out_q[port]);
+                if self.out_q[port].first == NIL {
                     self.out_active[w] &= !(1u64 << (port & 63));
                 }
                 self.out_backlog[port] -= 1;
-                ctx.send_flit(ch, flit, vc);
             }
         }
     }
@@ -1337,19 +1340,30 @@ impl Router {
     }
 
     /// Fault fallout: discards every crossbar-pipe and output-queue flit
-    /// heading to `port`. Called before reviving the attached link so stale
-    /// remnants of killed packets never reach the fresh wire.
-    pub(crate) fn purge_egress(&mut self, port: usize, pool: &mut PacketPool, stats: &mut Stats) {
+    /// heading to `port`, freeing their nodes in `wire`. Called before
+    /// reviving the attached link so stale remnants of killed packets never
+    /// reach the fresh wire.
+    pub(crate) fn purge_egress(
+        &mut self,
+        port: usize,
+        wire: &mut WireSlab,
+        pool: &mut PacketPool,
+        stats: &mut Stats,
+    ) {
         let mut gone = Vec::new();
-        for x in std::mem::take(&mut self.xbar) {
-            if x.2 as usize == port {
-                gone.push(x.1);
+        let (mut prev, mut s) = (NIL, self.xbar.first);
+        while s != NIL {
+            let next = wire[s].next();
+            if wire[s].port as usize == port {
+                gone.push(wire.unlink(&mut self.xbar, prev, s).flit);
             } else {
-                self.xbar.push_back(x);
+                prev = s;
             }
+            s = next;
         }
-        let q = std::mem::take(&mut self.out_q[port]);
-        gone.extend(q.into_iter().map(|(flit, _)| flit));
+        while let Some(n) = wire.pop_front(&mut self.out_q[port]) {
+            gone.push(n.flit);
+        }
         self.out_active[port >> 6] &= !(1u64 << (port & 63));
         self.out_backlog[port] -= gone.len() as u32;
         stats.dropped_flits += gone.len() as u64;
@@ -1391,13 +1405,18 @@ fn apply_commit(state: &mut PacketRouteState, commit: Commit) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::WireSlab;
     use std::sync::Mutex;
 
     impl Router {
         /// Queues `flit` for `port`'s link, as the crossbar would.
-        pub(crate) fn queue_egress(&mut self, port: usize, flit: Flit, vc: u8) {
-            self.out_q[port].push_back((flit, vc));
+        pub(crate) fn queue_egress(
+            &mut self,
+            wire: &mut WireSlab,
+            port: usize,
+            flit: Flit,
+            vc: u8,
+        ) {
+            wire.push_back(&mut self.out_q[port], Node::new(0, flit, vc, port as u16));
             self.out_active[port >> 6] |= 1u64 << (port & 63);
             self.out_backlog[port] += 1;
         }
@@ -1494,8 +1513,9 @@ mod tests {
         let r = Router::new(0, 6, &cfg, 2, 1);
         assert_eq!(r.input_occupancy(3, 1), 0);
         assert_eq!(r.vc_owner(2, 0), None);
-        assert_eq!(r.in_flight_to(1, 1), 0);
-        assert_eq!(r.next_wake(10), None);
+        let wire = WireSlab::new();
+        assert_eq!(r.in_flight_to(1, 1, &wire), 0);
+        assert_eq!(r.next_wake(10, &wire), None);
         assert_eq!(r.credits(0, 0), cfg.buf_flits as u32);
         assert_eq!(r.input_occupancy(3, 1), 0);
     }
@@ -1895,7 +1915,8 @@ mod tests {
         with_ctx(3, (&mut channels, &mut wire), &mut pool, |ctx| {
             r.switch_traverse(ctx)
         });
-        assert_eq!(r.xbar.front().map(|x| x.1.pkt), Some(older), "oldest first");
+        let front = wire.front(r.xbar).map(|n| n.flit.pkt);
+        assert_eq!(front, Some(older), "oldest first");
         assert_eq!(r.in_vc[i].list.first, first, "the survivor stays first");
         assert_eq!(
             r.in_vc[i].list.last, first,
@@ -1922,5 +1943,126 @@ mod tests {
         assert_eq!((r.slab.len(), r.slab.free_head()), (2, NIL));
         r.audit_derived_state(&pool, &mut errs);
         assert_eq!(errs, Vec::<String>::new());
+    }
+
+    /// A flit enters a crossbar pipe of the default 50-cycle latency ten
+    /// cycles before the 32-bit maturity wraps. Until it leaves, the
+    /// router's next wake is the full 64-bit cycle past the wrap and the
+    /// drain moves nothing; at that cycle it drops into its output queue,
+    /// and the link egress moves the same node onto the wire.
+    #[test]
+    fn the_crossbar_pipe_matures_across_the_wrap() {
+        let (mut r, mut channels, hx, probe) = probe_rig();
+        let mut wire = WireSlab::new();
+        let mut pool = PacketPool::new();
+        let id = packet(&mut pool, 1, 0);
+        let flit = Flit {
+            pkt: id,
+            idx: 0,
+            len: 1,
+        };
+        let now = (1u64 << 32) - 10;
+        channels[1].send_flit(&mut wire, now - 1, flit, 0);
+        pool.note_flit_created(id);
+        with_ctx(now, (&mut channels, &mut wire), &mut pool, |ctx| {
+            r.ingress_flits(1, ctx);
+            r.allocate(&hx, &probe, ctx);
+            r.switch_traverse(ctx);
+        });
+        let out = now + r.xbar_latency;
+        assert_eq!(out, (1 << 32) + 40);
+        assert_eq!(r.next_wake(now, &wire), Some(out));
+        for t in [now + 1, (1 << 32) - 1, 1 << 32, out - 1] {
+            r.xbar_drain(&mut wire, t);
+            assert_eq!(r.out_q[3], List::EMPTY, "left the crossbar at cycle {t}");
+            assert_eq!(r.next_wake(t, &wire), Some(out), "cycle {t}");
+        }
+        let slot = r.xbar.first;
+        r.xbar_drain(&mut wire, out);
+        assert_eq!((r.xbar, r.out_q[3].first), (List::EMPTY, slot));
+        assert_eq!(r.next_wake(out, &wire), Some(out + 1), "egress pending");
+        with_ctx(out, (&mut channels, &mut wire), &mut pool, |ctx| {
+            r.link_egress(ctx)
+        });
+        assert_eq!(r.out_q[3], List::EMPTY);
+        assert_eq!(wire.len(), 1, "one node from pipe to wire");
+        assert_eq!(channels[3].pop_flit(&mut wire, out), None);
+        assert_eq!(
+            channels[3].pop_flit(&mut wire, out + 1).map(|(f, _)| f),
+            Some(flit)
+        );
+    }
+
+    /// Reviving a port purges its flits from the crossbar pipe and its
+    /// output queue, freeing their nodes; the pipe keeps the other
+    /// ports' flits in order, and the slab audits clean.
+    #[test]
+    fn purge_egress_frees_the_ports_pipe_and_queue_nodes() {
+        let (mut r, _) = wired_router(4, &SimConfig::default(), 1);
+        let (mut wire, mut pool, mut stats) =
+            (WireSlab::new(), PacketPool::new(), Stats::default());
+        let ids: Vec<PacketId> = (0..6).map(|b| packet(&mut pool, 1, b)).collect();
+        let flit = |k: usize| Flit {
+            pkt: ids[k],
+            idx: 0,
+            len: 1,
+        };
+        for (k, port) in [(0, 3), (1, 2), (2, 3), (3, 2)] {
+            pool.note_flit_created(ids[k]);
+            wire.push_back(&mut r.xbar, Node::new(k as u64, flit(k), 0, port));
+            r.out_backlog[port as usize] += 1;
+        }
+        for (k, port) in [(4, 3), (5, 2)] {
+            pool.note_flit_created(ids[k]);
+            r.queue_egress(&mut wire, port, flit(k), 0);
+        }
+        r.purge_egress(3, &mut wire, &mut pool, &mut stats);
+        let pipe: Vec<_> = wire.iter(r.xbar).map(|s| wire[s].flit).collect();
+        assert_eq!(pipe, [flit(1), flit(3)]);
+        assert_eq!(r.out_q[3], List::EMPTY);
+        assert_eq!(r.out_backlog[3], 0);
+        assert_eq!((r.in_flight_to(2, 0, &wire), r.total_flits()), (3, 3));
+        assert_eq!(stats.dropped_flits, 3);
+        assert_eq!(wire.len(), 6, "the purge frees, it does not shrink");
+        let mut errs = Vec::new();
+        wire.audit_wire(&[], std::slice::from_ref(&r), &mut errs);
+        r.audit_derived_state(&pool, &mut errs);
+        assert_eq!(errs, Vec::<String>::new());
+    }
+
+    /// The wire audit walks each router's pipe and output queues with the
+    /// channels, and names them: a pipe node linked into an output queue
+    /// breaks both lists, and a pipe whose maturities fall is out of
+    /// order.
+    #[test]
+    fn wire_audit_names_the_pipe_and_the_output_queues() {
+        let (mut r, _) = wired_router(3, &SimConfig::default(), 1);
+        let mut wire = WireSlab::new();
+        let flit = Flit {
+            pkt: 0,
+            idx: 0,
+            len: 1,
+        };
+        wire.push_back(&mut r.xbar, Node::new(7, flit, 0, 1));
+        wire.push_back(&mut r.xbar, Node::new(5, flit, 0, 1));
+        r.queue_egress(&mut wire, 2, flit, 0);
+        let audit = |wire: &WireSlab, r: &Router| {
+            let mut errs = Vec::new();
+            wire.audit_wire(&[], std::slice::from_ref(r), &mut errs);
+            errs
+        };
+        assert_eq!(
+            audit(&wire, &r),
+            ["wire slab: router 0's crossbar pipe matures out of order"]
+        );
+        wire.relink(1, 2);
+        assert_eq!(
+            audit(&wire, &r),
+            [
+                "wire slab: router 0's crossbar pipe's last is node 1 but its list ends at node 2",
+                "wire slab: node 2 on router 0 port 2's output queue's list is already on router \
+                 0's crossbar pipe's list",
+            ]
+        );
     }
 }

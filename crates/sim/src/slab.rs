@@ -1,10 +1,12 @@
 //! FIFO lists through one slab of records: a router's input VCs hold
-//! their packets this way (`router.rs`), and the channels the flits on
-//! their wires (`channel.rs`). Each list is two slot numbers, linked
-//! through a `u32` every record carries. A removed record's slot goes on a
-//! LIFO free list that the next push, onto any list, reuses first, so the
-//! slab stops growing at the peak count of records held at once; a full
-//! slab grows by a quarter, not by doubling, so it stays near that peak.
+//! their packets this way (`router.rs`), and the crossbar pipes, output
+//! queues and channels every flit in flight (`channel.rs`), a flit's node
+//! moving from list to list ([`Slab::move_front`]). Each list is two slot
+//! numbers, linked through a `u32` every record carries. A removed
+//! record's slot goes on a LIFO free list that the next push, onto any
+//! list, reuses first, so the slab stops growing at the peak count of
+//! records held at once; a full slab grows by a quarter, not by doubling,
+//! so it stays near that peak.
 
 use std::iter::successors;
 use std::ops::{Index, IndexMut};
@@ -111,6 +113,25 @@ impl<T: Linked> Slab<T> {
     #[inline]
     pub(crate) fn pop_front(&mut self, list: &mut List) -> Option<T> {
         (list.first != NIL).then(|| self.unlink(list, NIL, list.first))
+    }
+
+    /// Relinks `from`'s first record to the back of `to`, keeping its slot,
+    /// and returns the slot. Neither frees nor allocates.
+    #[inline]
+    pub(crate) fn move_front(&mut self, from: &mut List, to: &mut List) -> u32 {
+        let s = from.first;
+        debug_assert!(s != NIL, "move_front from an empty list");
+        from.first = self[s].next();
+        if from.first == NIL {
+            from.last = NIL;
+        }
+        self[s].set_next(NIL);
+        match to.last {
+            NIL => to.first = s,
+            last => self[last].set_next(s),
+        }
+        to.last = s;
+        s
     }
 
     /// `list`'s first record.
@@ -305,6 +326,36 @@ mod tests {
         assert_eq!(list, List::EMPTY);
         assert_eq!(slab.front(list), None);
         assert_eq!(audit(&slab, &[list]), Vec::<String>::new());
+    }
+
+    /// Moving a front record relinks its slot behind the other list's
+    /// last: the slab neither grows nor frees, the audit stays clean, and
+    /// a move from a one-record list empties it.
+    #[test]
+    fn move_front_keeps_the_slot_and_the_slab() {
+        let mut slab = Slab::new();
+        let (mut a, mut b) = (List::EMPTY, List::EMPTY);
+        for v in 0..2 {
+            slab.push_back(&mut a, rec(v));
+        }
+        slab.push_back(&mut b, rec(10));
+        slab.pop_front(&mut b);
+        slab.push_back(&mut b, rec(11));
+        let (len, cap, free) = (slab.len(), slab.capacity(), slab.free_head());
+        assert_eq!(slab.move_front(&mut a, &mut b), 0, "the slot is kept");
+        assert_eq!((vals(&slab, a), vals(&slab, b)), (vec![1], vec![11, 0]));
+        assert_eq!((a.first, a.last, b.last), (1, 1, 0));
+        assert_eq!(audit(&slab, &[a, b]), Vec::<String>::new());
+        assert_eq!(slab.move_front(&mut a, &mut b), 1);
+        assert_eq!(a, List::EMPTY, "a move from a one-record list empties it");
+        assert_eq!(vals(&slab, b), [11, 0, 1]);
+        assert_eq!(slab.move_front(&mut b, &mut a), 2);
+        assert_eq!((vals(&slab, a), vals(&slab, b)), (vec![11], vec![0, 1]));
+        assert_eq!(
+            (slab.len(), slab.capacity(), slab.free_head()),
+            (len, cap, free)
+        );
+        assert_eq!(audit(&slab, &[a, b]), Vec::<String>::new());
     }
 
     /// Two lists of two slots each, and one free slot.

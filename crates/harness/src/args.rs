@@ -5,7 +5,7 @@
 //! value` pairs, bare `--flag`s, and positional operands. Each caller
 //! names the options it accepts, which is what tells a value option (it
 //! always takes the next token) from a bool flag (it never does, so
-//! `--resume spec.toml` keeps the path positional). Any other `--option`
+//! `--force spec.toml` keeps the path positional). Any other `--option`
 //! is an error: a typo must not quietly run a different experiment.
 
 use std::collections::HashMap;
@@ -114,7 +114,7 @@ mod tests {
     use super::*;
 
     const VALUES: &[&str] = &["pattern", "seed", "load", "workers"];
-    const FLAGS: &[&str] = &["full", "resume", "verbose"];
+    const FLAGS: &[&str] = &["full", "force", "verbose"];
 
     fn try_args(s: &str) -> Result<Args, String> {
         Args::from_args(s.split_whitespace().map(String::from), VALUES, FLAGS)
@@ -142,19 +142,19 @@ mod tests {
 
     #[test]
     fn positionals_are_kept_in_order() {
-        let a = args("sweep spec.toml --workers 4 --resume");
+        let a = args("sweep spec.toml --workers 4 --force");
         assert_eq!(a.positional(), &["sweep", "spec.toml"]);
         assert_eq!(a.get_or("workers", 1usize), 4);
-        assert!(a.flag("resume"));
+        assert!(a.flag("force"));
     }
 
     /// A bool flag never takes a value, so a path after it stays
     /// positional.
     #[test]
     fn bool_flags_do_not_swallow_positionals() {
-        let a = args("--resume spec.toml --workers 4");
+        let a = args("--force spec.toml --workers 4");
         assert_eq!(a.positional(), &["spec.toml"]);
-        assert!(a.flag("resume"));
+        assert!(a.flag("force"));
         assert_eq!(a.get("workers"), Some("4"));
     }
 

@@ -10,8 +10,8 @@
 //! * **Content-addressed result store** (`store.rs`, `digest.rs`): each
 //!   point is keyed by the FNV digest of its canonicalized configuration
 //!   (excluding execution knobs like the engine, which cannot change a
-//!   result). `hx sweep` skips completed points, `--resume`
-//!   continues an interrupted run, and `hx status` / `hx gc` inspect and
+//!   result). `hx sweep` skips completed points (so a re-run
+//!   continues an interrupted one), and `hx status` / `hx gc` inspect and
 //!   prune the store.
 //! * **One sweep path** (`job.rs`, `runner.rs`): a [`Job`] is a sweep's
 //!   whole lifecycle — expand, digest, answer from the store, fill slots

@@ -1,7 +1,7 @@
 //! `hx` — experiment orchestrator CLI.
 //!
 //! ```text
-//! hx sweep SPEC [--resume] [--force] [--workers N] [--out PATH]
+//! hx sweep SPEC [--force] [--workers N] [--out PATH]
 //!               [--store DIR] [--no-cache] [--expect-cached]
 //!               [--metrics PATH [--metrics-interval N]] [--quiet]
 //! hx report ROWS.jsonl
@@ -18,9 +18,8 @@
 //!
 //! * `sweep` runs every point of a spec. Points whose digest already sits
 //!   in the store are answered from cache, so sweeps are incremental by
-//!   construction; `--resume` states that intent explicitly (for scripts
-//!   re-launching after a kill — behavior is identical), `--force`
-//!   recomputes everything. Merged JSONL rows stream to
+//!   construction (a sweep relaunched after a kill picks up where it
+//!   stopped); `--force` recomputes everything. Merged JSONL rows stream to
 //!   `results/<name>.jsonl` (or `--out`) in deterministic spec order.
 //!   `--expect-cached` exits non-zero unless every point came from the
 //!   store — CI uses it to pin the cache-hit path. `--metrics PATH`
@@ -51,7 +50,7 @@ use hxharness::{
 };
 
 const USAGE: &str = "usage:
-  hx sweep SPEC [--resume] [--force] [--workers N] [--out PATH] [--store DIR]
+  hx sweep SPEC [--force] [--workers N] [--out PATH] [--store DIR]
                 [--no-cache] [--expect-cached] [--metrics PATH [--metrics-interval N]]
                 [--quiet]
   hx report ROWS.jsonl
@@ -78,7 +77,6 @@ const VALUE_OPTIONS: &[&str] = &[
 ];
 /// Bool flags, across all subcommands.
 const FLAGS: &[&str] = &[
-    "resume",
     "force",
     "no-cache",
     "expect-cached",

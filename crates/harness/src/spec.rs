@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use hxsim::{SimConfig, SteadyOpts, MAX_PORTS, MAX_VCS};
+use hxsim::{SimConfig, SteadyOpts, MAX_LATENCY, MAX_PORTS, MAX_VCS};
 use hxtopo::{HyperX, MAX_DIMS};
 
 use crate::value::{parse_json, parse_toml, write_json_object, Value};
@@ -141,9 +141,10 @@ pub struct FaultProtocol {
     /// window; 0 = faults present from the start, the legacy protocol).
     pub kill_cycle: u64,
     /// Cycle the failed components come back (0 = never revived). When
-    /// set, it must come after `kill_cycle`; revival during the drain
-    /// window (`revive_cycle > cycles`) is allowed — stranded packets
-    /// then recover while no new traffic is offered.
+    /// set, it must come after `kill_cycle` and before the run's end,
+    /// `cycles × (1 + drain_factor)`; revival during the drain window
+    /// (`revive_cycle > cycles`) is allowed — stranded packets then
+    /// recover while no new traffic is offered.
     pub revive_cycle: u64,
     /// Gray-failure layer: distinct extra cables that flap (transient
     /// down/up edges recovered by link-level retry; requires
@@ -153,7 +154,8 @@ pub struct FaultProtocol {
     /// Cycle of the first down edge of every flap schedule.
     pub(crate) flap_first: u64,
     /// Cycles between consecutive down edges (must exceed
-    /// `flap_down_cycles`).
+    /// `flap_down_cycles`; the last up edge must come before the run's
+    /// end).
     pub(crate) flap_period: u64,
     /// Cycles each flap keeps the link down.
     pub(crate) flap_down_cycles: u64,
@@ -163,7 +165,8 @@ pub struct FaultProtocol {
     /// and restored at `revive_cycle` (if nonzero); also disjoint from
     /// the killed set.
     pub degrade_links: usize,
-    /// One-way latency added to each degraded cable.
+    /// One-way latency added to each degraded cable (with
+    /// `sim.router_chan_latency`, below `hxsim::MAX_LATENCY`).
     pub(crate) degrade_extra_latency: u64,
     /// Whether degraded cables also serialize at half bandwidth.
     pub(crate) degrade_half_bw: bool,
@@ -194,11 +197,24 @@ impl FaultProtocol {
         self.flap_links > 0 || self.degrade_links > 0
     }
 
-    /// Checks that the knobs describe a protocol that can run.
-    fn check(&self) -> Result<(), String> {
+    /// Checks that the knobs describe a protocol that can run on `sim`'s
+    /// channels: every scheduled action fires, and the arithmetic on them
+    /// cannot wrap. The run executes cycles `0..end`, the injection window
+    /// followed by the drain, so an action at `end` never fires.
+    fn check(&self, sim: &SimConfig) -> Result<(), String> {
         if self.cycles == 0 || self.drain_factor == 0 {
             return Err("fault.cycles and fault.drain_factor must be > 0".into());
         }
+        let end = self
+            .drain_factor
+            .checked_add(1)
+            .and_then(|f| f.checked_mul(self.cycles))
+            .ok_or_else(|| {
+                format!(
+                    "fault.cycles {} × (1 + fault.drain_factor {}) overflows the cycle count",
+                    self.cycles, self.drain_factor
+                )
+            })?;
         if self.kill_cycle >= self.cycles {
             return Err(format!(
                 "fault.kill_cycle {} must lie inside the injection window ({} cycles)",
@@ -209,6 +225,13 @@ impl FaultProtocol {
             return Err(format!(
                 "fault.revive_cycle {} must come after kill_cycle {}",
                 self.revive_cycle, self.kill_cycle
+            ));
+        }
+        if self.revive_cycle >= end {
+            return Err(format!(
+                "fault.revive_cycle {} must come before the run's end at cycle {end} \
+                 (fault.cycles × (1 + fault.drain_factor)): a revival there never fires",
+                self.revive_cycle
             ));
         }
         if self.flap_links > 0 {
@@ -228,13 +251,37 @@ impl FaultProtocol {
                     self.flap_first, self.cycles
                 ));
             }
+            let last_up = u64::from(self.flap_count - 1)
+                .checked_mul(self.flap_period)
+                .and_then(|t| t.checked_add(self.flap_first))
+                .and_then(|t| t.checked_add(self.flap_down_cycles));
+            if last_up.is_none_or(|c| c >= end) {
+                return Err(format!(
+                    "the last flap up edge, fault.flap_first {} + (fault.flap_count {} - 1) \
+                     × fault.flap_period {} + fault.flap_down_cycles {}, must come before the \
+                     run's end at cycle {end}: a link left down never recovers",
+                    self.flap_first, self.flap_count, self.flap_period, self.flap_down_cycles
+                ));
+            }
         }
-        if self.degrade_links > 0 && self.degrade_extra_latency == 0 && !self.degrade_half_bw {
-            return Err(
-                "fault.degrade_links > 0 needs degrade_extra_latency > 0 or \
-                 degrade_half_bw = true (a no-op degradation tests nothing)"
-                    .into(),
-            );
+        if self.degrade_links > 0 {
+            if self.degrade_extra_latency == 0 && !self.degrade_half_bw {
+                return Err(
+                    "fault.degrade_links > 0 needs degrade_extra_latency > 0 or \
+                     degrade_half_bw = true (a no-op degradation tests nothing)"
+                        .into(),
+                );
+            }
+            let latency = sim
+                .router_chan_latency
+                .saturating_add(self.degrade_extra_latency);
+            if latency >= MAX_LATENCY {
+                return Err(format!(
+                    "sim.router_chan_latency {} + fault.degrade_extra_latency {} must be below \
+                     2^31: an in-flight flit keeps the low 32 bits of its maturity",
+                    sim.router_chan_latency, self.degrade_extra_latency
+                ));
+            }
         }
         Ok(())
     }
@@ -506,7 +553,7 @@ impl ExperimentSpec {
     /// bounds: nothing here expands the points.
     pub fn validate(&self) -> Result<(), String> {
         self.network.check()?;
-        self.fault.check()?;
+        self.fault.check(&self.sim)?;
         let a = &self.axes;
         let lens = [
             a.patterns.len(),
@@ -1029,6 +1076,69 @@ seed = [1, 2]
              flap_period = 100\nflap_down_cycles = 20\n"
         ))
         .is_err());
+    }
+
+    /// A fault spec with LLR on whose run ends at cycle 400
+    /// (`cycles = 100`, `drain_factor = 3`), plus `[fault]` lines `extra`.
+    fn ending_at_400(extra: &str) -> String {
+        let fault_base = BASE.replace("kind = \"steady\"", "kind = \"fault\"");
+        format!(
+            "{fault_base}\n[sim]\nllr_enabled = true\n[fault]\ncycles = 100\ndrain_factor = 3\n\
+             {extra}\n"
+        )
+    }
+
+    /// The run executes cycles `0..end`, so a revival at `end` never fires.
+    #[test]
+    fn revive_cycle_must_come_before_the_run_end() {
+        let revive = |c: u64| ending_at_400(&format!("kill_cycle = 10\nrevive_cycle = {c}"));
+        assert_eq!(spec(&revive(399)).unwrap().fault.revive_cycle, 399);
+        assert_rejected_naming(&revive(400), "fault.revive_cycle");
+        assert_rejected_naming(&revive(401), "fault.revive_cycle");
+    }
+
+    #[test]
+    fn last_flap_up_edge_must_come_before_the_run_end() {
+        let flaps = |down: u64, period: u64, count: u64| {
+            ending_at_400(&format!(
+                "flap_links = 1\nflap_first = 10\nflap_period = {period}\n\
+                 flap_down_cycles = {down}\nflap_count = {count}"
+            ))
+        };
+        // Last up edge 10 + 3 × 100 + 89 = 399, then exactly 400.
+        assert_eq!(spec(&flaps(89, 100, 4)).unwrap().fault.flap_count, 4);
+        assert_rejected_naming(&flaps(90, 100, 4), "fault.flap_count");
+        // (count - 1) × period past u64 is refused, not wrapped.
+        assert_rejected_naming(&flaps(90, 1 << 62, 5), "fault.flap_period");
+    }
+
+    /// 2000 × (1 + 2^62 - 1) wraps to 0 in u64 arithmetic.
+    #[test]
+    fn run_end_is_checked_not_wrapped() {
+        let fault_base = BASE.replace("kind = \"steady\"", "kind = \"fault\"");
+        assert_rejected_naming(
+            &format!("{fault_base}\n[fault]\ncycles = 2000\ndrain_factor = 4611686018427387903\n"),
+            "fault.drain_factor 4611686018427387903",
+        );
+    }
+
+    /// `Channel::degrade`'s bound, checked at load against the channel
+    /// latency the degraded cables run at.
+    #[test]
+    fn degraded_latency_is_bounded() {
+        let degrade = |extra: u64| {
+            ending_at_400(&format!(
+                "degrade_links = 1\ndegrade_extra_latency = {extra}"
+            ))
+        };
+        let top = MAX_LATENCY - 1 - SimConfig::default().router_chan_latency;
+        assert_eq!(
+            spec(&degrade(top)).unwrap().fault.degrade_extra_latency,
+            top
+        );
+        for extra in [top + 1, 1 << 32, i64::MAX as u64] {
+            assert_rejected_naming(&degrade(extra), "fault.degrade_extra_latency");
+        }
     }
 
     /// Parses `s.to_json()` back and asserts every point digest survives.

@@ -13,7 +13,7 @@
 //!
 //! Writes go to a temp file in the same directory followed by an atomic
 //! rename, so a killed sweep leaves only whole entries behind — the
-//! property `hx sweep --resume` builds on.
+//! property a relaunched `hx sweep` builds on.
 
 use std::collections::HashSet;
 use std::io::Write;

@@ -196,7 +196,7 @@ impl Llr {
 /// channel, degraded or not): a node keeps only the low 32 bits of its
 /// maturity, which stay unambiguous while the maturity lies less than
 /// 2^31 cycles from the cycle that reads it.
-pub(crate) const MAX_LATENCY: u64 = 1 << 31;
+pub const MAX_LATENCY: u64 = 1 << 31;
 
 /// One in-flight flit: a record of the [`WireSlab`], on a router's
 /// crossbar pipe, one of its output queues or a channel (20 bytes).

@@ -77,21 +77,6 @@ impl FaultAction {
     }
 }
 
-/// A periodic link-flap specification: starting at `first_down`, the link
-/// at (`router`, `port`) goes down for `down_cycles` out of every `period`
-/// cycles, `count` times. Expanded into paired
-/// [`FaultAction::FlapDown`]/[`FaultAction::FlapUp`] events at
-/// [`FaultSchedule::finalize`] time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlapSpec {
-    pub(crate) router: usize,
-    pub(crate) port: usize,
-    pub(crate) first_down: u64,
-    pub(crate) period: u64,
-    pub(crate) down_cycles: u64,
-    pub(crate) count: u32,
-}
-
 /// One scheduled fault action.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
@@ -105,10 +90,6 @@ pub struct FaultEvent {
 #[derive(Clone, Debug, Default)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
-    /// Flap specs pending expansion into events (drained by `finalize`;
-    /// retained for `validate`'s period checks).
-    flaps: Vec<FlapSpec>,
-    expanded: bool,
     next: usize,
 }
 
@@ -156,7 +137,11 @@ impl FaultSchedule {
 
     /// Schedules a periodic link flap: `count` down/up pairs starting at
     /// `first_down`, one per `period` cycles, each holding the link down
-    /// for `down_cycles`. Expanded into events at attach time.
+    /// for `down_cycles`.
+    ///
+    /// # Panics
+    /// Unless `count >= 1` and `0 < down_cycles < period`: a zero-width or
+    /// always-down flap never recovers.
     pub fn flap_link(
         mut self,
         router: usize,
@@ -166,14 +151,22 @@ impl FaultSchedule {
         down_cycles: u64,
         count: u32,
     ) -> Self {
-        self.flaps.push(FlapSpec {
-            router,
-            port,
-            first_down,
-            period,
-            down_cycles,
-            count,
-        });
+        assert!(
+            count >= 1 && 0 < down_cycles && down_cycles < period,
+            "flap on router {router} port {port}: need count >= 1 ({count}) and \
+             0 < down_cycles ({down_cycles}) < period ({period})"
+        );
+        for i in 0..count as u64 {
+            let down = first_down + i * period;
+            self.events.push(FaultEvent {
+                cycle: down,
+                action: FaultAction::FlapDown { router, port },
+            });
+            self.events.push(FaultEvent {
+                cycle: down + down_cycles,
+                action: FaultAction::FlapUp { router, port },
+            });
+        }
         self
     }
 
@@ -210,152 +203,12 @@ impl FaultSchedule {
 
     /// Whether any scheduled action is transient (needs LLR to recover).
     pub(crate) fn has_transient(&self) -> bool {
-        !self.flaps.is_empty() || self.events.iter().any(|e| e.action.is_transient())
+        self.events.iter().any(|e| e.action.is_transient())
     }
 
-    /// The expansion of every flap spec into down/up event pairs.
-    fn flap_events(&self) -> Vec<FaultEvent> {
-        let mut out = Vec::new();
-        for f in &self.flaps {
-            for i in 0..f.count as u64 {
-                let down = f.first_down + i * f.period;
-                out.push(FaultEvent {
-                    cycle: down,
-                    action: FaultAction::FlapDown {
-                        router: f.router,
-                        port: f.port,
-                    },
-                });
-                out.push(FaultEvent {
-                    cycle: down + f.down_cycles,
-                    action: FaultAction::FlapUp {
-                        router: f.router,
-                        port: f.port,
-                    },
-                });
-            }
-        }
-        out
-    }
-
-    /// Checks the schedule for mistakes that would otherwise surface as
-    /// silent no-ops or runtime panics deep in a run: events scheduled
-    /// past `max_cycles` (they would never fire), doubled kills or flaps
-    /// without an intervening revive/up on the same target, revives of
-    /// targets that are not down, and malformed flap specs (zero period,
-    /// down time not shorter than the period, zero repetitions).
-    pub fn validate(&self, max_cycles: u64) -> Result<(), String> {
-        for f in &self.flaps {
-            if f.period == 0 {
-                return Err(format!(
-                    "flap on router {} port {}: period must be nonzero",
-                    f.router, f.port
-                ));
-            }
-            if f.down_cycles == 0 || f.down_cycles >= f.period {
-                return Err(format!(
-                    "flap on router {} port {}: down_cycles ({}) must be in 1..period ({})",
-                    f.router, f.port, f.down_cycles, f.period
-                ));
-            }
-            if f.count == 0 {
-                return Err(format!(
-                    "flap on router {} port {}: count must be nonzero",
-                    f.router, f.port
-                ));
-            }
-        }
-        // Replay the schedule in the exact order finalize() would apply it.
-        let mut all = self.events.clone();
-        if !self.expanded {
-            all.extend(self.flap_events());
-        }
-        all.sort_by_key(|e| e.cycle);
-        let mut link_down: Vec<(usize, usize)> = Vec::new();
-        let mut link_flapped: Vec<(usize, usize)> = Vec::new();
-        let mut router_down: Vec<usize> = Vec::new();
-        for e in &all {
-            if e.cycle > max_cycles {
-                return Err(format!(
-                    "event {:?} at cycle {} is past max_cycles ({}) and would never fire",
-                    e.action, e.cycle, max_cycles
-                ));
-            }
-            match e.action {
-                FaultAction::KillLink { router, port } => {
-                    if link_down.contains(&(router, port)) {
-                        return Err(format!(
-                            "cycle {}: link (router {router}, port {port}) killed twice \
-                             without an intervening revive",
-                            e.cycle
-                        ));
-                    }
-                    link_down.push((router, port));
-                }
-                FaultAction::ReviveLink { router, port } => {
-                    let Some(i) = link_down.iter().position(|&l| l == (router, port)) else {
-                        return Err(format!(
-                            "cycle {}: revive of link (router {router}, port {port}) \
-                             which is not down",
-                            e.cycle
-                        ));
-                    };
-                    link_down.swap_remove(i);
-                }
-                FaultAction::KillRouter { router } => {
-                    if router_down.contains(&router) {
-                        return Err(format!(
-                            "cycle {}: router {router} killed twice without an \
-                             intervening revive",
-                            e.cycle
-                        ));
-                    }
-                    router_down.push(router);
-                }
-                FaultAction::ReviveRouter { router } => {
-                    let Some(i) = router_down.iter().position(|&r| r == router) else {
-                        return Err(format!(
-                            "cycle {}: revive of router {router} which is not down",
-                            e.cycle
-                        ));
-                    };
-                    router_down.swap_remove(i);
-                }
-                FaultAction::FlapDown { router, port } => {
-                    if link_flapped.contains(&(router, port)) {
-                        return Err(format!(
-                            "cycle {}: overlapping flaps on link (router {router}, \
-                             port {port})",
-                            e.cycle
-                        ));
-                    }
-                    link_flapped.push((router, port));
-                }
-                FaultAction::FlapUp { router, port } => {
-                    let Some(i) = link_flapped.iter().position(|&l| l == (router, port)) else {
-                        return Err(format!(
-                            "cycle {}: flap-up of link (router {router}, port {port}) \
-                             which is not flapped down",
-                            e.cycle
-                        ));
-                    };
-                    link_flapped.swap_remove(i);
-                }
-                FaultAction::DegradeLink { .. } | FaultAction::RestoreLink { .. } => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Expands flap specs and sorts events by cycle (stable, so same-cycle
-    /// actions keep insertion order). Called once when the schedule is
-    /// attached; idempotent.
+    /// Sorts events by cycle (stable, so same-cycle actions keep insertion
+    /// order). Called once when the schedule is attached; idempotent.
     pub(crate) fn finalize(&mut self) {
-        if !self.expanded {
-            let flap_events = self.flap_events();
-            self.events.extend(flap_events);
-            self.expanded = true;
-        }
         self.events.sort_by_key(|e| e.cycle);
         self.next = 0;
     }
@@ -495,7 +348,7 @@ mod tests {
             Some(FaultAction::FlapUp { router: 2, port: 1 })
         );
         assert!(s.pop_due(u64::MAX).is_none(), "schedule not exhausted");
-        // finalize is idempotent: re-finalizing must not re-expand.
+        // finalize is idempotent: re-finalizing rewinds, nothing doubles.
         s.finalize();
         assert!(s.pop_due(100).is_some());
         assert!(s.pop_due(160).is_some());
@@ -505,72 +358,9 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_a_well_formed_schedule() {
-        let s = FaultSchedule::new()
-            .kill_link_at(10, 1, 2)
-            .revive_link_at(50, 1, 2)
-            .kill_router_at(20, 7)
-            .revive_router_at(80, 7)
-            .flap_link(3, 0, 30, 40, 5, 3)
-            .degrade_link_at(5, 4, 1, 10, true)
-            .restore_link_at(90, 4, 1);
-        assert_eq!(s.validate(200), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_events_past_max_cycles() {
-        let s = FaultSchedule::new().kill_link_at(500, 1, 2);
-        let err = s.validate(100).unwrap_err();
-        assert!(err.contains("past max_cycles"), "{err}");
-        // Flap repetitions that run off the end are caught too.
-        let s = FaultSchedule::new().flap_link(0, 0, 90, 100, 10, 3);
-        let err = s.validate(200).unwrap_err();
-        assert!(err.contains("past max_cycles"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_double_kills_and_orphan_revives() {
-        let s = FaultSchedule::new()
-            .kill_link_at(10, 1, 2)
-            .kill_link_at(20, 1, 2);
-        let err = s.validate(100).unwrap_err();
-        assert!(err.contains("killed twice"), "{err}");
-
-        let s = FaultSchedule::new().revive_link_at(10, 1, 2);
-        let err = s.validate(100).unwrap_err();
-        assert!(err.contains("not down"), "{err}");
-
-        let s = FaultSchedule::new()
-            .kill_router_at(10, 3)
-            .kill_router_at(40, 3);
-        let err = s.validate(100).unwrap_err();
-        assert!(err.contains("killed twice"), "{err}");
-
-        // A revive between the kills makes it legal again.
-        let s = FaultSchedule::new()
-            .kill_link_at(10, 1, 2)
-            .revive_link_at(20, 1, 2)
-            .kill_link_at(30, 1, 2)
-            .revive_link_at(40, 1, 2);
-        assert_eq!(s.validate(100), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_malformed_flaps() {
-        let s = FaultSchedule::new().flap_link(0, 1, 10, 0, 5, 2);
-        let err = s.validate(100).unwrap_err();
-        assert!(err.contains("period must be nonzero"), "{err}");
-
-        let s = FaultSchedule::new().flap_link(0, 1, 10, 20, 20, 2);
-        let err = s.validate(100).unwrap_err();
-        assert!(err.contains("down_cycles"), "{err}");
-
-        // Two specs flapping the same link with overlapping down windows.
-        let s = FaultSchedule::new()
-            .flap_link(0, 1, 10, 100, 50, 1)
-            .flap_link(0, 1, 30, 100, 50, 1);
-        let err = s.validate(200).unwrap_err();
-        assert!(err.contains("overlapping flaps"), "{err}");
+    #[should_panic(expected = "0 < down_cycles (20) < period (20)")]
+    fn flap_link_refuses_an_always_down_flap() {
+        let _ = FaultSchedule::new().flap_link(0, 1, 10, 20, 20, 2);
     }
 
     #[test]

@@ -44,12 +44,12 @@ mod transport;
 mod workload;
 
 pub use alloc_track::CountingAllocator;
-pub use channel::{Channel, WireSlab};
+pub use channel::{Channel, WireSlab, MAX_LATENCY};
 pub use config::{CanonicalSimConfig, Engine, SimConfig, MAX_VCS};
 pub use event::{EventKind, EventQueue};
 pub use fault::{FaultAction, FaultEvent, FaultSchedule, RouterDiag, WatchdogReport};
 pub use metrics::{
-    LlrSummary, LogHist, Metrics, MetricsConfig, MetricsSummary, NetSample, PhaseTimers, PortSample,
+    LogHist, Metrics, MetricsConfig, MetricsSummary, NetSample, PhaseTimers, PortSample,
 };
 pub use network::{Network, MAX_PORTS};
 pub use packet::{Flit, Packet, PacketId, PacketPool};

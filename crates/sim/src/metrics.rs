@@ -340,23 +340,6 @@ pub struct Metrics {
     /// Wall-clock phase attribution (all zero unless
     /// [`MetricsConfig::timers`]).
     pub timers: PhaseTimers,
-    /// Latest retransmission-transport snapshot, kept fresh by
-    /// [`Sim::step`](crate::Sim::step) while the transport is enabled.
-    pub(crate) transport: Option<crate::transport::TransportSummary>,
-    /// Latest link-level retry counters, kept fresh by
-    /// [`Sim::step`](crate::Sim::step) while LLR is enabled.
-    pub(crate) llr: Option<LlrSummary>,
-}
-
-/// Aggregate link-level retry recovery counters for the metric stream.
-#[derive(serde::Serialize, Clone, Copy, Debug, Default)]
-pub struct LlrSummary {
-    /// Frames resent by the go-back-N sublayer.
-    pub(crate) llr_replays: u64,
-    /// Flits discarded at a receiver for CRC failure.
-    pub(crate) crc_errors: u64,
-    /// Link down-edges survived.
-    pub(crate) flaps_survived: u64,
 }
 
 impl Metrics {
@@ -402,8 +385,6 @@ impl Metrics {
             events: Vec::new(),
             occ_hist: LogHist::default(),
             timers: PhaseTimers::default(),
-            transport: None,
-            llr: None,
         }
     }
 
@@ -625,16 +606,6 @@ impl Metrics {
             kind: &'static str,
             summary: MetricsSummary,
         }
-        #[derive(serde::Serialize)]
-        struct TransportRow {
-            kind: &'static str,
-            transport: crate::transport::TransportSummary,
-        }
-        #[derive(serde::Serialize)]
-        struct LlrRow {
-            kind: &'static str,
-            llr: LlrSummary,
-        }
         let mut out = String::new();
         let mut push = |row: &dyn serde::Serialize| {
             out.push_str(&crate::schema::versioned_json_row(row));
@@ -654,22 +625,6 @@ impl Metrics {
         }
         for s in &self.port_samples {
             push(s);
-        }
-        // Emitted only when the retransmission transport is active, so
-        // transport-free streams (and their golden digests) are unchanged.
-        if let Some(t) = &self.transport {
-            push(&TransportRow {
-                kind: "transport",
-                transport: *t,
-            });
-        }
-        // Likewise only when link-level retry is enabled, so LLR-free
-        // streams keep their golden digests.
-        if let Some(l) = &self.llr {
-            push(&LlrRow {
-                kind: "llr",
-                llr: *l,
-            });
         }
         push(&SummaryRow {
             kind: "summary",

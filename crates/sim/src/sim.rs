@@ -269,16 +269,6 @@ impl Sim {
             if m.sample_due(self.now) {
                 m.sample(self.now, &self.net);
             }
-            if let Some(t) = self.transport.as_ref() {
-                m.transport = Some(t.stats.summary());
-            }
-            if self.net.cfg.llr_enabled {
-                m.llr = Some(crate::metrics::LlrSummary {
-                    llr_replays: self.stats.llr_replays,
-                    crc_errors: self.stats.crc_errors,
-                    flaps_survived: self.stats.flaps,
-                });
-            }
         }
 
         if self.fault_mode {

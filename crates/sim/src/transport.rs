@@ -73,9 +73,9 @@ pub struct TransportStats {
     pub(crate) recovery_latency: LogHist,
 }
 
-/// Deterministic summary row of [`TransportStats`], embedded in
-/// [`MetricsSummary`](crate::MetricsSummary) when the transport is active.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
+/// Deterministic summary of [`TransportStats`]; a sweep's result row
+/// carries its counters.
+#[derive(Clone, Copy, Debug)]
 pub struct TransportSummary {
     /// Logical packets accepted from the workload.
     pub logical_sent: u64,
@@ -100,7 +100,7 @@ pub struct TransportSummary {
 }
 
 impl TransportStats {
-    /// The serializable summary row.
+    /// The counters plus the recovery-latency quantiles.
     pub fn summary(&self) -> TransportSummary {
         TransportSummary {
             logical_sent: self.logical_sent,

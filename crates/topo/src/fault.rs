@@ -121,20 +121,7 @@ impl FaultSet {
                 }
             }
         }
-        // Deterministic Fisher-Yates under a SplitMix64 stream (no RNG
-        // dependency in this crate).
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for i in (1..cables.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            cables.swap(i, j);
-        }
+        shuffle(&mut cables, seed ^ 0x9E37_79B9_7F4A_7C15);
 
         let mut set = FaultSet::new();
         let mut dead: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -176,18 +163,7 @@ impl FaultSet {
         }
 
         let mut candidates: Vec<usize> = (0..topo.num_routers()).collect();
-        let mut state = seed ^ 0xA076_1D64_78BD_642F; // distinct salt from random_links
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for i in (1..candidates.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            candidates.swap(i, j);
-        }
+        shuffle(&mut candidates, seed ^ 0xA076_1D64_78BD_642F); // distinct salt from random_links
 
         let mut added = 0usize;
         let mut dead_routers = self.routers.clone();
@@ -210,6 +186,19 @@ impl FaultSet {
             }
         }
         added
+    }
+}
+
+/// Deterministic Fisher-Yates shuffle of `items` under a SplitMix64 stream
+/// starting from `state` (no RNG dependency in this crate).
+fn shuffle<T>(items: &mut [T], mut state: u64) {
+    for i in (1..items.len()).rev() {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        items.swap(i, (z % (i as u64 + 1)) as usize);
     }
 }
 

@@ -143,9 +143,22 @@ pub fn execute_point(
             // The same seed picks the same dead cables and routers for
             // every algorithm, keeping comparisons apples-to-apples; the
             // router draw accounts for the link draw so the combined set
-            // keeps the surviving routers connected.
+            // keeps the surviving routers connected. A draw that falls
+            // short fails the point: its row would claim a cut it lacks.
             let mut faults = FaultSet::random_links(&*hx, point.fails, point.seed);
-            faults.extend_random_routers(&*hx, point.router_fails, point.seed);
+            assert!(
+                faults.num_links() == point.fails,
+                "fails = {}: only {} links can be cut with the routers kept connected",
+                point.fails,
+                faults.num_links()
+            );
+            let routers = faults.extend_random_routers(&*hx, point.router_fails, point.seed);
+            assert!(
+                routers == point.router_fails,
+                "router_fails = {}: only {routers} routers can fail with the survivors kept \
+                 connected",
+                point.router_fails
+            );
             let kill = point.fault.kill_cycle;
             let revive = point.fault.revive_cycle;
             let mut schedule = FaultSchedule::new();
@@ -370,5 +383,41 @@ mod tests {
             "\"digest\":\"{}\"",
             digest_hex(point_digest(&good))
         )));
+    }
+
+    /// A 2x2 HyperX is a ring of four cables: any second cut could split
+    /// it, so `fails = 3` draws one link, and with one router left alive
+    /// at most three of four can fail. A point asking for more fails,
+    /// naming the knob, instead of writing the asked-for count into a row
+    /// of a smaller cut.
+    #[test]
+    fn a_fault_draw_that_falls_short_fails_the_point() {
+        let fault = |fails, router_fails| Point {
+            kind: Kind::Fault,
+            fails,
+            router_fails,
+            fault: FaultProtocol {
+                cycles: 200,
+                drain_factor: 1,
+                ..FaultProtocol::default()
+            },
+            ..point("DimWAR")
+        };
+        let error = run_point(&fault(3, 0), None)
+            .err()
+            .expect("the draw falls short");
+        assert!(
+            error.starts_with("fails = 3: only 1 links can be cut"),
+            "{error}"
+        );
+        let error = run_point(&fault(0, 4), None)
+            .err()
+            .expect("the draw falls short");
+        assert!(
+            error.starts_with("router_fails = 4: only 3 routers"),
+            "{error}"
+        );
+        let run = run_point(&fault(1, 0), None).expect("one cut fits");
+        assert!(run.row.contains("\"fails\":1,"), "{}", run.row);
     }
 }

@@ -32,14 +32,15 @@
 //! is a 20-byte [`Node`] of one [`WireSlab`], the list slab of `slab.rs`,
 //! and a channel holds only its [`List`]: its flits in the order they
 //! reach the receiver, each with the cycle it matures. Routers keep their
-//! crossbar pipes and output queues as lists of the same slab, so a flit
-//! keeps one node from switch traversal until the next ingress takes it
-//! off the wire: the crossbar drain and the link egress relink it
+//! output queues as lists of the same slab, so a flit keeps one node from
+//! crossbar exit until the next ingress takes it off the wire: the
+//! crossbar drain pushes the node (the flit was a record of the network's
+//! crossbar FIFO, `xbar.rs`, until then) and the link egress relinks it
 //! ([`Slab::move_front`]) rather than copy it. The network owns the slab
 //! next to its channels and lends it with them, so every flit method takes
 //! it as a parameter. A freed node's slot is reused by the next push
 //! anywhere, so the slab stops growing at the run's peak count of flits in
-//! flight, however they spread over pipes, queues and channels.
+//! flight, however they spread over queues and channels.
 //!
 //! A node keeps only the low 32 bits of its maturity. Every latency is
 //! below [`MAX_LATENCY`] = 2^31 cycles (`SimConfig::validate`,
@@ -198,20 +199,17 @@ impl Llr {
 /// 2^31 cycles from the cycle that reads it.
 pub const MAX_LATENCY: u64 = 1 << 31;
 
-/// One in-flight flit: a record of the [`WireSlab`], on a router's
-/// crossbar pipe, one of its output queues or a channel (20 bytes).
+/// One in-flight flit: a record of the [`WireSlab`], on one of a router's
+/// output queues or on a channel (20 bytes).
 #[derive(Clone, Copy, Debug)]
 pub struct Node {
-    /// The low 32 bits of the cycle the flit leaves the crossbar (in a
-    /// pipe) or reaches the receiver (on a channel); stale in an output
-    /// queue. [`Node::due`] and [`Node::at`] read it by wrapping
-    /// difference from the current cycle.
+    /// The low 32 bits of the cycle the flit reaches the receiver (on a
+    /// channel); stale in an output queue. [`Node::due`] and [`Node::at`]
+    /// read it by wrapping difference from the current cycle.
     maturity: u32,
     pub(crate) flit: Flit,
     /// The downstream VC it will occupy.
     pub(crate) vc: u8,
-    /// In a crossbar pipe: the output port it goes to.
-    pub(crate) port: u16,
     /// The next node on the same list, or the next free node.
     next: u32,
 }
@@ -219,14 +217,12 @@ pub struct Node {
 const _: () = assert!(std::mem::size_of::<Node>() == 20);
 
 impl Node {
-    /// The node of a flit maturing at `maturity`, bound for VC `vc` of
-    /// output `port`.
-    pub(crate) fn new(maturity: u64, flit: Flit, vc: u8, port: u16) -> Node {
+    /// The node of a flit maturing at `maturity`, bound for VC `vc`.
+    pub(crate) fn new(maturity: u64, flit: Flit, vc: u8) -> Node {
         Node {
             maturity: maturity as u32,
             flit,
             vc,
-            port,
             next: NIL,
         }
     }
@@ -263,35 +259,34 @@ impl Linked for Node {
 
 /// Every in-flight flit of the network, in one slab (see the module docs):
 /// each channel's flits are a list in receiver order, and each router's
-/// crossbar pipe and output queues are lists too.
+/// output queues are lists too.
 pub type WireSlab = Slab<Node>;
 
 impl WireSlab {
     /// Pushes a line onto `errs` for each fault of the lists of `channels`
-    /// and of `routers`' crossbar pipes and output queues ([`Slab::audit`])
-    /// and, if they are sound, for each channel or pipe whose maturities
-    /// decrease (by wrapping difference, as [`Node::due`] reads them).
+    /// and of `routers`' output queues ([`Slab::audit`]) and, if they are
+    /// sound, for each channel whose maturities decrease (by wrapping
+    /// difference, as [`Node::due`] reads them).
     pub(crate) fn audit_wire(
         &self,
         channels: &[Channel],
         routers: &[Router],
         errs: &mut Vec<String>,
     ) {
-        let lists = (channels.iter().map(|ch| ch.flits))
-            .chain(routers.iter().flat_map(Router::egress_lists));
+        let lists = (channels.iter().map(|ch| ch.flits)).chain(
+            routers
+                .iter()
+                .flat_map(|r| r.egress_lists().iter().copied()),
+        );
         let name = |k: usize| {
             if k < channels.len() {
                 return format!("channel {k}");
             }
             let mut k = k - channels.len();
             for r in routers {
-                let n = r.egress_lists().count();
-                match k {
-                    0 => return format!("router {}'s crossbar pipe", r.id()),
-                    k if k < n => {
-                        return format!("router {} port {}'s output queue", r.id(), k - 1)
-                    }
-                    _ => k -= n,
+                match r.egress_lists().len() {
+                    n if k < n => return format!("router {} port {k}'s output queue", r.id()),
+                    n => k -= n,
                 }
             }
             unreachable!("list {k} past the last router")
@@ -312,14 +307,6 @@ impl WireSlab {
             if !in_order(ch.flits) {
                 errs.push(format!(
                     "wire slab: channel {c}'s flits mature out of order"
-                ));
-            }
-        }
-        for r in routers {
-            if r.egress_lists().next().is_some_and(|pipe| !in_order(pipe)) {
-                errs.push(format!(
-                    "wire slab: router {}'s crossbar pipe matures out of order",
-                    r.id()
                 ));
             }
         }
@@ -435,7 +422,7 @@ impl Channel {
     pub fn send_flit(&mut self, wire: &mut WireSlab, now: u64, flit: Flit, vc: u8) {
         if !self.replay(flit, vc) {
             let at = self.arrival(wire, now);
-            wire.push_back(&mut self.flits, Node::new(at, flit, vc, 0));
+            wire.push_back(&mut self.flits, Node::new(at, flit, vc));
         }
     }
 
@@ -538,7 +525,7 @@ impl Channel {
                 llr.ctrl.push_back((now + latency, llr.rx_next, true));
             } else if seq == llr.rx_next {
                 llr.rx_next += 1;
-                wire.push_back(&mut self.flits, Node::new(now, flit, vc, 0));
+                wire.push_back(&mut self.flits, Node::new(now, flit, vc));
                 delivered = true;
                 // Cumulative ack; duplicates of later acks are harmless.
                 llr.ctrl.push_back((now + latency, llr.rx_next, false));
@@ -678,7 +665,7 @@ impl Channel {
 
     /// Debug builds: the cycle the oldest flit on the wire matures, read
     /// at cycle `now` — what the next `pop_flit` compares with its cycle.
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, test))]
     pub(crate) fn next_arrival(&self, wire: &WireSlab, now: u64) -> Option<u64> {
         wire.front(self.flits).map(|n| n.at(now))
     }

@@ -42,6 +42,7 @@ mod terminal;
 mod trace;
 mod transport;
 mod workload;
+mod xbar;
 
 pub use alloc_track::CountingAllocator;
 pub use channel::{Channel, WireSlab, MAX_LATENCY};

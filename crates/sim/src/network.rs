@@ -20,6 +20,7 @@ use crate::stats::Stats;
 use crate::terminal::Terminal;
 use crate::trace::{DropReason, Trace};
 use crate::workload::Delivered;
+use crate::xbar::{XbarFifo, XbarRec};
 
 /// A fully wired simulated network.
 pub struct Network {
@@ -32,9 +33,11 @@ pub struct Network {
     routers: Vec<Router>,
     terminals: Vec<Terminal>,
     channels: Vec<Channel>,
-    /// Every flit in flight: each channel's flits, and each router's
-    /// crossbar pipe and output queues, are lists through this one slab.
+    /// Every flit past a crossbar: each channel's flits, and each
+    /// router's output queues, are lists through this one slab.
     wire: WireSlab,
+    /// Every flit inside a crossbar, in the order they leave.
+    xbar: XbarFifo,
     /// This cycle's due endpoint ids, ascending: routers (`0..nr`) then
     /// terminals (`nr..nr + nt`) — the order they tick in. The event
     /// engine refills it from its queue every cycle; the cycle engine
@@ -66,7 +69,8 @@ pub struct Network {
 /// The shared state one cycle's due routers and terminals write, lent to
 /// each in turn. An endpoint takes its matured arrivals off `channels`
 /// (their flits live in `wire`) as it reads them and applies every effect
-/// where it lands: flit sends on the wire, credits on the credit wheel,
+/// where it lands: flits into and out of the crossbar FIFO `xbar`, flit
+/// sends on the wire, credits on the credit wheel,
 /// refcounts, releases, route commits and inject stamps in `pool`,
 /// counters in `stats`, deliveries in `delivered`, grants and stalls in
 /// `metrics`, hops in `trace`. It defers two effects: the hop-cap poison
@@ -76,6 +80,7 @@ pub(crate) struct TickCtx<'a> {
     pub(crate) now: u64,
     pub(crate) channels: &'a mut [Channel],
     pub(crate) wire: &'a mut WireSlab,
+    pub(crate) xbar: &'a mut XbarFifo,
     pub(crate) pool: &'a mut PacketPool,
     pub(crate) stats: &'a mut Stats,
     pub(crate) delivered: &'a mut Vec<Delivered>,
@@ -89,7 +94,8 @@ pub(crate) struct TickCtx<'a> {
     pub(crate) timed: bool,
     /// Phase wall time of this cycle, folded into `metrics` at its end.
     pub(crate) timers: PhaseTimers,
-    /// Event engine: flit sends plant their arrival keys here.
+    /// Event engine: flit sends plant their arrival keys here, and
+    /// crossbar pushes their router's self-wake.
     pub(crate) wakes: Option<&'a mut EventState>,
     /// LLR on: flit sends schedule their channel's serialization here.
     pub(crate) llr_due: Option<&'a mut EventQueue>,
@@ -141,6 +147,23 @@ impl TickCtx<'_> {
         }
     }
 
+    /// Puts `rec` into the crossbar at `now`. Its router's first push of
+    /// the cycle wakes the router (event engine) for the cycle the flit
+    /// leaves, as a channel send plants its arrival: every router with a
+    /// record maturing at a cycle is due at it, which is what lets each
+    /// drain find its records at the FIFO's front. With no crossbar
+    /// latency the push drains in this very tick, so it plants nothing.
+    #[inline]
+    pub(crate) fn push_xbar(&mut self, rec: XbarRec) {
+        let first = self.xbar.push(self.now, rec);
+        let lat = self.xbar.latency();
+        if first && lat > 0 {
+            if let Some(ev) = self.wakes.as_deref_mut() {
+                ev.wake(self.now + lat, rec.router as usize);
+            }
+        }
+    }
+
     /// Returns one credit for `vc` to the sender of channel `ch`: it goes
     /// on the credit wheel, to be applied one channel latency from now
     /// before that cycle's first tick. It wakes nobody (see
@@ -184,7 +207,7 @@ pub(crate) struct EventState {
 pub const MAX_PORTS: usize = 1 << 16;
 
 impl EventState {
-    fn new(routers: &[Router], terminals: &[Terminal], channels: usize) -> Self {
+    pub(crate) fn new(routers: &[Router], terminals: &[Terminal], channels: usize) -> Self {
         let mut first_key = Vec::with_capacity(routers.len() + terminals.len() + 1);
         // Sized exactly: it lives as long as the network.
         let ports: usize = routers.iter().map(|r| r.in_chan.len()).sum();
@@ -385,6 +408,7 @@ impl Network {
             terminals,
             channels,
             wire: WireSlab::new(),
+            xbar: XbarFifo::new(cfg.crossbar_latency),
             due: if event.is_some() {
                 Vec::new()
             } else {
@@ -534,6 +558,7 @@ impl Network {
             now,
             channels: &mut self.channels,
             wire: &mut self.wire,
+            xbar: &mut self.xbar,
             pool,
             stats,
             delivered,
@@ -586,7 +611,7 @@ impl Network {
         if let Some(ev) = self.event.as_deref_mut() {
             for &e in &self.due {
                 let wake = if (e as usize) < nr {
-                    self.routers[e as usize].next_wake(now, &self.wire)
+                    self.routers[e as usize].next_wake(now)
                 } else {
                     let term = &self.terminals[e as usize - nr];
                     term.is_active().then_some(now + 1)
@@ -665,7 +690,7 @@ impl Network {
             let id = r.id() as u32;
             let due_now = is_due(id);
             assert!(
-                due_now || r.idle_at(now, &self.wire),
+                due_now || r.idle_at(now, &self.xbar),
                 "calendar audit (a): router {id} holds work at cycle {now} but is not due"
             );
             for p in 0..r.in_chan.len() {
@@ -708,7 +733,7 @@ impl Network {
         let last = target - 1;
         for r in &self.routers {
             assert!(
-                r.idle_at(last, &self.wire),
+                r.idle_at(last, &self.xbar),
                 "skip audit: router {} holds work before cycle {target} (skip from {now})",
                 r.id()
             );
@@ -810,7 +835,7 @@ impl Network {
         debug_assert!(self.lost.is_empty(), "revival with lost flits unswept");
         let (r2, p2) = self.peer_of(router, port);
         for &(r, p, pr, pp) in &[(router, port, r2, p2), (r2, p2, router, port)] {
-            self.routers[r].purge_egress(p, &mut self.wire, pool, stats);
+            self.routers[r].purge_egress(p, (&mut self.wire, &mut self.xbar), pool, stats);
             let ch = self.routers[r].out_ch(p).expect("reviving an unwired port");
             self.channels[ch].revive();
             let occ: Vec<usize> = (0..self.cfg.num_vcs)
@@ -1002,14 +1027,17 @@ impl Network {
     /// the credits, queues and `pool` slots it summarizes, dead ports
     /// included. Returns the list of violations (empty = sound).
     ///
-    /// The wire slab is checked first ([`WireSlab::audit_wire`]), and a
-    /// broken slab is reported alone, since counting flits on the links
-    /// would walk its broken lists.
+    /// The wire slab ([`WireSlab::audit_wire`]) and the crossbar FIFO
+    /// ([`XbarFifo::audit`], with each router's count of its records) are
+    /// checked first, and a broken one is reported alone, since counting
+    /// flits on the links would walk its broken lists or rely on its
+    /// broken order.
     pub fn audit_flow_control(&self, pool: &PacketPool) -> Vec<String> {
         let mut errs = Vec::new();
         self.wire
             .audit_wire(&self.channels, &self.routers, &mut errs);
-        if !errs.is_empty() {
+        let in_xbar = |r: usize| self.routers[r].in_xbar();
+        if !errs.is_empty() || !self.xbar.audit(self.routers.len(), in_xbar, &mut errs) {
             return errs;
         }
         let cap = self.cfg.buf_flits;
@@ -1044,8 +1072,9 @@ impl Network {
                     let claimed = cap - r.credits(port, vc) as usize;
                     let buffered =
                         far.map_or(0, |(r2, p2)| self.routers[r2].input_occupancy(p2, vc));
-                    let observable =
-                        r.in_flight_to(port, vc, &self.wire) + in_transit(ch, vc) + buffered;
+                    let observable = r.in_flight_to(port, vc, (&self.wire, &self.xbar))
+                        + in_transit(ch, vc)
+                        + buffered;
                     let slack = if r.vc_owner(port, vc).is_some() {
                         max_pkt
                     } else {
@@ -1084,6 +1113,13 @@ mod tests {
     use super::*;
     use hxcore::hyperx_algorithm;
     use hxtopo::HyperX;
+
+    impl EventState {
+        /// Test support: the cycle of the earliest pending wake.
+        pub(crate) fn next_time(&self) -> Option<u64> {
+            self.queue.next_time()
+        }
+    }
 
     fn small_net() -> Network {
         let hx = Arc::new(HyperX::uniform(2, 2, 1));
@@ -1258,6 +1294,28 @@ mod tests {
                 format!("wire slab: channel {a}'s last is node 0 but its list ends at node 1"),
                 format!("wire slab: node 1 on channel {b}'s list is already on channel {a}'s list"),
             ]
+        );
+    }
+
+    /// The flow-control audit checks the crossbar FIFO next: a record no
+    /// router counts is reported alone, before any link's books.
+    #[test]
+    fn flow_control_audit_reports_an_uncounted_crossbar_record() {
+        let mut net = small_net();
+        let rec = XbarRec {
+            flit: Flit {
+                pkt: 0,
+                idx: 0,
+                len: 1,
+            },
+            router: 2,
+            vc: 0,
+            port: 0,
+        };
+        net.xbar.push(0, rec);
+        assert_eq!(
+            net.audit_flow_control(&PacketPool::new()),
+            ["crossbar FIFO: router 2 has 1 records but counts 0"]
         );
     }
 

@@ -85,7 +85,7 @@ const _: () = assert!(std::mem::size_of::<Slot>() == 64);
 /// Slab allocator for in-flight packets.
 ///
 /// Fault support: a packet struck by a link failure is *poisoned* rather
-/// than freed — its flits may still sit in buffers, crossbar pipes, and
+/// than freed — its flits may still sit in buffers, crossbars, and
 /// wires, and the slot must not be recycled while any of them reference
 /// it. Every materialized flit is counted ([`Self::note_flit_created`] /
 /// [`Self::note_flit_gone`]); the slot is released automatically when the

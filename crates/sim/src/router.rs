@@ -22,7 +22,7 @@
 //!    older head's grant is already visible to a younger head's weights.
 //! 3. *Switch traversal* — each input port forwards up to
 //!    `crossbar_speedup` flits per cycle from its oldest routed packets
-//!    into the crossbar delay pipe, returning credits upstream.
+//!    into the crossbar, returning credits upstream.
 //! 4. *Crossbar egress* — matured flits drop into per-port output queues.
 //! 5. *Link egress* — each output port sends one flit per cycle.
 //!
@@ -31,10 +31,12 @@
 //! datapath state (input VC records, credit/owner/backlog arrays, output
 //! queue heads) up front — deferring it to first use measured no saving in
 //! peak bytes at any `fig2_sim` rung. The output side holds no flit
-//! storage of its own: the crossbar pipe and each output queue are lists
-//! through the network's wire slab (`channel.rs`), so a flit keeps one
-//! node from switch traversal until the next router's ingress takes it
-//! off the wire. The input side holds no per-VC heap:
+//! storage of its own. A flit crossing the crossbar is a record of the
+//! network's one crossbar FIFO (`xbar.rs`), which the router drains by
+//! position, and each output queue is a list through the network's wire
+//! slab (`channel.rs`): a flit keeps one node from crossbar exit until
+//! the next router's ingress takes it off the wire. The input side holds
+//! no per-VC heap:
 //! each input VC is one fixed [`InVc`] record, and its packets are a list
 //! through one per-router slab of [`PktBuf`]s (`slab.rs`). A buffered
 //! packet is three counters, not a flit queue: its flits are always the
@@ -68,6 +70,7 @@ use crate::packet::{Flit, Packet, PacketId, PacketPool};
 use crate::slab::{Linked, List, Slab, NIL};
 use crate::stats::Stats;
 use crate::trace::{DropReason, DropRecord, HopRecord, Trace};
+use crate::xbar::{XbarFifo, XbarRec};
 
 /// Sentinel for "no channel / no terminal" in the u32 wiring arrays.
 pub(crate) const NO_WIRE: u32 = u32::MAX;
@@ -260,7 +263,6 @@ pub struct Router {
     num_vcs: usize,
     buf_cap: u32,
     atomic: bool,
-    xbar_latency: u64,
     xbar_speedup: usize,
     class_map: ClassMap,
 
@@ -284,7 +286,7 @@ pub struct Router {
     out_occ: Vec<u32>,
     /// Downstream VC claims, [`NO_OWNER`] = unclaimed.
     out_owner: Vec<PacketId>,
-    /// Flits per output port inside the crossbar pipe + output queue.
+    /// Flits per output port inside the crossbar + output queue.
     out_backlog: Vec<u32>,
     /// Per output port, the flits waiting for its link: a list through
     /// the network's [`WireSlab`].
@@ -292,10 +294,9 @@ pub struct Router {
     /// Bit `port` set iff `out_q[port]` is non-empty, 64 ports per word.
     out_active: Vec<u64>,
 
-    /// Crossbar delay pipe, a list through the network's [`WireSlab`] in
-    /// push order: each node matures the cycle its flit leaves the
-    /// crossbar, and its `port` names the output queue it drops into.
-    xbar: List,
+    /// This router's flits inside the crossbar: its records in the
+    /// network's [`XbarFifo`].
+    in_xbar: u32,
 
     /// Outgoing channel id per port ([`NO_WIRE`] = unused port).
     pub(crate) out_chan: Vec<u32>,
@@ -344,7 +345,6 @@ impl Router {
             num_vcs: v,
             buf_cap,
             atomic: cfg.atomic_queue_alloc,
-            xbar_latency: cfg.crossbar_latency,
             xbar_speedup: cfg.crossbar_speedup.max(1),
             class_map: ClassMap::new(v, num_classes),
             in_vc: vec![InVc::EMPTY; n * v],
@@ -357,7 +357,7 @@ impl Router {
             out_backlog: vec![0; n],
             out_q: vec![List::EMPTY; n],
             out_active: vec![0; n.div_ceil(64)],
-            xbar: List::EMPTY,
+            in_xbar: 0,
             out_chan: vec![NO_WIRE; num_ports],
             in_chan: vec![NO_WIRE; num_ports],
             port_term: vec![NO_WIRE; num_ports],
@@ -438,16 +438,21 @@ impl Router {
     }
 
     /// Whether the router holds no work at all: no buffered input flit, no
-    /// flit in the crossbar pipe and no output queue marked active (with
-    /// the pipe empty, every port's backlog is its output queue).
+    /// flit in the crossbar and no output queue marked active (with the
+    /// crossbar empty, every port's backlog is its output queue).
     pub(crate) fn is_idle(&self) -> bool {
-        self.flits_buffered == 0 && self.xbar.first == NIL && !self.egress_pending()
+        self.flits_buffered == 0 && self.in_xbar == 0 && !self.egress_pending()
     }
 
-    /// The router's lists in the network's [`WireSlab`]: its crossbar pipe
-    /// first, then each port's output queue.
-    pub(crate) fn egress_lists(&self) -> impl Iterator<Item = List> + '_ {
-        std::iter::once(self.xbar).chain(self.out_q.iter().copied())
+    /// Flits of this router inside the crossbar.
+    pub(crate) fn in_xbar(&self) -> u32 {
+        self.in_xbar
+    }
+
+    /// The router's lists in the network's [`WireSlab`]: each port's
+    /// output queue.
+    pub(crate) fn egress_lists(&self) -> &[List] {
+        &self.out_q
     }
 
     /// Event engine: the next cycle this router must tick, given it just
@@ -459,27 +464,24 @@ impl Router {
     ///
     /// Buffered input flits or queued output flits mean per-cycle work
     /// (routing draws randomness, links send one flit per cycle), so the
-    /// router stays awake; with only crossbar-pipe flits in flight it
-    /// sleeps until the earliest maturity (the pipe is pushed in
-    /// monotonically increasing ready order, so the front is the minimum;
-    /// `wire` holds its nodes). Queued output flits are read off the
-    /// output-active mask words, not by visiting every port's queue.
-    pub(crate) fn next_wake(&self, now: u64, wire: &WireSlab) -> Option<u64> {
-        if self.flits_buffered > 0 || self.egress_pending() {
-            return Some(now + 1);
-        }
-        wire.front(self.xbar).map(|n| n.at(now).max(now + 1))
+    /// router stays awake. Flits inside the crossbar need no wake from
+    /// here: the first push of each cycle planted the router's wake for
+    /// the cycle they leave it (`TickCtx::push_xbar`). Queued output flits
+    /// are read off the output-active mask words, not by visiting every
+    /// port's queue.
+    pub(crate) fn next_wake(&self, now: u64) -> Option<u64> {
+        (self.flits_buffered > 0 || self.egress_pending()).then_some(now + 1)
     }
 
     /// Debug builds: whether a tick at `now` would find none of the
     /// router's own work — no buffered input flit, no active output queue
-    /// and no crossbar entry ready (its channels report their arrivals
-    /// themselves).
+    /// and no crossbar record of its due in `xbar` (its channels report
+    /// their arrivals themselves).
     #[cfg(debug_assertions)]
-    pub(crate) fn idle_at(&self, now: u64, wire: &WireSlab) -> bool {
+    pub(crate) fn idle_at(&self, now: u64, xbar: &XbarFifo) -> bool {
         self.flits_buffered == 0
             && !self.egress_pending()
-            && wire.front(self.xbar).is_none_or(|n| !n.due(now))
+            && (self.in_xbar == 0 || !xbar.has_due(self.id as u32, now))
     }
 
     /// Downstream credits for `(port, vc)` (test/invariant support).
@@ -507,12 +509,17 @@ impl Router {
         self.live_ports[port]
     }
 
-    /// Flits inside the crossbar pipe or output queue heading to
-    /// `(port, vc)` (invariant support).
-    pub(crate) fn in_flight_to(&self, port: usize, vc: usize, wire: &WireSlab) -> usize {
-        let xbar = wire
-            .iter(self.xbar)
-            .filter(|&s| wire[s].port as usize == port && wire[s].vc as usize == vc)
+    /// Flits inside the crossbar (`xbar`) or the output queue (`wire`)
+    /// heading to `(port, vc)` (invariant support).
+    pub(crate) fn in_flight_to(
+        &self,
+        port: usize,
+        vc: usize,
+        (wire, xbar): (&WireSlab, &XbarFifo),
+    ) -> usize {
+        let xbar = xbar
+            .records_of(self.id as u32)
+            .filter(|r| r.port as usize == port && r.vc as usize == vc)
             .count();
         let outq = wire
             .iter(self.out_q[port])
@@ -715,7 +722,7 @@ impl Router {
             ctx.timers.vc_alloc_ns = ctx.timers.vc_alloc_ns.saturating_sub(route_delta);
         }
         self.switch_traverse(ctx);
-        self.xbar_drain(ctx.wire, ctx.now);
+        self.xbar_drain(ctx.xbar, ctx.wire, ctx.now);
         lap(&mut stamp, &mut ctx.timers.crossbar_ns);
         self.link_egress(ctx);
         lap(&mut stamp, &mut ctx.timers.channel_ns);
@@ -1202,8 +1209,13 @@ impl Router {
                 debug_assert_eq!(self.out_owner[o], flit.pkt);
                 self.out_owner[o] = NO_OWNER;
             }
-            let node = Node::new(ctx.now + self.xbar_latency, flit, out_vc, out_port);
-            ctx.wire.push_back(&mut self.xbar, node);
+            ctx.push_xbar(XbarRec {
+                flit,
+                router: self.id as u32,
+                vc: out_vc,
+                port: out_port,
+            });
+            self.in_xbar += 1;
             self.out_backlog[out_port as usize] += 1;
             // Credit for the freed input-buffer slot.
             if let Some(ch) = self.in_ch(port) {
@@ -1212,14 +1224,18 @@ impl Router {
         }
     }
 
-    /// Phase 4: matured crossbar flits drop into output queues, each node
-    /// relinked from the pipe onto its port's list in `wire`.
-    fn xbar_drain(&mut self, wire: &mut WireSlab, now: u64) {
-        while let Some(n) = wire.front(self.xbar).filter(|n| n.due(now)) {
-            let port = n.port as usize;
-            wire.move_front(&mut self.xbar, &mut self.out_q[port]);
-            self.out_active[port >> 6] |= 1u64 << (port & 63);
+    /// Phase 4: this router's matured records leave the front of `xbar`,
+    /// each one a new node on its port's output queue in `wire`.
+    fn xbar_drain(&mut self, xbar: &mut XbarFifo, wire: &mut WireSlab, now: u64) {
+        if self.in_xbar == 0 {
+            return;
         }
+        xbar.drain(self.id as u32, now, |rec| {
+            let port = rec.port as usize;
+            wire.push_back(&mut self.out_q[port], Node::new(0, rec.flit, rec.vc));
+            self.out_active[port >> 6] |= 1u64 << (port & 63);
+            self.in_xbar -= 1;
+        });
     }
 
     /// Phase 5: one flit per output port onto the wire, visiting only the
@@ -1339,27 +1355,21 @@ impl Router {
         }
     }
 
-    /// Fault fallout: discards every crossbar-pipe and output-queue flit
-    /// heading to `port`, freeing their nodes in `wire`. Called before
-    /// reviving the attached link so stale remnants of killed packets never
-    /// reach the fresh wire.
+    /// Fault fallout: discards every crossbar and output-queue flit
+    /// heading to `port`, removing their records from `xbar` and freeing
+    /// their nodes in `wire`. Called before reviving the attached link so
+    /// stale remnants of killed packets never reach the fresh wire.
     pub(crate) fn purge_egress(
         &mut self,
         port: usize,
-        wire: &mut WireSlab,
+        (wire, xbar): (&mut WireSlab, &mut XbarFifo),
         pool: &mut PacketPool,
         stats: &mut Stats,
     ) {
         let mut gone = Vec::new();
-        let (mut prev, mut s) = (NIL, self.xbar.first);
-        while s != NIL {
-            let next = wire[s].next();
-            if wire[s].port as usize == port {
-                gone.push(wire.unlink(&mut self.xbar, prev, s).flit);
-            } else {
-                prev = s;
-            }
-            s = next;
+        if self.in_xbar > 0 {
+            xbar.purge(self.id as u32, port as u16, |rec| gone.push(rec.flit));
+            self.in_xbar -= gone.len() as u32;
         }
         while let Some(n) = wire.pop_front(&mut self.out_q[port]) {
             gone.push(n.flit);
@@ -1405,6 +1415,7 @@ fn apply_commit(state: &mut PacketRouteState, commit: Commit) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::EventState;
     use std::sync::Mutex;
 
     impl Router {
@@ -1416,24 +1427,45 @@ mod tests {
             flit: Flit,
             vc: u8,
         ) {
-            wire.push_back(&mut self.out_q[port], Node::new(0, flit, vc, port as u16));
+            wire.push_back(&mut self.out_q[port], Node::new(0, flit, vc));
             self.out_active[port >> 6] |= 1u64 << (port & 63);
             self.out_backlog[port] += 1;
         }
     }
 
-    /// Runs `f` with a tick context at cycle `now` over `channels` (their
-    /// flits in `wire`) and `pool` (no trace, metrics or event engine).
+    /// An empty crossbar FIFO of the default latency.
+    fn xbar() -> XbarFifo {
+        XbarFifo::new(SimConfig::default().crossbar_latency)
+    }
+
+    /// What a tick context lends: the channels, the wire slab holding
+    /// their flits and the crossbar FIFO.
+    type Lent<'a> = (&'a mut [Channel], &'a mut WireSlab, &'a mut XbarFifo);
+
+    /// Runs `f` with a tick context at cycle `now` over `lent` and `pool`
+    /// (no trace, metrics or event engine).
     fn with_ctx<T>(
         now: u64,
-        (channels, wire): (&mut [Channel], &mut WireSlab),
+        lent: Lent,
         pool: &mut PacketPool,
+        f: impl FnOnce(&mut TickCtx) -> T,
+    ) -> T {
+        with_wakes(now, lent, pool, None, f)
+    }
+
+    /// [`with_ctx`] with the event engine's `wakes`.
+    fn with_wakes<T>(
+        now: u64,
+        (channels, wire, xbar): Lent,
+        pool: &mut PacketPool,
+        wakes: Option<&mut EventState>,
         f: impl FnOnce(&mut TickCtx) -> T,
     ) -> T {
         f(&mut TickCtx {
             now,
             channels,
             wire,
+            xbar,
             pool,
             stats: &mut Stats::default(),
             delivered: &mut Vec::new(),
@@ -1443,7 +1475,7 @@ mod tests {
             lost: &mut Vec::new(),
             timed: false,
             timers: Default::default(),
-            wakes: None,
+            wakes,
             llr_due: None,
             credits: &mut CreditWheel::from_cycle(now, 1),
         })
@@ -1513,9 +1545,8 @@ mod tests {
         let r = Router::new(0, 6, &cfg, 2, 1);
         assert_eq!(r.input_occupancy(3, 1), 0);
         assert_eq!(r.vc_owner(2, 0), None);
-        let wire = WireSlab::new();
-        assert_eq!(r.in_flight_to(1, 1, &wire), 0);
-        assert_eq!(r.next_wake(10, &wire), None);
+        assert_eq!(r.in_flight_to(1, 1, (&WireSlab::new(), &xbar())), 0);
+        assert_eq!(r.next_wake(10), None);
         assert_eq!(r.credits(0, 0), cfg.buf_flits as u32);
         assert_eq!(r.input_occupancy(3, 1), 0);
     }
@@ -1528,7 +1559,7 @@ mod tests {
     #[test]
     fn reap_drops_exactly_the_buffered_prefix_of_a_cut_packet() {
         let (mut r, mut channels) = wired_router(2, &SimConfig::default(), 2);
-        let mut wire = WireSlab::new();
+        let (mut wire, mut xbar) = (WireSlab::new(), xbar());
         let mut pool = PacketPool::new();
         let id = packet(&mut pool, 5, 0);
         let vc = 3u8;
@@ -1546,7 +1577,7 @@ mod tests {
             pool.note_flit_created(id);
         }
         let mut stats = Stats::default();
-        with_ctx(2, (&mut channels, &mut wire), &mut pool, |ctx| {
+        with_ctx(2, (&mut channels, &mut wire, &mut xbar), &mut pool, |ctx| {
             r.ingress_flits(0, ctx)
         });
         assert_eq!(r.input_occupancy(0, vc as usize), 2);
@@ -1596,7 +1627,7 @@ mod tests {
         };
         let (ports, v) = (3, cfg.num_vcs);
         let (mut r, mut channels) = wired_router(ports, &cfg, 2);
-        let mut wire = WireSlab::new();
+        let (mut wire, mut xbar) = (WireSlab::new(), xbar());
         let mut pool = PacketPool::new();
         let check = |r: &Router, pool: &PacketPool| {
             let per_vc = |p: usize, vcs: std::ops::Range<usize>| -> u64 {
@@ -1636,7 +1667,7 @@ mod tests {
             ids.push(id);
         }
         let mut stats = Stats::default();
-        with_ctx(3, (&mut channels, &mut wire), &mut pool, |ctx| {
+        with_ctx(3, (&mut channels, &mut wire, &mut xbar), &mut pool, |ctx| {
             r.ingress_flits(0, ctx)
         });
         for (&(_, out_port, out_vc, _), &id) in grants.iter().zip(&ids) {
@@ -1804,7 +1835,7 @@ mod tests {
     #[test]
     fn packet_behind_a_grant_is_routed_next_pass() {
         let (mut r, mut channels, hx, probe) = probe_rig();
-        let mut wire = WireSlab::new();
+        let (mut wire, mut xbar) = (WireSlab::new(), xbar());
         let mut pool = PacketPool::new();
         let ids = [packet(&mut pool, 1, 0), packet(&mut pool, 1, 1)];
         for (t, &id) in ids.iter().enumerate() {
@@ -1817,7 +1848,7 @@ mod tests {
             pool.note_flit_created(id);
         }
         let i = r.pv(1, 2);
-        with_ctx(2, (&mut channels, &mut wire), &mut pool, |ctx| {
+        with_ctx(2, (&mut channels, &mut wire, &mut xbar), &mut pool, |ctx| {
             r.ingress_flits(1, ctx);
             assert_eq!(r.in_vc[i].len, 2);
             r.allocate(&hx, &probe, ctx);
@@ -1846,7 +1877,7 @@ mod tests {
     #[test]
     fn younger_head_weighs_the_older_heads_grant() {
         let (mut r, mut channels, hx, probe) = probe_rig();
-        let mut wire = WireSlab::new();
+        let (mut wire, mut xbar) = (WireSlab::new(), xbar());
         let mut pool = PacketPool::new();
         let older = packet(&mut pool, 4, 0);
         let younger = packet(&mut pool, 6, 1);
@@ -1859,7 +1890,7 @@ mod tests {
             channels[port].send_flit(&mut wire, 0, flit, 0);
             pool.note_flit_created(id);
         }
-        with_ctx(1, (&mut channels, &mut wire), &mut pool, |ctx| {
+        with_ctx(1, (&mut channels, &mut wire, &mut xbar), &mut pool, |ctx| {
             r.ingress_flits(1, ctx);
             r.ingress_flits(2, ctx);
             r.allocate(&hx, &probe, ctx);
@@ -1885,7 +1916,7 @@ mod tests {
         };
         let (mut r, mut channels) = wired_router(4, &cfg, 1);
         let (hx, probe) = (hxtopo::HyperX::new(&[4], 1), probe_rig().3);
-        let mut wire = WireSlab::new();
+        let (mut wire, mut xbar) = (WireSlab::new(), xbar());
         let mut pool = PacketPool::new();
         let (younger, older, third) = (
             packet(&mut pool, 2, 5),
@@ -1899,7 +1930,7 @@ mod tests {
         }
         let i = r.pv(1, 2);
         let mut errs = Vec::new();
-        with_ctx(3, (&mut channels, &mut wire), &mut pool, |ctx| {
+        with_ctx(3, (&mut channels, &mut wire, &mut xbar), &mut pool, |ctx| {
             r.ingress_flits(1, ctx);
             r.allocate(&hx, &probe, ctx);
             r.allocate(&hx, &probe, ctx);
@@ -1912,10 +1943,10 @@ mod tests {
         assert_eq!(r.slab[second].pkt, older);
         assert_eq!((r.in_vc[i].len, r.in_vc[i].routed), (2, 2));
 
-        with_ctx(3, (&mut channels, &mut wire), &mut pool, |ctx| {
+        with_ctx(3, (&mut channels, &mut wire, &mut xbar), &mut pool, |ctx| {
             r.switch_traverse(ctx)
         });
-        let front = wire.front(r.xbar).map(|n| n.flit.pkt);
+        let front = xbar.records().first().map(|rec| rec.flit.pkt);
         assert_eq!(front, Some(older), "oldest first");
         assert_eq!(r.in_vc[i].list.first, first, "the survivor stays first");
         assert_eq!(
@@ -1934,7 +1965,7 @@ mod tests {
         };
         channels[1].send_flit(&mut wire, 3, flit, 2);
         pool.note_flit_created(third);
-        with_ctx(4, (&mut channels, &mut wire), &mut pool, |ctx| {
+        with_ctx(4, (&mut channels, &mut wire, &mut xbar), &mut pool, |ctx| {
             r.ingress_flits(1, ctx)
         });
         assert_eq!(r.in_vc[i].list.first, first);
@@ -1945,15 +1976,17 @@ mod tests {
         assert_eq!(errs, Vec::<String>::new());
     }
 
-    /// A flit enters a crossbar pipe of the default 50-cycle latency ten
-    /// cycles before the 32-bit maturity wraps. Until it leaves, the
-    /// router's next wake is the full 64-bit cycle past the wrap and the
-    /// drain moves nothing; at that cycle it drops into its output queue,
-    /// and the link egress moves the same node onto the wire.
+    /// A flit enters a crossbar of the default 50-cycle latency ten cycles
+    /// before the 32-bit cycle count wraps. The push plants the router's
+    /// wake at the full 64-bit cycle the flit leaves, past the wrap; until
+    /// then the drain moves nothing, at that cycle the flit drops into its
+    /// output queue as a fresh node, and the link egress moves that node
+    /// onto the wire.
     #[test]
-    fn the_crossbar_pipe_matures_across_the_wrap() {
+    fn the_crossbar_matures_across_the_wrap() {
         let (mut r, mut channels, hx, probe) = probe_rig();
-        let mut wire = WireSlab::new();
+        let (mut wire, mut xbar) = (WireSlab::new(), xbar());
+        let mut ev = EventState::new(std::slice::from_ref(&r), &[], channels.len());
         let mut pool = PacketPool::new();
         let id = packet(&mut pool, 1, 0);
         let flit = Flit {
@@ -1964,28 +1997,37 @@ mod tests {
         let now = (1u64 << 32) - 10;
         channels[1].send_flit(&mut wire, now - 1, flit, 0);
         pool.note_flit_created(id);
-        with_ctx(now, (&mut channels, &mut wire), &mut pool, |ctx| {
+        let lent = (&mut channels[..], &mut wire, &mut xbar);
+        with_wakes(now, lent, &mut pool, Some(&mut ev), |ctx| {
             r.ingress_flits(1, ctx);
             r.allocate(&hx, &probe, ctx);
             r.switch_traverse(ctx);
         });
-        let out = now + r.xbar_latency;
+        let out = now + xbar.latency();
         assert_eq!(out, (1 << 32) + 40);
-        assert_eq!(r.next_wake(now, &wire), Some(out));
+        assert_eq!(ev.next_time(), Some(out), "the push planted the wake");
+        assert_eq!(r.next_wake(now), None, "nothing else to wake for");
         for t in [now + 1, (1 << 32) - 1, 1 << 32, out - 1] {
-            r.xbar_drain(&mut wire, t);
+            r.xbar_drain(&mut xbar, &mut wire, t);
             assert_eq!(r.out_q[3], List::EMPTY, "left the crossbar at cycle {t}");
-            assert_eq!(r.next_wake(t, &wire), Some(out), "cycle {t}");
+            assert!(!xbar.has_due(0, t), "cycle {t}");
         }
-        let slot = r.xbar.first;
-        r.xbar_drain(&mut wire, out);
-        assert_eq!((r.xbar, r.out_q[3].first), (List::EMPTY, slot));
-        assert_eq!(r.next_wake(out, &wire), Some(out + 1), "egress pending");
-        with_ctx(out, (&mut channels, &mut wire), &mut pool, |ctx| {
-            r.link_egress(ctx)
-        });
+        assert!(xbar.has_due(0, out));
+        r.xbar_drain(&mut xbar, &mut wire, out);
+        assert_eq!(
+            (r.in_xbar, xbar.records(), xbar.marks()),
+            (0, vec![], vec![])
+        );
+        assert_ne!(r.out_q[3], List::EMPTY);
+        assert_eq!(r.next_wake(out), Some(out + 1), "egress pending");
+        with_ctx(
+            out,
+            (&mut channels, &mut wire, &mut xbar),
+            &mut pool,
+            |ctx| r.link_egress(ctx),
+        );
         assert_eq!(r.out_q[3], List::EMPTY);
-        assert_eq!(wire.len(), 1, "one node from pipe to wire");
+        assert_eq!(wire.len(), 1, "one node from crossbar exit to wire");
         assert_eq!(channels[3].pop_flit(&mut wire, out), None);
         assert_eq!(
             channels[3].pop_flit(&mut wire, out + 1).map(|(f, _)| f),
@@ -1993,49 +2035,98 @@ mod tests {
         );
     }
 
-    /// Reviving a port purges its flits from the crossbar pipe and its
-    /// output queue, freeing their nodes; the pipe keeps the other
-    /// ports' flits in order, and the slab audits clean.
+    /// With no crossbar latency a flit leaves the crossbar in the tick it
+    /// enters: the router's own drain takes it, and no wake is planted.
     #[test]
-    fn purge_egress_frees_the_ports_pipe_and_queue_nodes() {
+    fn a_zero_latency_crossbar_drains_in_the_tick_and_plants_no_wake() {
+        let cfg = SimConfig {
+            crossbar_latency: 0,
+            ..SimConfig::default()
+        };
+        let (mut r, mut channels) = wired_router(4, &cfg, 1);
+        let (hx, probe) = (hxtopo::HyperX::new(&[4], 1), probe_rig().3);
+        let (mut wire, mut xbar) = (WireSlab::new(), XbarFifo::new(0));
+        let mut ev = EventState::new(std::slice::from_ref(&r), &[], channels.len());
+        let mut pool = PacketPool::new();
+        let id = packet(&mut pool, 1, 0);
+        let flit = Flit {
+            pkt: id,
+            idx: 0,
+            len: 1,
+        };
+        channels[1].send_flit(&mut wire, 4, flit, 0);
+        pool.note_flit_created(id);
+        let lent = (&mut channels[..], &mut wire, &mut xbar);
+        with_wakes(5, lent, &mut pool, Some(&mut ev), |ctx| {
+            r.ingress_flits(1, ctx);
+            r.allocate(&hx, &probe, ctx);
+            r.switch_traverse(ctx);
+            assert_eq!(r.in_xbar, 1);
+            r.xbar_drain(ctx.xbar, ctx.wire, ctx.now);
+        });
+        assert_eq!(
+            (r.in_xbar, xbar.records(), xbar.marks()),
+            (0, vec![], vec![])
+        );
+        let queued: Vec<Flit> = wire.iter(r.out_q[3]).map(|s| wire[s].flit).collect();
+        assert_eq!(queued, [flit]);
+        assert_eq!(ev.next_time(), None, "no wake planted");
+    }
+
+    /// Reviving a port purges its flits from the crossbar and its output
+    /// queue: the FIFO keeps every other record (another router's for the
+    /// same port number too) and mark in order, the queue's nodes are
+    /// freed, and the wire slab and the FIFO audit clean.
+    #[test]
+    fn purge_egress_frees_the_ports_crossbar_records_and_queue_nodes() {
         let (mut r, _) = wired_router(4, &SimConfig::default(), 1);
-        let (mut wire, mut pool, mut stats) =
-            (WireSlab::new(), PacketPool::new(), Stats::default());
-        let ids: Vec<PacketId> = (0..6).map(|b| packet(&mut pool, 1, b)).collect();
+        let (mut wire, mut xbar) = (WireSlab::new(), xbar());
+        let (mut pool, mut stats) = (PacketPool::new(), Stats::default());
+        let ids: Vec<PacketId> = (0..7).map(|b| packet(&mut pool, 1, b)).collect();
         let flit = |k: usize| Flit {
             pkt: ids[k],
             idx: 0,
             len: 1,
         };
-        for (k, port) in [(0, 3), (1, 2), (2, 3), (3, 2)] {
+        for (k, router, port) in [(0, 0, 3), (1, 0, 2), (2, 0, 3), (3, 0, 2), (6, 1, 3)] {
             pool.note_flit_created(ids[k]);
-            wire.push_back(&mut r.xbar, Node::new(k as u64, flit(k), 0, port));
-            r.out_backlog[port as usize] += 1;
+            let rec = XbarRec {
+                flit: flit(k),
+                router,
+                vc: 0,
+                port,
+            };
+            xbar.push(k.min(3) as u64, rec);
+            if router == 0 {
+                r.in_xbar += 1;
+                r.out_backlog[port as usize] += 1;
+            }
         }
         for (k, port) in [(4, 3), (5, 2)] {
             pool.note_flit_created(ids[k]);
             r.queue_egress(&mut wire, port, flit(k), 0);
         }
-        r.purge_egress(3, &mut wire, &mut pool, &mut stats);
-        let pipe: Vec<_> = wire.iter(r.xbar).map(|s| wire[s].flit).collect();
-        assert_eq!(pipe, [flit(1), flit(3)]);
-        assert_eq!(r.out_q[3], List::EMPTY);
-        assert_eq!(r.out_backlog[3], 0);
-        assert_eq!((r.in_flight_to(2, 0, &wire), r.total_flits()), (3, 3));
+        r.purge_egress(3, (&mut wire, &mut xbar), &mut pool, &mut stats);
+        let left: Vec<Flit> = xbar.records().iter().map(|rec| rec.flit).collect();
+        assert_eq!(left, [flit(1), flit(3), flit(6)]);
+        assert_eq!(xbar.marks(), [(51, 1), (53, 2)]);
+        assert_eq!((r.out_q[3], r.out_backlog[3]), (List::EMPTY, 0));
+        let in_flight = r.in_flight_to(2, 0, (&wire, &xbar));
+        assert_eq!((in_flight, r.total_flits(), r.in_xbar), (3, 3, 2));
         assert_eq!(stats.dropped_flits, 3);
-        assert_eq!(wire.len(), 6, "the purge frees, it does not shrink");
+        assert_eq!(wire.len(), 2, "the purge frees, it does not shrink");
         let mut errs = Vec::new();
         wire.audit_wire(&[], std::slice::from_ref(&r), &mut errs);
+        xbar.audit(2, |k| [r.in_xbar, 1][k], &mut errs);
         r.audit_derived_state(&pool, &mut errs);
         assert_eq!(errs, Vec::<String>::new());
     }
 
-    /// The wire audit walks each router's pipe and output queues with the
-    /// channels, and names them: a pipe node linked into an output queue
-    /// breaks both lists, and a pipe whose maturities fall is out of
-    /// order.
+    /// The wire audit walks each router's output queues with the
+    /// channels, and names them: a queue node linked into another queue
+    /// breaks both lists.
     #[test]
-    fn wire_audit_names_the_pipe_and_the_output_queues() {
+    fn wire_audit_names_the_output_queues() {
         let (mut r, _) = wired_router(3, &SimConfig::default(), 1);
         let mut wire = WireSlab::new();
         let flit = Flit {
@@ -2043,25 +2134,22 @@ mod tests {
             idx: 0,
             len: 1,
         };
-        wire.push_back(&mut r.xbar, Node::new(7, flit, 0, 1));
-        wire.push_back(&mut r.xbar, Node::new(5, flit, 0, 1));
+        r.queue_egress(&mut wire, 1, flit, 0);
         r.queue_egress(&mut wire, 2, flit, 0);
         let audit = |wire: &WireSlab, r: &Router| {
             let mut errs = Vec::new();
             wire.audit_wire(&[], std::slice::from_ref(r), &mut errs);
             errs
         };
-        assert_eq!(
-            audit(&wire, &r),
-            ["wire slab: router 0's crossbar pipe matures out of order"]
-        );
-        wire.relink(1, 2);
+        assert_eq!(audit(&wire, &r), Vec::<String>::new());
+        wire.relink(0, 1);
         assert_eq!(
             audit(&wire, &r),
             [
-                "wire slab: router 0's crossbar pipe's last is node 1 but its list ends at node 2",
-                "wire slab: node 2 on router 0 port 2's output queue's list is already on router \
-                 0's crossbar pipe's list",
+                "wire slab: router 0 port 1's output queue's last is node 0 but its list ends \
+                 at node 1",
+                "wire slab: node 1 on router 0 port 2's output queue's list is already on router \
+                 0 port 1's output queue's list",
             ]
         );
     }

@@ -1,7 +1,8 @@
 //! FIFO lists through one slab of records: a router's input VCs hold
-//! their packets this way (`router.rs`), and the crossbar pipes, output
-//! queues and channels every flit in flight (`channel.rs`), a flit's node
-//! moving from list to list ([`Slab::move_front`]). Each list is two slot
+//! their packets this way (`router.rs`), and the output queues and
+//! channels every flit past a crossbar (`channel.rs`): one node per flit
+//! from crossbar exit to wire, moving from list to list
+//! ([`Slab::move_front`]). Each list is two slot
 //! numbers, linked through a `u32` every record carries. A removed
 //! record's slot goes on a LIFO free list that the next push, onto any
 //! list, reuses first, so the slab stops growing at the peak count of

@@ -261,6 +261,7 @@ mod tests {
             now,
             channels,
             wire,
+            xbar: &mut crate::xbar::XbarFifo::new(0),
             pool,
             stats: &mut Stats::default(),
             delivered: &mut Vec::new(),

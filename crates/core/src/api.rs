@@ -167,9 +167,6 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// handled by the simulator (ejection) and never reaches here.
     fn candidates(&self, hop: &Hop<'_>, rng: &mut SmallRng, out: &mut Vec<Candidate>);
 
-    /// Static implementation-comparison metadata (Table 1).
-    fn meta(&self) -> crate::meta::AlgoMeta;
-
     /// [`Self::candidates`] weighed against `ctx.view` by the rule the
     /// simulator's router applies to its own output state (the view's
     /// classes laid out by a [`ClassMap`] built per call). `out` is
@@ -194,9 +191,9 @@ pub trait RoutingAlgorithm: Send + Sync {
     }
 }
 
-/// The most VCs a [`ClassMap`] tabulates (the simulator's per-port VC
-/// masks are one `u64` word, so it caps `num_vcs` at the same 64).
-const MAP_MAX_VCS: usize = 64;
+/// The most VCs per port: a [`ClassMap`] tabulates this many, and the
+/// simulator's per-port VC masks are one `u64` word.
+pub const MAX_VCS: usize = 64;
 
 /// Maps resource classes onto physical VCs.
 ///
@@ -214,11 +211,11 @@ pub struct ClassMap {
     num_classes: usize,
     /// `bounds[c] = c*V/C` for `c` in `0..=C`: class `c` owns
     /// `bounds[c]..bounds[c + 1]`.
-    bounds: [u8; MAP_MAX_VCS + 1],
+    bounds: [u8; MAX_VCS + 1],
     /// The class of each VC.
-    class: [u8; MAP_MAX_VCS],
+    class: [u8; MAX_VCS],
     /// `V / n` for a class of `n` VCs when `n` divides `V`, else 0.
-    scale: [u8; MAP_MAX_VCS],
+    scale: [u8; MAX_VCS],
 }
 
 impl ClassMap {
@@ -234,15 +231,15 @@ impl ClassMap {
             "{num_classes} classes cannot fit in {num_vcs} VCs"
         );
         assert!(
-            num_vcs <= MAP_MAX_VCS,
-            "a class map covers at most {MAP_MAX_VCS} VCs, not {num_vcs}"
+            num_vcs <= MAX_VCS,
+            "a class map covers at most {MAX_VCS} VCs, not {num_vcs}"
         );
         let mut map = ClassMap {
             num_vcs,
             num_classes,
-            bounds: [0; MAP_MAX_VCS + 1],
-            class: [0; MAP_MAX_VCS],
-            scale: [0; MAP_MAX_VCS],
+            bounds: [0; MAX_VCS + 1],
+            class: [0; MAX_VCS],
+            scale: [0; MAX_VCS],
         };
         for c in 0..=num_classes {
             map.bounds[c] = (c * num_vcs / num_classes) as u8;

@@ -28,7 +28,6 @@ use rand::rngs::SmallRng;
 use rand::RngExt;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm, NO_INTERMEDIATE};
-use crate::meta::{AlgoMeta, RoutingStyle};
 use crate::valiant::valiant_continue;
 
 /// Clos-AD / UGAL+ source-adaptive routing.
@@ -93,18 +92,6 @@ impl RoutingAlgorithm for ClosAd {
                 phase: 0,
             };
             out.push(Candidate::new(port, 0, hops, commit));
-        }
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "Clos-AD",
-            dimension_ordered: true,
-            style: RoutingStyle::Source,
-            vcs_required: "2",
-            deadlock: "R.R. & R.C.",
-            arch_requirements: "seq. alloc.",
-            packet_contents: "int. addr.",
         }
     }
 }

@@ -22,7 +22,6 @@ use rand::rngs::SmallRng;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
 use crate::hyperx_common::dor_port;
-use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// The adaptive resource class.
 pub(crate) const CLASS_ADAPTIVE: usize = 0;
@@ -100,18 +99,6 @@ impl RoutingAlgorithm for Dal {
             esc.weight = ESCAPE_BIAS;
         }
         out.push(esc);
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "DAL",
-            dimension_ordered: false,
-            style: RoutingStyle::Incremental,
-            vcs_required: "1+1e",
-            deadlock: "escape paths",
-            arch_requirements: "escape paths",
-            packet_contents: "N-bit field",
-        }
     }
 }
 

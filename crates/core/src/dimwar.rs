@@ -26,7 +26,6 @@ use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
-use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// The resource class minimal hops ride on.
 pub(crate) const CLASS_MINIMAL: usize = 0;
@@ -93,18 +92,6 @@ impl RoutingAlgorithm for DimWar {
                     out.push(Candidate::new(port, CLASS_DEROUTE, h + 1, Commit::None));
                 }
             }
-        }
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "DimWAR",
-            dimension_ordered: true,
-            style: RoutingStyle::Incremental,
-            vcs_required: "2",
-            deadlock: "R.R. & R.C.",
-            arch_requirements: "none",
-            packet_contents: "none",
         }
     }
 }

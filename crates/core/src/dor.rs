@@ -13,7 +13,6 @@ use rand::rngs::SmallRng;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
 use crate::hyperx_common::{dor_port, hops};
-use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Deterministic dimension-order routing.
 pub struct Dor {
@@ -48,18 +47,6 @@ impl RoutingAlgorithm for Dor {
         }
         let h = hops(&self.hx, hop.router, hop.dst_router);
         out.push(Candidate::new(port, 0, h, Commit::None));
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "DOR",
-            dimension_ordered: true,
-            style: RoutingStyle::Oblivious,
-            vcs_required: "1",
-            deadlock: "R.R.",
-            arch_requirements: "none",
-            packet_contents: "none",
-        }
     }
 }
 

@@ -15,7 +15,6 @@ use rand::rngs::SmallRng;
 use rand::RngExt;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm, NO_INTERMEDIATE};
-use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Distance classes needed by a two-phase (Valiant) Dragonfly path.
 const DF_CLASSES: usize = 6;
@@ -148,21 +147,6 @@ impl RoutingAlgorithm for DragonflyRouting {
             Commit::None
         };
         out.push(Candidate::new(port, out_class, hops, commit));
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "DF-UGAL",
-            dimension_ordered: false,
-            style: match self.policy {
-                DfPolicy::Ugal => RoutingStyle::Source,
-                _ => RoutingStyle::Oblivious,
-            },
-            vcs_required: "6",
-            deadlock: "D.C.",
-            arch_requirements: "none",
-            packet_contents: "int. addr.",
-        }
     }
 }
 

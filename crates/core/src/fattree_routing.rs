@@ -13,7 +13,6 @@ use hxtopo::FatTree;
 use rand::rngs::SmallRng;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
-use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Adaptive-up/deterministic-down fat-tree routing.
 pub struct FatTreeRouting {
@@ -60,18 +59,6 @@ impl RoutingAlgorithm for FatTreeRouting {
             1 => (h..2 * h).for_each(|p| push(p, 3)),
             // Core: deterministic down into the destination pod.
             _ => push(dst_pod, 2),
-        }
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "FT-ADAPTIVE",
-            dimension_ordered: false,
-            style: RoutingStyle::Incremental,
-            vcs_required: "1",
-            deadlock: "up*/down*",
-            arch_requirements: "none",
-            packet_contents: "none",
         }
     }
 }

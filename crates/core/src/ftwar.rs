@@ -25,7 +25,6 @@ use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
-use crate::meta::{AlgoMeta, RoutingStyle};
 use crate::omniwar::OmniWar;
 
 /// Fault-tolerant omni-dimensional weighted adaptive routing.
@@ -90,18 +89,6 @@ impl RoutingAlgorithm for FtWar {
                     out.push(Candidate::new(port, out_class, remaining + 2, Commit::None));
                 }
             }
-        }
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "FT-WAR",
-            dimension_ordered: false,
-            style: RoutingStyle::Incremental,
-            vcs_required: "N+M",
-            deadlock: "R.R. & D.C.",
-            arch_requirements: "none",
-            packet_contents: "none",
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Implementation-comparison metadata (paper Table 1).
 //!
-//! Each algorithm reports what it demands from the router architecture and
-//! the network protocol; `tab1_comparison` in the bench crate renders the
-//! table. DimWAR and OmniWAR are the only adaptive algorithms with empty
+//! [`table1_rows`] is the one statement of what each algorithm of the
+//! table demands from the router architecture and the network protocol;
+//! `tab1_comparison` in the bench crate renders it. DimWAR and OmniWAR are the only adaptive algorithms with empty
 //! "architecture requirements" and "packet contents" columns — that is the
 //! paper's practicality claim.
 

@@ -15,7 +15,6 @@ use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
-use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Minimal adaptive routing over distance classes.
 pub struct MinAd {
@@ -55,18 +54,6 @@ impl RoutingAlgorithm for MinAd {
             }
             let port = hx.port_towards(hop.router, d, dst.get(d));
             out.push(Candidate::new(port, out_class, remaining, Commit::None));
-        }
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "MinAD",
-            dimension_ordered: false,
-            style: RoutingStyle::Incremental,
-            vcs_required: "N",
-            deadlock: "R.R. & D.C.",
-            arch_requirements: "none",
-            packet_contents: "none",
         }
     }
 }

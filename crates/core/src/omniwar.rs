@@ -25,7 +25,6 @@ use hxtopo::HyperX;
 use rand::rngs::SmallRng;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm};
-use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Omni-dimensional weighted adaptive routing.
 pub struct OmniWar {
@@ -154,18 +153,6 @@ impl RoutingAlgorithm for OmniWar {
                     }
                 }
             }
-        }
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "OmniWAR",
-            dimension_ordered: false,
-            style: RoutingStyle::Incremental,
-            vcs_required: "N+M",
-            deadlock: "R.R. & D.C.",
-            arch_requirements: "none",
-            packet_contents: "none",
         }
     }
 }

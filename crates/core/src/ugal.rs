@@ -17,7 +17,6 @@ use rand::RngExt;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm, NO_INTERMEDIATE};
 use crate::hyperx_common::{dor_port, hops};
-use crate::meta::{AlgoMeta, RoutingStyle};
 use crate::valiant::valiant_continue;
 
 /// Topology-agnostic UGAL: minimal vs one random Valiant candidate.
@@ -71,18 +70,6 @@ impl RoutingAlgorithm for Ugal {
                 let h_val = hops(hx, hop.router, x) + hops(hx, x, hop.dst_router);
                 out.push(Candidate::new(val_port, 0, h_val, commit));
             }
-        }
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "UGAL",
-            dimension_ordered: true,
-            style: RoutingStyle::Source,
-            vcs_required: "2",
-            deadlock: "R.R. & R.C.",
-            arch_requirements: "none",
-            packet_contents: "int. addr.",
         }
     }
 }

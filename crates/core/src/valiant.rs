@@ -15,7 +15,6 @@ use rand::RngExt;
 
 use crate::api::{Candidate, Commit, Hop, RoutingAlgorithm, NO_INTERMEDIATE};
 use crate::hyperx_common::{dor_port, hops};
-use crate::meta::{AlgoMeta, RoutingStyle};
 
 /// Valiant's randomized two-phase routing.
 pub struct Valiant {
@@ -99,18 +98,6 @@ impl RoutingAlgorithm for Valiant {
             phase: phase as u8,
         };
         out.push(Candidate::new(port, phase, h, commit));
-    }
-
-    fn meta(&self) -> AlgoMeta {
-        AlgoMeta {
-            name: "VAL",
-            dimension_ordered: true,
-            style: RoutingStyle::Oblivious,
-            vcs_required: "2",
-            deadlock: "R.R. & R.C.",
-            arch_requirements: "none",
-            packet_contents: "int. addr.",
-        }
     }
 }
 

@@ -2,10 +2,9 @@
 //!
 //! Each point's identity is the FNV-1a digest of its canonicalized
 //! configuration: the measurement protocol, the network, every axis
-//! value, the resolved semantic `SimConfig` (via
-//! [`hxsim::CanonicalSimConfig`], which excludes the execution knobs —
-//! the two engines are bit-identical, so the engine must not affect
-//! identity), the protocol knobs, the result
+//! value, the resolved [`hxsim::SimConfig`] (whose serialized form skips
+//! the execution knobs — the two engines are bit-identical, so the engine
+//! must not affect identity), the protocol knobs, the result
 //! [`hxsim::SCHEMA_VERSION`], and the workspace crate version. The
 //! experiment *name* is deliberately excluded: two specs that describe
 //! the same point share its cached result, and renaming a spec does not
@@ -54,7 +53,7 @@ pub(crate) fn canonical_json(p: &Point) -> String {
             ("seed", &p.seed),
             ("fails", &p.fails),
             ("router_fails", &p.router_fails),
-            ("sim", &p.sim.canonical()),
+            ("sim", &p.sim),
             ("warmup_window", &p.steady.warmup_window),
             ("max_warmup_windows", &p.steady.max_warmup_windows),
             ("measure_cycles", &p.steady.measure_cycles),

@@ -5,16 +5,19 @@
 //! experiment name — so the same point always produces the same bytes
 //! and the store can splice cached rows into fresh output verbatim.
 
+use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Instant;
 
-use hxsim::{run_steady_state, FaultSchedule, IdleWorkload, MetricsConfig, MetricsSummary, Sim};
-use hxtopo::{FaultSet, Topology};
+use hxsim::{
+    run_steady_state, FaultSchedule, IdleWorkload, LoadPoint, MetricsConfig, MetricsSummary, Sim,
+};
+use hxtopo::{FaultSet, HyperX, PortTarget, Topology};
 use hxtraffic::SyntheticWorkload;
 
 use crate::digest::{digest_hex, point_digest};
-use crate::spec::{Kind, Point};
+use crate::spec::{FaultProtocol, Kind, Point};
 
 /// One sweep point's merged-output row. Serialized through
 /// [`hxsim::versioned_json_row`], so the on-disk form leads with
@@ -80,6 +83,86 @@ pub struct PointRun {
     pub(crate) elapsed_ms: u64,
 }
 
+/// What a fault point strikes: the links and routers it kills, and the
+/// gray links it flaps (the first `fault.flap_links`) and degrades (the
+/// rest).
+pub(crate) struct FaultDraw {
+    pub(crate) kills: FaultSet,
+    pub(crate) gray: Vec<(usize, usize)>,
+}
+
+/// Draws a fault point's targets on `hx`: `fails` links, then
+/// `router_fails` routers, then `fp`'s gray links. The same seed picks the
+/// same dead cables and routers for every algorithm, keeping comparisons
+/// apples-to-apples; the router draw accounts for the link draw so the
+/// combined set keeps the surviving routers connected. Gray failures ride
+/// on extra cables disjoint from the hard kill set (a flap on an
+/// already-dead cable is invisible) and from killed routers' ports. Their
+/// draw is salted so the same seed yields independent kill and gray sets,
+/// and oversized so filtering still leaves enough cables.
+///
+/// # Errors
+/// A draw that falls short, naming the knob that asked too much (`axes`
+/// prefixes the two axis names): a row would claim faults its run lacks.
+pub(crate) fn draw_faults(
+    hx: &HyperX,
+    fails: usize,
+    router_fails: usize,
+    seed: u64,
+    fp: &FaultProtocol,
+    axes: &str,
+) -> Result<FaultDraw, String> {
+    let mut kills = FaultSet::random_links(hx, fails, seed);
+    if kills.num_links() < fails {
+        return Err(format!(
+            "{axes}fails = {fails}: only {} links can be cut with the routers kept connected \
+             (seed {seed})",
+            kills.num_links()
+        ));
+    }
+    let routers = kills.extend_random_routers(hx, router_fails, seed);
+    if routers < router_fails {
+        return Err(format!(
+            "{axes}router_fails = {router_fails}: only {routers} routers can fail with the \
+             survivors kept connected (seed {seed})"
+        ));
+    }
+    let wanted = fp.flap_links + fp.degrade_links;
+    if wanted == 0 {
+        return Ok(FaultDraw {
+            kills,
+            gray: Vec::new(),
+        });
+    }
+    let killed: BTreeSet<(usize, usize)> = kills.links().collect();
+    let dead_routers: BTreeSet<usize> = kills.routers().collect();
+    let pool = FaultSet::random_links(
+        hx,
+        killed.len() + dead_routers.len() * hx.num_ports(0) + wanted,
+        seed ^ 0xC4A0_5F0D_9B1E_2D77,
+    );
+    let gray: Vec<(usize, usize)> = pool
+        .links()
+        .filter(|&(r, p)| {
+            let peer = match hx.port_target(r, p) {
+                PortTarget::Router { router, .. } => router,
+                _ => return false,
+            };
+            !killed.contains(&(r, p)) && !dead_routers.contains(&r) && !dead_routers.contains(&peer)
+        })
+        .take(wanted)
+        .collect();
+    if gray.len() < wanted {
+        return Err(format!(
+            "fault.flap_links + fault.degrade_links = {wanted}: only {} gray links can be drawn \
+             beside the kill set of {axes}fails = {fails}, {axes}router_fails = {router_fails} \
+             (seed {seed})",
+            gray.len()
+        ));
+    }
+    Ok(FaultDraw { kills, gray })
+}
+
 /// [`execute_point`] for a sweep: a panicking point must not take the
 /// sweep (and every completed-but-uncommitted row) down with it, so the
 /// panic is caught and returned as its message — what `Job::fill` turns
@@ -132,101 +215,53 @@ pub fn execute_point(
         .unwrap_or_else(|e| panic!("{e} (spec was validated)"));
     let mut traffic = SyntheticWorkload::new(pattern, hx.num_terminals(), point.load, point.seed);
 
-    let steady = match point.kind {
-        Kind::Steady => Some(run_steady_state(
-            &mut sim,
-            &mut traffic,
-            point.load,
-            point.steady,
-        )),
+    let lp = match point.kind {
+        Kind::Steady => run_steady_state(&mut sim, &mut traffic, point.load, point.steady),
         Kind::Fault => {
-            // The same seed picks the same dead cables and routers for
-            // every algorithm, keeping comparisons apples-to-apples; the
-            // router draw accounts for the link draw so the combined set
-            // keeps the surviving routers connected. A draw that falls
-            // short fails the point: its row would claim a cut it lacks.
-            let mut faults = FaultSet::random_links(&*hx, point.fails, point.seed);
-            assert!(
-                faults.num_links() == point.fails,
-                "fails = {}: only {} links can be cut with the routers kept connected",
+            let draw = draw_faults(
+                &hx,
                 point.fails,
-                faults.num_links()
-            );
-            let routers = faults.extend_random_routers(&*hx, point.router_fails, point.seed);
-            assert!(
-                routers == point.router_fails,
-                "router_fails = {}: only {routers} routers can fail with the survivors kept \
-                 connected",
-                point.router_fails
-            );
-            let kill = point.fault.kill_cycle;
-            let revive = point.fault.revive_cycle;
+                point.router_fails,
+                point.seed,
+                &point.fault,
+                "",
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+            let fp = &point.fault;
+            let (kill, revive) = (fp.kill_cycle, fp.revive_cycle);
             let mut schedule = FaultSchedule::new();
-            for (r, p) in faults.links() {
+            for (r, p) in draw.kills.links() {
                 schedule = schedule.kill_link_at(kill, r, p);
                 if revive > 0 {
                     schedule = schedule.revive_link_at(revive, r, p);
                 }
             }
-            for r in faults.routers() {
+            for r in draw.kills.routers() {
                 schedule = schedule.kill_router_at(kill, r);
                 if revive > 0 {
                     schedule = schedule.revive_router_at(revive, r);
                 }
             }
-            // Gray failures ride on extra cables disjoint from the hard
-            // kill set (a flap on an already-dead cable is invisible) and
-            // from killed routers' ports. The draw is salted so the same
-            // seed yields independent kill and gray sets, and oversized so
-            // filtering still leaves enough cables.
-            let fp = &point.fault;
-            let wanted = fp.flap_links + fp.degrade_links;
-            if wanted > 0 {
-                let killed: std::collections::BTreeSet<(usize, usize)> = faults.links().collect();
-                let dead_routers: std::collections::BTreeSet<usize> = faults.routers().collect();
-                let pool = FaultSet::random_links(
-                    &*hx,
-                    killed.len() + dead_routers.len() * hx.num_ports(0) + wanted,
-                    point.seed ^ 0xC4A0_5F0D_9B1E_2D77,
+            for &(r, p) in draw.gray.iter().take(fp.flap_links) {
+                schedule = schedule.flap_link(
+                    r,
+                    p,
+                    fp.flap_first,
+                    fp.flap_period,
+                    fp.flap_down_cycles,
+                    fp.flap_count,
                 );
-                let gray: Vec<(usize, usize)> = pool
-                    .links()
-                    .filter(|&(r, p)| {
-                        let peer = match hx.port_target(r, p) {
-                            hxtopo::PortTarget::Router { router, .. } => router,
-                            _ => return false,
-                        };
-                        !killed.contains(&(r, p))
-                            && !dead_routers.contains(&r)
-                            && !dead_routers.contains(&peer)
-                    })
-                    .take(wanted)
-                    .collect();
-                assert!(
-                    gray.len() == wanted,
-                    "topology too small for {wanted} gray links on top of the kill set"
+            }
+            for &(r, p) in draw.gray.iter().skip(fp.flap_links) {
+                schedule = schedule.degrade_link_at(
+                    kill,
+                    r,
+                    p,
+                    fp.degrade_extra_latency,
+                    fp.degrade_half_bw,
                 );
-                for &(r, p) in gray.iter().take(fp.flap_links) {
-                    schedule = schedule.flap_link(
-                        r,
-                        p,
-                        fp.flap_first,
-                        fp.flap_period,
-                        fp.flap_down_cycles,
-                        fp.flap_count,
-                    );
-                }
-                for &(r, p) in gray.iter().skip(fp.flap_links) {
-                    schedule = schedule.degrade_link_at(
-                        kill,
-                        r,
-                        p,
-                        fp.degrade_extra_latency,
-                        fp.degrade_half_bw,
-                    );
-                    if revive > 0 {
-                        schedule = schedule.restore_link_at(revive, r, p);
-                    }
+                if revive > 0 {
+                    schedule = schedule.restore_link_at(revive, r, p);
                 }
             }
             // The spec's load-time check keeps every action before the
@@ -241,7 +276,21 @@ pub fn execute_point(
                 &mut IdleWorkload,
                 point.fault.drain_factor * point.fault.cycles,
             );
-            None
+            // No warm-up protocol: accepted is delivered flits per
+            // terminal-cycle over the injection window, and the latencies
+            // cover the whole run.
+            LoadPoint {
+                offered: point.load,
+                accepted: sim.stats.total_delivered_flits as f64
+                    / (point.fault.cycles * hx.num_terminals() as u64) as f64,
+                mean_latency: sim.stats.mean_latency(),
+                mean_net_latency: sim.stats.mean_net_latency(),
+                p50_latency: sim.stats.hist.quantile(0.5),
+                p99_latency: sim.stats.hist.quantile(0.99),
+                mean_hops: sim.stats.mean_hops(),
+                saturated: false,
+                delivered_packets: sim.stats.total_delivered_packets,
+            }
         }
     };
 
@@ -249,7 +298,6 @@ pub fn execute_point(
     let dropped = sim.stats.dropped_packets;
     let stranded = sim.pool.live() as u64;
     let attempted = delivered + dropped + stranded;
-    let terminals = hx.num_terminals();
     // With the transport on, delivery is judged logically: a packet
     // counts once no matter how many physical copies raced, and a copy
     // lost to a fault is recovered by retransmission rather than charged
@@ -273,37 +321,14 @@ pub fn execute_point(
         fails: point.fails,
         router_fails: point.router_fails,
         retransmit: point.retransmit,
-        offered: point.load,
-        accepted: match &steady {
-            Some(p) => p.accepted,
-            // Fault runs have no warm-up protocol; report delivered flits
-            // per terminal-cycle over the injection window.
-            None => {
-                sim.stats.total_delivered_flits as f64
-                    / (point.fault.cycles * terminals as u64) as f64
-            }
-        },
-        mean_latency: match &steady {
-            Some(p) => p.mean_latency,
-            None => sim.stats.mean_latency(),
-        },
-        mean_net_latency: match &steady {
-            Some(p) => p.mean_net_latency,
-            None => sim.stats.mean_net_latency(),
-        },
-        p50_latency: match &steady {
-            Some(p) => p.p50_latency,
-            None => sim.stats.hist.quantile(0.5),
-        },
-        p99_latency: match &steady {
-            Some(p) => p.p99_latency,
-            None => sim.stats.hist.quantile(0.99),
-        },
-        mean_hops: match &steady {
-            Some(p) => p.mean_hops,
-            None => sim.stats.mean_hops(),
-        },
-        saturated: steady.as_ref().is_some_and(|p| p.saturated),
+        offered: lp.offered,
+        accepted: lp.accepted,
+        mean_latency: lp.mean_latency,
+        mean_net_latency: lp.mean_net_latency,
+        p50_latency: lp.p50_latency,
+        p99_latency: lp.p99_latency,
+        mean_hops: lp.mean_hops,
+        saturated: lp.saturated,
         attempted_packets: attempted,
         delivered_packets: delivered,
         dropped_packets: dropped,

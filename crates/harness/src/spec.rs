@@ -29,7 +29,7 @@
 //! retransmit; seed innermost), each point carrying its fully resolved
 //! configuration — the unit the scheduler executes and the store hashes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use hxsim::{SimConfig, SteadyOpts, MAX_LATENCY, MAX_PORTS, MAX_VCS};
 use hxtopo::{HyperX, MAX_DIMS};
@@ -405,7 +405,7 @@ impl ExperimentSpec {
         // The whole resolved config, not just what differs from this
         // build's SimConfig::default().
         s.push_str(",\"sim\":");
-        serde::Serialize::to_json(&self.sim.canonical(), &mut s);
+        serde::Serialize::to_json(&self.sim, &mut s);
         s.push_str(",\"steady\":");
         serde::Serialize::to_json(&self.steady, &mut s);
         s.push_str(",\"fault\":");
@@ -611,6 +611,27 @@ impl ExperimentSpec {
                     net.dims, net.width, net.terminals
                 )
             })?;
+        }
+        if self.kind == Kind::Fault {
+            // Every point's draw must deliver what its row will claim. It
+            // depends only on these three axes and the fault protocol.
+            let mut draws = BTreeSet::new();
+            for &seed in &a.seeds {
+                for &fails in &a.fails {
+                    for &router_fails in &a.router_fails {
+                        if draws.insert((seed, fails, router_fails)) {
+                            crate::runner::draw_faults(
+                                &hx,
+                                fails,
+                                router_fails,
+                                seed,
+                                &self.fault,
+                                "axes.",
+                            )?;
+                        }
+                    }
+                }
+            }
         }
         if self.kind == Kind::Steady
             && (a.fails.iter().any(|&f| f != 0) || a.router_fails.iter().any(|&f| f != 0))
@@ -1025,8 +1046,11 @@ seed = [1, 2]
     #[test]
     fn gray_failure_knobs_parse_and_validate() {
         let fault_base = BASE.replace("kind = \"steady\"", "kind = \"fault\"");
+        // Three gray cables: a 3 × 3 network has them beside its spanning
+        // tree (`BASE`'s 2 × 2 has one).
+        let wide = fault_base.replace("width = 2", "width = 3");
         let ok = spec(&format!(
-            "{fault_base}\n[sim]\nllr_enabled = true\nerror_ber = 1e-5\nllr_window = 64\n\
+            "{wide}\n[sim]\nllr_enabled = true\nerror_ber = 1e-5\nllr_window = 64\n\
              [fault]\ncycles = 1000\nflap_links = 2\nflap_first = 100\nflap_period = 200\n\
              flap_down_cycles = 40\nflap_count = 3\ndegrade_links = 1\n\
              degrade_extra_latency = 2\ndegrade_half_bw = true\n"
@@ -1086,6 +1110,39 @@ seed = [1, 2]
             "{fault_base}\n[sim]\nllr_enabled = true\n[fault]\ncycles = 100\ndrain_factor = 3\n\
              {extra}\n"
         )
+    }
+
+    /// A fault draw that falls short is refused at load, naming the knob
+    /// that asked too much: of the four cables of `BASE`'s 2 × 2 network,
+    /// one can go with the routers kept connected, and three of its four
+    /// routers.
+    #[test]
+    fn a_fault_draw_that_falls_short_is_refused_at_load() {
+        let axes = |line: &str| ending_at_400("").replace("seed = [1, 2]", line);
+        spec(&axes(
+            "seed = [1, 2]\nfails = [0, 1]\nrouter_fails = [0, 3]",
+        ))
+        .unwrap();
+        let err = spec(&axes("seed = [1, 2]\nfails = [0, 3]")).unwrap_err();
+        assert!(
+            err.starts_with("axes.fails = 3: only 1 links can be cut"),
+            "{err}"
+        );
+        let err = spec(&axes("seed = [1, 2]\nrouter_fails = [4]")).unwrap_err();
+        assert!(
+            err.starts_with("axes.router_fails = 4: only 3 routers"),
+            "{err}"
+        );
+        let flaps = ending_at_400(
+            "flap_links = 5\nflap_first = 10\nflap_period = 100\nflap_down_cycles = 20",
+        );
+        let err = spec(&flaps).unwrap_err();
+        assert!(
+            err.starts_with(
+                "fault.flap_links + fault.degrade_links = 5: only 1 gray links can be drawn"
+            ),
+            "{err}"
+        );
     }
 
     /// The run executes cycles `0..end`, so a revival at `end` never fires.

@@ -267,7 +267,7 @@ mod tests {
         Store::open(&dir).unwrap()
     }
 
-    fn meta(exp: &str, digest: u64) -> StoreMeta {
+    fn store_meta(exp: &str, digest: u64) -> StoreMeta {
         StoreMeta {
             kind: "store_meta",
             digest: digest_hex(digest),
@@ -289,7 +289,7 @@ mod tests {
             hxsim::SCHEMA_VERSION
         );
         assert_eq!(s.lookup(42), None);
-        s.insert(42, &meta("t", 42), &row).unwrap();
+        s.insert(42, &store_meta("t", 42), &row).unwrap();
         assert_eq!(s.lookup(42).as_deref(), Some(row.as_str()));
         std::fs::remove_dir_all(s.dir()).ok();
     }
@@ -313,7 +313,7 @@ mod tests {
     fn scan_reports_schema_versions() {
         let s = tmp_store("scan_schema");
         let row = format!("{{\"schema_version\":{}}}", hxsim::SCHEMA_VERSION);
-        s.insert(1, &meta("t", 1), &row).unwrap();
+        s.insert(1, &store_meta("t", 1), &row).unwrap();
         let stale = s.dir().join(format!("{}.json", digest_hex(2)));
         std::fs::write(
             &stale,
@@ -352,7 +352,7 @@ mod tests {
         assert_eq!(corrupt_files(&s).len(), 1);
         // The slot is free again: a recomputed insert round-trips.
         let row = format!("{{\"schema_version\":{}}}", hxsim::SCHEMA_VERSION);
-        s.insert(9, &meta("t", 9), &row).unwrap();
+        s.insert(9, &store_meta("t", 9), &row).unwrap();
         assert_eq!(s.lookup(9).as_deref(), Some(row.as_str()));
         std::fs::remove_dir_all(s.dir()).ok();
     }
@@ -399,7 +399,7 @@ mod tests {
         );
         assert_eq!(s.debris().unwrap(), (0, 1));
         let row = format!("{{\"schema_version\":{}}}", hxsim::SCHEMA_VERSION);
-        s.insert(21, &meta("t", 21), &row).unwrap();
+        s.insert(21, &store_meta("t", 21), &row).unwrap();
         assert_eq!(s.lookup(21).as_deref(), Some(row.as_str()));
         assert!(corrupt_files(&s).is_empty());
         // gc clears the orphan.
@@ -418,7 +418,7 @@ mod tests {
         let row = format!("{{\"schema_version\":{}}}", hxsim::SCHEMA_VERSION);
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                scope.spawn(|| s.insert(33, &meta("t", 33), &row).unwrap());
+                scope.spawn(|| s.insert(33, &store_meta("t", 33), &row).unwrap());
             }
         });
         assert_eq!(s.lookup(33).as_deref(), Some(row.as_str()));
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn gc_sweeps_quarantined_files() {
         let s = tmp_store("gc_corrupt");
-        s.insert(1, &meta("t", 1), "{\"schema_version\":1}")
+        s.insert(1, &store_meta("t", 1), "{\"schema_version\":1}")
             .unwrap();
         let path = s.dir().join(format!("{}.json", digest_hex(2)));
         std::fs::write(&path, "half a li").unwrap();
@@ -448,7 +448,7 @@ mod tests {
     fn gc_keeps_only_reachable() {
         let s = tmp_store("gc");
         for d in [1u64, 2, 3] {
-            s.insert(d, &meta("t", d), "{\"schema_version\":1}")
+            s.insert(d, &store_meta("t", d), "{\"schema_version\":1}")
                 .unwrap();
         }
         let keep: HashSet<u64> = [1u64, 3].into_iter().collect();

@@ -42,8 +42,8 @@
 //! anywhere, so the slab stops growing at the run's peak count of flits in
 //! flight, however they spread over queues and channels.
 //!
-//! A node keeps only the low 32 bits of its maturity. Every latency is
-//! below [`MAX_LATENCY`] = 2^31 cycles (`SimConfig::validate`,
+//! A node keeps only the low 32 bits of its maturity. Every channel latency
+//! is below [`MAX_LATENCY`] = 2^31 cycles (`SimConfig::validate`,
 //! [`Channel::degrade`]) and a node is read no later than the cycle it
 //! matures, so the wrapping difference from the current cycle is exact.
 

@@ -1,15 +1,14 @@
 //! Simulator configuration.
 
-use crate::channel::MAX_LATENCY;
+use hxcore::MAX_VCS;
 
-/// The most virtual channels a port may have: a router keeps each input
-/// port's VC occupancy in one `u64` mask.
-pub const MAX_VCS: usize = 64;
+use crate::channel::MAX_LATENCY;
 
 /// Which inner-loop engine drives the simulation.
 ///
 /// Both engines produce bit-identical results; the choice is purely a
-/// performance knob, so it is excluded from [`CanonicalSimConfig`]. Debug
+/// performance knob, so it is left out of the config's serialized form
+/// (the content digest a sweep point is cached under). Debug
 /// builds audit the event engine's calendar every executed cycle
 /// (`Network::audit_calendar`); the engines are still compared by
 /// `crates/sim/tests/engine_equiv.rs`'s horizon cells,
@@ -34,7 +33,11 @@ pub enum Engine {
 /// (1 m), 50 ns crossbar traversal, and per-VC input buffers sized so a
 /// port's aggregate buffering covers more than the credit round trip
 /// without becoming so deep that congestion back-pressure turns mushy.
-#[derive(Clone, Copy, Debug)]
+///
+/// Its `Serialize` form, in field order, is the config a sweep point's
+/// content digest and a spec's canonical JSON carry; the two execution
+/// knobs, `tick_threads` and `engine`, are skipped.
+#[derive(serde::Serialize, Clone, Copy, Debug)]
 pub struct SimConfig {
     /// Virtual channels per port, 1 to [`MAX_VCS`].
     pub num_vcs: usize,
@@ -72,9 +75,9 @@ pub struct SimConfig {
     pub atomic_queue_alloc: bool,
     /// Watchdog: abort the simulation with a diagnostic report when no
     /// flit moves anywhere for this many consecutive cycles while packets
-    /// are live (a wedged network). Must comfortably exceed the longest
-    /// channel latency; tests of deliberately wedged configurations lower
-    /// it for speed.
+    /// are live (a wedged network). Must exceed `crossbar_latency` plus the
+    /// longest channel latency; tests of deliberately wedged
+    /// configurations lower it for speed.
     pub watchdog_stall_cycles: u64,
     /// Livelock guard: a packet that accumulates this many router-to-router
     /// hops is dropped (and counted) instead of being granted another hop.
@@ -118,10 +121,12 @@ pub struct SimConfig {
     /// Accepted and ignored: a simulation runs on one thread. Kept only
     /// because the benchmark package (`perf/`) still sets it; the next
     /// `[benchmark]` change deletes it together with `sim.tick2_ratio`.
+    #[serde(skip)]
     pub tick_threads: usize,
     /// Inner-loop engine. Defaults to [`Engine::Event`]; the `HX_ENGINE`
     /// environment variable (`cycle` or `event`, nothing else) overrides
     /// the default. Results are bit-identical either way.
+    #[serde(skip)]
     pub engine: Engine,
 }
 
@@ -175,60 +180,7 @@ fn parse_engine(value: Option<&str>) -> Result<Engine, String> {
     }
 }
 
-/// The semantically meaningful subset of [`SimConfig`], serialized with a
-/// fixed field order for content-addressed hashing (the `hx` result
-/// store). Excludes `engine`, an execution knob (the two engines are
-/// bit-identical to each other) rather than part of the experiment's
-/// identity — hashing it would spuriously miss the cache — and the ignored
-/// `tick_threads`.
-#[derive(serde::Serialize, Clone, Copy, Debug, PartialEq)]
-pub struct CanonicalSimConfig {
-    pub(crate) num_vcs: usize,
-    pub(crate) buf_flits: usize,
-    pub(crate) crossbar_latency: u64,
-    pub(crate) crossbar_speedup: usize,
-    pub(crate) router_chan_latency: u64,
-    pub(crate) short_chan_latency: u64,
-    pub(crate) term_chan_latency: u64,
-    pub(crate) max_packet_flits: usize,
-    pub(crate) max_source_queue: usize,
-    pub(crate) atomic_queue_alloc: bool,
-    pub(crate) watchdog_stall_cycles: u64,
-    pub(crate) max_packet_hops: u8,
-    pub(crate) retransmit_timeout: u64,
-    pub(crate) retransmit_max_retries: u32,
-    pub(crate) retransmit_backoff_cap: u64,
-    pub(crate) llr_enabled: bool,
-    pub(crate) error_ber: f64,
-    pub(crate) llr_window: usize,
-}
-
 impl SimConfig {
-    /// The canonical (hashable) view of this configuration; see
-    /// [`CanonicalSimConfig`].
-    pub fn canonical(&self) -> CanonicalSimConfig {
-        CanonicalSimConfig {
-            num_vcs: self.num_vcs,
-            buf_flits: self.buf_flits,
-            crossbar_latency: self.crossbar_latency,
-            crossbar_speedup: self.crossbar_speedup,
-            router_chan_latency: self.router_chan_latency,
-            short_chan_latency: self.short_chan_latency,
-            term_chan_latency: self.term_chan_latency,
-            max_packet_flits: self.max_packet_flits,
-            max_source_queue: self.max_source_queue,
-            atomic_queue_alloc: self.atomic_queue_alloc,
-            watchdog_stall_cycles: self.watchdog_stall_cycles,
-            max_packet_hops: self.max_packet_hops,
-            retransmit_timeout: self.retransmit_timeout,
-            retransmit_max_retries: self.retransmit_max_retries,
-            retransmit_backoff_cap: self.retransmit_backoff_cap,
-            llr_enabled: self.llr_enabled,
-            error_ber: self.error_ber,
-            llr_window: self.llr_window,
-        }
-    }
-
     /// Checks internal consistency (a buffer must hold a whole packet, a
     /// bit-error rate needs link-level retry, ...). `Network::new` panics
     /// with the message; a sweep spec reports it at load time.
@@ -242,16 +194,15 @@ impl SimConfig {
                 self.num_vcs
             ));
         }
-        let latencies = [
-            ("crossbar_latency", self.crossbar_latency),
+        let channels = [
             ("router_chan_latency", self.router_chan_latency),
             ("short_chan_latency", self.short_chan_latency),
             ("term_chan_latency", self.term_chan_latency),
         ];
-        if let Some((name, lat)) = latencies.iter().find(|&&(_, l)| l >= MAX_LATENCY) {
+        if let Some((name, lat)) = channels.iter().find(|&&(_, l)| l >= MAX_LATENCY) {
             return Err(format!(
-                "{name} ({lat}) must be below 2^31: an in-flight flit keeps the low 32 bits of \
-                 its maturity"
+                "{name} ({lat}) must be below 2^31: a flit on a channel keeps the low 32 bits \
+                 of its maturity"
             ));
         }
         if self.buf_flits < self.max_packet_flits {
@@ -263,8 +214,18 @@ impl SimConfig {
         if self.max_packet_flits < 1 {
             return Err("max_packet_flits must be at least 1".into());
         }
-        if self.watchdog_stall_cycles <= self.router_chan_latency {
-            return Err("watchdog window must exceed the longest channel latency".into());
+        let longest = channels.iter().map(|&(_, l)| l).max().unwrap_or(0);
+        if self
+            .crossbar_latency
+            .checked_add(longest)
+            .is_none_or(|l| self.watchdog_stall_cycles <= l)
+        {
+            return Err(format!(
+                "watchdog_stall_cycles ({}) must exceed crossbar_latency ({}) plus the longest \
+                 channel latency ({longest}): a lone flit makes no counted move from its switch \
+                 traversal to its next ingress",
+                self.watchdog_stall_cycles, self.crossbar_latency
+            ));
         }
         if self.max_packet_hops < 1 {
             return Err("max_packet_hops must be at least 1".into());
@@ -388,10 +349,28 @@ mod tests {
             ..SimConfig::default()
         };
         c.validate().unwrap();
-        let canon = c.canonical();
-        assert!(canon.llr_enabled);
-        assert_eq!(canon.error_ber, 1e-5);
-        assert_ne!(canon, SimConfig::default().canonical());
+        let json = |c: &SimConfig| {
+            let mut s = String::new();
+            serde::Serialize::to_json(c, &mut s);
+            s
+        };
+        let canon = json(&c);
+        assert!(
+            canon.contains("\"llr_enabled\":true,\"error_ber\":1e-5,"),
+            "{canon}"
+        );
+        assert_ne!(canon, json(&SimConfig::default()));
+        // The execution knobs stay out of the hashed form.
+        let knobs = SimConfig {
+            tick_threads: 4,
+            engine: match c.engine {
+                Engine::Cycle => Engine::Event,
+                Engine::Event => Engine::Cycle,
+            },
+            ..c
+        };
+        assert_eq!(json(&knobs), canon);
+        assert!(canon.ends_with("\"llr_window\":128}"), "{canon}");
     }
 
     #[test]
@@ -410,18 +389,15 @@ mod tests {
         let ok = SimConfig {
             crossbar_latency: MAX_LATENCY - 1,
             term_chan_latency: MAX_LATENCY - 1,
+            watchdog_stall_cycles: 2 * MAX_LATENCY,
             ..SimConfig::default()
         };
         ok.validate().unwrap();
-        let d = SimConfig::default;
+        let d = || SimConfig {
+            watchdog_stall_cycles: 4 * MAX_LATENCY,
+            ..SimConfig::default()
+        };
         let bad = [
-            (
-                "crossbar_latency",
-                SimConfig {
-                    crossbar_latency: MAX_LATENCY,
-                    ..d()
-                },
-            ),
             (
                 "router_chan_latency",
                 SimConfig {
@@ -447,10 +423,49 @@ mod tests {
         for (name, c) in bad {
             let err = c.validate().unwrap_err();
             assert!(
-                err.starts_with(&format!("{name} (2147483648) must be below 2^31")),
+                err.starts_with(&format!(
+                    "{name} (2147483648) must be below 2^31: a flit on a channel"
+                )),
                 "{err}"
             );
         }
+    }
+
+    /// Crossbar maturities are whole `u64` cycles, so the crossbar's
+    /// latency is bounded only by the watchdog, which must outlast a lone
+    /// flit's crossbar and channel.
+    #[test]
+    fn the_watchdog_outlasts_a_crossbar_and_a_channel() {
+        let c = SimConfig {
+            crossbar_latency: 5_000,
+            watchdog_stall_cycles: 1_000,
+            ..SimConfig::default()
+        };
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.starts_with(
+                "watchdog_stall_cycles (1000) must exceed crossbar_latency (5000) plus the \
+                 longest channel latency (50)"
+            ),
+            "{err}"
+        );
+        let edge = |watchdog_stall_cycles| SimConfig {
+            crossbar_latency: MAX_LATENCY,
+            short_chan_latency: 70,
+            watchdog_stall_cycles,
+            ..SimConfig::default()
+        };
+        assert!(edge(MAX_LATENCY + 70).validate().is_err());
+        edge(MAX_LATENCY + 71).validate().unwrap();
+        let huge = SimConfig {
+            crossbar_latency: u64::MAX,
+            watchdog_stall_cycles: u64::MAX,
+            ..SimConfig::default()
+        };
+        assert!(huge
+            .validate()
+            .unwrap_err()
+            .starts_with("watchdog_stall_cycles"));
     }
 
     #[test]

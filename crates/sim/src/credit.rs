@@ -12,7 +12,7 @@
 //! commute, so the order entries sit in a row is immaterial.
 
 use crate::channel::Channel;
-use crate::config::MAX_VCS;
+use hxcore::MAX_VCS;
 
 /// Who absorbs a channel's returning credits: the channel's sending
 /// endpoint, by id (routers `0..nr`, then terminals), and for a router the

@@ -46,9 +46,10 @@ mod xbar;
 
 pub use alloc_track::CountingAllocator;
 pub use channel::{Channel, WireSlab, MAX_LATENCY};
-pub use config::{CanonicalSimConfig, Engine, SimConfig, MAX_VCS};
+pub use config::{Engine, SimConfig};
 pub use event::{EventKind, EventQueue};
 pub use fault::{FaultAction, FaultEvent, FaultSchedule, RouterDiag, WatchdogReport};
+pub use hxcore::MAX_VCS;
 pub use metrics::{
     LogHist, Metrics, MetricsConfig, MetricsSummary, NetSample, PhaseTimers, PortSample,
 };
@@ -58,7 +59,7 @@ pub use router::Router;
 pub use runner::{run_steady_state, LoadPoint, SteadyOpts};
 pub use schema::{fnv1a, versioned_json_row, SCHEMA_VERSION};
 pub use sim::Sim;
-pub use stats::{LatencyHist, Stats};
+pub use stats::Stats;
 pub use terminal::Terminal;
 pub use trace::{DropReason, DropRecord, HopRecord, Trace};
 pub use transport::{Transport, TransportStats, TransportSummary};
@@ -323,6 +324,63 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The watchdog fires on the same cycle with the same report under
+    /// both engines when the event engine reaches that cycle by a skip.
+    /// One packet's flits wait in an LLR replay buffer while their link
+    /// flaps down for longer than the watchdog window: nothing moves and
+    /// nothing is due, so the event engine jumps the stall and must stop
+    /// exactly on the cycle the cycle engine fires on.
+    #[test]
+    fn watchdog_fires_on_the_same_cycle_after_a_skip() {
+        /// Records the cycles the simulation executes.
+        struct Executed(Vec<u64>);
+        impl Workload for Executed {
+            fn pre_cycle(&mut self, now: u64, _inject: &mut dyn FnMut(PacketDesc) -> bool) {
+                self.0.push(now);
+            }
+            fn next_active_cycle(&self, _now: u64) -> u64 {
+                u64::MAX
+            }
+        }
+        let run = |engine| {
+            let hx = Arc::new(HyperX::uniform(1, 2, 1));
+            let algo: Arc<dyn hxcore::RoutingAlgorithm> =
+                hyperx_algorithm("DOR", hx.clone(), 8).unwrap().into();
+            let cfg = SimConfig {
+                llr_enabled: true,
+                watchdog_stall_cycles: 500,
+                engine,
+                ..small_cfg()
+            };
+            let port = hx.port_towards(0, 0, 1);
+            let mut sim = Sim::new(hx, algo, cfg, 1);
+            sim.set_fault_schedule(FaultSchedule::new().flap_link(0, port, 12, 5_000, 2_000, 1));
+            sim.inject(PacketDesc {
+                src: 0,
+                dst: 1,
+                len: 16,
+                tag: 7,
+            });
+            let mut w = Executed(Vec::new());
+            sim.run(&mut w, 5_000);
+            let report = sim.watchdog_report().expect("the flap wedges the packet");
+            (report.clone(), w.0)
+        };
+        let (cycle, stepped) = run(Engine::Cycle);
+        let (event, executed) = run(Engine::Event);
+        assert_eq!(cycle.stall_cycles, 500);
+        assert_eq!(stepped.len() as u64, cycle.cycle + 1);
+        assert_eq!(
+            (event.cycle, event.stall_cycles),
+            (cycle.cycle, cycle.stall_cycles)
+        );
+        assert_eq!(event.to_string(), cycle.to_string());
+        // The event engine skipped straight into the fire cycle.
+        assert_eq!(executed.last(), Some(&event.cycle));
+        let before = executed[executed.len() - 2];
+        assert!(before + 400 < event.cycle, "no skip: {executed:?}");
     }
 
     /// run_to_completion detects the drain point.

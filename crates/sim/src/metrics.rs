@@ -37,7 +37,7 @@ pub(crate) const MAX_DIMS: usize = 8;
 /// Log2-bucketed histogram of `u64` samples with quantile extraction.
 ///
 /// Bucket `i` holds values in `[2^i, 2^(i+1))`; bucket 0 holds 0 and 1.
-/// Used for packet latencies ([`crate::LatencyHist`] is an alias) and for
+/// Used for packet latencies ([`crate::Stats::hist`]) and for
 /// sampled buffer occupancies. Merging is bucket-wise addition, so merges
 /// are associative and commutative — the property suite in
 /// `crates/sim/tests/metrics_props.rs` pins this down along with the

@@ -1812,9 +1812,6 @@ mod tests {
                 commit: Commit::None,
             });
         }
-        fn meta(&self) -> hxcore::meta::AlgoMeta {
-            unreachable!("the probe is not a listed algorithm")
-        }
     }
 
     /// A router of a 4-wide one-dimensional HyperX (one terminal port,

@@ -43,10 +43,9 @@ pub struct Sim {
     /// Whether any fault has ever been applied (enables fallout sweeps
     /// and the debug-build credit audit).
     fault_mode: bool,
-    /// `stats.flit_moves` at the last cycle that made progress.
-    last_flit_moves: u64,
-    /// Consecutive cycles without any flit movement while packets live.
-    stall_streak: u64,
+    /// The first cycle of the current stall: the cycle after the last
+    /// one that moved a flit or had no packet live.
+    stall_start: u64,
     /// Set when the watchdog aborts the run.
     watchdog: Option<WatchdogReport>,
 }
@@ -74,8 +73,7 @@ impl Sim {
             transport,
             fault_schedule: None,
             fault_mode: false,
-            last_flit_moves: 0,
-            stall_streak: 0,
+            stall_start: 0,
             watchdog: None,
         }
     }
@@ -195,6 +193,7 @@ impl Sim {
     /// Advances one cycle under `workload`.
     pub fn step(&mut self, workload: &mut dyn Workload) {
         let now = self.now;
+        let moves = self.stats.flit_moves;
         // Scheduled faults land at the start of their cycle. No action
         // needs a wake: kills and the fallout reap only remove work,
         // revivals only rebuild credits, and transient actions touch only
@@ -288,20 +287,20 @@ impl Sim {
             }
         }
 
-        self.check_watchdog();
+        self.check_watchdog(moves);
         self.now += 1;
     }
 
     /// Stall detection: abort when no flit has moved anywhere for
     /// `watchdog_stall_cycles` consecutive cycles while packets are live.
-    fn check_watchdog(&mut self) {
-        if self.pool.live() == 0 || self.stats.flit_moves != self.last_flit_moves {
-            self.last_flit_moves = self.stats.flit_moves;
-            self.stall_streak = 0;
-            return;
-        }
-        self.stall_streak += 1;
-        if self.stall_streak >= self.net.cfg.watchdog_stall_cycles && self.watchdog.is_none() {
+    /// `moves` is `stats.flit_moves` before this cycle; only
+    /// `Network::tick` moves flits.
+    fn check_watchdog(&mut self, moves: u64) {
+        if self.pool.live() == 0 || self.stats.flit_moves != moves {
+            self.stall_start = self.now + 1;
+        } else if self.now + 1 - self.stall_start >= self.net.cfg.watchdog_stall_cycles
+            && self.watchdog.is_none()
+        {
             self.watchdog = Some(self.build_watchdog_report());
         }
     }
@@ -343,7 +342,7 @@ impl Sim {
         }
         WatchdogReport {
             cycle: self.now,
-            stall_cycles: self.stall_streak,
+            stall_cycles: self.now + 1 - self.stall_start,
             live_packets: self.pool.live(),
             oldest_tag,
             oldest_age,
@@ -354,9 +353,9 @@ impl Sim {
     /// Event engine: fast-forwards `self.now` over cycles that provably
     /// execute nothing — no due endpoint wake, no workload activity, no
     /// fault event, no retransmission deadline, no metrics sample boundary
-    /// — never past `deadline`. The watchdog's stall accounting advances
-    /// exactly as if the dead cycles had been stepped one by one, and the
-    /// skip stops at the precise cycle a stall report would fire so the
+    /// — never past `deadline`. A skipped cycle with packets live is a
+    /// stalled one, so the watchdog's stall start stands, and the skip
+    /// stops at the precise cycle a stall report would fire so the
     /// report's cycle matches the cycle engine's bit for bit. Returning
     /// credits maturing inside the span are applied as it is jumped
     /// ([`Network::settle_credits`]). Debug builds check that the skipped
@@ -385,32 +384,15 @@ impl Sim {
             return;
         }
         if self.pool.live() == 0 {
-            // Dead cycles with nothing live reset the streak every cycle.
-            self.last_flit_moves = self.stats.flit_moves;
-            self.stall_streak = 0;
+            // Dead cycles with nothing live end any stall.
+            self.stall_start = target;
         } else {
-            // With packets live, the streak at the end of skipped cycle
-            // `now + i` would be `i` (when the last executed cycle made
-            // progress, resetting at i = 0) or `stall_streak + 1 + i`; cap
-            // the skip at the cycle the watchdog would fire and let a real
-            // step execute it, so the report is built at the legacy cycle.
-            let threshold = self.net.cfg.watchdog_stall_cycles;
-            let changed = self.stats.flit_moves != self.last_flit_moves;
-            let fire_cycle = if changed {
-                now + threshold
-            } else {
-                now + threshold - self.stall_streak - 1
-            };
-            target = target.min(fire_cycle);
+            // With packets live every skipped cycle stalls; cap the skip
+            // before the cycle the watchdog would fire on and let a real
+            // step execute it, so the report matches the cycle engine's.
+            target = target.min(self.stall_start + self.net.cfg.watchdog_stall_cycles - 1);
             if target <= now {
                 return;
-            }
-            let skipped = target - now;
-            if changed {
-                self.last_flit_moves = self.stats.flit_moves;
-                self.stall_streak = skipped - 1;
-            } else {
-                self.stall_streak += skipped;
             }
         }
         #[cfg(debug_assertions)]

@@ -1,11 +1,7 @@
 //! Simulation statistics: windowed counters and a log-bucketed latency
 //! histogram for percentile estimates.
 
-/// Log2-bucketed latency histogram. An alias of the general-purpose
-/// [`LogHist`](crate::metrics::LogHist) (same buckets, same quantile
-/// interpolation); kept under this name for the latency-centric call
-/// sites.
-pub type LatencyHist = crate::metrics::LogHist;
+use crate::metrics::LogHist;
 
 /// Windowed simulation counters. `reset_window` starts a fresh measurement
 /// window; lifetime totals keep accumulating.
@@ -32,7 +28,7 @@ pub struct Stats {
     /// Sum of router-to-router hop counts of delivered packets.
     pub hops_sum: u64,
     /// Latency histogram for the window.
-    pub hist: LatencyHist,
+    pub hist: LogHist,
     /// Lifetime totals (never reset).
     pub total_generated_flits: u64,
     /// Lifetime delivered flits.
@@ -157,7 +153,7 @@ mod tests {
 
     #[test]
     fn hist_quantiles_bracket_samples() {
-        let mut h = LatencyHist::default();
+        let mut h = LogHist::default();
         for lat in [10u64, 20, 30, 40, 1000] {
             h.record(lat);
         }
@@ -170,7 +166,7 @@ mod tests {
 
     #[test]
     fn hist_empty_is_zero() {
-        let h = LatencyHist::default();
+        let h = LogHist::default();
         assert_eq!(h.quantile(0.5), 0.0);
     }
 

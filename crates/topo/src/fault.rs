@@ -110,6 +110,13 @@ impl FaultSet {
     /// could be removed (up to `n` — fewer only if the topology runs out
     /// of removable links).
     pub fn random_links(topo: &dyn Topology, n: usize, seed: u64) -> FaultSet {
+        let mut set = FaultSet::new();
+        let mut dead: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let none = BTreeSet::new();
+        // No cut keeps a disconnected graph connected.
+        if n == 0 || surviving_component(topo, &dead, &none) != Some(topo.num_routers()) {
+            return set;
+        }
         // Canonical (lower-endpoint-first) list of all router-router links.
         let mut cables: Vec<(usize, usize)> = Vec::new();
         for r in 0..topo.num_routers() {
@@ -122,9 +129,6 @@ impl FaultSet {
             }
         }
         shuffle(&mut cables, seed ^ 0x9E37_79B9_7F4A_7C15);
-
-        let mut set = FaultSet::new();
-        let mut dead: BTreeSet<(usize, usize)> = BTreeSet::new();
         for (r, p) in cables {
             if set.links.len() >= n {
                 break;
@@ -134,7 +138,9 @@ impl FaultSet {
             };
             dead.insert((r, p));
             dead.insert((router, port));
-            if surviving_component(topo, &dead, &BTreeSet::new()) == Some(topo.num_routers()) {
+            // The graph was connected, so it still is iff the cable's two
+            // ends still reach each other.
+            if reach(topo, &dead, &none, r, Some(router)).1 {
                 set.fail_link(r, p);
             } else {
                 dead.remove(&(r, p));
@@ -209,9 +215,20 @@ fn surviving_component(
     dead_ports: &BTreeSet<(usize, usize)>,
     dead_routers: &BTreeSet<usize>,
 ) -> Option<usize> {
-    let n = topo.num_routers();
-    let start = (0..n).find(|r| !dead_routers.contains(r))?;
-    let mut seen = vec![false; n];
+    let start = (0..topo.num_routers()).find(|r| !dead_routers.contains(r))?;
+    Some(reach(topo, dead_ports, dead_routers, start, None).0)
+}
+
+/// Breadth-first walk from `start` over live links and surviving routers:
+/// the routers it reaches, and whether it reached `goal`, where it stops.
+fn reach(
+    topo: &dyn Topology,
+    dead_ports: &BTreeSet<(usize, usize)>,
+    dead_routers: &BTreeSet<usize>,
+    start: usize,
+    goal: Option<usize>,
+) -> (usize, bool) {
+    let mut seen = vec![false; topo.num_routers()];
     seen[start] = true;
     let mut queue = std::collections::VecDeque::from([start]);
     let mut count = 1usize;
@@ -222,6 +239,9 @@ fn surviving_component(
             }
             if let PortTarget::Router { router, .. } = topo.port_target(r, p) {
                 if !seen[router] && !dead_routers.contains(&router) {
+                    if goal == Some(router) {
+                        return (count + 1, true);
+                    }
                     seen[router] = true;
                     count += 1;
                     queue.push_back(router);
@@ -229,7 +249,7 @@ fn surviving_component(
             }
         }
     }
-    Some(count)
+    (count, goal == Some(start))
 }
 
 /// A base topology with a [`FaultSet`] applied.

@@ -18,8 +18,6 @@ use rand::RngExt;
 pub trait TrafficPattern: Send + Sync {
     /// Picks a destination terminal for a packet from `src`.
     fn dest(&self, src: usize, rng: &mut SmallRng) -> usize;
-    /// Pattern name, e.g. `"URBy"`.
-    fn name(&self) -> String;
 }
 
 /// Uniform random traffic over `n` terminals, excluding self-sends.
@@ -44,9 +42,6 @@ impl TrafficPattern for UniformRandom {
             d
         }
     }
-    fn name(&self) -> String {
-        "UR".into()
-    }
 }
 
 /// Bit complement: terminal `i` sends to `!i` (mod the id width). Requires
@@ -68,9 +63,6 @@ impl BitComplement {
 impl TrafficPattern for BitComplement {
     fn dest(&self, src: usize, _rng: &mut SmallRng) -> usize {
         !src & self.mask
-    }
-    fn name(&self) -> String {
-        "BC".into()
     }
 }
 
@@ -111,10 +103,6 @@ impl TrafficPattern for UniformRandomBisection {
         }
         hx.terminal_id(hx.router_at(&c), rng.random_range(0..t))
     }
-    fn name(&self) -> String {
-        let axis = ["x", "y", "z", "w", "v", "u"][self.dim.min(5)];
-        format!("URB{axis}")
-    }
 }
 
 /// Swap 2: even-numbered terminals complement their X coordinate, odd ones
@@ -152,9 +140,6 @@ impl TrafficPattern for Swap2 {
         let mut c = hx.coord_of(src_router);
         c.set(dim, hx.width(dim) - 1 - c.get(dim));
         hx.terminal_id(hx.router_at(&c), idx)
-    }
-    fn name(&self) -> String {
-        "S2".into()
     }
 }
 
@@ -198,9 +183,6 @@ impl TrafficPattern for DimComplementReverse {
         }
         c.set(nd - 1, rng.random_range(0..hx.width(nd - 1)));
         hx.terminal_id(hx.router_at(&c), rng.random_range(0..t))
-    }
-    fn name(&self) -> String {
-        "DCR".into()
     }
 }
 

@@ -12,6 +12,9 @@
 # `#[cfg(test)] mod` are skipped. The match is by name, so an item whose
 # name another crate uses for something else passes; a failure is always
 # real: nothing outside can call the item, so it should be `pub(crate)`.
+# It also fails on a method that a `pub trait` under crates/*/src declares
+# and no .rs file it searches calls, as `.name(` or `::name(` (a
+# declaration or an impl is no call): every impl of it is dead code.
 # Usage: scripts/check_pub.sh (from any directory).
 set -u
 cd "$(dirname "$0")/.." || exit 2
@@ -65,4 +68,27 @@ for crate in crates/*/; do
         status=1
     fi
 done
+# Trait methods: the same test-module skip, then each `fn` one level inside
+# a top-level `pub trait` block.
+grep -E '^crates/[^/]+/src/' "$tmp/all" >"$tmp/libs"
+# shellcheck disable=SC2046
+awk '
+    FNR == 1 { skip = 0; pending = 0; trait = 0 }
+    skip { if ($0 ~ /^}/) skip = 0; next }
+    pending && /^mod [A-Za-z_0-9]+ *\{/ { skip = 1; pending = 0; next }
+    { pending = ($0 ~ /^#\[cfg\(test\)\]/) }
+    /^pub trait / { trait = 1; next }
+    trait && /^}/ { trait = 0; next }
+    trait && match($0, /^    fn [A-Za-z_][A-Za-z0-9_]*/) {
+        print FILENAME ":" FNR, substr($0, RSTART + 7, RLENGTH - 7)
+    }' $(cat "$tmp/libs") >"$tmp/methods"
+# shellcheck disable=SC2046
+cat $(cat "$tmp/all") | grep -oE '(\.|::)[A-Za-z_][A-Za-z0-9_]*\(' |
+    sed -E 's/^(\.|::)//; s/\($//' | sort -u >"$tmp/called"
+while read -r at name; do
+    if ! grep -qxF "$name" "$tmp/called"; then
+        echo "uncalled trait method: $at $name"
+        status=1
+    fi
+done <"$tmp/methods"
 exit $status
